@@ -3,6 +3,8 @@
 // approximated by the chunk-size sweep: larger chunks amortize per-chunk
 // overhead but move more bytes per update).
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "bench_metrics.h"
@@ -27,11 +29,16 @@ struct Fixture {
   // configuration) so the longstanding baseline numbers stay comparable;
   // the hot-read and parallel-commit benches below opt in explicitly.
   explicit Fixture(bool secure, size_t cache_bytes = 0,
-                   int crypto_threads = 0) {
+                   int crypto_threads = 0)
+      : Fixture(secure ? crypto::SecurityConfig::PaperTdbS()
+                       : crypto::SecurityConfig::Disabled(),
+                cache_bytes, crypto_threads) {}
+
+  Fixture(crypto::SecurityConfig security, size_t cache_bytes,
+          int crypto_threads) {
     (void)secrets.Provision(Slice("bench-secret")).ok();
     ChunkStoreOptions options;
-    options.security = secure ? crypto::SecurityConfig::PaperTdbS()
-                              : crypto::SecurityConfig::Disabled();
+    options.security = security;
     options.segment_size = 256 * 1024;
     options.checkpoint_interval_bytes = 8 * 1024 * 1024;
     options.cache_bytes = cache_bytes;
@@ -143,19 +150,28 @@ BENCHMARK(BM_ChunkReadHot)
     ->Args({1024, 0})->Args({1024, 1})
     ->Args({16384, 0})->Args({16384, 1});
 
-// Multi-chunk atomic commits: per-commit overhead amortization.
-// range(0) = batch size, range(1) = crypto_threads (0 = serial sealing).
+// Multi-chunk atomic commits: per-commit overhead amortization, and where
+// handing the seals to the crypto pool starts to pay.
+// range(0) = suite (0 = Modern AES-128/SHA-256, 1 = PaperTdbS 3DES/SHA-1),
+// range(1) = writes per batch, range(2) = bytes per write,
+// range(3) = crypto_threads (0 = always inline). With a pool, PrepareBatch
+// seals inline until that has cost one dispatch (kSealDispatchCost in
+// chunk_store.cc), then pools the rest if it is worth a dispatch: the
+// {.., 0} vs {.., 4} pairs show the fan-out's price for small batches and
+// its gain for large ones.
 void BM_ChunkBatchCommit(benchmark::State& state) {
-  Fixture fx(true, /*cache_bytes=*/0,
-             /*crypto_threads=*/static_cast<int>(state.range(1)));
+  Fixture fx(state.range(0) == 0 ? crypto::SecurityConfig::Modern()
+                                 : crypto::SecurityConfig::PaperTdbS(),
+             /*cache_bytes=*/0,
+             /*crypto_threads=*/static_cast<int>(state.range(3)));
   Random rng(3);
-  const int batch_size = static_cast<int>(state.range(0));
+  const int batch_size = static_cast<int>(state.range(1));
   std::vector<ChunkId> cids;
   for (int i = 0; i < batch_size; i++) {
     cids.push_back(fx.chunks->AllocateChunkId());
   }
   Buffer data;
-  rng.Fill(&data, 100);
+  rng.Fill(&data, static_cast<size_t>(state.range(2)));
   for (auto _ : state) {
     WriteBatch batch;
     for (ChunkId cid : cids) batch.Write(cid, data);
@@ -163,9 +179,13 @@ void BM_ChunkBatchCommit(benchmark::State& state) {
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
   }
   state.SetItemsProcessed(state.iterations() * batch_size);
+  state.counters["parallel_sealed_share"] = benchmark::Counter(
+      static_cast<double>(fx.chunks->Stats().parallel_sealed_bytes) /
+      std::max<uint64_t>(1, fx.chunks->Stats().sealed_bytes));
 }
 BENCHMARK(BM_ChunkBatchCommit)
-    ->Args({1, 0})->Args({4, 0})->Args({16, 0})->Args({64, 0});
+    ->ArgNames({"suite", "writes", "bytes", "threads"})
+    ->ArgsProduct({{0, 1}, {4, 16, 64}, {100, 4096}, {0, 4}});
 
 // Large-batch commits with crypto-sized payloads, where sealing dominates:
 // the parallel pipeline's target. 4 KB chunks, batches of 64/256.

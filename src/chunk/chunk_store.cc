@@ -18,10 +18,6 @@ namespace {
 // Lexicographically sortable segment file names.
 constexpr char kSegmentPrefix[] = "seg-";
 
-// Commit batches below this many writes seal serially: the fan-out/join
-// overhead only pays for itself once several independent seals overlap.
-constexpr size_t kParallelSealMinWrites = 4;
-
 // VerifyIntegrity fans validation out in batches of this many chunks so
 // sealed bytes are buffered boundedly (I/O stays serial; crypto overlaps).
 constexpr size_t kVerifyBatchChunks = 256;
@@ -182,11 +178,6 @@ void ChunkStore::AtomicMax(std::atomic<uint64_t>& counter, uint64_t value) {
 Buffer ChunkStore::SealSerialIv(Slice plain) {
   std::lock_guard<std::mutex> lock(iv_mu_);
   return suite_.Seal(plain);
-}
-
-Buffer ChunkStore::NextIvSerial() {
-  std::lock_guard<std::mutex> lock(iv_mu_);
-  return suite_.NextIv();
 }
 
 size_t ChunkStore::entry_hash_size() const {
@@ -842,18 +833,23 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
   out->touched = std::move(order);
 
   // Seal + hash the staged writes — on the committer's own thread, outside
-  // the commit mutex, so concurrent committers overlap their crypto. Each
-  // write is independent; with a pool available and enough writes the
-  // CPU-bound work additionally fans out across the workers. IVs are drawn
-  // serially (the cipher suite's DRBG is the only serialized step), which
-  // keeps single-threaded sealing bit-identical to the serial path.
-  out->writes.resize(write_ops.size());
-  out->plains.resize(write_ops.size());
-  for (size_t i = 0; i < write_ops.size(); i++) {
+  // the commit mutex, so concurrent committers overlap their crypto. IVs
+  // are drawn serially up front (the cipher suite's DRBG is the only
+  // serialized step), so the sealed bytes do not depend on which thread
+  // seals which write: the log image is the same inline or pooled.
+  const size_t n = write_ops.size();
+  out->writes.resize(n);
+  out->plains.resize(n);
+  for (size_t i = 0; i < n; i++) {
     out->plains[i] = &write_ops[i]->data;
   }
   common::TraceSpan span("chunk.seal");
   common::ScopedTimer timer(metrics_.get(), m_.seal_latency_us);
+  std::vector<Buffer> ivs(n);
+  {
+    std::lock_guard<std::mutex> lock(iv_mu_);
+    for (Buffer& iv : ivs) iv = suite_.NextIv();
+  }
   // Compress-before-encrypt: returns the plaintext to seal for write `i` —
   // the LZ-compressed form when that is actually smaller (recording the
   // choice in the staged flags), the raw bytes otherwise. `scratch` owns
@@ -871,26 +867,36 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     m_.compress_bytes_out->Add(static_cast<int64_t>(scratch->size()));
     return *scratch;
   };
-  ThreadPool* pool = CryptoPool();
-  if (pool != nullptr && suite_.enabled() &&
-      write_ops.size() >= kParallelSealMinWrites) {
-    std::vector<Buffer> ivs(write_ops.size());
-    for (size_t i = 0; i < write_ops.size(); i++) ivs[i] = NextIvSerial();
-    pool->ParallelFor(write_ops.size(), [&](size_t i) {
-      out->writes[i].cid = write_ops[i]->cid;
-      Buffer scratch;
-      out->writes[i].sealed = suite_.SealWithIv(plain_for(i, &scratch), ivs[i]);
-      out->writes[i].hash = EntryHash(out->writes[i].sealed);
-    });
-    for (const WriteBatch::Op* op : write_ops) {
-      m_.parallel_sealed_bytes->Add(static_cast<int64_t>(op->data.size()));
+  auto seal = [&](size_t i) {
+    out->writes[i].cid = write_ops[i]->cid;
+    Buffer scratch;
+    out->writes[i].sealed = suite_.SealWithIv(plain_for(i, &scratch), ivs[i]);
+    out->writes[i].hash = EntryHash(out->writes[i].sealed);
+  };
+  // Seal inline in batch order. Once the inline time passes one pool
+  // dispatch, the pool takes the rest — provided at least two writes
+  // remain and, at the inline rate so far, they would take at least
+  // another dispatch to seal inline (a shorter tail cannot win it back).
+  ThreadPool* pool = suite_.enabled() ? CryptoPool() : nullptr;
+  const auto start = std::chrono::steady_clock::now();
+  size_t next = 0;
+  while (next < n) {
+    if (pool != nullptr && next > 0 && n - next >= 2) {
+      const auto spent = std::chrono::steady_clock::now() - start;
+      const auto left = static_cast<int64_t>(n - next);
+      if (spent >= kSealDispatchCost &&
+          spent * left >= kSealDispatchCost * static_cast<int64_t>(next)) {
+        break;
+      }
     }
-  } else {
-    for (size_t i = 0; i < write_ops.size(); i++) {
-      out->writes[i].cid = write_ops[i]->cid;
-      Buffer scratch;
-      out->writes[i].sealed = SealSerialIv(plain_for(i, &scratch));
-      out->writes[i].hash = EntryHash(out->writes[i].sealed);
+    seal(next++);
+  }
+  if (next < n) {
+    const size_t first = next;
+    pool->ParallelFor(n - first, [&](size_t j) { seal(first + j); });
+    for (size_t i = first; i < n; i++) {
+      m_.parallel_sealed_bytes->Add(
+          static_cast<int64_t>(write_ops[i]->data.size()));
     }
   }
   return Status::OK();

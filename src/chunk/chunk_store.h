@@ -2,6 +2,7 @@
 #define TDB_CHUNK_CHUNK_STORE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -29,6 +30,18 @@ class ShardedChunkStore;  // Friend of CommitHandle/Snapshot (src/shard).
 }  // namespace tdb::shard
 
 namespace tdb::chunk {
+
+/// What handing a commit's seals to the crypto pool costs the committer:
+/// waking the workers and joining them in ThreadPool::ParallelFor. A
+/// 4-worker pool took 18-35 us for 2-16 near-empty items on a 4-vCPU x86
+/// VM. A commit seals inline until its inline time passes this, then fans
+/// the rest out if they are worth another dispatch at the inline rate so
+/// far (the ski-rental rule). A batch whose seals take less than one
+/// dispatch never pays one, and a batch that would be cheaper pooled loses
+/// at most one dispatch plus one write's seal, whatever the cipher suite
+/// and write sizes. BM_ChunkBatchCommit's crypto_threads 0 vs 4 rows show
+/// both sides.
+inline constexpr std::chrono::microseconds kSealDispatchCost{35};
 
 /// Tuning and security knobs for a chunk store instance.
 struct ChunkStoreOptions {
@@ -84,8 +97,10 @@ struct ChunkStoreOptions {
   /// Worker threads for the commit-path crypto pipeline (sealing + hashing
   /// of independent staged writes) and for VerifyIntegrity validation.
   /// 0 or 1 runs fully serial on the caller (the pre-pipeline behavior).
-  /// Sealed output is bit-identical regardless of thread count: IVs are
-  /// drawn serially in submission order, then encryption fans out.
+  /// A commit seals its writes inline until that has taken about as long
+  /// as one pool dispatch, and fans only the rest out, so small commits
+  /// never pay the hand-off. Sealed output is bit-identical regardless of
+  /// thread count: IVs are drawn serially in submission order first.
   int crypto_threads = 4;
 
   /// Sharded router only: worker threads for the cross-shard 2PC
@@ -705,10 +720,10 @@ class ChunkStore : public ChunkStoreInterface {
   crypto::Digest EntryHash(Slice sealed) const;
   size_t entry_hash_size() const;
 
-  // Seals with a serially-drawn IV; the only mutating cipher-suite calls,
-  // serialized by iv_mu_ so concurrent committers can seal in parallel.
+  // Seals with a serially-drawn IV. IV draws are the only mutating
+  // cipher-suite calls; iv_mu_ serializes them (PrepareBatch draws a
+  // batch's IVs under it, then seals unlocked).
   Buffer SealSerialIv(Slice plain);
-  Buffer NextIvSerial();
 
   // Worker pool for the commit/verify crypto pipeline; created on first
   // use (thread-safely), nullptr when options_.crypto_threads <= 1.

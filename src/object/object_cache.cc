@@ -15,54 +15,71 @@ void ObjectCache::AttachMetrics(common::Counter* hits,
 }
 
 Object* ObjectCache::Put(ObjectId oid, std::unique_ptr<Object> object,
-                         bool dirty) {
-  Erase(oid);
-  Entry entry;
+                         bool dirty, uint64_t* pin_generation) {
+  auto [it, inserted] = entries_.try_emplace(oid);
+  Entry& entry = it->second;
+  if (!inserted) {
+    // Replacement: the old instance's pins are forgotten, as by Erase.
+    size_ -= entry.charge;
+    if (entry.evictable()) lru_.erase(entry.lru_pos);
+  }
   entry.charge = object->ApproxSize() + 64;  // Entry bookkeeping overhead.
   entry.generation = ++next_generation_;
   entry.object = std::move(object);
   entry.dirty = dirty;
-  lru_.push_front(oid);
-  entry.lru_pos = lru_.begin();
+  entry.pins = pin_generation != nullptr ? 1 : 0;
+  if (pin_generation != nullptr) *pin_generation = entry.generation;
+  Relink(oid, entry, /*was_evictable=*/false);
   size_ += entry.charge;
-  Object* raw = entry.object.get();
-  entries_.emplace(oid, std::move(entry));
   MirrorSize();
-  return raw;
+  return entry.object.get();
 }
 
 Object* ObjectCache::Get(ObjectId oid) {
   auto it = entries_.find(oid);
   if (it == entries_.end()) return nullptr;
-  stats_.hits++;
-  if (hits_metric_ != nullptr) hits_metric_->Increment();
-  Touch(oid);
-  return it->second.object.get();
+  CountHit();
+  Entry& entry = it->second;
+  if (entry.evictable()) lru_.splice(lru_.begin(), lru_, entry.lru_pos);
+  return entry.object.get();
 }
 
-uint64_t ObjectCache::Pin(ObjectId oid) {
+Object* ObjectCache::Acquire(ObjectId oid, bool dirty,
+                             uint64_t* pin_generation) {
   auto it = entries_.find(oid);
-  TDB_CHECK(it != entries_.end(), "pin of uncached object");
-  it->second.pins++;
-  return it->second.generation;
+  if (it == entries_.end()) return nullptr;
+  CountHit();
+  Entry& entry = it->second;
+  const bool was_evictable = entry.evictable();
+  if (dirty) entry.dirty = true;
+  entry.pins++;
+  Relink(oid, entry, was_evictable);
+  *pin_generation = entry.generation;
+  return entry.object.get();
 }
 
 void ObjectCache::Unpin(ObjectId oid, uint64_t generation) {
   auto it = entries_.find(oid);
   if (it == entries_.end()) return;  // Erased by an abort; nothing to do.
-  if (it->second.generation != generation) {
+  Entry& entry = it->second;
+  if (entry.generation != generation) {
     // Erased by an abort, then re-fetched: the pinned entry is gone and
     // this release must not touch its replacement's pin count.
     return;
   }
-  TDB_DCHECK(it->second.pins > 0);
-  if (it->second.pins > 0) it->second.pins--;
+  TDB_DCHECK(entry.pins > 0);
+  if (entry.pins == 0) return;
+  entry.pins--;
+  Relink(oid, entry, /*was_evictable=*/false);
 }
 
 void ObjectCache::SetDirty(ObjectId oid, bool dirty) {
   auto it = entries_.find(oid);
   TDB_CHECK(it != entries_.end(), "dirty mark of uncached object");
-  it->second.dirty = dirty;
+  Entry& entry = it->second;
+  const bool was_evictable = entry.evictable();
+  entry.dirty = dirty;
+  Relink(oid, entry, was_evictable);
 }
 
 bool ObjectCache::IsDirty(ObjectId oid) const {
@@ -73,32 +90,32 @@ bool ObjectCache::IsDirty(ObjectId oid) const {
 void ObjectCache::Erase(ObjectId oid) {
   auto it = entries_.find(oid);
   if (it == entries_.end()) return;
-  size_ -= it->second.charge;
-  lru_.erase(it->second.lru_pos);
+  Entry& entry = it->second;
+  size_ -= entry.charge;
+  if (entry.evictable()) lru_.erase(entry.lru_pos);
   entries_.erase(it);
   MirrorSize();
 }
 
-void ObjectCache::Touch(ObjectId oid) {
-  auto it = entries_.find(oid);
-  if (it == entries_.end()) return;
-  lru_.erase(it->second.lru_pos);
-  lru_.push_front(oid);
-  it->second.lru_pos = lru_.begin();
+void ObjectCache::Relink(ObjectId oid, Entry& entry, bool was_evictable) {
+  const bool evictable = entry.evictable();
+  if (evictable == was_evictable) return;
+  if (evictable) {
+    lru_.push_front(oid);
+    entry.lru_pos = lru_.begin();
+  } else {
+    lru_.erase(entry.lru_pos);
+  }
 }
 
 void ObjectCache::EnforceCapacity() {
   if (size_ <= capacity_) return;
-  // Walk from the LRU tail, skipping pinned/dirty entries.
-  auto it = lru_.end();
-  while (size_ > capacity_ && it != lru_.begin()) {
-    --it;
-    auto entry_it = entries_.find(*it);
-    TDB_DCHECK(entry_it != entries_.end());
-    if (entry_it->second.pins > 0 || entry_it->second.dirty) continue;
-    size_ -= entry_it->second.charge;
-    it = lru_.erase(it);
-    entries_.erase(entry_it);
+  while (size_ > capacity_ && !lru_.empty()) {
+    auto it = entries_.find(lru_.back());
+    TDB_DCHECK(it != entries_.end());
+    size_ -= it->second.charge;
+    entries_.erase(it);
+    lru_.pop_back();
     stats_.evictions++;
     if (evictions_metric_ != nullptr) evictions_metric_->Increment();
   }

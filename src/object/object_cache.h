@@ -2,8 +2,8 @@
 #define TDB_OBJECT_OBJECT_CACHE_H_
 
 #include <list>
-#include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "common/metrics.h"
 #include "object/object.h"
@@ -12,9 +12,13 @@ namespace tdb::object {
 
 /// In-memory cache of unpickled objects, indexed by object id (§4.2.2).
 /// Objects here are "ready for direct access by the application: decrypted,
-/// validated, unpickled, and type checked". LRU eviction; entries are
-/// exempt while pinned (live Refs) or dirty (no-steal: modified objects
-/// stay cached until their transaction commits, §4.2.2).
+/// validated, unpickled, and type checked". Entries are exempt from
+/// eviction while pinned (live Refs) or dirty (no-steal: modified objects
+/// stay cached until their transaction commits, §4.2.2). Only evictable
+/// entries — clean and unpinned — sit on the LRU list, ordered by their
+/// last use while evictable: a clean insert, a hit, the last unpin, or
+/// the commit that cleaned them. Eviction pops the LRU tail, so it costs
+/// O(entries evicted) however many objects open transactions hold.
 ///
 /// Not thread-safe; the object store's state mutex serializes access.
 class ObjectCache {
@@ -35,21 +39,29 @@ class ObjectCache {
   void AttachMetrics(common::Counter* hits, common::Counter* misses,
                      common::Counter* evictions, common::Gauge* bytes_used);
 
-  /// Inserts (or replaces) the cached instance for `oid`.
-  Object* Put(ObjectId oid, std::unique_ptr<Object> object, bool dirty);
+  /// Inserts (or replaces) the cached instance for `oid`. With a non-null
+  /// `pin_generation` the entry starts pinned once (see Acquire) and its
+  /// generation is stored there.
+  Object* Put(ObjectId oid, std::unique_ptr<Object> object, bool dirty,
+              uint64_t* pin_generation = nullptr);
 
-  /// Returns the cached instance or nullptr; a hit refreshes LRU position.
+  /// Returns the cached instance or nullptr. A hit counts toward the stats
+  /// and, if the entry is evictable, moves it to the MRU end.
   Object* Get(ObjectId oid);
 
-  bool Contains(ObjectId oid) const { return entries_.count(oid) > 0; }
-
-  /// Pin/unpin: pinned entries cannot be evicted. Pins come from live Refs.
-  /// Pin returns the entry's generation (stamped at Put); Unpin releases
-  /// only if the entry still has that generation. An abort can Erase a
-  /// pinned entry and a later fetch re-Put the same oid — a stale Ref's
-  /// release must not steal the replacement entry's pin.
-  uint64_t Pin(ObjectId oid);
+  /// Pins the cached instance for a Ref, marking it dirty first when
+  /// `dirty` — one probe. A hit counts toward the stats; a miss returns
+  /// nullptr and pins nothing.
+  ///
+  /// Pinned entries cannot be evicted. Acquire stores the entry's
+  /// generation (stamped at Put); Unpin releases only if the entry still
+  /// has that generation. An abort can Erase a pinned entry and a later
+  /// fetch re-Put the same oid — a stale Ref's release must not steal the
+  /// replacement entry's pin.
+  Object* Acquire(ObjectId oid, bool dirty, uint64_t* pin_generation);
   void Unpin(ObjectId oid, uint64_t generation);
+
+  bool Contains(ObjectId oid) const { return entries_.count(oid) > 0; }
 
   /// Marks an entry dirty (pinned by the no-steal policy) or clean.
   void SetDirty(ObjectId oid, bool dirty);
@@ -59,10 +71,8 @@ class ObjectCache {
   /// forgotten — callers must not touch the object afterwards.
   void Erase(ObjectId oid);
 
-  /// Moves `oid` to the LRU head (a Ref was dereferenced).
-  void Touch(ObjectId oid);
-
-  /// Evicts LRU-clean-unpinned entries until within capacity.
+  /// Evicts from the LRU tail until within capacity (or nothing is
+  /// evictable).
   void EnforceCapacity();
 
   size_t size_bytes() const { return size_; }
@@ -80,18 +90,29 @@ class ObjectCache {
     int pins = 0;
     uint64_t generation = 0;
     bool dirty = false;
+    // Valid only while evictable(): exactly those entries are on lru_.
     std::list<ObjectId>::iterator lru_pos;
+
+    bool evictable() const { return pins == 0 && !dirty; }
   };
 
+  void CountHit() {
+    stats_.hits++;
+    if (hits_metric_ != nullptr) hits_metric_->Increment();
+  }
+  // Puts `oid`'s entry on (at the MRU end) or takes it off the LRU list
+  // when a state change flipped evictable(); `was_evictable` is its value
+  // before the change.
+  void Relink(ObjectId oid, Entry& entry, bool was_evictable);
   void MirrorSize() {
     if (bytes_used_metric_ != nullptr) {
       bytes_used_metric_->Set(static_cast<int64_t>(size_));
     }
   }
 
-  std::map<ObjectId, Entry> entries_;
+  std::unordered_map<ObjectId, Entry> entries_;
   uint64_t next_generation_ = 0;
-  std::list<ObjectId> lru_;  // Front = most recently used.
+  std::list<ObjectId> lru_;  // Evictable entries; front = MRU.
   size_t capacity_;
   size_t size_ = 0;
   Stats stats_;

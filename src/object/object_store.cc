@@ -278,7 +278,7 @@ std::shared_ptr<internal::TxnState> ObjectStore::BeginTxn() {
   return state;
 }
 
-Result<Object*> ObjectStore::Fetch(ObjectId oid) {
+Result<std::unique_ptr<Object>> ObjectStore::Fetch(ObjectId oid) {
   auto data = chunks_->Read(oid);
   if (!data.ok()) return data.status();
   cache_.CountMiss();
@@ -286,9 +286,7 @@ Result<Object*> ObjectStore::Fetch(ObjectId oid) {
   Unpickler unpickler{Slice(*data)};
   uint32_t class_id;
   TDB_RETURN_IF_ERROR(unpickler.GetUint32(&class_id));
-  TDB_ASSIGN_OR_RETURN(std::unique_ptr<Object> object,
-                       registry_.Unpickle(class_id, &unpickler));
-  return cache_.Put(oid, std::move(object), /*dirty=*/false);
+  return registry_.Unpickle(class_id, &unpickler);
 }
 
 Result<Object*> ObjectStore::OpenInternal(internal::TxnState& txn,
@@ -309,20 +307,21 @@ Result<Object*> ObjectStore::OpenInternal(internal::TxnState& txn,
       return locked;
     }
   }
-  Object* obj = cache_.Get(oid);
+  // Pin (and, for a write, dirty) the entry in the same probe that finds
+  // it, and build the release guard under the same mutex hold, so the
+  // generation the guard releases is the generation that was pinned (an
+  // abort may Erase + re-Put this oid the moment the mutex drops).
+  uint64_t pin_generation = 0;
+  Object* obj = cache_.Acquire(oid, writable, &pin_generation);
   if (obj == nullptr) {
-    TDB_ASSIGN_OR_RETURN(obj, Fetch(oid));
+    TDB_ASSIGN_OR_RETURN(std::unique_ptr<Object> fetched, Fetch(oid));
+    obj = cache_.Put(oid, std::move(fetched), writable, &pin_generation);
   }
   if (writable) {
-    cache_.SetDirty(oid, true);
     txn.write_set.insert(oid);
   } else {
     txn.read_set.insert(oid);
   }
-  // Pin and build the release guard under the same mutex hold, so the
-  // generation the guard releases is the generation that was pinned (an
-  // abort may Erase + re-Put this oid the moment the mutex drops).
-  const uint64_t pin_generation = cache_.Pin(oid);
   *pin_guard = MakePin(oid, pin_generation);
   cache_.EnforceCapacity();
   return obj;

@@ -409,9 +409,9 @@ class ObjectStore {
   Status CommitTxn(internal::TxnState& txn, bool durable);
   Status AbortTxn(internal::TxnState& txn);
 
-  // Fetches a committed object into the cache (no locking). Requires the
-  // state mutex.
-  Result<Object*> Fetch(ObjectId oid);
+  // Reads and unpickles a committed object, counting a cache miss (no
+  // locking). Requires the state mutex.
+  Result<std::unique_ptr<Object>> Fetch(ObjectId oid);
 
   // Builds the pin guard shared_ptr for a Ref; releases only the entry
   // generation that was pinned.

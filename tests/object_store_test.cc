@@ -612,7 +612,8 @@ TEST(ObjectCacheTest, UnitTestsPinAndDirty) {
   EXPECT_EQ(cache.Get(1), m1);
   EXPECT_EQ(cache.Get(2), nullptr);
 
-  const uint64_t pin_gen = cache.Pin(1);
+  uint64_t pin_gen = 0;
+  ASSERT_EQ(cache.Acquire(1, false, &pin_gen), m1);
   for (ObjectId oid = 2; oid <= 10; oid++) {
     cache.Put(oid, std::make_unique<Meter>(int32_t(oid), 0, 0), false);
   }
@@ -642,6 +643,139 @@ TEST(ObjectCacheTest, UnitTestsPinAndDirty) {
   }
   cache.EnforceCapacity();
   EXPECT_EQ(cache.Get(20), nullptr);  // Now evictable, and evicted.
+}
+
+// Charge of one cached Meter (object size plus entry bookkeeping).
+size_t MeterCharge() {
+  ObjectCache probe(0);
+  probe.Put(1, std::make_unique<Meter>(1, 0, 0), false);
+  return probe.size_bytes();
+}
+
+// Puts clean Meters [first, last) and enforces capacity after each, the
+// way the store does on every open.
+void FillClean(ObjectCache* cache, ObjectId first, ObjectId last) {
+  for (ObjectId oid = first; oid < last; oid++) {
+    cache->Put(oid, std::make_unique<Meter>(int32_t(oid), 0, 0), false);
+    cache->EnforceCapacity();
+  }
+}
+
+TEST(ObjectCacheTest, PinnedOrDirtyEntriesAreNeverEvicted) {
+  ObjectCache cache(4 * MeterCharge());
+  uint64_t pin_gen = 0;
+  cache.Put(1, std::make_unique<Meter>(1, 0, 0), false, &pin_gen);
+  cache.Put(2, std::make_unique<Meter>(2, 0, 0), true);
+  cache.Put(3, std::make_unique<Meter>(3, 0, 0), false);
+  uint64_t acquired_gen = 0;
+  ASSERT_NE(cache.Acquire(3, false, &acquired_gen), nullptr);
+  FillClean(&cache, 10, 200);
+  EXPECT_TRUE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(2));
+  EXPECT_TRUE(cache.Contains(3));
+  EXPECT_LE(cache.size_bytes(), 4 * MeterCharge());
+  // With nothing evictable the cache may exceed its capacity, but it
+  // still never drops a held entry.
+  ObjectCache full(MeterCharge());
+  for (ObjectId oid = 1; oid <= 5; oid++) {
+    full.Put(oid, std::make_unique<Meter>(int32_t(oid), 0, 0), true);
+  }
+  full.EnforceCapacity();
+  EXPECT_EQ(full.entry_count(), 5u);
+  EXPECT_EQ(full.stats().evictions, 0u);
+  cache.Unpin(1, pin_gen);
+  cache.Unpin(3, acquired_gen);
+}
+
+TEST(ObjectCacheTest, LastUnpinRelinksAtMru) {
+  ObjectCache cache(3 * MeterCharge());
+  uint64_t gen = 0;
+  cache.Put(1, std::make_unique<Meter>(1, 0, 0), false, &gen);
+  cache.Acquire(1, false, &gen);
+  FillClean(&cache, 2, 4);  // LRU: 3, 2.
+  cache.Unpin(1, gen);      // Still pinned once.
+  FillClean(&cache, 4, 5);  // Evicts 2, the LRU tail.
+  EXPECT_FALSE(cache.Contains(2));
+  EXPECT_TRUE(cache.Contains(1));
+  cache.Unpin(1, gen);      // Last unpin: LRU 1, 4, 3.
+  FillClean(&cache, 5, 7);  // Evicts 3, then 4 — not 1.
+  EXPECT_FALSE(cache.Contains(3));
+  EXPECT_FALSE(cache.Contains(4));
+  EXPECT_TRUE(cache.Contains(1));
+  FillClean(&cache, 7, 8);  // Now 1 is the tail.
+  EXPECT_FALSE(cache.Contains(1));
+}
+
+TEST(ObjectCacheTest, CleanedWhilePinnedStaysUnevictableUntilUnpinned) {
+  ObjectCache cache(2 * MeterCharge());
+  uint64_t gen = 0;
+  cache.Put(1, std::make_unique<Meter>(1, 0, 0), true, &gen);
+  cache.SetDirty(1, false);  // Committed, but a Ref is still live.
+  EXPECT_FALSE(cache.IsDirty(1));
+  FillClean(&cache, 10, 50);
+  EXPECT_TRUE(cache.Contains(1));
+  cache.Unpin(1, gen);
+  FillClean(&cache, 50, 52);
+  EXPECT_FALSE(cache.Contains(1));
+}
+
+TEST(ObjectCacheTest, StaleUnpinNeverRelinksReplacement) {
+  ObjectCache cache(2 * MeterCharge());
+  uint64_t stale_gen = 0;
+  cache.Put(1, std::make_unique<Meter>(1, 0, 0), false, &stale_gen);
+  cache.Erase(1);  // An abort drops the pinned entry...
+  uint64_t gen = 0;
+  cache.Put(1, std::make_unique<Meter>(1, 0, 0), false, &gen);  // ...refetch.
+  ASSERT_NE(gen, stale_gen);
+  cache.Unpin(1, stale_gen);  // The old Ref's release: must be a no-op.
+  FillClean(&cache, 10, 50);
+  EXPECT_TRUE(cache.Contains(1));
+  cache.Unpin(1, gen);
+  FillClean(&cache, 50, 52);
+  EXPECT_FALSE(cache.Contains(1));
+  // A replacement that is dirty and unpinned stays off the LRU list too.
+  uint64_t old_gen = 0;
+  cache.Put(2, std::make_unique<Meter>(2, 0, 0), false, &old_gen);
+  cache.Put(2, std::make_unique<Meter>(2, 0, 0), true);
+  cache.Unpin(2, old_gen);
+  FillClean(&cache, 60, 100);
+  EXPECT_TRUE(cache.Contains(2));
+}
+
+// Regression: every open used to walk the whole LRU list past the held
+// entries, so one transaction holding n objects cost O(n^2). A bulk load
+// far larger than the cache must commit, leave the cache within capacity,
+// and read back intact.
+TEST(ObjectCacheTest, BulkInsertUnderSmallCache) {
+  constexpr int kObjects = 20000;
+  constexpr size_t kCapacity = 64 * 1024;
+  ObjectStoreOptions options;
+  options.cache_capacity_bytes = kCapacity;
+  Env env(options);
+  std::vector<ObjectId> ids;
+  {
+    Transaction txn(env.objects.get());
+    for (int i = 0; i < kObjects; i++) {
+      auto oid = txn.Insert(std::make_unique<Meter>(i, 0, 0));
+      ASSERT_TRUE(oid.ok());
+      ids.push_back(*oid);
+      auto meter = txn.OpenWritable<Meter>(*oid);  // Enforces capacity.
+      ASSERT_TRUE(meter.ok());
+      (*meter)->IncrementViews();
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  EXPECT_LE(env.objects->cache_size_bytes(), kCapacity);
+  EXPECT_GT(env.objects->cache_stats().evictions, 0u);
+  Transaction txn(env.objects.get());
+  for (int i = 0; i < kObjects; i++) {
+    auto meter = txn.OpenReadonly<Meter>(ids[i]);
+    ASSERT_TRUE(meter.ok()) << i;
+    EXPECT_EQ((*meter)->id(), i);
+    EXPECT_EQ((*meter)->view_count(), 1);
+  }
+  EXPECT_TRUE(txn.Commit().ok());
+  EXPECT_LE(env.objects->cache_size_bytes(), kCapacity);
 }
 
 // ------------------------------------------------------------ transactions

@@ -12,12 +12,14 @@
 #   tools/check.sh --shards      # shard router + 2PC: tests, sweeps, bench
 #   tools/check.sh --trace       # causal tracing: tests, export smoke,
 #                                # overhead bench, health gate, OFF build
+#   tools/check.sh --perfbench   # repo benchmark self-test (perfbench/)
 #
 # The sanitizer modes configure a separate build directory with
 # -DTDB_SANITIZE=<address|thread> and run a smoke subset (the differential
 # harness, the lock/transaction stress tests, the chunk-store group-commit
-# tests, and the platform fault model) rather than the full suite, so they
-# stay fast enough to run on every change.
+# tests, the object store and its cache, and the platform fault model)
+# rather than the full suite, so they stay fast enough to run on every
+# change.
 #
 # --bench-smoke catches bench bit-rot: every google-benchmark binary runs
 # with a tiny min_time and every scripted bench runs at a reduced scale
@@ -40,8 +42,9 @@ case "$mode" in
   --workloads) suffix="-workloads" ;;
   --shards) suffix="-shards" ;;
   --trace) suffix="-trace" ;;
+  --perfbench) suffix="-perfbench" ;;
   "") ;;
-  *) echo "usage: tools/check.sh [--asan|--tsan|--bench-smoke|--metrics|--workloads|--shards|--trace]" >&2
+  *) echo "usage: tools/check.sh [--asan|--tsan|--bench-smoke|--metrics|--workloads|--shards|--trace|--perfbench]" >&2
      exit 2 ;;
 esac
 
@@ -51,11 +54,12 @@ if [[ -n "$sanitize" ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DTDB_SANITIZE="$sanitize"
   # Smoke subset: the harness sweeps (crash + tamper + self-test), the
   # multi-threaded 2PL stress and group-commit coordinator (the TSan
-  # targets), the lock manager, the torn-write fault model, and the
+  # targets), the object store and its cache (pin/dirty/eviction
+  # bookkeeping), the lock manager, the torn-write fault model, and the
   # wait-free metrics registry (8-thread instrument stress).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
-                 shard_store_test lock_manager_test sim_disk_test
-                 metrics_test trace_test)
+                 object_store_test shard_store_test lock_manager_test
+                 sim_disk_test metrics_test trace_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="
@@ -155,6 +159,15 @@ elif [[ "$mode" == "--trace" ]]; then
   cmake -B "$build_dir-off" -S "$repo_root" -DTDB_TRACE=OFF
   cmake --build "$build_dir-off" -j "$(nproc)" --target tdbstat trace_overhead
   echo "trace check OK: BENCH_trace_overhead.json + trace-smoke.json in $build_dir"
+elif [[ "$mode" == "--perfbench" ]]; then
+  # The repo benchmark's self-test: builds perfbench/ (its own CMake
+  # package) under the check build dir, runs the program's internal
+  # checks, then a tiny run of every workload, plain and traced, each of
+  # which must pass its correctness gate and print every contracted
+  # metric.
+  CARGO_TARGET_DIR="$build_dir" python3 "$repo_root/perfbench/run.py" \
+      --selftest
+  echo "perfbench check OK: build in $build_dir/perfbench"
 elif [[ "$mode" == "--metrics" ]]; then
   # Observability round-trip: a short instrumented bench run emits a
   # metrics snapshot, and tdbstat --check validates it is well-formed and
