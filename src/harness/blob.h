@@ -1,11 +1,9 @@
-#ifndef TDB_HARNESS_OBJECT_DRIVER_H_
-#define TDB_HARNESS_OBJECT_DRIVER_H_
+#ifndef TDB_HARNESS_BLOB_H_
+#define TDB_HARNESS_BLOB_H_
 
 #include <cstdint>
 
-#include "common/result.h"
-#include "harness/oracle.h"
-#include "harness/trace.h"
+#include "common/slice.h"
 #include "object/object.h"
 #include "object/object_store.h"
 
@@ -35,23 +33,14 @@ class HarnessBlob final : public object::Object {
   Buffer bytes_;
 };
 
-/// Registers HarnessBlob with the store's class registry (idempotent-safe
-/// only per fresh store; call once after ObjectStore::Open).
+/// Registers HarnessBlob with the store's class registry (call once after
+/// ObjectStore::Open).
 Status RegisterHarnessClasses(object::ObjectStore* os);
 
 /// The oracle value of a blob: key and payload folded into one buffer, so
 /// a key corruption is as detectable as a payload corruption.
 Buffer BlobImage(uint64_t key, const Buffer& bytes);
 
-/// Object-layer analogues of the chunk driver entry points. The trace's
-/// commit groups become object-store transactions (insert / open-writable
-/// update / remove); checkpoint flags are ignored at this layer.
-Result<uint64_t> CountObjectTraceWrites(const TraceSpec& spec);
-Status RunObjectCrashCase(const TraceSpec& spec, const CrashCase& crash,
-                          SweepStats* stats = nullptr);
-Status ObjectCrashSweep(const TraceSpec& spec, int shard, int num_shards,
-                        SweepStats* stats = nullptr);
-
 }  // namespace tdb::harness
 
-#endif  // TDB_HARNESS_OBJECT_DRIVER_H_
+#endif  // TDB_HARNESS_BLOB_H_

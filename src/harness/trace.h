@@ -39,7 +39,7 @@ enum class Preset {
 };
 
 /// One logical operation inside a commit group. Slots are a small logical
-/// namespace that the drivers map to chunk/object ids at run time.
+/// namespace that each scenario maps to chunk/object ids at run time.
 struct TraceOp {
   enum class Kind : uint8_t { kWrite, kDealloc };
   Kind kind = Kind::kWrite;
@@ -91,28 +91,24 @@ struct CrashCase {
   int64_t recovery_crash = -1;
 };
 
-/// Campaign coverage accounting. `write_points` and the tamper site
-/// counters describe the FULL sweep (identical across shards); `cases`,
-/// `detected` and `masked` count only the work this shard executed.
+/// Campaign coverage accounting. `write_points`, `tear_buckets` and the
+/// tamper site counters describe the FULL sweep (identical across ctest
+/// shards); every other field counts only the cases this shard ran.
 struct SweepStats {
   uint64_t write_points = 0;  // Distinct crash write indices enumerated.
   uint64_t tear_buckets = 0;  // Torn-write fractions per crash point.
   uint64_t cases = 0;         // Cases this shard ran.
+  uint64_t recovery_crashes = 0;  // Crash cases whose rcrash fired.
   uint64_t tamper_sites = 0;  // Corruption sites in the full campaign.
   uint64_t sites_per_class[4] = {0, 0, 0, 0};
   uint64_t detected = 0;      // Tamper cases flagged by the store.
   uint64_t masked = 0;        // Tamper cases fully masked (values intact).
-  // Security-audit-trail cross-check: every detected tamper case must
-  // leave exactly one (deduplicated) audit event in the store's registry,
-  // with a region consistent with the byte actually corrupted; masked
-  // cases and crash-normal recoveries must leave none. The sweep fails
-  // hard on violations; these tallies let tests assert coverage too.
-  uint64_t audit_events = 0;  // Audit events observed across all cases.
-  // Flight-recorder cross-check: every detected tamper case must also make
-  // the store's FlightRecorder write exactly one post-mortem bundle (the
-  // audit event triggers it); masked cases must write none. So across a
-  // sweep, recorder_bundles == detected.
-  uint64_t recorder_bundles = 0;  // Flight-recorder bundles across all cases.
+  // Every detected tamper case must leave exactly one deduplicated audit
+  // event and one flight-recorder bundle; masked cases and crash-normal
+  // recoveries leave none. The engine fails a case that breaks this; the
+  // tallies let tests assert audit_events == recorder_bundles == detected.
+  uint64_t audit_events = 0;
+  uint64_t recorder_bundles = 0;
 };
 
 /// Lets a test interpose its own (possibly buggy) store between the
@@ -121,20 +117,24 @@ struct SweepStats {
 using StoreWrap =
     std::function<platform::UntrustedStore*(platform::UntrustedStore*)>;
 
-/// A parsed single-line repro. Failures print `FormatRepro(...)` so any
-/// failing campaign case replays as a one-liner via ReplayRepro().
-struct ReproCase {
-  /// "chunk" | "object" | "collection" | "shard", or a workload scenario:
-  /// "ycsb" | "timeseries" | "largeobject".
+/// What a campaign runs: one layer's scenario over one trace.
+struct Target {
+  /// "chunk" | "object" | "collection" | "shard" | "objshard", or a
+  /// workload scenario: "ycsb" | "timeseries" | "largeobject".
   std::string layer = "chunk";
-  /// "crash" | "tamper", plus (shard layer only) "tamper2pc": tamper a
-  /// byte of a mid-two-phase-commit crash image — the crash fields locate
-  /// the crash that left 2PC staging records live, the tamper fields the
+  TraceSpec spec;
+  /// Shard count for the sharded layers ("shard", "objshard"); 0 elsewhere.
+  uint32_t shards = 0;
+};
+
+/// A parsed single-line repro: the target plus one case of it. Failures
+/// print `FormatRepro(...)` so any failing case replays via ReplayRepro().
+struct ReproCase : Target {
+  /// "crash" | "tamper", or "tamper2pc" (shard layer only): tamper a byte
+  /// of a mid-two-phase-commit crash image. The crash fields locate the
+  /// crash that left 2PC staging records live, the tamper fields the
   /// corrupted byte.
   std::string kind = "crash";
-  TraceSpec spec;
-  /// Shard count for layer == "shard" (0 elsewhere).
-  uint32_t shards = 0;
   CrashCase crash;              // kind == "crash" | "tamper2pc".
   std::string tamper_file;      // kind == "tamper" | "tamper2pc".
   uint64_t tamper_offset = 0;

@@ -1,24 +1,19 @@
 // Tests for the differential crash/tamper harness (src/harness): trace
-// determinism, repro-line round trips, the oracle model, exhaustive
-// sharded crash sweeps at the chunk / object / collection layers, the
-// structural tamper sweep, and a self-test that proves the harness
-// catches a deliberately buggy store and that its printed repro line
-// replays the failure.
+// determinism, repro-line round trips and replays, the oracle model,
+// exhaustive sharded crash and structural tamper sweeps at the chunk /
+// object / collection / shard / objshard layers, and self-tests that
+// prove the sweeps catch a deliberately buggy store and that the printed
+// repro line replays the failure.
 #include <cstdint>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "harness/chunk_driver.h"
-#include "harness/collection_driver.h"
-#include "harness/object_driver.h"
+#include "harness/engine.h"
 #include "harness/oracle.h"
 #include "harness/region_map.h"
-#include "harness/replay.h"
-#include "harness/shard_driver.h"
 #include "harness/trace.h"
 #include "platform/mem_store.h"
 
@@ -106,23 +101,6 @@ uint64_t ShardShare(uint64_t total, int shard, int num_shards) {
                   static_cast<uint64_t>(shard)
               ? 1
               : 0);
-}
-
-void PrintCoverage(const std::string& campaign, int shard, int num_shards,
-                   const SweepStats& stats) {
-  std::cout << "HARNESS-COVERAGE campaign=" << campaign << " shard=" << shard
-            << "/" << num_shards << " write_points=" << stats.write_points
-            << " tear_buckets=" << stats.tear_buckets
-            << " cases=" << stats.cases
-            << " tamper_sites=" << stats.tamper_sites;
-  if (stats.tamper_sites > 0) {
-    std::cout << " anchor=" << stats.sites_per_class[0]
-              << " log=" << stats.sites_per_class[1]
-              << " payload=" << stats.sites_per_class[2]
-              << " map=" << stats.sites_per_class[3]
-              << " detected=" << stats.detected << " masked=" << stats.masked;
-  }
-  std::cout << std::endl;
 }
 
 // ---------------------------------------------------------------------------
@@ -316,12 +294,12 @@ TEST_P(ChunkStrictCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ChunkStrictSpec();
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
   // No sampling: the campaign enumerates every base-store write of the
   // trace, and this shard ran exactly its residue class of the cases.
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
+  Result<uint64_t> writes = CountWrites({"chunk", spec});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
   EXPECT_GE(stats.write_points, spec.commits);  // >= 1 write per commit.
@@ -349,10 +327,10 @@ TEST_P(ChunkGroupCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ChunkGroupSpec();
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
+  Result<uint64_t> writes = CountWrites({"chunk", spec});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
   EXPECT_EQ(stats.tear_buckets, 9u);
@@ -375,10 +353,10 @@ TEST_P(ChunkCodecCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ChunkCodecSpec();
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
+  Result<uint64_t> writes = CountWrites({"chunk", spec});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
   EXPECT_GE(stats.write_points, spec.commits);
@@ -396,7 +374,7 @@ TEST_P(ChunkCleaningCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ChunkCleaningSpec();
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
@@ -406,7 +384,8 @@ TEST_P(ChunkCleaningCrashSweepTest, Exhaustive) {
 INSTANTIATE_TEST_SUITE_P(Shards, ChunkCleaningCrashSweepTest,
                          ::testing::Range(0, 4));
 
-// Double-crash coverage: every case additionally crashes during recovery.
+// Double-crash coverage: every case additionally crashes during recovery,
+// at recovery's second write (recovering these images writes twice).
 class ChunkRecoveryCrashSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChunkRecoveryCrashSweepTest, Exhaustive) {
@@ -416,11 +395,12 @@ TEST_P(ChunkRecoveryCrashSweepTest, Exhaustive) {
   spec.commits = 6;
   spec.slots = 8;
   SweepStats stats;
-  Status status = ChunkCrashSweep(spec, GetParam(), kShards, &stats,
-                                  /*recovery_crash=*/2);
+  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats,
+                             /*recovery_crash=*/1);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
+  EXPECT_EQ(stats.recovery_crashes, stats.cases);
   PrintCoverage("chunk-recovery-crash", GetParam(), kShards, stats);
 }
 
@@ -433,7 +413,7 @@ TEST_P(ObjectCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ObjectSpec();
   SweepStats stats;
-  Status status = ObjectCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"object", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
@@ -448,7 +428,7 @@ TEST_P(CollectionCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = CollectionSpec();
   SweepStats stats;
-  Status status = CollectionCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"collection", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
@@ -461,17 +441,15 @@ INSTANTIATE_TEST_SUITE_P(Shards, CollectionCrashSweepTest,
 // ---------------------------------------------------------------------------
 // Structural tamper sweep.
 
-class ChunkTamperSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkTamperSweepTest, EveryRegionClass) {
-  constexpr int kShards = 4;
-  TraceSpec spec = TamperSpec();
-  SweepStats stats;
-  Status status = ChunkTamperSweep(spec, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  // The full campaign (counted identically in every shard) must cover all
-  // four structural region classes of the image.
+// The tamper-campaign contract, checked on every shard. The full campaign
+// (counted identically in every shard) covers all four structural region
+// classes of the image. Every executed case was detected or masked, never
+// silently accepted (a silent acceptance fails the sweep itself). Each
+// detection left exactly one deduplicated audit event, with a region
+// compatible with the corrupted byte's class, and one flight-recorder
+// bundle; each masked case left neither. The per-case contract is enforced
+// inside the sweep; these tallies cross-check the aggregate.
+void ExpectTamperContract(const SweepStats& stats, int shard, int num_shards) {
   uint64_t site_sum = 0;
   for (int cls = 0; cls < kRegionClasses; cls++) {
     EXPECT_GT(stats.sites_per_class[cls], 0u)
@@ -480,18 +458,22 @@ TEST_P(ChunkTamperSweepTest, EveryRegionClass) {
     site_sum += stats.sites_per_class[cls];
   }
   EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // Every executed case was either detected or masked — never silently
-  // accepted (silent acceptance fails the sweep above).
+  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, shard, num_shards));
   EXPECT_EQ(stats.detected + stats.masked, stats.cases);
   EXPECT_GT(stats.detected, 0u);
-  // Security audit trail: each detected case left exactly one
-  // deduplicated audit event with a region compatible with the corrupted
-  // byte's class, and each masked case left none. (The per-case
-  // contract — never zero events on detection, never several, correct
-  // region — is enforced inside the sweep; a violation fails `status`
-  // above. This tally cross-checks the aggregate: events == detections.)
   EXPECT_EQ(stats.audit_events, stats.detected);
+  EXPECT_EQ(stats.recorder_bundles, stats.detected);
+}
+
+class ChunkTamperSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChunkTamperSweepTest, EveryRegionClass) {
+  constexpr int kShards = 4;
+  TraceSpec spec = TamperSpec();
+  SweepStats stats;
+  Status status = TamperSweep({"chunk", spec}, GetParam(), kShards, &stats);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectTamperContract(stats, GetParam(), kShards);
   PrintCoverage("chunk-tamper", GetParam(), kShards, stats);
 }
 
@@ -508,26 +490,47 @@ TEST_P(CodecTamperSweepTest, EveryRegionClass) {
   constexpr int kShards = 4;
   TraceSpec spec = CodecTamperSpec();
   SweepStats stats;
-  Status status = ChunkTamperSweep(spec, GetParam(), kShards, &stats);
+  Status status = TamperSweep({"chunk", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
-
-  uint64_t site_sum = 0;
-  for (int cls = 0; cls < kRegionClasses; cls++) {
-    EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "no tamper sites in region class "
-        << RegionClassName(static_cast<RegionClass>(cls));
-    site_sum += stats.sites_per_class[cls];
-  }
-  EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // 0 silent acceptances: every executed case detected or fully masked.
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
+  ExpectTamperContract(stats, GetParam(), kShards);
   PrintCoverage("chunk-codec-tamper", GetParam(), kShards, stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, CodecTamperSweepTest,
+                         ::testing::Range(0, 4));
+
+// The object and collection layers get the same tamper campaign as the
+// chunk layer: the image is read back through object unpickling (resp. a
+// collection index scan), so a corruption must be caught or masked under
+// exactly the reads an application performs.
+class ObjectTamperSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ObjectTamperSweepTest, EveryRegionClass) {
+  constexpr int kShards = 4;
+  SweepStats stats;
+  Status status =
+      TamperSweep({"object", ObjectSpec()}, GetParam(), kShards, &stats);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectTamperContract(stats, GetParam(), kShards);
+  PrintCoverage("object-tamper", GetParam(), kShards, stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ObjectTamperSweepTest,
+                         ::testing::Range(0, 4));
+
+class CollectionTamperSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CollectionTamperSweepTest, EveryRegionClass) {
+  constexpr int kShards = 4;
+  SweepStats stats;
+  Status status = TamperSweep({"collection", CollectionSpec()}, GetParam(),
+                              kShards, &stats);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectTamperContract(stats, GetParam(), kShards);
+  PrintCoverage("collection-tamper", GetParam(), kShards, stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, CollectionTamperSweepTest,
                          ::testing::Range(0, 4));
 
 // ---------------------------------------------------------------------------
@@ -555,11 +558,11 @@ TEST_P(ShardCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ShardTraceSpec();
   SweepStats stats;
-  Status status =
-      ShardCrashSweep(spec, kRouterShards, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"shard", spec, kRouterShards}, GetParam(),
+                             kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  Result<uint64_t> writes = CountShardTraceWrites(spec, kRouterShards);
+  Result<uint64_t> writes = CountWrites({"shard", spec, kRouterShards});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
   // The sharded trace writes strictly more than one store's worth: 2PC
@@ -573,31 +576,19 @@ TEST_P(ShardCrashSweepTest, Exhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardCrashSweepTest, ::testing::Range(0, 4));
 
+// The clean sharded image retains every 2PC decision record (they are
+// never garbage-collected), so this sweep's sites include tampered
+// coordinator decision records.
 class ShardTamperSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShardTamperSweepTest, EveryRegionClass) {
   constexpr int kShards = 4;
   TraceSpec spec = ShardTraceSpec();
   SweepStats stats;
-  Status status =
-      ShardTamperSweep(spec, kRouterShards, GetParam(), kShards, &stats);
+  Status status = TamperSweep({"shard", spec, kRouterShards}, GetParam(),
+                              kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
-
-  uint64_t site_sum = 0;
-  for (int cls = 0; cls < kRegionClasses; cls++) {
-    EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "no tamper sites in region class "
-        << RegionClassName(static_cast<RegionClass>(cls));
-    site_sum += stats.sites_per_class[cls];
-  }
-  EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // 0 silent acceptances. The clean sharded image retains every 2PC
-  // decision record (they are never garbage-collected), so this sweep's
-  // sites include tampered coordinator decision records.
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
+  ExpectTamperContract(stats, GetParam(), kShards);
   PrintCoverage("shard-tamper", GetParam(), kShards, stats);
 }
 
@@ -610,13 +601,10 @@ TEST_P(ShardMid2pcTamperSweepTest, LivePrepareAndDecisionRecords) {
   constexpr int kShards = 4;
   TraceSpec spec = ShardTraceSpec();
   SweepStats stats;
-  Status status = ShardMid2pcTamperSweep(spec, kRouterShards, GetParam(),
-                                         kShards, &stats);
+  Status status = TamperSweep({"shard", spec, kRouterShards}, GetParam(),
+                              kShards, &stats, "tamper2pc");
   ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
+  ExpectTamperContract(stats, GetParam(), kShards);
   PrintCoverage("shard-mid2pc-tamper", GetParam(), kShards, stats);
 }
 
@@ -634,11 +622,11 @@ TEST_P(ObjectShardCrashSweepTest, Exhaustive) {
   constexpr int kShards = 4;
   TraceSpec spec = ShardTraceSpec();
   SweepStats stats;
-  Status status =
-      ObjectShardCrashSweep(spec, kRouterShards, GetParam(), kShards, &stats);
+  Status status = CrashSweep({"objshard", spec, kRouterShards}, GetParam(),
+                             kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
 
-  Result<uint64_t> writes = CountObjectShardTraceWrites(spec, kRouterShards);
+  Result<uint64_t> writes = CountWrites({"objshard", spec, kRouterShards});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
   // Cross-shard object transactions must actually exercise the 2PC window:
@@ -659,23 +647,10 @@ TEST_P(ObjectShardTamperSweepTest, EveryRegionClass) {
   constexpr int kShards = 4;
   TraceSpec spec = ShardTraceSpec();
   SweepStats stats;
-  Status status =
-      ObjectShardTamperSweep(spec, kRouterShards, GetParam(), kShards, &stats);
+  Status status = TamperSweep({"objshard", spec, kRouterShards}, GetParam(),
+                              kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
-
-  uint64_t site_sum = 0;
-  for (int cls = 0; cls < kRegionClasses; cls++) {
-    EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "no tamper sites in region class "
-        << RegionClassName(static_cast<RegionClass>(cls));
-    site_sum += stats.sites_per_class[cls];
-  }
-  EXPECT_EQ(stats.tamper_sites, site_sum);
-  EXPECT_EQ(stats.cases, ShardShare(stats.tamper_sites, GetParam(), kShards));
-  // 0 silent acceptances under object-level readback.
-  EXPECT_EQ(stats.detected + stats.masked, stats.cases);
-  EXPECT_GT(stats.detected, 0u);
-  EXPECT_EQ(stats.audit_events, stats.detected);
+  ExpectTamperContract(stats, GetParam(), kShards);
   PrintCoverage("objshard-tamper", GetParam(), kShards, stats);
 }
 
@@ -687,14 +662,13 @@ TEST(ObjectShardHarnessTest, CasesReplayViaReproLine) {
   CrashCase crash;
   crash.write_index = 3;
   crash.tear_num = 2;
-  ASSERT_TRUE(RunObjectShardCrashCase(spec, kRouterShards, crash).ok());
-
   ReproCase repro;
   repro.layer = "objshard";
   repro.kind = "crash";
   repro.shards = kRouterShards;
   repro.spec = spec;
   repro.crash = crash;
+  ASSERT_TRUE(RunCase(repro).ok());
   std::string line = FormatRepro(repro);
   EXPECT_NE(line.find("layer=objshard"), std::string::npos);
   EXPECT_NE(line.find("shards=2"), std::string::npos);
@@ -752,14 +726,13 @@ TEST(ShardHarnessTest, SingleCrashAndTamperCasesReplayViaReproLine) {
   CrashCase crash;
   crash.write_index = 3;
   crash.tear_num = 2;
-  ASSERT_TRUE(RunShardCrashCase(spec, kRouterShards, crash).ok());
-
   ReproCase repro;
   repro.layer = "shard";
   repro.kind = "crash";
   repro.shards = kRouterShards;
   repro.spec = spec;
   repro.crash = crash;
+  ASSERT_TRUE(RunCase(repro).ok());
   EXPECT_TRUE(ReplayRepro(FormatRepro(repro)).ok());
 }
 
@@ -819,7 +792,7 @@ TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
     stores.push_back(std::make_unique<LossyStore>(base, ~0ull));
     return stores.back().get();
   };
-  Result<uint64_t> counted = CountChunkTraceWrites(spec, probe_wrap);
+  Result<uint64_t> counted = CountWrites({"chunk", spec}, probe_wrap);
   ASSERT_TRUE(counted.ok()) << counted.status().ToString();
   uint64_t total_writes = stores.back()->writes();
   ASSERT_GT(total_writes, counted.value());  // Open itself writes.
@@ -831,7 +804,7 @@ TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
     stores.push_back(std::make_unique<LossyStore>(base, drop));
     return stores.back().get();
   };
-  Status swept = ChunkCrashSweep(spec, 0, 1, nullptr, -1, lossy_wrap);
+  Status swept = CrashSweep({"chunk", spec}, 0, 1, nullptr, -1, lossy_wrap);
   ASSERT_FALSE(swept.ok())
       << "harness failed to catch a store that drops writes";
 
@@ -849,9 +822,7 @@ TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
 
   // ...and replaying it in the same buggy environment reproduces the
   // failure, while replaying it against the real store passes.
-  Status replayed = RunChunkCrashCase(parsed.value().spec,
-                                      parsed.value().crash, nullptr,
-                                      lossy_wrap);
+  Status replayed = RunCase(parsed.value(), nullptr, lossy_wrap);
   EXPECT_FALSE(replayed.ok());
   EXPECT_EQ(std::string(replayed.message()).rfind("TDB-REPRO v1 ", 0), 0u);
 
@@ -860,6 +831,35 @@ TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
 }
 
 // ReplayRepro routes every layer tag to the matching driver.
+// The same lying store fails the object- and collection-layer crash
+// sweeps: the checks the engine applies there are not vacuous. Each store
+// drops the record of the trace's first commit, which later durable
+// commits build on (the first 3 resp. 6 writes bootstrap a fresh object
+// resp. collection stack).
+TEST(HarnessSelfTest, ObjectAndCollectionSweepsCatchLyingStore) {
+  const struct {
+    Target target;
+    uint64_t drop;
+  } kCases[] = {{{"object", ObjectSpec()}, 3},
+                {{"collection", CollectionSpec()}, 6}};
+  for (const auto& c : kCases) {
+    std::vector<std::unique_ptr<LossyStore>> stores;
+    auto wrap = [&](platform::UntrustedStore* base) {
+      stores.push_back(std::make_unique<LossyStore>(base, c.drop));
+      return stores.back().get();
+    };
+    Status swept = CrashSweep(c.target, 0, 1, nullptr, -1, wrap);
+    ASSERT_FALSE(swept.ok()) << c.target.layer
+                             << " sweep missed a store that drops writes";
+    std::string message(swept.message());
+    EXPECT_EQ(message.rfind("TDB-REPRO v1 layer=" + c.target.layer + " ", 0),
+              0u)
+        << message;
+    // The same case passes on an honest store.
+    EXPECT_TRUE(ReplayRepro(message.substr(0, message.find(" | "))).ok());
+  }
+}
+
 TEST(HarnessSelfTest, ReplayReproRoutesLayers) {
   ReproCase repro;
   repro.kind = "crash";
@@ -880,17 +880,104 @@ TEST(HarnessSelfTest, ReplayReproRoutesLayers) {
 }
 
 // ---------------------------------------------------------------------------
+// Repro grammar regressions.
+
+// rcrash= is honoured above the chunk layer too: each line crashes a second
+// time during recovery, and the engine's stats show the crash fired.
+TEST(ReproGrammarTest, RecoveryCrashFiresAboveTheChunkLayer) {
+  for (const char* line :
+       {"TDB-REPRO v1 layer=collection kind=crash preset=strict seed=17 "
+        "commits=5 slots=6 point=3 tear=2/4 rcrash=0",
+        "TDB-REPRO v1 layer=ycsb kind=crash preset=strict seed=4 commits=4 "
+        "slots=6 point=1 tear=2/4 rcrash=0"}) {
+    Result<ReproCase> repro = ParseRepro(line);
+    ASSERT_TRUE(repro.ok()) << repro.status().ToString();
+    SweepStats stats;
+    Status status = RunCase(repro.value(), &stats);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(stats.cases, 1u) << line;
+    EXPECT_EQ(stats.recovery_crashes, 1u) << line;
+  }
+}
+
+// Object- and collection-layer tamper lines replay (detected or masked).
+TEST(ReproGrammarTest, ObjectAndCollectionTamperLinesReplay) {
+  for (const char* line :
+       {"TDB-REPRO v1 layer=object kind=tamper preset=strict seed=13 "
+        "commits=7 slots=8 file=seg-1 off=300 mask=64",
+        "TDB-REPRO v1 layer=collection kind=tamper preset=strict seed=17 "
+        "commits=5 slots=6 file=anchor-0 off=0 mask=64"}) {
+    Status status = ReplayRepro(line);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+// Lines printed by the per-layer sweep drivers this engine replaced, one
+// per layer and kind: each still parses, formats back to itself, and
+// replays to OK, so old failure reports keep pointing at the same write
+// index or the same image byte.
+TEST(ReproGrammarTest, CapturedLinesStillReplay) {
+  const char* kLines[] = {
+      "TDB-REPRO v1 layer=chunk kind=crash preset=strict seed=7 commits=10 "
+      "slots=10 point=6 tear=2/4 rcrash=-1",
+      "TDB-REPRO v1 layer=chunk kind=crash preset=strict seed=9 commits=6 "
+      "slots=8 point=3 tear=1/4 rcrash=2",
+      "TDB-REPRO v1 layer=chunk kind=tamper preset=strict seed=23 commits=8 "
+      "slots=8 file=seg-1 off=300 mask=64",
+      "TDB-REPRO v1 layer=object kind=crash preset=strict seed=13 commits=7 "
+      "slots=8 point=4 tear=2/4 rcrash=-1",
+      "TDB-REPRO v1 layer=collection kind=crash preset=strict seed=17 "
+      "commits=5 slots=6 point=3 tear=2/4 rcrash=-1",
+      "TDB-REPRO v1 layer=shard kind=crash preset=strict seed=37 commits=6 "
+      "slots=6 shards=2 point=9 tear=3/4 rcrash=-1",
+      "TDB-REPRO v1 layer=shard kind=tamper preset=strict seed=37 commits=6 "
+      "slots=6 shards=2 file=s1/seg-1 off=300 mask=64",
+      "TDB-REPRO v1 layer=shard kind=tamper2pc preset=strict seed=37 "
+      "commits=6 slots=6 shards=2 point=0 tear=4/4 rcrash=-1 "
+      "file=s0/seg-1 off=300 mask=64",
+      "TDB-REPRO v1 layer=objshard kind=crash preset=strict seed=37 "
+      "commits=6 slots=6 shards=2 point=7 tear=2/4 rcrash=-1",
+      "TDB-REPRO v1 layer=objshard kind=tamper preset=strict seed=37 "
+      "commits=6 slots=6 shards=2 file=s1/seg-1 off=300 mask=64",
+      "TDB-REPRO v1 layer=ycsb kind=crash preset=strict seed=4 commits=4 "
+      "slots=6 point=1 tear=2/4 rcrash=-1",
+      "TDB-REPRO v1 layer=ycsb kind=tamper preset=strict seed=0 commits=4 "
+      "slots=6 file=seg-1 off=300 mask=64",
+      "TDB-REPRO v1 layer=timeseries kind=crash preset=codec seed=2 "
+      "commits=4 slots=6 point=3 tear=2/4 rcrash=-1",
+      "TDB-REPRO v1 layer=timeseries kind=tamper preset=strict seed=2 "
+      "commits=4 slots=6 file=seg-1 off=300 mask=64",
+      "TDB-REPRO v1 layer=largeobject kind=crash preset=group seed=2 "
+      "commits=4 slots=6 point=2 tear=4/4 rcrash=-1",
+      "TDB-REPRO v1 layer=largeobject kind=tamper preset=codec seed=2 "
+      "commits=4 slots=6 file=seg-1 off=300 mask=64",
+  };
+  for (const char* line : kLines) {
+    Result<ReproCase> parsed = ParseRepro(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    EXPECT_EQ(FormatRepro(parsed.value()), line);
+    Status status = ReplayRepro(line);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Region classifier sanity on a real image.
 
 TEST(RegionMapTest, ClassifiesWholeImage) {
   // Build a real store image via the tamper-context path: run a trace
   // cleanly, then classify the resulting files.
   TraceSpec spec = TamperSpec();
-  Result<uint64_t> writes = CountChunkTraceWrites(spec);
+  Result<uint64_t> writes = CountWrites({"chunk", spec});
   ASSERT_TRUE(writes.ok());
 
-  // RunChunkTamperCase on a fixed site exercises classify + evaluate.
-  Status status = RunChunkTamperCase(spec, "anchor-0", 0, 0x40);
+  // A tamper case on a fixed site exercises classify + evaluate.
+  ReproCase repro;
+  repro.kind = "tamper";
+  repro.spec = spec;
+  repro.tamper_file = "anchor-0";
+  repro.tamper_mask = kTamperMask;
+  Status status = RunCase(repro);
   EXPECT_TRUE(status.ok()) << status.ToString();
 }
 

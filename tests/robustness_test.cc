@@ -5,11 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "chunk/anchor.h"
 #include "chunk/chunk_store.h"
 #include "common/random.h"
-#include "harness/chunk_driver.h"
+#include "harness/engine.h"
 #include "harness/trace.h"
 #include "platform/fault_injection.h"
 #include "platform/mem_store.h"
@@ -48,20 +49,26 @@ TEST_P(RepeatedCrashTest, SurvivesEveryCrashPoint) {
   spec.slots = 8;
   spec.preset = harness::Preset::kStrict;
   harness::SweepStats stats;
-  Status status = harness::ChunkCrashSweep(spec, GetParam(), kShards, &stats);
+  Status status =
+      harness::CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_GT(stats.cases, 0u);
   // This shard ran exactly its residue class of the full campaign.
   uint64_t total = stats.write_points * stats.tear_buckets;
   uint64_t shard = static_cast<uint64_t>(GetParam());
   EXPECT_EQ(stats.cases, total / kShards + (total % kShards > shard ? 1 : 0));
+  harness::PrintCoverage("robustness-repeated-crash", GetParam(), kShards,
+                         stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, RepeatedCrashTest, ::testing::Range(0, 2));
 
 // Crashes during recovery itself: every trace crash point is rerun with a
-// second crash armed at recovery write index GetParam(); the store must
-// come back on the third boot with the durable floor intact.
+// second crash armed during recovery; the store must come back on the
+// third boot with the durable floor intact. Recovery of these images
+// performs two writes, so the second crash lands on recovery write
+// GetParam() % 2, under the strict preset (params 0, 1) or the cleaning
+// preset (params 2, 3). Every case must really crash during recovery.
 class RecoveryCrashTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RecoveryCrashTest, SurvivesCrashDuringRecovery) {
@@ -69,12 +76,16 @@ TEST_P(RecoveryCrashTest, SurvivesCrashDuringRecovery) {
   spec.seed = 103;
   spec.commits = 6;
   spec.slots = 8;
-  spec.preset = harness::Preset::kStrict;
+  spec.preset =
+      GetParam() < 2 ? harness::Preset::kStrict : harness::Preset::kCleaning;
   harness::SweepStats stats;
-  Status status = harness::ChunkCrashSweep(spec, 0, 1, &stats,
-                                           /*recovery_crash=*/GetParam());
+  Status status = harness::CrashSweep({"chunk", spec}, 0, 1, &stats,
+                                      /*recovery_crash=*/GetParam() % 2);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(stats.cases, stats.write_points * stats.tear_buckets);
+  EXPECT_EQ(stats.recovery_crashes, stats.cases);
+  harness::PrintCoverage(
+      "robustness-recovery-crash-" + std::to_string(GetParam()), 0, 1, stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(RecoveryWriteIndex, RecoveryCrashTest,

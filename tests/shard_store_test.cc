@@ -15,7 +15,7 @@
 
 #include "chunk/chunk_store.h"
 #include "common/random.h"
-#include "harness/object_driver.h"
+#include "harness/blob.h"
 #include "object/object_store.h"
 #include "platform/fault_injection.h"
 #include "platform/mem_store.h"

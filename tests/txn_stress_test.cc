@@ -6,7 +6,9 @@
 // The invariant is conservation: the sum of balances never changes. The
 // test must also be clean under ThreadSanitizer (tools/check.sh --tsan).
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -89,6 +91,18 @@ void OpenStack(Stack* stack, bool group_commit = false) {
       Account::kClassId).ok());
 }
 
+// Waits a jittered, capped exponential backoff (up to 0.2 ms doubling to
+// 6.4 ms) drawn from the thread's own Random before a transaction retries
+// after a LockTimeout. Retrying at once lets the thread that just timed out
+// win the lock manager's mutex back and re-take its first lock before the
+// woken waiter runs, so two transfers that take the same pair of accounts
+// in opposite orders can livelock until the attempt budget runs out.
+void BackoffAfterLockTimeout(Random* rng, int attempt) {
+  const uint64_t cap_us = uint64_t{200} << std::min(attempt, 5);
+  std::this_thread::sleep_for(
+      std::chrono::microseconds(1 + rng->Uniform(cap_us)));
+}
+
 // Seeds the shared accounts with one durable transaction.
 std::vector<ObjectId> SeedAccounts(Stack* stack) {
   std::vector<ObjectId> accounts;
@@ -133,6 +147,7 @@ void RunTransferStress(Stack* stack, const std::vector<ObjectId>& accounts,
                   attempt < kMaxAttemptsPerTransfer) {
                 lock_timeouts++;
                 retry = true;
+                BackoffAfterLockTimeout(&rng, attempt);
               } else {
                 failed = true;
               }
@@ -168,6 +183,7 @@ void RunTransferStress(Stack* stack, const std::vector<ObjectId>& accounts,
           (void)txn.Abort();
           if (status.IsLockTimeout() && attempt < kMaxAttemptsPerTransfer) {
             lock_timeouts++;
+            BackoffAfterLockTimeout(&rng, attempt);
             continue;  // Deadlock broken by timeout: retry.
           }
           failed = true;
@@ -183,6 +199,7 @@ void RunTransferStress(Stack* stack, const std::vector<ObjectId>& accounts,
         }
         if (status.IsLockTimeout() && attempt < kMaxAttemptsPerTransfer) {
           lock_timeouts++;
+          BackoffAfterLockTimeout(&rng, attempt);
           continue;
         }
         failed = true;
@@ -327,6 +344,7 @@ TEST(TxnStressTest, ZipfianHotKeyContentionConservesTotal) {
         }
         if (status.IsLockTimeout() && attempt < kMaxAttemptsPerTransfer) {
           retries++;
+          BackoffAfterLockTimeout(&rng, attempt);
           continue;
         }
         failed = true;

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -18,9 +17,8 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "crypto/cipher_suite.h"
+#include "harness/engine.h"
 #include "harness/region_map.h"
-#include "harness/replay.h"
-#include "harness/workload_driver.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
@@ -32,7 +30,6 @@
 namespace tdb::workload {
 namespace {
 
-using harness::Scenario;
 using harness::SweepStats;
 using harness::TraceSpec;
 
@@ -355,10 +352,9 @@ INSTANTIATE_TEST_SUITE_P(Codec, LargeObjectScenarioTest, ::testing::Bool(),
 // --- Repro grammar ---------------------------------------------------------
 
 TEST(WorkloadReproTest, ScenarioLinesRoundTrip) {
-  for (Scenario scenario : {Scenario::kYcsb, Scenario::kTimeSeries,
-                            Scenario::kLargeObject}) {
+  for (const char* layer : {"ycsb", "timeseries", "largeobject"}) {
     harness::ReproCase repro;
-    repro.layer = harness::ScenarioName(scenario);
+    repro.layer = layer;
     repro.kind = "crash";
     repro.spec.seed = 9;
     repro.spec.commits = 5;
@@ -394,15 +390,6 @@ uint64_t ShardShare(uint64_t total, int shard, int num_shards) {
               : 0);
 }
 
-void PrintCoverage(const std::string& campaign, int shard,
-                   const SweepStats& stats) {
-  std::cout << "HARNESS-COVERAGE campaign=" << campaign << " shard=" << shard
-            << "/" << kShards << " write_points=" << stats.write_points
-            << " cases=" << stats.cases << " tamper_sites="
-            << stats.tamper_sites << " detected=" << stats.detected
-            << " masked=" << stats.masked << std::endl;
-}
-
 TraceSpec SweepSpec(uint64_t seed, harness::Preset preset) {
   TraceSpec spec;
   spec.seed = seed;
@@ -413,7 +400,7 @@ TraceSpec SweepSpec(uint64_t seed, harness::Preset preset) {
 }
 
 struct SweepCase {
-  Scenario scenario;
+  const char* layer;
   uint64_t seed;  // For ycsb, seed % 6 picks the mix.
   harness::Preset preset;
 };
@@ -426,10 +413,10 @@ class WorkloadCrashSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 constexpr SweepCase kCrashCases[] = {
-    {Scenario::kYcsb, 0, harness::Preset::kStrict},
-    {Scenario::kYcsb, 4, harness::Preset::kStrict},
-    {Scenario::kTimeSeries, 2, harness::Preset::kCodec},
-    {Scenario::kLargeObject, 2, harness::Preset::kGroup},
+    {"ycsb", 0, harness::Preset::kStrict},
+    {"ycsb", 4, harness::Preset::kStrict},
+    {"timeseries", 2, harness::Preset::kCodec},
+    {"largeobject", 2, harness::Preset::kGroup},
 };
 
 TEST_P(WorkloadCrashSweepTest, Exhaustive) {
@@ -437,17 +424,15 @@ TEST_P(WorkloadCrashSweepTest, Exhaustive) {
   const int shard = std::get<1>(GetParam());
   TraceSpec spec = SweepSpec(c.seed, c.preset);
   SweepStats stats;
-  Status status =
-      harness::WorkloadCrashSweep(c.scenario, spec, shard, kShards, &stats);
+  Status status = harness::CrashSweep({c.layer, spec}, shard, kShards, &stats);
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_GT(stats.write_points, 0u);
   EXPECT_EQ(stats.cases,
             ShardShare(stats.write_points * stats.tear_buckets, shard,
                        kShards));
-  PrintCoverage(std::string("workload-crash-") +
-                    harness::ScenarioName(c.scenario) + "-seed" +
-                    std::to_string(c.seed),
-                shard, stats);
+  harness::PrintCoverage(std::string("workload-crash-") + c.layer + "-seed" +
+                             std::to_string(c.seed),
+                         shard, kShards, stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -455,9 +440,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, kShards)),
     [](const auto& info) {
       const SweepCase& c = kCrashCases[std::get<0>(info.param)];
-      return std::string(harness::ScenarioName(c.scenario)) + "Seed" +
-             std::to_string(c.seed) + "Shard" +
-             std::to_string(std::get<1>(info.param));
+      return std::string(c.layer) + "Seed" + std::to_string(c.seed) +
+             "Shard" + std::to_string(std::get<1>(info.param));
     });
 
 /// Tamper sweeps: every region class of every scenario image, first /
@@ -468,9 +452,9 @@ class WorkloadTamperSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 constexpr SweepCase kTamperCases[] = {
-    {Scenario::kYcsb, 0, harness::Preset::kStrict},
-    {Scenario::kTimeSeries, 2, harness::Preset::kStrict},
-    {Scenario::kLargeObject, 2, harness::Preset::kCodec},
+    {"ycsb", 0, harness::Preset::kStrict},
+    {"timeseries", 2, harness::Preset::kStrict},
+    {"largeobject", 2, harness::Preset::kCodec},
 };
 
 TEST_P(WorkloadTamperSweepTest, EveryRegionClass) {
@@ -478,24 +462,23 @@ TEST_P(WorkloadTamperSweepTest, EveryRegionClass) {
   const int shard = std::get<1>(GetParam());
   TraceSpec spec = SweepSpec(c.seed, c.preset);
   SweepStats stats;
-  Status status =
-      harness::WorkloadTamperSweep(c.scenario, spec, shard, kShards, &stats);
+  Status status = harness::TamperSweep({c.layer, spec}, shard, kShards, &stats);
   EXPECT_TRUE(status.ok()) << status.ToString();
   // Full-campaign coverage: the image of every scenario contains all four
   // structural region classes.
   for (int cls = 0; cls < harness::kRegionClasses; cls++) {
     EXPECT_GT(stats.sites_per_class[cls], 0u)
-        << "region class " << cls << " absent from the "
-        << harness::ScenarioName(c.scenario) << " image";
+        << "region class " << cls << " absent from the " << c.layer
+        << " image";
   }
   EXPECT_EQ(stats.detected + stats.masked, stats.cases);
   EXPECT_GT(stats.detected, 0u);
   // Every detection logged exactly one deduplicated audit event; masked
   // cases logged none (already enforced case-by-case; cross-check totals).
   EXPECT_EQ(stats.audit_events, stats.detected);
-  PrintCoverage(std::string("workload-tamper-") +
-                    harness::ScenarioName(c.scenario),
-                shard, stats);
+  EXPECT_EQ(stats.recorder_bundles, stats.detected);
+  harness::PrintCoverage(std::string("workload-tamper-") + c.layer, shard,
+                         kShards, stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -503,7 +486,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, kShards)),
     [](const auto& info) {
       const SweepCase& c = kTamperCases[std::get<0>(info.param)];
-      return std::string(harness::ScenarioName(c.scenario)) + "Shard" +
+      return std::string(c.layer) + "Shard" +
              std::to_string(std::get<1>(info.param));
     });
 

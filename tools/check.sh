@@ -10,6 +10,7 @@
 #   tools/check.sh --metrics     # bench --metrics-json -> tdbstat --check
 #   tools/check.sh --workloads   # workload suite: tests + bench smoke
 #   tools/check.sh --shards      # shard router + 2PC: tests, sweeps, bench
+#   tools/check.sh --harness     # every crash/tamper sweep + coverage table
 #   tools/check.sh --trace       # causal tracing: tests, export smoke,
 #                                # overhead bench, health gate, OFF build
 #   tools/check.sh --perfbench   # repo benchmark self-test (perfbench/)
@@ -41,10 +42,11 @@ case "$mode" in
   --metrics) suffix="" ;;
   --workloads) suffix="-workloads" ;;
   --shards) suffix="-shards" ;;
+  --harness) suffix="-harness" ;;
   --trace) suffix="-trace" ;;
   --perfbench) suffix="-perfbench" ;;
   "") ;;
-  *) echo "usage: tools/check.sh [--asan|--tsan|--bench-smoke|--metrics|--workloads|--shards|--trace|--perfbench]" >&2
+  *) echo "usage: tools/check.sh [--asan|--tsan|--bench-smoke|--metrics|--workloads|--shards|--harness|--trace|--perfbench]" >&2
      exit 2 ;;
 esac
 
@@ -123,6 +125,27 @@ elif [[ "$mode" == "--shards" ]]; then
   echo "== shard_throughput (google-benchmark smoke) =="
   "$build_dir/bench/shard_throughput" --benchmark_min_time=0.001 > /dev/null
   echo "shards check OK"
+elif [[ "$mode" == "--harness" ]]; then
+  # The differential crash/tamper harness end to end: runs every sweep
+  # binary (all ctest shards of every campaign, at every layer) and folds
+  # their HARNESS-COVERAGE lines into one row per campaign: write points,
+  # tear buckets, cases, recovery-time crashes, tamper sites per region
+  # class, detected, masked, audit events and flight-recorder bundles.
+  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+  targets=(harness_test workload_test robustness_test)
+  cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
+  coverage="$build_dir/harness-coverage.txt"
+  : > "$coverage"
+  for t in "${targets[@]}"; do
+    echo "== $t =="
+    rc=0
+    "$build_dir/tests/$t" --gtest_brief=1 > "$build_dir/$t.log" || rc=$?
+    grep -v '^HARNESS-COVERAGE ' "$build_dir/$t.log" || true
+    grep '^HARNESS-COVERAGE ' "$build_dir/$t.log" >> "$coverage" || true
+    [[ $rc -eq 0 ]] || exit "$rc"
+  done
+  awk -f "$repo_root/tools/harness_table.awk" "$coverage"
+  echo "harness check OK: coverage lines in $coverage"
 elif [[ "$mode" == "--trace" ]]; then
   # Causal tracing end to end: the trace/flight-recorder/health unit
   # tests (including the cross-shard single-tree acceptance test), the

@@ -2,14 +2,16 @@
 //
 // Three modes:
 //
-//   tdbstat <db-dir> <secret-file> <counter-file> [--verify] [--insecure]
-//           [--json]
+//   tdbstat <db-dir> <secret-file> <counter-file> [--verify] [--list]
+//           [--insecure] [--json]
 //     Opens a database image STRICTLY READ-ONLY and prints its metrics
 //     registry (counters, gauges, latency histograms, security audit
-//     trail) plus store statistics. Unlike tdb_inspect, recovery writes
-//     (checkpoints, log truncation, counter bumps) are diverted into an
-//     in-memory copy-on-write overlay, so inspecting an image — even a
-//     crashed or tampered one — never mutates a byte on disk.
+//     trail) plus store statistics; --verify runs the full integrity
+//     scrub, --list enumerates the root object, the collections and their
+//     indexes. Recovery writes (checkpoints, log truncation, counter bumps)
+//     are diverted into an in-memory copy-on-write overlay and a shadow
+//     counter, so inspecting an image — even a crashed or tampered one —
+//     never mutates a byte on disk or advances the one-way counter.
 //
 //   tdbstat --snapshot <metrics.json> [--json]
 //     Attaches to a metrics snapshot emitted by a bench run
@@ -50,10 +52,12 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "collection/collection.h"
 #include "common/health.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "common/trace_export.h"
+#include "object/object_store.h"
 #include "platform/file_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
@@ -372,11 +376,52 @@ int ValidateTraceFile(const std::string& path) {
   return 0;
 }
 
+const char* IndexKindName(collection::IndexKind kind) {
+  switch (kind) {
+    case collection::IndexKind::kBTree:
+      return "btree";
+    case collection::IndexKind::kHashTable:
+      return "hash";
+    default:
+      return "list";
+  }
+}
+
+/// --list: the root object, every collection and its indexes.
+Status ListCollections(chunk::ChunkStore* chunks) {
+  TDB_ASSIGN_OR_RETURN(std::unique_ptr<object::ObjectStore> objects,
+                       object::ObjectStore::Open(chunks));
+  TDB_ASSIGN_OR_RETURN(std::unique_ptr<collection::CollectionStore> colls,
+                       collection::CollectionStore::Open(objects.get()));
+  auto root = objects->GetRoot();
+  if (root.ok() && *root != object::kInvalidObjectId) {
+    std::printf("root object:  %llu\n", (unsigned long long)*root);
+  }
+  collection::CTransaction ct(colls.get());
+  TDB_ASSIGN_OR_RETURN(std::vector<std::string> names, ct.ListCollections());
+  if (names.empty()) {
+    std::printf("collections:  none\n");
+  } else {
+    std::printf("collections:  %zu\n", names.size());
+  }
+  for (const std::string& name : names) {
+    TDB_ASSIGN_OR_RETURN(auto coll, ct.ReadCollection(name));
+    std::printf("  %-20s (object %llu)\n", name.c_str(),
+                (unsigned long long)coll->id());
+    for (const collection::IndexDesc& desc : coll->indexes()) {
+      std::printf("    index %-16s %-6s %s%s\n", desc.name.c_str(),
+                  IndexKindName(desc.kind), desc.unique ? "unique" : "multi",
+                  desc.immutable_keys ? " immutable-keys" : "");
+    }
+  }
+  return ct.Abort();
+}
+
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s <db-dir> <secret-file> <counter-file> [--verify]\n"
-      "          [--insecure] [--json] [--trace <out.json>]\n"
+      "          [--list] [--insecure] [--json] [--trace <out.json>]\n"
       "       %s --snapshot <metrics.json> [--json]\n"
       "       %s --check <metrics.json> [--require NAME]...\n"
       "       %s --health <metrics.json>\n"
@@ -391,7 +436,7 @@ int main(int argc, char** argv) {
   std::string snapshot_path, check_path, health_path, trace_path;
   std::vector<std::string> required;
   std::vector<std::string> positional;
-  bool verify = false, insecure = false, json = false;
+  bool verify = false, list = false, insecure = false, json = false;
 
   for (int i = 1; i < argc; i++) {
     std::string arg = argv[i];
@@ -414,6 +459,8 @@ int main(int argc, char** argv) {
       required.push_back(next("--require"));
     } else if (arg == "--verify") {
       verify = true;
+    } else if (arg == "--list") {
+      list = true;
     } else if (arg == "--insecure") {
       insecure = true;
     } else if (arg == "--json") {
@@ -488,7 +535,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (positional.size() != 3) return Usage(argv[0]);
+  if (positional.size() != 3 || (list && json)) return Usage(argv[0]);
 
   // Live capture: everything from open (recovery replay) through the
   // optional scrub and close lands under one root span.
@@ -542,9 +589,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  common::MetricsSnapshot snap = registry->Snapshot();
   if (json) {
-    std::printf("%s\n", snap.ToJson().c_str());
+    std::printf("%s\n", registry->Snapshot().ToJson().c_str());
   } else {
     const chunk::ChunkStoreStats& stats = chunks->stats();
     std::printf("database:     %s (read-only overlay)\n",
@@ -563,7 +609,16 @@ int main(int argc, char** argv) {
       std::printf("counter:      %llu\n",
                   (unsigned long long)*counter_value);
     }
-    PrintSnapshot(snap);
+    if (list) {
+      Status listed = ListCollections(chunks.get());
+      if (!listed.ok()) {
+        std::fprintf(stderr, "tdbstat: list: %s\n",
+                     listed.ToString().c_str());
+        rc = 1;
+      }
+    }
+    // Snapshot last, so detections made while listing are reported.
+    PrintSnapshot(registry->Snapshot());
   }
 
   // Close flushes into the overlay only; the image on disk is untouched.
