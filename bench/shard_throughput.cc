@@ -221,6 +221,7 @@ void EmitRouterCounters(benchmark::State& state) {
   state.counters["cross_shard_commits"] =
       static_cast<double>(rs.cross_shard_commits);
   state.counters["log_syncs"] = static_cast<double>(agg.log_syncs);
+  state.counters["decisions_live"] = static_cast<double>(rs.decisions_live);
   state.counters["max_group"] =
       static_cast<double>(agg.max_commits_per_group);
 }
@@ -287,10 +288,11 @@ BENCHMARK(BM_ShardLocalDurableGroup)
     ->Threads(8)->Threads(16)
     ->UseRealTime();
 
-// Mixed workload: 1 in 8 commits spans two shards and pays the full 2PC
-// prepare + decision protocol (two staged durable commits, two decision
-// commits); the rest stay shard-local. Shows the coordination tax is
-// confined to the commits that need it.
+// Mixed workload: 1 in 8 commits spans two shards and pays the 2PC
+// protocol (two durable prepares flushed in parallel, then two in-memory
+// commit decisions that ride each shard's next flush); the rest stay
+// shard-local. Shows the coordination tax is confined to the commits that
+// need it.
 void BM_CrossShardMix(benchmark::State& state) {
   const int nshards = static_cast<int>(state.range(0));
   if (state.thread_index() == 0) {
@@ -337,11 +339,13 @@ BENCHMARK(BM_CrossShardMix)
 
 // 2PC commit latency: ONE committer drives transactions that span every
 // shard, so iteration time IS the coordinator's end-to-end latency. The
-// coord_threads=0 row is the serial baseline — each phase visits the
-// shards one after another, paying S prepare flushes + S decision flushes
-// in sequence (~2*S*flush). With a worker pool the coordinator fans each
-// phase out across the shards' independent devices, so the same commit
-// approaches max-of-participants (~2*flush): the parallel-prepare
+// commit is acknowledged once every prepare is durable; the commit
+// decisions are in-memory appends that ride each shard's next flush (the
+// next transaction's prepare). The coord_threads=0 row is the serial
+// baseline — the prepares visit the shards one after another, paying S
+// flushes in sequence (~S*flush). With a worker pool the coordinator fans
+// the prepares out across the shards' independent devices, so the same
+// commit approaches max-of-participants (~1 flush): the parallel-prepare
 // acceptance row for BENCH_shard_throughput.json.
 void BM_CrossShard2pcLatency(benchmark::State& state) {
   const int nshards = static_cast<int>(state.range(0));

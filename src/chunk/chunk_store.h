@@ -104,13 +104,14 @@ struct ChunkStoreOptions {
   int crypto_threads = 4;
 
   /// Sharded router only: worker threads for the cross-shard 2PC
-  /// coordinator. Phase-1 prepares and Phase-2 decision applies target
-  /// disjoint shards, so they fan out across this pool and a multi-shard
-  /// commit costs ~max-of-participants instead of sum. 0 or 1 drives both
-  /// phases serially on the caller in ascending shard order — the fault
-  /// harness relies on that for a deterministic global write index, so
-  /// keep it 0 wherever crash points are enumerated by write count. The
-  /// on-disk image is identical either way.
+  /// coordinator. Phase-1 prepares target disjoint shards, so they fan
+  /// out across this pool and a multi-shard commit costs
+  /// ~max-of-participants instead of sum (the commit decisions are
+  /// in-memory appends, applied inline). 0 or 1 drives the prepares
+  /// serially on the caller in ascending shard order — the fault harness
+  /// relies on that for a deterministic global write index, so keep it 0
+  /// wherever crash points are enumerated by write count. The on-disk
+  /// image is identical either way.
   int txn_coordinator_threads = 4;
 
   /// Group commit (§5/§7 cost model: the per-commit Sync and one-way

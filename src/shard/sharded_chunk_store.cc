@@ -19,10 +19,12 @@ constexpr chunk::ChunkId kReservedBit = 1ull << 63;
 constexpr chunk::ChunkId kStageBase = kReservedBit | (1ull << 62);
 constexpr chunk::ChunkId kDecisionBase = kReservedBit | (1ull << 61);
 constexpr chunk::ChunkId kConfigCid = kReservedBit | 1;
+constexpr chunk::ChunkId kChainBaseCid = kReservedBit | 2;
 
 constexpr uint32_t kConfigMagic = 0x54444253;    // "TDBS"
 constexpr uint32_t kPrepareMagic = 0x32504350;   // "2PCP"
 constexpr uint32_t kDecisionMagic = 0x32504344;  // "2PCD"
+constexpr uint32_t kChainBaseMagic = 0x32504342; // "2PCB"
 constexpr uint32_t kRecordVersion = 1;
 
 // Info string for deriving the 2PC chain key from the shard-0 secret; a
@@ -30,10 +32,11 @@ constexpr uint32_t kRecordVersion = 1;
 // credentials still cannot mint coordinator decisions.
 constexpr const char kChainKeyInfo[] = "tdb-2pc-chain-key-v1";
 
-enum class RouterKind { kConfig, kStaging, kDecision, kUnknown };
+enum class RouterKind { kConfig, kChainBase, kStaging, kDecision, kUnknown };
 
 RouterKind KindOf(chunk::ChunkId cid) {
   if (cid == kConfigCid) return RouterKind::kConfig;
+  if (cid == kChainBaseCid) return RouterKind::kChainBase;
   if ((cid & kStageBase) == kStageBase) return RouterKind::kStaging;
   if ((cid & kDecisionBase) == kDecisionBase) return RouterKind::kDecision;
   return RouterKind::kUnknown;
@@ -65,6 +68,7 @@ chunk::ChunkId ShardedChunkStore::StagingCid(uint64_t txn_id) {
 chunk::ChunkId ShardedChunkStore::DecisionCid(uint64_t txn_id) {
   return kDecisionBase | txn_id;
 }
+chunk::ChunkId ShardedChunkStore::ChainBaseCid() { return kChainBaseCid; }
 
 ShardedChunkStore::~ShardedChunkStore() = default;
 
@@ -192,6 +196,44 @@ Status ShardedChunkStore::DecodeDecision(Slice payload,
   return Status::OK();
 }
 
+Buffer ShardedChunkStore::EncodeChainBase(
+    uint32_t shard_index, uint64_t through_txn,
+    const crypto::Digest& chain_mac) const {
+  Buffer out;
+  PutFixed32(&out, kChainBaseMagic);
+  PutFixed32(&out, kRecordVersion);
+  PutFixed32(&out, shard_index);
+  PutFixed64(&out, through_txn);
+  PutLengthPrefixed(&out, chain_mac.AsSlice());
+  PutLengthPrefixed(&out, MacOf(Slice(out)).AsSlice());
+  return out;
+}
+
+Status ShardedChunkStore::DecodeChainBase(Slice payload, uint32_t shard_index,
+                                          uint64_t* through_txn,
+                                          crypto::Digest* chain_mac) const {
+  Decoder dec(payload);
+  uint32_t magic = 0, version = 0, index = 0;
+  TDB_RETURN_IF_ERROR(dec.GetFixed32(&magic));
+  if (magic != kChainBaseMagic) return MalformedTxnRecord("chain base magic");
+  TDB_RETURN_IF_ERROR(dec.GetFixed32(&version));
+  if (version != kRecordVersion) {
+    return MalformedTxnRecord("chain base version");
+  }
+  TDB_RETURN_IF_ERROR(dec.GetFixed32(&index));
+  if (index != shard_index) return MalformedTxnRecord("chain base fields");
+  TDB_RETURN_IF_ERROR(dec.GetFixed64(through_txn));
+  TDB_RETURN_IF_ERROR(GetDigest(&dec, chain_mac));
+  const size_t mac_offset = payload.size() - dec.remaining();
+  crypto::Digest mac;
+  TDB_RETURN_IF_ERROR(GetDigest(&dec, &mac));
+  if (!dec.done()) return MalformedTxnRecord("chain base trailing bytes");
+  if (!mac_key_.empty() && mac != MacOf(Slice(payload.data(), mac_offset))) {
+    return Status::TamperDetected("2PC chain base MAC mismatch");
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // Open / config / recovery
 
@@ -230,7 +272,7 @@ Result<std::unique_ptr<ShardedChunkStore>> ShardedChunkStore::Open(
                                 backends[k].counter, opts));
     st->shards_.push_back(std::move(cs));
   }
-  st->chain_mac_.resize(n);
+  st->chains_.resize(n);
   if (options.security.enabled) {
     TDB_ASSIGN_OR_RETURN(Buffer secret, backends[0].secrets->GetSecret());
     crypto::Digest key = crypto::Hmac::Mac(st->mac_hash_, Slice(secret),
@@ -246,6 +288,8 @@ Result<std::unique_ptr<ShardedChunkStore>> ShardedChunkStore::Open(
   st->upgrades_ = r->GetCounter("shard.router.durability_upgrades");
   st->recovered_commits_ = r->GetCounter("shard.router.recovered_commits");
   st->recovered_aborts_ = r->GetCounter("shard.router.recovered_aborts");
+  st->decisions_dropped_ = r->GetCounter("shard.router.decisions_dropped");
+  st->decisions_live_ = r->GetGauge("shard.router.decisions_live");
   st->txn_inflight_ = r->GetGauge("shard.router.txn_inflight");
   st->txn_inflight_since_us_ =
       r->GetGauge("shard.router.txn_inflight_since_us");
@@ -397,6 +441,17 @@ Status ShardedChunkStore::RecoverCrossShard() {
           scans[k].decisions.emplace(rec.txn_id, std::move(rec));
           break;
         }
+        case RouterKind::kChainBase: {
+          ShardChain& c = chains_[k];
+          Status s = DecodeChainBase(Slice(payload), static_cast<uint32_t>(k),
+                                     &c.base_through, &c.base_mac);
+          if (!s.ok()) {
+            AuditTxn("txn_chain_base_invalid", where, s.ToString());
+            return s;
+          }
+          max_txn = std::max(max_txn, c.base_through);
+          break;
+        }
         default:
           AuditTxn("txn_record_unknown", where,
                    "unrecognized reserved chunk id " + std::to_string(cid));
@@ -405,37 +460,74 @@ Status ShardedChunkStore::RecoverCrossShard() {
     }
   }
 
-  // Verify each shard's decision chain: decisions in transaction order
-  // must link prev_mac -> mac contiguously (their own MACs were checked at
-  // decode). Prepares hang off the chain at the latest earlier decision.
-  // Any break means a decision was forged, reordered, or removed through
-  // otherwise-legitimate chunk commits.
+  // Verify each shard's decision chain. The kept decisions must form ONE
+  // linear chain in append order that starts at the chain base (the MAC of
+  // the last dropped record; the zero digest when nothing was ever
+  // dropped): each record's prev_mac is its predecessor's MAC (their own
+  // MACs were checked at decode). An unlinked or forked record means a
+  // decision was forged, reordered, resurrected or removed through
+  // otherwise-legitimate chunk commits. Without a chain key there are no
+  // MACs to link, and the records are kept in transaction order.
+  auto key = [](const crypto::Digest& d) { return d.AsSlice().ToString(); };
   for (size_t k = 0; k < n; k++) {
     const std::string where = "shard" + std::to_string(k);
-    crypto::Digest running;
-    for (const auto& [txn, d] : scans[k].decisions) {
-      if (!mac_key_.empty() && d.prev_mac != running) {
-        AuditTxn("txn_decision_chain", where + ".txn" + std::to_string(txn),
+    ShardChain& c = chains_[k];
+    std::vector<const DecisionRecord*> order;
+    if (mac_key_.empty()) {
+      for (const auto& [txn, d] : scans[k].decisions) order.push_back(&d);
+    } else {
+      std::map<std::string, const DecisionRecord*> by_prev;
+      for (const auto& [txn, d] : scans[k].decisions) {
+        if (!by_prev.emplace(key(d.prev_mac), &d).second) {
+          AuditTxn("txn_decision_chain", where + ".txn" + std::to_string(txn),
+                   "two decision records share one chain predecessor");
+          return Status::TamperDetected("2PC decision chain fork on " +
+                                        where);
+        }
+      }
+      crypto::Digest at = c.base_mac;
+      for (auto it = by_prev.find(key(at)); it != by_prev.end();
+           it = by_prev.find(key(at))) {
+        order.push_back(it->second);
+        at = it->second->mac;
+        by_prev.erase(it);
+      }
+      if (!by_prev.empty()) {
+        AuditTxn("txn_decision_chain",
+                 where + ".txn" +
+                     std::to_string(by_prev.begin()->second->txn_id),
                  "decision chain linkage mismatch");
         return Status::TamperDetected("2PC decision chain break on " +
                                       where);
       }
-      running = d.mac;
-      if (scans[k].prepares.count(txn) != 0) {
-        AuditTxn("txn_decision_chain", where + ".txn" + std::to_string(txn),
+    }
+    std::set<std::string> positions = {key(c.base_mac)};
+    for (const DecisionRecord* d : order) {
+      if (scans[k].prepares.count(d->txn_id) != 0) {
+        AuditTxn("txn_decision_chain",
+                 where + ".txn" + std::to_string(d->txn_id),
                  "staging survived its own decision");
         return Status::TamperDetected("staging chunk outlived decision");
       }
+      c.live.push_back(ChainEntry{d->txn_id, ++c.appended, d->mac});
+      positions.insert(key(d->mac));
     }
-    chain_mac_[k] = running;
+    c.durable = c.appended;  // Recovered state is on disk.
+    c.end = c.live.empty() ? c.base_mac : c.live.back().mac;
     if (mac_key_.empty()) continue;
+    // A prepare hangs off the chain position that was the end when it was
+    // written. Its transaction is newer than every dropped record: GC
+    // drops a record only once no staging of its transaction remains, and
+    // never past a shard's failed prepare. Staging at or below the base is
+    // a replayed chunk whose decisions were dropped.
     for (const auto& [txn, p] : scans[k].prepares) {
-      crypto::Digest expect;  // MAC of the latest decision before `txn`.
-      auto it = scans[k].decisions.lower_bound(txn);
-      if (it != scans[k].decisions.begin()) {
-        expect = std::prev(it)->second.mac;
+      if (txn <= c.base_through) {
+        AuditTxn("txn_prepare_chain", where + ".txn" + std::to_string(txn),
+                 "staging older than the decision chain base");
+        return Status::TamperDetected("2PC staging below chain base on " +
+                                      where);
       }
-      if (p.prev_mac != expect) {
+      if (positions.count(key(p.prev_mac)) == 0) {
         AuditTxn("txn_prepare_chain", where + ".txn" + std::to_string(txn),
                  "prepare record does not link to the decision chain");
         return Status::TamperDetected("2PC prepare chain break on " + where);
@@ -447,11 +539,19 @@ Status ShardedChunkStore::RecoverCrossShard() {
   // iff every participant durably prepared (or some participant already
   // holds a commit decision); abort otherwise. Redo is idempotent — the
   // staged batch rewrites the same chunk states.
+  size_t live = 0;
+  for (const ShardChain& c : chains_) live += c.live.size();
+  decisions_live_->Set(static_cast<int64_t>(live));
+
   std::set<uint64_t> in_doubt;
   for (size_t k = 0; k < n; k++) {
     for (const auto& [txn, p] : scans[k].prepares) in_doubt.insert(txn);
   }
   std::lock_guard<std::mutex> lock(txn_mu_);
+  // Every record of an in-doubt transaction must outlive its resolution: a
+  // crash part-way through leaves the rest to the next recovery, which
+  // still needs them. Hold them unsettled until all are resolved.
+  for (uint64_t txn : in_doubt) unsettled_[txn] = ~0ull;
   for (uint64_t txn : in_doubt) {
     uint64_t mask = 0;
     bool commit_seen = false;
@@ -499,7 +599,8 @@ Status ShardedChunkStore::RecoverCrossShard() {
       if (pit == scans[p].prepares.end()) continue;
       TDB_RETURN_IF_ERROR(ApplyDecisionLocked(
           static_cast<int>(p), txn, mask, do_commit,
-          do_commit ? &pit->second.ops : nullptr, pit->second.mac));
+          do_commit ? &pit->second.ops : nullptr, pit->second.mac,
+          /*durable=*/true));
     }
     if (do_commit) {
       recovered_commits_->Increment();
@@ -517,6 +618,8 @@ Status ShardedChunkStore::RecoverCrossShard() {
             " (recovery)");
   }
 
+  for (uint64_t txn : in_doubt) unsettled_.erase(txn);
+
   next_txn_id_ = max_txn + 1;
   next_id_.store(max_app + 1);
   return Status::OK();
@@ -525,27 +628,94 @@ Status ShardedChunkStore::RecoverCrossShard() {
 // ---------------------------------------------------------------------------
 // Commit paths
 
-Status ShardedChunkStore::ApplyDecisionLocked(int k, uint64_t txn_id,
-                                              uint64_t participants,
-                                              bool commit,
-                                              const chunk::WriteBatch* ops,
-                                              const crypto::Digest& mac_of_prepare) {
+void ShardedChunkStore::MarkDurableLocked(int k, uint64_t through) {
+  ShardChain& c = chains_[static_cast<size_t>(k)];
+  for (auto it = c.live.rbegin(); it != c.live.rend() && it->seq > c.durable;
+       ++it) {
+    if (it->seq > through) continue;
+    auto u = unsettled_.find(it->txn_id);
+    if (u == unsettled_.end()) continue;
+    u->second &= ~(1ull << k);
+    if (u->second == 0) unsettled_.erase(u);
+  }
+  c.durable = std::max(c.durable, through);
+}
+
+void ShardedChunkStore::BoundChainsLocked() {
+  bool over = false;
+  for (const ShardChain& c : chains_) over |= c.live.size() > kMaxLiveDecisions;
+  if (!over) return;
+  chunk::WriteBatch empty;
+  for (size_t k = 0; k < shards_.size(); k++) {
+    if (chains_[k].durable == chains_[k].appended) continue;
+    if (shards_[k]->Commit(empty, true).ok()) {
+      MarkDurableLocked(static_cast<int>(k), chains_[k].appended);
+    }
+  }
+}
+
+Status ShardedChunkStore::ApplyDecisionLocked(
+    int k, uint64_t txn_id, uint64_t participants, bool commit,
+    const chunk::WriteBatch* ops, const crypto::Digest& mac_of_prepare,
+    bool durable) {
   // Parented under shard.2pc on the commit path and shard.recover_2pc at
   // recovery; the shard-level commit spans (seal / follower wait / group
   // flush) nest under this via the calling thread's context.
   common::TraceSpan span(
       common::TraceName::Interned(decision_span_names_[static_cast<size_t>(k)]));
+  ShardChain& c = chains_[static_cast<size_t>(k)];
   crypto::Digest mac;
   Buffer record =
       EncodeDecision(txn_id, participants, static_cast<uint32_t>(k), commit,
-                     mac_of_prepare, chain_mac_[k], &mac);
+                     mac_of_prepare, c.end, &mac);
   chunk::WriteBatch batch;
   if (commit && ops != nullptr) batch = *ops;
   batch.Write(DecisionCid(txn_id), Slice(record));
   batch.Deallocate(StagingCid(txn_id));
-  TDB_RETURN_IF_ERROR(shards_[k]->Commit(batch, true));
-  chain_mac_[k] = mac;
-  return Status::OK();
+  // Drop the longest prefix of durable, settled records in the same
+  // atomic batch, and move the chain base past them. Each drop rewrites
+  // the base, so drops wait until kDecisionDropBatch records qualify.
+  size_t drop = 0;
+  while (drop < c.live.size()) {
+    const ChainEntry& e = c.live[drop];
+    if (e.seq > c.durable || e.seq > c.fence ||
+        unsettled_.count(e.txn_id) != 0) {
+      break;
+    }
+    drop++;
+  }
+  if (drop < kDecisionDropBatch) drop = 0;
+  uint64_t through = c.base_through;
+  for (size_t i = 0; i < drop; i++) {
+    batch.Deallocate(DecisionCid(c.live[i].txn_id));
+    through = std::max(through, c.live[i].txn_id);
+  }
+  if (drop > 0) {
+    batch.Write(kChainBaseCid,
+                Slice(EncodeChainBase(static_cast<uint32_t>(k), through,
+                                      c.live[drop - 1].mac)));
+  }
+  Status s = shards_[k]->Commit(batch, durable);
+  if (!s.ok()) {
+    // The failed batch may yet reach k's log; keep k's chain from here.
+    c.fence = std::min(c.fence, c.appended);
+    // A shard that failed only the write of a batch it already applied
+    // (its buffered records go out with its next flush) serves the new
+    // record: the chain then continues from it, or the two would fork.
+    Result<Buffer> kept = shards_[k]->Read(DecisionCid(txn_id));
+    if (!kept.ok() || *kept != record) return s;
+  }
+  if (drop > 0) {
+    c.base_through = through;
+    c.base_mac = c.live[drop - 1].mac;
+    c.live.erase(c.live.begin(), c.live.begin() + static_cast<ptrdiff_t>(drop));
+    decisions_dropped_->Add(static_cast<int64_t>(drop));
+  }
+  c.live.push_back(ChainEntry{txn_id, ++c.appended, mac});
+  c.end = mac;
+  decisions_live_->Add(1 - static_cast<int64_t>(drop));
+  if (durable && s.ok()) MarkDurableLocked(k, c.appended);
+  return s;
 }
 
 Status ShardedChunkStore::CommitCrossShardLocked(
@@ -579,9 +749,9 @@ Status ShardedChunkStore::CommitCrossShardLocked(
   uint64_t mask = 0;
   for (const auto& [k, b] : parts) mask |= 1ull << k;
 
-  // Flatten the participant map so both phases can fan out by index;
-  // std::map iteration keeps shard order ascending, which the serial
-  // (txn_coordinator_threads <= 1) path preserves exactly.
+  // Flatten the participant map so Phase 1 can fan out by index; std::map
+  // iteration keeps shard order ascending, which the serial
+  // (txn_coordinator_threads <= 1) path and Phase 2 preserve exactly.
   std::vector<int> keys;
   std::vector<const chunk::WriteBatch*> batches;
   keys.reserve(parts.size());
@@ -596,7 +766,7 @@ Status ShardedChunkStore::CommitCrossShardLocked(
   // chunk commit rides the shard's own MACed, chained, counter-stamped
   // log, so a torn or replayed prepare is detected as a torn/replayed
   // shard commit; the record's own MAC chains it to the decision log.
-  // Participants touch disjoint shards (chain_mac_[k], shards_[k]), so the
+  // Participants touch disjoint shards (chains_[k], shards_[k]), so the
   // prepares run concurrently across txn_pool_ and the phase costs
   // ~max-of-participants. The pool re-installs this thread's trace context
   // around each task, so every prepare span still parents under shard.2pc.
@@ -607,13 +777,25 @@ Status ShardedChunkStore::CommitCrossShardLocked(
     common::TraceSpan prepare_span(
         common::TraceName::Interned(prepare_span_names_[k]));
     Buffer record = EncodePrepare(txn, mask, static_cast<uint32_t>(k),
-                                  *batches[i], chain_mac_[k],
+                                  *batches[i], chains_[k].end,
                                   &prepare_macs[i]);
     prepared[i] = shards_[k]->Write(StagingCid(txn), Slice(record), true);
   });
+  // An acknowledged prepare on k is a durable commit later in k's log
+  // than every decision appended there so far.
   size_t failed = nparts;  // Lowest failing shard index (keys ascend).
-  for (size_t i = 0; i < nparts && failed == nparts; i++) {
-    if (!prepared[i].ok()) failed = i;
+  uint64_t decided = 0;    // Participants that get a decision record.
+  for (size_t i = 0; i < nparts; i++) {
+    if (prepared[i].ok()) {
+      MarkDurableLocked(keys[i], chains_[keys[i]].appended);
+      decided |= 1ull << keys[i];
+    } else {
+      // Its staging may still reach the log, linked to today's chain end:
+      // keep the chain from here.
+      ShardChain& c = chains_[static_cast<size_t>(keys[i])];
+      c.fence = std::min(c.fence, c.appended);
+      if (failed == nparts) failed = i;
+    }
   }
   if (failed != nparts) {
     AuditTxn("txn_prepare_failed",
@@ -621,14 +803,16 @@ Status ShardedChunkStore::CommitCrossShardLocked(
                  std::to_string(txn),
              "2PC prepare failed, transaction aborted: " +
                  prepared[failed].ToString());
-    // Roll back the participants that did prepare. Best effort: a crash
-    // (or a failed abort write) here leaves staging chunks that recovery
-    // aborts (not every participant prepared) — but an abort that fails to
-    // persist must not vanish silently, so it is audited.
+    // Roll back the participants that did prepare with durable abort
+    // decisions. Best effort: a crash (or a failed abort write) here
+    // leaves staging chunks that recovery aborts (not every participant
+    // prepared) — but an abort that fails to persist must not vanish
+    // silently, so it is audited.
+    if (decided != 0) unsettled_[txn] = decided;
     for (size_t i = 0; i < nparts; i++) {
       if (!prepared[i].ok()) continue;
-      Status aborted = ApplyDecisionLocked(keys[i], txn, mask, false,
-                                           nullptr, prepare_macs[i]);
+      Status aborted = ApplyDecisionLocked(keys[i], txn, mask, false, nullptr,
+                                           prepare_macs[i], /*durable=*/true);
       if (!aborted.ok()) {
         AuditTxn("txn_abort_failed",
                  "shard" + std::to_string(keys[i]) + ".txn" +
@@ -641,22 +825,18 @@ Status ShardedChunkStore::CommitCrossShardLocked(
     return prepared[failed];
   }
 
-  // Phase 2: the decision is committed on each participant as ONE atomic
-  // shard batch {real ops, decision record, staging dealloc}. After every
-  // participant staged, the transaction commits even across a crash
-  // anywhere in this window (recovery redoes from staging). Like the
-  // prepares, the applies hit disjoint shards and fan out across the pool.
-  std::vector<Status> applied(nparts, Status::OK());
-  txn_pool_->ParallelFor(nparts, [&](size_t i) {
-    applied[i] = ApplyDecisionLocked(keys[i], txn, mask, true, batches[i],
-                                     prepare_macs[i]);
-  });
+  // Every participant staged durably: the transaction is decided, and the
+  // caller is acknowledged once the decisions below are applied in memory.
+  // Each participant applies its decision as ONE nondurable shard batch
+  // {real ops, decision record, staging dealloc} that rides that shard's
+  // next flush; a crash before it leaves staging that recovery redoes.
+  // These are in-memory appends, so they run inline in shard order.
+  unsettled_[txn] = mask;
   Status out = Status::OK();
   for (size_t i = 0; i < nparts; i++) {
-    if (!applied[i].ok()) {
-      out = applied[i];
-      break;
-    }
+    Status applied = ApplyDecisionLocked(keys[i], txn, mask, true, batches[i],
+                                         prepare_macs[i], /*durable=*/false);
+    if (out.ok() && !applied.ok()) out = applied;
   }
   // A commit whose decision failed to apply somewhere is NOT a completed
   // cross-shard commit: health rules and tests read these counters, so
@@ -668,6 +848,7 @@ Status ShardedChunkStore::CommitCrossShardLocked(
   } else {
     cross_commit_failures_->Increment();
   }
+  BoundChainsLocked();
   return out;
 }
 
@@ -853,10 +1034,25 @@ Result<std::vector<Buffer>> ShardedChunkStore::ReadManyAtView(
 }
 
 Status ShardedChunkStore::Checkpoint() {
+  // A shard's checkpoint makes every decision appended on it before the
+  // checkpoint began durable, which lets their records be dropped.
+  std::vector<uint64_t> appended(shards_.size());
+  {
+    std::lock_guard<std::mutex> lock(txn_mu_);
+    for (size_t k = 0; k < shards_.size(); k++) {
+      appended[k] = chains_[k].appended;
+    }
+  }
   Status out = Status::OK();
-  for (const auto& s : shards_) {
-    Status st = s->Checkpoint();
+  std::vector<bool> done(shards_.size(), false);
+  for (size_t k = 0; k < shards_.size(); k++) {
+    Status st = shards_[k]->Checkpoint();
+    done[k] = st.ok();
     if (out.ok() && !st.ok()) out = st;
+  }
+  std::lock_guard<std::mutex> lock(txn_mu_);
+  for (size_t k = 0; k < shards_.size(); k++) {
+    if (done[k]) MarkDurableLocked(static_cast<int>(k), appended[k]);
   }
   return out;
 }
@@ -961,6 +1157,8 @@ RouterStats ShardedChunkStore::router_stats() const {
   rs.durability_upgrades = u(upgrades_->value());
   rs.recovered_commits = u(recovered_commits_->value());
   rs.recovered_aborts = u(recovered_aborts_->value());
+  rs.decisions_live = u(decisions_live_->value());
+  rs.decisions_dropped = u(decisions_dropped_->value());
   return rs;
 }
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -79,6 +83,40 @@ void TwoShardIds(ShardedChunkStore* router, chunk::ChunkId* on0,
     if (router->ShardOf(cid) == 0 && *on0 == 0) *on0 = cid;
     if (router->ShardOf(cid) == 1 && *on1 == 0) *on1 = cid;
   }
+}
+
+// Commits {on0: v0, on1: v1} as one cross-shard transaction.
+Status CommitPair(ShardedChunkStore* router, chunk::ChunkId on0,
+                  chunk::ChunkId on1, const std::string& v0,
+                  const std::string& v1) {
+  chunk::WriteBatch batch;
+  batch.Write(on0, Slice(v0));
+  batch.Write(on1, Slice(v1));
+  return router->Commit(batch, true);
+}
+
+// What a power cut leaves of `env` right now: a second environment holding
+// the same device images and counter values. The original stays open.
+std::unique_ptr<ShardedEnv> CrashCopy(ShardedEnv& env) {
+  auto copy = std::make_unique<ShardedEnv>(static_cast<int>(env.stores.size()));
+  for (size_t k = 0; k < env.stores.size(); k++) {
+    copy->stores[k]->RestoreImage(env.stores[k]->SnapshotImage());
+    while (*copy->counters[k]->Read() < *env.counters[k]->Read()) {
+      TDB_CHECK(copy->counters[k]->Increment().ok());
+    }
+  }
+  return copy;
+}
+
+// Whether shard k of `env` holds the 2PC staging chunk of `txn`, read
+// through a plain chunk store over a crash copy (recovery normalizes the
+// image it opens, so the caller's image stays untouched).
+bool HoldsStaging(ShardedEnv& env, int k, uint64_t txn) {
+  std::unique_ptr<ShardedEnv> copy = CrashCopy(env);
+  auto cs = chunk::ChunkStore::Open(copy->stores[k].get(), &copy->secrets,
+                                    copy->counters[k].get(), SmallSegments());
+  TDB_CHECK(cs.ok());
+  return (*cs)->Read(ShardedChunkStore::StagingCid(txn)).ok();
 }
 
 // ------------------------------------------------------------ pass-through
@@ -322,20 +360,72 @@ TEST(ShardedStoreTest, ForgedDecisionRecordDetectedAtRecovery) {
 }
 
 TEST(ShardedStoreTest, ReplayedDecisionChainDetectedAtRecovery) {
-  // Deleting a later decision record (rolling the chain back) must break
-  // chain verification too — e.g. via a staging chunk that outlived its
-  // decision, or a prepare whose chain link points past the tail.
+  // A copy of an earlier decision written back through legitimate chunk
+  // commits must fail verification: in the place of a later decision (the
+  // record names another transaction), and in its own place after GC
+  // dropped it (it no longer links to the chain, which now starts at the
+  // chain base). Txn 1's record is captured before GC drops it.
+  for (bool own_place : {false, true}) {
+    ShardedEnv env(2);
+    Buffer first;
+    {
+      auto router = env.Open();
+      ASSERT_TRUE(router.ok());
+      chunk::ChunkId on0 = 0, on1 = 0;
+      TwoShardIds(router->get(), &on0, &on1);
+      ASSERT_TRUE(CommitPair(router->get(), on0, on1, "r1", "r1").ok());
+      auto record =
+          (*router)->shard(0)->Read(ShardedChunkStore::DecisionCid(1));
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      first = *record;
+      const chunk::ChunkId first_cid = ShardedChunkStore::DecisionCid(1);
+      while ((*router)->shard(0)->Read(first_cid).ok()) {
+        ASSERT_TRUE(CommitPair(router->get(), on0, on1, "r", "r").ok());
+        ASSERT_LE((*router)->router_stats().cross_shard_commits,
+                  2 + ShardedChunkStore::kDecisionDropBatch);
+      }
+      ASSERT_TRUE((*router)->Close().ok());
+    }
+    {
+      auto cs = chunk::ChunkStore::Open(env.stores[0].get(), &env.secrets,
+                                        env.counters[0].get(),
+                                        SmallSegments());
+      ASSERT_TRUE(cs.ok());
+      const chunk::ChunkId target =
+          ShardedChunkStore::DecisionCid(own_place ? 1 : 2);
+      ASSERT_TRUE((*cs)->Write(target, Slice(first), true).ok());
+      ASSERT_TRUE((*cs)->Close().ok());
+    }
+    auto router = env.Open();
+    ASSERT_FALSE(router.ok()) << "own place " << own_place;
+    EXPECT_TRUE(router.status().IsTamperDetected())
+        << router.status().ToString();
+  }
+}
+
+// Chain-base tamper through legitimate chunk commits on shard 0, after two
+// GC drop rounds: `mutate` gets the base record of the first round and the
+// current one, and returns the payload to write back.
+void ExpectChainBaseTamperDetected(
+    const std::function<Buffer(const Buffer& captured,
+                               const Buffer& current)>& mutate) {
   ShardedEnv env(2);
-  chunk::ChunkId on0 = 0, on1 = 0;
+  Buffer captured;
   {
     auto router = env.Open();
     ASSERT_TRUE(router.ok());
+    chunk::ChunkId on0 = 0, on1 = 0;
     TwoShardIds(router->get(), &on0, &on1);
-    for (int round = 0; round < 2; round++) {  // txns 1 and 2.
-      chunk::WriteBatch batch;
-      batch.Write(on0, Slice("round"));
-      batch.Write(on1, Slice("round"));
-      ASSERT_TRUE((*router)->Commit(batch, true).ok());
+    // Txn B+1 drops txns 1..B; txn 2B+1 drops B+1..2B (B = drop batch).
+    const uint64_t batch = ShardedChunkStore::kDecisionDropBatch;
+    for (uint64_t txn = 1; txn <= 2 * batch + 2; txn++) {
+      ASSERT_TRUE(CommitPair(router->get(), on0, on1, "v", "v").ok());
+      if (txn == batch + 1) {
+        auto base =
+            (*router)->shard(0)->Read(ShardedChunkStore::ChainBaseCid());
+        ASSERT_TRUE(base.ok()) << base.status().ToString();
+        captured = *base;
+      }
     }
     ASSERT_TRUE((*router)->Close().ok());
   }
@@ -343,29 +433,51 @@ TEST(ShardedStoreTest, ReplayedDecisionChainDetectedAtRecovery) {
     auto cs = chunk::ChunkStore::Open(env.stores[0].get(), &env.secrets,
                                       env.counters[0].get(), SmallSegments());
     ASSERT_TRUE(cs.ok());
-    // Forge txn 2's decision into a copy of txn 1's (a "replayed"
-    // coordinator decision): the chain MAC binds position, so this fails.
-    auto first = (*cs)->Read(ShardedChunkStore::DecisionCid(1));
-    ASSERT_TRUE(first.ok());
-    ASSERT_TRUE(
-        (*cs)
-            ->Write(ShardedChunkStore::DecisionCid(2), Slice(*first), true)
-            .ok());
+    auto current = (*cs)->Read(ShardedChunkStore::ChainBaseCid());
+    ASSERT_TRUE(current.ok()) << current.status().ToString();
+    ASSERT_TRUE((*cs)
+                    ->Write(ShardedChunkStore::ChainBaseCid(),
+                            Slice(mutate(captured, *current)), true)
+                    .ok());
     ASSERT_TRUE((*cs)->Close().ok());
   }
-  auto router = env.Open();
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  chunk::ChunkStoreOptions options = SmallSegments();
+  options.metrics = registry;
+  auto router = ShardedChunkStore::Open(env.Backends(), options);
   ASSERT_FALSE(router.ok());
   EXPECT_TRUE(router.status().IsTamperDetected())
       << router.status().ToString();
+  EXPECT_GE(registry->audit().size(), 1u);
+}
+
+TEST(ShardedStoreTest, ForgedChainBaseDetectedAtRecovery) {
+  ExpectChainBaseTamperDetected([](const Buffer&, const Buffer& current) {
+    Buffer forged = current;
+    forged[forged.size() / 2] ^= 0x40;
+    return forged;
+  });
+}
+
+TEST(ShardedStoreTest, RolledBackChainBaseDetectedAtRecovery) {
+  // The first round's base is genuine and MAC-valid, but the kept records
+  // no longer hang off it.
+  ExpectChainBaseTamperDetected(
+      [](const Buffer& captured, const Buffer&) { return captured; });
 }
 
 // ----------------------------------------------------- in-doubt recovery
 
 TEST(ShardedStoreTest, InDoubt2pcResolvesAllOrNothing) {
-  // Crash at every write index inside a cross-shard commit window (both
-  // shards behind ONE fault injector so the index is global) and check
-  // the transaction is recovered atomically: both shards or neither.
-  bool saw_commit = false, saw_abort = false;
+  // Crash at every write index from the start of a cross-shard commit
+  // through the teardown that follows it (both shards behind ONE fault
+  // injector so the index is global) and check the transaction is
+  // recovered atomically: both shards or neither. The sweep must land in
+  // each 2PC window: before every prepare is durable (abort), after every
+  // prepare but before the ack (commit by redo), and after the ack with
+  // the commit decisions not yet flushed (an acknowledged transaction
+  // redone from staging).
+  bool saw_abort = false, saw_unacked_redo = false, saw_acked_redo = false;
   for (uint64_t point = 0;; point++) {
     MemUntrustedStore base;
     FaultInjectingStore faulty(&base);
@@ -376,7 +488,7 @@ TEST(ShardedStoreTest, InDoubt2pcResolvesAllOrNothing) {
     std::vector<ShardBackend> backends = {{&s0, &secrets, &c0},
                                           {&s1, &secrets, &c1}};
     chunk::ChunkId on0 = 0, on1 = 0;
-    bool crashed = false;
+    bool acked = false;
     // Serial coordinator: the sweep enumerates crash points by the GLOBAL
     // write index, so the 2PC write order must be deterministic (and the
     // fault injector is deliberately unsynchronized).
@@ -386,27 +498,28 @@ TEST(ShardedStoreTest, InDoubt2pcResolvesAllOrNothing) {
       auto router = ShardedChunkStore::Open(backends, options);
       ASSERT_TRUE(router.ok()) << router.status().ToString();
       TwoShardIds(router->get(), &on0, &on1);
-      chunk::WriteBatch before;
-      before.Write(on0, Slice("base0"));
-      before.Write(on1, Slice("base1"));
-      ASSERT_TRUE((*router)->Commit(before, true).ok());
+      ASSERT_TRUE(CommitPair(router->get(), on0, on1, "base0", "base1").ok());
+      // Make txn 1 fully durable, so only txn 2 can be in doubt.
+      ASSERT_TRUE((*router)->Checkpoint().ok());
 
       faulty.CrashAtWrite(point, 4, 4);
-      chunk::WriteBatch txn;
-      txn.Write(on0, Slice("txn0"));
-      txn.Write(on1, Slice("txn1"));
-      Status status = (*router)->Commit(txn, true);
-      crashed = faulty.crashed();
-      ASSERT_TRUE(status.ok() || crashed) << status.ToString();
-      if (!crashed) {
-        // Past the end of the commit's write window: sweep complete.
-        EXPECT_TRUE(saw_commit);
-        EXPECT_TRUE(saw_abort);
-        return;
-      }
-      (void)router->get();  // Drop without Close.
+      Status status = CommitPair(router->get(), on0, on1, "txn0", "txn1");
+      acked = status.ok();
+      ASSERT_TRUE(acked || faulty.crashed()) << status.ToString();
+      // Drop without Close: the shards' best-effort teardown checkpoints
+      // (which flush the commit decisions) are in the sweep too.
+    }
+    if (!faulty.crashed()) {
+      // Past the end of the commit's and the teardown's writes: done.
+      EXPECT_TRUE(saw_abort);
+      EXPECT_TRUE(saw_unacked_redo);
+      EXPECT_TRUE(saw_acked_redo) << "no crash point fell between the ack "
+                                     "and the flush of the decisions";
+      return;
     }
     faulty.Reboot();
+    auto registry = std::make_shared<common::MetricsRegistry>();
+    options.metrics = registry;
     auto router = ShardedChunkStore::Open(backends, options);
     ASSERT_TRUE(router.ok())
         << "crash point " << point << ": " << router.status().ToString();
@@ -421,17 +534,20 @@ TEST(ShardedStoreTest, InDoubt2pcResolvesAllOrNothing) {
       EXPECT_EQ(Slice(*v0).ToString(), "base0");
       EXPECT_EQ(Slice(*v1).ToString(), "base1");
     }
+    if (acked) {
+      EXPECT_TRUE(applied0) << "crash point " << point
+                            << " lost an acknowledged cross-shard commit";
+    }
     RouterStats rs = (*router)->router_stats();
-    saw_commit = saw_commit || rs.recovered_commits > 0;
-    saw_abort = saw_abort || rs.recovered_aborts > 0;
+    EXPECT_LE(rs.recovered_commits + rs.recovered_aborts, 1u);
     if (rs.recovered_commits > 0) {
       EXPECT_TRUE(applied0);
+      (acked ? saw_acked_redo : saw_unacked_redo) = true;
     }
+    saw_abort = saw_abort || rs.recovered_aborts > 0;
+    EXPECT_EQ(registry->audit().size(), 0u) << "crash point " << point;
     // A fresh cross-shard commit must work on top of the recovered chain.
-    chunk::WriteBatch after;
-    after.Write(on0, Slice("after"));
-    after.Write(on1, Slice("after"));
-    ASSERT_TRUE((*router)->Commit(after, true).ok());
+    ASSERT_TRUE(CommitPair(router->get(), on0, on1, "after", "after").ok());
     ASSERT_TRUE((*router)->Close().ok());
   }
 }
@@ -439,12 +555,15 @@ TEST(ShardedStoreTest, InDoubt2pcResolvesAllOrNothing) {
 // ----------------------------------------------- coordinator failure paths
 
 // Fails every Write() while armed — a shard device that starts rejecting
-// appends mid-2PC. Not thread-safe; pair with txn_coordinator_threads = 0.
+// appends mid-2PC — or, after FailNthWrite(n), the nth Write() from then
+// on (1-based), once. Not thread-safe; pair with txn_coordinator_threads
+// = 0.
 class WriteFailStore final : public platform::UntrustedStore {
  public:
   explicit WriteFailStore(platform::UntrustedStore* base) : base_(base) {}
   void Arm() { armed_ = true; }
   void Disarm() { armed_ = false; }
+  void FailNthWrite(int n) { remaining_ = n; }
 
   Status Create(const std::string& name, bool overwrite) override {
     return base_->Create(name, overwrite);
@@ -461,7 +580,9 @@ class WriteFailStore final : public platform::UntrustedStore {
   }
   Status Write(const std::string& name, uint64_t offset,
                Slice data) override {
-    if (armed_) return Status::IOError("injected write failure");
+    if (armed_ || (remaining_ > 0 && --remaining_ == 0)) {
+      return Status::IOError("injected write failure");
+    }
     return base_->Write(name, offset, data);
   }
   Result<uint64_t> Size(const std::string& name) const override {
@@ -476,48 +597,6 @@ class WriteFailStore final : public platform::UntrustedStore {
  private:
   platform::UntrustedStore* base_;
   bool armed_ = false;
-};
-
-// Fails the nth Sync() after arming (1-based), once; everything else passes
-// through — a transient device error at durability time. Not thread-safe.
-class SyncFailStore final : public platform::UntrustedStore {
- public:
-  explicit SyncFailStore(platform::UntrustedStore* base) : base_(base) {}
-  void FailNthSync(int n) { remaining_ = n; }
-
-  Status Create(const std::string& name, bool overwrite) override {
-    return base_->Create(name, overwrite);
-  }
-  Status Remove(const std::string& name) override {
-    return base_->Remove(name);
-  }
-  bool Exists(const std::string& name) const override {
-    return base_->Exists(name);
-  }
-  Status Read(const std::string& name, uint64_t offset, size_t n,
-              Buffer* out) const override {
-    return base_->Read(name, offset, n, out);
-  }
-  Status Write(const std::string& name, uint64_t offset,
-               Slice data) override {
-    return base_->Write(name, offset, data);
-  }
-  Result<uint64_t> Size(const std::string& name) const override {
-    return base_->Size(name);
-  }
-  Status Truncate(const std::string& name, uint64_t size) override {
-    return base_->Truncate(name, size);
-  }
-  Status Sync(const std::string& name) override {
-    if (remaining_ > 0 && --remaining_ == 0) {
-      return Status::IOError("injected sync failure");
-    }
-    return base_->Sync(name);
-  }
-  std::vector<std::string> List() const override { return base_->List(); }
-
- private:
-  platform::UntrustedStore* base_;
   int remaining_ = 0;
 };
 
@@ -632,13 +711,94 @@ TEST(ShardedStoreTest, MidPrepareFailureAbortsPreparedShardsAtEveryIndex) {
   }
 }
 
+TEST(ShardedStoreTest, LingeringFailedPrepareStopsGcAndResolvesAbort) {
+  // Shard 1 rejects txn 2's prepare, but the rejected staging stays
+  // buffered in its log tail and reaches the image with the next flush.
+  // Shard 0 aborts durably. Later transactions let shard 0's GC drop its
+  // records, including txn 2's abort, but shard 1's GC must stay behind
+  // txn 2: the lingering staging links to the chain position of that
+  // moment. After reopen txn 2 resolves to abort everywhere with no false
+  // tamper detection — and again on a second reopen, where txn 2's
+  // recovery-time decision sits after newer transactions in the chain
+  // (with too few later transactions for a drop round, nothing hides it).
+  const int batch = static_cast<int>(ShardedChunkStore::kDecisionDropBatch);
+  for (int later : {4, batch + 4}) {
+    SCOPED_TRACE("later transactions: " + std::to_string(later));
+    MemUntrustedStore base0, base1;
+    WriteFailStore failing(&base1);
+    MemSecretStore secrets;
+    ASSERT_TRUE(secrets.Provision(Slice("test-master-secret")).ok());
+    MemOneWayCounter c0, c1;
+    std::vector<ShardBackend> backends = {{&base0, &secrets, &c0},
+                                          {&failing, &secrets, &c1}};
+    chunk::ChunkStoreOptions options = SmallSegments();
+    options.txn_coordinator_threads = 0;
+    chunk::ChunkId on0 = 0, on1 = 0;
+    {
+      auto router = ShardedChunkStore::Open(backends, options);
+      ASSERT_TRUE(router.ok()) << router.status().ToString();
+      TwoShardIds(router->get(), &on0, &on1);
+      ASSERT_TRUE(CommitPair(router->get(), on0, on1, "t1", "t1").ok());
+      failing.Arm();
+      ASSERT_FALSE(CommitPair(router->get(), on0, on1, "t2", "t2").ok());
+      failing.Disarm();
+      // The rejected staging is still in shard 1's applied state.
+      EXPECT_TRUE(
+          (*router)->shard(1)->Read(ShardedChunkStore::StagingCid(2)).ok());
+      for (int i = 0; i < later; i++) {  // Txns 3 .. 2 + later.
+        const std::string v = "later" + std::to_string(i);
+        ASSERT_TRUE(CommitPair(router->get(), on0, on1, v, v).ok());
+      }
+      // Shard 1 kept every record from txn 3 on; past a drop round,
+      // shard 0 dropped txn 2's abort and the records after it.
+      for (uint64_t txn = 3; txn <= static_cast<uint64_t>(2 + later); txn++) {
+        EXPECT_TRUE(
+            (*router)->shard(1)->Read(ShardedChunkStore::DecisionCid(txn)).ok())
+            << "txn " << txn;
+      }
+      if (later > batch) {
+        for (uint64_t txn : {2, 3}) {
+          EXPECT_TRUE((*router)
+                          ->shard(0)
+                          ->Read(ShardedChunkStore::DecisionCid(txn))
+                          .status()
+                          .IsNotFound());
+        }
+      }
+      ASSERT_TRUE((*router)->Close().ok());
+    }
+    const std::string last = "later" + std::to_string(later - 1);
+    for (int reopen = 0; reopen < 2; reopen++) {
+      auto registry = std::make_shared<common::MetricsRegistry>();
+      options.metrics = registry;
+      auto router = ShardedChunkStore::Open(backends, options);
+      ASSERT_TRUE(router.ok())
+          << "reopen " << reopen << ": " << router.status().ToString();
+      EXPECT_EQ(registry->audit().size(), 0u) << "reopen " << reopen;
+      RouterStats rs = (*router)->router_stats();
+      EXPECT_EQ(rs.recovered_aborts, reopen == 0 ? 1u : 0u);
+      EXPECT_EQ(rs.recovered_commits, 0u);
+      for (int k = 0; k < 2; k++) {
+        EXPECT_TRUE((*router)
+                        ->shard(k)
+                        ->Read(ShardedChunkStore::StagingCid(2))
+                        .status()
+                        .IsNotFound());
+      }
+      EXPECT_EQ(Slice(*(*router)->Read(on0)).ToString(), last);
+      EXPECT_EQ(Slice(*(*router)->Read(on1)).ToString(), last);
+      ASSERT_TRUE((*router)->Close().ok());
+    }
+  }
+}
+
 TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
   // A decision-phase apply that fails must not count as a successful
   // cross-shard commit (the pre-fix coordinator incremented the success
   // counter unconditionally): it lands in cross_shard_commit_failures and
   // the caller sees the error.
   MemUntrustedStore base0, base1;
-  SyncFailStore failing(&base1);
+  WriteFailStore failing(&base1);
   MemSecretStore secrets;
   ASSERT_TRUE(secrets.Provision(Slice("test-master-secret")).ok());
   MemOneWayCounter c0, c1;
@@ -647,26 +807,20 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
   auto registry = std::make_shared<common::MetricsRegistry>();
   chunk::ChunkStoreOptions options = SmallSegments();
   options.metrics = registry;
-  options.txn_coordinator_threads = 0;  // Deterministic sync numbering.
+  options.txn_coordinator_threads = 0;  // Deterministic write numbering.
 
-  chunk::ChunkId on0 = 0, on1 = 0;
+  chunk::ChunkId on0 = 0, on1 = 0, other0 = 0, other1 = 0;
   {
     auto router = ShardedChunkStore::Open(backends, options);
     ASSERT_TRUE(router.ok()) << router.status().ToString();
     TwoShardIds(router->get(), &on0, &on1);
-    chunk::WriteBatch before;
-    before.Write(on0, Slice("base0"));
-    before.Write(on1, Slice("base1"));
-    ASSERT_TRUE((*router)->Commit(before, true).ok());  // txn 1.
+    ASSERT_TRUE(CommitPair(router->get(), on0, on1, "base0", "base1").ok());
 
-    // Shard 1's commit window is two durable syncs: the prepare (staging
-    // write) and the decision batch. Failing the second fails the
-    // Phase-2 apply after a successful prepare.
-    failing.FailNthSync(2);
-    chunk::WriteBatch txn;
-    txn.Write(on0, Slice("txn0"));
-    txn.Write(on1, Slice("txn1"));
-    Status status = (*router)->Commit(txn, true);  // txn 2.
+    // Shard 1 writes twice in a commit window: the prepare (staging
+    // commit, then synced) and the nondurable decision batch. Failing the
+    // second fails the Phase-2 apply after a successful prepare.
+    failing.FailNthWrite(2);
+    Status status = CommitPair(router->get(), on0, on1, "txn0", "txn1");
     ASSERT_FALSE(status.ok());
 
     RouterStats rs = (*router)->router_stats();
@@ -676,12 +830,18 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
     const std::map<std::string, int64_t> gauges = registry->Snapshot().gauges;
     EXPECT_EQ(gauges.at("shard.router.txn_inflight"), 0);
     EXPECT_EQ(gauges.at("shard.router.txn_inflight_since_us"), 0);
+    // Shard 1 kept the failed batch applied (its records go out with the
+    // next flush), so its chain continues from txn 2's decision: txn 3
+    // must not fork it.
+    TwoShardIds(router->get(), &other0, &other1);
+    ASSERT_TRUE(
+        CommitPair(router->get(), other0, other1, "txn3", "txn3").ok());
     // Drop without Close.
   }
 
-  // The commit decision was durably recorded on shard 0 (and shard 1's
-  // log retains it past the failed ack), so recovery must converge both
-  // shards to the SAME version — all-or-nothing even on apply failure.
+  // Every participant durably prepared, so the transaction is decided:
+  // recovery must converge both shards to the SAME version — all-or-
+  // nothing even on apply failure — and verify both chains.
   auto router = ShardedChunkStore::Open(backends, options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   auto v0 = (*router)->Read(on0);
@@ -691,10 +851,9 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
   const bool applied1 = Slice(*v1).ToString() == "txn1";
   EXPECT_EQ(applied0, applied1) << Slice(*v0).ToString() << " vs "
                                 << Slice(*v1).ToString();
-  chunk::WriteBatch after;
-  after.Write(on0, Slice("after"));
-  after.Write(on1, Slice("after"));
-  ASSERT_TRUE((*router)->Commit(after, true).ok());
+  EXPECT_EQ(Slice(*(*router)->Read(other0)).ToString(), "txn3");
+  EXPECT_EQ(Slice(*(*router)->Read(other1)).ToString(), "txn3");
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "after", "after").ok());
   ASSERT_TRUE((*router)->Close().ok());
 }
 
@@ -719,6 +878,338 @@ TEST(ShardedStoreTest, InflightGaugeClearsAfterCrossShardCommit) {
   EXPECT_EQ(gauges.at("shard.router.txn_inflight"), 0);
   EXPECT_EQ(gauges.at("shard.router.txn_inflight_since_us"), 0);
   ASSERT_TRUE((*router)->Close().ok());
+}
+
+// ------------------------------------------------ images from before GC
+
+// Loads tests/data/pre_gc_2pc_image into a 2-shard environment: an image
+// written by the router before decision-record GC (so with no chain-base
+// record), from three two-shard commits {2: "v<t>", 1: "v<t>"}, t = 1..3,
+// under SmallSegments() options, then closed cleanly.
+std::unique_ptr<ShardedEnv> LoadPreGcImage() {
+  const std::string dir = std::string(TDB_TEST_DATA_DIR) + "/pre_gc_2pc_image";
+  auto env = std::make_unique<ShardedEnv>(2);
+  auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    TDB_CHECK(in.good());
+    return Buffer(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+  };
+  for (int k = 0; k < 2; k++) {
+    MemUntrustedStore::Image image;
+    for (const char* name : {"anchor-0", "anchor-1", "seg-1", "seg-2"}) {
+      image[name] = read(dir + "/s" + std::to_string(k) + "/" + name);
+    }
+    env->stores[k]->RestoreImage(std::move(image));
+  }
+  std::ifstream counters(dir + "/counters");
+  for (int k = 0; k < 2; k++) {
+    uint64_t value = 0;
+    counters >> value;
+    while (*env->counters[k]->Read() < value) {
+      TDB_CHECK(env->counters[k]->Increment().ok());
+    }
+  }
+  return env;
+}
+
+TEST(ShardedStoreTest, PreGcImageOpensVerifiesAndCompacts) {
+  std::unique_ptr<ShardedEnv> env = LoadPreGcImage();
+  const chunk::ChunkId on0 = 2, on1 = 1;
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  chunk::ChunkStoreOptions options = SmallSegments();
+  options.metrics = registry;
+  {
+    auto router = env->Open(options);
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    EXPECT_EQ(Slice(*(*router)->Read(on0)).ToString(), "v3");
+    EXPECT_EQ(Slice(*(*router)->Read(on1)).ToString(), "v3");
+    // Every decision from txn 1 on is kept, and no chain base exists yet.
+    for (int k = 0; k < 2; k++) {
+      for (uint64_t txn = 1; txn <= 3; txn++) {
+        EXPECT_TRUE((*router)
+                        ->shard(k)
+                        ->Read(ShardedChunkStore::DecisionCid(txn))
+                        .ok());
+      }
+      EXPECT_TRUE((*router)
+                      ->shard(k)
+                      ->Read(ShardedChunkStore::ChainBaseCid())
+                      .status()
+                      .IsNotFound());
+    }
+    EXPECT_EQ((*router)->router_stats().decisions_live, 6u);
+    uint64_t checked = 0;
+    EXPECT_TRUE((*router)->VerifyIntegrity(&checked).ok());
+    // New transactions continue at txn 4; once a drop batch of records
+    // is settled, GC drops the three old ones with them and writes the
+    // chain bases.
+    const uint64_t last = ShardedChunkStore::kDecisionDropBatch + 1;
+    for (uint64_t txn = 4; txn <= last; txn++) {
+      ASSERT_TRUE(CommitPair(router->get(), on0, on1, "v" + std::to_string(txn),
+                             "v" + std::to_string(txn))
+                      .ok());
+    }
+    for (int k = 0; k < 2; k++) {
+      for (uint64_t txn = 1; txn < last; txn++) {
+        EXPECT_TRUE((*router)
+                        ->shard(k)
+                        ->Read(ShardedChunkStore::DecisionCid(txn))
+                        .status()
+                        .IsNotFound());
+      }
+      EXPECT_TRUE(
+          (*router)->shard(k)->Read(ShardedChunkStore::DecisionCid(last)).ok());
+      EXPECT_TRUE(
+          (*router)->shard(k)->Read(ShardedChunkStore::ChainBaseCid()).ok());
+    }
+    EXPECT_EQ((*router)->router_stats().decisions_live, 2u);
+    ASSERT_TRUE((*router)->Close().ok());
+  }
+  auto router = env->Open(options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  EXPECT_EQ(Slice(*(*router)->Read(on0)).ToString(),
+            "v" + std::to_string(ShardedChunkStore::kDecisionDropBatch + 1));
+  EXPECT_EQ(registry->audit().size(), 0u);
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
+// ------------------------------------------------ ack at durable prepare
+
+TEST(ShardedStoreTest, AckedCommitSurvivesLossOfUnflushedDecisions) {
+  // Crash right after a cross-shard ack, before either participant flushes
+  // again: the commit decisions were never durable, so the crash (or an
+  // attacker truncating each log) drops them. The durable prepares still
+  // decide the transaction: recovery redoes it on every participant, and
+  // a crash-normal image logs no audit event.
+  ShardedEnv env(2);
+  auto router = env.Open();
+  ASSERT_TRUE(router.ok());
+  chunk::ChunkId on0 = 0, on1 = 0;
+  TwoShardIds(router->get(), &on0, &on1);
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "base0", "base1").ok());
+  ASSERT_TRUE((*router)->Checkpoint().ok());
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "txn0", "txn1").ok());  // 2.
+
+  // Both staging chunks are still the durable truth on their shards.
+  EXPECT_TRUE(HoldsStaging(env, 0, 2));
+  EXPECT_TRUE(HoldsStaging(env, 1, 2));
+  std::unique_ptr<ShardedEnv> crashed = CrashCopy(env);
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  chunk::ChunkStoreOptions options = SmallSegments();
+  options.metrics = registry;
+  auto recovered = crashed->Open(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Slice(*(*recovered)->Read(on0)).ToString(), "txn0");
+  EXPECT_EQ(Slice(*(*recovered)->Read(on1)).ToString(), "txn1");
+  RouterStats rs = (*recovered)->router_stats();
+  EXPECT_EQ(rs.recovered_commits, 1u);
+  EXPECT_EQ(rs.recovered_aborts, 0u);
+  EXPECT_EQ(registry->audit().size(), 0u);
+  uint64_t checked = 0;
+  EXPECT_TRUE((*recovered)->VerifyIntegrity(&checked).ok());
+  ASSERT_TRUE((*recovered)->Close().ok());
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
+TEST(ShardedStoreTest, AckedCommitSurvivesLossOfOneParticipantsDecision) {
+  // As above, but a durable single-shard commit on shard 0 flushed shard
+  // 0's decision before the crash; shard 1's is lost. Shard 1 redoes from
+  // its staging under shard 0's commit decision.
+  ShardedEnv env(2);
+  auto router = env.Open();
+  ASSERT_TRUE(router.ok());
+  chunk::ChunkId on0 = 0, on1 = 0;
+  TwoShardIds(router->get(), &on0, &on1);
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "base0", "base1").ok());
+  ASSERT_TRUE((*router)->Checkpoint().ok());
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "txn0", "txn1").ok());  // 2.
+  chunk::ChunkId other0 = 0;
+  while ((*router)->ShardOf(other0 = (*router)->AllocateChunkId()) != 0) {
+  }
+  ASSERT_TRUE((*router)->Write(other0, Slice("single"), true).ok());
+
+  EXPECT_FALSE(HoldsStaging(env, 0, 2));
+  EXPECT_TRUE(HoldsStaging(env, 1, 2));
+  std::unique_ptr<ShardedEnv> crashed = CrashCopy(env);
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  chunk::ChunkStoreOptions options = SmallSegments();
+  options.metrics = registry;
+  auto recovered = crashed->Open(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(Slice(*(*recovered)->Read(on0)).ToString(), "txn0");
+  EXPECT_EQ(Slice(*(*recovered)->Read(on1)).ToString(), "txn1");
+  EXPECT_EQ(Slice(*(*recovered)->Read(other0)).ToString(), "single");
+  EXPECT_EQ((*recovered)->router_stats().recovered_commits, 1u);
+  EXPECT_EQ(registry->audit().size(), 0u);
+  ASSERT_TRUE(CommitPair(recovered->get(), on0, on1, "after", "after").ok());
+  ASSERT_TRUE((*recovered)->Close().ok());
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
+// ---------------------------------------------------- decision-record GC
+
+TEST(ShardedStoreTest, DecisionRecordsStayBoundedOverManyCommits) {
+  // Two-shard commits rewriting the same two chunks. Without GC every
+  // transaction left one decision chunk per participant forever (10,006
+  // live chunks after 5,000 commits); now the live set is a constant.
+  ShardedEnv env(2);
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  chunk::ChunkStoreOptions options = SmallSegments();
+  options.metrics = registry;
+  auto router = env.Open(options);
+  ASSERT_TRUE(router.ok());
+  chunk::ChunkId on0 = 0, on1 = 0;
+  TwoShardIds(router->get(), &on0, &on1);
+  const uint64_t kBatch = ShardedChunkStore::kDecisionDropBatch;
+  constexpr int kCommits = 5000;
+  for (int i = 1; i <= kCommits; i++) {
+    const std::string v = "v" + std::to_string(i);
+    ASSERT_TRUE(CommitPair(router->get(), on0, on1, v, v).ok());
+    if (i % 500 == 0) {
+      // Per shard: config, chain base, one data chunk, and fewer than
+      // one drop batch of decisions plus the newest.
+      EXPECT_LE((*router)->Stats().live_chunks, 2 * (3 + kBatch))
+          << "after " << i;
+      EXPECT_LE((*router)->router_stats().decisions_live, 2 * kBatch)
+          << "after " << i;
+    }
+  }
+  RouterStats rs = (*router)->router_stats();
+  EXPECT_EQ(rs.cross_shard_commits, static_cast<uint64_t>(kCommits));
+  EXPECT_EQ(rs.decisions_dropped + rs.decisions_live,
+            2u * static_cast<uint64_t>(kCommits));
+  const std::map<std::string, int64_t> gauges = registry->Snapshot().gauges;
+  EXPECT_EQ(gauges.at("shard.router.decisions_live"),
+            static_cast<int64_t>(rs.decisions_live));
+  EXPECT_EQ(registry->Snapshot().counters.at("shard.router.decisions_dropped"),
+            static_cast<int64_t>(rs.decisions_dropped));
+  ASSERT_TRUE((*router)->Close().ok());
+
+  auto reopened = env.Open();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Slice(*(*reopened)->Read(on0)).ToString(),
+            "v" + std::to_string(kCommits));
+  EXPECT_EQ((*reopened)->router_stats().recovered_commits, 0u);
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
+TEST(ShardedStoreTest, CrashAnywhereAcrossGcRoundsKeepsAckedCommits) {
+  // A run long enough for two GC drop rounds on each shard, with a crash
+  // at every global write index of it (and of the teardown after it).
+  // Whatever the crash hits — a prepare, an in-memory decision, a drop
+  // batch, a checkpoint — recovery must show both chunks at the same
+  // transaction, at or after the last acknowledged one, with no audit
+  // event, and the reopened chains must take new transactions.
+  const int kTxns =
+      2 * static_cast<int>(ShardedChunkStore::kDecisionDropBatch) + 4;
+  bool saw_drop_round = false;
+  for (uint64_t point = 0;; point++) {
+    MemUntrustedStore base;
+    FaultInjectingStore faulty(&base);
+    PrefixedStore s0("s0/", &faulty), s1("s1/", &faulty);
+    MemSecretStore secrets;
+    ASSERT_TRUE(secrets.Provision(Slice("test-master-secret")).ok());
+    MemOneWayCounter c0, c1;
+    std::vector<ShardBackend> backends = {{&s0, &secrets, &c0},
+                                          {&s1, &secrets, &c1}};
+    chunk::ChunkStoreOptions options = SmallSegments();
+    options.txn_coordinator_threads = 0;
+    chunk::ChunkId on0 = 0, on1 = 0;
+    int acked = 0;
+    {
+      auto router = ShardedChunkStore::Open(backends, options);
+      ASSERT_TRUE(router.ok()) << router.status().ToString();
+      TwoShardIds(router->get(), &on0, &on1);
+      faulty.CrashAtWrite(point, 4, 4);
+      for (int t = 1; t <= kTxns; t++) {
+        const std::string v = "t" + std::to_string(t);
+        if (!CommitPair(router->get(), on0, on1, v, v).ok()) break;
+        acked = t;
+      }
+      ASSERT_TRUE(acked == kTxns || faulty.crashed());
+      saw_drop_round =
+          saw_drop_round || (*router)->router_stats().decisions_dropped > 0;
+    }
+    if (!faulty.crashed()) {
+      EXPECT_TRUE(saw_drop_round);
+      return;
+    }
+    faulty.Reboot();
+    auto registry = std::make_shared<common::MetricsRegistry>();
+    options.metrics = registry;
+    auto router = ShardedChunkStore::Open(backends, options);
+    ASSERT_TRUE(router.ok())
+        << "crash point " << point << ": " << router.status().ToString();
+    EXPECT_EQ(registry->audit().size(), 0u) << "crash point " << point;
+    auto v0 = (*router)->Read(on0);
+    auto v1 = (*router)->Read(on1);
+    if (acked == 0) {
+      // The crash may precede the first commit's durability entirely.
+      if (!v0.ok() || !v1.ok()) {
+        EXPECT_TRUE(v0.status().IsNotFound() && v1.status().IsNotFound())
+            << "crash point " << point;
+        ASSERT_TRUE((*router)->Close().ok());
+        continue;
+      }
+    }
+    ASSERT_TRUE(v0.ok() && v1.ok()) << "crash point " << point;
+    const std::string got0 = Slice(*v0).ToString();
+    EXPECT_EQ(got0, Slice(*v1).ToString()) << "crash point " << point;
+    const int got = std::stoi(got0.substr(1));
+    EXPECT_GE(got, acked) << "crash point " << point << " lost an ack";
+    EXPECT_LE(got, acked + 1) << "crash point " << point;
+    ASSERT_TRUE(CommitPair(router->get(), on0, on1, "after", "after").ok());
+    ASSERT_TRUE((*router)->Close().ok());
+  }
+}
+
+TEST(ShardedStoreTest, IdleParticipantDoesNotPinDecisionChains) {
+  // Txn 1 spans shards {0, 2}; shard 2 then never takes part in 2PC
+  // again, so nothing tells the router that txn 1's decision on shard 2
+  // is durable, and shard 0's chain cannot drop past txn 1 by itself.
+  // Once a chain outgrows kMaxLiveDecisions the coordinator flushes the
+  // lagging shards, and the chain shrinks back.
+  ShardedEnv env(3);
+  auto router = env.Open();
+  ASSERT_TRUE(router.ok());
+  chunk::ChunkId ids[3] = {};
+  for (int found = 0; found < 3;) {
+    chunk::ChunkId cid = (*router)->AllocateChunkId();
+    if (ids[(*router)->ShardOf(cid)] == 0) {
+      ids[(*router)->ShardOf(cid)] = cid;
+      found++;
+    }
+  }
+  ASSERT_TRUE(CommitPair(router->get(), ids[0], ids[2], "a", "a").ok());
+  const size_t kCap = ShardedChunkStore::kMaxLiveDecisions;
+  for (size_t i = 0; i < 3 * kCap; i++) {
+    ASSERT_TRUE(CommitPair(router->get(), ids[0], ids[1], "b", "b").ok());
+    // Shards 0 and 1 hold at most kCap + 1 records each, shard 2 one.
+    EXPECT_LE((*router)->router_stats().decisions_live, 2 * kCap + 3);
+    if (i == ShardedChunkStore::kDecisionDropBatch + 1) {
+      // Shard 0 has a drop batch of settled records behind txn 1, but
+      // txn 1's commit decision on shard 2 is not flushed, so txn 1's
+      // record on shard 0 must still be there to decide its redo.
+      std::unique_ptr<ShardedEnv> crashed = CrashCopy(env);
+      auto recovered = crashed->Open();
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      auto a = (*recovered)->Read(ids[2]);
+      ASSERT_TRUE(a.ok()) << "txn 1 lost on shard 2: " << a.status().ToString();
+      EXPECT_EQ(Slice(*a).ToString(), "a");
+      EXPECT_EQ(Slice(*(*recovered)->Read(ids[0])).ToString(), "b");
+      ASSERT_TRUE((*recovered)->Close().ok());
+    }
+  }
+  EXPECT_TRUE((*router)
+                  ->shard(0)
+                  ->Read(ShardedChunkStore::DecisionCid(1))
+                  .status()
+                  .IsNotFound());
+  ASSERT_TRUE((*router)->Close().ok());
+  auto reopened = env.Open();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_TRUE((*reopened)->Close().ok());
 }
 
 // ------------------------------------------- object-level cross-shard txns
@@ -951,6 +1442,111 @@ TEST(ShardedStoreTest, ConcurrentCommitsAcrossShards) {
     EXPECT_EQ(Slice(*value).ToString(),
               "t" + std::to_string(t) + "r" + std::to_string(kRounds - 1));
   }
+  ASSERT_TRUE(router->Close().ok());
+}
+
+TEST(ShardedStoreTest, ConcurrentCrossShardTransfersConserveTotal) {
+  // Exercised under --tsan: four clients move value between accounts on
+  // four shards with group commit on, so acks at prepare, in-memory
+  // decisions and GC drop rounds interleave with single-shard commits and
+  // with a reader whose pinned composite views must always see the total
+  // conserved (never half a transfer).
+  constexpr int kShards = 4;
+  constexpr int kClients = 4;
+  constexpr int kTransfers = 150;
+  constexpr int64_t kStart = 1000;
+  ShardedEnv env(kShards);
+  chunk::ChunkStoreOptions options = SmallSegments();
+  options.group_commit = true;
+  auto opened = env.Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ShardedChunkStore* router = opened->get();
+  auto encode = [](int64_t v) { return std::to_string(v); };
+  auto decode = [](const Buffer& b) {
+    return std::stoll(Slice(b).ToString());
+  };
+  // Client c owns accounts[c][k] on shard k.
+  std::vector<std::vector<chunk::ChunkId>> accounts(
+      kClients, std::vector<chunk::ChunkId>(kShards, 0));
+  {
+    chunk::WriteBatch init;
+    for (int c = 0; c < kClients; c++) {
+      for (int found = 0; found < kShards;) {
+        chunk::ChunkId cid = router->AllocateChunkId();
+        chunk::ChunkId& slot = accounts[c][router->ShardOf(cid)];
+        if (slot == 0) {
+          slot = cid;
+          init.Write(cid, Slice(encode(kStart)));
+          found++;
+        }
+      }
+    }
+    ASSERT_TRUE(router->Commit(init, true).ok());
+  }
+  const int64_t total = kStart * kClients * kShards;
+  auto sum_at = [&](const chunk::Snapshot& view, int64_t* sum) -> Status {
+    *sum = 0;
+    for (const auto& owned : accounts) {
+      for (chunk::ChunkId cid : owned) {
+        TDB_ASSIGN_OR_RETURN(Buffer b, router->ReadAtView(view, cid));
+        *sum += decode(b);
+      }
+    }
+    return Status::OK();
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      auto view = router->PinView();
+      int64_t sum = 0;
+      if (!view.ok() || !sum_at(**view, &sum).ok() || sum != total) {
+        failures++;
+      }
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; c++) {
+    clients.emplace_back([&, c] {
+      Random rng(static_cast<uint64_t>(c) + 1);
+      std::vector<int64_t> balance(kShards, kStart);
+      for (int i = 0; i < kTransfers; i++) {
+        const int from = static_cast<int>(rng.Uniform(kShards));
+        int to = static_cast<int>(rng.Uniform(kShards));
+        const int64_t amount = 1 + static_cast<int64_t>(rng.Uniform(10));
+        chunk::WriteBatch batch;
+        if (to == from) {  // Single-shard: a deposit-and-withdraw no-op.
+          batch.Write(accounts[c][from], Slice(encode(balance[from])));
+        } else {
+          balance[from] -= amount;
+          balance[to] += amount;
+          batch.Write(accounts[c][from], Slice(encode(balance[from])));
+          batch.Write(accounts[c][to], Slice(encode(balance[to])));
+        }
+        if (!router->Commit(batch, true).ok()) failures++;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  RouterStats rs = router->router_stats();
+  EXPECT_GT(rs.decisions_dropped, 0u);
+  EXPECT_LE(rs.decisions_live,
+            kShards * (ShardedChunkStore::kDecisionDropBatch + 1));
+  uint64_t checked = 0;
+  EXPECT_TRUE(router->VerifyIntegrity(&checked).ok());
+  ASSERT_TRUE(router->Close().ok());
+
+  auto reopened = env.Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  router = reopened->get();
+  auto view = router->PinView();
+  ASSERT_TRUE(view.ok());
+  int64_t sum = 0;
+  ASSERT_TRUE(sum_at(**view, &sum).ok());
+  EXPECT_EQ(sum, total);
   ASSERT_TRUE(router->Close().ok());
 }
 

@@ -56,9 +56,12 @@ if [[ -n "$sanitize" ]]; then
   cmake -B "$build_dir" -S "$repo_root" -DTDB_SANITIZE="$sanitize"
   # Smoke subset: the harness sweeps (crash + tamper + self-test), the
   # multi-threaded 2PL stress and group-commit coordinator (the TSan
-  # targets), the object store and its cache (pin/dirty/eviction
-  # bookkeeping), the lock manager, the torn-write fault model, and the
-  # wait-free metrics registry (8-thread instrument stress).
+  # targets), the shard router's concurrent commits and cross-shard
+  # transfer stress (acks at prepare, in-memory decisions, decision GC,
+  # pinned composite views), the object store and its cache
+  # (pin/dirty/eviction bookkeeping), the lock manager, the torn-write
+  # fault model, and the wait-free metrics registry (8-thread instrument
+  # stress).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
                  sim_disk_test metrics_test trace_test)
@@ -105,15 +108,20 @@ elif [[ "$mode" == "--workloads" ]]; then
   echo "workloads check OK"
 elif [[ "$mode" == "--shards" ]]; then
   # The shard router end to end: router/2PC unit tests (pass-through
-  # image equality, forged/replayed decision records, in-doubt
-  # resolution, mid-prepare Write-failure injection at every prepare
-  # index, Phase-2 apply-failure accounting, the object-level cross-shard
-  # transfer crash sweep), the chunk-level crash/tamper/mid-2PC harness
-  # sweeps PLUS the object-level cross-shard sweeps (layer=objshard:
-  # ObjectStore transactions spanning shards, caught by the *Shard*
-  # filter), and a short run of the scaling + 2PC-latency benchmarks.
-  # The same shard_store_test/harness_test binaries run under --asan and
-  # --tsan, so every sweep above is also sanitizer-covered.
+  # image equality, forged/replayed decision records and chain bases,
+  # in-doubt resolution, acked commits whose decisions were never
+  # flushed, decision-record GC bounds and its crash sweep, an image
+  # written before GC, mid-prepare Write-failure injection at every
+  # prepare index, lingering failed prepares, Phase-2 apply-failure
+  # accounting, the object-level cross-shard transfer crash sweep, the
+  # concurrent cross-shard transfer stress), the chunk-level
+  # crash/tamper/mid-2PC harness sweeps PLUS the object-level
+  # cross-shard sweeps (layer=objshard: ObjectStore transactions
+  # spanning shards, caught by the *Shard* filter), a short run of the
+  # scaling + 2PC-latency benchmarks, and the repo benchmark's self-test,
+  # which runs sharded_commit at tiny size with its full correctness
+  # gate. The same shard_store_test/harness_test binaries run under
+  # --asan and --tsan, so every sweep above is also sanitizer-covered.
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   targets=(shard_store_test harness_test shard_throughput)
   cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
@@ -124,6 +132,9 @@ elif [[ "$mode" == "--shards" ]]; then
       --gtest_filter='*Shard*'
   echo "== shard_throughput (google-benchmark smoke) =="
   "$build_dir/bench/shard_throughput" --benchmark_min_time=0.001 > /dev/null
+  echo "== perfbench --selftest =="
+  CARGO_TARGET_DIR="$build_dir" python3 "$repo_root/perfbench/run.py" \
+      --selftest
   echo "shards check OK"
 elif [[ "$mode" == "--harness" ]]; then
   # The differential crash/tamper harness end to end: runs every sweep
