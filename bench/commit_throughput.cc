@@ -1,15 +1,12 @@
-// Multi-client durable-commit throughput: the group-commit tentpole's
-// target numbers. N committer threads each durably commit small chunk
-// batches against ONE store backed by real files (fsync on), with
-// group_commit off (every committer pays its own sync + counter bump,
-// serialized) vs on (concurrent committers share one merged log write,
-// one sync, one counter bump). A TPC-B-style multi-client variant runs
-// the same comparison through the object layer's two-stage commit path
-// (early lock release, ack after the shared group flush).
-//
-// Acceptance tracking (ISSUE 3): at 8 threads, group-on commits/sec must
-// be >= 2x serialized, with syncs-per-commit < 0.5 — both visible in the
-// emitted counters (`commits_per_sync` is the inverse of syncs/commit).
+// Multi-client durable-commit throughput. N committer threads each
+// durably commit small chunk batches against ONE store backed by real
+// files (fsync on); concurrent committers share one merged log write, one
+// sync and one counter bump per group, and the 1-thread row is the
+// per-commit cost of a lone committer. A TPC-B-style multi-client variant
+// runs the same sweep through the object layer's two-stage commit path
+// (early lock release, ack after the shared group flush). The emitted
+// counters show the amortization (`commits_per_sync` is the inverse of
+// syncs/commit).
 //
 // Emit JSON with:
 //   commit_throughput --benchmark_out=BENCH_commit_throughput.json
@@ -53,7 +50,7 @@ std::string FreshBenchDir() {
   return dir;
 }
 
-ChunkStoreOptions ThroughputOptions(bool group_commit, int committers) {
+ChunkStoreOptions ThroughputOptions(int committers) {
   ChunkStoreOptions options;
   options.security = crypto::SecurityConfig::Modern();
   options.segment_size = 256 * 1024;
@@ -64,15 +61,12 @@ ChunkStoreOptions ThroughputOptions(bool group_commit, int committers) {
   options.max_utilization = 0.99;
   options.cache_bytes = 4 * 1024 * 1024;
   options.crypto_threads = 0;
-  options.group_commit = group_commit;
-  if (group_commit) {
-    // Accumulation window sized to expected concurrency: the leader seals
-    // as soon as every client has joined its group, and never waits more
-    // than 2ms past that. With window 0, a fast flush finishes before the
-    // next committer arrives and every commit pays its own sync.
-    options.group_commit_window_us = 2000;
-    options.group_commit_target_commits = static_cast<uint32_t>(committers);
-  }
+  // Accumulation window sized to expected concurrency: the leader seals as
+  // soon as every client has joined its group, and never waits more than
+  // 2ms past that. With window 0, a fast flush finishes before the next
+  // committer arrives and every commit pays its own sync.
+  options.group_commit_window_us = 2000;
+  options.group_commit_target_commits = static_cast<uint32_t>(committers);
   return options;
 }
 
@@ -86,14 +80,14 @@ struct ChunkFixture {
   std::unique_ptr<ChunkStore> chunks;
   ChunkId cids[kMaxThreads] = {};
 
-  ChunkFixture(bool group_commit, int committers) {
+  explicit ChunkFixture(int committers) {
     dir = FreshBenchDir();
     files = std::make_unique<platform::FileUntrustedStore>(dir);
     (void)secrets.Provision(Slice("bench-secret")).ok();
     counter = std::make_unique<platform::FileOneWayCounter>(dir + "/counter");
     chunks = std::move(ChunkStore::Open(
                            files.get(), secrets_ptr(), counter.get(),
-                           ThroughputOptions(group_commit, committers)))
+                           ThroughputOptions(committers)))
                  .value();
     for (int t = 0; t < kMaxThreads; t++) cids[t] = chunks->AllocateChunkId();
   }
@@ -116,10 +110,9 @@ struct ChunkFixture {
 
 std::unique_ptr<ChunkFixture> g_chunk_fixture;
 
-void RunCommitThroughput(benchmark::State& state, bool group_commit) {
+void BM_DurableCommit(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    g_chunk_fixture =
-        std::make_unique<ChunkFixture>(group_commit, state.threads());
+    g_chunk_fixture = std::make_unique<ChunkFixture>(state.threads());
   }
   Random rng(100 + static_cast<uint64_t>(state.thread_index()));
   Buffer data;
@@ -148,18 +141,7 @@ void RunCommitThroughput(benchmark::State& state, bool group_commit) {
     g_chunk_fixture.reset();
   }
 }
-
-void BM_DurableCommitSerialized(benchmark::State& state) {
-  RunCommitThroughput(state, /*group_commit=*/false);
-}
-BENCHMARK(BM_DurableCommitSerialized)
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
-    ->UseRealTime();
-
-void BM_DurableCommitGroup(benchmark::State& state) {
-  RunCommitThroughput(state, /*group_commit=*/true);
-}
-BENCHMARK(BM_DurableCommitGroup)
+BENCHMARK(BM_DurableCommit)
     ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
     ->UseRealTime();
 
@@ -168,9 +150,9 @@ BENCHMARK(BM_DurableCommitGroup)
 //
 // Each client transaction updates one random Account, Teller and Branch
 // record and inserts a History record (the paper's §7.1 shape), committing
-// durably; 2PL locks are acquired through the object store, so with group
-// commit on this also measures early lock release: the hot Branch lock is
-// freed once the batch is buffered, before the fsync.
+// durably; 2PL locks are acquired through the object store, so this also
+// measures early lock release: the hot Branch lock is freed once the batch
+// is buffered, before the fsync.
 
 class BankRecord final : public object::Object {
  public:
@@ -211,14 +193,14 @@ struct TpcbFixture {
   std::unique_ptr<object::ObjectStore> objects;
   std::vector<object::ObjectId> accounts, tellers, branches;
 
-  TpcbFixture(bool group_commit, int committers) {
+  explicit TpcbFixture(int committers) {
     dir = FreshBenchDir();
     files = std::make_unique<platform::FileUntrustedStore>(dir);
     (void)secrets.Provision(Slice("bench-secret")).ok();
     counter = std::make_unique<platform::FileOneWayCounter>(dir + "/counter");
     chunks = std::move(ChunkStore::Open(
                            files.get(), &secrets, counter.get(),
-                           ThroughputOptions(group_commit, committers)))
+                           ThroughputOptions(committers)))
                  .value();
     object::ObjectStoreOptions options;
     options.cache_capacity_bytes = 16 * 1024 * 1024;
@@ -257,10 +239,9 @@ struct TpcbFixture {
 
 std::unique_ptr<TpcbFixture> g_tpcb_fixture;
 
-void RunTpcb(benchmark::State& state, bool group_commit) {
+void BM_TpcbDurable(benchmark::State& state) {
   if (state.thread_index() == 0) {
-    g_tpcb_fixture =
-        std::make_unique<TpcbFixture>(group_commit, state.threads());
+    g_tpcb_fixture = std::make_unique<TpcbFixture>(state.threads());
   }
   Random rng(200 + static_cast<uint64_t>(state.thread_index()));
   uint64_t retries = 0;
@@ -279,7 +260,7 @@ void RunTpcb(benchmark::State& state, bool group_commit) {
       // account holds it across the rest of the transaction, which makes
       // lock contention (txn.lock_wait_us, lock-manager wait counts) a
       // measurable signal instead of an artifact of open order — and is
-      // exactly the window early lock release shortens under group commit.
+      // exactly the window early lock release shortens.
       auto brn = txn.OpenWritable<BankRecord>(branch);
       auto tel = brn.ok() ? txn.OpenWritable<BankRecord>(teller)
                           : Result<object::WritableRef<BankRecord>>(
@@ -327,18 +308,7 @@ void RunTpcb(benchmark::State& state, bool group_commit) {
     g_tpcb_fixture.reset();
   }
 }
-
-void BM_TpcbDurableSerialized(benchmark::State& state) {
-  RunTpcb(state, /*group_commit=*/false);
-}
-BENCHMARK(BM_TpcbDurableSerialized)
-    ->Threads(1)->Threads(4)->Threads(8)
-    ->UseRealTime();
-
-void BM_TpcbDurableGroup(benchmark::State& state) {
-  RunTpcb(state, /*group_commit=*/true);
-}
-BENCHMARK(BM_TpcbDurableGroup)
+BENCHMARK(BM_TpcbDurable)
     ->Threads(1)->Threads(4)->Threads(8)
     ->UseRealTime();
 
@@ -369,7 +339,7 @@ struct LockConflictFixture {
     (void)secrets.Provision(Slice("bench-secret")).ok();
     counter = std::make_unique<platform::FileOneWayCounter>(dir + "/counter");
     chunks = std::move(ChunkStore::Open(files.get(), &secrets, counter.get(),
-                                        ThroughputOptions(false, 2)))
+                                        ThroughputOptions(2)))
                  .value();
     object::ObjectStoreOptions options;
     options.lock_timeout = std::chrono::milliseconds(5);

@@ -5,30 +5,18 @@
 // proceed with zero coordination; S = 1 is the pass-through baseline
 // (bit-identical to a plain ChunkStore image, see shard_store_test).
 //
-// Two storage substrates:
+// Every shard gets its own modeled flush-on-sync device — writes land in
+// memory (the warm page cache) and Sync() blocks the committer for a
+// fixed device-flush latency with the CPU free. That is the deployment
+// sharding targets (one log device per shard) and it is deterministic, so
+// the scaling curve is the router's, not the host's. Same modeling stance
+// as platform::SimulatedDiskStore, which benchmarks the paper's disk.
 //
-//  - Modeled device (headline): every shard gets its own flush-on-sync
-//    device — writes land in memory (the warm page cache) and Sync()
-//    blocks the committer for a fixed device-flush latency with the CPU
-//    free. That is the deployment sharding targets (one log device per
-//    shard) and it is deterministic, so the scaling curve is the
-//    router's, not the host's. Same modeling stance as
-//    platform::SimulatedDiskStore, which benchmarks the paper's disk.
-//
-//  - Host disk: real FileUntrustedStores under one directory tree. On
-//    this CI host every shard then shares a single ext4 journal whose
-//    internal commit serialization — not the router — caps scaling
-//    (measured: ~1.8-2.2x at 4 concurrent fsync streams); the family is
-//    kept to record what a one-spindle host gives.
-//
-// Acceptance tracking (ISSUE 7): at 8 threads, shard-local durable
-// commits/sec with 4 shards must be >= 2.5x the 1-shard baseline — both
-// visible as items_per_second in the emitted JSON (modeled family).
-//
-// Companion families: the same sweep with per-shard group-commit windows
-// (the two amortization levers compose), and a mixed workload where
+// Every shard group-commits its own committers behind a per-shard
+// accumulation window, so the two amortization levers (sharding and
+// group commit) compose. Companion families: a mixed workload where
 // 1-in-8 commits spans two shards and pays the full 2PC prepare +
-// decision protocol.
+// decision protocol, and the 2PC commit latency of a lone committer.
 //
 // Emit JSON with:
 //   shard_throughput --benchmark_out=BENCH_shard_throughput.json
@@ -36,10 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,7 +33,6 @@
 #include "bench_metrics.h"
 #include "chunk/chunk_store.h"
 #include "common/random.h"
-#include "platform/file_store.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
@@ -106,18 +90,7 @@ class ModeledDeviceStore final : public platform::UntrustedStore {
   platform::MemUntrustedStore base_;
 };
 
-enum class Substrate { kModeledDevice, kHostDisk };
-
-std::string FreshBenchDir() {
-  static std::atomic<int> next_dir{0};
-  std::string dir = std::filesystem::temp_directory_path() /
-                    ("tdb_shard_bench_" + std::to_string(next_dir++));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-ChunkStoreOptions ShardOptions(bool group_commit, int committers,
-                               int nshards) {
+ChunkStoreOptions ShardOptions(int committers, int nshards) {
   ChunkStoreOptions options;
   options.security = crypto::SecurityConfig::Modern();
   options.segment_size = 256 * 1024;
@@ -128,14 +101,11 @@ ChunkStoreOptions ShardOptions(bool group_commit, int committers,
   options.max_utilization = 0.99;
   options.cache_bytes = 4 * 1024 * 1024;
   options.crypto_threads = 0;
-  options.group_commit = group_commit;
-  if (group_commit) {
-    // Each shard's window is sized to the committers it can expect:
-    // threads spread round-robin, so a shard sees ~committers/nshards.
-    options.group_commit_window_us = 2000;
-    options.group_commit_target_commits = static_cast<uint32_t>(
-        committers / nshards > 0 ? committers / nshards : 1);
-  }
+  // Each shard's window is sized to the committers it can expect: threads
+  // spread round-robin, so a shard sees ~committers/nshards.
+  options.group_commit_window_us = 2000;
+  options.group_commit_target_commits = static_cast<uint32_t>(
+      committers / nshards > 0 ? committers / nshards : 1);
   return options;
 }
 
@@ -143,7 +113,6 @@ ChunkStoreOptions ShardOptions(bool group_commit, int committers,
 // device and one-way counter; the secret store is shared (the deployment
 // shape: one tamper-resistant secret, several devices).
 struct ShardFixture {
-  std::string dir;
   std::vector<std::unique_ptr<platform::UntrustedStore>> devices;
   platform::MemSecretStore secrets;
   std::vector<std::unique_ptr<platform::OneWayCounter>> counters;
@@ -155,31 +124,16 @@ struct ShardFixture {
 
   // coordinator_threads < 0 keeps the option's default (parallel 2PC
   // phases); 0 forces the serial caller-driven coordinator.
-  ShardFixture(Substrate substrate, int nshards, bool group_commit,
-               int committers, int coordinator_threads = -1) {
+  ShardFixture(int nshards, int committers, int coordinator_threads = -1) {
     std::vector<shard::ShardBackend> backends;
     (void)secrets.Provision(Slice("bench-secret")).ok();
-    if (substrate == Substrate::kHostDisk) dir = FreshBenchDir();
     for (int k = 0; k < nshards; k++) {
-      if (substrate == Substrate::kHostDisk) {
-        std::string shard_dir = dir + "/s" + std::to_string(k);
-        std::filesystem::create_directories(shard_dir);
-        devices.push_back(
-            std::make_unique<platform::FileUntrustedStore>(shard_dir));
-        // sync=false: the one-way counter stands in for tamper-resistant
-        // hardware; charging its bump as a second journal flush on the
-        // log's own spindle double-counts the shared device.
-        counters.push_back(std::make_unique<platform::FileOneWayCounter>(
-            shard_dir + "/counter", /*sync=*/false));
-      } else {
-        devices.push_back(std::make_unique<ModeledDeviceStore>());
-        counters.push_back(std::make_unique<platform::MemOneWayCounter>());
-      }
+      devices.push_back(std::make_unique<ModeledDeviceStore>());
+      counters.push_back(std::make_unique<platform::MemOneWayCounter>());
       backends.push_back(shard::ShardBackend{devices.back().get(), &secrets,
                                              counters.back().get()});
     }
-    ChunkStoreOptions options = ShardOptions(group_commit, committers,
-                                             nshards);
+    ChunkStoreOptions options = ShardOptions(committers, nshards);
     if (coordinator_threads >= 0) {
       options.txn_coordinator_threads = coordinator_threads;
     }
@@ -204,7 +158,6 @@ struct ShardFixture {
         router != nullptr ? router->metrics() : nullptr;
     if (router != nullptr) (void)router->Close().ok();
     router.reset();
-    if (!dir.empty()) std::filesystem::remove_all(dir);
     if (registry != nullptr) {
       benchutil::AccumulateMetrics(registry->Snapshot());
     }
@@ -226,12 +179,11 @@ void EmitRouterCounters(benchmark::State& state) {
       static_cast<double>(agg.max_commits_per_group);
 }
 
-void RunShardLocal(benchmark::State& state, Substrate substrate,
-                   bool group_commit) {
+// Shard-local durable commits on one modeled device per shard.
+void BM_ShardLocalDurable(benchmark::State& state) {
   const int nshards = static_cast<int>(state.range(0));
   if (state.thread_index() == 0) {
-    g_fixture = std::make_unique<ShardFixture>(substrate, nshards,
-                                               group_commit, state.threads());
+    g_fixture = std::make_unique<ShardFixture>(nshards, state.threads());
   }
   Random rng(300 + static_cast<uint64_t>(state.thread_index()));
   Buffer data;
@@ -255,35 +207,7 @@ void RunShardLocal(benchmark::State& state, Substrate substrate,
     g_fixture.reset();
   }
 }
-
-// The headline family: serialized per-shard commits (group commit off) on
-// one modeled device per shard, so every commit pays its own log append +
-// device flush + counter bump and the only scaling lever is shard
-// independence.
-void BM_ShardLocalDurable(benchmark::State& state) {
-  RunShardLocal(state, Substrate::kModeledDevice, /*group_commit=*/false);
-}
 BENCHMARK(BM_ShardLocalDurable)
-    ->Args({1})->Args({2})->Args({4})->Args({8})
-    ->Threads(1)->Threads(2)->Threads(4)->Threads(8)->Threads(16)
-    ->UseRealTime();
-
-// The same serialized commits on the host filesystem: all shards behind
-// one ext4 journal, whose commit serialization caps the curve.
-void BM_ShardLocalDurableHostDisk(benchmark::State& state) {
-  RunShardLocal(state, Substrate::kHostDisk, /*group_commit=*/false);
-}
-BENCHMARK(BM_ShardLocalDurableHostDisk)
-    ->Args({1})->Args({4})
-    ->Threads(8)
-    ->UseRealTime();
-
-// Per-shard group commit stacked on sharding: each shard batches its own
-// committers, so the two amortization levers compose.
-void BM_ShardLocalDurableGroup(benchmark::State& state) {
-  RunShardLocal(state, Substrate::kModeledDevice, /*group_commit=*/true);
-}
-BENCHMARK(BM_ShardLocalDurableGroup)
     ->Args({1})->Args({4})
     ->Threads(8)->Threads(16)
     ->UseRealTime();
@@ -296,9 +220,7 @@ BENCHMARK(BM_ShardLocalDurableGroup)
 void BM_CrossShardMix(benchmark::State& state) {
   const int nshards = static_cast<int>(state.range(0));
   if (state.thread_index() == 0) {
-    g_fixture = std::make_unique<ShardFixture>(Substrate::kModeledDevice,
-                                               nshards, /*group_commit=*/false,
-                                               state.threads());
+    g_fixture = std::make_unique<ShardFixture>(nshards, state.threads());
   }
   Random rng(400 + static_cast<uint64_t>(state.thread_index()));
   Buffer data;
@@ -350,9 +272,8 @@ BENCHMARK(BM_CrossShardMix)
 void BM_CrossShard2pcLatency(benchmark::State& state) {
   const int nshards = static_cast<int>(state.range(0));
   const int coord_threads = static_cast<int>(state.range(1));
-  g_fixture = std::make_unique<ShardFixture>(
-      Substrate::kModeledDevice, nshards, /*group_commit=*/false,
-      state.threads(), coord_threads);
+  g_fixture =
+      std::make_unique<ShardFixture>(nshards, state.threads(), coord_threads);
   Random rng(500);
   Buffer data;
   rng.Fill(&data, kPayloadBytes);

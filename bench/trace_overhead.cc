@@ -58,7 +58,6 @@ chunk::ChunkStoreOptions BenchOptions() {
   options.checkpoint_interval_bytes = 1ull << 40;
   options.max_clean_segments_per_commit = 0;
   options.max_utilization = 0.99;
-  options.group_commit = true;
   options.group_commit_window_us = 200;
   options.group_commit_target_commits = kThreads;
   return options;

@@ -107,10 +107,11 @@ Result<BackupInfo> BackupStore::Create(const std::string& archive_name,
   }
   PutVarint64(&body, to_write.size());
   PutVarint64(&body, removed.size());
-  for (ChunkId cid : to_write) {
-    TDB_ASSIGN_OR_RETURN(Buffer plain, chunks_->ReadAtSnapshot(*snap, cid));
-    Buffer sealed = suite_.Seal(plain);
-    PutVarint64(&body, cid);
+  TDB_ASSIGN_OR_RETURN(std::vector<Buffer> plains,
+                       chunks_->ReadManyAtView(*snap, to_write));
+  for (size_t i = 0; i < to_write.size(); i++) {
+    Buffer sealed = suite_.Seal(plains[i]);
+    PutVarint64(&body, to_write[i]);
     PutLengthPrefixed(&body, sealed);
   }
   for (ChunkId cid : removed) PutVarint64(&body, cid);

@@ -582,17 +582,6 @@ Status ChunkStore::FlushTail() {
   return Status::OK();
 }
 
-Status ChunkStore::SyncDirtyFilesLocked() {
-  common::TraceSpan span("chunk.sync");
-  common::ScopedTimer timer(metrics_.get(), m_.sync_latency_us);
-  for (const std::string& name : dirty_files_) {
-    TDB_RETURN_IF_ERROR(store_->Sync(name));
-  }
-  dirty_files_.clear();
-  m_.log_syncs->Increment();
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Record reads
 
@@ -1050,8 +1039,18 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   crypto::Digest mac = suite_.Mac(sealed_manifest);
   Buffer commit_payload = sealed_manifest;
   PutDigest(&commit_payload, mac);
-  TDB_RETURN_IF_ERROR(Append(RecordType::kCommit, commit_payload).status());
-  TDB_RETURN_IF_ERROR(FlushTail());
+  TDB_ASSIGN_OR_RETURN(Location loc,
+                       Append(RecordType::kCommit, commit_payload));
+  Status flushed = FlushTail();
+  if (!flushed.ok()) {
+    // The record never reached the store, and seq_/chain_mac_ stay put:
+    // drop it from the tail so the next flush re-seals the still-open
+    // group under this seq. Left in place, it would reach the log beside
+    // its re-sealed twin (same seq, same prev_mac), and recovery, which
+    // stops at the second, would drop every commit acked after it.
+    tail_buf_.resize(loc.offset - cur_offset_);
+    return flushed;
+  }
 
   seq_ = manifest.seq;
   chain_mac_ = mac;
@@ -1063,20 +1062,6 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   res.bump_counter = bump_counter;
   res.mac = mac;
   return res;
-}
-
-Status ChunkStore::FinishDurableLocked(const SealResult& seal) {
-  TDB_RETURN_IF_ERROR(SyncDirtyFilesLocked());
-  if (seal.bump_counter) {
-    common::TraceSpan span("chunk.counter_bump");
-    common::ScopedTimer timer(metrics_.get(), m_.counter_bump_latency_us);
-    TDB_ASSIGN_OR_RETURN(uint64_t cv, counter_->Increment());
-    m_.counter_bumps->Increment();
-    TDB_CHECK(cv >= seal.counter_target,
-              "one-way counter regressed during commit");
-    counter_value_ = seal.counter_target;
-  }
-  return Status::OK();
 }
 
 void ChunkStore::CompleteTicketsLocked(
@@ -1094,105 +1079,40 @@ void ChunkStore::AwaitGroupIdleLocked(std::unique_lock<std::mutex>& lock) {
   while (group_flushing_) group_cv_.wait(lock);
 }
 
-Status ChunkStore::CommitGroupDurableLocked(uint8_t flags,
-                                            const NodeWriteResult* new_root) {
-  std::vector<std::shared_ptr<internal::CommitTicket>> tickets =
-      std::move(group_tickets_);
-  group_tickets_.clear();
-
-  const bool tracing = common::TracingEnabled() && !tickets.empty();
-  const uint64_t t_flush0 = tracing ? common::MonotonicMicros() : 0;
-
-  Status result = Status::OK();
-  auto seal = SealGroupLocked(flags, new_root);
-  if (!seal.ok()) {
-    result = seal.status();
-  } else {
-    result = FinishDurableLocked(*seal);
-    if (result.ok() && new_root != nullptr) {
-      has_root_ = true;
-      root_loc_ = new_root->loc;
-      root_hash_ = new_root->hash;
-      ckpt_mac_ = seal->mac;
-      scan_segment_ = cur_segment_;
-      scan_offset_ = static_cast<uint32_t>(cur_offset_);
-      residual_bytes_ = 0;
-      // The anchor is rewritten only at checkpoints; between checkpoints
-      // the commit records themselves carry the authenticated counter, so
-      // a durable commit costs exactly one sequential log write (+ sync).
-      result = WriteAnchor();
-    }
-    if (result.ok()) {
-      // One ack for this (internal or serialized) commit plus one for
-      // every absorbed group committer.
-      m_.durable_commits->Add(static_cast<int64_t>(1 + tickets.size()));
-      if (!tickets.empty()) {
-        m_.commit_groups->Increment();
-        m_.grouped_commits->Add(static_cast<int64_t>(tickets.size()));
-        m_.max_commits_per_group->SetMax(static_cast<int64_t>(tickets.size()));
-      }
-      result = FreePendingSegments();
-    }
-  }
-  if (tracing) {
-    // This (checkpoint / serialized) durable commit absorbed buffered
-    // group tickets: mirror one flush span into each absorbed committer's
-    // trace so their trees still show what made them durable.
-    const uint64_t t_flush1 = common::MonotonicMicros();
-    const uint64_t leader_trace = common::CurrentTraceContext().trace_id;
-    for (const auto& t : tickets) {
-      if (!t->trace.valid() || t->trace.trace_id == leader_trace) continue;
-      common::RecordExplicitSpan(t->trace, "chunk.group_flush", t_flush0,
-                                 t_flush1);
-    }
-  }
-  CompleteTicketsLocked(&tickets, result);
-  return result;
-}
-
-Status ChunkStore::LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock) {
-  // Leader election happened in WaitDurable: group_flushing_ was false and
-  // we hold mu_. Claim leadership first, then optionally sit in the
-  // accumulation window so concurrent committers can buffer into this
-  // group before it seals; tickets are only moved out afterwards, so a
-  // commit that lands during the window rides this flush.
+Status ChunkStore::FlushGroupLocked(uint8_t flags,
+                                    const NodeWriteResult* new_root,
+                                    std::unique_lock<std::mutex>* lock) {
   group_flushing_ = true;
-  if (options_.group_commit_window_us > 0) {
-    const uint32_t target = options_.group_commit_target_commits;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.group_commit_window_us);
-    // CommitBuffered notifies group_cv_ on each enqueue while a leader is
-    // waiting, so the early-seal target is checked promptly; otherwise the
-    // wait simply expires at the deadline.
-    while (!(target > 0 && group_tickets_.size() >= target) &&
-           std::chrono::steady_clock::now() < deadline) {
-      group_cv_.wait_until(lock, deadline);
-    }
-  }
   std::vector<std::shared_ptr<internal::CommitTicket>> tickets =
       std::move(group_tickets_);
   group_tickets_.clear();
 
-  auto seal = SealGroupLocked(kCommitDurable, nullptr);
+  auto seal = SealGroupLocked(flags, new_root);
   if (!seal.ok()) {
     group_flushing_ = false;
     CompleteTicketsLocked(&tickets, seal.status());
     return seal.status();
   }
-  // Snapshot the dirty-file set under the lock, then run the expensive
-  // Sync + counter bump OUTSIDE it: followers keep sealing and buffering
-  // (and cache-miss readers keep reading) while the flush I/O is in
-  // flight. Only one flush runs at a time (group_flushing_), and locked
-  // durable paths await idleness, so the counter bump cannot interleave.
+  // Snapshot the dirty-file set under the lock. Only one flush runs at a
+  // time (group_flushing_, which every other durable path awaits), so the
+  // counter bumps of two flushes never interleave. A committer leading a
+  // group passes its lock and the Sync + counter bump run OUTSIDE mu_:
+  // followers keep sealing and buffering, and cache-miss readers keep
+  // reading, while the flush I/O is in flight. Checkpoints and the
+  // cleaner's relocation commit pass none and keep mu_ across the I/O:
+  // they run inside maintenance, which rewrites the map root, scan
+  // position and free list around this flush and must not see a commit
+  // buffer in between.
   std::set<std::string> to_sync = std::move(dirty_files_);
   dirty_files_.clear();
-  lock.unlock();
+  const uint32_t sealed_segment = cur_segment_;
+  const uint64_t sealed_offset = cur_offset_;
+  if (lock != nullptr) lock->unlock();
 
   Status result = Status::OK();
-  // Wall-clock marks for mirroring the leader's work into follower traces
-  // (only read when tracing is on; `bumped` flags that the bump ran, since
-  // a fake test clock may legitimately report 0).
+  // Wall-clock marks for mirroring this flush into the other committers'
+  // traces (only read when tracing is on; `bumped` flags that the bump
+  // ran, since a fake test clock may legitimately report 0).
   const bool tracing = common::TracingEnabled();
   uint64_t t_flush0 = 0, t_sync1 = 0, t_bump0 = 0, t_bump1 = 0, t_flush1 = 0;
   bool bumped = false;
@@ -1205,11 +1125,8 @@ Status ChunkStore::LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock) {
       common::TraceSpan sync_span("chunk.sync");
       common::ScopedTimer sync_timer(metrics_.get(), m_.sync_latency_us);
       for (const std::string& name : to_sync) {
-        Status s = store_->Sync(name);
-        if (!s.ok()) {
-          result = s;
-          break;
-        }
+        result = store_->Sync(name);
+        if (!result.ok()) break;
       }
     }
     if (tracing) t_sync1 = common::MonotonicMicros();
@@ -1232,16 +1149,17 @@ Status ChunkStore::LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock) {
     }
   }
   if (tracing) t_flush1 = common::MonotonicMicros();
+  if (lock != nullptr) lock->lock();
 
-  lock.lock();
   if (tracing) {
-    // Mirror the flush into every FOLLOWER's trace (before the tickets
-    // complete, so a follower that drains right after WaitDurable returns
-    // already sees the leader's work in its own tree). The leader's own
-    // trace recorded the real spans above; skip tickets that share it.
-    const uint64_t leader_trace = common::CurrentTraceContext().trace_id;
+    // Mirror the flush into every OTHER committer's trace (before the
+    // tickets complete, so a follower that drains right after WaitDurable
+    // returns already sees this work in its own tree). The flushing
+    // thread's own trace recorded the real spans above; skip tickets that
+    // share it.
+    const uint64_t own_trace = common::CurrentTraceContext().trace_id;
     for (const auto& t : tickets) {
-      if (!t->trace.valid() || t->trace.trace_id == leader_trace) continue;
+      if (!t->trace.valid() || t->trace.trace_id == own_trace) continue;
       const uint64_t flush_span_id = common::RecordExplicitSpan(
           t->trace, "chunk.group_flush", t_flush0, t_flush1);
       if (flush_span_id == 0) continue;
@@ -1261,11 +1179,31 @@ Status ChunkStore::LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock) {
     dirty_files_.insert(to_sync.begin(), to_sync.end());
   } else {
     if (seal->bump_counter) counter_value_ = seal->counter_target;
+    if (new_root != nullptr) {
+      has_root_ = true;
+      root_loc_ = new_root->loc;
+      root_hash_ = new_root->hash;
+      ckpt_mac_ = seal->mac;
+      scan_segment_ = sealed_segment;
+      scan_offset_ = static_cast<uint32_t>(sealed_offset);
+      residual_bytes_ = 0;
+      // The anchor is rewritten only at checkpoints; between checkpoints
+      // the commit records themselves carry the authenticated counter, so
+      // a durable commit costs exactly one sequential log write (+ sync).
+      result = WriteAnchor();
+    }
+  }
+  if (result.ok()) {
+    // One ack per committer in the group, plus one for a checkpoint's or
+    // the cleaner's own commit.
     const uint64_t n = tickets.size();
-    m_.durable_commits->Add(static_cast<int64_t>(n));
-    m_.grouped_commits->Add(static_cast<int64_t>(n));
-    m_.commit_groups->Increment();
-    m_.max_commits_per_group->SetMax(static_cast<int64_t>(n));
+    m_.durable_commits->Add(
+        static_cast<int64_t>(n + (flags != kCommitDurable ? 1 : 0)));
+    if (n > 0) {
+      m_.commit_groups->Increment();
+      m_.grouped_commits->Add(static_cast<int64_t>(n));
+      m_.max_commits_per_group->SetMax(static_cast<int64_t>(n));
+    }
     result = FreePendingSegments();
   }
   group_flushing_ = false;
@@ -1307,39 +1245,19 @@ Result<CommitHandle> ChunkStore::CommitBuffered(const WriteBatch& batch,
     }
   }
 
-  if (options_.group_commit) {
-    if (durable) {
-      // Join the open group; WaitDurable elects the leader that flushes it.
-      handle.ticket_->grouped = true;
-      group_tickets_.push_back(handle.ticket_);
-      // A leader may be sitting in its accumulation window — wake it so
-      // the early-seal target is re-checked with this ticket counted.
-      if (group_flushing_) group_cv_.notify_all();
-    } else {
-      // Applied and buffered; durability rides on the next group flush.
-      // (A crash before that flush discards it — exactly the paper's
-      // nondurable-commit contract, §3.1.)
-      handle.ticket_->done = true;
-    }
-    return handle;
-  }
-
-  // Serialized mode (group_commit off): seal this batch's own manifest
-  // immediately — byte-identical log output to the pre-group-commit store.
-  Status result;
   if (durable) {
-    AwaitGroupIdleLocked(lock);  // No-op in this mode; defensive.
-    result = CommitGroupDurableLocked(kCommitDurable, nullptr);
+    // Join the open group; WaitDurable elects the leader that flushes it.
+    handle.ticket_->durable = true;
+    group_tickets_.push_back(handle.ticket_);
+    // A leader may be sitting in its accumulation window — wake it so the
+    // early-seal target is re-checked with this ticket counted.
+    if (group_flushing_) group_cv_.notify_all();
   } else {
-    result = SealGroupLocked(durable ? kCommitDurable : 0, nullptr).status();
+    // Applied and buffered; durability rides on the next group flush. (A
+    // crash before that flush discards it — exactly the paper's
+    // nondurable-commit contract, §3.1.)
+    handle.ticket_->done = true;
   }
-  if (!result.ok()) {
-    for (ChunkId cid : prep.touched) {
-      cache_.Erase(cid, EvictCause::kFailedCommit);
-    }
-    return result;
-  }
-  handle.ticket_->done = true;
   return handle;
 }
 
@@ -1351,22 +1269,27 @@ Status ChunkStore::WaitDurable(CommitHandle& handle) {
   Status result;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    // Trace the leader/follower handoff: if this grouped ticket ends up
+    // Trace the leader/follower handoff: if this durable ticket ends up
     // completed by ANOTHER waiter's flush, record a follower-wait span so
     // the committer's causal tree shows the handoff (the leader's mirrored
-    // flush spans land next to it, see LeadGroupFlushLocked). Recorded
+    // flush spans land next to it, see FlushGroupLocked). Recorded
     // even when the leader finished before we first checked — "followed"
     // is about who produced durability, not about blocking.
-    const bool trace_follow = common::TracingEnabled() && ticket->grouped;
+    const bool trace_follow = common::TracingEnabled() && ticket->durable;
     const uint64_t wait_start =
         trace_follow ? common::MonotonicMicros() : 0;
     bool led = false;
     while (!ticket->done) {
       if (!group_flushing_) {
         // First pending waiter becomes the leader and flushes the whole
-        // group (its own ticket included).
+        // group (its own ticket included). It claims the group first, then
+        // may sit in the accumulation window so concurrent committers
+        // buffer into it; tickets are taken only at the flush, so a commit
+        // that lands during the window rides it.
         led = true;
-        LeadGroupFlushLocked(lock);
+        group_flushing_ = true;
+        AwaitGroupWindowLocked(lock);
+        FlushGroupLocked(kCommitDurable, nullptr, &lock);
       } else {
         group_cv_.wait(lock);
       }
@@ -1383,6 +1306,21 @@ Status ChunkStore::WaitDurable(CommitHandle& handle) {
   // outside any caller-held locks — e.g. the object store has already
   // released its transaction locks by now.
   return RunMaintenance();
+}
+
+void ChunkStore::AwaitGroupWindowLocked(std::unique_lock<std::mutex>& lock) {
+  if (options_.group_commit_window_us == 0) return;
+  const uint32_t target = options_.group_commit_target_commits;
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(options_.group_commit_window_us);
+  // CommitBuffered notifies group_cv_ on each enqueue while a leader is
+  // waiting, so the early-seal target is checked promptly; otherwise the
+  // wait simply expires at the deadline.
+  while (!(target > 0 && group_tickets_.size() >= target) &&
+         std::chrono::steady_clock::now() < deadline) {
+    group_cv_.wait_until(lock, deadline);
+  }
 }
 
 Status ChunkStore::RunMaintenance() {
@@ -1450,10 +1388,10 @@ Status ChunkStore::CheckpointLocked() {
   };
   TDB_ASSIGN_OR_RETURN(NodeWriteResult root,
                        map_.WriteDirty(writer, obsolete));
-  // The checkpoint's manifest absorbs any buffered group commits (their
-  // ops merge into it) and completes their pending durability tickets.
+  // The checkpoint leads a group that also carries the new root: any
+  // buffered commits merge into its manifest and their tickets complete.
   TDB_RETURN_IF_ERROR(
-      CommitGroupDurableLocked(kCommitDurable | kCommitCheckpoint, &root));
+      FlushGroupLocked(kCommitDurable | kCommitCheckpoint, &root, nullptr));
   m_.checkpoints->Increment();
   return Status::OK();
 }
@@ -1776,7 +1714,7 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     // right away (the §3.2.2 rule) without forcing a map checkpoint —
     // victims never contain live map nodes. It merges with (and acks) any
     // buffered group commits.
-    status = CommitGroupDurableLocked(kCommitClean | kCommitDurable, nullptr);
+    status = FlushGroupLocked(kCommitClean | kCommitDurable, nullptr, nullptr);
   }
   if (status.ok()) {
     for (uint32_t id : victims) pending_free_.push_back(id);
@@ -2029,18 +1967,6 @@ Result<std::vector<Buffer>> ChunkStore::ReadManyAtView(
     if (!s.ok()) return s;
   }
   return out;
-}
-
-Result<Buffer> ChunkStore::ReadAtSnapshot(const Snapshot& snap, ChunkId cid) {
-  if (!open_.load()) return Status::InvalidArgument("chunk store not open");
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeLoader loader = MakeLoader();
-  TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> entry,
-                       map_.GetAt(snap.root_, cid, loader));
-  if (!entry.has_value()) {
-    return Status::NotFound("chunk " + std::to_string(cid));
-  }
-  return ReadDataAt(*entry);
 }
 
 Status ChunkStore::ForEachChunkAt(

@@ -114,22 +114,11 @@ struct ChunkStoreOptions {
   /// image is identical either way.
   int txn_coordinator_threads = 4;
 
-  /// Group commit (§5/§7 cost model: the per-commit Sync and one-way
-  /// counter bump bound durable-commit throughput). When true, commits are
-  /// buffered into an open group: nondurable commits append their data
-  /// records and apply to the in-memory map without writing a commit
-  /// record; the next durable commit (or checkpoint/clean) seals the whole
-  /// group under ONE merged manifest — one log write, one MAC, one chain
-  /// link — and a leader performs ONE Sync and ONE counter bump for every
-  /// durable committer waiting on the group. Concurrent durable committers
-  /// therefore amortize the sync + counter cost; each still gets its own
-  /// per-batch Status and is acked only after the covering sync + bump
-  /// (paper §4.1 semantics). When false (default), every commit seals its
-  /// own manifest and durable commits sync individually — the serialized
-  /// pre-group behavior, byte-identical on disk.
+  // Ignored (group commit is the only path); drop at next benchmark change.
   bool group_commit = false;
 
-  /// Leader accumulation window, microseconds (group_commit only). A
+  /// Leader accumulation window, microseconds. Every commit buffers into
+  /// the open commit group (see ChunkStore::CommitBuffered), and the
   /// durable committer that elects itself group leader first waits up to
   /// this long — releasing the store mutex — so concurrent committers can
   /// buffer into its group before it seals. This is the classic
@@ -201,10 +190,10 @@ struct ChunkStoreStats {
   // Commit-path crypto pipeline.
   uint64_t sealed_bytes = 0;           // Plaintext bytes sealed by commits.
   uint64_t parallel_sealed_bytes = 0;  // Subset sealed via the worker pool.
-  // Group commit (only moves when options.group_commit is true, except
-  // log_syncs / counter_bumps which count in both modes).
-  uint64_t commit_groups = 0;          // Durable group flushes led.
-  uint64_t grouped_commits = 0;        // Durable commits that shared a flush.
+  // Group commit. A lone durable committer leads a group of one, so
+  // grouped_commits > commit_groups only when commits shared a flush.
+  uint64_t commit_groups = 0;          // Flushes that acked a committer.
+  uint64_t grouped_commits = 0;        // Durable commits acked by a flush.
   uint64_t max_commits_per_group = 0;  // Largest single group flush.
   uint64_t log_syncs = 0;              // Sync rounds issued to the store.
   uint64_t counter_bumps = 0;          // One-way counter increments.
@@ -266,11 +255,11 @@ namespace internal {
 /// a committer blocks on. Guarded by the owning store's commit mutex.
 struct CommitTicket {
   bool done = false;
-  /// True when the ticket was enqueued into the open commit group (durable
-  /// group-commit path): its durability is produced by whichever waiter
-  /// leads the flush. WaitDurable uses this to trace the leader/follower
-  /// handoff deterministically.
-  bool grouped = false;
+  /// True for a durable commit: the ticket waits in the open commit group
+  /// and its durability is produced by whichever waiter leads the flush.
+  /// WaitDurable uses this to trace the leader/follower handoff
+  /// deterministically.
+  bool durable = false;
   Status result;
   /// Routing tag for layered stores: ShardedChunkStore stamps the owning
   /// shard index before the handle escapes, so its WaitDurable can
@@ -285,8 +274,8 @@ struct CommitTicket {
 
 }  // namespace internal
 
-/// Handle returned by ChunkStore::CommitBuffered. For a durable commit in
-/// group mode it is the pending durability future; otherwise it is already
+/// Handle returned by ChunkStore::CommitBuffered. For a durable commit it
+/// is the pending durability future; for a nondurable one it is already
 /// complete. Pass to ChunkStore::WaitDurable to obtain the final Status
 /// (and run deferred maintenance). Movable and copyable; all copies share
 /// the same completion state.
@@ -308,7 +297,7 @@ class Snapshot {
  public:
   uint64_t seq() const { return seq_; }
   /// Commit version at capture; gates versioned chunk-cache hits in
-  /// ReadAtView (ReadAtSnapshot always bypasses the cache).
+  /// ReadAtView.
   uint64_t version() const { return version_; }
 
  private:
@@ -377,9 +366,9 @@ class ChunkStoreInterface {
 ///  - cache-hit Reads take only the chunk cache's internal lock (never the
 ///    commit mutex), so hot reads never queue behind an in-flight commit
 ///    or group sync;
-///  - in group-commit mode the leader's Sync + counter bump run OUTSIDE
-///    the commit mutex, so followers keep buffering (and readers keep
-///    reading) while the flush is in flight.
+///  - a group leader's Sync + counter bump run OUTSIDE the commit mutex,
+///    so followers keep buffering (and readers keep reading) while the
+///    flush is in flight.
 /// Batch sealing (the crypto pipeline) also runs outside the commit mutex
 /// on the committer's own thread; the cipher suite's IV generator is the
 /// only serialized crypto step.
@@ -405,20 +394,25 @@ class ChunkStore : public ChunkStoreInterface {
   /// Equivalent to CommitBuffered + WaitDurable.
   Status Commit(const WriteBatch& batch, bool durable) override;
 
-  /// Two-stage commit. Stage 1: validates, seals, and buffers `batch` —
+  /// Two-stage group commit (§5/§7 cost model: the per-commit Sync and
+  /// one-way counter bump bound durable-commit throughput). Stage 1:
+  /// validates, seals, and buffers `batch` into the open commit group —
   /// once this returns OK the batch is in the log buffer and applied to
   /// the in-memory map, so its serialization order is fixed and callers
-  /// (e.g. the object store) may release transaction locks early. Errors
-  /// here are per-batch: a failed batch never poisons other buffered
-  /// commits. Stage 2 (WaitDurable): for a durable commit, blocks until a
-  /// group flush covering the batch completes — the first waiter becomes
-  /// the leader and performs the merged manifest write + one Sync + one
-  /// counter bump for the whole group — and returns the durability
-  /// verdict; durability is acked ONLY here, after sync + bump (§4.1).
-  /// WaitDurable also runs deferred checkpoint/cleaning maintenance, so it
-  /// should be called exactly once per successful CommitBuffered.
-  /// With group_commit off, CommitBuffered performs the full serialized
-  /// commit and the returned handle is already complete.
+  /// (e.g. the object store) may release transaction locks early. No
+  /// commit record is written yet. Errors here are per-batch: a failed
+  /// batch never poisons other buffered commits. Stage 2 (WaitDurable):
+  /// for a durable commit, blocks until a group flush covering the batch
+  /// completes — the first waiter becomes the leader and seals the whole
+  /// group under ONE merged manifest (one log write, one MAC, one chain
+  /// link), then performs one Sync + one counter bump for every committer
+  /// in it — and returns the durability verdict; durability is acked ONLY
+  /// here, after sync + bump (§4.1). A lone committer leads a group of
+  /// one, which writes exactly what a per-commit protocol would. A
+  /// nondurable commit's handle is already complete: it rides the next
+  /// flush. WaitDurable also runs deferred checkpoint/cleaning
+  /// maintenance, so it should be called exactly once per successful
+  /// CommitBuffered.
   Result<CommitHandle> CommitBuffered(const WriteBatch& batch,
                                       bool durable) override;
   Status WaitDurable(CommitHandle& handle) override;
@@ -428,9 +422,9 @@ class ChunkStore : public ChunkStoreInterface {
   Status Deallocate(ChunkId cid, bool durable) override;
 
   /// Writes dirty location-map nodes and the anchor (durable). Normally
-  /// automatic; exposed for idle-time maintenance. In group mode the
-  /// checkpoint's manifest absorbs all buffered commits and completes any
-  /// pending durability tickets.
+  /// automatic; exposed for idle-time maintenance. The checkpoint's
+  /// manifest absorbs all buffered commits and completes any pending
+  /// durability tickets.
   Status Checkpoint() override;
 
   /// Idle-time cleaning: reclaims up to `max_segments` low-utilization
@@ -449,12 +443,9 @@ class ChunkStore : public ChunkStoreInterface {
   Status VerifyIntegrity(uint64_t* chunks_checked) override;
 
   /// Snapshots (§3.2.1, used by the backup store). Checkpoints first so
-  /// the snapshot is fully persisted. ReadAtSnapshot always bypasses the
-  /// validated-plaintext cache — the cache is keyed by a chunk's CURRENT
-  /// committed state, which a snapshot may predate — and performs the full
-  /// validated read instead.
+  /// the snapshot is fully persisted; read it like any view (ReadAtView,
+  /// ReadManyAtView).
   Result<std::shared_ptr<Snapshot>> CreateSnapshot();
-  Result<Buffer> ReadAtSnapshot(const Snapshot& snap, ChunkId cid);
 
   /// Pins a read view of the CURRENT applied state: like CreateSnapshot
   /// but without the checkpoint (no log writes, no sync — just a brief
@@ -600,7 +591,6 @@ class ChunkStore : public ChunkStoreInterface {
   // location.
   Result<Location> Append(RecordType type, Slice payload);
   Status FlushTail();
-  Status SyncDirtyFilesLocked();
 
   // --- records (require mu_: may read the unflushed tail buffer) ---
   // I/O + structural checks only: reads the record at `loc`, verifying
@@ -663,22 +653,20 @@ class ChunkStore : public ChunkStoreInterface {
   // Requires mu_. Seals every buffered op (plus `new_root`, if any) into
   // ONE merged manifest: one log write, one MAC, one chain link, one
   // counter target. With an empty group this still writes a manifest (an
-  // empty durable commit is a pure sync point, as before group commit).
+  // empty durable commit is a pure sync point).
   Result<SealResult> SealGroupLocked(uint8_t flags,
                                      const NodeWriteResult* new_root);
-  // Requires mu_. Sync + counter bump, fully under the lock (checkpoints,
-  // cleaning, and the serialized non-group path).
-  Status FinishDurableLocked(const SealResult& seal);
-  // Requires mu_, group idle. The locked durable-seal path: seals the open
-  // group under one merged manifest (+ optional new map root), syncs and
-  // bumps under the lock, writes the anchor for checkpoints, and completes
-  // any absorbed durability tickets.
-  Status CommitGroupDurableLocked(uint8_t flags,
-                                  const NodeWriteResult* new_root);
-  // Requires mu_ (released during the flush I/O). The group-leader flush:
-  // seals the open group, then syncs + bumps OUTSIDE mu_ so new commits
-  // keep buffering, then completes every waiting ticket.
-  Status LeadGroupFlushLocked(std::unique_lock<std::mutex>& lock);
+  // Requires mu_, no other flush in flight. THE durable commit: seals the
+  // open group (with `new_root` for a checkpoint, which then also records
+  // the root and writes the anchor), syncs the dirty files, bumps the
+  // counter, frees pending segments and completes the group's tickets.
+  // With `lock` it releases mu_ across the sync + bump (see the comment
+  // inside on who passes one).
+  Status FlushGroupLocked(uint8_t flags, const NodeWriteResult* new_root,
+                          std::unique_lock<std::mutex>* lock);
+  // Requires mu_, group claimed. The leader's accumulation window: waits
+  // (releasing mu_) until the early-seal target is met or the window ends.
+  void AwaitGroupWindowLocked(std::unique_lock<std::mutex>& lock);
   // Requires mu_. Blocks until no leader flush is in flight; durable-seal
   // paths that run under the lock (checkpoint, cleaning) must wait so two
   // flushes never interleave their counter bumps.
@@ -781,8 +769,8 @@ class ChunkStore : public ChunkStoreInterface {
 
   bool in_maintenance_ = false;  // Guards checkpoint/clean reentrancy.
 
-  // Open commit group (group_commit mode): buffered ops awaiting the next
-  // merged manifest, and the durable committers waiting on its flush.
+  // Open commit group: buffered ops awaiting the next merged manifest, and
+  // the durable committers waiting on its flush.
   std::vector<PendingOp> group_ops_;
   std::vector<std::shared_ptr<internal::CommitTicket>> group_tickets_;
   bool group_flushing_ = false;  // A leader's sync is in flight.

@@ -59,12 +59,16 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
                                         uint64_t now_us) {
   std::vector<HealthIssue> issues;
 
-  // sync_ratio: group commit stopped amortizing syncs.
+  // sync_ratio: group commit stopped amortizing syncs. Every durable
+  // commit flushes in a group, and a lone committer leads groups of one,
+  // so the rule applies only once commits have actually shared a flush.
   {
     const int64_t durable = SumCounterSuffix(snapshot, "chunk.durable_commits");
     const int64_t syncs = SumCounterSuffix(snapshot, "chunk.log_syncs");
     const int64_t groups = SumCounterSuffix(snapshot, "chunk.commit_groups");
-    if (groups > 0 &&
+    const int64_t grouped =
+        SumCounterSuffix(snapshot, "chunk.grouped_commits");
+    if (grouped > groups &&
         durable >= static_cast<int64_t>(options.min_commits_for_sync_check)) {
       const double ratio = static_cast<double>(syncs) / durable;
       if (ratio > options.max_syncs_per_commit) {

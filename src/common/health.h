@@ -16,9 +16,9 @@ namespace tdb::common {
 /// a metrics snapshot. Every check self-gates on a volume floor so an
 /// idle or freshly opened store is never flagged.
 struct HealthCheckOptions {
-  /// "sync_ratio": with group commit active (commit_groups > 0), log syncs
-  /// per durable commit must stay below this — a regression here means the
-  /// accumulation window stopped amortizing.
+  /// "sync_ratio": once commits share flushes (grouped_commits >
+  /// commit_groups), log syncs per durable commit must stay below this —
+  /// a regression here means the accumulation window stopped amortizing.
   double max_syncs_per_commit = 0.9;
   uint64_t min_commits_for_sync_check = 64;
 

@@ -47,20 +47,15 @@ chunk::ChunkStoreOptions PresetOptions(Preset preset) {
   // write index across the shared fault injector, so the coordinator's
   // write order must be deterministic (and the injector single-threaded).
   options.txn_coordinator_threads = 0;
-  if (preset == Preset::kStrict || preset == Preset::kGroup ||
-      preset == Preset::kCodec) {
+  if (preset == Preset::kStrict || preset == Preset::kCodec) {
     // No maintenance commits besides the trace's own checkpoints: the set
-    // of durable boundaries is exactly what the oracle models. kGroup
-    // additionally coalesces nondurable commits into merged multi-commit
-    // records, so the durable boundaries (and crash-tear geometry) differ
-    // while the oracle invariant stays identical. kCodec compresses each
-    // record before sealing; boundaries are unchanged, the record bytes
-    // (and hence crash/tamper sites) are.
+    // of durable boundaries is exactly what the oracle models. kCodec
+    // compresses each record before sealing; boundaries are unchanged, the
+    // record bytes (and hence crash/tamper sites) are.
     options.segment_size = 4096;
     options.checkpoint_interval_bytes = 1ull << 40;
     options.max_clean_segments_per_commit = 0;
     options.max_utilization = 0.95;
-    options.group_commit = (preset == Preset::kGroup);
     options.compression = (preset == Preset::kCodec);
   } else {
     // Aggressive maintenance: crash points inside auto-checkpoint and
@@ -549,12 +544,14 @@ Status RunTamperSite(Scenario& scenario, const TamperImage& img,
 }
 
 Result<uint64_t> CountScenarioWrites(Scenario& scenario,
-                                     const StoreWrap& wrap) {
+                                     const StoreWrap& wrap,
+                                     uint64_t* open_writes = nullptr) {
   Env env(scenario.target(), wrap);
   Stack stack;
   TDB_RETURN_IF_ERROR(OpenStack(scenario, &env, true, nullptr, &stack));
   std::vector<StateOracle> oracles(scenario.oracles());
   const uint64_t opened = env.faulty->writes_seen();
+  if (open_writes != nullptr) *open_writes = opened;
   TDB_RETURN_IF_ERROR(scenario.Run(&stack, &oracles, nullptr));
   return env.faulty->writes_seen() - opened;
 }
@@ -585,10 +582,11 @@ bool InShard(uint64_t index, int shard, int num_shards) {
 
 }  // namespace
 
-Result<uint64_t> CountWrites(const Target& target, const StoreWrap& wrap) {
+Result<uint64_t> CountWrites(const Target& target, const StoreWrap& wrap,
+                             uint64_t* open_writes) {
   TDB_ASSIGN_OR_RETURN(std::unique_ptr<Scenario> scenario,
                        MakeScenario(target));
-  return CountScenarioWrites(*scenario, wrap);
+  return CountScenarioWrites(*scenario, wrap, open_writes);
 }
 
 Status RunCase(const ReproCase& repro, SweepStats* stats,

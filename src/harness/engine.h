@@ -79,8 +79,8 @@ class Scenario {
   const Target& target() const { return target_; }
   /// One oracle per shard (oracle k owns the ids with id % n == k).
   size_t oracles() const { return target_.shards > 0 ? target_.shards : 1; }
-  /// Default: n/8 under the group preset (merged records are longer), n/4
-  /// otherwise.
+  /// Default: n/8 under the strict preset (its merged group records are
+  /// the longest appends), n/4 otherwise.
   virtual TearBuckets tears() const;
 
   /// Step 1: opens the scenario's stores over `stack->chunks`. `create` is
@@ -113,9 +113,12 @@ inline constexpr uint8_t kTamperMask = 0x40;
 /// Dry-runs the trace (no crash) and returns the number of base-store
 /// writes it performs after the stack is open: the N that a crash sweep
 /// enumerates as write indices 0..N-1. `wrap` (tests only) interposes a
-/// possibly buggy store between the memory image and the fault injector.
+/// possibly buggy store between the memory image and the fault injector;
+/// `open_writes`, if set, receives the writes that opened the stack, so
+/// the trace's k-th write is the wrapped store's write open_writes + k.
 Result<uint64_t> CountWrites(const Target& target,
-                             const StoreWrap& wrap = nullptr);
+                             const StoreWrap& wrap = nullptr,
+                             uint64_t* open_writes = nullptr);
 
 /// Runs one case (kind crash, tamper or tamper2pc). A failure Status
 /// message begins with the case's repro line.

@@ -494,7 +494,7 @@ class WorkloadScenario final : public Scenario {
 }  // namespace
 
 TearBuckets Scenario::tears() const {
-  if (target_.spec.preset == Preset::kGroup) {
+  if (target_.spec.preset == Preset::kStrict) {
     return {{0, 1, 2, 3, 4, 5, 6, 7, 8}, 8};
   }
   return {{0, 1, 2, 3, 4}, 4};

@@ -61,8 +61,6 @@ const char* PresetName(Preset preset) {
       return "strict";
     case Preset::kCleaning:
       return "cleaning";
-    case Preset::kGroup:
-      return "group";
     case Preset::kCodec:
       return "codec";
   }
@@ -142,8 +140,6 @@ Result<ReproCase> ParseRepro(const std::string& line) {
         repro.spec.preset = Preset::kStrict;
       } else if (value == "cleaning") {
         repro.spec.preset = Preset::kCleaning;
-      } else if (value == "group") {
-        repro.spec.preset = Preset::kGroup;
       } else if (value == "codec") {
         repro.spec.preset = Preset::kCodec;
       } else {

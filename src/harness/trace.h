@@ -17,18 +17,14 @@ namespace tdb::harness {
 enum class Preset {
   /// Cleaning and automatic checkpoints off: the only durable boundaries
   /// are the trace's own durable commits and explicit checkpoints, so the
-  /// oracle check is as tight as possible.
+  /// oracle check is as tight as possible. Nondurable commits buffer into
+  /// the open commit group and each durable commit seals ONE merged
+  /// multi-commit record, so crash sweeps over this preset use n/8 tear
+  /// buckets to reach tear points inside the longer merged appends.
   kStrict,
   /// Small segments, aggressive cleaner and auto-checkpoints: covers the
   /// crash windows inside maintenance commits.
   kCleaning,
-  /// Like kStrict but with ChunkStoreOptions::group_commit on: nondurable
-  /// commits buffer into an open group and each durable commit seals ONE
-  /// merged multi-commit record followed by one sync + one counter bump.
-  /// Crash sweeps over this preset cover intra-group tear points — power
-  /// failing inside the single merged append — and assert the durable
-  /// floor is only raised at group ack.
-  kGroup,
   /// Like kStrict but with the compress-before-encrypt codec on
   /// (ChunkStoreOptions::compression). SlotPayload is semi-compressible,
   /// so sweeps cover both compressed and stored-raw records: crash points

@@ -336,9 +336,8 @@ struct ObjectStoreStats {
 /// API: transaction locks are released as soon as the write batch is in
 /// the chunk store's log buffer, and the committer then waits for the
 /// covering group flush outside the state mutex — so concurrent durable
-/// committers share one log sync and one counter bump (when
-/// ChunkStoreOptions::group_commit is on) instead of serializing behind
-/// each other's I/O. Buffering itself also happens outside the state
+/// committers share one log sync and one counter bump instead of
+/// serializing behind each other's I/O. Buffering itself also happens outside the state
 /// mutex (serialization is carried by the transaction's 2PL locks, held
 /// until buffering succeeds), which matters most over the sharded router:
 /// a transaction whose batch spans shards runs a full synchronous 2PC

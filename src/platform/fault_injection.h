@@ -45,7 +45,7 @@ class FaultInjectingStore final : public UntrustedStore {
   /// fraction only reaches a given internal sector boundary if tear_den is
   /// at least the number of sectors the write spans; sweeps over merged
   /// appends must therefore enumerate proportionally finer buckets (the
-  /// harness uses n/8 for the group preset vs n/4 elsewhere) or interior
+  /// harness uses n/8 for the strict preset vs n/4 elsewhere) or interior
   /// commit boundaries of the merged record are silently skipped. The
   /// sector-atomic model itself is unchanged.
   void CrashAtWrite(uint64_t index, uint32_t tear_num, uint32_t tear_den,

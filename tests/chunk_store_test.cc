@@ -730,7 +730,7 @@ TEST(ChunkStoreSnapshotTest, SnapshotIsStableUnderWrites) {
   ASSERT_TRUE((*cs)->Write(cid, Slice("new"), true).ok());
 
   EXPECT_EQ(Slice(*(*cs)->Read(cid)).ToString(), "new");
-  auto old_data = (*cs)->ReadAtSnapshot(**snap, cid);
+  auto old_data = (*cs)->ReadAtView(**snap, cid);
   ASSERT_TRUE(old_data.ok()) << old_data.status().ToString();
   EXPECT_EQ(Slice(*old_data).ToString(), "old");
 }
@@ -820,7 +820,7 @@ TEST(ChunkStoreSnapshotTest, CleaningPausedWhileSnapshotAlive) {
   }
   EXPECT_EQ((*cs)->stats().cleaned_segments, cleaned_before);
   // Snapshot still readable after all that churn.
-  EXPECT_EQ(Slice(*(*cs)->ReadAtSnapshot(**snap, cid)).ToString(), "v0");
+  EXPECT_EQ(Slice(*(*cs)->ReadAtView(**snap, cid)).ToString(), "v0");
   // Release it; cleaning may resume.
   snap->reset();
   for (int i = 0; i < 20; i++) {
@@ -1078,7 +1078,7 @@ TEST(ChunkCacheTest, SnapshotReadsBypassCache) {
   ASSERT_TRUE(snap.ok());
   // Overwrite AFTER the snapshot: the cache now holds the newer version.
   ASSERT_TRUE((*cs)->Write(cid, Slice("newer"), true).ok());
-  auto at_snap = (*cs)->ReadAtSnapshot(**snap, cid);
+  auto at_snap = (*cs)->ReadAtView(**snap, cid);
   ASSERT_TRUE(at_snap.ok()) << at_snap.status().ToString();
   EXPECT_EQ(Slice(*at_snap).ToString(), "snapshotted");
   auto current = (*cs)->Read(cid);
@@ -1303,19 +1303,13 @@ TEST(ChunkPipelineTest, SmallBatchesStaySerial) {
 // ---------------------------------------------------------------------------
 // Group commit
 
-ChunkStoreOptions GroupOptions() {
-  ChunkStoreOptions options = SmallSegments();
-  options.group_commit = true;
-  return options;
-}
-
 // Two durable commits buffered before either waits must be flushed by ONE
 // leader: one merged manifest, one sync round, one counter bump, and both
 // acked. This pins the deterministic two-stage path the multi-threaded
 // grouping reduces to.
 TEST(ChunkGroupCommitTest, TwoBufferedDurablesFlushAsOneGroup) {
   TestEnv env;
-  auto cs = env.Open(GroupOptions());
+  auto cs = env.Open(SmallSegments());
   ASSERT_TRUE(cs.ok()) << cs.status().ToString();
   ChunkId a = (*cs)->AllocateChunkId();
   ChunkId b = (*cs)->AllocateChunkId();
@@ -1352,7 +1346,7 @@ TEST(ChunkGroupCommitTest, TwoBufferedDurablesFlushAsOneGroup) {
 // buffered-but-unflushed record exercises the tail-buffer serving path.
 TEST(ChunkGroupCommitTest, NondurablesBufferUntilDurableCovers) {
   TestEnv env;
-  auto options = GroupOptions();
+  auto options = SmallSegments();
   options.cache_bytes = 0;
   ChunkId a, b, c;
   {
@@ -1388,7 +1382,7 @@ TEST(ChunkGroupCommitTest, NondurablesBufferUntilDurableCovers) {
 // already buffered into the open group still flush and ack.
 TEST(ChunkGroupCommitTest, InvalidBatchDoesNotPoisonGroupmates) {
   TestEnv env;
-  auto cs = env.Open(GroupOptions());
+  auto cs = env.Open(SmallSegments());
   ASSERT_TRUE(cs.ok());
   ChunkId good = (*cs)->AllocateChunkId();
   WriteBatch good_batch;
@@ -1413,7 +1407,7 @@ TEST(ChunkGroupCommitTest, CheckpointAbsorbsBufferedCommit) {
   TestEnv env;
   ChunkId cid;
   {
-    auto cs = env.Open(GroupOptions());
+    auto cs = env.Open(SmallSegments());
     ASSERT_TRUE(cs.ok());
     cid = (*cs)->AllocateChunkId();
     WriteBatch batch;
@@ -1430,7 +1424,7 @@ TEST(ChunkGroupCommitTest, CheckpointAbsorbsBufferedCommit) {
     EXPECT_EQ((*cs)->Stats().commit_groups, after_ckpt.commit_groups);
     ASSERT_TRUE((*cs)->Close().ok());
   }
-  auto cs = env.Open(GroupOptions());
+  auto cs = env.Open(SmallSegments());
   ASSERT_TRUE(cs.ok()) << cs.status().ToString();
   EXPECT_EQ(Slice(*(*cs)->Read(cid)).ToString(), "absorbed by checkpoint");
 }
@@ -1444,7 +1438,7 @@ TEST(ChunkGroupCommitTest, ConcurrentDurableCommitters) {
   constexpr int kCommitsPerThread = 8;
   std::map<ChunkId, Buffer> model;
   {
-    auto cs = env.Open(GroupOptions());
+    auto cs = env.Open(SmallSegments());
     ASSERT_TRUE(cs.ok());
     std::vector<std::vector<ChunkId>> ids(kThreads);
     for (int t = 0; t < kThreads; t++) {
@@ -1483,7 +1477,7 @@ TEST(ChunkGroupCommitTest, ConcurrentDurableCommitters) {
     }
     ASSERT_TRUE((*cs)->Close().ok());
   }
-  auto cs = env.Open(GroupOptions());
+  auto cs = env.Open(SmallSegments());
   ASSERT_TRUE(cs.ok()) << cs.status().ToString();
   for (const auto& [cid, expected] : model) {
     auto data = (*cs)->Read(cid);
@@ -1499,7 +1493,7 @@ TEST(ChunkGroupCommitTest, ConcurrentDurableCommitters) {
 // the second committer buffers, so the test runs at normal speed.)
 TEST(ChunkGroupCommitTest, WindowCoalescesConcurrentCommitters) {
   TestEnv env;
-  auto options = GroupOptions();
+  auto options = SmallSegments();
   options.group_commit_window_us = 5'000'000;
   options.group_commit_target_commits = 2;
   auto cs = env.Open(options);
@@ -1529,24 +1523,108 @@ TEST(ChunkGroupCommitTest, WindowCoalescesConcurrentCommitters) {
   EXPECT_EQ(Slice(*(*cs)->Read(b)).ToString(), "window rider b");
 }
 
-// group_commit=false must keep the serialized path: every durable commit
-// pays its own sync and counter bump, exactly as before the group-commit
-// change (the amortization metrics stay flat).
-TEST(ChunkGroupCommitTest, SerializedModeBumpsPerCommit) {
+// A lone durable committer leads a group of one per commit: one sync, one
+// counter bump and one group per durable commit, with nothing amortized.
+TEST(ChunkGroupCommitTest, LoneCommitterFlushesGroupOfOne) {
   TestEnv env;
   auto cs = env.Open(SmallSegments());
   ASSERT_TRUE(cs.ok());
   ChunkStoreStats before = (*cs)->Stats();
   for (int i = 0; i < 3; i++) {
     ASSERT_TRUE(
-        (*cs)->Write((*cs)->AllocateChunkId(), Slice("serial"), true).ok());
+        (*cs)->Write((*cs)->AllocateChunkId(), Slice("lone"), true).ok());
   }
   ChunkStoreStats after = (*cs)->Stats();
   EXPECT_EQ(after.durable_commits - before.durable_commits, 3u);
   EXPECT_EQ(after.log_syncs - before.log_syncs, 3u);
   EXPECT_EQ(after.counter_bumps - before.counter_bumps, 3u);
-  EXPECT_EQ(after.commit_groups, 0u);
-  EXPECT_EQ(after.grouped_commits, 0u);
+  EXPECT_EQ(after.commit_groups - before.commit_groups, 3u);
+  EXPECT_EQ(after.grouped_commits - before.grouped_commits, 3u);
+  EXPECT_EQ(after.max_commits_per_group, 1u);
+  EXPECT_EQ(after.syncs_saved(), 0u);
+}
+
+// Passes everything through except the one Write it is told to fail: a
+// single EIO from a device that keeps working afterwards.
+class FailOneWriteStore final : public platform::UntrustedStore {
+ public:
+  explicit FailOneWriteStore(platform::UntrustedStore* base) : base_(base) {}
+  void FailNextWrite() { fail_next_ = true; }
+
+  Status Create(const std::string& name, bool overwrite) override {
+    return base_->Create(name, overwrite);
+  }
+  Status Remove(const std::string& name) override {
+    return base_->Remove(name);
+  }
+  bool Exists(const std::string& name) const override {
+    return base_->Exists(name);
+  }
+  Status Read(const std::string& name, uint64_t offset, size_t n,
+              Buffer* out) const override {
+    return base_->Read(name, offset, n, out);
+  }
+  Status Write(const std::string& name, uint64_t offset,
+               Slice data) override {
+    if (fail_next_) {
+      fail_next_ = false;
+      return Status::IOError("injected write failure");
+    }
+    return base_->Write(name, offset, data);
+  }
+  Result<uint64_t> Size(const std::string& name) const override {
+    return base_->Size(name);
+  }
+  Status Truncate(const std::string& name, uint64_t size) override {
+    return base_->Truncate(name, size);
+  }
+  Status Sync(const std::string& name) override { return base_->Sync(name); }
+  std::vector<std::string> List() const override { return base_->List(); }
+
+ private:
+  platform::UntrustedStore* base_;
+  bool fail_next_ = false;
+};
+
+// A failed log write while sealing a group must not cost any later ack.
+// The commit record that never reached the store is dropped from the tail
+// and the next flush re-seals the group under the same seq; left behind,
+// it would reach the log beside its re-sealed twin (same seq, same
+// prev_mac) and recovery, stopping at the twin, would lose `b`.
+TEST(ChunkGroupCommitTest, AckAfterWriteErrorSurvivesReopen) {
+  TestEnv env;
+  FailOneWriteStore failing(&env.store);
+  auto cs =
+      ChunkStore::Open(&failing, &env.secrets, &env.counter, SmallSegments());
+  ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+  ChunkId a = (*cs)->AllocateChunkId();
+  ChunkId b = (*cs)->AllocateChunkId();
+  failing.FailNextWrite();
+  EXPECT_FALSE((*cs)->Write(a, Slice("a1"), true).ok());
+  ASSERT_TRUE((*cs)->Write(b, Slice("b1"), true).ok());
+
+  // Reopen a copy of the image (and counter) as it stands at b's ack.
+  MemUntrustedStore copy;
+  copy.RestoreImage(env.store.SnapshotImage());
+  MemOneWayCounter copy_counter;
+  const uint64_t counter_value = env.counter.Read().value();
+  for (uint64_t i = 0; i < counter_value; i++) {
+    ASSERT_TRUE(copy_counter.Increment().ok());
+  }
+  auto reopened =
+      ChunkStore::Open(&copy, &env.secrets, &copy_counter, SmallSegments());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto got = (*reopened)->Read(b);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Slice(*got).ToString(), "b1");
+  // Whatever became of the failed commit, recovery agrees with the store
+  // that kept running.
+  auto live_a = (*cs)->Read(a);
+  auto recovered_a = (*reopened)->Read(a);
+  ASSERT_EQ(live_a.ok(), recovered_a.ok());
+  if (live_a.ok()) {
+    EXPECT_EQ(*live_a, *recovered_a);
+  }
 }
 
 // ----------------------------------------------- compress-before-encrypt

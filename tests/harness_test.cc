@@ -40,15 +40,6 @@ TraceSpec ChunkCleaningSpec() {
   return spec;
 }
 
-TraceSpec ChunkGroupSpec() {
-  TraceSpec spec;
-  spec.seed = 29;
-  spec.commits = 10;
-  spec.slots = 10;
-  spec.preset = Preset::kGroup;
-  return spec;
-}
-
 TraceSpec ChunkCodecSpec() {
   TraceSpec spec;
   spec.seed = 31;
@@ -172,22 +163,15 @@ TEST(ReproTest, CrashLineRoundTrips) {
   EXPECT_EQ(parsed.value().crash.tear_den, 4u);
   EXPECT_EQ(parsed.value().crash.recovery_crash, 3);
   EXPECT_EQ(FormatRepro(parsed.value()), line);
-}
 
-TEST(ReproTest, GroupPresetRoundTrips) {
-  ReproCase repro;
-  repro.layer = "chunk";
-  repro.kind = "crash";
-  repro.spec = ChunkGroupSpec();
-  repro.crash.write_index = 9;
+  // Strict-preset sweeps tear in eighths.
+  repro.spec.preset = Preset::kStrict;
   repro.crash.tear_num = 5;
   repro.crash.tear_den = 8;
-
-  std::string line = FormatRepro(repro);
-  EXPECT_NE(line.find("preset=group"), std::string::npos);
-  Result<ReproCase> parsed = ParseRepro(line);
+  line = FormatRepro(repro);
+  EXPECT_NE(line.find("preset=strict"), std::string::npos);
+  parsed = ParseRepro(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().spec.preset, Preset::kGroup);
   EXPECT_EQ(parsed.value().crash.tear_num, 5u);
   EXPECT_EQ(parsed.value().crash.tear_den, 8u);
   EXPECT_EQ(FormatRepro(parsed.value()), line);
@@ -284,9 +268,30 @@ TEST(OracleTest, FloorAndBoundaries) {
   EXPECT_TRUE(oracle.MatchRecovered(oracle.state(3)).ok());
 }
 
+// Durable boundaries of a trace: its durable commits and explicit
+// checkpoints. Each one flushes at least one log write; a nondurable
+// commit writes nothing until the next boundary carries it.
+uint64_t DurableBoundaries(const TraceSpec& spec) {
+  uint64_t n = 0;
+  for (const TraceCommit& commit : GenerateTrace(spec)) {
+    if (commit.durable || commit.checkpoint_after) n++;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
 // Exhaustive crash sweeps (sharded: each shard is one ctest entry; the
 // union of shards covers every (write index x tear fraction) case).
+//
+// Nondurable commits buffer into the open commit group, so each durable
+// commit's append is ONE merged record covering several logical commits,
+// and the strict sweep tears inside it. The oracle invariant is unchanged
+// — recovered state must be a commit-boundary prefix at least as new as
+// the durable floor — because a merged record applies all-or-nothing and
+// its boundary IS a commit boundary; what the sweep proves is that no
+// group-acked commit is ever lost and no torn group is ever partially
+// applied. Tear buckets are n/8 (vs n/4 elsewhere) so interior sector
+// boundaries of the longer merged appends are reached.
 
 class ChunkStrictCrashSweepTest : public ::testing::TestWithParam<int> {};
 
@@ -302,44 +307,15 @@ TEST_P(ChunkStrictCrashSweepTest, Exhaustive) {
   Result<uint64_t> writes = CountWrites({"chunk", spec});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
-  EXPECT_GE(stats.write_points, spec.commits);  // >= 1 write per commit.
-  EXPECT_EQ(stats.tear_buckets, 5u);
+  // >= 1 write per durable boundary.
+  EXPECT_GE(stats.write_points, DurableBoundaries(spec));
+  EXPECT_EQ(stats.tear_buckets, 9u);
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
   PrintCoverage("chunk-strict-crash", GetParam(), kShards, stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ChunkStrictCrashSweepTest,
-                         ::testing::Range(0, 4));
-
-// Group commit coalesces runs of nondurable commits into one merged
-// multi-commit record, so this sweep's crash points include tears INSIDE
-// a record that covers several logical commits. The oracle invariant is
-// unchanged — recovered state must be a commit-boundary prefix at least
-// as new as the durable floor — because a merged record applies
-// all-or-nothing and its boundary IS a commit boundary; what the sweep
-// proves is that no group-acked commit is ever lost and no torn group is
-// ever partially applied. Tear buckets are n/8 (vs n/4 elsewhere) so
-// interior sector boundaries of the longer merged appends are reached.
-class ChunkGroupCrashSweepTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ChunkGroupCrashSweepTest, Exhaustive) {
-  constexpr int kShards = 4;
-  TraceSpec spec = ChunkGroupSpec();
-  SweepStats stats;
-  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-
-  Result<uint64_t> writes = CountWrites({"chunk", spec});
-  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
-  EXPECT_EQ(stats.write_points, writes.value());
-  EXPECT_EQ(stats.tear_buckets, 9u);
-  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
-                                    GetParam(), kShards));
-  PrintCoverage("chunk-group-crash", GetParam(), kShards, stats);
-}
-
-INSTANTIATE_TEST_SUITE_P(Shards, ChunkGroupCrashSweepTest,
                          ::testing::Range(0, 4));
 
 // Compress-before-encrypt preset: every record's sealed bytes are the
@@ -359,7 +335,7 @@ TEST_P(ChunkCodecCrashSweepTest, Exhaustive) {
   Result<uint64_t> writes = CountWrites({"chunk", spec});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
-  EXPECT_GE(stats.write_points, spec.commits);
+  EXPECT_GE(stats.write_points, DurableBoundaries(spec));
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
   PrintCoverage("chunk-codec-crash", GetParam(), kShards, stats);
@@ -565,10 +541,10 @@ TEST_P(ShardCrashSweepTest, Exhaustive) {
   Result<uint64_t> writes = CountWrites({"shard", spec, kRouterShards});
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
-  // The sharded trace writes strictly more than one store's worth: 2PC
-  // staging and decision records ride the same global write index.
-  EXPECT_GT(stats.write_points, spec.commits);
-  EXPECT_EQ(stats.tear_buckets, 5u);
+  // The sharded trace writes more than one record per durable boundary:
+  // 2PC staging and decision records ride the same global write index.
+  EXPECT_GT(stats.write_points, DurableBoundaries(spec));
+  EXPECT_EQ(stats.tear_buckets, 9u);
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
   PrintCoverage("shard-crash", GetParam(), kShards, stats);
@@ -630,9 +606,10 @@ TEST_P(ObjectShardCrashSweepTest, Exhaustive) {
   ASSERT_TRUE(writes.ok()) << writes.status().ToString();
   EXPECT_EQ(stats.write_points, writes.value());
   // Cross-shard object transactions must actually exercise the 2PC window:
-  // staging and decision records ride the same global write index.
-  EXPECT_GT(stats.write_points, spec.commits);
-  EXPECT_EQ(stats.tear_buckets, 5u);
+  // staging and decision records ride the same global write index, so
+  // there are more writes than durable boundaries.
+  EXPECT_GT(stats.write_points, DurableBoundaries(spec));
+  EXPECT_EQ(stats.tear_buckets, 9u);
   EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
                                     GetParam(), kShards));
   PrintCoverage("objshard-crash", GetParam(), kShards, stats);
@@ -785,20 +762,22 @@ class LossyStore : public platform::UntrustedStore {
 TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
   TraceSpec spec = ChunkStrictSpec();
 
-  // Measure the total write count (open + trace) with a pass-through
-  // wrapper, then aim the drop at the middle of the trace.
+  // Count the writes that open the stack and those of the trace with a
+  // pass-through wrapper, then aim the drop inside the trace.
   std::vector<std::unique_ptr<LossyStore>> stores;
   auto probe_wrap = [&](platform::UntrustedStore* base) {
     stores.push_back(std::make_unique<LossyStore>(base, ~0ull));
     return stores.back().get();
   };
-  Result<uint64_t> counted = CountWrites({"chunk", spec}, probe_wrap);
+  uint64_t open_writes = 0;
+  Result<uint64_t> counted =
+      CountWrites({"chunk", spec}, probe_wrap, &open_writes);
   ASSERT_TRUE(counted.ok()) << counted.status().ToString();
-  uint64_t total_writes = stores.back()->writes();
-  ASSERT_GT(total_writes, counted.value());  // Open itself writes.
+  ASSERT_GT(open_writes, 0u);  // Open itself writes.
+  ASSERT_GT(counted.value(), 2u);
   // Drop the trace's third write: an early log record that later durable
   // commits (and the forced mid-trace checkpoint) depend on.
-  uint64_t drop = total_writes - counted.value() + 2;
+  uint64_t drop = open_writes + 2;
 
   auto lossy_wrap = [&](platform::UntrustedStore* base) {
     stores.push_back(std::make_unique<LossyStore>(base, drop));
@@ -833,26 +812,31 @@ TEST(HarnessSelfTest, CatchesLyingStoreAndReproLineReplays) {
 // ReplayRepro routes every layer tag to the matching driver.
 // The same lying store fails the object- and collection-layer crash
 // sweeps: the checks the engine applies there are not vacuous. Each store
-// drops the record of the trace's first commit, which later durable
-// commits build on (the first 3 resp. 6 writes bootstrap a fresh object
-// resp. collection stack).
+// drops the trace's first write, the record of its first flushed commit,
+// which later durable commits build on (both layers run ObjectSpec's
+// trace: its first flush is followed by two more durable commits). A
+// pass-through probe counts the writes that open the stack, so the drop
+// tracks changes to the bootstrap.
 TEST(HarnessSelfTest, ObjectAndCollectionSweepsCatchLyingStore) {
-  const struct {
-    Target target;
-    uint64_t drop;
-  } kCases[] = {{{"object", ObjectSpec()}, 3},
-                {{"collection", CollectionSpec()}, 6}};
-  for (const auto& c : kCases) {
+  const Target kTargets[] = {{"object", ObjectSpec()},
+                             {"collection", ObjectSpec()}};
+  for (const Target& target : kTargets) {
     std::vector<std::unique_ptr<LossyStore>> stores;
+    uint64_t drop = ~0ull;  // Pass-through while probing.
     auto wrap = [&](platform::UntrustedStore* base) {
-      stores.push_back(std::make_unique<LossyStore>(base, c.drop));
+      stores.push_back(std::make_unique<LossyStore>(base, drop));
       return stores.back().get();
     };
-    Status swept = CrashSweep(c.target, 0, 1, nullptr, -1, wrap);
-    ASSERT_FALSE(swept.ok()) << c.target.layer
+    uint64_t open_writes = 0;
+    Result<uint64_t> counted = CountWrites(target, wrap, &open_writes);
+    ASSERT_TRUE(counted.ok()) << counted.status().ToString();
+    ASSERT_GT(counted.value(), 0u);
+    drop = open_writes;
+    Status swept = CrashSweep(target, 0, 1, nullptr, -1, wrap);
+    ASSERT_FALSE(swept.ok()) << target.layer
                              << " sweep missed a store that drops writes";
     std::string message(swept.message());
-    EXPECT_EQ(message.rfind("TDB-REPRO v1 layer=" + c.target.layer + " ", 0),
+    EXPECT_EQ(message.rfind("TDB-REPRO v1 layer=" + target.layer + " ", 0),
               0u)
         << message;
     // The same case passes on an honest store.
@@ -947,7 +931,7 @@ TEST(ReproGrammarTest, CapturedLinesStillReplay) {
       "commits=4 slots=6 point=3 tear=2/4 rcrash=-1",
       "TDB-REPRO v1 layer=timeseries kind=tamper preset=strict seed=2 "
       "commits=4 slots=6 file=seg-1 off=300 mask=64",
-      "TDB-REPRO v1 layer=largeobject kind=crash preset=group seed=2 "
+      "TDB-REPRO v1 layer=largeobject kind=crash preset=strict seed=2 "
       "commits=4 slots=6 point=2 tear=4/4 rcrash=-1",
       "TDB-REPRO v1 layer=largeobject kind=tamper preset=codec seed=2 "
       "commits=4 slots=6 file=seg-1 off=300 mask=64",

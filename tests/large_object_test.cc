@@ -242,31 +242,37 @@ TEST(LargeObjectCrashTest, MidStreamCrashLeavesNoPartialObject) {
   auto stable_oid = WriteAnchored(&env, "lob-stable", 1, stable, 97);
   ASSERT_TRUE(stable_oid.ok()) << stable_oid.status().ToString();
 
-  // Start streaming a second object and crash mid-part-flush: arm the
-  // crash a couple of base-store writes into the append sequence.
-  env.faulty.CrashAtWrite(/*index=*/2, /*tear_num=*/2, /*tear_den=*/4);
-  LargeObjectWriter writer(env.objects.get(), kPartBytes);
+  // Stream a second object and commit its manifest. Appended parts are
+  // nondurable commits that buffer into the open commit group, so they
+  // reach the store only with the manifest's durable flush (or a segment
+  // roll).
   Buffer doomed = TestValue(2, 6 * kPartBytes);
-  Status streamed = Status::OK();
-  for (size_t off = 0; off < doomed.size() && streamed.ok(); off += 64) {
-    streamed = writer.Append(Slice(doomed.data() + off, 64));
-  }
-  if (streamed.ok()) {
-    // Crash may fire at the manifest commit instead; drive it there.
-    auto finish = writer.Finish(2);
-    if (finish.ok()) {
-      Transaction txn(env.objects.get());
-      auto ins = txn.Insert(std::move(finish).value());
-      if (ins.ok()) {
-        (void)env.objects->SetNamedRoot("lob-doomed", *ins);
-        streamed = txn.Commit(true);
-      } else {
-        streamed = ins.status();
-      }
-    } else {
-      streamed = finish.status();
+  auto stream_doomed = [&doomed](Env* e) -> Status {
+    LargeObjectWriter writer(e->objects.get(), kPartBytes);
+    for (size_t off = 0; off < doomed.size(); off += 64) {
+      TDB_RETURN_IF_ERROR(writer.Append(Slice(doomed.data() + off, 64)));
     }
+    TDB_ASSIGN_OR_RETURN(std::unique_ptr<LargeObjectManifest> manifest,
+                         writer.Finish(2));
+    Transaction txn(e->objects.get());
+    TDB_ASSIGN_OR_RETURN(ObjectId oid, txn.Insert(std::move(manifest)));
+    TDB_RETURN_IF_ERROR(e->objects->SetNamedRoot("lob-doomed", oid));
+    return txn.Commit(true);
+  };
+  // Count the writes that sequence takes on a probe environment, then
+  // crash (torn) at the middle one.
+  uint64_t doomed_writes = 0;
+  {
+    Env probe;
+    ASSERT_TRUE(WriteAnchored(&probe, "lob-stable", 1, stable, 97).ok());
+    const uint64_t before = probe.faulty.writes_seen();
+    ASSERT_TRUE(stream_doomed(&probe).ok());
+    doomed_writes = probe.faulty.writes_seen() - before;
   }
+  ASSERT_GT(doomed_writes, 0u);
+  env.faulty.CrashAtWrite(/*index=*/doomed_writes / 2, /*tear_num=*/2,
+                          /*tear_den=*/4);
+  Status streamed = stream_doomed(&env);
   ASSERT_FALSE(streamed.ok()) << "crash never fired";
   ASSERT_TRUE(env.faulty.crashed());
 

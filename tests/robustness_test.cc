@@ -235,13 +235,13 @@ TEST(SnapshotTest, MultipleConcurrentSnapshotsIndependent) {
   ASSERT_TRUE(snap1.ok());
   ASSERT_TRUE(cs->Write(cid, Slice("gen-2"), true).ok());
 
-  EXPECT_EQ(Slice(*cs->ReadAtSnapshot(**snap0, cid)).ToString(), "gen-0");
-  EXPECT_EQ(Slice(*cs->ReadAtSnapshot(**snap1, cid)).ToString(), "gen-1");
+  EXPECT_EQ(Slice(*cs->ReadAtView(**snap0, cid)).ToString(), "gen-0");
+  EXPECT_EQ(Slice(*cs->ReadAtView(**snap1, cid)).ToString(), "gen-1");
   EXPECT_EQ(Slice(*cs->Read(cid)).ToString(), "gen-2");
 
   // Releasing the older snapshot leaves the newer one intact.
   snap0->reset();
-  EXPECT_EQ(Slice(*cs->ReadAtSnapshot(**snap1, cid)).ToString(), "gen-1");
+  EXPECT_EQ(Slice(*cs->ReadAtView(**snap1, cid)).ToString(), "gen-1");
 }
 
 TEST(ResidualLogTest, LongResidualLogReplaysManyCommits) {

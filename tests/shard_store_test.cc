@@ -809,6 +809,7 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
   options.metrics = registry;
   options.txn_coordinator_threads = 0;  // Deterministic write numbering.
 
+  const std::string big1(options.segment_size + 512, 'b');
   chunk::ChunkId on0 = 0, on1 = 0, other0 = 0, other1 = 0;
   {
     auto router = ShardedChunkStore::Open(backends, options);
@@ -816,11 +817,17 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
     TwoShardIds(router->get(), &on0, &on1);
     ASSERT_TRUE(CommitPair(router->get(), on0, on1, "base0", "base1").ok());
 
-    // Shard 1 writes twice in a commit window: the prepare (staging
-    // commit, then synced) and the nondurable decision batch. Failing the
-    // second fails the Phase-2 apply after a successful prepare.
-    failing.FailNthWrite(2);
-    Status status = CommitPair(router->get(), on0, on1, "txn0", "txn1");
+    // The nondurable decision batch only buffers, so it writes only when
+    // it rolls the log to a fresh segment. A txn1 payload larger than a
+    // segment forces that: every oversized record lives alone in one, so
+    // shard 1 writes four times in this commit window. The prepare's
+    // staging record rolls the log, flushing txn 1's buffered decision;
+    // its seal rolls again, flushing the staging record, then flushes the
+    // commit record. The decision batch's data record is flushed when the
+    // decision record rolls past it. Failing that fourth write fails the
+    // Phase-2 apply after a successful prepare.
+    failing.FailNthWrite(4);
+    Status status = CommitPair(router->get(), on0, on1, "txn0", big1);
     ASSERT_FALSE(status.ok());
 
     RouterStats rs = (*router)->router_stats();
@@ -830,9 +837,8 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
     const std::map<std::string, int64_t> gauges = registry->Snapshot().gauges;
     EXPECT_EQ(gauges.at("shard.router.txn_inflight"), 0);
     EXPECT_EQ(gauges.at("shard.router.txn_inflight_since_us"), 0);
-    // Shard 1 kept the failed batch applied (its records go out with the
-    // next flush), so its chain continues from txn 2's decision: txn 3
-    // must not fork it.
+    // Shard 1 rolled the failed batch back, so its chain fences at txn 2
+    // and recovery redoes txn 2 from staging; txn 3 must not fork it.
     TwoShardIds(router->get(), &other0, &other1);
     ASSERT_TRUE(
         CommitPair(router->get(), other0, other1, "txn3", "txn3").ok());
@@ -848,7 +854,7 @@ TEST(ShardedStoreTest, Phase2ApplyFailureCountsFailureNotCommit) {
   auto v1 = (*router)->Read(on1);
   ASSERT_TRUE(v0.ok() && v1.ok());
   const bool applied0 = Slice(*v0).ToString() == "txn0";
-  const bool applied1 = Slice(*v1).ToString() == "txn1";
+  const bool applied1 = Slice(*v1).ToString() == big1;
   EXPECT_EQ(applied0, applied1) << Slice(*v0).ToString() << " vs "
                                 << Slice(*v1).ToString();
   EXPECT_EQ(Slice(*(*router)->Read(other0)).ToString(), "txn3");
@@ -1310,7 +1316,6 @@ TEST(ShardedStoreTest, ObjectTransferAcrossShardsIsAtomic) {
 TEST(ShardedStoreTest, StatsAggregateSumsCountersAndMaxesGroupSize) {
   ShardedEnv env(2);
   chunk::ChunkStoreOptions options = SmallSegments();
-  options.group_commit = true;
   auto router = env.Open(options);
   ASSERT_TRUE(router.ok()) << router.status().ToString();
   chunk::ChunkId on0 = 0, on1 = 0;
@@ -1398,7 +1403,6 @@ TEST(ShardedStoreTest, ConcurrentCommitsAcrossShards) {
   // group windows), cross-shard 2PC, pinned composite views, and reads.
   ShardedEnv env(4);
   chunk::ChunkStoreOptions options = SmallSegments();
-  options.group_commit = true;
   auto opened = env.Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ShardedChunkStore* router = opened->get();
@@ -1457,7 +1461,6 @@ TEST(ShardedStoreTest, ConcurrentCrossShardTransfersConserveTotal) {
   constexpr int64_t kStart = 1000;
   ShardedEnv env(kShards);
   chunk::ChunkStoreOptions options = SmallSegments();
-  options.group_commit = true;
   auto opened = env.Open(options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ShardedChunkStore* router = opened->get();

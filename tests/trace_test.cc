@@ -363,7 +363,6 @@ chunk::ChunkStoreOptions GroupOptions() {
   options.security = crypto::SecurityConfig::Modern();
   options.segment_size = 16 * 1024;
   options.map_fanout = 8;
-  options.group_commit = true;
   options.group_commit_window_us = 2 * 1000 * 1000;  // Sealed by target.
   options.group_commit_target_commits = 2;
   return options;
@@ -385,7 +384,7 @@ TEST_F(TraceTest, GroupCommitFollowerTreeShowsTheLeadersFlush) {
   // seals the group exactly when the second arrives.
   uint64_t traces[2] = {0, 0};
   auto commit_one = [&](int i) {
-    TraceSpan root("test.group_commit");
+    TraceSpan root("test.group");
     traces[i] = root.context().trace_id;
     chunk::WriteBatch batch;
     chunk::ChunkId cid = cs->AllocateChunkId();
@@ -645,6 +644,7 @@ TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
   snap.counters["chunk.durable_commits"] = 100;
   snap.counters["chunk.log_syncs"] = 95;
   snap.counters["chunk.commit_groups"] = 10;
+  snap.counters["chunk.grouped_commits"] = 20;
   std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "sync_ratio");
@@ -656,6 +656,7 @@ TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
   sharded.counters["shard0.chunk.log_syncs"] = 50;
   sharded.counters["shard1.chunk.log_syncs"] = 45;
   sharded.counters["shard0.chunk.commit_groups"] = 5;
+  sharded.counters["shard0.chunk.grouped_commits"] = 10;
   issues = EvaluateHealth(sharded, {}, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "sync_ratio");
@@ -666,7 +667,17 @@ TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
   // No grouping active: the ratio is expected to be ~1, not a violation.
   snap.counters["chunk.log_syncs"] = 95;
   snap.counters["chunk.commit_groups"] = 0;
+  snap.counters["chunk.grouped_commits"] = 0;
   EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  // A single committer leads a group of one per durable commit: groups
+  // exist but no commit ever shared a flush, so ~1 sync per commit is
+  // expected, not a violation.
+  MetricsSnapshot single;
+  single.counters["chunk.durable_commits"] = 100;
+  single.counters["chunk.log_syncs"] = 100;
+  single.counters["chunk.commit_groups"] = 98;
+  single.counters["chunk.grouped_commits"] = 98;
+  EXPECT_TRUE(EvaluateHealth(single, {}, 0).empty());
 }
 
 TEST_F(TraceTest, HealthFlagsGroupFlushStall) {

@@ -65,7 +65,7 @@ struct Stack {
   std::unique_ptr<ObjectStore> objects;
 };
 
-void OpenStack(Stack* stack, bool group_commit = false) {
+void OpenStack(Stack* stack) {
   if (!stack->secrets.GetSecret().ok()) {
     ASSERT_TRUE(stack->secrets.Provision(Slice("stress-secret")).ok());
   }
@@ -75,7 +75,6 @@ void OpenStack(Stack* stack, bool group_commit = false) {
   chunk_options.map_fanout = 8;
   chunk_options.cache_bytes = 256 * 1024;  // PR-1 validated-plaintext cache.
   chunk_options.crypto_threads = 4;        // PR-1 commit crypto pipeline.
-  chunk_options.group_commit = group_commit;  // PR-3 group commit.
   auto chunks = chunk::ChunkStore::Open(&stack->mem, &stack->secrets,
                                         &stack->counter, chunk_options);
   ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
@@ -246,14 +245,14 @@ TEST(TxnStressTest, ConcurrentTransfersConserveTotal) {
   RunTransferStress(&stack, accounts, /*p_durable=*/0.1);
 }
 
-// Same workload with group commit enabled and EVERY transfer durable: the
-// commit path exercised here is two-stage (early lock release after the
-// batch is buffered, ack after the shared group flush). Conservation and
-// audit isolation must hold exactly as under the serialized path, and the
-// group-acked state must survive a close + reopen.
+// Same workload with EVERY transfer durable: each commit runs the full
+// two-stage path (early lock release after the batch is buffered, ack
+// after the shared group flush). Conservation and audit isolation must
+// hold exactly as with mostly nondurable transfers, and the group-acked
+// state must survive a close + reopen.
 TEST(TxnStressTest, GroupCommitDurableTransfersConserveTotal) {
   Stack stack;
-  OpenStack(&stack, /*group_commit=*/true);
+  OpenStack(&stack);
   if (HasFatalFailure()) return;
   std::vector<ObjectId> accounts = SeedAccounts(&stack);
   if (HasFailure()) return;
@@ -270,7 +269,7 @@ TEST(TxnStressTest, GroupCommitDurableTransfersConserveTotal) {
   stack.objects.reset();
   ASSERT_TRUE(stack.chunks->Close().ok());
   stack.chunks.reset();
-  OpenStack(&stack, /*group_commit=*/true);
+  OpenStack(&stack);
   if (HasFatalFailure()) return;
   Transaction txn(stack.objects.get());
   uint64_t sum = 0;

@@ -407,8 +407,7 @@ struct SweepCase {
 
 /// Crash sweeps: seed 0 -> mix A (object store), seed 4 -> mix E (B-tree
 /// collection), so both YCSB substrates are swept; the time-series case
-/// runs under the compression codec and the large-object case under
-/// group commit, so preset-specific crash windows are covered too.
+/// runs under the compression codec, so its crash windows are covered too.
 class WorkloadCrashSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -416,7 +415,7 @@ constexpr SweepCase kCrashCases[] = {
     {"ycsb", 0, harness::Preset::kStrict},
     {"ycsb", 4, harness::Preset::kStrict},
     {"timeseries", 2, harness::Preset::kCodec},
-    {"largeobject", 2, harness::Preset::kGroup},
+    {"largeobject", 2, harness::Preset::kStrict},
 };
 
 TEST_P(WorkloadCrashSweepTest, Exhaustive) {

@@ -182,7 +182,7 @@ elif [[ "$mode" == "--trace" ]]; then
   echo "== tdbstat --health =="
   health_json="$build_dir/trace-health.json"
   "$build_dir/bench/commit_throughput" \
-      --benchmark_filter='BM_DurableCommitGroup/real_time/threads:8' \
+      --benchmark_filter='BM_DurableCommit/real_time/threads:8' \
       --benchmark_min_time=0.05 \
       --metrics-json="$health_json" > /dev/null
   "$build_dir/tools/tdbstat" --health "$health_json"
@@ -212,7 +212,7 @@ elif [[ "$mode" == "--metrics" ]]; then
   metrics_json="$build_dir/metrics-check.json"
   echo "== commit_throughput --metrics-json =="
   "$build_dir/bench/commit_throughput" \
-      --benchmark_filter='BM_DurableCommitGroup/real_time/threads:8|BM_TpcbDurableSerialized/real_time/threads:4|BM_LockConflict' \
+      --benchmark_filter='BM_DurableCommit/real_time/threads:8|BM_TpcbDurable/real_time/threads:4|BM_LockConflict' \
       --benchmark_min_time=0.05 \
       --metrics-json="$metrics_json" > /dev/null
   echo "== tdbstat --check =="
