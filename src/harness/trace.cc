@@ -142,6 +142,10 @@ Result<ReproCase> ParseRepro(const std::string& line) {
         repro.spec.preset = Preset::kCleaning;
       } else if (value == "codec") {
         repro.spec.preset = Preset::kCodec;
+      } else if (value == "group") {
+        // Lines captured while group commit was a separate preset: it is
+        // now the strict store (same options, same n/8 tear buckets).
+        repro.spec.preset = Preset::kStrict;
       } else {
         return MalformedRepro("unknown preset: " + value);
       }

@@ -40,6 +40,18 @@ TraceSpec ChunkCleaningSpec() {
   return spec;
 }
 
+// A second strict-preset trace for the group-commit crash sweep: its
+// durable and nondurable commits fall differently from ChunkStrictSpec's,
+// so the merged group records (and their interior tear points) differ.
+TraceSpec ChunkGroupSpec() {
+  TraceSpec spec;
+  spec.seed = 29;
+  spec.commits = 10;
+  spec.slots = 10;
+  spec.preset = Preset::kStrict;
+  return spec;
+}
+
 TraceSpec ChunkCodecSpec() {
   TraceSpec spec;
   spec.seed = 31;
@@ -163,18 +175,40 @@ TEST(ReproTest, CrashLineRoundTrips) {
   EXPECT_EQ(parsed.value().crash.tear_den, 4u);
   EXPECT_EQ(parsed.value().crash.recovery_crash, 3);
   EXPECT_EQ(FormatRepro(parsed.value()), line);
+}
 
-  // Strict-preset sweeps tear in eighths.
-  repro.spec.preset = Preset::kStrict;
+TEST(ReproTest, GroupPresetRoundTrips) {
+  // Group-commit sweeps run the strict preset and tear in eighths.
+  ReproCase repro;
+  repro.layer = "chunk";
+  repro.kind = "crash";
+  repro.spec = ChunkGroupSpec();
+  repro.crash.write_index = 9;
   repro.crash.tear_num = 5;
   repro.crash.tear_den = 8;
-  line = FormatRepro(repro);
+
+  std::string line = FormatRepro(repro);
   EXPECT_NE(line.find("preset=strict"), std::string::npos);
-  parsed = ParseRepro(line);
+  Result<ReproCase> parsed = ParseRepro(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().spec.preset, Preset::kStrict);
   EXPECT_EQ(parsed.value().crash.tear_num, 5u);
   EXPECT_EQ(parsed.value().crash.tear_den, 8u);
   EXPECT_EQ(FormatRepro(parsed.value()), line);
+
+  // A line captured under the former group preset names the same store:
+  // it parses as strict and still replays.
+  const std::string legacy =
+      "TDB-REPRO v1 layer=largeobject kind=crash preset=group seed=2 "
+      "commits=4 slots=6 point=2 tear=4/4 rcrash=-1";
+  parsed = ParseRepro(legacy);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().spec.preset, Preset::kStrict);
+  std::string canonical = legacy;
+  canonical.replace(canonical.find("preset=group"), 12, "preset=strict");
+  EXPECT_EQ(FormatRepro(parsed.value()), canonical);
+  Status status = ReplayRepro(legacy);
+  EXPECT_TRUE(status.ok()) << status.ToString();
 }
 
 TEST(ReproTest, CodecPresetRoundTrips) {
@@ -316,6 +350,30 @@ TEST_P(ChunkStrictCrashSweepTest, Exhaustive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ChunkStrictCrashSweepTest,
+                         ::testing::Range(0, 4));
+
+// The same group-commit store over a second trace (ChunkGroupSpec), so
+// the sweep tears inside differently composed merged records.
+class ChunkGroupCrashSweepTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ChunkGroupCrashSweepTest, Exhaustive) {
+  constexpr int kShards = 4;
+  TraceSpec spec = ChunkGroupSpec();
+  SweepStats stats;
+  Status status = CrashSweep({"chunk", spec}, GetParam(), kShards, &stats);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+
+  Result<uint64_t> writes = CountWrites({"chunk", spec});
+  ASSERT_TRUE(writes.ok()) << writes.status().ToString();
+  EXPECT_EQ(stats.write_points, writes.value());
+  EXPECT_GE(stats.write_points, DurableBoundaries(spec));
+  EXPECT_EQ(stats.tear_buckets, 9u);
+  EXPECT_EQ(stats.cases, ShardShare(stats.write_points * stats.tear_buckets,
+                                    GetParam(), kShards));
+  PrintCoverage("chunk-group-crash", GetParam(), kShards, stats);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ChunkGroupCrashSweepTest,
                          ::testing::Range(0, 4));
 
 // Compress-before-encrypt preset: every record's sealed bytes are the
