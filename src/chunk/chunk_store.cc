@@ -104,6 +104,7 @@ void ChunkStore::BindInstruments() {
   m_.cleaned_segments = r->GetCounter("chunk.cleaner.segments_cleaned");
   m_.relocated_records = r->GetCounter("chunk.cleaner.relocated_records");
   m_.relocated_bytes = r->GetCounter("chunk.cleaner.relocated_bytes");
+  m_.summary_bytes = r->GetGauge("chunk.cleaner.summary_bytes");
   m_.bytes_appended = r->GetCounter("chunk.bytes_appended");
   m_.data_bytes = r->GetCounter("chunk.data_bytes");
   m_.map_bytes = r->GetCounter("chunk.map_bytes");
@@ -137,6 +138,8 @@ void ChunkStore::BindInstruments() {
       r->GetHistogram("chunk.group_flush.latency_us");
   m_.commit_latency_us = r->GetHistogram("chunk.commit.latency_us");
   m_.verify_latency_us = r->GetHistogram("chunk.verify.latency_us");
+  m_.clean_us = r->GetHistogram("chunk.clean_us");
+  m_.checkpoint_us = r->GetHistogram("chunk.checkpoint_us");
   m_.read_verify_us = r->GetHistogram("chunk.read.verify_us");
   m_.read_decrypt_us = r->GetHistogram("chunk.read.decrypt_us");
   m_.read_decompress_us = r->GetHistogram("chunk.read.decompress_us");
@@ -490,6 +493,7 @@ Status ChunkStore::RebuildAccounting() {
   m_.live_bytes->Set(0);
   m_.total_bytes->Set(0);
   m_.live_chunks->Set(0);
+  m_.summary_bytes->Set(0);
   for (const std::string& name : store_->List()) {
     uint32_t id;
     if (!ParseSegmentName(name, &id)) continue;
@@ -502,6 +506,8 @@ Status ChunkStore::RebuildAccounting() {
     return Status::OK();
   }
   NodeLoader loader = MakeLoader();
+  // The summaries start from the live records alone: dead ones would fail
+  // the cleaner's liveness check anyway.
   TDB_RETURN_IF_ERROR(map_.ForEachNode(
       map_.root(), loader, [&](const MapNode& node) {
         if (node.has_persisted) {
@@ -509,14 +515,22 @@ Status ChunkStore::RebuildAccounting() {
                       /*is_map=*/true);
         }
         if (node.level == 0) {
-          for (const MapEntry& entry : node.entries) {
+          for (uint32_t i = 0; i < node.entries.size(); i++) {
+            const MapEntry& entry = node.entries[i];
             if (!entry.present) continue;
             AccountLive(entry.loc.segment,
                         kRecordHeaderSize + entry.loc.length);
+            NoteSummary(entry.loc.segment, node.index * map_.fanout() + i);
             m_.live_chunks->Add(1);
           }
         }
       }));
+  // Nodes pruned during replay are gone from the tree, but the anchored
+  // root still references their records until the next checkpoint, which
+  // obsoletes them.
+  for (const auto& [loc, size] : map_.pruned_records()) {
+    AccountLive(loc.segment, size, /*is_map=*/true);
+  }
   m_.segments->Set(static_cast<int64_t>(segments_.size()));
   return Status::OK();
 }
@@ -911,6 +925,7 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
       failed = loc.status();
       break;
     }
+    NoteSummary(loc->segment, w.cid);
     MapEntry entry;
     entry.present = true;
     entry.flags = w.flags;
@@ -960,8 +975,10 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
 
   // Roll back this batch's partial application (reverse order). The data
   // records it appended stay in the log as dead bytes — they are never
-  // referenced by a manifest. Rollback map I/O errors are best-effort: the
-  // original failure is what the caller must handle either way.
+  // referenced by a manifest, and stay in their segment's summary, where
+  // the cleaner's liveness check skips them. Rollback map I/O errors are
+  // best-effort: the original failure is what the caller must handle
+  // either way.
   for (size_t i = applied.size(); i-- > 0;) {
     const AppliedOp& a = applied[i];
     const PendingOp& p = group_ops_[ops_start + i];
@@ -1373,6 +1390,7 @@ Status ChunkStore::Checkpoint() {
 }
 
 Status ChunkStore::CheckpointLocked() {
+  common::ScopedTimer timer(metrics_.get(), m_.checkpoint_us);
   NodeWriter writer = [this](Slice bytes) -> Result<NodeWriteResult> {
     Buffer sealed = SealSerialIv(bytes);
     TDB_ASSIGN_OR_RETURN(Location loc, Append(RecordType::kMapNode, sealed));
@@ -1500,6 +1518,14 @@ void ChunkStore::AccountLive(uint32_t segment, int64_t delta, bool is_map) {
   // Two's-complement wraparound makes fetch_add with a negative delta
   // correct for unsigned atomics.
   m_.live_bytes->Add(delta);
+}
+
+void ChunkStore::NoteSummary(uint32_t segment, ChunkId cid) {
+  std::vector<ChunkId>& cids = segments_[segment].cids;
+  // Back-to-back overwrites of one chunk need one entry.
+  if (!cids.empty() && cids.back() == cid) return;
+  cids.push_back(cid);
+  m_.summary_bytes->Add(sizeof(ChunkId));
 }
 
 size_t ChunkStore::ActiveSnapshots() {
@@ -1666,25 +1692,36 @@ Status ChunkStore::Clean(int max_segments) {
 }
 
 Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
+  common::ScopedTimer timer(metrics_.get(), m_.clean_us);
   in_maintenance_ = true;
   std::set<uint32_t> victim_set(victims.begin(), victims.end());
   NodeLoader loader = MakeLoader();
 
-  // Relocate live data records out of the victims (sealed bytes move
-  // verbatim; hashes are unchanged, so cached plaintext stays valid).
-  std::vector<std::pair<ChunkId, MapEntry>> to_move;
-  Status walk = map_.ForEach(
-      map_.root(), loader,
-      [&](ChunkId cid, const MapEntry& entry) -> Status {
-        if (victim_set.count(entry.loc.segment)) {
-          to_move.push_back({cid, entry});
-        }
-        return Status::OK();
-      });
-  if (!walk.ok()) {
-    in_maintenance_ = false;
-    return walk;
+  // The victims' live records, found from their summaries: a summarized
+  // cid is live in a victim iff its map entry still points into one.
+  // Records of overwritten, deallocated or rolled-back writes fail that
+  // check. Ascending cid order is the order a full map walk yields, so
+  // the relocation batch and the log image are the same as one.
+  std::vector<ChunkId> cids;
+  for (uint32_t id : victims) {
+    const std::vector<ChunkId>& summary = segments_[id].cids;
+    cids.insert(cids.end(), summary.begin(), summary.end());
   }
+  std::sort(cids.begin(), cids.end());
+  cids.erase(std::unique(cids.begin(), cids.end()), cids.end());
+  std::vector<std::pair<ChunkId, MapEntry>> to_move;
+  for (ChunkId cid : cids) {
+    auto entry = map_.Get(cid, loader);
+    if (!entry.ok()) {
+      in_maintenance_ = false;
+      return entry.status();
+    }
+    if (entry->has_value() && victim_set.count((*entry)->loc.segment)) {
+      to_move.push_back({cid, **entry});
+    }
+  }
+  // Relocate them (sealed bytes move verbatim; hashes are unchanged, so
+  // cached plaintext stays valid).
   Status status = Status::OK();
   PreparedBatch relocations;
   for (const auto& [cid, entry] : to_move) {
@@ -1737,6 +1774,8 @@ Status ChunkStore::FreePendingSegments() {
     }
     TDB_RETURN_IF_ERROR(store_->Remove(SegmentName(id)));
     m_.total_bytes->Add(-static_cast<int64_t>(it->second.total));
+    m_.summary_bytes->Add(
+        -static_cast<int64_t>(it->second.cids.size() * sizeof(ChunkId)));
     segments_.erase(it);
   }
   pending_free_ = std::move(keep);

@@ -517,6 +517,10 @@ class ChunkStore : public ChunkStoreInterface {
     uint64_t live_map = 0;  // Bytes of live map-node records. Segments
                             // holding live map nodes are not cleanable
                             // until a checkpoint relocates those nodes.
+    // Segment summary (as in LFS): the ids of the data records appended
+    // here, live or not, so the cleaner finds a victim's live records
+    // without walking the map.
+    std::vector<ChunkId> cids;
   };
 
   /// Registry-backed instruments, resolved once at construction so hot
@@ -536,6 +540,7 @@ class ChunkStore : public ChunkStoreInterface {
     common::Counter* cleaned_segments = nullptr;
     common::Counter* relocated_records = nullptr;
     common::Counter* relocated_bytes = nullptr;
+    common::Gauge* summary_bytes = nullptr;
     common::Counter* bytes_appended = nullptr;
     common::Counter* data_bytes = nullptr;
     common::Counter* map_bytes = nullptr;
@@ -564,6 +569,8 @@ class ChunkStore : public ChunkStoreInterface {
     common::Histogram* group_flush_latency_us = nullptr;
     common::Histogram* commit_latency_us = nullptr;
     common::Histogram* verify_latency_us = nullptr;
+    common::Histogram* clean_us = nullptr;
+    common::Histogram* checkpoint_us = nullptr;
     // Read-path stage breakdown (cache misses only; a hit skips all three).
     common::Histogram* read_verify_us = nullptr;
     common::Histogram* read_decrypt_us = nullptr;
@@ -582,7 +589,7 @@ class ChunkStore : public ChunkStoreInterface {
   // --- open/recovery (single-threaded: before the store is published) ---
   Status Bootstrap();            // Fresh store: first segment + checkpoint.
   Status Recover();              // Anchor + residual log replay.
-  Status RebuildAccounting();    // Full map walk -> per-segment live bytes.
+  Status RebuildAccounting();    // Full map walk -> live bytes, summaries.
 
   // --- log tail (all require mu_) ---
   static std::string SegmentName(uint32_t id);
@@ -704,6 +711,8 @@ class ChunkStore : public ChunkStoreInterface {
   size_t ActiveSnapshots();
 
   void AccountLive(uint32_t segment, int64_t delta, bool is_map = false);
+  // Adds a data record of `cid` to `segment`'s summary.
+  void NoteSummary(uint32_t segment, ChunkId cid);
 
   // Hash of a sealed record as stored in the map (possibly truncated).
   crypto::Digest EntryHash(Slice sealed) const;

@@ -1,5 +1,6 @@
 #include "chunk/location_map.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
@@ -37,6 +38,7 @@ LocationMap::LocationMap(uint32_t fanout) : fanout_(fanout) {
 void LocationMap::ResetToRoot(std::shared_ptr<MapNode> root) {
   TDB_CHECK(root != nullptr);
   root_ = std::move(root);
+  pruned_.clear();
 }
 
 uint64_t LocationMap::Span(uint32_t level) const {
@@ -160,28 +162,51 @@ Result<std::optional<MapEntry>> LocationMap::Remove(ChunkId cid,
   TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> existing, Get(cid, loader));
   if (!existing.has_value()) return std::optional<MapEntry>();
 
+  // The writable internal nodes of the path, each with the slot below it.
+  std::vector<std::pair<MapNode*, uint32_t>> path;
   std::shared_ptr<MapNode>* slot_ptr = &root_;
   while (true) {
     std::shared_ptr<MapNode> node = EnsureWritable(*slot_ptr);
     node->dirty = true;
     if (node->level == 0) {
-      MapEntry& leaf = node->entries[cid % fanout_];
-      leaf = MapEntry();
-      return existing;
+      node->entries[cid % fanout_] = MapEntry();
+      break;
     }
     uint64_t child_span = Span(node->level - 1);
     uint32_t slot = static_cast<uint32_t>((cid / child_span) % fanout_);
     TDB_ASSIGN_OR_RETURN(std::shared_ptr<MapNode> child,
                          Child(node, slot, /*create=*/false, loader));
     TDB_CHECK(child != nullptr, "map path vanished during Remove");
+    path.emplace_back(node.get(), slot);
     slot_ptr = &node->children[slot];
   }
+  // Prune bottom-up. Each parent on the path is already writable, so a
+  // snapshot sharing the old nodes keeps its subtree intact.
+  MapNode* node = slot_ptr->get();
+  for (size_t i = path.size(); i-- > 0;) {
+    if (std::any_of(node->entries.begin(), node->entries.end(),
+                    [](const MapEntry& e) { return e.present; })) {
+      break;
+    }
+    if (node->has_persisted) {
+      pruned_.emplace_back(node->persisted_loc, node->persisted_size);
+    }
+    auto [parent, slot] = path[i];
+    parent->entries[slot] = MapEntry();
+    parent->children[slot] = nullptr;  // Frees `node` unless shared.
+    node = parent;
+  }
+  return existing;
 }
 
 Result<NodeWriteResult> LocationMap::WriteDirty(
     const NodeWriter& writer,
     const std::function<void(const Location&, uint32_t)>& obsolete) {
-  return WriteDirtyRec(root_, writer, obsolete);
+  TDB_ASSIGN_OR_RETURN(NodeWriteResult root,
+                       WriteDirtyRec(root_, writer, obsolete));
+  for (const auto& [loc, size] : pruned_) obsolete(loc, size);
+  pruned_.clear();
+  return root;
 }
 
 Result<NodeWriteResult> LocationMap::WriteDirtyRec(

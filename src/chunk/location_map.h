@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "chunk/log_format.h"
@@ -83,19 +84,29 @@ class LocationMap {
   Result<std::optional<MapEntry>> Put(ChunkId cid, const MapEntry& entry,
                                       const NodeLoader& loader);
 
-  /// Removes a mapping; returns the removed entry (nullopt if absent).
+  /// Removes a mapping; returns the removed entry (nullopt if absent). A
+  /// node left without entries is dropped from its parent, up the path
+  /// (never the root), so ids written once and freed do not grow the map.
   Result<std::optional<MapEntry>> Remove(ChunkId cid,
                                          const NodeLoader& loader);
 
   /// Serializes every dirty node bottom-up through `writer` (the paper's
   /// checkpoint: "modified state is written opportunistically"). Returns
   /// the root's location/hash for the checkpoint commit. Old persisted node
-  /// records are reported through `obsolete` for space de-accounting.
+  /// records are reported through `obsolete` for space de-accounting, and
+  /// so are the records of nodes pruned since the last WriteDirty: until
+  /// this checkpoint the anchored root still references them.
   Result<NodeWriteResult> WriteDirty(
       const NodeWriter& writer,
       const std::function<void(const Location&, uint32_t)>& obsolete);
 
   bool HasDirtyNodes() const { return root_ != nullptr && root_->dirty; }
+
+  /// Persisted records of pruned nodes that the next WriteDirty obsoletes
+  /// (location, full record size).
+  const std::vector<std::pair<Location, uint32_t>>& pruned_records() const {
+    return pruned_;
+  }
 
   /// Visits every present leaf entry under `root` in ascending cid order.
   Status ForEach(
@@ -146,6 +157,7 @@ class LocationMap {
 
   uint32_t fanout_;
   std::shared_ptr<MapNode> root_;
+  std::vector<std::pair<Location, uint32_t>> pruned_;
 };
 
 }  // namespace tdb::chunk

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -1544,6 +1545,21 @@ TEST(ChunkGroupCommitTest, LoneCommitterFlushesGroupOfOne) {
   EXPECT_EQ(after.syncs_saved(), 0u);
 }
 
+// A copy of `env`'s image and counter as they stand: what a crash at
+// this point leaves behind, with the residual log still to replay.
+struct CrashCopy {
+  MemUntrustedStore store;
+  MemOneWayCounter counter;
+
+  explicit CrashCopy(TestEnv& env) {
+    store.RestoreImage(env.store.SnapshotImage());
+    const uint64_t value = env.counter.Read().value();
+    for (uint64_t i = 0; i < value; i++) {
+      TDB_CHECK(counter.Increment().ok());
+    }
+  }
+};
+
 // Passes everything through except the one Write it is told to fail: a
 // single EIO from a device that keeps working afterwards.
 class FailOneWriteStore final : public platform::UntrustedStore {
@@ -1604,15 +1620,9 @@ TEST(ChunkGroupCommitTest, AckAfterWriteErrorSurvivesReopen) {
   ASSERT_TRUE((*cs)->Write(b, Slice("b1"), true).ok());
 
   // Reopen a copy of the image (and counter) as it stands at b's ack.
-  MemUntrustedStore copy;
-  copy.RestoreImage(env.store.SnapshotImage());
-  MemOneWayCounter copy_counter;
-  const uint64_t counter_value = env.counter.Read().value();
-  for (uint64_t i = 0; i < counter_value; i++) {
-    ASSERT_TRUE(copy_counter.Increment().ok());
-  }
-  auto reopened =
-      ChunkStore::Open(&copy, &env.secrets, &copy_counter, SmallSegments());
+  CrashCopy copy(env);
+  auto reopened = ChunkStore::Open(&copy.store, &env.secrets, &copy.counter,
+                                   SmallSegments());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   auto got = (*reopened)->Read(b);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
@@ -1909,6 +1919,268 @@ TEST(ChunkViewTest, ActiveViewPausesCleaner) {
   ASSERT_TRUE(old.ok());
   view->reset();  // Release the pin; cleaning may proceed again.
   ASSERT_TRUE((*cs)->Clean(64).ok());
+}
+
+// ------------------------------------------------------- segment summaries
+
+// The cleaner finds a victim's live records from the segment summaries.
+// The run below kills summarized records in every way there is (overwrite,
+// deallocation, a rolled-back batch) and fills summaries in every way there
+// is (appends, relocations, the rebuild at open after a replay); after each
+// Clean(4) every live chunk must still read back from the log.
+TEST(ChunkStoreCleanerTest, SummaryFindsEveryLiveRecord) {
+  TestEnv env;
+  FailOneWriteStore failing(&env.store);
+  ChunkStoreOptions options = SmallSegments();
+  options.max_utilization = 0.9;
+  options.cache_bytes = 0;  // Reads must come from the relocated records.
+  auto opened = ChunkStore::Open(&failing, &env.secrets, &env.counter, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ChunkStore> cs = std::move(opened).value();
+
+  std::map<ChunkId, Buffer> model;
+  std::vector<ChunkId> ids;
+  Random rng(19);
+  uint64_t max_segments = 0;
+  auto run = [&](int rounds) {
+    for (int round = 0; round < rounds; round++) {
+      WriteBatch batch;
+      std::map<ChunkId, std::optional<Buffer>> staged;
+      for (int j = 0; j < 6; j++) {
+        if (ids.empty() || rng.Uniform(4) == 0) {
+          ids.push_back(cs->AllocateChunkId());
+        }
+        const ChunkId cid = ids[rng.Uniform(ids.size())];
+        if (rng.Uniform(6) == 0) {
+          batch.Deallocate(cid);
+          staged[cid] = std::nullopt;
+        } else {
+          Buffer data;
+          rng.Fill(&data, rng.Uniform(400) + 20);
+          batch.Write(cid, data);
+          staged[cid] = data;
+        }
+      }
+      ASSERT_TRUE(cs->Commit(batch, round % 2 == 0).ok());
+      for (auto& [cid, data] : staged) {
+        if (data.has_value()) {
+          model[cid] = *data;
+        } else {
+          model.erase(cid);
+        }
+      }
+      if (round % 7 == 6) {
+        ASSERT_TRUE(cs->Checkpoint().ok());
+      }
+      ASSERT_TRUE(cs->Clean(4).ok());
+      for (const auto& [cid, expected] : model) {
+        auto data = cs->Read(cid);
+        ASSERT_TRUE(data.ok()) << cid << ": " << data.status().ToString();
+        ASSERT_EQ(*data, expected) << cid;
+      }
+      uint64_t checked = 0;
+      ASSERT_TRUE(cs->VerifyIntegrity(&checked).ok());
+      ASSERT_EQ(checked, model.size());
+      max_segments = std::max<uint64_t>(max_segments, cs->Stats().segments);
+    }
+  };
+
+  run(60);
+  // A batch that fails part-way: its first records reach the tail (and
+  // their segment's summary) before a segment roll's write fails, then the
+  // batch is rolled back. The cleaner must skip those records.
+  const int64_t summary_before =
+      cs->metrics()->Snapshot().gauges["chunk.cleaner.summary_bytes"];
+  WriteBatch doomed;
+  const ChunkId fresh = cs->AllocateChunkId();
+  doomed.Write(ids[0], Buffer(900, 1));
+  doomed.Write(fresh, Buffer(900, 2));
+  for (int j = 1; j <= 6; j++) doomed.Write(ids[j], Buffer(900, 3));
+  failing.FailNextWrite();
+  ASSERT_FALSE(cs->Commit(doomed, false).ok());
+  EXPECT_GT(cs->metrics()->Snapshot().gauges["chunk.cleaner.summary_bytes"],
+            summary_before);
+  EXPECT_TRUE(cs->Read(fresh).status().IsNotFound());
+  run(60);
+
+  // Crash with durable commits past the last checkpoint: the reopened
+  // store replays them, then rebuilds every summary from the map.
+  ASSERT_TRUE(cs->Commit(WriteBatch(), true).ok());
+  CrashCopy copy(env);
+  cs.reset();
+  opened = ChunkStore::Open(&copy.store, &env.secrets, &copy.counter, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  cs = std::move(opened).value();
+  EXPECT_GT(cs->metrics()->Snapshot().gauges["recovery.commits_replayed"], 0);
+  run(60);
+
+  EXPECT_GT(cs->Stats().cleaned_segments, 0u);
+  ChunkStoreStats stats = cs->Stats();
+  EXPECT_LE(max_segments, stats.live_bytes / options.segment_size * 2 + 8)
+      << "live=" << stats.live_bytes;
+  // Idle cleaning reaches the utilization target. A segment whose summary
+  // missed a live record can never be freed, so a gap would show here.
+  for (int i = 0; i < 50; i++) ASSERT_TRUE(cs->Clean(4).ok());
+  stats = cs->Stats();
+  EXPECT_LE(stats.total_bytes,
+            stats.live_bytes / options.max_utilization +
+                2 * options.segment_size)
+      << "live=" << stats.live_bytes;
+  cs.reset();  // Closes onto copy.store, which goes first otherwise.
+}
+
+TEST(ChunkStoreCleanerTest, StageMetricsRecorded) {
+  TestEnv env;
+  ChunkStoreOptions options = SmallSegments();
+  options.max_utilization = 0.95;  // Cleaning only through Clean().
+  auto cs = env.Open(options);
+  ASSERT_TRUE(cs.ok());
+  ChunkId cid = (*cs)->AllocateChunkId();
+  Random rng(21);
+  for (int i = 0; i < 100; i++) {
+    Buffer data;
+    rng.Fill(&data, 400);
+    ASSERT_TRUE((*cs)->Write(cid, data, i % 10 == 0).ok());
+  }
+  ASSERT_TRUE((*cs)->Checkpoint().ok());
+  ASSERT_TRUE((*cs)->Clean(4).ok());
+  ASSERT_GT((*cs)->Stats().cleaned_segments, 0u);
+
+  common::MetricsSnapshot snap = (*cs)->metrics()->Snapshot();
+  EXPECT_GT(snap.histograms["chunk.clean_us"].count, 0u);
+  EXPECT_GT(snap.histograms["chunk.checkpoint_us"].count, 0u);
+  EXPECT_GT(snap.gauges["chunk.cleaner.summary_bytes"], 0);
+}
+
+// ------------------------------------------------------------ map pruning
+
+// Ids written once and then freed (2PC staging and decision records take
+// fresh ids every transaction) must not grow the map: Remove prunes the
+// nodes it empties and the next checkpoint obsoletes their records.
+TEST(ChunkStoreMapPruneTest, FreshIdChurnKeepsMapFlat) {
+  TestEnv env;
+  auto cs = env.Open(SmallSegments());
+  ASSERT_TRUE(cs.ok());
+  const ChunkId keep = (*cs)->AllocateChunkId();
+  ASSERT_TRUE((*cs)->Write(keep, Slice("kept"), true).ok());
+
+  // Marks after 5k, 10k, 15k and 20k cycles, each right after a
+  // checkpoint: live bytes, and map bytes written since the last mark.
+  std::vector<uint64_t> live, map_written;
+  uint64_t map_mark = (*cs)->Stats().map_bytes;
+  for (int i = 1; i <= 20000; i++) {
+    const ChunkId cid = (*cs)->AllocateChunkId();
+    ASSERT_TRUE((*cs)->Write(cid, Slice("transient"), false).ok());
+    ASSERT_TRUE((*cs)->Deallocate(cid, i % 64 == 0).ok());
+    if (i % 1000 == 0) {
+      ASSERT_TRUE((*cs)->Checkpoint().ok());
+    }
+    if (i % 5000 == 0) {
+      const ChunkStoreStats stats = (*cs)->Stats();
+      live.push_back(stats.live_bytes);
+      map_written.push_back(stats.map_bytes - map_mark);
+      map_mark = stats.map_bytes;
+    }
+  }
+  // The tree's height is the same from 5k ids to 20k (fanout 8, root at
+  // level 4), so nothing but emptied nodes could grow it.
+  EXPECT_EQ(live.back(), live.front());
+  EXPECT_LE(map_written.back(), map_written[1] + map_written[1] / 10);
+  EXPECT_EQ((*cs)->Stats().live_chunks, 1u);
+}
+
+// A pruned node stays readable for snapshots that share it, diffs to and
+// from a snapshot across the prune report exactly the freed ids, and a
+// prune replayed at open accounts its records the same way as a live one.
+TEST(ChunkStoreMapPruneTest, PruneSurvivesReopenVerifyAndDiff) {
+  TestEnv env;
+  const ChunkStoreOptions options = SmallSegments();  // Fanout 8.
+  auto opened = env.Open(options);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<ChunkStore> cs = std::move(opened).value();
+  const ChunkId keep = cs->AllocateChunkId();
+  ASSERT_TRUE(cs->Write(keep, Slice("kept"), true).ok());
+
+  // Fills whole leaves with fresh ids; returns the ids of the full leaves.
+  auto fill_leaves = [&](int n) {
+    std::vector<ChunkId> full;
+    WriteBatch batch;
+    while (full.size() < static_cast<size_t>(8 * n)) {
+      const ChunkId cid = cs->AllocateChunkId();
+      batch.Write(cid, Slice("leaf-" + std::to_string(cid)));
+      if (cid % 8 == 0 || !full.empty()) full.push_back(cid);
+    }
+    TDB_CHECK(cs->Commit(batch, true).ok());
+    return full;
+  };
+  auto free_all = [&](const std::vector<ChunkId>& cids) {
+    WriteBatch batch;
+    for (ChunkId cid : cids) batch.Deallocate(cid);
+    TDB_CHECK(cs->Commit(batch, true).ok());
+  };
+
+  const std::vector<ChunkId> first = fill_leaves(2);
+  auto base = cs->CreateSnapshot();
+  ASSERT_TRUE(base.ok());
+  free_all(first);
+  auto delta = cs->CreateSnapshot();
+  ASSERT_TRUE(delta.ok());
+  for (ChunkId cid : first) {
+    EXPECT_TRUE(cs->Read(cid).status().IsNotFound());
+    EXPECT_TRUE(cs->ReadAtView(**base, cid).ok()) << cid;
+  }
+  auto diff = [&](const Snapshot& from, const Snapshot& to) {
+    std::map<ChunkId, DiffKind> changes;
+    TDB_CHECK(cs->DiffSnapshots(from, to,
+                                [&](ChunkId cid, DiffKind kind,
+                                    const MapEntry&) {
+                                  changes[cid] = kind;
+                                  return Status::OK();
+                                })
+                  .ok());
+    return changes;
+  };
+  std::map<ChunkId, DiffKind> removed, added;
+  for (ChunkId cid : first) {
+    removed[cid] = DiffKind::kRemoved;
+    added[cid] = DiffKind::kAdded;
+  }
+  EXPECT_EQ(diff(**base, **delta), removed);
+  EXPECT_EQ(diff(**delta, **base), added);
+  base->reset();
+  delta->reset();
+
+  // Prune after the last checkpoint, then crash: the replay prunes again.
+  const std::vector<ChunkId> second = fill_leaves(1);
+  ASSERT_TRUE(cs->Checkpoint().ok());
+  free_all(second);
+  const uint64_t live_chunks = cs->Stats().live_chunks;
+  CrashCopy copy(env);
+  cs.reset();
+  uint64_t live_after_replay = 0;
+  for (int open = 0; open < 2; open++) {
+    opened = ChunkStore::Open(&copy.store, &env.secrets, &copy.counter,
+                              options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    cs = std::move(opened).value();
+    if (open == 0) {
+      EXPECT_GT(
+          cs->metrics()->Snapshot().gauges["recovery.commits_replayed"], 0);
+      live_after_replay = cs->Stats().live_bytes;
+    } else {
+      // The second open rebuilds accounting from the checkpointed tree
+      // alone; a pruned record counted wrongly at the first would show.
+      EXPECT_EQ(cs->Stats().live_bytes, live_after_replay);
+    }
+    uint64_t checked = 0;
+    ASSERT_TRUE(cs->VerifyIntegrity(&checked).ok());
+    EXPECT_EQ(checked, live_chunks);
+    EXPECT_EQ(Slice(*cs->Read(keep)).ToString(), "kept");
+    for (ChunkId cid : second) {
+      EXPECT_TRUE(cs->Read(cid).status().IsNotFound());
+    }
+    ASSERT_TRUE(cs->Close().ok());
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "collection/collection.h"
 #include "collection/indexer.h"
 #include "collection/key.h"
+#include "common/metrics.h"
 #include "crypto/cipher_suite.h"
 #include "harness/blob.h"
 #include "object/object_store.h"
@@ -42,6 +43,21 @@ std::map<std::string, std::string> ReadTree(const fs::path& root) {
     files[entry.path().string()] = bytes.str();
   }
   return files;
+}
+
+// Runs a shell command; returns its standard output and stores its exit
+// status (as pclose reports it, -1 if it could not start) in `status`.
+std::string RunCommand(const std::string& command, int* status) {
+  std::string output;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    *status = -1;
+    return output;
+  }
+  char buf[256];
+  while (fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
+  *status = pclose(pipe);
+  return output;
 }
 
 TEST(TdbstatTest, ListLeavesTheImageUntouched) {
@@ -91,12 +107,8 @@ TEST(TdbstatTest, ListLeavesTheImageUntouched) {
   const std::string command = "'" + std::string(TDBSTAT_PATH) + "' '" + db +
                               "' '" + secret + "' '" + counter_file +
                               "' --list 2>&1";
-  FILE* pipe = popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  char buf[256];
-  while (fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
-  const int rc = pclose(pipe);
+  int rc = 0;
+  const std::string output = RunCommand(command, &rc);
 
   EXPECT_EQ(rc, 0) << output;
   EXPECT_NE(output.find("collections:  1"), std::string::npos) << output;
@@ -106,6 +118,47 @@ TEST(TdbstatTest, ListLeavesTheImageUntouched) {
       << output;
   EXPECT_TRUE(ReadTree(root) == before)
       << "tdbstat --list changed a file under " << root;
+  fs::remove_all(root);
+}
+
+// The cleaner and checkpoint stages are in the metrics tdbstat reports:
+// opening the image checkpoints, and rebuilds the segment summaries.
+TEST(TdbstatTest, JsonReportsCleanerAndCheckpointStages) {
+  const fs::path root =
+      fs::temp_directory_path() / ("tdbstat_json_" + std::to_string(getpid()));
+  fs::remove_all(root);
+  const std::string db = (root / "db").string();
+  const std::string secret = (root / "secret").string();
+  const std::string counter_file = (root / "counter").string();
+  {
+    platform::FileUntrustedStore store(db, /*sync_writes=*/false);
+    platform::FileSecretStore secrets(secret);
+    ASSERT_TRUE(secrets.Provision(Slice("tdbstat-test-secret")).ok());
+    platform::FileOneWayCounter counter(counter_file, /*sync=*/false);
+    chunk::ChunkStoreOptions options;
+    options.security = crypto::SecurityConfig::Modern();
+    auto chunks = chunk::ChunkStore::Open(&store, &secrets, &counter, options);
+    ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+    for (int i = 0; i < 10; i++) {
+      ASSERT_TRUE((*chunks)
+                      ->Write((*chunks)->AllocateChunkId(), Slice("license"),
+                              /*durable=*/true)
+                      .ok());
+    }
+    ASSERT_TRUE((*chunks)->Close().ok());
+  }
+  const std::string command = "'" + std::string(TDBSTAT_PATH) + "' '" + db +
+                              "' '" + secret + "' '" + counter_file +
+                              "' --json";
+  int rc = 0;
+  const std::string output = RunCommand(command, &rc);
+  ASSERT_EQ(rc, 0) << output;
+
+  auto snap = common::MetricsSnapshot::FromJson(output);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString() << "\n" << output;
+  ASSERT_EQ(snap->histograms.count("chunk.clean_us"), 1u) << output;
+  EXPECT_GT(snap->histograms["chunk.checkpoint_us"].count, 0u) << output;
+  EXPECT_GT(snap->gauges["chunk.cleaner.summary_bytes"], 0) << output;
   fs::remove_all(root);
 }
 
