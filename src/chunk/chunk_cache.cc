@@ -13,7 +13,7 @@ bool ChunkCache::Get(ChunkId cid, Buffer* out) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(cid);
   if (it == entries_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  lru_.Touch(it->second);
   *out = *it->second.data;
   return true;
 }
@@ -23,7 +23,7 @@ bool ChunkCache::GetIfVersionAtMost(ChunkId cid, uint64_t max_version,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(cid);
   if (it == entries_.end() || it->second.version > max_version) return false;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  lru_.Touch(it->second);
   *out = *it->second.data;
   return true;
 }
@@ -35,7 +35,8 @@ std::shared_ptr<const Buffer> ChunkCache::GetSharedIfVersionAtMost(
   if (it == entries_.end() || it->second.version > max_version) {
     return nullptr;
   }
-  lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+  lru_.Touch(it->second);
+  it->second.handed_out = true;
   return it->second.data;
 }
 
@@ -46,16 +47,33 @@ void ChunkCache::Put(ChunkId cid, Slice data, uint64_t version) {
   // when the new payload itself is too large to cache. Replacement is not
   // an eviction — the entry's chunk is still cached (or superseded), so it
   // does not distort the hit-ratio denominators.
-  EraseLocked(cid);
-  auto payload = std::make_shared<const Buffer>(data.ToBuffer());
-  const size_t charge = Charge(*payload);
+  const size_t charge = data.size() + kEntryOverhead;
   if (charge > capacity_) {
+    EraseLocked(cid);
     MirrorSizeLocked();
     return;
   }
+  auto [it, inserted] = entries_.try_emplace(cid);
+  Entry& entry = it->second;
+  if (!inserted) {
+    // Take the entry off the list while making room, so it is not its own
+    // eviction victim.
+    size_ -= Charge(*entry.data);
+    lru_.Remove(entry);
+  }
   EvictToFit(charge);
-  lru_.push_front(cid);
-  entries_[cid] = Entry{std::move(payload), version, lru_.begin()};
+  entry.cid = cid;
+  // A payload no reader was ever given is only touched under mu_: rewrite
+  // it in place. One that was handed out stays as the readers saw it.
+  if (entry.data != nullptr && !entry.handed_out) {
+    entry.data->assign(data.data(), data.data() + data.size());
+  } else {
+    entry.data = std::make_shared<Buffer>(data.data(),
+                                          data.data() + data.size());
+    entry.handed_out = false;
+  }
+  entry.version = version;
+  lru_.PushNewest(entry);
   size_ += charge;
   MirrorSizeLocked();
 }
@@ -72,7 +90,7 @@ bool ChunkCache::EraseLocked(ChunkId cid) {
   auto it = entries_.find(cid);
   if (it == entries_.end()) return false;
   size_ -= Charge(*it->second.data);
-  lru_.erase(it->second.lru_pos);
+  lru_.Remove(it->second);
   entries_.erase(it);
   return true;
 }
@@ -80,17 +98,17 @@ bool ChunkCache::EraseLocked(ChunkId cid) {
 void ChunkCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.clear();
-  lru_.clear();
+  lru_.Clear();
   size_ = 0;
   MirrorSizeLocked();
 }
 
 void ChunkCache::EvictToFit(size_t incoming_charge) {
-  while (size_ + incoming_charge > capacity_ && !lru_.empty()) {
-    auto it = entries_.find(lru_.back());
-    size_ -= Charge(*it->second.data);
-    entries_.erase(it);
-    lru_.pop_back();
+  while (size_ + incoming_charge > capacity_ && lru_.oldest() != nullptr) {
+    Entry& victim = *lru_.oldest();
+    lru_.Remove(victim);
+    size_ -= Charge(*victim.data);
+    entries_.erase(victim.cid);
     CountEvictionLocked(EvictCause::kCapacity);
   }
 }

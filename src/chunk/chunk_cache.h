@@ -1,12 +1,12 @@
 #ifndef TDB_CHUNK_CHUNK_CACHE_H_
 #define TDB_CHUNK_CHUNK_CACHE_H_
 
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "chunk/types.h"
+#include "common/lru_list.h"
 #include "common/metrics.h"
 #include "common/slice.h"
 
@@ -56,6 +56,12 @@ struct CacheEvictionCounts {
 /// cache-hit reads never queue behind an in-flight commit sync (the
 /// group-commit read-path requirement). The mutex only covers the map/LRU
 /// manipulation and the payload copy-out.
+///
+/// The LRU list is intrusive (links in the entries, which never move
+/// inside the hash map), and a write-through Put over a cached chunk
+/// reuses its entry — and its payload buffer unless that buffer was ever
+/// handed out by GetSharedIfVersionAtMost — so the commit path's
+/// write-through allocates nothing in steady state.
 class ChunkCache {
  public:
   /// `capacity_bytes` = 0 disables the cache (all ops become no-ops).
@@ -86,9 +92,10 @@ class ChunkCache {
 
   /// Zero-copy versioned hit: same admission rule as GetIfVersionAtMost,
   /// but hands back shared ownership of the cached payload instead of
-  /// copying it — nullptr on a miss. Payloads are immutable once inserted
-  /// (replacement swaps in a NEW buffer), so a returned handle stays valid
-  /// bytes even if the entry is evicted or replaced a nanosecond later.
+  /// copying it — nullptr on a miss. A payload once handed out is never
+  /// modified (replacement then allocates a new one), so a returned handle
+  /// stays valid bytes even if the entry is evicted or replaced a
+  /// nanosecond later.
   /// This is the snapshot-read fast path: per-hit cost drops to one map
   /// lookup + one refcount bump, no allocation.
   std::shared_ptr<const Buffer> GetSharedIfVersionAtMost(ChunkId cid,
@@ -133,11 +140,15 @@ class ChunkCache {
   static constexpr size_t kEntryOverhead = 64;
 
   struct Entry {
+    ChunkId cid = kInvalidChunkId;
     // Shared so GetSharedIfVersionAtMost can hand out the payload without
-    // copying; never mutated after insertion (replacement allocates anew).
-    std::shared_ptr<const Buffer> data;
+    // copying; rewritten in place only while `handed_out` is false.
+    std::shared_ptr<Buffer> data;
+    bool handed_out = false;
     uint64_t version = 0;
-    std::list<ChunkId>::iterator lru_pos;
+    // LRU links; `newer` points toward the most recently used end.
+    Entry* newer = nullptr;
+    Entry* older = nullptr;
   };
 
   size_t Charge(const Buffer& data) const {
@@ -150,7 +161,7 @@ class ChunkCache {
 
   mutable std::mutex mu_;
   std::unordered_map<ChunkId, Entry> entries_;
-  std::list<ChunkId> lru_;  // Front = most recently used.
+  common::LruList<Entry> lru_;  // Every entry, by recency of use.
   size_t capacity_;
   size_t size_ = 0;
   CacheEvictionCounts counts_;

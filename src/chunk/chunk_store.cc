@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/lz.h"
@@ -14,6 +12,42 @@
 namespace tdb::chunk {
 
 namespace {
+
+// One chunk id's operations in a batch or a commit group: where the id
+// first appears and which of its operations comes last.
+struct IdOps {
+  ChunkId cid;
+  uint32_t first;
+  uint32_t last;
+};
+
+// "The last operation on a chunk id wins": one IdOps per distinct id of
+// the `n` operations (`cid_of(i)` is the id of operation i), in the order
+// the ids first appear. Sorting (id, index) pairs groups each id's
+// operations with one allocation and no hash map.
+template <typename CidOf>
+std::vector<IdOps> LastOpPerId(size_t n, CidOf cid_of) {
+  std::vector<IdOps> ids(n);
+  for (size_t i = 0; i < n; i++) {
+    const auto at = static_cast<uint32_t>(i);
+    ids[i] = IdOps{cid_of(i), at, at};
+  }
+  std::sort(ids.begin(), ids.end(), [](const IdOps& a, const IdOps& b) {
+    return a.cid != b.cid ? a.cid < b.cid : a.first < b.first;
+  });
+  size_t kept = 0;
+  for (size_t i = 0; i < n;) {
+    size_t j = i;
+    while (j + 1 < n && ids[j + 1].cid == ids[i].cid) j++;
+    ids[kept++] = IdOps{ids[i].cid, ids[i].first, ids[j].first};
+    i = j + 1;
+  }
+  ids.resize(kept);
+  std::sort(ids.begin(), ids.end(), [](const IdOps& a, const IdOps& b) {
+    return a.first < b.first;
+  });
+  return ids;
+}
 
 // Lexicographically sortable segment file names.
 constexpr char kSegmentPrefix[] = "seg-";
@@ -46,6 +80,10 @@ bool ParseSegmentName(const std::string& name, uint32_t* id) {
 
 void WriteBatch::Write(ChunkId cid, Slice data) {
   ops_.push_back(Op{true, cid, data.ToBuffer()});
+}
+
+void WriteBatch::Write(ChunkId cid, Buffer&& data) {
+  ops_.push_back(Op{true, cid, std::move(data)});
 }
 
 void WriteBatch::Deallocate(ChunkId cid) {
@@ -476,6 +514,19 @@ Status ChunkStore::Recover() {
   cur_offset_ = tail_offset;
   next_segment_id_ = tail_segment + 1;
 
+  // The IV generator restarts from the same seed at every open, so a
+  // reopened store would draw the IVs an earlier session drew, under the
+  // same key. Reseed it, before anything is sealed, from the MAC of the
+  // last replayed commit and the tail position: every session that made
+  // a commit durable moved them.
+  {
+    Buffer material(chain_mac_.data(), chain_mac_.data() + chain_mac_.size());
+    PutFixed32(&material, cur_segment_);
+    PutFixed64(&material, cur_offset_);
+    std::lock_guard<std::mutex> iv_lock(iv_mu_);
+    suite_.ReseedIv(material);
+  }
+
   TDB_RETURN_IF_ERROR(RebuildAccounting());
 
   // Normalize: a fresh checkpoint + anchor resets the crash windows, makes
@@ -555,7 +606,24 @@ Status ChunkStore::OpenFreshSegment() {
 }
 
 Result<Location> ChunkStore::Append(RecordType type, Slice payload) {
-  const uint64_t record_size = kRecordHeaderSize + payload.size();
+  TDB_ASSIGN_OR_RETURN(
+      Location loc, ReserveTail(type, kRecordHeaderSize + payload.size()));
+  AppendRecord(&tail_buf_, type, payload);
+  return loc;
+}
+
+Result<Location> ChunkStore::AppendVerbatim(Slice record) {
+  TDB_CHECK(record.size() >= kRecordHeaderSize, "truncated record");
+  TDB_ASSIGN_OR_RETURN(
+      Location loc,
+      ReserveTail(static_cast<RecordType>(record[0]), record.size()));
+  tail_buf_.insert(tail_buf_.end(), record.data(),
+                   record.data() + record.size());
+  return loc;
+}
+
+Result<Location> ChunkStore::ReserveTail(RecordType type,
+                                         uint64_t record_size) {
   const uint64_t used = cur_offset_ + tail_buf_.size();
   // Roll to a fresh segment when full — unless this segment is still empty,
   // in which case an oversized record is allowed to live alone in it.
@@ -566,8 +634,7 @@ Result<Location> ChunkStore::Append(RecordType type, Slice payload) {
   Location loc;
   loc.segment = cur_segment_;
   loc.offset = static_cast<uint32_t>(cur_offset_ + tail_buf_.size());
-  loc.length = static_cast<uint32_t>(payload.size());
-  AppendRecord(&tail_buf_, type, payload);
+  loc.length = static_cast<uint32_t>(record_size - kRecordHeaderSize);
   switch (type) {
     case RecordType::kData:
       m_.data_bytes->Add(static_cast<int64_t>(record_size));
@@ -591,7 +658,10 @@ Status ChunkStore::FlushTail() {
   m_.bytes_appended->Add(static_cast<int64_t>(tail_buf_.size()));
   cur_offset_ += tail_buf_.size();
   residual_bytes_ += tail_buf_.size();
-  dirty_files_.insert(name);
+  if (std::find(dirty_files_.begin(), dirty_files_.end(), name) ==
+      dirty_files_.end()) {
+    dirty_files_.push_back(name);
+  }
   tail_buf_.clear();
   return Status::OK();
 }
@@ -600,7 +670,8 @@ Status ChunkStore::FlushTail() {
 // Record reads
 
 Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
-                                          RecordType expected) {
+                                          RecordType expected,
+                                          bool whole_record) {
   const size_t record_size = kRecordHeaderSize + loc.length;
   Buffer bytes;
   if (loc.segment == cur_segment_ && loc.offset >= cur_offset_) {
@@ -639,13 +710,21 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
                 "type or length disagrees with location map");
     return Status::TamperDetected("record does not match location map");
   }
-  return view.payload.ToBuffer();
+  // The payload is the record minus its header: drop the header in place.
+  if (!whole_record) {
+    bytes.erase(bytes.begin(), bytes.begin() + kRecordHeaderSize);
+  }
+  return bytes;
 }
 
 Result<Buffer> ChunkStore::ReadRawRecord(const Location& loc,
                                          RecordType expected,
-                                         const crypto::Digest& expected_hash) {
-  TDB_ASSIGN_OR_RETURN(Buffer payload, FetchRawRecord(loc, expected));
+                                         const crypto::Digest& expected_hash,
+                                         bool whole_record) {
+  TDB_ASSIGN_OR_RETURN(Buffer bytes,
+                       FetchRawRecord(loc, expected, whole_record));
+  const size_t header = whole_record ? kRecordHeaderSize : 0;
+  Slice payload(bytes.data() + header, bytes.size() - header);
   if (suite_.enabled() && EntryHash(payload) != expected_hash) {
     AuditDetect("hash_mismatch",
                 expected == RecordType::kMapNode ? common::kRegionMap
@@ -653,7 +732,7 @@ Result<Buffer> ChunkStore::ReadRawRecord(const Location& loc,
                 LocationString(loc), "record hash does not match map entry");
     return Status::TamperDetected("chunk hash mismatch");
   }
-  return payload;
+  return bytes;
 }
 
 Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
@@ -809,49 +888,42 @@ Status ChunkStore::Commit(const WriteBatch& batch, bool durable) {
 // Commit machinery
 
 Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
-  // Normalize: the last operation on a chunk id wins.
-  std::unordered_map<ChunkId, const WriteBatch::Op*> last;
-  std::vector<ChunkId> order;
   for (const WriteBatch::Op& op : batch.ops_) {
     if (op.cid == kInvalidChunkId) {
       return Status::InvalidArgument("invalid chunk id 0");
     }
-    auto [it, inserted] = last.insert({op.cid, &op});
-    if (inserted) {
-      order.push_back(op.cid);
+  }
+  // Normalize: the last operation on a chunk id wins, in the order the
+  // ids first appear.
+  const std::vector<IdOps> ids = LastOpPerId(
+      batch.ops_.size(), [&](size_t i) { return batch.ops_[i].cid; });
+  size_t n = 0;
+  for (const IdOps& id : ids) n += batch.ops_[id.last].is_write ? 1 : 0;
+  out->writes.resize(n);
+  out->deallocs.reserve(ids.size() - n);
+  size_t next_write = 0;
+  for (const IdOps& id : ids) {
+    const WriteBatch::Op& op = batch.ops_[id.last];
+    if (op.is_write) {
+      out->writes[next_write].cid = op.cid;
+      out->writes[next_write].plain = &op.data;
+      next_write++;
+      m_.sealed_bytes->Add(static_cast<int64_t>(op.data.size()));
     } else {
-      it->second = &op;
+      out->deallocs.push_back(op.cid);
     }
   }
-  std::vector<const WriteBatch::Op*> write_ops;
-  for (ChunkId cid : order) {
-    const WriteBatch::Op* op = last[cid];
-    if (op->is_write) {
-      write_ops.push_back(op);
-      m_.sealed_bytes->Add(static_cast<int64_t>(op->data.size()));
-    } else {
-      out->deallocs.push_back(cid);
-    }
-  }
-  out->touched = std::move(order);
 
   // Seal + hash the staged writes — on the committer's own thread, outside
   // the commit mutex, so concurrent committers overlap their crypto. IVs
   // are drawn serially up front (the cipher suite's DRBG is the only
   // serialized step), so the sealed bytes do not depend on which thread
   // seals which write: the log image is the same inline or pooled.
-  const size_t n = write_ops.size();
-  out->writes.resize(n);
-  out->plains.resize(n);
-  for (size_t i = 0; i < n; i++) {
-    out->plains[i] = &write_ops[i]->data;
-  }
   common::TraceSpan span("chunk.seal");
   common::ScopedTimer timer(metrics_.get(), m_.seal_latency_us);
-  std::vector<Buffer> ivs(n);
   {
     std::lock_guard<std::mutex> lock(iv_mu_);
-    for (Buffer& iv : ivs) iv = suite_.NextIv();
+    for (StagedWrite& w : out->writes) suite_.NextIv(w.iv);
   }
   // Compress-before-encrypt: returns the plaintext to seal for write `i` —
   // the LZ-compressed form when that is actually smaller (recording the
@@ -859,7 +931,7 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
   // the compressed bytes for the Slice's lifetime. Runs on the sealing
   // thread (including pool workers): the codec is pure CPU on local state.
   auto plain_for = [&](size_t i, Buffer* scratch) -> Slice {
-    const Buffer& data = write_ops[i]->data;
+    const Buffer& data = *out->writes[i].plain;
     if (!options_.compression) return data;
     m_.compress_attempts->Increment();
     *scratch = LzCompress(data);
@@ -871,10 +943,11 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     return *scratch;
   };
   auto seal = [&](size_t i) {
-    out->writes[i].cid = write_ops[i]->cid;
+    StagedWrite& w = out->writes[i];
     Buffer scratch;
-    out->writes[i].sealed = suite_.SealWithIv(plain_for(i, &scratch), ivs[i]);
-    out->writes[i].hash = EntryHash(out->writes[i].sealed);
+    w.sealed = suite_.SealWithIv(plain_for(i, &scratch),
+                                 Slice(w.iv, suite_.iv_size()));
+    w.hash = EntryHash(w.sealed);
   };
   // Seal inline in batch order. Once the inline time passes one pool
   // dispatch, the pool takes the rest — provided at least two writes
@@ -899,7 +972,7 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     pool->ParallelFor(n - first, [&](size_t j) { seal(first + j); });
     for (size_t i = first; i < n; i++) {
       m_.parallel_sealed_bytes->Add(
-          static_cast<int64_t>(write_ops[i]->data.size()));
+          static_cast<int64_t>(out->writes[i].plain->size()));
     }
   }
   return Status::OK();
@@ -920,7 +993,8 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
   Status failed = Status::OK();
 
   for (const StagedWrite& w : prep.writes) {
-    auto loc = Append(RecordType::kData, w.sealed);
+    auto loc = w.framed ? AppendVerbatim(w.sealed)
+                        : Append(RecordType::kData, w.sealed);
     if (!loc.ok()) {
       failed = loc.status();
       break;
@@ -1023,18 +1097,11 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   // chunk id wins across ALL buffered batches, so a write followed by a
   // groupmate's deallocate (or overwrite) cannot resurrect at recovery.
   {
-    std::unordered_map<ChunkId, size_t> last;
-    std::vector<ChunkId> order;
-    for (size_t i = 0; i < group_ops_.size(); i++) {
-      auto [it, inserted] = last.insert({group_ops_[i].cid, i});
-      if (inserted) {
-        order.push_back(group_ops_[i].cid);
-      } else {
-        it->second = i;
-      }
-    }
-    for (ChunkId cid : order) {
-      const PendingOp& op = group_ops_[last[cid]];
+    const std::vector<IdOps> ids = LastOpPerId(
+        group_ops_.size(), [&](size_t i) { return group_ops_[i].cid; });
+    manifest.writes.reserve(ids.size());
+    for (const IdOps& id : ids) {
+      const PendingOp& op = group_ops_[id.last];
       if (op.is_write) {
         manifest.writes.push_back(
             ManifestWrite{op.cid, op.loc, op.hash, op.flags});
@@ -1052,9 +1119,8 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
 
   Buffer encoded =
       EncodeManifest(manifest, suite_.hash_size(), entry_hash_size());
-  Buffer sealed_manifest = SealSerialIv(encoded);
-  crypto::Digest mac = suite_.Mac(sealed_manifest);
-  Buffer commit_payload = sealed_manifest;
+  Buffer commit_payload = SealSerialIv(encoded);
+  crypto::Digest mac = suite_.Mac(commit_payload);
   PutDigest(&commit_payload, mac);
   TDB_ASSIGN_OR_RETURN(Location loc,
                        Append(RecordType::kCommit, commit_payload));
@@ -1100,9 +1166,10 @@ Status ChunkStore::FlushGroupLocked(uint8_t flags,
                                     const NodeWriteResult* new_root,
                                     std::unique_lock<std::mutex>* lock) {
   group_flushing_ = true;
-  std::vector<std::shared_ptr<internal::CommitTicket>> tickets =
-      std::move(group_tickets_);
-  group_tickets_.clear();
+  // Only one flush runs at a time, so flush_tickets_ is free here.
+  std::vector<std::shared_ptr<internal::CommitTicket>>& tickets =
+      flush_tickets_;
+  tickets.swap(group_tickets_);
 
   auto seal = SealGroupLocked(flags, new_root);
   if (!seal.ok()) {
@@ -1120,8 +1187,8 @@ Status ChunkStore::FlushGroupLocked(uint8_t flags,
   // they run inside maintenance, which rewrites the map root, scan
   // position and free list around this flush and must not see a commit
   // buffer in between.
-  std::set<std::string> to_sync = std::move(dirty_files_);
-  dirty_files_.clear();
+  std::vector<std::string>& to_sync = syncing_files_;
+  to_sync.swap(dirty_files_);
   const uint32_t sealed_segment = cur_segment_;
   const uint64_t sealed_offset = cur_offset_;
   if (lock != nullptr) lock->unlock();
@@ -1193,7 +1260,12 @@ Status ChunkStore::FlushGroupLocked(uint8_t flags,
     // target is re-sealed by the next group (counter_value_ unchanged),
     // and the WHOLE group fails — durability is never acked without a
     // covering sync + bump.
-    dirty_files_.insert(to_sync.begin(), to_sync.end());
+    for (std::string& name : to_sync) {
+      if (std::find(dirty_files_.begin(), dirty_files_.end(), name) ==
+          dirty_files_.end()) {
+        dirty_files_.push_back(std::move(name));
+      }
+    }
   } else {
     if (seal->bump_counter) counter_value_ = seal->counter_target;
     if (new_root != nullptr) {
@@ -1210,6 +1282,7 @@ Status ChunkStore::FlushGroupLocked(uint8_t flags,
       result = WriteAnchor();
     }
   }
+  to_sync.clear();
   if (result.ok()) {
     // One ack per committer in the group, plus one for a checkpoint's or
     // the cleaner's own commit.
@@ -1246,7 +1319,10 @@ Result<CommitHandle> ChunkStore::CommitBuffered(const WriteBatch& batch,
   if (!buffered.ok()) {
     // The failed batch was rolled back, but drop its ids from the cache
     // anyway so no stale plaintext can outlive a partial rollback.
-    for (ChunkId cid : prep.touched) {
+    for (const StagedWrite& w : prep.writes) {
+      cache_.Erase(w.cid, EvictCause::kFailedCommit);
+    }
+    for (ChunkId cid : prep.deallocs) {
       cache_.Erase(cid, EvictCause::kFailedCommit);
     }
     return buffered;
@@ -1254,8 +1330,8 @@ Result<CommitHandle> ChunkStore::CommitBuffered(const WriteBatch& batch,
   // Write-through: the batch's plaintext is the chunks' new committed
   // state, already in trusted memory — cache it without revalidation.
   if (cache_.enabled()) {
-    for (size_t i = 0; i < prep.writes.size(); i++) {
-      cache_.Put(prep.writes[i].cid, *prep.plains[i], commit_version_);
+    for (const StagedWrite& w : prep.writes) {
+      cache_.Put(w.cid, *w.plain, commit_version_);
     }
     for (ChunkId cid : prep.deallocs) {
       cache_.Erase(cid, EvictCause::kDealloc);
@@ -1694,7 +1770,6 @@ Status ChunkStore::Clean(int max_segments) {
 Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
   common::ScopedTimer timer(metrics_.get(), m_.clean_us);
   in_maintenance_ = true;
-  std::set<uint32_t> victim_set(victims.begin(), victims.end());
   NodeLoader loader = MakeLoader();
 
   // The victims' live records, found from their summaries: a summarized
@@ -1710,22 +1785,25 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
   std::sort(cids.begin(), cids.end());
   cids.erase(std::unique(cids.begin(), cids.end()), cids.end());
   std::vector<std::pair<ChunkId, MapEntry>> to_move;
-  for (ChunkId cid : cids) {
-    auto entry = map_.Get(cid, loader);
-    if (!entry.ok()) {
-      in_maintenance_ = false;
-      return entry.status();
-    }
-    if (entry->has_value() && victim_set.count((*entry)->loc.segment)) {
-      to_move.push_back({cid, **entry});
-    }
+  Status found = map_.GetSorted(
+      cids, loader, [&](ChunkId cid, const MapEntry& entry) {
+        if (std::find(victims.begin(), victims.end(), entry.loc.segment) !=
+            victims.end()) {
+          to_move.push_back({cid, entry});
+        }
+      });
+  if (!found.ok()) {
+    in_maintenance_ = false;
+    return found;
   }
   // Relocate them (sealed bytes move verbatim; hashes are unchanged, so
   // cached plaintext stays valid).
   Status status = Status::OK();
   PreparedBatch relocations;
+  relocations.writes.reserve(to_move.size());
   for (const auto& [cid, entry] : to_move) {
-    auto raw = ReadRawRecord(entry.loc, RecordType::kData, entry.hash);
+    auto raw = ReadRawRecord(entry.loc, RecordType::kData, entry.hash,
+                             /*whole_record=*/true);
     if (!raw.ok()) {
       status = raw.status();
       break;
@@ -1734,7 +1812,8 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     staged.cid = cid;
     staged.sealed = std::move(raw).value();
     staged.hash = entry.hash;
-    staged.flags = entry.flags;  // Sealed bytes move verbatim.
+    staged.flags = entry.flags;  // Sealed bytes move verbatim...
+    staged.framed = true;        // ...with the record header they had.
     relocations.writes.push_back(std::move(staged));
     m_.relocated_records->Increment();
     m_.relocated_bytes->Add(static_cast<int64_t>(entry.loc.length));

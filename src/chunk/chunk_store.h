@@ -73,7 +73,10 @@ struct ChunkStoreOptions {
 
   bool create_if_missing = true;
 
-  /// Extra entropy mixed into the encryption-IV generator.
+  /// Extra entropy mixed into the encryption-IV generator. A reopened
+  /// store also reseeds the generator from its recovered log tail, so a
+  /// constant seed does not repeat IVs across sessions; the shard router
+  /// gives each of several shards its own seed.
   std::string iv_seed = "tdb-iv";
 
   /// Compress-before-encrypt: each chunk plaintext is run through the
@@ -233,7 +236,11 @@ struct ChunkStoreStats {
 class WriteBatch {
  public:
   void Write(ChunkId cid, Slice data);
+  /// Takes `data` without copying it.
+  void Write(ChunkId cid, Buffer&& data);
   void Deallocate(ChunkId cid);
+  /// Room for `n` operations (avoids regrowth while a batch is built).
+  void Reserve(size_t n) { ops_.reserve(n); }
   bool empty() const { return ops_.empty(); }
   size_t size() const { return ops_.size(); }
   void Clear() { ops_.clear(); }
@@ -595,8 +602,13 @@ class ChunkStore : public ChunkStoreInterface {
   static std::string SegmentName(uint32_t id);
   Status OpenFreshSegment();     // Rolls the tail to a new segment file.
   // Appends a record to the tail (rolling segments as needed); returns its
-  // location.
+  // location. AppendVerbatim appends a whole record (header included)
+  // read back from the log, which frames and checksums it the same way.
   Result<Location> Append(RecordType type, Slice payload);
+  Result<Location> AppendVerbatim(Slice record);
+  // Rolls to a fresh segment unless a record of `record_size` fits the
+  // tail; returns the location the record will have.
+  Result<Location> ReserveTail(RecordType type, uint64_t record_size);
   Status FlushTail();
 
   // --- records (require mu_: may read the unflushed tail buffer) ---
@@ -605,9 +617,13 @@ class ChunkStore : public ChunkStoreInterface {
   // callers validate (possibly on another thread) before trusting it.
   // Records still sitting in the tail buffer (buffered group commits) are
   // served from memory.
-  Result<Buffer> FetchRawRecord(const Location& loc, RecordType expected);
+  // With `whole_record` the result keeps the record header (for verbatim
+  // relocation); otherwise it is the payload alone.
+  Result<Buffer> FetchRawRecord(const Location& loc, RecordType expected,
+                                bool whole_record = false);
   Result<Buffer> ReadRawRecord(const Location& loc, RecordType expected,
-                               const crypto::Digest& expected_hash);
+                               const crypto::Digest& expected_hash,
+                               bool whole_record = false);
   Result<Buffer> ReadDataAt(const MapEntry& entry);
   // Hash-checks, decrypts, and (if entry.flags says so) decompresses a
   // fetched data record. Pure crypto on local state — safe OUTSIDE mu_ and
@@ -626,15 +642,20 @@ class ChunkStore : public ChunkStoreInterface {
     Buffer sealed;
     crypto::Digest hash;
     uint8_t flags = 0;  // EntryFlags describing `sealed`'s payload.
+    // A relocation's `sealed` is the whole log record, header included,
+    // as read back from the victim segment; it is appended verbatim.
+    bool framed = false;
+    // A commit's plaintext, in the caller's WriteBatch (valid for the
+    // CommitBuffered call); feeds the cache write-through. Null for
+    // relocations.
+    const Buffer* plain = nullptr;
+    // The IV drawn for this write, in batch order, before sealing.
+    uint8_t iv[crypto::CipherSuite::kMaxIvSize] = {};
   };
-  // A batch after normalization + sealing, ready to buffer. `plains`
-  // points into the caller's WriteBatch (valid for the CommitBuffered
-  // call) and feeds the cache write-through.
+  // A batch after normalization + sealing, ready to buffer.
   struct PreparedBatch {
     std::vector<StagedWrite> writes;
-    std::vector<const Buffer*> plains;  // Parallel to writes.
     std::vector<ChunkId> deallocs;
-    std::vector<ChunkId> touched;       // All ids, in first-seen order.
   };
   // One buffered-but-unsealed operation of the open commit group.
   struct PendingOp {
@@ -772,7 +793,10 @@ class ChunkStore : public ChunkStoreInterface {
   uint32_t next_segment_id_ = 1;
 
   std::map<uint32_t, SegInfo> segments_;
-  std::set<std::string> dirty_files_;
+  // Files written since their last sync, and the set a flush is syncing
+  // (kept as a member so its capacity survives between flushes).
+  std::vector<std::string> dirty_files_;
+  std::vector<std::string> syncing_files_;
   std::vector<uint32_t> pending_free_;  // Freed at next durable commit.
   std::vector<std::weak_ptr<Snapshot>> snapshots_;
 
@@ -782,6 +806,9 @@ class ChunkStore : public ChunkStoreInterface {
   // the durable committers waiting on its flush.
   std::vector<PendingOp> group_ops_;
   std::vector<std::shared_ptr<internal::CommitTicket>> group_tickets_;
+  // The tickets the in-flight flush completes (swapped with
+  // group_tickets_, so neither vector reallocates per commit).
+  std::vector<std::shared_ptr<internal::CommitTicket>> flush_tickets_;
   bool group_flushing_ = false;  // A leader's sync is in flight.
   std::condition_variable group_cv_;
 

@@ -131,6 +131,36 @@ Result<std::optional<MapEntry>> LocationMap::GetAt(
   return std::optional<MapEntry>(entry);
 }
 
+Status LocationMap::GetSorted(
+    const std::vector<ChunkId>& cids, const NodeLoader& loader,
+    const std::function<void(ChunkId, const MapEntry&)>& fn) {
+  const MapNode* leaf = nullptr;
+  ChunkId leaf_base = 0;  // First id `leaf` covers.
+  for (ChunkId cid : cids) {
+    if (leaf == nullptr || cid - leaf_base >= fanout_) {
+      leaf = nullptr;
+      if (!Covers(root_->level, cid)) continue;
+      const std::shared_ptr<MapNode>* node = &root_;
+      while ((*node)->level > 0) {
+        const uint64_t child_span = Span((*node)->level - 1);
+        const auto slot = static_cast<uint32_t>((cid / child_span) % fanout_);
+        if (!(*node)->entries[slot].present) break;
+        if ((*node)->children[slot] == nullptr) {
+          TDB_RETURN_IF_ERROR(
+              Child(*node, slot, /*create=*/false, loader).status());
+        }
+        node = &(*node)->children[slot];
+      }
+      if ((*node)->level > 0) continue;  // No leaf covers `cid`.
+      leaf = node->get();
+      leaf_base = cid - cid % fanout_;
+    }
+    const MapEntry& entry = leaf->entries[cid - leaf_base];
+    if (entry.present) fn(cid, entry);
+  }
+  return Status::OK();
+}
+
 Result<std::optional<MapEntry>> LocationMap::Put(ChunkId cid,
                                                  const MapEntry& entry,
                                                  const NodeLoader& loader) {

@@ -79,6 +79,13 @@ class LocationMap {
                                         ChunkId cid,
                                         const NodeLoader& loader) const;
 
+  /// Looks up every id of `cids` (ascending) in one pass and calls
+  /// `fn(cid, entry)` for the mapped ones, in order. Ids that share a leaf
+  /// reuse it; a new leaf is reached by descending from the root through
+  /// raw pointers, without shared_ptr copies.
+  Status GetSorted(const std::vector<ChunkId>& cids, const NodeLoader& loader,
+                   const std::function<void(ChunkId, const MapEntry&)>& fn);
+
   /// Inserts or replaces a mapping. If the entry replaces an older one, the
   /// old entry is returned so the caller can de-account its log record.
   Result<std::optional<MapEntry>> Put(ChunkId cid, const MapEntry& entry,

@@ -81,7 +81,13 @@ Buffer EncodeManifest(const CommitManifest& manifest, size_t mac_size,
   // only for decoding. Kept in the signature for symmetry.
   (void)mac_size;
   (void)entry_hash_size;
+  // Room for the worst case: 10-byte varints, 15-byte locations and
+  // full-width digests, so the encoding never reallocates.
+  constexpr size_t kDigest = crypto::Digest::kMaxSize;
   Buffer out;
+  out.reserve(3 * 10 + 1 + kDigest + 2 * 5 +
+              manifest.writes.size() * (10 + 15 + kDigest + 1) +
+              manifest.deallocs.size() * 10 + 1 + 15 + kDigest);
   PutVarint64(&out, manifest.seq);
   out.push_back(manifest.flags);
   PutVarint64(&out, manifest.next_chunk_id);

@@ -97,7 +97,7 @@ Status InsertIntoLeaf(const GenericIndexer& indexer,
     if (cmp == 0) return Status::OK();  // Idempotent re-insert.
   }
   IndexEntry entry;
-  entry.key = key;
+  entry.key = Slice(key).ToString();
   entry.oid = oid;
   leaf->entries.insert(leaf->entries.begin() + pos, entry);
   return Status::OK();
@@ -268,12 +268,6 @@ Status RemoveFull(Transaction* txn, const GenericIndexer& indexer,
   }
 }
 
-// Key-only comparison of a stored entry against a live key.
-Result<int> CompareEntryKey(const GenericIndexer& indexer,
-                            const IndexEntry& entry, const GenericKey& key) {
-  return ComparePickled(indexer, entry.key, key);
-}
-
 Status RangeRec(Transaction* txn, const GenericIndexer& indexer,
                 ObjectId node_id, const GenericKey* min, const GenericKey* max,
                 std::vector<ObjectId>* out, int64_t depth,
@@ -284,11 +278,13 @@ Status RangeRec(Transaction* txn, const GenericIndexer& indexer,
   if (node->leaf) {
     for (const IndexEntry& entry : node->entries) {
       if (min != nullptr) {
-        TDB_ASSIGN_OR_RETURN(int cmp, CompareEntryKey(indexer, entry, *min));
+        TDB_ASSIGN_OR_RETURN(int cmp,
+                             ComparePickled(Slice(entry.key), *min));
         if (cmp < 0) continue;
       }
       if (max != nullptr) {
-        TDB_ASSIGN_OR_RETURN(int cmp, CompareEntryKey(indexer, entry, *max));
+        TDB_ASSIGN_OR_RETURN(int cmp,
+                             ComparePickled(Slice(entry.key), *max));
         if (cmp > 0) break;  // Entries are sorted: nothing further matches.
       }
       out->push_back(entry.oid);
@@ -299,12 +295,12 @@ Status RangeRec(Transaction* txn, const GenericIndexer& indexer,
     // Child i may contain keys in [sep[i-1].key, sep[i].key].
     if (min != nullptr && i < node->entries.size()) {
       TDB_ASSIGN_OR_RETURN(int cmp,
-                           CompareEntryKey(indexer, node->entries[i], *min));
+                           ComparePickled(Slice(node->entries[i].key), *min));
       if (cmp < 0) continue;  // Entire child below the range.
     }
     if (max != nullptr && i > 0) {
       TDB_ASSIGN_OR_RETURN(
-          int cmp, CompareEntryKey(indexer, node->entries[i - 1], *max));
+          int cmp, ComparePickled(Slice(node->entries[i - 1].key), *max));
       if (cmp > 0) break;  // This child and all further ones above range.
     }
     TDB_RETURN_IF_ERROR(RangeRec(txn, indexer, node->children[i], min, max,
@@ -326,8 +322,9 @@ Status ValidateRec(Transaction* txn, const GenericIndexer& indexer,
   }
   for (size_t i = 1; i < node->entries.size(); i++) {
     TDB_ASSIGN_OR_RETURN(
-        int cmp, CompareEntries(indexer, node->entries[i - 1],
-                                node->entries[i].key, node->entries[i].oid));
+        int cmp,
+        CompareEntries(indexer, node->entries[i - 1],
+                       Slice(node->entries[i].key), node->entries[i].oid));
     if (cmp >= 0) return Status::Corruption("btree entries out of order");
   }
   if (node->leaf) {

@@ -1,5 +1,7 @@
 #include "collection/collection.h"
 
+#include <algorithm>
+
 #include "collection/btree_index.h"
 #include "collection/hash_index.h"
 #include "collection/list_index.h"
@@ -15,6 +17,8 @@ using object::Transaction;
 using object::WritableRef;
 
 constexpr char kDirectoryRootName[] = "tdb.collections";
+// Pickle buffers for keys start with room for a typical key.
+constexpr size_t kKeyReserve = 16;
 
 /// Persistent name -> collection-oid map (one per database).
 class CollectionDirectory final : public object::Object {
@@ -218,7 +222,7 @@ Result<const IndexDesc*> Collection::FindIndex(
 
 Status Collection::CreateIndex(CTransaction* t,
                                std::shared_ptr<GenericIndexer> indexer) {
-  if (t->open_iterators_[self_oid_] > 0) {
+  if (t->OpenIterators(self_oid_) > 0) {
     return Status::InvalidArgument(
         "cannot create an index while iterators are open");
   }
@@ -258,7 +262,7 @@ Status Collection::CreateIndex(CTransaction* t,
 
 Status Collection::RemoveIndex(CTransaction* t,
                                const GenericIndexer& indexer) {
-  if (t->open_iterators_[self_oid_] > 0) {
+  if (t->OpenIterators(self_oid_) > 0) {
     return Status::InvalidArgument(
         "cannot remove an index while iterators are open");
   }
@@ -372,7 +376,7 @@ Iterator::Iterator(CTransaction* ct, const Collection& collection,
       coll_oid_(collection.id()),
       index_descs_(collection.indexes()),
       result_(std::move(result)) {
-  ct_->open_iterators_[coll_oid_]++;
+  ct_->OpenIterators(coll_oid_)++;
 }
 
 Iterator::~Iterator() {
@@ -393,7 +397,7 @@ Result<ObjectId> Iterator::CurrentChecked() const {
 }
 
 Status Iterator::CheckWritable() const {
-  if (ct_->open_iterators_[coll_oid_] != 1) {
+  if (ct_->OpenIterators(coll_oid_) != 1) {
     return Status::InvalidArgument(
         "writable dereference with multiple open iterators on the "
         "collection (§5.2.2 constraint)");
@@ -401,21 +405,33 @@ Status Iterator::CheckWritable() const {
   return Status::OK();
 }
 
+std::vector<Iterator::TouchedObject>::iterator Iterator::TouchedAt(
+    ObjectId oid) {
+  return std::lower_bound(
+      touched_.begin(), touched_.end(), oid,
+      [](const TouchedObject& t, ObjectId id) { return t.oid < id; });
+}
+
 Status Iterator::SnapshotKeys(ObjectId oid) {
-  auto [it, fresh] = touched_.try_emplace(oid);
-  if (!fresh) return Status::OK();  // Snapshot already taken.
+  auto pos = TouchedAt(oid);
+  if (pos != touched_.end() && pos->oid == oid) {
+    return Status::OK();  // Snapshot already taken.
+  }
+  TouchedObject& touched =
+      *touched_.insert(pos, TouchedObject{oid, {}, false});
+  touched.pre_keys.resize(index_descs_.size());
   TDB_ASSIGN_OR_RETURN(ReadonlyRef<object::Object> obj,
                        ct_->txn()->OpenReadonly<object::Object>(oid));
-  for (const IndexDesc& desc : index_descs_) {
+  for (size_t i = 0; i < index_descs_.size(); i++) {
     // §5.2.3: keys declared immutable are not snapshotted — the space
     // saving the paper describes.
-    if (desc.immutable_keys) continue;
+    if (index_descs_[i].immutable_keys) continue;
     TDB_ASSIGN_OR_RETURN(
         const GenericIndexer* indexer,
-        ct_->store()->FindIndexer(collection_name_, desc.name));
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> key,
-                         indexer->ExtractKey(*obj));
-    it->second.pre_keys[desc.name] = PickleKey(*key);
+        ct_->store()->FindIndexer(collection_name_, index_descs_[i].name));
+    object::Pickler key(kKeyReserve);
+    TDB_RETURN_IF_ERROR(indexer->PickleKeyOf(*obj, &key));
+    touched.pre_keys[i] = key.Take();
   }
   return Status::OK();
 }
@@ -424,27 +440,32 @@ Status Iterator::RemoveCurrent() {
   TDB_ASSIGN_OR_RETURN(ObjectId oid, CurrentChecked());
   TDB_RETURN_IF_ERROR(CheckWritable());
   TDB_RETURN_IF_ERROR(SnapshotKeys(oid));
-  touched_[oid].removed = true;
+  TouchedAt(oid)->removed = true;  // SnapshotKeys made the entry.
   return Status::OK();
 }
 
 Status Iterator::Close() {
   if (closed_) return Status::OK();
   closed_ = true;
-  ct_->open_iterators_[coll_oid_]--;
+  ct_->OpenIterators(coll_oid_)--;
   if (!ct_->active()) return Status::OK();  // Nothing to maintain.
+  if (touched_.empty()) return Status::OK();
+
+  // Resolve the indexers once.
+  std::vector<const GenericIndexer*> indexers;
+  indexers.reserve(index_descs_.size());
+  for (const IndexDesc& desc : index_descs_) {
+    TDB_ASSIGN_OR_RETURN(
+        const GenericIndexer* indexer,
+        ct_->store()->FindIndexer(collection_name_, desc.name));
+    indexers.push_back(indexer);
+  }
 
   Status violation = Status::OK();
-  for (auto& [oid, info] : touched_) {
-    // Resolve indexers once per object.
-    std::vector<const GenericIndexer*> indexers;
-    for (const IndexDesc& desc : index_descs_) {
-      TDB_ASSIGN_OR_RETURN(
-          const GenericIndexer* indexer,
-          ct_->store()->FindIndexer(collection_name_, desc.name));
-      indexers.push_back(indexer);
-    }
-
+  // Holds each post-update key while it is compared with the snapshot.
+  object::Pickler post(kKeyReserve);
+  for (TouchedObject& info : touched_) {
+    const ObjectId oid = info.oid;
     if (info.removed) {
       for (size_t i = 0; i < index_descs_.size(); i++) {
         std::unique_ptr<GenericKey> pre;
@@ -455,9 +476,8 @@ Status Iterator::Close() {
                                ct_->txn()->OpenReadonly<object::Object>(oid));
           TDB_ASSIGN_OR_RETURN(pre, indexers[i]->ExtractKey(*doomed));
         } else {
-          TDB_ASSIGN_OR_RETURN(
-              pre,
-              UnpickleKey(*indexers[i], info.pre_keys[index_descs_[i].name]));
+          TDB_ASSIGN_OR_RETURN(pre,
+                               UnpickleKey(*indexers[i], info.pre_keys[i]));
         }
         Status removed = IndexRemove(ct_->txn(), *indexers[i],
                                      index_descs_[i], *pre, oid);
@@ -471,48 +491,49 @@ Status Iterator::Close() {
     // (§5.2.3) and redo only the indexes whose key changed.
     TDB_ASSIGN_OR_RETURN(ReadonlyRef<object::Object> obj,
                          ct_->txn()->OpenReadonly<object::Object>(oid));
-    // Track which indexes have been switched to the post key, for undo.
-    std::vector<Buffer> post_keys(index_descs_.size());
-    std::vector<bool> updated(index_descs_.size(), false);
+    // Whether index i's pickled key changed (false for immutable keys).
+    auto key_changed = [&](size_t i) -> Result<bool> {
+      if (index_descs_[i].immutable_keys) return false;  // §5.2.3: no redo.
+      post.Clear();
+      TDB_RETURN_IF_ERROR(indexers[i]->PickleKeyOf(*obj, &post));
+      return Slice(post.buffer()) != Slice(info.pre_keys[i]);
+    };
     Status eject_status = Status::OK();
     size_t failed_index = 0;
     for (size_t i = 0; i < index_descs_.size(); i++) {
-      if (index_descs_[i].immutable_keys) continue;  // §5.2.3: no redo.
-      TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> post,
+      TDB_ASSIGN_OR_RETURN(bool changed, key_changed(i));
+      if (!changed) continue;
+      TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> post_key,
                            indexers[i]->ExtractKey(*obj));
-      post_keys[i] = PickleKey(*post);
-      const Buffer& pre_bytes = info.pre_keys[index_descs_[i].name];
-      if (Slice(post_keys[i]) == Slice(pre_bytes)) continue;  // Unchanged.
       TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> pre,
-                           UnpickleKey(*indexers[i], pre_bytes));
+                           UnpickleKey(*indexers[i], info.pre_keys[i]));
       Status removed = IndexRemove(ct_->txn(), *indexers[i], index_descs_[i],
                                    *pre, oid);
       if (!removed.ok() && !removed.IsNotFound()) return removed;
       Status inserted = IndexInsert(ct_->txn(), *indexers[i],
-                                    index_descs_[i], *post, oid);
+                                    index_descs_[i], *post_key, oid);
       if (inserted.IsUniqueViolation()) {
         eject_status = inserted;
         failed_index = i;
         break;
       }
       TDB_RETURN_IF_ERROR(inserted);
-      updated[i] = true;
     }
 
     if (!eject_status.ok()) {
       // §5.2.3: the update created a duplicate key in a unique index. The
       // object is removed from the collection (all indexes) and reported
-      // so the application can re-integrate it.
+      // so the application can re-integrate it. Indexes before the failed
+      // one whose key changed were switched to the post-update key.
       for (size_t i = 0; i < index_descs_.size(); i++) {
         if (i == failed_index) continue;  // Pre removed, post not inserted.
         std::unique_ptr<GenericKey> key;
-        if (index_descs_[i].immutable_keys) {
+        TDB_ASSIGN_OR_RETURN(bool changed, key_changed(i));
+        if (index_descs_[i].immutable_keys || (i < failed_index && changed)) {
           TDB_ASSIGN_OR_RETURN(key, indexers[i]->ExtractKey(*obj));
         } else {
-          const Buffer& key_bytes =
-              updated[i] ? post_keys[i]
-                         : info.pre_keys[index_descs_[i].name];
-          TDB_ASSIGN_OR_RETURN(key, UnpickleKey(*indexers[i], key_bytes));
+          TDB_ASSIGN_OR_RETURN(key,
+                               UnpickleKey(*indexers[i], info.pre_keys[i]));
         }
         Status removed = IndexRemove(ct_->txn(), *indexers[i],
                                      index_descs_[i], *key, oid);
@@ -597,7 +618,7 @@ Status CTransaction::RemoveCollection(const std::string& name) {
     return Status::NotFound("no collection named '" + name + "'");
   }
   ObjectId coll_oid = it->second;
-  if (open_iterators_[coll_oid] > 0) {
+  if (OpenIterators(coll_oid) > 0) {
     return Status::InvalidArgument(
         "cannot remove a collection while iterators are open");
   }
@@ -628,6 +649,14 @@ Result<std::vector<std::string>> CTransaction::ListCollections() {
     names.push_back(name);
   }
   return names;
+}
+
+int& CTransaction::OpenIterators(ObjectId coll) {
+  for (auto& [id, count] : open_iterators_) {
+    if (id == coll) return count;
+  }
+  if (open_iterators_.empty()) open_iterators_.reserve(4);
+  return open_iterators_.emplace_back(coll, 0).second;
 }
 
 Status CTransaction::Commit(bool durable) {

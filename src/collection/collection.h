@@ -150,7 +150,10 @@ class Iterator {
   friend class Collection;
 
   struct TouchedObject {
-    std::map<std::string, Buffer> pre_keys;  // Index name -> pickled key.
+    object::ObjectId oid;
+    // Pickled pre-update key under each index, in index_descs_ order
+    // (left empty for immutable-key indexes, §5.2.3).
+    std::vector<Buffer> pre_keys;
     bool removed = false;
   };
 
@@ -159,6 +162,8 @@ class Iterator {
 
   // Captures the pre-update key snapshot for `oid` if not yet recorded.
   Status SnapshotKeys(object::ObjectId oid);
+  // The first touched_ entry whose oid is not below `oid`.
+  std::vector<TouchedObject>::iterator TouchedAt(object::ObjectId oid);
   Status CheckWritable() const;
   Result<object::ObjectId> CurrentChecked() const;
 
@@ -169,7 +174,7 @@ class Iterator {
   std::vector<object::ObjectId> result_;
   size_t pos_ = 0;
   bool closed_ = false;
-  std::map<object::ObjectId, TouchedObject> touched_;
+  std::vector<TouchedObject> touched_;  // Ascending by oid.
   std::vector<object::ObjectId> ejected_;
 };
 
@@ -215,9 +220,13 @@ class CTransaction {
   friend class Collection;
   friend class Iterator;
 
+  // Open iterators on the collection `coll` (an entry is made on first
+  // use; a transaction touches few collections).
+  int& OpenIterators(object::ObjectId coll);
+
   CollectionStore* store_;
   object::Transaction txn_;
-  std::map<object::ObjectId, int> open_iterators_;
+  std::vector<std::pair<object::ObjectId, int>> open_iterators_;
 };
 
 /// The collection store (§5): keyed access to collections of objects over

@@ -22,7 +22,7 @@ size_t BucketFor(uint64_t hash, uint32_t round, uint32_t split) {
 Result<uint64_t> HashEntry(const GenericIndexer& indexer,
                            const IndexEntry& entry) {
   TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> key,
-                       UnpickleKey(indexer, entry.key));
+                       UnpickleKey(indexer, Slice(entry.key)));
   return key->Hash();
 }
 
@@ -127,7 +127,7 @@ Status HashIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
                        txn->OpenWritable<HashBucket>(bucket_oid));
   // Uniqueness / idempotence: equal keys always land in the same bucket.
   for (const IndexEntry& entry : bucket->entries) {
-    TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(indexer, entry.key, key));
+    TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(Slice(entry.key), key));
     if (cmp != 0) continue;
     if (entry.oid == oid) return Status::OK();  // Already indexed.
     if (indexer.unique()) {
@@ -136,7 +136,7 @@ Status HashIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
     }
   }
   IndexEntry entry;
-  entry.key = PickleKey(key);
+  entry.key = Slice(PickleKey(key)).ToString();
   entry.oid = oid;
   bucket->entries.push_back(std::move(entry));
 
@@ -148,7 +148,7 @@ Status HashIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
   return Status::OK();
 }
 
-Status HashIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
+Status HashIndex::Remove(Transaction* txn, const GenericIndexer& /*indexer*/,
                          ObjectId root, const GenericKey& key, ObjectId oid) {
   ObjectId bucket_oid;
   {
@@ -162,7 +162,7 @@ Status HashIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
   for (size_t i = 0; i < bucket->entries.size(); i++) {
     if (bucket->entries[i].oid != oid) continue;
     TDB_ASSIGN_OR_RETURN(int cmp,
-                         ComparePickled(indexer, bucket->entries[i].key, key));
+                         ComparePickled(Slice(bucket->entries[i].key), key));
     if (cmp == 0) {
       bucket->entries.erase(bucket->entries.begin() + i);
       return Status::OK();
@@ -187,7 +187,7 @@ Status HashIndex::Scan(Transaction* txn, ObjectId root,
   return Status::OK();
 }
 
-Status HashIndex::Match(Transaction* txn, const GenericIndexer& indexer,
+Status HashIndex::Match(Transaction* txn, const GenericIndexer& /*indexer*/,
                         ObjectId root, const GenericKey& key,
                         std::vector<ObjectId>* out) {
   TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashDirectory> dir,
@@ -198,7 +198,7 @@ Status HashIndex::Match(Transaction* txn, const GenericIndexer& indexer,
   TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashBucket> bucket,
                        txn->OpenReadonly<HashBucket>(bucket_oid));
   for (const IndexEntry& entry : bucket->entries) {
-    TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(indexer, entry.key, key));
+    TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(Slice(entry.key), key));
     if (cmp == 0) out->push_back(entry.oid);
   }
   return Status::OK();

@@ -8,7 +8,7 @@ void PickleEntries(object::Pickler* pickler,
                    const std::vector<IndexEntry>& entries) {
   pickler->PutUint64(entries.size());
   for (const IndexEntry& entry : entries) {
-    pickler->PutBytes(entry.key);
+    pickler->PutBytes(Slice(entry.key));
     pickler->PutUint64(entry.oid);
   }
 }
@@ -21,14 +21,19 @@ Status UnpickleEntries(object::Unpickler* unpickler,
   entries->clear();
   entries->resize(n);
   for (uint64_t i = 0; i < n; i++) {
-    TDB_RETURN_IF_ERROR(unpickler->GetBytes(&(*entries)[i].key));
+    TDB_RETURN_IF_ERROR(unpickler->GetString(&(*entries)[i].key));
     TDB_RETURN_IF_ERROR(unpickler->GetUint64(&(*entries)[i].oid));
   }
   return Status::OK();
 }
 
+// Object-cache charge of one entry besides its key bytes: a fixed figure
+// (what a 32-byte entry plus 8 bytes came to), so how much of an index the
+// cache holds does not depend on the entry's in-memory layout.
+constexpr size_t kEntryCharge = 40;
+
 size_t EntriesSize(const std::vector<IndexEntry>& entries) {
-  size_t size = entries.size() * (sizeof(IndexEntry) + 8);
+  size_t size = entries.size() * kEntryCharge;
   for (const IndexEntry& entry : entries) size += entry.key.size();
   return size;
 }
@@ -134,30 +139,28 @@ Status RegisterIndexNodeClasses(object::ClassRegistry* registry) {
 }
 
 Result<std::unique_ptr<GenericKey>> UnpickleKey(const GenericIndexer& indexer,
-                                                const Buffer& pickled) {
+                                                Slice pickled) {
   std::unique_ptr<GenericKey> key = indexer.NewKey();
-  object::Unpickler unpickler{Slice(pickled)};
+  object::Unpickler unpickler{pickled};
   TDB_RETURN_IF_ERROR(key->UnpickleFrom(&unpickler));
   return key;
 }
 
-Result<int> ComparePickled(const GenericIndexer& indexer, const Buffer& a,
-                           const GenericKey& b) {
-  TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> a_key,
-                       UnpickleKey(indexer, a));
-  return a_key->Compare(b);
+Result<int> ComparePickled(Slice a, const GenericKey& b) {
+  object::Unpickler unpickler{a};
+  return b.ComparePickled(&unpickler);
 }
 
 Result<int> CompareEntries(const GenericIndexer& indexer, const IndexEntry& a,
-                           const Buffer& b_key, object::ObjectId b_oid) {
+                           Slice b_key, object::ObjectId b_oid) {
   // Fast path: identical pickled bytes mean equal keys.
   int key_cmp;
-  if (Slice(a.key) == Slice(b_key)) {
+  if (Slice(a.key) == b_key) {
     key_cmp = 0;
   } else {
     TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> b,
                          UnpickleKey(indexer, b_key));
-    TDB_ASSIGN_OR_RETURN(key_cmp, ComparePickled(indexer, a.key, *b));
+    TDB_ASSIGN_OR_RETURN(key_cmp, ComparePickled(Slice(a.key), *b));
   }
   if (key_cmp != 0) return key_cmp;
   if (a.oid < b_oid) return -1;

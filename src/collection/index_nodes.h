@@ -24,8 +24,11 @@ constexpr object::ClassId kListNodeClassId = 7;
 constexpr object::ClassId kHashDirPageClassId = 8;
 
 /// One (pickled key, object id) pair as stored in index meta-objects.
+/// The key bytes are held in a std::string so that short keys (every
+/// built-in scalar key) live inside the entry: unpickling a bucket or a
+/// node does not allocate once per entry.
 struct IndexEntry {
-  Buffer key;
+  std::string key;
   object::ObjectId oid = object::kInvalidObjectId;
 };
 
@@ -108,15 +111,15 @@ Status RegisterIndexNodeClasses(object::ClassRegistry* registry);
 
 /// Unpickles a stored key through the indexer's key factory.
 Result<std::unique_ptr<GenericKey>> UnpickleKey(const GenericIndexer& indexer,
-                                                const Buffer& pickled);
+                                                Slice pickled);
 
-/// Compares a stored (pickled) key against a live key.
-Result<int> ComparePickled(const GenericIndexer& indexer, const Buffer& a,
-                           const GenericKey& b);
+/// Compares a stored (pickled) key against a live key of the index's key
+/// class, decoding in place (GenericKey::ComparePickled).
+Result<int> ComparePickled(Slice a, const GenericKey& b);
 
 /// Compares two stored entries by (key, oid).
 Result<int> CompareEntries(const GenericIndexer& indexer, const IndexEntry& a,
-                           const Buffer& b_key, object::ObjectId b_oid);
+                           Slice b_key, object::ObjectId b_oid);
 
 }  // namespace tdb::collection
 

@@ -53,6 +53,12 @@ class GenericIndexer {
   virtual Result<std::unique_ptr<GenericKey>> ExtractKey(
       const object::Object& obj) const = 0;
 
+  /// Appends the pickled key of `obj` (the bytes PickleKey would give for
+  /// ExtractKey's result) to `pickler`, without a heap-allocated key.
+  /// TypeMismatch if `obj` is not an instance of the schema class.
+  virtual Status PickleKeyOf(const object::Object& obj,
+                             object::Pickler* pickler) const = 0;
+
   /// Fresh key instance for unpickling stored keys.
   virtual std::unique_ptr<GenericKey> NewKey() const = 0;
 
@@ -96,6 +102,17 @@ class Indexer final : public GenericIndexer {
     }
     return std::unique_ptr<GenericKey>(
         std::make_unique<Key>(extractor_(*typed)));
+  }
+
+  Status PickleKeyOf(const object::Object& obj,
+                     object::Pickler* pickler) const override {
+    const Schema* typed = dynamic_cast<const Schema*>(&obj);
+    if (typed == nullptr) {
+      return Status::TypeMismatch(
+          "object is not an instance of the collection schema class");
+    }
+    extractor_(*typed).Pickle(pickler);
+    return Status::OK();
   }
 
   std::unique_ptr<GenericKey> NewKey() const override {

@@ -20,13 +20,36 @@ uint64_t HashBytes(const void* data, size_t size) {
   return h;
 }
 
+template <typename T>
+int CompareValues(const T& a, const T& b) {
+  if (a < b) return -1;
+  if (b < a) return 1;
+  return 0;
+}
+
+// Total order on doubles with NaN sorting last.
+int CompareDoubles(double a, double b) {
+  bool a_nan = std::isnan(a), b_nan = std::isnan(b);
+  if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
+  return CompareValues(a, b);
+}
+
 }  // namespace
 
+Result<int> GenericKey::ComparePickled(object::Unpickler* stored) const {
+  std::unique_ptr<GenericKey> key = Clone();
+  TDB_RETURN_IF_ERROR(key->UnpickleFrom(stored));
+  return key->Compare(*this);
+}
+
 int IntKey::Compare(const GenericKey& other) const {
-  const auto& rhs = static_cast<const IntKey&>(other);
-  if (value_ < rhs.value_) return -1;
-  if (value_ > rhs.value_) return 1;
-  return 0;
+  return CompareValues(value_, static_cast<const IntKey&>(other).value_);
+}
+
+Result<int> IntKey::ComparePickled(object::Unpickler* stored) const {
+  int64_t v;
+  TDB_RETURN_IF_ERROR(stored->GetInt64(&v));
+  return CompareValues(v, value_);
 }
 
 uint64_t IntKey::Hash() const { return HashBytes(&value_, sizeof(value_)); }
@@ -45,6 +68,15 @@ int StringKey::Compare(const GenericKey& other) const {
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
+Result<int> StringKey::ComparePickled(object::Unpickler* stored) const {
+  Slice bytes;
+  TDB_RETURN_IF_ERROR(stored->GetBytesView(&bytes));
+  int c = std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                           bytes.size())
+              .compare(value_);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
+
 uint64_t StringKey::Hash() const {
   return HashBytes(value_.data(), value_.size());
 }
@@ -58,12 +90,13 @@ Status StringKey::UnpickleFrom(object::Unpickler* unpickler) {
 }
 
 int DoubleKey::Compare(const GenericKey& other) const {
-  const auto& rhs = static_cast<const DoubleKey&>(other);
-  bool a_nan = std::isnan(value_), b_nan = std::isnan(rhs.value_);
-  if (a_nan || b_nan) return a_nan == b_nan ? 0 : (a_nan ? 1 : -1);
-  if (value_ < rhs.value_) return -1;
-  if (value_ > rhs.value_) return 1;
-  return 0;
+  return CompareDoubles(value_, static_cast<const DoubleKey&>(other).value_);
+}
+
+Result<int> DoubleKey::ComparePickled(object::Unpickler* stored) const {
+  double v;
+  TDB_RETURN_IF_ERROR(stored->GetDouble(&v));
+  return CompareDoubles(v, value_);
 }
 
 uint64_t DoubleKey::Hash() const {

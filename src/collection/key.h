@@ -26,6 +26,13 @@ class GenericKey {
   virtual void Pickle(object::Pickler* pickler) const = 0;
   virtual Status UnpickleFrom(object::Unpickler* unpickler) = 0;
   virtual std::unique_ptr<GenericKey> Clone() const = 0;
+
+  /// Compares a key of this class pickled in `stored` (consumed) against
+  /// this key: <0, 0, >0 as the stored key is less than, equal to or
+  /// greater than *this. Index lookups compare a query key against every
+  /// stored key they pass, so the built-in keys decode in place; the
+  /// default unpickles into a Clone().
+  virtual Result<int> ComparePickled(object::Unpickler* stored) const;
 };
 
 /// Signed 64-bit integer key.
@@ -41,6 +48,7 @@ class IntKey final : public GenericKey {
   std::unique_ptr<GenericKey> Clone() const override {
     return std::make_unique<IntKey>(value_);
   }
+  Result<int> ComparePickled(object::Unpickler* stored) const override;
 
   int64_t value() const { return value_; }
 
@@ -62,6 +70,7 @@ class StringKey final : public GenericKey {
   std::unique_ptr<GenericKey> Clone() const override {
     return std::make_unique<StringKey>(value_);
   }
+  Result<int> ComparePickled(object::Unpickler* stored) const override;
 
   const std::string& value() const { return value_; }
 
@@ -82,6 +91,7 @@ class DoubleKey final : public GenericKey {
   std::unique_ptr<GenericKey> Clone() const override {
     return std::make_unique<DoubleKey>(value_);
   }
+  Result<int> ComparePickled(object::Unpickler* stored) const override;
 
   double value() const { return value_; }
 
@@ -140,12 +150,29 @@ class CompositeKey final : public GenericKey {
     return std::make_unique<CompositeKey>(*this);
   }
 
+  Result<int> ComparePickled(object::Unpickler* stored) const override {
+    return ComparePickledFrom<0>(stored);
+  }
+
   template <size_t I>
   const auto& get() const {
     return std::get<I>(components_);
   }
 
  private:
+  // Components are pickled in order; the first unequal one decides.
+  template <size_t I>
+  Result<int> ComparePickledFrom(object::Unpickler* stored) const {
+    if constexpr (I == sizeof...(Components)) {
+      return 0;
+    } else {
+      TDB_ASSIGN_OR_RETURN(int c,
+                           std::get<I>(components_).ComparePickled(stored));
+      if (c != 0) return c;
+      return ComparePickledFrom<I + 1>(stored);
+    }
+  }
+
   template <size_t I>
   int CompareFrom(const CompositeKey& rhs) const {
     if constexpr (I == sizeof...(Components)) {

@@ -38,7 +38,7 @@ Status ListIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
       for (const IndexEntry& entry : node->entries) {
         if (entry.oid != oid) continue;
         TDB_ASSIGN_OR_RETURN(int cmp,
-                             ComparePickled(indexer, entry.key, key));
+                             ComparePickled(Slice(entry.key), key));
         if (cmp == 0) return Status::OK();
       }
       node_id = node->next;
@@ -58,13 +58,13 @@ Status ListIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
     head->next = spill_id;
   }
   IndexEntry entry;
-  entry.key = PickleKey(key);
+  entry.key = Slice(PickleKey(key)).ToString();
   entry.oid = oid;
   head->entries.push_back(std::move(entry));
   return Status::OK();
 }
 
-Status ListIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
+Status ListIndex::Remove(Transaction* txn, const GenericIndexer& /*indexer*/,
                          ObjectId root, const GenericKey& key, ObjectId oid) {
   ObjectId node_id = root;
   while (node_id != object::kInvalidObjectId) {
@@ -77,7 +77,7 @@ Status ListIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
       for (const IndexEntry& entry : peek->entries) {
         if (entry.oid != oid) continue;
         TDB_ASSIGN_OR_RETURN(int cmp,
-                             ComparePickled(indexer, entry.key, key));
+                             ComparePickled(Slice(entry.key), key));
         if (cmp == 0) {
           found = true;
           break;
@@ -93,7 +93,7 @@ Status ListIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
     for (size_t i = 0; i < node->entries.size(); i++) {
       if (node->entries[i].oid != oid) continue;
       TDB_ASSIGN_OR_RETURN(int cmp,
-                           ComparePickled(indexer, node->entries[i].key, key));
+                           ComparePickled(Slice(node->entries[i].key), key));
       if (cmp == 0) {
         node->entries.erase(node->entries.begin() + i);
         return Status::OK();
@@ -122,7 +122,7 @@ Status ListIndex::Match(Transaction* txn, const GenericIndexer& indexer,
   return Range(txn, indexer, root, &key, &key, out);
 }
 
-Status ListIndex::Range(Transaction* txn, const GenericIndexer& indexer,
+Status ListIndex::Range(Transaction* txn, const GenericIndexer& /*indexer*/,
                         ObjectId root, const GenericKey* min,
                         const GenericKey* max,
                         std::vector<ObjectId>* out) {
@@ -132,11 +132,13 @@ Status ListIndex::Range(Transaction* txn, const GenericIndexer& indexer,
                          txn->OpenReadonly<ListNode>(node_id));
     for (const IndexEntry& entry : node->entries) {
       if (min != nullptr) {
-        TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(indexer, entry.key, *min));
+        TDB_ASSIGN_OR_RETURN(int cmp,
+                             ComparePickled(Slice(entry.key), *min));
         if (cmp < 0) continue;
       }
       if (max != nullptr) {
-        TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(indexer, entry.key, *max));
+        TDB_ASSIGN_OR_RETURN(int cmp,
+                             ComparePickled(Slice(entry.key), *max));
         if (cmp > 0) continue;
       }
       out->push_back(entry.oid);

@@ -12,28 +12,42 @@ size_t CbcCiphertextSize(const BlockCipher& cipher, size_t plain_size) {
 }
 
 Buffer CbcEncrypt(const BlockCipher& cipher, Slice iv, Slice plain) {
+  Buffer out(CbcCiphertextSize(cipher, plain.size()));
+  CbcEncryptTo(cipher, iv, plain, out.data());
+  return out;
+}
+
+void CbcEncryptTo(const BlockCipher& cipher, Slice iv, Slice plain,
+                  uint8_t* out) {
   const size_t block = cipher.block_size();
   TDB_CHECK(iv.size() == block, "IV must be one cipher block");
+  TDB_CHECK(block <= 32, "cipher block too large");
 
-  // PKCS#7 pad.
-  size_t pad = block - (plain.size() % block);
-  Buffer padded = plain.ToBuffer();
-  padded.insert(padded.end(), pad, static_cast<uint8_t>(pad));
+  // The whole blocks of `plain` are encrypted where they lie; the last
+  // block is the plaintext's tail plus its PKCS#7 pad.
+  const size_t full = plain.size() / block;
+  const size_t tail = plain.size() - full * block;
+  const size_t pad = block - tail;
+  uint8_t last[32];
+  std::memcpy(last, plain.data() + full * block, tail);
+  std::memset(last + tail, static_cast<int>(pad), pad);
+  uint8_t* last_out = out + full * block;
 
-  Buffer out(padded.size());
-  if (cipher.CbcEncryptBlocks(iv.data(), padded.data(), padded.size() / block,
-                              out.data())) {
-    return out;
+  if (full == 0 || cipher.CbcEncryptBlocks(iv.data(), plain.data(), full,
+                                            out)) {
+    const uint8_t* chain = full == 0 ? iv.data() : last_out - block;
+    if (cipher.CbcEncryptBlocks(chain, last, 1, last_out)) return;
   }
+  // Per-block path (no batch kernel): the same chaining, block by block.
   uint8_t chain[32];
   std::memcpy(chain, iv.data(), block);
-  for (size_t off = 0; off < padded.size(); off += block) {
+  for (size_t b = 0; b <= full; b++) {
+    const uint8_t* in = b < full ? plain.data() + b * block : last;
     uint8_t x[32];
-    for (size_t i = 0; i < block; i++) x[i] = padded[off + i] ^ chain[i];
-    cipher.EncryptBlock(x, out.data() + off);
-    std::memcpy(chain, out.data() + off, block);
+    for (size_t i = 0; i < block; i++) x[i] = in[i] ^ chain[i];
+    cipher.EncryptBlock(x, out + b * block);
+    std::memcpy(chain, out + b * block, block);
   }
-  return out;
 }
 
 Result<Buffer> CbcDecrypt(const BlockCipher& cipher, Slice iv,

@@ -20,6 +20,13 @@ size_t CbcCiphertextSize(const BlockCipher& cipher, size_t plain_size);
 /// ciphertext; the caller stores the IV alongside.
 Buffer CbcEncrypt(const BlockCipher& cipher, Slice iv, Slice plain);
 
+/// CbcEncrypt into caller memory: writes CbcCiphertextSize(cipher,
+/// plain.size()) bytes at `out`, which must not overlap `plain`. Only the
+/// final, padded block is staged (on the stack); the plaintext is not
+/// copied.
+void CbcEncryptTo(const BlockCipher& cipher, Slice iv, Slice plain,
+                  uint8_t* out);
+
 /// Decrypts and strips padding. Returns Corruption on malformed input or
 /// bad padding (which, combined with the Merkle check above it, surfaces
 /// tampering).

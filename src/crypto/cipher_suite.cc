@@ -60,24 +60,32 @@ Digest CipherSuite::Mac(Slice data) const {
 
 Buffer CipherSuite::Seal(Slice plain) {
   if (!config_.enabled || cipher_ == nullptr) return plain.ToBuffer();
-  Buffer iv = NextIv();
-  return SealWithIv(plain, iv);
+  uint8_t iv[kMaxIvSize];
+  NextIv(iv);
+  return SealWithIv(plain, Slice(iv, iv_size()));
 }
 
-Buffer CipherSuite::NextIv() {
-  if (!config_.enabled || cipher_ == nullptr) return Buffer();
-  return iv_gen_->Generate(cipher_->block_size());
+size_t CipherSuite::iv_size() const {
+  if (!config_.enabled || cipher_ == nullptr) return 0;
+  return cipher_->block_size();
+}
+
+void CipherSuite::NextIv(uint8_t* out) {
+  if (!config_.enabled || cipher_ == nullptr) return;
+  iv_gen_->Generate(out, cipher_->block_size());
+}
+
+void CipherSuite::ReseedIv(Slice material) {
+  if (iv_gen_ != nullptr) iv_gen_->Reseed(material);
 }
 
 Buffer CipherSuite::SealWithIv(Slice plain, Slice iv) const {
   if (!config_.enabled || cipher_ == nullptr) return plain.ToBuffer();
   TDB_CHECK(iv.size() == cipher_->block_size(),
             "IV must be exactly one cipher block");
-  Buffer cipher_text = CbcEncrypt(*cipher_, iv, plain);
-  Buffer out;
-  out.reserve(iv.size() + cipher_text.size());
-  out.insert(out.end(), iv.data(), iv.data() + iv.size());
-  out.insert(out.end(), cipher_text.begin(), cipher_text.end());
+  Buffer out(SealedSize(plain.size()));
+  std::memcpy(out.data(), iv.data(), iv.size());
+  CbcEncryptTo(*cipher_, iv, plain, out.data() + iv.size());
   return out;
 }
 

@@ -43,11 +43,11 @@ struct SecurityConfig {
 /// THREAD SAFETY: after construction, every const member (HashData, Mac,
 /// Open, SealWithIv, SealedSize, hash_size) is safe to call concurrently —
 /// the key schedules are immutable and each call keeps its working state
-/// on the stack. Only Seal()/NextIv() mutate (they advance the IV
-/// generator) and need external serialization. The chunk store's parallel
-/// commit pipeline relies on this split: IVs are drawn serially in
-/// submission order, then SealWithIv/HashData fan out across threads,
-/// producing output bit-identical to the serial path.
+/// on the stack. Only Seal()/NextIv()/ReseedIv() mutate (they advance or
+/// reseed the IV generator) and need external serialization. The chunk
+/// store's parallel commit pipeline relies on this split: IVs are drawn
+/// serially in submission order, then SealWithIv/HashData fan out across
+/// threads, producing output bit-identical to the serial path.
 class CipherSuite {
  public:
   /// `master_secret` comes from the SecretStore; `iv_seed` seeds the IV
@@ -73,13 +73,24 @@ class CipherSuite {
   /// Equivalent to SealWithIv(plain, NextIv()).
   Buffer Seal(Slice plain);
 
-  /// Draws the next IV (one cipher block; empty when encryption is off).
-  /// Mutates the generator — serialize calls, and draw in a deterministic
-  /// order if reproducible output matters.
-  Buffer NextIv();
+  /// Bytes of IV per sealed chunk: one cipher block, 0 when encryption is
+  /// off. At most kMaxIvSize.
+  size_t iv_size() const;
+  static constexpr size_t kMaxIvSize = 16;
+
+  /// Draws the next IV into `out` (iv_size() bytes; nothing when
+  /// encryption is off). Mutates the generator — serialize calls, and draw
+  /// in a deterministic order if reproducible output matters.
+  void NextIv(uint8_t* out);
+
+  /// Mixes `material` into the IV generator's seed (see CtrDrbg::Reseed).
+  /// A store reopening an existing log passes state no earlier session
+  /// sealed under, so it never draws an IV a previous session drew.
+  void ReseedIv(Slice material);
 
   /// Seals under a caller-supplied IV of exactly one cipher block (ignored
-  /// and pass-through when encryption is off). Const and safe to call from
+  /// and pass-through when encryption is off) into one buffer: the IV,
+  /// then the ciphertext encrypted in place. Const and safe to call from
   /// multiple threads concurrently.
   Buffer SealWithIv(Slice plain, Slice iv) const;
 

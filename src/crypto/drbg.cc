@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "common/coding.h"
 #include "crypto/sha256.h"
 
 namespace tdb::crypto {
@@ -10,17 +9,30 @@ namespace tdb::crypto {
 CtrDrbg::CtrDrbg(Slice seed) { seed_ = Hash(HashKind::kSha256, seed); }
 
 void CtrDrbg::Generate(uint8_t* out, size_t n) {
+  // Block input: seed || little-endian counter, built on the stack.
+  uint8_t input[Sha256::kDigestSize + 8];
+  std::memcpy(input, seed_.data(), Sha256::kDigestSize);
   while (n > 0) {
-    Buffer block_input;
-    block_input.insert(block_input.end(), seed_.data(),
-                       seed_.data() + seed_.size());
-    PutFixed64(&block_input, counter_++);
-    Digest block = Hash(HashKind::kSha256, block_input);
+    uint64_t counter = counter_++;
+    for (int i = 0; i < 8; i++) {
+      input[Sha256::kDigestSize + i] = static_cast<uint8_t>(counter >> (8 * i));
+    }
+    Sha256 hasher;
+    hasher.Update(Slice(input, sizeof(input)));
+    Digest block = hasher.Finish();
     size_t take = std::min(n, block.size());
     std::memcpy(out, block.data(), take);
     out += take;
     n -= take;
   }
+}
+
+void CtrDrbg::Reseed(Slice material) {
+  Sha256 hasher;
+  hasher.Update(seed_.AsSlice());
+  hasher.Update(material);
+  seed_ = hasher.Finish();
+  counter_ = 0;
 }
 
 Buffer CtrDrbg::Generate(size_t n) {

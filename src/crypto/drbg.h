@@ -20,6 +20,10 @@ class CtrDrbg {
   void Generate(uint8_t* out, size_t n);
   Buffer Generate(size_t n);
 
+  /// Mixes `material` into the seed and restarts the counter: the stream
+  /// continues as SHA-256(seed || material) in counter mode.
+  void Reseed(Slice material);
+
  private:
   Digest seed_;
   uint64_t counter_ = 0;

@@ -17,25 +17,21 @@ Digest::Digest(const uint8_t* data, size_t size) : size_(size) {
 
 std::string Digest::ToHex() const { return tdb::ToHex(AsSlice()); }
 
-std::unique_ptr<Hasher> NewHasher(HashKind kind) {
-  switch (kind) {
-    case HashKind::kSha1:
-      return std::make_unique<Sha1>();
-    case HashKind::kSha256:
-      return std::make_unique<Sha256>();
-  }
-  TDB_CHECK(false, "unknown HashKind");
-  return nullptr;
-}
-
 size_t DigestSize(HashKind kind) {
   return kind == HashKind::kSha1 ? Sha1::kDigestSize : Sha256::kDigestSize;
 }
 
 Digest Hash(HashKind kind, Slice data) {
-  auto hasher = NewHasher(kind);
-  hasher->Update(data);
-  return hasher->Finish();
+  // Hashers live on the stack: this runs once per sealed chunk.
+  if (kind == HashKind::kSha1) {
+    Sha1 hasher;
+    hasher.Update(data);
+    return hasher.Finish();
+  }
+  TDB_CHECK(kind == HashKind::kSha256, "unknown HashKind");
+  Sha256 hasher;
+  hasher.Update(data);
+  return hasher.Finish();
 }
 
 }  // namespace tdb::crypto

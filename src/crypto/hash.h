@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/slice.h"
@@ -53,8 +52,6 @@ class Hasher {
   virtual Digest Finish() = 0;
   virtual size_t digest_size() const = 0;
 };
-
-std::unique_ptr<Hasher> NewHasher(HashKind kind);
 
 /// Digest size in bytes for `kind` (20 or 32).
 size_t DigestSize(HashKind kind);

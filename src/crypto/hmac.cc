@@ -8,7 +8,13 @@ namespace {
 constexpr size_t kBlockSize = 64;  // SHA-1 and SHA-256 share a 64B block.
 }  // namespace
 
-Hmac::Hmac(HashKind kind, Slice key) : kind_(kind), inner_(NewHasher(kind)) {
+Hmac::AnyHasher Hmac::MakeHasher(HashKind kind) {
+  if (kind == HashKind::kSha1) return AnyHasher(std::in_place_type<Sha1>);
+  return AnyHasher(std::in_place_type<Sha256>);
+}
+
+Hmac::Hmac(HashKind kind, Slice key)
+    : inner_(MakeHasher(kind)) {
   uint8_t key_block[kBlockSize] = {0};
   if (key.size() > kBlockSize) {
     Digest d = Hash(kind, key);
@@ -24,18 +30,28 @@ Hmac::Hmac(HashKind kind, Slice key) : kind_(kind), inner_(NewHasher(kind)) {
 }
 
 void Hmac::Reset() {
-  inner_->Reset();
-  inner_->Update(Slice(ipad_, kBlockSize));
+  std::visit(
+      [this](auto& h) {
+        h.Reset();
+        h.Update(Slice(ipad_, kBlockSize));
+      },
+      inner_);
 }
 
-void Hmac::Update(Slice data) { inner_->Update(data); }
+void Hmac::Update(Slice data) {
+  std::visit([data](auto& h) { h.Update(data); }, inner_);
+}
 
 Digest Hmac::Finish() {
-  Digest inner_digest = inner_->Finish();
-  auto outer = NewHasher(kind_);
-  outer->Update(Slice(opad_, kBlockSize));
-  outer->Update(inner_digest.AsSlice());
-  return outer->Finish();
+  return std::visit(
+      [this](auto& inner) {
+        Digest inner_digest = inner.Finish();
+        std::remove_reference_t<decltype(inner)> outer;
+        outer.Update(Slice(opad_, kBlockSize));
+        outer.Update(inner_digest.AsSlice());
+        return outer.Finish();
+      },
+      inner_);
 }
 
 Digest Hmac::Mac(HashKind kind, Slice key, Slice data) {

@@ -1,7 +1,11 @@
 #ifndef TDB_CRYPTO_HMAC_H_
 #define TDB_CRYPTO_HMAC_H_
 
+#include <variant>
+
 #include "crypto/hash.h"
+#include "crypto/sha1.h"
+#include "crypto/sha256.h"
 
 namespace tdb::crypto {
 
@@ -20,10 +24,13 @@ class Hmac {
   static Digest Mac(HashKind kind, Slice key, Slice data);
 
  private:
-  HashKind kind_;
+  // The hasher of `kind`, held by value: a MAC costs no heap allocation.
+  using AnyHasher = std::variant<Sha1, Sha256>;
+  static AnyHasher MakeHasher(HashKind kind);
+
   uint8_t ipad_[64];
   uint8_t opad_[64];
-  std::unique_ptr<Hasher> inner_;
+  AnyHasher inner_;
 };
 
 }  // namespace tdb::crypto

@@ -25,23 +25,42 @@ bool HasPrefix(const std::string& name, const char* prefix) {
   return name.rfind(prefix, 0) == 0;
 }
 
+// Calls `fn(offset, view)` for each record of a segment file, in log
+// order; returns the offset where parsing stopped (the file size unless
+// the file ends in a torn or garbage tail).
+template <typename Fn>
+uint64_t ForEachRecord(const Buffer& bytes, Fn fn) {
+  uint64_t pos = std::min<uint64_t>(chunk::kSegmentHeaderSize, bytes.size());
+  while (pos < bytes.size()) {
+    chunk::RecordView view;
+    if (!chunk::ParseRecord(Slice(bytes.data() + pos, bytes.size() - pos),
+                            &view)
+             .ok()) {
+      break;
+    }
+    fn(pos, view);
+    pos += view.record_size;
+  }
+  return pos;
+}
+
+// A file's name without a directory-style shard prefix ("s0/seg-000001",
+// see PrefixedStore): the per-file structure is an unmodified chunk-store
+// log either way.
+std::string BaseName(const std::string& name) {
+  const size_t slash = name.rfind('/');
+  return slash == std::string::npos ? name : name.substr(slash + 1);
+}
+
 void ClassifySegment(const std::string& name, const Buffer& bytes,
                      std::vector<TamperRegion>* out) {
-  uint64_t pos = 0;
   uint64_t size = bytes.size();
   uint64_t header = std::min<uint64_t>(chunk::kSegmentHeaderSize, size);
   if (header > 0) {
     out->push_back({name, 0, header, RegionClass::kLogStructure});
-    pos = header;
   }
-  while (pos < size) {
-    Slice rest(bytes.data() + pos, size - pos);
-    chunk::RecordView view;
-    if (!chunk::ParseRecord(rest, &view).ok()) {
-      // Unreachable tail (torn or trailing garbage): structural bytes.
-      out->push_back({name, pos, size - pos, RegionClass::kLogStructure});
-      return;
-    }
+  const uint64_t end = ForEachRecord(bytes, [&](uint64_t pos,
+                                                const chunk::RecordView& view) {
     out->push_back(
         {name, pos, chunk::kRecordHeaderSize, RegionClass::kLogStructure});
     if (view.payload.size() > 0) {
@@ -54,7 +73,10 @@ void ClassifySegment(const std::string& name, const Buffer& bytes,
       out->push_back(
           {name, pos + chunk::kRecordHeaderSize, view.payload.size(), cls});
     }
-    pos += view.record_size;
+  });
+  if (end < size) {
+    // Unreachable tail (torn or trailing garbage): structural bytes.
+    out->push_back({name, end, size - end, RegionClass::kLogStructure});
   }
 }
 
@@ -65,13 +87,9 @@ std::vector<TamperRegion> ClassifyImage(
   std::vector<TamperRegion> regions;
   for (const auto& [name, bytes] : image) {
     if (bytes.empty()) continue;
-    // Classify by basename: a sharded image stores each shard under a
-    // directory-style prefix ("s0/seg-000001", see PrefixedStore), but the
-    // per-file structure is an unmodified chunk-store log either way.
-    // Regions keep the full name so tamper repros stay unambiguous.
-    const size_t slash = name.rfind('/');
-    const std::string base =
-        slash == std::string::npos ? name : name.substr(slash + 1);
+    // Classify by basename; regions keep the full name so tamper repros
+    // stay unambiguous.
+    const std::string base = BaseName(name);
     if (HasPrefix(base, "anchor-")) {
       regions.push_back({name, 0, bytes.size(), RegionClass::kAnchorSlot});
     } else if (HasPrefix(base, "seg-")) {
@@ -79,6 +97,18 @@ std::vector<TamperRegion> ClassifyImage(
     }
   }
   return regions;
+}
+
+std::vector<Slice> RecordPayloads(
+    const platform::MemUntrustedStore::Image& image) {
+  std::vector<Slice> payloads;
+  for (const auto& [name, bytes] : image) {
+    if (!HasPrefix(BaseName(name), "seg-")) continue;
+    ForEachRecord(bytes, [&](uint64_t, const chunk::RecordView& view) {
+      payloads.push_back(view.payload);
+    });
+  }
+  return payloads;
 }
 
 }  // namespace tdb::harness

@@ -36,6 +36,13 @@ struct TamperRegion {
 std::vector<TamperRegion> ClassifyImage(
     const platform::MemUntrustedStore::Image& image);
 
+/// The payload of every record of every segment file of `image` (up to a
+/// file's first unparsable record). With encryption on, each payload —
+/// data, map node or commit manifest — starts with the IV it was sealed
+/// under.
+std::vector<Slice> RecordPayloads(
+    const platform::MemUntrustedStore::Image& image);
+
 }  // namespace tdb::harness
 
 #endif  // TDB_HARNESS_REGION_MAP_H_

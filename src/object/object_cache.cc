@@ -21,15 +21,16 @@ Object* ObjectCache::Put(ObjectId oid, std::unique_ptr<Object> object,
   if (!inserted) {
     // Replacement: the old instance's pins are forgotten, as by Erase.
     size_ -= entry.charge;
-    if (entry.evictable()) lru_.erase(entry.lru_pos);
+    if (entry.evictable()) lru_.Remove(entry);
   }
+  entry.oid = oid;
   entry.charge = object->ApproxSize() + 64;  // Entry bookkeeping overhead.
   entry.generation = ++next_generation_;
   entry.object = std::move(object);
   entry.dirty = dirty;
   entry.pins = pin_generation != nullptr ? 1 : 0;
   if (pin_generation != nullptr) *pin_generation = entry.generation;
-  Relink(oid, entry, /*was_evictable=*/false);
+  Relink(entry, /*was_evictable=*/false);
   size_ += entry.charge;
   MirrorSize();
   return entry.object.get();
@@ -40,7 +41,7 @@ Object* ObjectCache::Get(ObjectId oid) {
   if (it == entries_.end()) return nullptr;
   CountHit();
   Entry& entry = it->second;
-  if (entry.evictable()) lru_.splice(lru_.begin(), lru_, entry.lru_pos);
+  if (entry.evictable()) lru_.Touch(entry);
   return entry.object.get();
 }
 
@@ -53,9 +54,18 @@ Object* ObjectCache::Acquire(ObjectId oid, bool dirty,
   const bool was_evictable = entry.evictable();
   if (dirty) entry.dirty = true;
   entry.pins++;
-  Relink(oid, entry, was_evictable);
+  Relink(entry, was_evictable);
   *pin_generation = entry.generation;
   return entry.object.get();
+}
+
+void ObjectCache::Repin(ObjectId oid, uint64_t generation) {
+  auto it = entries_.find(oid);
+  if (it == entries_.end() || it->second.generation != generation) return;
+  Entry& entry = it->second;
+  const bool was_evictable = entry.evictable();
+  entry.pins++;
+  Relink(entry, was_evictable);
 }
 
 void ObjectCache::Unpin(ObjectId oid, uint64_t generation) {
@@ -70,7 +80,7 @@ void ObjectCache::Unpin(ObjectId oid, uint64_t generation) {
   TDB_DCHECK(entry.pins > 0);
   if (entry.pins == 0) return;
   entry.pins--;
-  Relink(oid, entry, /*was_evictable=*/false);
+  Relink(entry, /*was_evictable=*/false);
 }
 
 void ObjectCache::SetDirty(ObjectId oid, bool dirty) {
@@ -79,7 +89,7 @@ void ObjectCache::SetDirty(ObjectId oid, bool dirty) {
   Entry& entry = it->second;
   const bool was_evictable = entry.evictable();
   entry.dirty = dirty;
-  Relink(oid, entry, was_evictable);
+  Relink(entry, was_evictable);
 }
 
 bool ObjectCache::IsDirty(ObjectId oid) const {
@@ -92,30 +102,28 @@ void ObjectCache::Erase(ObjectId oid) {
   if (it == entries_.end()) return;
   Entry& entry = it->second;
   size_ -= entry.charge;
-  if (entry.evictable()) lru_.erase(entry.lru_pos);
+  if (entry.evictable()) lru_.Remove(entry);
   entries_.erase(it);
   MirrorSize();
 }
 
-void ObjectCache::Relink(ObjectId oid, Entry& entry, bool was_evictable) {
+void ObjectCache::Relink(Entry& entry, bool was_evictable) {
   const bool evictable = entry.evictable();
   if (evictable == was_evictable) return;
   if (evictable) {
-    lru_.push_front(oid);
-    entry.lru_pos = lru_.begin();
+    lru_.PushNewest(entry);
   } else {
-    lru_.erase(entry.lru_pos);
+    lru_.Remove(entry);
   }
 }
 
 void ObjectCache::EnforceCapacity() {
   if (size_ <= capacity_) return;
-  while (size_ > capacity_ && !lru_.empty()) {
-    auto it = entries_.find(lru_.back());
-    TDB_DCHECK(it != entries_.end());
-    size_ -= it->second.charge;
-    entries_.erase(it);
-    lru_.pop_back();
+  while (size_ > capacity_ && lru_.oldest() != nullptr) {
+    Entry& victim = *lru_.oldest();
+    lru_.Remove(victim);
+    size_ -= victim.charge;
+    entries_.erase(victim.oid);
     stats_.evictions++;
     if (evictions_metric_ != nullptr) evictions_metric_->Increment();
   }

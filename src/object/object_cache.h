@@ -1,10 +1,10 @@
 #ifndef TDB_OBJECT_OBJECT_CACHE_H_
 #define TDB_OBJECT_OBJECT_CACHE_H_
 
-#include <list>
 #include <memory>
 #include <unordered_map>
 
+#include "common/lru_list.h"
 #include "common/metrics.h"
 #include "object/object.h"
 
@@ -18,7 +18,9 @@ namespace tdb::object {
 /// entries — clean and unpinned — sit on the LRU list, ordered by their
 /// last use while evictable: a clean insert, a hit, the last unpin, or
 /// the commit that cleaned them. Eviction pops the LRU tail, so it costs
-/// O(entries evicted) however many objects open transactions hold.
+/// O(entries evicted) however many objects open transactions hold. The
+/// list is intrusive (links in the entries, which never move inside the
+/// hash map), so pins, unpins and dirty flips allocate nothing.
 ///
 /// Not thread-safe; the object store's state mutex serializes access.
 class ObjectCache {
@@ -59,6 +61,9 @@ class ObjectCache {
   /// fetch re-Put the same oid — a stale Ref's release must not steal the
   /// replacement entry's pin.
   Object* Acquire(ObjectId oid, bool dirty, uint64_t* pin_generation);
+  /// One more pin on the entry of that `generation` (a copied Ref); no-op
+  /// if the entry is gone or was replaced.
+  void Repin(ObjectId oid, uint64_t generation);
   void Unpin(ObjectId oid, uint64_t generation);
 
   bool Contains(ObjectId oid) const { return entries_.count(oid) > 0; }
@@ -85,13 +90,16 @@ class ObjectCache {
 
  private:
   struct Entry {
+    ObjectId oid = kInvalidObjectId;
     std::unique_ptr<Object> object;
     size_t charge = 0;
     int pins = 0;
     uint64_t generation = 0;
     bool dirty = false;
-    // Valid only while evictable(): exactly those entries are on lru_.
-    std::list<ObjectId>::iterator lru_pos;
+    // LRU links, valid only while evictable(): exactly those entries are
+    // on the list. `newer` points toward the MRU end.
+    Entry* newer = nullptr;
+    Entry* older = nullptr;
 
     bool evictable() const { return pins == 0 && !dirty; }
   };
@@ -100,10 +108,10 @@ class ObjectCache {
     stats_.hits++;
     if (hits_metric_ != nullptr) hits_metric_->Increment();
   }
-  // Puts `oid`'s entry on (at the MRU end) or takes it off the LRU list
-  // when a state change flipped evictable(); `was_evictable` is its value
+  // Puts the entry on (at the MRU end) or takes it off the LRU list when
+  // a state change flipped evictable(); `was_evictable` is its value
   // before the change.
-  void Relink(ObjectId oid, Entry& entry, bool was_evictable);
+  void Relink(Entry& entry, bool was_evictable);
   void MirrorSize() {
     if (bytes_used_metric_ != nullptr) {
       bytes_used_metric_->Set(static_cast<int64_t>(size_));
@@ -112,7 +120,7 @@ class ObjectCache {
 
   std::unordered_map<ObjectId, Entry> entries_;
   uint64_t next_generation_ = 0;
-  std::list<ObjectId> lru_;  // Evictable entries; front = MRU.
+  common::LruList<Entry> lru_;  // Exactly the evictable entries.
   size_t capacity_;
   size_t size_ = 0;
   Stats stats_;

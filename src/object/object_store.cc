@@ -1,12 +1,74 @@
 #include "object/object_store.h"
 
+#include <algorithm>
+
 #include "common/trace.h"
 
 namespace tdb::object {
 
 namespace {
 constexpr uint32_t kHeaderMagic = 0x54445242;  // "TDRB" — root registry.
+// Entries a transaction's object list starts with room for (a TPC-B
+// transaction touches about eight), and the unsorted tail it tolerates
+// before merging it into the sorted prefix.
+constexpr size_t kTxnObjectsReserve = 16;
+constexpr size_t kTxnObjectsTail = 32;
+// Pickle buffers start with room for a typical object, so pickling one
+// does not regrow the buffer byte by byte.
+constexpr size_t kPickleReserve = 256;
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// internal::TxnObjects, internal::Pin
+
+namespace internal {
+
+const TxnObjects::Entry* TxnObjects::Find(ObjectId oid) const {
+  auto less = [](const Entry& e, ObjectId id) { return e.oid < id; };
+  auto sorted_end = entries_.begin() + static_cast<ptrdiff_t>(sorted_);
+  auto it = std::lower_bound(entries_.begin(), sorted_end, oid, less);
+  if (it != sorted_end && it->oid == oid) return &*it;
+  for (auto t = sorted_end; t != entries_.end(); ++t) {
+    if (t->oid == oid) return &*t;
+  }
+  return nullptr;
+}
+
+void TxnObjects::Add(ObjectId oid, uint8_t flag) {
+  if (Entry* e = Find(oid)) {
+    e->flags |= flag;
+    return;
+  }
+  if (entries_.empty()) entries_.reserve(kTxnObjectsReserve);
+  entries_.push_back(Entry{oid, flag});
+  if (entries_.size() - sorted_ > kTxnObjectsTail) Merge();
+}
+
+void TxnObjects::Merge() {
+  auto by_id = [](const Entry& a, const Entry& b) { return a.oid < b.oid; };
+  auto mid = entries_.begin() + static_cast<ptrdiff_t>(sorted_);
+  std::sort(mid, entries_.end(), by_id);
+  std::inplace_merge(entries_.begin(), mid, entries_.end(), by_id);
+  sorted_ = entries_.size();
+}
+
+const std::vector<TxnObjects::Entry>& TxnObjects::Sorted() {
+  if (sorted_ != entries_.size()) Merge();
+  return entries_;
+}
+
+Pin::Pin(const Pin& other)
+    : store_(other.store_), oid_(other.oid_),
+      generation_(other.generation_) {
+  if (store_ != nullptr) store_->Repin(oid_, generation_);
+}
+
+void Pin::Release() {
+  if (store_ != nullptr) store_->Unpin(oid_, generation_);
+  store_ = nullptr;
+}
+
+}  // namespace internal
 
 // ---------------------------------------------------------------------------
 // Transaction
@@ -291,12 +353,12 @@ Result<std::unique_ptr<Object>> ObjectStore::Fetch(ObjectId oid) {
 
 Result<Object*> ObjectStore::OpenInternal(internal::TxnState& txn,
                                           ObjectId oid, bool writable,
-                                          std::shared_ptr<void>* pin_guard) {
+                                          internal::Pin* pin) {
   if (oid == kInvalidObjectId || oid == header_cid_) {
     return Status::InvalidArgument("invalid object id");
   }
   std::unique_lock<std::mutex> lock(mutex_);
-  if (txn.removed.count(oid)) {
+  if (txn.objects.Has(oid, internal::TxnObjects::kRemoved)) {
     return Status::NotFound("object removed in this transaction");
   }
   if (options_.locking_enabled) {
@@ -308,8 +370,8 @@ Result<Object*> ObjectStore::OpenInternal(internal::TxnState& txn,
     }
   }
   // Pin (and, for a write, dirty) the entry in the same probe that finds
-  // it, and build the release guard under the same mutex hold, so the
-  // generation the guard releases is the generation that was pinned (an
+  // it, and record its generation under the same mutex hold, so the
+  // generation the pin releases is the generation that was pinned (an
   // abort may Erase + re-Put this oid the moment the mutex drops).
   uint64_t pin_generation = 0;
   Object* obj = cache_.Acquire(oid, writable, &pin_generation);
@@ -317,25 +379,20 @@ Result<Object*> ObjectStore::OpenInternal(internal::TxnState& txn,
     TDB_ASSIGN_OR_RETURN(std::unique_ptr<Object> fetched, Fetch(oid));
     obj = cache_.Put(oid, std::move(fetched), writable, &pin_generation);
   }
-  if (writable) {
-    txn.write_set.insert(oid);
-  } else {
-    txn.read_set.insert(oid);
-  }
-  *pin_guard = MakePin(oid, pin_generation);
+  if (writable) txn.objects.Add(oid, internal::TxnObjects::kWritten);
+  *pin = internal::Pin(this, oid, pin_generation);
   cache_.EnforceCapacity();
   return obj;
 }
 
-std::shared_ptr<void> ObjectStore::MakePin(ObjectId oid,
-                                           uint64_t generation) {
-  // The pin itself was taken inside OpenInternal (under the mutex); this
-  // wraps it so the last Ref copy releases it.
-  return std::shared_ptr<void>(static_cast<void*>(nullptr),
-                               [this, oid, generation](void*) {
-                                 std::lock_guard<std::mutex> lock(mutex_);
-                                 cache_.Unpin(oid, generation);
-                               });
+void ObjectStore::Repin(ObjectId oid, uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  cache_.Repin(oid, generation);
+}
+
+void ObjectStore::Unpin(ObjectId oid, uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  cache_.Unpin(oid, generation);
 }
 
 Result<ObjectId> ObjectStore::InsertInternal(internal::TxnState& txn,
@@ -358,8 +415,8 @@ Result<ObjectId> ObjectStore::InsertInternal(internal::TxnState& txn,
     }
   }
   cache_.Put(oid, std::move(object), /*dirty=*/true);
-  txn.write_set.insert(oid);
-  txn.inserted.insert(oid);
+  txn.objects.Add(oid, internal::TxnObjects::kWritten |
+                           internal::TxnObjects::kInserted);
   return oid;
 }
 
@@ -368,7 +425,7 @@ Status ObjectStore::RemoveInternal(internal::TxnState& txn, ObjectId oid) {
     return Status::InvalidArgument("invalid object id");
   }
   std::unique_lock<std::mutex> lock(mutex_);
-  if (txn.removed.count(oid)) {
+  if (txn.objects.Has(oid, internal::TxnObjects::kRemoved)) {
     return Status::NotFound("object already removed in this transaction");
   }
   if (options_.locking_enabled) {
@@ -385,7 +442,7 @@ Status ObjectStore::RemoveInternal(internal::TxnState& txn, ObjectId oid) {
     Status exists = chunks_->Read(oid).status();
     if (!exists.ok()) return exists;
   }
-  txn.removed.insert(oid);
+  txn.objects.Add(oid, internal::TxnObjects::kRemoved);
   return Status::OK();
 }
 
@@ -394,22 +451,31 @@ Status ObjectStore::CommitTxn(internal::TxnState& txn, bool durable) {
   common::ScopedTimer timer(chunks_->metrics().get(), m_.commit_latency_us);
   std::unique_lock<std::mutex> lock(mutex_);
 
+  using internal::TxnObjects;
+  const std::vector<TxnObjects::Entry>& objects = txn.objects.Sorted();
   chunk::WriteBatch batch;
+  batch.Reserve(objects.size());
   int64_t pickled = 0;
-  for (ObjectId oid : txn.write_set) {
-    if (txn.removed.count(oid)) continue;
-    Object* obj = cache_.Get(oid);
+  for (const TxnObjects::Entry& e : objects) {
+    if ((e.flags & TxnObjects::kWritten) == 0 ||
+        (e.flags & TxnObjects::kRemoved) != 0) {
+      continue;
+    }
+    Object* obj = cache_.Get(e.oid);
     TDB_CHECK(obj != nullptr, "dirty object missing from cache");
-    Pickler pickler;
+    Pickler pickler(kPickleReserve);
     pickler.PutUint32(obj->class_id());
     obj->Pickle(&pickler);
     pickled += static_cast<int64_t>(pickler.buffer().size());
-    batch.Write(oid, pickler.buffer());
+    batch.Write(e.oid, pickler.Take());
   }
-  for (ObjectId oid : txn.removed) {
+  for (const TxnObjects::Entry& e : objects) {
     // Objects inserted and removed within this txn never reached the
     // chunk store; there is nothing to deallocate.
-    if (!txn.inserted.count(oid)) batch.Deallocate(oid);
+    if ((e.flags & TxnObjects::kRemoved) != 0 &&
+        (e.flags & TxnObjects::kInserted) == 0) {
+      batch.Deallocate(e.oid);
+    }
   }
 
   chunk::CommitHandle handle;
@@ -446,10 +512,13 @@ Status ObjectStore::CommitTxn(internal::TxnState& txn, bool durable) {
     lock.lock();
   }
 
-  for (ObjectId oid : txn.write_set) {
-    if (!txn.removed.count(oid)) cache_.SetDirty(oid, false);
+  for (const TxnObjects::Entry& e : objects) {
+    if ((e.flags & TxnObjects::kRemoved) != 0) {
+      cache_.Erase(e.oid);
+    } else if ((e.flags & TxnObjects::kWritten) != 0) {
+      cache_.SetDirty(e.oid, false);
+    }
   }
-  for (ObjectId oid : txn.removed) cache_.Erase(oid);
 
   txn.active = false;
   locks_.ReleaseAll(txn.id);
@@ -481,7 +550,9 @@ Status ObjectStore::AbortTxn(internal::TxnState& txn) {
   if (!txn.active) return Status::TransactionInvalid("transaction ended");
   // Evict instances the transaction dirtied; the committed state will be
   // re-fetched from the chunk store on next access (§4.2.3).
-  for (ObjectId oid : txn.write_set) cache_.Erase(oid);
+  for (const internal::TxnObjects::Entry& e : txn.objects.Sorted()) {
+    if ((e.flags & internal::TxnObjects::kWritten) != 0) cache_.Erase(e.oid);
+  }
   txn.active = false;
   locks_.ReleaseAll(txn.id);
   m_.aborts->Increment();

@@ -8,8 +8,8 @@
 #include <unordered_map>
 #include <mutex>
 #include <string>
-#include <set>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "chunk/chunk_store.h"
@@ -27,20 +27,92 @@ class ReadTransaction;
 
 namespace internal {
 
+/// The objects a transaction wrote, inserted or removed, each with its
+/// flags, in one flat vector: ids are appended as first touched and
+/// sorted on demand. Commit visits them in ascending id order, which
+/// fixes the order of the commit's writes and deallocations in the log.
+class TxnObjects {
+ public:
+  enum Flag : uint8_t {
+    kWritten = 1,   // Opened writable (incl. inserted).
+    kInserted = 2,
+    kRemoved = 4,
+  };
+  struct Entry {
+    ObjectId oid;
+    uint8_t flags;
+  };
+
+  bool Has(ObjectId oid, uint8_t flag) const {
+    const Entry* e = Find(oid);
+    return e != nullptr && (e->flags & flag) != 0;
+  }
+  void Add(ObjectId oid, uint8_t flag);
+  /// Every entry, in ascending id order.
+  const std::vector<Entry>& Sorted();
+
+ private:
+  // Sorts the unsorted tail into the sorted prefix.
+  void Merge();
+  const Entry* Find(ObjectId oid) const;
+  Entry* Find(ObjectId oid) {
+    return const_cast<Entry*>(std::as_const(*this).Find(oid));
+  }
+
+  std::vector<Entry> entries_;
+  size_t sorted_ = 0;  // entries_[0, sorted_) is sorted by id.
+};
+
 /// Shared bookkeeping of one transaction. Refs hold a shared_ptr to it so
 /// use-after-end is a *checked* error rather than undefined behavior.
 struct TxnState {
   TxnId id = 0;
   bool active = false;
   // Guarded by the store's state mutex:
-  std::set<ObjectId> read_set;
-  std::set<ObjectId> write_set;  // Opened writable (incl. inserted).
-  std::set<ObjectId> inserted;
-  std::set<ObjectId> removed;
+  TxnObjects objects;
   // A lock wait expired during this transaction (the timeout that "breaks
   // potential deadlocks", §4.1). When the application then aborts, the
   // abort is attributed to deadlock avoidance in the store stats.
   bool hit_lock_timeout = false;
+};
+
+/// A Ref's pin on its object-cache entry: {store, oid, generation}, no
+/// heap. Copying pins the entry once more (under the store's state
+/// mutex), moving hands the pin over, and destruction releases it — and
+/// only the entry generation that was pinned, so a stale copy never
+/// unpins an entry re-fetched after an abort. An empty Pin (Refs of read
+/// transactions) does nothing.
+class Pin {
+ public:
+  Pin() = default;
+  /// Adopts a pin already taken on `oid`'s entry of that `generation`.
+  Pin(ObjectStore* store, ObjectId oid, uint64_t generation)
+      : store_(store), oid_(oid), generation_(generation) {}
+  Pin(const Pin& other);
+  Pin(Pin&& other) noexcept
+      : store_(std::exchange(other.store_, nullptr)), oid_(other.oid_),
+        generation_(other.generation_) {}
+  Pin& operator=(const Pin& other) {
+    if (this != &other) *this = Pin(other);
+    return *this;
+  }
+  Pin& operator=(Pin&& other) noexcept {
+    if (this != &other) {
+      Release();
+      store_ = std::exchange(other.store_, nullptr);
+      oid_ = other.oid_;
+      generation_ = other.generation_;
+    }
+    return *this;
+  }
+  ~Pin() { Release(); }
+
+ private:
+  void Release();
+
+  ObjectStore* store_ = nullptr;
+  ObjectId oid_ = kInvalidObjectId;
+  uint64_t generation_ = 0;
 };
 
 }  // namespace internal
@@ -69,7 +141,8 @@ struct ObjectStoreOptions {
 
 /// Smart pointer to a read-only view of a persistent object (§4.1).
 /// Valid only until its transaction commits or aborts; later dereferences
-/// are checked runtime errors. Copyable; copies share the cache pin.
+/// are checked runtime errors. Copyable; each copy holds its own pin on
+/// the cache entry, which stays pinned until the last copy is gone.
 template <typename T>
 class ReadonlyRef {
  public:
@@ -101,7 +174,7 @@ class ReadonlyRef {
   friend Result<ReadonlyRef<To>> ref_cast(const ReadonlyRef<From>& from);
 
   ReadonlyRef(std::shared_ptr<internal::TxnState> state, ObjectId oid,
-              const T* ptr, std::shared_ptr<void> pin)
+              const T* ptr, internal::Pin pin)
       : state_(std::move(state)), oid_(oid), ptr_(ptr),
         pin_(std::move(pin)) {}
 
@@ -113,7 +186,7 @@ class ReadonlyRef {
   std::shared_ptr<internal::TxnState> state_;
   ObjectId oid_ = kInvalidObjectId;
   const T* ptr_ = nullptr;
-  std::shared_ptr<void> pin_;  // Deleter unpins the cache entry.
+  internal::Pin pin_;  // Releases the cache entry's pin.
 };
 
 /// Smart pointer to a writable view of a persistent object. The referenced
@@ -151,7 +224,7 @@ class WritableRef {
   friend Result<WritableRef<To>> ref_cast(const WritableRef<From>& from);
 
   WritableRef(std::shared_ptr<internal::TxnState> state, ObjectId oid, T* ptr,
-              std::shared_ptr<void> pin)
+              internal::Pin pin)
       : state_(std::move(state)), oid_(oid), ptr_(ptr),
         pin_(std::move(pin)) {}
 
@@ -163,7 +236,7 @@ class WritableRef {
   std::shared_ptr<internal::TxnState> state_;
   ObjectId oid_ = kInvalidObjectId;
   T* ptr_ = nullptr;
-  std::shared_ptr<void> pin_;
+  internal::Pin pin_;
 };
 
 /// Checked down-cast between Ref types (the paper's copy-construction of
@@ -397,11 +470,10 @@ class ObjectStore {
   std::shared_ptr<internal::TxnState> BeginTxn();
 
   // Core of Open*(): lock, fetch into cache, pin; returns the cached
-  // instance and hands back the pin-release guard, built under the same
-  // mutex hold as the pin itself. The templated wrappers down-cast.
+  // instance and hands back the pin, taken under the same mutex hold as
+  // the lookup. The templated wrappers down-cast.
   Result<Object*> OpenInternal(internal::TxnState& txn, ObjectId oid,
-                               bool writable,
-                               std::shared_ptr<void>* pin_guard);
+                               bool writable, internal::Pin* pin);
   Result<ObjectId> InsertInternal(internal::TxnState& txn,
                                   std::unique_ptr<Object> object);
   Status RemoveInternal(internal::TxnState& txn, ObjectId oid);
@@ -412,9 +484,11 @@ class ObjectStore {
   // locking). Requires the state mutex.
   Result<std::unique_ptr<Object>> Fetch(ObjectId oid);
 
-  // Builds the pin guard shared_ptr for a Ref; releases only the entry
-  // generation that was pinned.
-  std::shared_ptr<void> MakePin(ObjectId oid, uint64_t generation);
+  // internal::Pin's copy and release: pin or unpin the entry of `oid`,
+  // only while it still has `generation`. Take the state mutex.
+  friend class internal::Pin;
+  void Repin(ObjectId oid, uint64_t generation);
+  void Unpin(ObjectId oid, uint64_t generation);
 
   // Registry-backed instruments, resolved once at construction (against
   // the chunk store's registry) so transaction paths touch only the
@@ -466,7 +540,7 @@ class ObjectStore {
 template <typename T>
 Result<ReadonlyRef<T>> Transaction::OpenReadonly(ObjectId oid) {
   if (!active()) return Status::TransactionInvalid("transaction ended");
-  std::shared_ptr<void> pin;
+  internal::Pin pin;
   TDB_ASSIGN_OR_RETURN(Object* obj,
                        store_->OpenInternal(*state_, oid, false, &pin));
   const T* typed = dynamic_cast<const T*>(obj);
@@ -481,7 +555,7 @@ Result<ReadonlyRef<T>> Transaction::OpenReadonly(ObjectId oid) {
 template <typename T>
 Result<WritableRef<T>> Transaction::OpenWritable(ObjectId oid) {
   if (!active()) return Status::TransactionInvalid("transaction ended");
-  std::shared_ptr<void> pin;
+  internal::Pin pin;
   TDB_ASSIGN_OR_RETURN(Object* obj,
                        store_->OpenInternal(*state_, oid, true, &pin));
   T* typed = dynamic_cast<T*>(obj);
@@ -504,7 +578,7 @@ Result<ReadonlyRef<T>> ReadTransaction::Open(ObjectId oid) {
   // No cache pin: the instance is transaction-private and owned by
   // objects_, which outlives every ref (refs die when state_->active
   // flips at End()).
-  return ReadonlyRef<T>(state_, oid, typed, nullptr);
+  return ReadonlyRef<T>(state_, oid, typed, internal::Pin());
 }
 
 template <typename T>

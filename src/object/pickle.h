@@ -17,6 +17,11 @@ namespace tdb::object {
 /// and little-endian fixeds), so a database can move between platforms.
 class Pickler {
  public:
+  Pickler() = default;
+  /// Starts with room for `capacity` bytes, so pickling an object of about
+  /// that size does not regrow the buffer as it goes.
+  explicit Pickler(size_t capacity) { buf_.reserve(capacity); }
+
   void PutBool(bool v) { buf_.push_back(v ? 1 : 0); }
   void PutUint32(uint32_t v) { PutVarint32(&buf_, v); }
   void PutUint64(uint64_t v) { PutVarint64(&buf_, v); }
@@ -30,6 +35,8 @@ class Pickler {
 
   const Buffer& buffer() const { return buf_; }
   Buffer Take() { return std::move(buf_); }
+  /// Empties the buffer, keeping its capacity for the next object.
+  void Clear() { buf_.clear(); }
 
  private:
   static uint32_t ZigZag32(int32_t v) {
@@ -57,6 +64,9 @@ class Unpickler {
   Status GetDouble(double* v);
   Status GetString(std::string* s);
   Status GetBytes(Buffer* bytes);
+  /// GetBytes/GetString without the copy: `bytes` points into the
+  /// unpickled data.
+  Status GetBytesView(Slice* bytes) { return dec_.GetLengthPrefixed(bytes); }
 
   bool done() const { return dec_.done(); }
 

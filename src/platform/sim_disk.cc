@@ -27,9 +27,9 @@ Result<uint64_t> StoreBackedCounter::Increment() {
     TDB_RETURN_IF_ERROR(store_->Create(file_, false));
   }
   uint64_t next = current + 1;
-  Buffer enc;
-  PutFixed64(&enc, next);
-  TDB_RETURN_IF_ERROR(store_->Write(file_, 0, enc));
+  uint8_t enc[8];  // Little-endian, as PutFixed64 writes it.
+  for (int i = 0; i < 8; i++) enc[i] = static_cast<uint8_t>(next >> (8 * i));
+  TDB_RETURN_IF_ERROR(store_->Write(file_, 0, Slice(enc, sizeof(enc))));
   TDB_RETURN_IF_ERROR(store_->Sync(file_));
   return next;
 }

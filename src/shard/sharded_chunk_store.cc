@@ -266,6 +266,10 @@ Result<std::unique_ptr<ShardedChunkStore>> ShardedChunkStore::Open(
     opts.metrics = st->metrics_;
     opts.metric_prefix =
         options.metric_prefix + "shard" + std::to_string(k) + ".";
+    // Shards may share the master secret, hence the cipher key: their IV
+    // streams must differ. One shard keeps the caller's seed, so N == 1
+    // is a plain pass-through.
+    if (n > 1) opts.iv_seed = options.iv_seed + "/shard" + std::to_string(k);
     TDB_ASSIGN_OR_RETURN(
         std::unique_ptr<chunk::ChunkStore> cs,
         chunk::ChunkStore::Open(backends[k].store, backends[k].secrets,

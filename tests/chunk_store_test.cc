@@ -8,10 +8,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "harness/region_map.h"
 #include "platform/fault_injection.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
@@ -928,6 +930,41 @@ TEST(ChunkStoreTest, WrongSecretCannotOpenDatabase) {
   auto cs = ChunkStore::Open(&store, &wrong, &counter, SmallSegments());
   ASSERT_FALSE(cs.ok());
   EXPECT_TRUE(cs.status().IsTamperDetected()) << cs.status().ToString();
+}
+
+// Every sealed record of `image` starts with its IV; returns how many IVs
+// occur more than once.
+size_t RepeatedIvs(const MemUntrustedStore::Image& image, size_t* records) {
+  std::set<Buffer> seen;
+  size_t repeats = 0;
+  std::vector<Slice> payloads = harness::RecordPayloads(image);
+  for (Slice p : payloads) {
+    TDB_CHECK(p.size() >= 16);
+    if (!seen.insert(Buffer(p.data(), p.data() + 16)).second) repeats++;
+  }
+  *records = payloads.size();
+  return repeats;
+}
+
+TEST(ChunkStoreTest, IvsNeverRepeatAcrossReopens) {
+  // The IV generator restarts from the same seed at every open; recovery
+  // reseeds it from the recovered log tail, so later sessions never draw
+  // an IV an earlier one sealed under (the same key).
+  TestEnv env;
+  ChunkStoreOptions options = SmallSegments();
+  options.segment_size = 64 * 1024;  // No cleaning: every record stays.
+  for (int session = 0; session < 3; session++) {
+    auto cs = env.Open(options);
+    ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+    for (int i = 0; i < 3; i++) {
+      ASSERT_TRUE(
+          (*cs)->Write((*cs)->AllocateChunkId(), Slice("payload"), true).ok());
+    }
+    ASSERT_TRUE((*cs)->Close().ok());
+  }
+  size_t records = 0;
+  EXPECT_EQ(RepeatedIvs(env.store.SnapshotImage(), &records), 0u);
+  EXPECT_GE(records, 19u);
 }
 
 // ------------------------------------- validated-plaintext cache & pipeline

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <optional>
 #include <thread>
 
 #include "common/random.h"
@@ -776,6 +778,253 @@ TEST(ObjectCacheTest, BulkInsertUnderSmallCache) {
   }
   EXPECT_TRUE(txn.Commit().ok());
   EXPECT_LE(env.objects->cache_size_bytes(), kCapacity);
+}
+
+// An object whose cache charge the model test chooses.
+class Sized final : public Object {
+ public:
+  explicit Sized(size_t size) : size_(size) {}
+  ClassId class_id() const override { return kMeterClass; }
+  void Pickle(Pickler*) const override {}
+  Status UnpickleFrom(Unpickler*) override { return Status::OK(); }
+  size_t ApproxSize() const override { return size_; }
+
+ private:
+  size_t size_;
+};
+
+// Reference model of the object cache: every entry's pins, generation and
+// dirty bit, and the time it last became (or was used while) evictable.
+// Eviction takes the evictable entry with the oldest such time.
+class CacheModel {
+ public:
+  struct Entry {
+    size_t charge = 0;
+    int pins = 0;
+    uint64_t generation = 0;
+    bool dirty = false;
+    uint64_t used = 0;
+    bool evictable() const { return pins == 0 && !dirty; }
+  };
+
+  explicit CacheModel(size_t capacity) : capacity_(capacity) {}
+
+  uint64_t Put(ObjectId oid, size_t charge, bool dirty, bool pin) {
+    Entry& e = entries_[oid];
+    e = Entry{charge, pin ? 1 : 0, ++generation_, dirty, 0};
+    Touch(e);
+    return e.generation;
+  }
+  bool Get(ObjectId oid) {
+    auto it = entries_.find(oid);
+    if (it == entries_.end()) return false;
+    Touch(it->second);
+    return true;
+  }
+  std::optional<uint64_t> Acquire(ObjectId oid, bool dirty) {
+    auto it = entries_.find(oid);
+    if (it == entries_.end()) return std::nullopt;
+    if (dirty) it->second.dirty = true;
+    it->second.pins++;
+    return it->second.generation;
+  }
+  void Repin(ObjectId oid, uint64_t generation) {
+    auto it = entries_.find(oid);
+    if (it != entries_.end() && it->second.generation == generation) {
+      it->second.pins++;
+    }
+  }
+  void Unpin(ObjectId oid, uint64_t generation) {
+    auto it = entries_.find(oid);
+    if (it == entries_.end() || it->second.generation != generation ||
+        it->second.pins == 0) {
+      return;
+    }
+    it->second.pins--;
+    Touch(it->second);
+  }
+  void SetDirty(ObjectId oid, bool dirty) {
+    Entry& e = entries_.at(oid);
+    const bool was = e.evictable();
+    e.dirty = dirty;
+    if (!was) Touch(e);
+  }
+  void Erase(ObjectId oid) { entries_.erase(oid); }
+  void EnforceCapacity() {
+    while (Size() > capacity_) {
+      auto victim = entries_.end();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->second.evictable() &&
+            (victim == entries_.end() ||
+             it->second.used < victim->second.used)) {
+          victim = it;
+        }
+      }
+      if (victim == entries_.end()) return;
+      entries_.erase(victim);
+    }
+  }
+
+  size_t Size() const {
+    size_t size = 0;
+    for (const auto& [oid, e] : entries_) size += e.charge;
+    return size;
+  }
+  const std::map<ObjectId, Entry>& entries() const { return entries_; }
+
+ private:
+  void Touch(Entry& e) {
+    if (e.evictable()) e.used = ++clock_;
+  }
+
+  size_t capacity_;
+  uint64_t generation_ = 0;
+  uint64_t clock_ = 0;
+  std::map<ObjectId, Entry> entries_;
+};
+
+TEST(ObjectCacheTest, RandomOperationsMatchLruModel) {
+  // Random Put/Acquire/Repin/Unpin/SetDirty/Erase/EnforceCapacity against
+  // the reference model, compared after every step: pinned and dirty
+  // entries are never evicted, eviction follows LRU order among the
+  // evictable ones, and a release of a stale generation (its entry erased
+  // and re-put) never unpins the replacement.
+  constexpr size_t kOverhead = 64;  // The cache's per-entry charge.
+  constexpr size_t kCapacity = 1200;
+  Random rng(20);
+  ObjectCache cache(kCapacity);
+  CacheModel model(kCapacity);
+  std::vector<std::pair<ObjectId, uint64_t>> held;  // Pins of live "Refs".
+  for (int step = 0; step < 20000; step++) {
+    const ObjectId oid = 1 + rng.Uniform(24);
+    const bool in_cache = cache.Contains(oid);
+    switch (rng.Uniform(8)) {
+      case 0: {  // Put (a fetch, pinned for its Ref, or an insert).
+        const size_t size = 16 + rng.Uniform(200);
+        const bool dirty = rng.Uniform(3) == 0;
+        const bool pin = rng.Uniform(2) == 0;
+        uint64_t gen = 0;
+        cache.Put(oid, std::make_unique<Sized>(size), dirty,
+                  pin ? &gen : nullptr);
+        const uint64_t model_gen = model.Put(oid, size + kOverhead, dirty, pin);
+        if (pin) {
+          ASSERT_EQ(gen, model_gen);
+          held.emplace_back(oid, gen);
+        }
+        break;
+      }
+      case 1:
+        ASSERT_EQ(cache.Get(oid) != nullptr, model.Get(oid));
+        break;
+      case 2: {
+        const bool dirty = rng.Uniform(4) == 0;
+        uint64_t gen = 0;
+        const bool hit = cache.Acquire(oid, dirty, &gen) != nullptr;
+        std::optional<uint64_t> model_gen = model.Acquire(oid, dirty);
+        ASSERT_EQ(hit, model_gen.has_value());
+        if (hit) {
+          ASSERT_EQ(gen, *model_gen);
+          held.emplace_back(oid, gen);
+        }
+        break;
+      }
+      case 3:  // A Ref copy: pins the generation it holds once more.
+        if (!held.empty()) {
+          auto pin = held[rng.Uniform(held.size())];
+          cache.Repin(pin.first, pin.second);
+          model.Repin(pin.first, pin.second);
+          held.push_back(pin);
+        }
+        break;
+      case 4:
+      case 5:  // A Ref destroyed, possibly after its entry was replaced.
+        if (!held.empty()) {
+          const size_t i = rng.Uniform(held.size());
+          cache.Unpin(held[i].first, held[i].second);
+          model.Unpin(held[i].first, held[i].second);
+          held.erase(held.begin() + static_cast<ptrdiff_t>(i));
+        }
+        break;
+      case 6:
+        if (in_cache) {
+          const bool dirty = rng.Uniform(2) == 0;
+          cache.SetDirty(oid, dirty);
+          model.SetDirty(oid, dirty);
+        }
+        break;
+      default:
+        if (rng.Uniform(6) == 0) {
+          cache.Erase(oid);
+          model.Erase(oid);
+        }
+        break;
+    }
+    cache.EnforceCapacity();
+    model.EnforceCapacity();
+    // Same entries, dirty bits and bytes.
+    ASSERT_EQ(cache.entry_count(), model.entries().size()) << "step " << step;
+    for (const auto& [id, e] : model.entries()) {
+      ASSERT_TRUE(cache.Contains(id)) << "step " << step << " oid " << id;
+      ASSERT_EQ(cache.IsDirty(id), e.dirty) << "step " << step;
+    }
+    ASSERT_EQ(cache.size_bytes(), model.Size()) << "step " << step;
+  }
+}
+
+TEST(ObjectCacheTest, RefCopiesKeepTheEntryPinnedUntilTheLast) {
+  // Copies, moves and ref_casts of a Ref each hold the cache pin; the
+  // entry stays cached under pressure (even after its transaction ended)
+  // until the last of them is destroyed.
+  ObjectStoreOptions options;
+  options.cache_capacity_bytes = 600;
+  Env env(options);
+  ObjectId target;
+  std::vector<ObjectId> filler;
+  {
+    Transaction txn(env.objects.get());
+    target = *txn.Insert(std::make_unique<Meter>(1, 0, 0));
+    for (int i = 0; i < 40; i++) {
+      filler.push_back(*txn.Insert(std::make_unique<Meter>(100 + i, 0, 0)));
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  // Reads every filler object (evicting whatever is evictable), then
+  // reports whether opening `target` missed the cache.
+  auto target_evicted = [&] {
+    Transaction txn(env.objects.get());
+    for (ObjectId oid : filler) EXPECT_TRUE(txn.OpenReadonly<Meter>(oid).ok());
+    const uint64_t misses = env.objects->cache_stats().misses;
+    EXPECT_TRUE(txn.OpenReadonly<Meter>(target).ok());
+    const bool missed = env.objects->cache_stats().misses > misses;
+    EXPECT_TRUE(txn.Commit().ok());
+    return missed;
+  };
+
+  std::optional<ReadonlyRef<Meter>> copy, moved;
+  std::optional<ReadonlyRef<Object>> upcast;
+  std::optional<WritableRef<Meter>> writable_copy;
+  {
+    Transaction txn(env.objects.get());
+    auto ref = txn.OpenWritable<Meter>(target);
+    ASSERT_TRUE(ref.ok());
+    writable_copy = *ref;
+    ReadonlyRef<Meter> readonly = ref->AsReadonly();
+    copy = readonly;
+    upcast = ReadonlyRef<Object>(readonly);
+    moved = std::move(readonly);
+    auto cast = ref_cast<Meter>(*upcast);
+    ASSERT_TRUE(cast.ok());
+    EXPECT_EQ((*cast)->id(), 1);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  EXPECT_FALSE(target_evicted());
+  copy.reset();
+  EXPECT_FALSE(target_evicted());
+  moved.reset();
+  writable_copy.reset();
+  EXPECT_FALSE(target_evicted());
+  upcast.reset();  // The last copy.
+  EXPECT_TRUE(target_evicted());
 }
 
 // ------------------------------------------------------------ transactions

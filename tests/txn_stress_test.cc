@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -387,6 +388,96 @@ TEST(TxnStressTest, ZipfianHotKeyContentionConservesTotal) {
   EXPECT_LE(after.deadlock_aborts, after.aborts);
   EXPECT_GT(after.commits, before.commits);
 
+  uint64_t checked = 0;
+  EXPECT_TRUE(stack.chunks->VerifyIntegrity(&checked).ok());
+}
+
+// Ref copies may be released on another thread: each release unpins its
+// cache entry under the store's state mutex while the owning threads keep
+// opening, committing, aborting and evicting (a 4 KiB object cache). The
+// transfers take their two locks in id order and retry lock timeouts.
+// Conservation must hold, and ThreadSanitizer (tools/check.sh --tsan) must
+// see no race on the pin bookkeeping.
+TEST(TxnStressTest, RefCopiesReleasedOnOtherThreads) {
+  Stack stack;
+  OpenStack(&stack);
+  if (HasFatalFailure()) return;
+  std::vector<ObjectId> accounts = SeedAccounts(&stack);
+  if (HasFailure()) return;
+
+  std::mutex handed_mu;
+  std::vector<ReadonlyRef<Account>> handed;  // Guarded by handed_mu.
+  std::atomic<bool> done{false};
+  std::thread releaser([&] {
+    for (;;) {
+      std::vector<ReadonlyRef<Account>> batch;
+      {
+        std::lock_guard<std::mutex> lock(handed_mu);
+        batch.swap(handed);
+      }
+      if (batch.empty()) {
+        if (done.load()) return;
+        std::this_thread::yield();
+      }
+      // `batch` goes out of scope here: its copies unpin on this thread.
+    }
+  });
+
+  std::atomic<bool> failed{false};
+  auto worker = [&](int thread_idx) {
+    Random rng(500 + static_cast<uint64_t>(thread_idx));
+    for (int t = 0; t < kTransfersPerThread && !failed.load(); t++) {
+      uint32_t a = static_cast<uint32_t>(rng.Uniform(kAccounts));
+      uint32_t b = static_cast<uint32_t>(rng.Uniform(kAccounts - 1));
+      if (b >= a) b++;
+      const uint64_t amount = rng.Uniform(50) + 1;
+      for (int attempt = 0;; attempt++) {
+        Transaction txn(stack.objects.get());
+        auto first = txn.OpenWritable<Account>(accounts[std::min(a, b)]);
+        auto second = first.ok()
+                          ? txn.OpenWritable<Account>(accounts[std::max(a, b)])
+                          : Result<WritableRef<Account>>(first.status());
+        if (!first.ok() || !second.ok()) {
+          Status status = first.ok() ? second.status() : first.status();
+          (void)txn.Abort();
+          if (!status.IsLockTimeout() || attempt >= kMaxAttemptsPerTransfer) {
+            failed = true;
+            return;
+          }
+          BackoffAfterLockTimeout(&rng, attempt);
+          continue;
+        }
+        WritableRef<Account>& src = a < b ? *first : *second;
+        WritableRef<Account>& dst = a < b ? *second : *first;
+        const uint64_t moved = std::min(amount, src->balance());
+        src->set_balance(src->balance() - moved);
+        dst->set_balance(dst->balance() + moved);
+        {
+          std::lock_guard<std::mutex> lock(handed_mu);
+          handed.push_back(src.AsReadonly());
+          handed.push_back(dst.AsReadonly());
+        }
+        if (!txn.Commit(/*durable=*/t % 4 == 0).ok()) failed = true;
+        break;
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; i++) threads.emplace_back(worker, i);
+  for (std::thread& thread : threads) thread.join();
+  done = true;
+  releaser.join();
+  ASSERT_FALSE(failed.load());
+
+  Transaction txn(stack.objects.get());
+  uint64_t sum = 0;
+  for (ObjectId oid : accounts) {
+    auto ref = txn.OpenReadonly<Account>(oid);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    sum += ref.value()->balance();
+  }
+  EXPECT_EQ(sum, kAccounts * kInitialBalance);
+  ASSERT_TRUE(txn.Abort().ok());
   uint64_t checked = 0;
   EXPECT_TRUE(stack.chunks->VerifyIntegrity(&checked).ok());
 }

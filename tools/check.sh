@@ -59,12 +59,13 @@ if [[ -n "$sanitize" ]]; then
   # targets), the shard router's concurrent commits and cross-shard
   # transfer stress (acks at prepare, in-memory decisions, decision GC,
   # pinned composite views), the object store and its cache
-  # (pin/dirty/eviction bookkeeping), the lock manager, the torn-write
-  # fault model, and the wait-free metrics registry (8-thread instrument
-  # stress).
+  # (pin/dirty/eviction bookkeeping, Ref copies released on other
+  # threads), the lock manager, the torn-write fault model, the wait-free
+  # metrics registry (8-thread instrument stress), and the allocation
+  # budgets (which skip themselves under a sanitizer's allocator).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
-                 sim_disk_test metrics_test trace_test)
+                 sim_disk_test metrics_test trace_test alloc_budget_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="
