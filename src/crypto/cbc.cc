@@ -29,7 +29,7 @@ void CbcEncryptTo(const BlockCipher& cipher, Slice iv, Slice plain,
   const size_t tail = plain.size() - full * block;
   const size_t pad = block - tail;
   uint8_t last[32];
-  std::memcpy(last, plain.data() + full * block, tail);
+  if (tail > 0) std::memcpy(last, plain.data() + full * block, tail);
   std::memset(last + tail, static_cast<int>(pad), pad);
   uint8_t* last_out = out + full * block;
 
