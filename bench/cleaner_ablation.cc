@@ -73,7 +73,7 @@ int main() {
         std::chrono::duration<double, std::micro>(Clock::now() - start)
             .count() /
         kTxns;
-    const ChunkStoreStats& stats = chunks->stats();
+    const ChunkStoreStats& stats = chunks->Stats();
     std::printf("%-22s %12.2f %14llu %12.1f %12.2f\n", label, us,
                 static_cast<unsigned long long>(stats.cleaned_segments),
                 stats.relocated_bytes / (1024.0 * 1024.0),

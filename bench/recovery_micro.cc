@@ -48,14 +48,14 @@ int main() {
         cids.push_back(cid);
       }
       (void)cs->Checkpoint().ok();
-      base_size = cs->stats().bytes_appended;
+      base_size = cs->Stats().bytes_appended;
       // Residual: durable commits after the checkpoint.
       for (int i = 0; i < residual_commits; i++) {
         Buffer data;
         rng.Fill(&data, 150);
         (void)cs->Write(cids[rng.Uniform(cids.size())], data, true).ok();
       }
-      base_size = cs->stats().bytes_appended - base_size;
+      base_size = cs->Stats().bytes_appended - base_size;
       cs.release();  // Simulated power cut: no close-time checkpoint.
     }
 

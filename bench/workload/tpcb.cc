@@ -181,7 +181,7 @@ TpcbResult RunTdbTpcb(const TpcbConfig& config) {
 
   for (int i = 0; i < config.txns; i++) {
     if (i == half) {
-      later_bytes_start = chunks->stats().bytes_appended;
+      later_bytes_start = chunks->Stats().bytes_appended;
       later_sim_start = store.simulated_seconds();
       later_seconds = 0;
     }
@@ -196,13 +196,13 @@ TpcbResult RunTdbTpcb(const TpcbConfig& config) {
   result.avg_response_us =
       (later_seconds + io_seconds) * 1e6 / later_txns;
   result.bytes_per_txn =
-      static_cast<double>(chunks->stats().bytes_appended -
+      static_cast<double>(chunks->Stats().bytes_appended -
                           later_bytes_start) /
       later_txns;
-  result.utilization = chunks->stats().utilization();
-  result.db_size_bytes = chunks->stats().total_bytes;
+  result.utilization = chunks->Stats().utilization();
+  result.db_size_bytes = chunks->Stats().total_bytes;
   if (std::getenv("TPCB_DEBUG") != nullptr) {
-    const auto& s = chunks->stats();
+    const auto& s = chunks->Stats();
     std::fprintf(stderr,
                  "[tpcb debug] data=%llu map=%llu commit=%llu reloc=%llu "
                  "appended=%llu ckpts=%llu cleaned=%llu live=%llu "

@@ -9,17 +9,7 @@ void ChunkCache::AttachMetrics(common::Counter* evictions[4],
   bytes_used_metric_ = bytes_used;
 }
 
-bool ChunkCache::Get(ChunkId cid, Buffer* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(cid);
-  if (it == entries_.end()) return false;
-  lru_.Touch(it->second);
-  *out = *it->second.data;
-  return true;
-}
-
-bool ChunkCache::GetIfVersionAtMost(ChunkId cid, uint64_t max_version,
-                                    Buffer* out) {
+bool ChunkCache::Get(ChunkId cid, uint64_t max_version, Buffer* out) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(cid);
   if (it == entries_.end() || it->second.version > max_version) return false;
@@ -28,8 +18,8 @@ bool ChunkCache::GetIfVersionAtMost(ChunkId cid, uint64_t max_version,
   return true;
 }
 
-std::shared_ptr<const Buffer> ChunkCache::GetSharedIfVersionAtMost(
-    ChunkId cid, uint64_t max_version) {
+std::shared_ptr<const Buffer> ChunkCache::GetShared(ChunkId cid,
+                                                    uint64_t max_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(cid);
   if (it == entries_.end() || it->second.version > max_version) {

@@ -1,6 +1,7 @@
 #ifndef TDB_CHUNK_CHUNK_CACHE_H_
 #define TDB_CHUNK_CHUNK_CACHE_H_
 
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -60,8 +61,8 @@ struct CacheEvictionCounts {
 /// The LRU list is intrusive (links in the entries, which never move
 /// inside the hash map), and a write-through Put over a cached chunk
 /// reuses its entry — and its payload buffer unless that buffer was ever
-/// handed out by GetSharedIfVersionAtMost — so the commit path's
-/// write-through allocates nothing in steady state.
+/// handed out by GetShared — so the commit path's write-through allocates
+/// nothing in steady state.
 class ChunkCache {
  public:
   /// `capacity_bytes` = 0 disables the cache (all ops become no-ops).
@@ -75,37 +76,34 @@ class ChunkCache {
 
   bool enabled() const { return capacity_ > 0; }
 
-  /// On a hit, copies the cached payload into `*out`, refreshes the LRU
-  /// position and returns true; returns false on a miss. The copy-out
-  /// (instead of a pointer into the cache) is what makes concurrent
-  /// readers safe against eviction/replacement, and costs nothing extra:
-  /// the chunk store returned payloads by value already.
-  bool Get(ChunkId cid, Buffer* out);
+  /// The version bound that admits every entry (current-state reads).
+  static constexpr uint64_t kAnyVersion = UINT64_MAX;
 
-  /// Versioned hit: like Get, but only succeeds when the entry's commit
-  /// version is <= `max_version`. Because entries always track a chunk's
-  /// LAST committed state (commits write through, deallocations erase), an
-  /// entry whose version predates a pinned view is exactly the state that
-  /// view observes — so lock-free view reads can serve from cache without
-  /// ever consulting the location map.
-  bool GetIfVersionAtMost(ChunkId cid, uint64_t max_version, Buffer* out);
+  /// Versioned hit: copies the cached payload into `*out`, refreshes the
+  /// LRU position and returns true when the entry's commit version is
+  /// <= `max_version`; returns false otherwise. Because entries always
+  /// track a chunk's LAST committed state (commits write through,
+  /// deallocations erase), an entry whose version predates a pinned view
+  /// is exactly the state that view observes — so view reads can serve
+  /// from cache without consulting the location map. Current-state reads
+  /// pass kAnyVersion. The copy-out (instead of a pointer into the cache)
+  /// is what makes concurrent readers safe against eviction/replacement.
+  bool Get(ChunkId cid, uint64_t max_version, Buffer* out);
 
-  /// Zero-copy versioned hit: same admission rule as GetIfVersionAtMost,
-  /// but hands back shared ownership of the cached payload instead of
-  /// copying it — nullptr on a miss. A payload once handed out is never
-  /// modified (replacement then allocates a new one), so a returned handle
-  /// stays valid bytes even if the entry is evicted or replaced a
-  /// nanosecond later.
-  /// This is the snapshot-read fast path: per-hit cost drops to one map
-  /// lookup + one refcount bump, no allocation.
-  std::shared_ptr<const Buffer> GetSharedIfVersionAtMost(ChunkId cid,
-                                                         uint64_t max_version);
+  /// Zero-copy versioned hit: same admission rule as Get, but hands back
+  /// shared ownership of the cached payload instead of copying it —
+  /// nullptr on a miss. A payload once handed out is never modified
+  /// (replacement then allocates a new one), so a returned handle stays
+  /// valid bytes even if the entry is evicted or replaced a nanosecond
+  /// later. This is the snapshot-read fast path: per-hit cost drops to one
+  /// map lookup + one refcount bump, no allocation.
+  std::shared_ptr<const Buffer> GetShared(ChunkId cid, uint64_t max_version);
 
   /// Inserts or replaces the entry for `cid`, evicting LRU entries to fit.
   /// Payloads that alone exceed the budget are not cached (but still
   /// replace — i.e. erase — any stale entry under the same id).
-  /// `version` is the store's commit version at insertion; it gates
-  /// GetIfVersionAtMost.
+  /// `version` is the store's commit version at insertion; it gates the
+  /// getters.
   void Put(ChunkId cid, Slice data, uint64_t version);
 
   /// Drops the entry for `cid` if present, attributing the eviction to
@@ -141,8 +139,8 @@ class ChunkCache {
 
   struct Entry {
     ChunkId cid = kInvalidChunkId;
-    // Shared so GetSharedIfVersionAtMost can hand out the payload without
-    // copying; rewritten in place only while `handed_out` is false.
+    // Shared so GetShared can hand out the payload without copying;
+    // rewritten in place only while `handed_out` is false.
     std::shared_ptr<Buffer> data;
     bool handed_out = false;
     uint64_t version = 0;

@@ -323,7 +323,7 @@ Status ChunkStore::Recover() {
 
   if (has_root_) {
     TDB_ASSIGN_OR_RETURN(std::shared_ptr<MapNode> root,
-                         LoadRoot(root_loc_, root_hash_));
+                         LoadMapNode(nullptr, 0, root_loc_, root_hash_));
     map_.ResetToRoot(std::move(root));
   }
 
@@ -775,64 +775,110 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
   return plain;
 }
 
-Result<Buffer> ChunkStore::ReadDataAt(const MapEntry& entry) {
-  TDB_ASSIGN_OR_RETURN(Buffer sealed,
-                       FetchRawRecord(entry.loc, RecordType::kData));
-  return ValidateSealed(entry, std::move(sealed));
-}
-
-NodeLoader ChunkStore::MakeLoader() {
-  return [this](uint32_t level, uint64_t index, const Location& loc,
-                const crypto::Digest& hash)
-             -> Result<std::shared_ptr<MapNode>> {
-    TDB_ASSIGN_OR_RETURN(Buffer sealed,
-                         ReadRawRecord(loc, RecordType::kMapNode, hash));
-    auto plain = suite_.Open(sealed);
-    if (!plain.ok()) {
-      AuditDetect("decrypt_failure", common::kRegionMap, LocationString(loc),
-                  "map node decryption failed");
-      return Status::TamperDetected("map node decryption failed");
-    }
-    TDB_ASSIGN_OR_RETURN(
-        std::shared_ptr<MapNode> node,
-        LocationMap::DecodeNode(*plain, map_.fanout(), entry_hash_size()));
-    if (node->level != level || node->index != index) {
-      AuditDetect("map_node_mismatch", common::kRegionMap,
-                  LocationString(loc), "map node identity mismatch");
-      return Status::TamperDetected("map node identity mismatch");
-    }
-    node->has_persisted = true;
-    node->persisted_loc = loc;
-    node->persisted_hash = hash;
-    node->persisted_size =
-        static_cast<uint32_t>(kRecordHeaderSize + loc.length);
-    return node;
-  };
-}
-
-Result<std::shared_ptr<MapNode>> ChunkStore::LoadRoot(
-    const Location& loc, const crypto::Digest& hash) {
+Result<std::shared_ptr<MapNode>> ChunkStore::LoadMapNode(
+    const uint32_t* level, uint64_t index, const Location& loc,
+    const crypto::Digest& hash) {
   TDB_ASSIGN_OR_RETURN(Buffer sealed,
                        ReadRawRecord(loc, RecordType::kMapNode, hash));
   auto plain = suite_.Open(sealed);
   if (!plain.ok()) {
     AuditDetect("decrypt_failure", common::kRegionMap, LocationString(loc),
-                "map root decryption failed");
-    return Status::TamperDetected("map root decryption failed");
+                "map node decryption failed");
+    return Status::TamperDetected("map node decryption failed");
   }
   TDB_ASSIGN_OR_RETURN(
       std::shared_ptr<MapNode> node,
       LocationMap::DecodeNode(*plain, map_.fanout(), entry_hash_size()));
-  if (node->index != 0) {
+  if ((level != nullptr && node->level != *level) || node->index != index) {
     AuditDetect("map_node_mismatch", common::kRegionMap, LocationString(loc),
-                "map root identity mismatch");
-    return Status::TamperDetected("map root identity mismatch");
+                "map node identity mismatch");
+    return Status::TamperDetected("map node identity mismatch");
   }
   node->has_persisted = true;
   node->persisted_loc = loc;
   node->persisted_hash = hash;
   node->persisted_size = static_cast<uint32_t>(kRecordHeaderSize + loc.length);
   return node;
+}
+
+NodeLoader ChunkStore::MakeLoader() {
+  return [this](uint32_t level, uint64_t index, const Location& loc,
+                const crypto::Digest& hash) {
+    return LoadMapNode(&level, index, loc, hash);
+  };
+}
+
+Status ChunkStore::FetchAndValidate(const std::shared_ptr<MapNode>* root,
+                                    std::span<const ChunkId> cids,
+                                    const Deliver& deliver, size_t* failed) {
+  *failed = cids.size();
+  Status first = Status::OK();
+  auto fail = [&](size_t i, Status s) {
+    if (i < *failed) {
+      *failed = i;
+      first = std::move(s);
+    }
+  };
+  // A view's records, fetched under mu_ and validated after it.
+  struct Fetched {
+    size_t i;
+    MapEntry entry;
+    Buffer sealed;
+    Status status = Status::OK();
+  };
+  std::vector<Fetched> fetched;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const std::shared_ptr<MapNode>& from =
+        root != nullptr ? *root : map_.root();
+    NodeLoader loader = MakeLoader();
+    for (size_t i = 0; i < cids.size(); i++) {
+      auto found = map_.GetAt(from, cids[i], loader);
+      if (!found.ok() || !found->has_value()) {
+        fail(i, found.ok() ? Status::NotFound("chunk " +
+                                              std::to_string(cids[i]))
+                           : found.status());
+        continue;
+      }
+      const MapEntry& entry = **found;
+      auto sealed = FetchRawRecord(entry.loc, RecordType::kData);
+      if (!sealed.ok()) {
+        fail(i, sealed.status());
+      } else if (root == nullptr) {
+        auto plain = ValidateSealed(entry, std::move(sealed).value());
+        if (!plain.ok()) {
+          fail(i, plain.status());
+          continue;
+        }
+        cache_.Put(cids[i], *plain, commit_version_);
+        deliver(i, std::move(plain).value());
+      } else {
+        fetched.push_back({i, entry, std::move(sealed).value()});
+      }
+    }
+  }
+  // Validation runs outside mu_: concurrent view readers serialize only
+  // on the fetch. Results are not cached — a view's state may predate the
+  // chunk's current committed state, which is what the cache must hold.
+  auto validate = [&](size_t j) {
+    Fetched& f = fetched[j];
+    auto plain = ValidateSealed(f.entry, std::move(f.sealed));
+    if (plain.ok()) {
+      deliver(f.i, std::move(plain).value());
+    } else {
+      f.status = plain.status();
+    }
+  };
+  ThreadPool* pool = fetched.size() > 1 ? CryptoPool() : nullptr;
+  if (pool != nullptr) {
+    pool->ParallelFor(fetched.size(), validate);
+  } else {
+    for (size_t j = 0; j < fetched.size(); j++) validate(j);
+  }
+  for (Fetched& f : fetched) {
+    if (!f.status.ok()) fail(f.i, std::move(f.status));
+  }
+  return first;
 }
 
 // ---------------------------------------------------------------------------
@@ -847,41 +893,49 @@ Result<Buffer> ChunkStore::Read(ChunkId cid) {
   // hash check, and decryption entirely — AND takes only the cache's own
   // lock, never the commit mutex, so hot reads proceed while a commit
   // (or group sync) is in flight.
-  Buffer hit;
-  if (cache_.Get(cid, &hit)) {
+  Buffer plain;
+  if (cache_.Get(cid, ChunkCache::kAnyVersion, &plain)) {
     m_.cache_hits->Increment();
-    return hit;
+    return plain;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  NodeLoader loader = MakeLoader();
-  TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> entry, map_.Get(cid, loader));
-  if (!entry.has_value()) {
-    return Status::NotFound("chunk " + std::to_string(cid));
-  }
-  TDB_ASSIGN_OR_RETURN(Buffer plain, ReadDataAt(*entry));
-  if (cache_.enabled()) {
-    m_.cache_misses->Increment();
-    cache_.Put(cid, plain, commit_version_);
-  }
+  size_t failed;
+  TDB_RETURN_IF_ERROR(FetchAndValidate(
+      nullptr, {&cid, 1}, [&plain](size_t, Buffer b) { plain = std::move(b); },
+      &failed));
+  if (cache_.enabled()) m_.cache_misses->Increment();
   return plain;
 }
 
-Status ChunkStore::Write(ChunkId cid, Slice data, bool durable) {
+Status ChunkStore::Commit(const WriteBatch& batch, bool durable) {
+  common::ScopedTimer timer(metrics_.get(), m_.commit_latency_us);
+  return ChunkStoreInterface::Commit(batch, durable);
+}
+
+// ---------------------------------------------------------------------------
+// ChunkStoreInterface conveniences
+
+Status ChunkStoreInterface::Commit(const WriteBatch& batch, bool durable) {
+  TDB_ASSIGN_OR_RETURN(CommitHandle handle, CommitBuffered(batch, durable));
+  return WaitDurable(handle);
+}
+
+Status ChunkStoreInterface::Write(ChunkId cid, Slice data, bool durable) {
   WriteBatch batch;
   batch.Write(cid, data);
   return Commit(batch, durable);
 }
 
-Status ChunkStore::Deallocate(ChunkId cid, bool durable) {
+Status ChunkStoreInterface::Deallocate(ChunkId cid, bool durable) {
   WriteBatch batch;
   batch.Deallocate(cid);
   return Commit(batch, durable);
 }
 
-Status ChunkStore::Commit(const WriteBatch& batch, bool durable) {
-  common::ScopedTimer timer(metrics_.get(), m_.commit_latency_us);
-  TDB_ASSIGN_OR_RETURN(CommitHandle handle, CommitBuffered(batch, durable));
-  return WaitDurable(handle);
+Result<Buffer> ChunkStoreInterface::ReadAtView(const Snapshot& view,
+                                               ChunkId cid) {
+  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data,
+                       ReadAtViewShared(view, cid));
+  return Buffer(*data);
 }
 
 // ---------------------------------------------------------------------------
@@ -1869,75 +1923,43 @@ Status ChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
   uint64_t checked = 0;
   if (chunks_checked != nullptr) *chunks_checked = 0;
 
-  // Pin the scrub's view of the map and collect the live entries under one
-  // mutex hold. View registration pauses the cleaner, so the collected
-  // locations stay readable for the whole scrub without holding mu_;
-  // shared ownership of the COW root keeps unpersisted nodes alive.
+  // Pin the scrub's view of the map and collect the live ids under one
+  // mutex hold. View registration pauses the cleaner, so their records
+  // stay readable for the whole scrub without holding mu_; shared
+  // ownership of the COW root keeps unpersisted nodes alive.
   std::shared_ptr<Snapshot> view;
-  std::vector<std::pair<ChunkId, MapEntry>> entries;
+  std::vector<ChunkId> cids;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    view = std::make_shared<Snapshot>();
-    view->root_ = map_.root();
-    view->seq_ = seq_;
-    view->version_ = commit_version_;
-    snapshots_.push_back(view);
-    NodeLoader loader = MakeLoader();
+    view = PinViewLocked();
     TDB_RETURN_IF_ERROR(map_.ForEach(
-        view->root_, loader,
-        [&](ChunkId cid, const MapEntry& entry) -> Status {
-          entries.push_back({cid, entry});
+        view->root_, MakeLoader(),
+        [&](ChunkId cid, const MapEntry&) -> Status {
+          cids.push_back(cid);
           return Status::OK();
         }));
   }
 
-  // Validate in bounded batches: each batch's raw records are fetched
-  // under ONE brief mutex hold (buffered group commits may still sit in
-  // the tail buffer), then the expensive part — hash check, decryption,
-  // decompression — runs OUTSIDE the lock, fanned out across the crypto
-  // pool when configured and inline otherwise. Entries are visited in map
-  // order and failures reported lowest-position-first in both modes, so
-  // serial and parallel scrubs return bit-identical results.
-  ThreadPool* pool = CryptoPool();
-  for (size_t start = 0; start < entries.size();
-       start += kVerifyBatchChunks) {
-    const size_t n = std::min(kVerifyBatchChunks, entries.size() - start);
-    std::vector<Buffer> sealed(n);
-    std::vector<Status> results(n, Status::OK());
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t j = 0; j < n; j++) {
-        auto raw = FetchRawRecord(entries[start + j].second.loc,
-                                  RecordType::kData);
-        if (raw.ok()) {
-          sealed[j] = std::move(raw).value();
-        } else {
-          results[j] = raw.status();
-        }
-      }
-    }
-    auto validate = [&](size_t j) {
-      if (!results[j].ok()) return;
-      // ValidateSealed audits with the same keys (kind + location) as the
-      // per-read path, so a chunk flagged by both collapses to one entry.
-      results[j] =
-          ValidateSealed(entries[start + j].second, std::move(sealed[j]))
-              .status();
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(n, validate);
-    } else {
-      for (size_t j = 0; j < n; j++) validate(j);
-    }
-    for (size_t j = 0; j < n; j++) {
-      if (!results[j].ok()) {
-        m_.verified_chunks->Add(static_cast<int64_t>(checked));
-        if (chunks_checked != nullptr) *chunks_checked = checked;
-        return Status::TamperDetected(
-            "chunk " + std::to_string(entries[start + j].first) + ": " +
-            results[j].ToString());
-      }
-      checked++;
+  // Validate in bounded batches through the read core: each batch's
+  // records are fetched under ONE brief mutex hold (buffered group commits
+  // may still sit in the tail buffer) and validated outside it. Ids are
+  // visited in map order and the lowest failing one is reported whether
+  // validation ran inline or on the pool, so serial and parallel scrubs
+  // return bit-identical results. The core audits with the same keys
+  // (kind + location) as the per-read path, so a chunk flagged by both
+  // collapses to one entry.
+  for (size_t start = 0; start < cids.size(); start += kVerifyBatchChunks) {
+    const size_t n = std::min(kVerifyBatchChunks, cids.size() - start);
+    size_t failed;
+    Status s = FetchAndValidate(&view->root_, {cids.data() + start, n},
+                                [](size_t, Buffer) {}, &failed);
+    checked += failed;
+    if (!s.ok()) {
+      m_.verified_chunks->Add(static_cast<int64_t>(checked));
+      if (chunks_checked != nullptr) *chunks_checked = checked;
+      return Status::TamperDetected("chunk " +
+                                    std::to_string(cids[start + failed]) +
+                                    ": " + s.ToString());
     }
   }
   m_.verified_chunks->Add(static_cast<int64_t>(checked));
@@ -1948,44 +1970,37 @@ Status ChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
 // ---------------------------------------------------------------------------
 // Snapshots
 
+std::shared_ptr<Snapshot> ChunkStore::PinViewLocked() {
+  // The COW root already reflects every applied (including buffered)
+  // commit, and later commits clone nodes along their write paths,
+  // leaving this root's subtree intact. Shared ownership keeps
+  // unpersisted in-memory nodes alive for the view's lifetime;
+  // registration pauses the cleaner so persisted records stay readable.
+  auto view = std::make_shared<Snapshot>();
+  view->root_ = map_.root();
+  view->seq_ = seq_;
+  view->version_ = commit_version_;
+  snapshots_.push_back(view);
+  return view;
+}
+
 Result<std::shared_ptr<Snapshot>> ChunkStore::CreateSnapshot() {
   std::unique_lock<std::mutex> lock(mu_);
   if (!open_.load()) return Status::InvalidArgument("chunk store not open");
-  AwaitGroupIdleLocked(lock);
   // Checkpoint first so the snapshot tree is fully persisted (cheap
   // incremental diffs need the hashes) and the root is anchored. This
   // also absorbs and acks any buffered group commits.
+  AwaitGroupIdleLocked(lock);
   TDB_RETURN_IF_ERROR(CheckpointLocked());
-  auto snap = std::make_shared<Snapshot>();
-  snap->root_ = map_.root();
-  snap->seq_ = seq_;
-  snap->version_ = commit_version_;
-  snapshots_.push_back(snap);
-  return snap;
+  return PinViewLocked();
 }
 
 Result<std::shared_ptr<Snapshot>> ChunkStore::PinView() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!open_.load()) return Status::InvalidArgument("chunk store not open");
-  // No checkpoint, no group-idle wait: the COW root already reflects every
-  // applied (including buffered) commit, and later commits clone nodes
-  // along their write paths, leaving this root's subtree intact. Shared
-  // ownership keeps unpersisted in-memory nodes alive for the view's
-  // lifetime; registration pauses the cleaner so persisted records stay
-  // readable.
-  auto snap = std::make_shared<Snapshot>();
-  snap->root_ = map_.root();
-  snap->seq_ = seq_;
-  snap->version_ = commit_version_;
-  snapshots_.push_back(snap);
+  // No checkpoint and no group-idle wait: a view of the applied state.
   m_.views_pinned->Increment();
-  return snap;
-}
-
-Result<Buffer> ChunkStore::ReadAtView(const Snapshot& view, ChunkId cid) {
-  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data,
-                       ReadAtViewShared(view, cid));
-  return Buffer(*data);
+  return PinViewLocked();
 }
 
 Result<std::shared_ptr<const Buffer>> ChunkStore::ReadAtViewShared(
@@ -1997,94 +2012,66 @@ Result<std::shared_ptr<const Buffer>> ChunkStore::ReadAtViewShared(
   // with the commit version current at insertion. One stamped at or before
   // the view's version is therefore exactly the state the view observes —
   // served under the cache's own lock only, with shared ownership instead
-  // of a copy (payloads are immutable once cached).
+  // of a copy (payloads are immutable once handed out).
   if (std::shared_ptr<const Buffer> hit =
-          cache_.GetSharedIfVersionAtMost(cid, view.version_)) {
+          cache_.GetShared(cid, view.version_)) {
     m_.cache_hits->Increment();
     return hit;
   }
-  MapEntry entry;
-  Buffer sealed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NodeLoader loader = MakeLoader();
-    TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> found,
-                         map_.GetAt(view.root_, cid, loader));
-    if (!found.has_value()) {
-      return Status::NotFound("chunk " + std::to_string(cid));
-    }
-    entry = *found;
-    TDB_ASSIGN_OR_RETURN(sealed,
-                         FetchRawRecord(entry.loc, RecordType::kData));
-  }
+  Buffer plain;
+  size_t failed;
+  TDB_RETURN_IF_ERROR(FetchAndValidate(
+      &view.root_, {&cid, 1},
+      [&plain](size_t, Buffer b) { plain = std::move(b); }, &failed));
   if (cache_.enabled()) m_.cache_misses->Increment();
-  // Hash check, decryption, and decompression run OUTSIDE the commit
-  // mutex: concurrent view readers serialize only on the record fetch.
-  // The result is not cached — the view's state may predate the chunk's
-  // current committed state, which is what the cache must keep holding.
-  TDB_ASSIGN_OR_RETURN(Buffer plain, ValidateSealed(entry, std::move(sealed)));
   return std::make_shared<const Buffer>(std::move(plain));
 }
 
 Result<std::vector<Buffer>> ChunkStore::ReadManyAtView(
     const Snapshot& view, const std::vector<ChunkId>& cids) {
-  if (!open_.load()) return Status::InvalidArgument("chunk store not open");
-  common::TraceSpan span("chunk.read_view_many");
   std::vector<Buffer> out(cids.size());
-  std::vector<size_t> misses;
-  misses.reserve(cids.size());
+  size_t failed;
+  TDB_RETURN_IF_ERROR(ReadManyAt(
+      view, cids, [&out](size_t i, Buffer b) { out[i] = std::move(b); },
+      &failed));
+  return out;
+}
+
+Status ChunkStore::ReadManyAt(const Snapshot& view,
+                              const std::vector<ChunkId>& cids,
+                              const Deliver& deliver, size_t* failed) {
+  *failed = cids.size();
+  if (!open_.load()) {
+    *failed = 0;
+    return Status::InvalidArgument("chunk store not open");
+  }
+  common::TraceSpan span("chunk.read_view_many");
+  std::vector<size_t> at;  // Position in `cids` of each miss.
+  std::vector<ChunkId> misses;
+  Buffer hit;
   for (size_t i = 0; i < cids.size(); i++) {
-    if (cache_.GetIfVersionAtMost(cids[i], view.version_, &out[i])) {
+    if (cache_.Get(cids[i], view.version_, &hit)) {
       m_.cache_hits->Increment();
+      deliver(i, std::move(hit));
     } else {
-      misses.push_back(i);
+      at.push_back(i);
+      misses.push_back(cids[i]);
     }
   }
-  if (misses.empty()) return out;
-
-  // One commit-mutex acquisition fetches every missing raw record...
-  std::vector<MapEntry> entries(misses.size());
-  std::vector<Buffer> sealed(misses.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    NodeLoader loader = MakeLoader();
-    for (size_t j = 0; j < misses.size(); j++) {
-      const ChunkId cid = cids[misses[j]];
-      TDB_ASSIGN_OR_RETURN(std::optional<MapEntry> found,
-                           map_.GetAt(view.root_, cid, loader));
-      if (!found.has_value()) {
-        return Status::NotFound("chunk " + std::to_string(cid));
-      }
-      entries[j] = *found;
-      TDB_ASSIGN_OR_RETURN(sealed[j],
-                           FetchRawRecord(entries[j].loc, RecordType::kData));
-    }
+  if (misses.empty()) return Status::OK();
+  size_t miss_failed;
+  Status s = FetchAndValidate(
+      &view.root_, misses,
+      [&deliver, &at](size_t j, Buffer b) { deliver(at[j], std::move(b)); },
+      &miss_failed);
+  if (!s.ok()) {
+    *failed = at[miss_failed];
+    return s;
   }
   if (cache_.enabled()) {
     m_.cache_misses->Add(static_cast<int64_t>(misses.size()));
   }
-  // ...then validation (hash + decrypt + decompress) fans out across the
-  // crypto pool, outside the mutex. First failure wins, lowest index
-  // first, matching the serial order.
-  std::vector<Status> results(misses.size(), Status::OK());
-  ThreadPool* pool = CryptoPool();
-  auto validate = [&](size_t j) {
-    auto plain = ValidateSealed(entries[j], std::move(sealed[j]));
-    if (plain.ok()) {
-      out[misses[j]] = std::move(plain).value();
-    } else {
-      results[j] = plain.status();
-    }
-  };
-  if (pool != nullptr && misses.size() > 1) {
-    pool->ParallelFor(misses.size(), [&](size_t j) { validate(j); });
-  } else {
-    for (size_t j = 0; j < misses.size(); j++) validate(j);
-  }
-  for (const Status& s : results) {
-    if (!s.ok()) return s;
-  }
-  return out;
+  return Status::OK();
 }
 
 Status ChunkStore::ForEachChunkAt(

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,9 +94,9 @@ struct ChunkStoreOptions {
   /// Byte budget for the validated-plaintext chunk cache: decrypted,
   /// hash-checked payloads served straight from trusted memory on re-read,
   /// skipping untrusted-store I/O, hashing, and decryption. 0 disables the
-  /// cache (every read revalidates — the pre-cache behavior). Snapshot
-  /// reads always bypass the cache; see DESIGN.md "Chunk cache & crypto
-  /// pipeline".
+  /// cache (every read revalidates — the pre-cache behavior). View reads
+  /// are served from it too, gated by commit version; only their misses
+  /// skip filling it. See DESIGN.md "Chunk cache & crypto pipeline".
   size_t cache_bytes = 4 * 1024 * 1024;
 
   /// Worker threads for the commit-path crypto pipeline (sealing + hashing
@@ -330,17 +332,19 @@ class ChunkStoreInterface {
 
   virtual ChunkId AllocateChunkId() = 0;
   virtual Result<Buffer> Read(ChunkId cid) = 0;
-  virtual Status Commit(const WriteBatch& batch, bool durable) = 0;
+  /// CommitBuffered + WaitDurable.
+  virtual Status Commit(const WriteBatch& batch, bool durable);
   virtual Result<CommitHandle> CommitBuffered(const WriteBatch& batch,
                                               bool durable) = 0;
   virtual Status WaitDurable(CommitHandle& handle) = 0;
-  virtual Status Write(ChunkId cid, Slice data, bool durable) = 0;
-  virtual Status Deallocate(ChunkId cid, bool durable) = 0;
+  virtual Status Write(ChunkId cid, Slice data, bool durable);
+  virtual Status Deallocate(ChunkId cid, bool durable);
   virtual Status Checkpoint() = 0;
   virtual Status Clean(int max_segments) = 0;
   virtual Status VerifyIntegrity(uint64_t* chunks_checked) = 0;
   virtual Result<std::shared_ptr<Snapshot>> PinView() = 0;
-  virtual Result<Buffer> ReadAtView(const Snapshot& view, ChunkId cid) = 0;
+  /// A copy of ReadAtViewShared's payload.
+  virtual Result<Buffer> ReadAtView(const Snapshot& view, ChunkId cid);
   virtual Result<std::shared_ptr<const Buffer>> ReadAtViewShared(
       const Snapshot& view, ChunkId cid) = 0;
   virtual Result<std::vector<Buffer>> ReadManyAtView(
@@ -398,7 +402,7 @@ class ChunkStore : public ChunkStoreInterface {
 
   /// Atomically applies `batch`. If `durable`, the commit (and every
   /// earlier nondurable commit) survives crashes once this returns OK.
-  /// Equivalent to CommitBuffered + WaitDurable.
+  /// CommitBuffered + WaitDurable, timed (Write/Deallocate included).
   Status Commit(const WriteBatch& batch, bool durable) override;
 
   /// Two-stage group commit (§5/§7 cost model: the per-commit Sync and
@@ -424,10 +428,6 @@ class ChunkStore : public ChunkStoreInterface {
                                       bool durable) override;
   Status WaitDurable(CommitHandle& handle) override;
 
-  /// Single-chunk conveniences.
-  Status Write(ChunkId cid, Slice data, bool durable) override;
-  Status Deallocate(ChunkId cid, bool durable) override;
-
   /// Writes dirty location-map nodes and the anchor (durable). Normally
   /// automatic; exposed for idle-time maintenance. The checkpoint's
   /// manifest absorbs all buffered commits and completes any pending
@@ -449,9 +449,8 @@ class ChunkStore : public ChunkStoreInterface {
   /// runs outside the lock.
   Status VerifyIntegrity(uint64_t* chunks_checked) override;
 
-  /// Snapshots (§3.2.1, used by the backup store). Checkpoints first so
-  /// the snapshot is fully persisted; read it like any view (ReadAtView,
-  /// ReadManyAtView).
+  /// Snapshots (§3.2.1, used by the backup store): checkpoint + pin in one
+  /// mutex hold, so the snapshot is fully persisted. Read it like any view.
   Result<std::shared_ptr<Snapshot>> CreateSnapshot();
 
   /// Pins a read view of the CURRENT applied state: like CreateSnapshot
@@ -468,22 +467,17 @@ class ChunkStore : public ChunkStoreInterface {
   /// cache lock); otherwise walks the view's map root and fetches the raw
   /// record under the commit mutex, then runs the expensive validation —
   /// Merkle hash check, decryption, decompression — OUTSIDE it, so
-  /// concurrent view readers serialize only on I/O, not on crypto.
-  Result<Buffer> ReadAtView(const Snapshot& view, ChunkId cid) override;
-
-  /// Zero-copy variant of ReadAtView: a cache hit hands back shared
-  /// ownership of the cached payload (one refcount bump, no allocation,
-  /// no memcpy); a miss allocates once for the freshly validated bytes.
-  /// This is the ReadTransaction hot path — per-object cost at steady
-  /// state is one cache lookup plus the caller's unpickle.
+  /// concurrent view readers serialize only on I/O, not on crypto. A hit
+  /// hands back shared ownership of the cached payload (no allocation, no
+  /// memcpy): the ReadTransaction hot path.
   Result<std::shared_ptr<const Buffer>> ReadAtViewShared(
       const Snapshot& view, ChunkId cid) override;
 
   /// Batched view read: all cache misses fetch their raw records under ONE
   /// commit-mutex acquisition, then validation fans out across the crypto
-  /// pool (mirroring VerifyIntegrity's pipeline). Fails on the first
-  /// error, lowest-index first; on success out[i] is the payload of
-  /// cids[i].
+  /// pool (the same core as VerifyIntegrity). On failure, returns the
+  /// error of the lowest failing index; on success out[i] is the payload
+  /// of cids[i].
   Result<std::vector<Buffer>> ReadManyAtView(
       const Snapshot& view, const std::vector<ChunkId>& cids) override;
   Status ForEachChunkAt(
@@ -497,7 +491,6 @@ class ChunkStore : public ChunkStoreInterface {
   /// Returns a snapshot by value; safe to call concurrently with readers
   /// and committers.
   ChunkStoreStats Stats() const override;
-  ChunkStoreStats stats() const { return Stats(); }  // Legacy alias.
 
   /// The registry backing Stats(): latency histograms, the security audit
   /// trail, and every counter above, by name. Shared with the layers built
@@ -518,6 +511,8 @@ class ChunkStore : public ChunkStoreInterface {
   void DumpSegmentCensus() const;
 
  private:
+  friend class tdb::shard::ShardedChunkStore;  // Reads shards via ReadManyAt.
+
   struct SegInfo {
     uint64_t total = 0;     // Bytes in the segment file.
     uint64_t live = 0;      // Bytes of live records (data + map).
@@ -624,15 +619,37 @@ class ChunkStore : public ChunkStoreInterface {
   Result<Buffer> ReadRawRecord(const Location& loc, RecordType expected,
                                const crypto::Digest& expected_hash,
                                bool whole_record = false);
-  Result<Buffer> ReadDataAt(const MapEntry& entry);
   // Hash-checks, decrypts, and (if entry.flags says so) decompresses a
   // fetched data record. Pure crypto on local state — safe OUTSIDE mu_ and
-  // called concurrently by the view read path and VerifyIntegrity.
+  // called concurrently by FetchAndValidate's pool workers.
   Result<Buffer> ValidateSealed(const MapEntry& entry, Buffer sealed);
+  // The one map-node loader (MakeLoader wraps it for child loads). A null
+  // `level` is the checkpointed root, whose record gives its level.
+  Result<std::shared_ptr<MapNode>> LoadMapNode(const uint32_t* level,
+                                               uint64_t index,
+                                               const Location& loc,
+                                               const crypto::Digest& hash);
   NodeLoader MakeLoader();
-  // Loads the checkpointed map root (level read from the record itself).
-  Result<std::shared_ptr<MapNode>> LoadRoot(const Location& loc,
-                                            const crypto::Digest& hash);
+
+  // --- the read path ---
+  // Takes cids[i]'s validated plaintext; may run on pool workers.
+  using Deliver = std::function<void(size_t i, Buffer plain)>;
+  // THE fetch-and-validate core under every read and the scrub: looks
+  // `cids` up at `*root` and fetches their records under ONE mu_ hold. A
+  // null `root` is the current map, validated and cached under mu_ (a fill
+  // after unlocking could overwrite a newer commit's write-through); a
+  // view's records are validated after it, on the crypto pool when there
+  // are several. Returns the failure of the lowest failing index, stored
+  // in *failed (cids.size() if none).
+  Status FetchAndValidate(const std::shared_ptr<MapNode>* root,
+                          std::span<const ChunkId> cids,
+                          const Deliver& deliver, size_t* failed);
+  // Version-gated cache copies, then the core for the misses.
+  Status ReadManyAt(const Snapshot& view, const std::vector<ChunkId>& cids,
+                    const Deliver& deliver, size_t* failed);
+  // Requires mu_. Registers a view of the current map; cleaning pauses
+  // while it lives.
+  std::shared_ptr<Snapshot> PinViewLocked();
 
   // --- commit machinery ---
   // A write whose payload is already sealed (the cleaner relocates sealed

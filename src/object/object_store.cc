@@ -128,47 +128,35 @@ void ReadTransaction::End() {
   objects_.clear();
 }
 
-Result<const Object*> ReadTransaction::OpenInternal(ObjectId oid) {
+Result<std::shared_ptr<const Buffer>> ReadTransaction::ReadRecord(
+    ObjectId oid) {
   if (oid == kInvalidObjectId || oid == store_->header_cid_) {
     return Status::InvalidArgument("invalid object id");
   }
-  auto it = objects_.find(oid);
-  if (it != objects_.end()) return it->second.get();
   // Zero-copy at steady state: a warm-cache hit is one lookup plus a
   // refcount bump; the bytes are unpickled straight out of the cache's
   // immutable payload.
-  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data,
-                       store_->chunks_->ReadAtViewShared(*view_, oid));
+  return store_->chunks_->ReadAtViewShared(*view_, oid);
+}
+
+Result<const Object*> ReadTransaction::OpenInternal(ObjectId oid) {
+  auto it = objects_.find(oid);
+  if (it != objects_.end()) return it->second.get();
+  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data, ReadRecord(oid));
   return UnpickleInto(oid, Slice(*data));
 }
 
 Result<const Object*> ReadTransaction::UnpickleInto(ObjectId oid, Slice data) {
-  common::ScopedTimer timer(store_->chunks_->metrics().get(),
-                            store_->m_.unpickle_us);
-  Unpickler unpickler{data};
-  uint32_t class_id;
-  TDB_RETURN_IF_ERROR(unpickler.GetUint32(&class_id));
-  // ClassRegistry is read-only after start-up registration, so concurrent
-  // read transactions may unpickle without synchronization.
   TDB_ASSIGN_OR_RETURN(std::unique_ptr<Object> object,
-                       store_->registry_.Unpickle(class_id, &unpickler));
+                       store_->Unpickle(data));
   const Object* raw = object.get();
   objects_[oid] = std::move(object);
   return raw;
 }
 
 Result<std::unique_ptr<Object>> ReadTransaction::TakeInternal(ObjectId oid) {
-  if (oid == kInvalidObjectId || oid == store_->header_cid_) {
-    return Status::InvalidArgument("invalid object id");
-  }
-  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data,
-                       store_->chunks_->ReadAtViewShared(*view_, oid));
-  common::ScopedTimer timer(store_->chunks_->metrics().get(),
-                            store_->m_.unpickle_us);
-  Unpickler unpickler{Slice(*data)};
-  uint32_t class_id;
-  TDB_RETURN_IF_ERROR(unpickler.GetUint32(&class_id));
-  return store_->registry_.Unpickle(class_id, &unpickler);
+  TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data, ReadRecord(oid));
+  return store_->Unpickle(Slice(*data));
 }
 
 Status ReadTransaction::Prefetch(const std::vector<ObjectId>& oids) {
@@ -341,11 +329,14 @@ std::shared_ptr<internal::TxnState> ObjectStore::BeginTxn() {
 }
 
 Result<std::unique_ptr<Object>> ObjectStore::Fetch(ObjectId oid) {
-  auto data = chunks_->Read(oid);
-  if (!data.ok()) return data.status();
+  TDB_ASSIGN_OR_RETURN(Buffer data, chunks_->Read(oid));
   cache_.CountMiss();
+  return Unpickle(Slice(data));
+}
+
+Result<std::unique_ptr<Object>> ObjectStore::Unpickle(Slice data) const {
   common::ScopedTimer timer(chunks_->metrics().get(), m_.unpickle_us);
-  Unpickler unpickler{Slice(*data)};
+  Unpickler unpickler{data};
   uint32_t class_id;
   TDB_RETURN_IF_ERROR(unpickler.GetUint32(&class_id));
   return registry_.Unpickle(class_id, &unpickler);

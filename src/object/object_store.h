@@ -371,6 +371,8 @@ class ReadTransaction {
   Result<const Object*> UnpickleInto(ObjectId oid, Slice data);
   // Chunk read at the view + unpickle, ownership to the caller.
   Result<std::unique_ptr<Object>> TakeInternal(ObjectId oid);
+  // The view read under both: the shared cache payload of `oid`.
+  Result<std::shared_ptr<const Buffer>> ReadRecord(ObjectId oid);
 
   ObjectStore* store_;
   std::shared_ptr<internal::TxnState> state_;
@@ -483,6 +485,10 @@ class ObjectStore {
   // Reads and unpickles a committed object, counting a cache miss (no
   // locking). Requires the state mutex.
   Result<std::unique_ptr<Object>> Fetch(ObjectId oid);
+  // The one unpickle (class id, then the registered class's decoder),
+  // timed into object.unpickle_us. The registry is read-only after
+  // start-up registration, so read transactions call it concurrently.
+  Result<std::unique_ptr<Object>> Unpickle(Slice data) const;
 
   // internal::Pin's copy and release: pin or unpin the entry of `oid`,
   // only while it still has `generation`. Take the state mutex.

@@ -924,26 +924,6 @@ Status ShardedChunkStore::WaitDurable(chunk::CommitHandle& handle) {
   return handle.ticket_->result;
 }
 
-Status ShardedChunkStore::Commit(const chunk::WriteBatch& batch,
-                                 bool durable) {
-  TDB_ASSIGN_OR_RETURN(chunk::CommitHandle handle,
-                       CommitBuffered(batch, durable));
-  return WaitDurable(handle);
-}
-
-Status ShardedChunkStore::Write(chunk::ChunkId cid, Slice data,
-                                bool durable) {
-  chunk::WriteBatch batch;
-  batch.Write(cid, data);
-  return Commit(batch, durable);
-}
-
-Status ShardedChunkStore::Deallocate(chunk::ChunkId cid, bool durable) {
-  chunk::WriteBatch batch;
-  batch.Deallocate(cid);
-  return Commit(batch, durable);
-}
-
 // ---------------------------------------------------------------------------
 // Reads, views, maintenance
 
@@ -981,59 +961,50 @@ Result<std::shared_ptr<chunk::Snapshot>> ShardedChunkStore::PinView() {
   return snap;
 }
 
-Result<Buffer> ShardedChunkStore::ReadAtView(const chunk::Snapshot& view,
-                                             chunk::ChunkId cid) {
-  if (shards_.size() == 1) return shards_[0]->ReadAtView(view, cid);
+Result<const chunk::Snapshot*> ShardedChunkStore::ViewPart(
+    const chunk::Snapshot& view, int k) const {
+  if (shards_.size() == 1) return &view;
   if (view.parts_.size() != shards_.size()) {
     return Status::InvalidArgument("view does not match this sharded store");
   }
-  const int k = ShardOf(cid);
-  return shards_[k]->ReadAtView(*view.parts_[k], cid);
+  return view.parts_[k].get();
 }
 
 Result<std::shared_ptr<const Buffer>> ShardedChunkStore::ReadAtViewShared(
     const chunk::Snapshot& view, chunk::ChunkId cid) {
-  if (shards_.size() == 1) return shards_[0]->ReadAtViewShared(view, cid);
-  if (view.parts_.size() != shards_.size()) {
-    return Status::InvalidArgument("view does not match this sharded store");
-  }
   const int k = ShardOf(cid);
-  return shards_[k]->ReadAtViewShared(*view.parts_[k], cid);
+  TDB_ASSIGN_OR_RETURN(const chunk::Snapshot* part, ViewPart(view, k));
+  return shards_[k]->ReadAtViewShared(*part, cid);
 }
 
 Result<std::vector<Buffer>> ShardedChunkStore::ReadManyAtView(
     const chunk::Snapshot& view, const std::vector<chunk::ChunkId>& cids) {
-  if (shards_.size() == 1) return shards_[0]->ReadManyAtView(view, cids);
-  if (view.parts_.size() != shards_.size()) {
-    return Status::InvalidArgument("view does not match this sharded store");
-  }
-  std::map<int, std::vector<size_t>> index_of;  // shard -> positions
-  std::map<int, std::vector<chunk::ChunkId>> per_shard;
-  for (size_t i = 0; i < cids.size(); i++) {
-    const int k = ShardOf(cids[i]);
-    index_of[k].push_back(i);
-    per_shard[k].push_back(cids[i]);
-  }
+  std::vector<std::vector<size_t>> at(shards_.size());  // Positions by shard.
+  for (size_t i = 0; i < cids.size(); i++) at[ShardOf(cids[i])].push_back(i);
   std::vector<Buffer> out(cids.size());
-  for (auto& [k, list] : per_shard) {
-    Result<std::vector<Buffer>> got =
-        shards_[k]->ReadManyAtView(*view.parts_[k], list);
-    if (!got.ok()) {
-      // Recover the deterministic "first failure by original index"
-      // contract on the (cold) error path: re-walk in order.
-      for (chunk::ChunkId cid : cids) {
-        const int j = ShardOf(cid);
-        Status s =
-            shards_[j]->ReadAtViewShared(*view.parts_[j], cid).status();
-        if (!s.ok()) return s;
-      }
-      return got.status();
-    }
-    std::vector<Buffer> bufs = std::move(got).value();
-    for (size_t i = 0; i < list.size(); i++) {
-      out[index_of[k][i]] = std::move(bufs[i]);
+  Status first = Status::OK();
+  size_t first_at = cids.size();
+  std::vector<chunk::ChunkId> list;
+  for (size_t k = 0; k < shards_.size(); k++) {
+    const std::vector<size_t>& pos = at[k];
+    if (pos.empty()) continue;
+    TDB_ASSIGN_OR_RETURN(const chunk::Snapshot* part,
+                         ViewPart(view, static_cast<int>(k)));
+    list.clear();
+    for (size_t i : pos) list.push_back(cids[i]);
+    size_t failed;
+    Status s = shards_[k]->ReadManyAt(
+        *part, list,
+        [&out, &pos](size_t j, Buffer b) { out[pos[j]] = std::move(b); },
+        &failed);
+    // Positions ascend within a shard, so the shard's lowest failing index
+    // maps to its lowest failing position.
+    if (!s.ok() && pos[failed] < first_at) {
+      first_at = pos[failed];
+      first = std::move(s);
     }
   }
+  if (!first.ok()) return first;
   return out;
 }
 

@@ -148,22 +148,19 @@ class ShardedChunkStore final : public chunk::ChunkStoreInterface {
 
   chunk::ChunkId AllocateChunkId() override;
   Result<Buffer> Read(chunk::ChunkId cid) override;
-  Status Commit(const chunk::WriteBatch& batch, bool durable) override;
   Result<chunk::CommitHandle> CommitBuffered(const chunk::WriteBatch& batch,
                                              bool durable) override;
   Status WaitDurable(chunk::CommitHandle& handle) override;
-  Status Write(chunk::ChunkId cid, Slice data, bool durable) override;
-  Status Deallocate(chunk::ChunkId cid, bool durable) override;
   Status Checkpoint() override;
   Status Clean(int max_segments) override;
   /// Scrubs every shard concurrently (one thread per shard); failures are
   /// reported for the lowest failing shard index.
   Status VerifyIntegrity(uint64_t* chunks_checked) override;
   Result<std::shared_ptr<chunk::Snapshot>> PinView() override;
-  Result<Buffer> ReadAtView(const chunk::Snapshot& view,
-                            chunk::ChunkId cid) override;
   Result<std::shared_ptr<const Buffer>> ReadAtViewShared(
       const chunk::Snapshot& view, chunk::ChunkId cid) override;
+  /// On failure, returns the error of the lowest failing index of `cids`
+  /// (each shard reports its own lowest; the router takes the minimum).
   Result<std::vector<Buffer>> ReadManyAtView(
       const chunk::Snapshot& view,
       const std::vector<chunk::ChunkId>& cids) override;
@@ -225,6 +222,12 @@ class ShardedChunkStore final : public chunk::ChunkStoreInterface {
   };
 
   ShardedChunkStore() = default;
+
+  // The routing step of every view read: shard k's part of `view` (a
+  // one-shard store's views are its shard's own), or InvalidArgument when
+  // `view` was not pinned on this store.
+  Result<const chunk::Snapshot*> ViewPart(const chunk::Snapshot& view,
+                                          int k) const;
 
   // Record codecs. Encode returns the payload and fills *mac with the
   // record's own MAC (empty when security is disabled).

@@ -158,7 +158,7 @@ TEST(BackupStoreTest, LongIncrementalChain) {
 
   auto target = env.OpenTarget();
   ASSERT_TRUE(bs->Restore(names, target.get()).ok());
-  EXPECT_EQ(target->stats().live_chunks, model.size());
+  EXPECT_EQ(target->Stats().live_chunks, model.size());
   for (const auto& [cid, expected] : model) {
     auto data = target->Read(cid);
     ASSERT_TRUE(data.ok()) << cid;
@@ -189,7 +189,7 @@ TEST(BackupStoreTest, TamperedArchiveRejectedEntirely) {
     Status s = bs->Restore({"b0"}, target.get());
     EXPECT_FALSE(s.ok()) << "offset " << off;
     // Nothing may have been applied.
-    EXPECT_EQ(target->stats().live_chunks, 0u);
+    EXPECT_EQ(target->Stats().live_chunks, 0u);
     ASSERT_TRUE(env.archive.CorruptByte("b0", off, 0x10).ok());  // Undo.
   }
 }
@@ -213,7 +213,7 @@ TEST(BackupStoreTest, OutOfOrderChainRejected) {
   EXPECT_FALSE(bs->Restore({"b0", "b2", "b1"}, target.get()).ok());
   // Starting with an incremental.
   EXPECT_FALSE(bs->Restore({"b1"}, target.get()).ok());
-  EXPECT_EQ(target->stats().live_chunks, 0u);
+  EXPECT_EQ(target->Stats().live_chunks, 0u);
   // The correct order restores fine.
   EXPECT_TRUE(bs->Restore({"b0", "b1", "b2"}, target.get()).ok());
   EXPECT_EQ(Slice(*target->Read(cid)).ToString(), "v2");
@@ -300,7 +300,7 @@ TEST(BackupStoreTest, EmptyDatabaseBackupAndRestore) {
   EXPECT_EQ(info->chunks, 0u);
   auto target = env.OpenTarget();
   EXPECT_TRUE(bs->Restore({"empty"}, target.get()).ok());
-  EXPECT_EQ(target->stats().live_chunks, 0u);
+  EXPECT_EQ(target->Stats().live_chunks, 0u);
 }
 
 }  // namespace

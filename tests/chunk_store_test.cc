@@ -141,7 +141,7 @@ TEST(ChunkStoreTest, DeallocateRemovesState) {
   ASSERT_TRUE((*cs)->Write(cid, Slice("doomed"), true).ok());
   ASSERT_TRUE((*cs)->Deallocate(cid, true).ok());
   EXPECT_TRUE((*cs)->Read(cid).status().IsNotFound());
-  EXPECT_EQ((*cs)->stats().live_chunks, 0u);
+  EXPECT_EQ((*cs)->Stats().live_chunks, 0u);
 }
 
 TEST(ChunkStoreTest, BatchCommitIsAtomicAndOrdered) {
@@ -349,7 +349,7 @@ TEST_P(CrashRecoveryPropertyTest, DurableStateSurvivesRandomCrash) {
         }
       }
       bool durable = rng.Bernoulli(0.3);
-      uint64_t durables_before = cs->stats().durable_commits;
+      uint64_t durables_before = cs->Stats().durable_commits;
       Status s = cs->Commit(batch, durable);
       if (!s.ok()) {
         // Crash fired. The in-flight batch was not acknowledged: it may be
@@ -369,7 +369,7 @@ TEST_P(CrashRecoveryPropertyTest, DurableStateSurvivesRandomCrash) {
       }
       // An internal checkpoint (residual-log threshold or cleaning) is a
       // durable commit too and durabilizes all pending state.
-      if (durable || cs->stats().durable_commits > durables_before) {
+      if (durable || cs->Stats().durable_commits > durables_before) {
         durable_model = pending_model;
       }
     }
@@ -651,7 +651,7 @@ TEST(ChunkStoreCleanerTest, CleaningBoundsDatabaseSize) {
     }
     ASSERT_TRUE((*cs)->Write(cids[0], Slice("durable-marker"), true).ok());
   }
-  const ChunkStoreStats& stats = (*cs)->stats();
+  const ChunkStoreStats& stats = (*cs)->Stats();
   EXPECT_GT(stats.cleaned_segments, 0u);
   // Total size bounded: live/util plus slack of a few segments.
   uint64_t bound = static_cast<uint64_t>(stats.live_bytes / 0.6) +
@@ -677,12 +677,12 @@ TEST(ChunkStoreCleanerTest, ExplicitIdleCleaningReclaims) {
     rng.Fill(&data, 400);
     ASSERT_TRUE((*cs)->Write(cid, data, i % 20 == 0).ok());
   }
-  uint64_t before = (*cs)->stats().total_bytes;
+  uint64_t before = (*cs)->Stats().total_bytes;
   // Idle-time cleaning, as the paper's workload model assumes (§3.2.1).
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE((*cs)->Clean(2).ok());
   }
-  uint64_t after = (*cs)->stats().total_bytes;
+  uint64_t after = (*cs)->Stats().total_bytes;
   EXPECT_LT(after, before);
   EXPECT_TRUE((*cs)->Read(cid).ok());
 }
@@ -814,14 +814,14 @@ TEST(ChunkStoreSnapshotTest, CleaningPausedWhileSnapshotAlive) {
   ASSERT_TRUE((*cs)->Write(cid, Slice("v0"), true).ok());
   auto snap = (*cs)->CreateSnapshot();
   ASSERT_TRUE(snap.ok());
-  uint64_t cleaned_before = (*cs)->stats().cleaned_segments;
+  uint64_t cleaned_before = (*cs)->Stats().cleaned_segments;
   Random rng(8);
   for (int i = 0; i < 100; i++) {
     Buffer data;
     rng.Fill(&data, 300);
     ASSERT_TRUE((*cs)->Write(cid, data, i % 10 == 0).ok());
   }
-  EXPECT_EQ((*cs)->stats().cleaned_segments, cleaned_before);
+  EXPECT_EQ((*cs)->Stats().cleaned_segments, cleaned_before);
   // Snapshot still readable after all that churn.
   EXPECT_EQ(Slice(*(*cs)->ReadAtView(**snap, cid)).ToString(), "v0");
   // Release it; cleaning may resume.
@@ -831,7 +831,7 @@ TEST(ChunkStoreSnapshotTest, CleaningPausedWhileSnapshotAlive) {
     rng.Fill(&data, 300);
     ASSERT_TRUE((*cs)->Write(cid, data, true).ok());
   }
-  EXPECT_GT((*cs)->stats().cleaned_segments, cleaned_before);
+  EXPECT_GT((*cs)->Stats().cleaned_segments, cleaned_before);
 }
 
 // ------------------------------------------------------------------ misc
@@ -843,7 +843,7 @@ TEST(ChunkStoreTest, StatsTrackUtilization) {
   ASSERT_TRUE(
       (*cs)->Write((*cs)->AllocateChunkId(), Bytes(std::string(500, 'x')), true)
           .ok());
-  const ChunkStoreStats& stats = (*cs)->stats();
+  const ChunkStoreStats& stats = (*cs)->Stats();
   EXPECT_GT(stats.live_bytes, 0u);
   EXPECT_GE(stats.total_bytes, stats.live_bytes);
   EXPECT_GT(stats.utilization(), 0.0);
@@ -888,7 +888,7 @@ TEST(ChunkStoreTest, CheckpointBoundsResidualLogReplay) {
       model[cid] = data;
       ASSERT_TRUE((*cs)->Write(cid, data, true).ok());
     }
-    EXPECT_GT((*cs)->stats().checkpoints, 2u);
+    EXPECT_GT((*cs)->Stats().checkpoints, 2u);
     ASSERT_TRUE((*cs)->Close().ok());
   }
   auto cs = env.Open(options);
@@ -1142,6 +1142,91 @@ TEST(ChunkCacheTest, DisabledCacheCountsNothing) {
   EXPECT_EQ((*cs)->Stats().cache_misses, 0u);
   EXPECT_EQ((*cs)->Stats().cache_bytes_used, 0u);
   EXPECT_EQ((*cs)->Stats().parallel_sealed_bytes, 0u);
+}
+
+// Readers racing committers through a cache of a few entries: Read misses
+// and refills constantly while commits write through. A miss must fill the
+// cache under the commit mutex; one that filled it after releasing the
+// mutex could overwrite a newer commit's write-through with older bytes,
+// and a later hit would then serve a value that went backwards.
+TEST(ChunkCacheTest, ReadersRacingCommittersNeverSeeValuesGoBackwards) {
+  TestEnv env;
+  auto options = SmallSegments();
+  options.cache_bytes = 4 * (64 + 64);  // Room for about four payloads.
+  auto cs = env.Open(options);
+  ASSERT_TRUE(cs.ok()) << cs.status().ToString();
+  ChunkStore* store = cs->get();
+
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  constexpr int kCidsPerWriter = 4;
+  constexpr uint64_t kRounds = 10000;
+  // Value v of a chunk: its version in the first 8 bytes, padded to a
+  // varying length so entries of different sizes churn the cache.
+  auto encode = [](uint64_t v) {
+    Buffer b(8 + v % 48, static_cast<uint8_t>(v));
+    for (int i = 0; i < 8; i++) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    return b;
+  };
+  auto decode = [](const Buffer& b) {
+    uint64_t v = 0;
+    for (int i = 0; i < 8; i++) v |= static_cast<uint64_t>(b[i]) << (8 * i);
+    return v;
+  };
+
+  std::vector<ChunkId> cids;
+  for (int i = 0; i < kWriters * kCidsPerWriter; i++) {
+    cids.push_back(store->AllocateChunkId());
+    ASSERT_TRUE(store->Write(cids.back(), encode(0), true).ok());
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&, r] {
+      Random rng(100 + r);
+      std::vector<uint64_t> seen(cids.size(), 0);
+      while (!stop.load()) {
+        const size_t i = rng.Uniform(cids.size());
+        auto data = store->Read(cids[i]);
+        if (!data.ok() || data->size() < 8) {
+          failures++;
+          continue;
+        }
+        const uint64_t v = decode(*data);
+        if (v < seen[i]) failures++;
+        seen[i] = v;
+      }
+    });
+  }
+  // Each writer owns its own ids and writes one per commit, round robin,
+  // so id j of a writer last got the last round v with v % kCidsPerWriter
+  // == j.
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; w++) {
+    writers.emplace_back([&, w] {
+      for (uint64_t v = 1; v <= kRounds; v++) {
+        const ChunkId cid = cids[w * kCidsPerWriter + v % kCidsPerWriter];
+        if (!store->Write(cid, encode(v), v % 4 == 0).ok()) failures++;
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  for (size_t i = 0; i < cids.size(); i++) {
+    const uint64_t j = i % kCidsPerWriter;
+    const uint64_t want = kRounds - (kRounds + kCidsPerWriter - j) %
+                                        kCidsPerWriter;
+    auto data = store->Read(cids[i]);
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    EXPECT_EQ(decode(*data), want) << "chunk " << cids[i];
+  }
+  EXPECT_GT(store->Stats().cache_misses, 0u);
+  EXPECT_GT(store->Stats().cache_evictions_capacity, 0u);
 }
 
 // The parallel commit pipeline must be a pure performance change: the same

@@ -122,11 +122,11 @@ TEST(IntegrationTest, CollectionWorkloadSurvivesCrashAndRecovers) {
       (*account)->balance_ += delta;
       if (!(*it)->Close().ok()) break;
       bool durable = round % 4 == 0;
-      uint64_t durables_before = stack.chunks->stats().durable_commits;
+      uint64_t durables_before = stack.chunks->Stats().durable_commits;
       if (!txn.Commit(durable).ok()) break;
       pending_model[id] += delta;
       if (durable ||
-          stack.chunks->stats().durable_commits > durables_before) {
+          stack.chunks->Stats().durable_commits > durables_before) {
         durable_model = pending_model;
       }
       if (faulty.crashed()) break;

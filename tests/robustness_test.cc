@@ -270,7 +270,7 @@ TEST(ResidualLogTest, LongResidualLogReplaysManyCommits) {
       ASSERT_TRUE(cs->Write(cid, data, true).ok());
       model[cid] = data;
     }
-    EXPECT_LE(cs->stats().checkpoints, 2u);  // Only the bootstrap one(s).
+    EXPECT_LE(cs->Stats().checkpoints, 2u);  // Only the bootstrap one(s).
     // Simulated power cut: the destructor's close-time checkpoint fails.
     faulty.CrashAfterWrites(0);
   }
@@ -317,7 +317,7 @@ TEST(UtilizationKnobTest, HigherTargetYieldsDenserDatabase) {
     // Everything still readable.
     uint64_t checked = 0;
     TDB_CHECK(cs->VerifyIntegrity(&checked).ok());
-    return cs->stats();
+    return cs->Stats();
   };
   ChunkStoreStats loose = run(0.5);
   ChunkStoreStats tight = run(0.9);

@@ -351,6 +351,50 @@ TEST(ShardedStoreTest, PinnedViewNeverSeesHalfACrossShardCommit) {
   ASSERT_TRUE((*router)->Close().ok());
 }
 
+// ReadManyAtView's failure is the one of the lowest index of the request,
+// whichever shard holds it: here index 0 is a tampered record on shard 1
+// and index 1 a never-written id on shard 0.
+TEST(ShardedStoreTest, ReadManyAtViewFailsAtLowestIndexAcrossShards) {
+  ShardedEnv env(2);
+  auto options = SmallSegments();
+  options.cache_bytes = 0;  // Cold reads, so the tampered bytes are read.
+  auto router = env.Open(options);
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  chunk::ChunkId on0 = 0, on1 = 0;
+  TwoShardIds(router->get(), &on0, &on1);
+  chunk::ChunkId missing0 = 0;
+  while (missing0 == 0) {
+    chunk::ChunkId cid = (*router)->AllocateChunkId();
+    if ((*router)->ShardOf(cid) == 0) missing0 = cid;
+  }
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "intact", "tampered").ok());
+  // Flush the commit decisions, so the records sit in the shards' logs.
+  ASSERT_TRUE((*router)->Checkpoint().ok());
+  auto view = (*router)->PinView();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  // Damage every sealed data payload on shard 1.
+  int flipped = 0;
+  for (const harness::TamperRegion& region :
+       harness::ClassifyImage(env.stores[1]->SnapshotImage())) {
+    if (region.cls != harness::RegionClass::kChunkPayload) continue;
+    ASSERT_TRUE(env.stores[1]
+                    ->CorruptByte(region.file,
+                                  region.offset + region.length / 2, 0x40)
+                    .ok());
+    flipped++;
+  }
+  ASSERT_GT(flipped, 0);
+  ASSERT_TRUE((*router)->ReadAtView(**view, on0).ok());
+  ASSERT_TRUE((*router)->ReadAtView(**view, on1).status().IsTamperDetected());
+
+  auto many = (*router)->ReadManyAtView(**view, {on1, missing0});
+  EXPECT_TRUE(many.status().IsTamperDetected()) << many.status().ToString();
+  many = (*router)->ReadManyAtView(**view, {on0, missing0, on1});
+  EXPECT_TRUE(many.status().IsNotFound()) << many.status().ToString();
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
 // -------------------------------------------------- decision-chain tamper
 
 TEST(ShardedStoreTest, ForgedDecisionRecordDetectedAtRecovery) {

@@ -2,7 +2,8 @@
 # Tier-1 verification in one command: configure a fresh out-of-tree build,
 # build everything, and run the full test suite.
 #
-#   tools/check.sh               # build into ./build-check and run ctest
+#   tools/check.sh               # build into ./build-check, run ctest,
+#                                # compile perfbench's drm_bench
 #   BUILD_DIR=out tools/check.sh
 #   tools/check.sh --asan        # AddressSanitizer build, harness smoke suite
 #   tools/check.sh --tsan        # ThreadSanitizer build, harness smoke suite
@@ -231,4 +232,10 @@ else
   cmake -B "$build_dir" -S "$repo_root"
   cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
+  # perfbench/ is its own CMake package, so the build above never compiles
+  # the repo benchmark: compile (not run) drm_bench too, so a src/ change
+  # that breaks the benchmark fails here rather than at benchmark time.
+  echo "== perfbench drm_bench (compile only) =="
+  cmake -B "$build_dir/perfbench" -S "$repo_root/perfbench"
+  cmake --build "$build_dir/perfbench" -j "$(nproc)" --target drm_bench
 fi

@@ -592,7 +592,7 @@ int main(int argc, char** argv) {
   if (json) {
     std::printf("%s\n", registry->Snapshot().ToJson().c_str());
   } else {
-    const chunk::ChunkStoreStats& stats = chunks->stats();
+    const chunk::ChunkStoreStats& stats = chunks->Stats();
     std::printf("database:     %s (read-only overlay)\n",
                 positional[0].c_str());
     std::printf("security:     %s\n",
