@@ -13,7 +13,7 @@
 #include "workload/tpcb.h"
 
 int main() {
-  using namespace tdb::bench;
+  using namespace tdb::workload;
 
   TpcbConfig config;
   config.ApplyEnv();

@@ -1595,37 +1595,6 @@ ChunkStoreStats ChunkStore::Stats() const {
   return s;
 }
 
-void ChunkStore::DumpSegmentCensus() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t n_resid = 0, resid_total = 0, resid_live = 0;
-  uint64_t n_map = 0, map_total = 0, map_live = 0;
-  uint64_t n_dense = 0, dense_total = 0, dense_live = 0;
-  uint64_t n_clean = 0, clean_total = 0, clean_live = 0;
-  for (const auto& [id, info] : segments_) {
-    if (id >= scan_segment_) {
-      n_resid++; resid_total += info.total; resid_live += info.live;
-    } else if (info.live_map > 0) {
-      n_map++; map_total += info.total; map_live += info.live;
-    } else if (static_cast<double>(info.live) >
-               options_.max_utilization * info.total) {
-      n_dense++; dense_total += info.total; dense_live += info.live;
-    } else {
-      n_clean++; clean_total += info.total; clean_live += info.live;
-    }
-  }
-  std::fprintf(stderr,
-               "[census] residual: %llu segs %llu/%llu live | maplive: %llu "
-               "segs %llu/%llu | dense: %llu segs %llu/%llu | cleanable: "
-               "%llu segs %llu/%llu\n",
-               (unsigned long long)n_resid, (unsigned long long)resid_live,
-               (unsigned long long)resid_total, (unsigned long long)n_map,
-               (unsigned long long)map_live, (unsigned long long)map_total,
-               (unsigned long long)n_dense, (unsigned long long)dense_live,
-               (unsigned long long)dense_total, (unsigned long long)n_clean,
-               (unsigned long long)clean_live,
-               (unsigned long long)clean_total);
-}
-
 Status ChunkStore::Close() {
   std::unique_lock<std::mutex> lock(mu_);
   if (!open_.load()) return Status::OK();

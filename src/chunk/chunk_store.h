@@ -506,10 +506,6 @@ class ChunkStore : public ChunkStoreInterface {
   /// Flushes a final checkpoint. The destructor calls this best-effort.
   Status Close() override;
 
-  /// Debug: prints a per-region segment census (live/dead/map bytes) to
-  /// stderr. Used by benchmarks under TPCB_DEBUG.
-  void DumpSegmentCensus() const;
-
  private:
   friend class tdb::shard::ShardedChunkStore;  // Reads shards via ReadManyAt.
 

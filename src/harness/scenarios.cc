@@ -16,6 +16,7 @@
 #include "harness/engine.h"
 #include "workload/large_objects.h"
 #include "workload/timeseries.h"
+#include "workload/tpcb.h"
 #include "workload/ycsb.h"
 
 namespace tdb::harness {
@@ -398,13 +399,14 @@ class OracleHook final : public workload::CommitHook {
   StateOracle* oracle_;
 };
 
-/// layer=ycsb|timeseries|largeobject: a src/workload driver instead of
-/// the synthetic trace. The spec's repro fields map deterministically onto
-/// the driver spec: seed picks the YCSB mix (seed % 6) and all payloads,
-/// commits sizes the operation count, slots the record count / retention
-/// window. The drivers create their own structures inside Run, so crash
-/// points cover the load phase too; the oracle is keyed by the driver's
-/// logical key (record key, timestamp, large-object tag).
+/// layer=ycsb|timeseries|largeobject|tpcb: a src/workload driver instead
+/// of the synthetic trace. The spec's repro fields map deterministically
+/// onto the driver spec: seed picks the YCSB mix (seed % 6) and all
+/// payloads, commits sizes the operation count, slots the record count /
+/// retention window / TPC-B account table. The drivers create their own
+/// structures inside Run, so crash points cover the load phase too; the
+/// oracle is keyed by the driver's logical key (record key, timestamp,
+/// large-object tag, TPC-B table and row id).
 class WorkloadScenario final : public Scenario {
  public:
   using Scenario::Scenario;
@@ -417,6 +419,7 @@ class WorkloadScenario final : public Scenario {
     TDB_RETURN_IF_ERROR(workload::RegisterYcsbClasses(os));
     TDB_RETURN_IF_ERROR(workload::RegisterTimeSeriesClasses(os));
     TDB_RETURN_IF_ERROR(workload::RegisterLargeObjectWorkloadClasses(os));
+    TDB_RETURN_IF_ERROR(workload::RegisterTpcbClasses(os));
     TDB_ASSIGN_OR_RETURN(stack->collections,
                          collection::CollectionStore::Open(os));
     return Status::OK();
@@ -475,6 +478,21 @@ class WorkloadScenario final : public Scenario {
                            workload::TimeSeriesDriver::Open(
                                stack->collections.get(), t, create));
       return create ? driver->Run(hook) : driver->ScanAll(scan);
+    }
+    if (layer == "tpcb") {
+      const uint32_t n = std::max<uint32_t>(1, spec.slots);
+      const workload::TpcbSpec t{.accounts = n,
+                                 .tellers = std::max<uint32_t>(1, n / 2),
+                                 .branches = std::max<uint32_t>(1, n / 4),
+                                 .history = n,
+                                 .seed = spec.seed,
+                                 .p_durable = 0.5};
+      TDB_ASSIGN_OR_RETURN(
+          std::unique_ptr<workload::TpcbDriver> driver,
+          workload::TpcbDriver::Open(stack->objects.get(),
+                                     stack->collections.get(), t, create,
+                                     hook));
+      return create ? driver->Run(spec.commits, hook) : driver->Scan(scan);
     }
     workload::LargeObjectSpec l;
     l.seed = spec.seed;
@@ -558,7 +576,7 @@ Result<std::unique_ptr<Scenario>> MakeScenario(const Target& target) {
   } else if (layer == "collection") {
     scenario = std::make_unique<CollectionScenario>(target);
   } else if (layer == "ycsb" || layer == "timeseries" ||
-             layer == "largeobject") {
+             layer == "largeobject" || layer == "tpcb") {
     scenario = std::make_unique<WorkloadScenario>(target);
   } else {
     return Status::InvalidArgument("unknown layer: " + layer);

@@ -123,7 +123,8 @@ Result<ReproCase> ParseRepro(const std::string& line) {
     if (key == "layer") {
       if (value != "chunk" && value != "object" && value != "collection" &&
           value != "shard" && value != "objshard" && value != "ycsb" &&
-          value != "timeseries" && value != "largeobject") {
+          value != "timeseries" && value != "largeobject" &&
+          value != "tpcb") {
         return MalformedRepro("unknown layer: " + value);
       }
       repro.layer = value;

@@ -116,7 +116,7 @@ using StoreWrap =
 /// What a campaign runs: one layer's scenario over one trace.
 struct Target {
   /// "chunk" | "object" | "collection" | "shard" | "objshard", or a
-  /// workload scenario: "ycsb" | "timeseries" | "largeobject".
+  /// workload scenario: "ycsb" | "timeseries" | "largeobject" | "tpcb".
   std::string layer = "chunk";
   TraceSpec spec;
   /// Shard count for the sharded layers ("shard", "objshard"); 0 elsewhere.

@@ -57,6 +57,11 @@ Status GetDigest(Decoder* dec, crypto::Digest* out) {
   return Status::OK();
 }
 
+// The public API's answer for an id of the router's reserved range.
+Status ReservedRouterId() {
+  return Status::InvalidArgument("chunk id in reserved router range");
+}
+
 }  // namespace
 
 bool ShardedChunkStore::IsRouterChunk(chunk::ChunkId cid) {
@@ -867,9 +872,7 @@ Result<chunk::CommitHandle> ShardedChunkStore::CommitBuffered(
     return h;
   };
   for (const auto& op : batch.ops_) {
-    if (IsRouterChunk(op.cid)) {
-      return Status::InvalidArgument("chunk id in reserved router range");
-    }
+    if (IsRouterChunk(op.cid)) return ReservedRouterId();
   }
   if (shards_.size() == 1) {
     TDB_ASSIGN_OR_RETURN(chunk::CommitHandle h,
@@ -938,9 +941,7 @@ uint64_t ShardedChunkStore::next_chunk_id() const {
 }
 
 Result<Buffer> ShardedChunkStore::Read(chunk::ChunkId cid) {
-  if (IsRouterChunk(cid)) {
-    return Status::InvalidArgument("chunk id in reserved router range");
-  }
+  if (IsRouterChunk(cid)) return ReservedRouterId();
   return shards_[ShardOf(cid)]->Read(cid);
 }
 
@@ -972,6 +973,7 @@ Result<const chunk::Snapshot*> ShardedChunkStore::ViewPart(
 
 Result<std::shared_ptr<const Buffer>> ShardedChunkStore::ReadAtViewShared(
     const chunk::Snapshot& view, chunk::ChunkId cid) {
+  if (IsRouterChunk(cid)) return ReservedRouterId();
   const int k = ShardOf(cid);
   TDB_ASSIGN_OR_RETURN(const chunk::Snapshot* part, ViewPart(view, k));
   return shards_[k]->ReadAtViewShared(*part, cid);
@@ -979,11 +981,19 @@ Result<std::shared_ptr<const Buffer>> ShardedChunkStore::ReadAtViewShared(
 
 Result<std::vector<Buffer>> ShardedChunkStore::ReadManyAtView(
     const chunk::Snapshot& view, const std::vector<chunk::ChunkId>& cids) {
-  std::vector<std::vector<size_t>> at(shards_.size());  // Positions by shard.
-  for (size_t i = 0; i < cids.size(); i++) at[ShardOf(cids[i])].push_back(i);
-  std::vector<Buffer> out(cids.size());
+  // A reserved id fails at its index; only shard reads below it can win.
   Status first = Status::OK();
   size_t first_at = cids.size();
+  std::vector<std::vector<size_t>> at(shards_.size());  // Positions by shard.
+  for (size_t i = 0; i < cids.size() && i < first_at; i++) {
+    if (IsRouterChunk(cids[i])) {
+      first = ReservedRouterId();
+      first_at = i;
+    } else {
+      at[ShardOf(cids[i])].push_back(i);
+    }
+  }
+  std::vector<Buffer> out(cids.size());
   std::vector<chunk::ChunkId> list;
   for (size_t k = 0; k < shards_.size(); k++) {
     const std::vector<size_t>& pos = at[k];

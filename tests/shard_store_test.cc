@@ -395,6 +395,49 @@ TEST(ShardedStoreTest, ReadManyAtViewFailsAtLowestIndexAcrossShards) {
   ASSERT_TRUE((*router)->Close().ok());
 }
 
+TEST(ShardedStoreTest, ViewReadsRejectReservedRouterIds) {
+  ShardedEnv env(2);
+  auto router = env.Open();
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  chunk::ChunkId on0 = 0, on1 = 0;
+  TwoShardIds(router->get(), &on0, &on1);
+  chunk::ChunkId missing0 = 0;
+  while (missing0 == 0) {
+    chunk::ChunkId cid = (*router)->AllocateChunkId();
+    if ((*router)->ShardOf(cid) == 0) missing0 = cid;
+  }
+  ASSERT_TRUE(CommitPair(router->get(), on0, on1, "zero", "one").ok());
+  auto view = (*router)->PinView();
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+
+  const chunk::ChunkId decision = ShardedChunkStore::DecisionCid(1);
+  const auto kInvalid = Status::Code::kInvalidArgument;
+  for (chunk::ChunkId reserved :
+       {decision, ShardedChunkStore::ChainBaseCid()}) {
+    EXPECT_EQ((*router)->Read(reserved).status().code(), kInvalid);
+    EXPECT_EQ((*router)->ReadAtView(**view, reserved).status().code(),
+              kInvalid);
+    EXPECT_EQ((*router)->ReadAtViewShared(**view, reserved).status().code(),
+              kInvalid);
+    EXPECT_EQ(
+        (*router)->ReadManyAtView(**view, {on0, reserved, on1}).status().code(),
+        kInvalid);
+  }
+  // The lowest failing index decides, reserved ids included.
+  EXPECT_TRUE((*router)
+                  ->ReadManyAtView(**view, {on1, missing0, decision})
+                  .status()
+                  .IsNotFound());
+  EXPECT_EQ(
+      (*router)->ReadManyAtView(**view, {on1, decision, missing0}).status().code(),
+      kInvalid);
+  auto both = (*router)->ReadManyAtView(**view, {on1, on0});
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_EQ(Slice((*both)[0]).ToString(), "one");
+  EXPECT_EQ(Slice((*both)[1]).ToString(), "zero");
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
 // -------------------------------------------------- decision-chain tamper
 
 TEST(ShardedStoreTest, ForgedDecisionRecordDetectedAtRecovery) {

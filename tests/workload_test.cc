@@ -1,7 +1,7 @@
 // Workload diversity suite: deterministic small-scale runs of every YCSB
-// mix, the time-series retention scenario, and streaming large objects —
-// each checked against a commit-hook oracle, re-checked after a clean
-// reopen (compression on and off), and driven through the crash/tamper
+// mix, the time-series retention scenario, streaming large objects and
+// TPC-B — each checked against a commit-hook oracle, re-checked after a
+// clean reopen (compression on and off), and driven through the crash/tamper
 // harness (sharded exhaustive sweeps with the zero-silent-acceptance and
 // audit-trail contracts).
 
@@ -15,6 +15,7 @@
 
 #include "chunk/chunk_store.h"
 #include "common/check.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "crypto/cipher_suite.h"
 #include "harness/engine.h"
@@ -25,6 +26,7 @@
 #include "workload/key_chooser.h"
 #include "workload/large_objects.h"
 #include "workload/timeseries.h"
+#include "workload/tpcb.h"
 #include "workload/ycsb.h"
 
 namespace tdb::workload {
@@ -166,6 +168,7 @@ struct Env {
     TDB_CHECK(RegisterYcsbClasses(objects.get()).ok());
     TDB_CHECK(RegisterTimeSeriesClasses(objects.get()).ok());
     TDB_CHECK(RegisterLargeObjectWorkloadClasses(objects.get()).ok());
+    TDB_CHECK(RegisterTpcbClasses(objects.get()).ok());
     auto cs = collection::CollectionStore::Open(objects.get());
     TDB_CHECK(cs.ok(), cs.status().ToString());
     collections = std::move(cs).value();
@@ -349,10 +352,88 @@ INSTANTIATE_TEST_SUITE_P(Codec, LargeObjectScenarioTest, ::testing::Bool(),
                                              : std::string("Off");
                          });
 
+// --- TPC-B -----------------------------------------------------------------
+
+/// Σ balance of one table's rows in a Scan/model map.
+int64_t TableSum(const std::map<uint64_t, Buffer>& rows, TpcbTable table,
+                 size_t* count = nullptr) {
+  int64_t sum = 0;
+  size_t n = 0;
+  const uint64_t t = static_cast<uint64_t>(table);
+  for (auto it = rows.lower_bound(t << 32);
+       it != rows.end() && it->first >> 32 == t; ++it) {
+    sum += static_cast<int64_t>(DecodeFixed64(it->second.data() + 4));
+    n++;
+  }
+  if (count != nullptr) *count = n;
+  return sum;
+}
+
+class TpcbTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TpcbTest, HookedRunMatchesOracleConservesAndSurvivesReopen) {
+  Env env(GetParam());
+  TpcbSpec spec;
+  spec.accounts = 40;
+  spec.tellers = 8;
+  spec.branches = 3;
+  spec.history = 5;
+  spec.seed = 17;
+  spec.p_durable = 0.5;
+  constexpr uint64_t kTxns = 60;
+
+  ModelHook hook;
+  auto opened = TpcbDriver::Open(env.objects.get(), env.collections.get(),
+                                 spec, /*create=*/true, &hook);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<TpcbDriver> driver = std::move(opened).value();
+  Status run = driver->Run(kTxns, &hook);
+  ASSERT_TRUE(run.ok()) << run.ToString();
+
+  std::map<uint64_t, Buffer> state;
+  ASSERT_TRUE(driver->Scan(&state).ok());
+  EXPECT_EQ(state, hook.model());
+  EXPECT_EQ(state.size(), 40u + 8u + 3u + 5u + kTxns);
+
+  // Every delta lands once in each table, and once as a history row.
+  size_t accounts = 0, history_rows = 0;
+  const int64_t account_sum = TableSum(state, kAccount, &accounts);
+  EXPECT_EQ(accounts, spec.accounts);
+  EXPECT_EQ(TableSum(state, kTeller), account_sum);
+  EXPECT_EQ(TableSum(state, kBranch), account_sum);
+  EXPECT_EQ(TableSum(state, kHistory, &history_rows), account_sum);
+  EXPECT_EQ(history_rows, spec.history + kTxns);
+  EXPECT_NE(account_sum, 0) << "deltas cancelled out; pick another seed";
+
+  // The point read sees the scanned balance.
+  auto balance = driver->ReadAccount(7);
+  ASSERT_TRUE(balance.ok()) << balance.status().ToString();
+  EXPECT_EQ(TpcbImage(7, *balance), state.at(7));
+  EXPECT_TRUE(driver->ReadAccount(40).status().IsNotFound());
+
+  driver.reset();
+  env.Restart();
+  auto reopened = TpcbDriver::Open(env.objects.get(), env.collections.get(),
+                                   spec, /*create=*/false);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  std::map<uint64_t, Buffer> recovered;
+  ASSERT_TRUE(reopened.value()->Scan(&recovered).ok());
+  EXPECT_EQ(recovered, hook.model());
+  balance = reopened.value()->ReadAccount(7);
+  ASSERT_TRUE(balance.ok()) << balance.status().ToString();
+  EXPECT_EQ(TpcbImage(7, *balance), state.at(7));
+}
+
+INSTANTIATE_TEST_SUITE_P(Codec, TpcbTest, ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? std::string("On")
+                                             : std::string("Off");
+                         });
+
 // --- Repro grammar ---------------------------------------------------------
 
 TEST(WorkloadReproTest, ScenarioLinesRoundTrip) {
-  for (const char* layer : {"ycsb", "timeseries", "largeobject"}) {
+  for (const char* layer : {"ycsb", "timeseries", "largeobject", "tpcb"}) {
     harness::ReproCase repro;
     repro.layer = layer;
     repro.kind = "crash";
@@ -408,6 +489,7 @@ struct SweepCase {
 /// Crash sweeps: seed 0 -> mix A (object store), seed 4 -> mix E (B-tree
 /// collection), so both YCSB substrates are swept; the time-series case
 /// runs under the compression codec, so its crash windows are covered too.
+/// The tpcb case covers table creation, batched loads and transactions.
 class WorkloadCrashSweepTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -416,6 +498,7 @@ constexpr SweepCase kCrashCases[] = {
     {"ycsb", 4, harness::Preset::kStrict},
     {"timeseries", 2, harness::Preset::kCodec},
     {"largeobject", 2, harness::Preset::kStrict},
+    {"tpcb", 3, harness::Preset::kStrict},
 };
 
 TEST_P(WorkloadCrashSweepTest, Exhaustive) {
@@ -436,7 +519,7 @@ TEST_P(WorkloadCrashSweepTest, Exhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shards, WorkloadCrashSweepTest,
-    ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, kShards)),
+    ::testing::Combine(::testing::Range(0, 5), ::testing::Range(0, kShards)),
     [](const auto& info) {
       const SweepCase& c = kCrashCases[std::get<0>(info.param)];
       return std::string(c.layer) + "Seed" + std::to_string(c.seed) +
@@ -454,6 +537,7 @@ constexpr SweepCase kTamperCases[] = {
     {"ycsb", 0, harness::Preset::kStrict},
     {"timeseries", 2, harness::Preset::kStrict},
     {"largeobject", 2, harness::Preset::kCodec},
+    {"tpcb", 3, harness::Preset::kStrict},
 };
 
 TEST_P(WorkloadTamperSweepTest, EveryRegionClass) {
@@ -482,7 +566,7 @@ TEST_P(WorkloadTamperSweepTest, EveryRegionClass) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shards, WorkloadTamperSweepTest,
-    ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, kShards)),
+    ::testing::Combine(::testing::Range(0, 4), ::testing::Range(0, kShards)),
     [](const auto& info) {
       const SweepCase& c = kTamperCases[std::get<0>(info.param)];
       return std::string(c.layer) + "Shard" +
