@@ -41,29 +41,25 @@ int main() {
                 label, r.avg_response_us, r.bytes_per_txn,
                 r.db_size_bytes / (1024.0 * 1024.0),
                 static_cast<unsigned long long>(r.txns), r.setup_seconds);
-    if (r.data_per_txn == 0) return;  // The baseline has no log breakdown.
+  };
+  auto run_tdb = [&](const char* label,
+                     tdb::crypto::SecurityConfig security) {
+    TpcbConfig run = config;
+    run.security = security;
+    const TpcbResult r = RunTdbTpcb(run);
+    print_row(label, r);
     std::printf("%-12s data %.0f (relocated %.0f)  map %.0f  commit %.0f "
                 "B/txn\n", "", r.data_per_txn, r.relocated_per_txn,
                 r.map_per_txn, r.commit_per_txn);
+    return r;
   };
 
-  TpcbResult baseline = RunBaselineTpcb(config);
+  const TpcbResult baseline = RunBaselineTpcb(config);
   print_row("BaselineDB", baseline);
-
-  TpcbConfig tdb_config = config;
-  tdb_config.security = tdb::crypto::SecurityConfig::Disabled();
-  TpcbResult tdb = RunTdbTpcb(tdb_config);
-  print_row("TDB", tdb);
-
-  TpcbConfig tdbs_config = config;
-  tdbs_config.security = tdb::crypto::SecurityConfig::PaperTdbS();
-  TpcbResult tdbs = RunTdbTpcb(tdbs_config);
-  print_row("TDB-S", tdbs);
-
-  TpcbConfig modern_config = config;
-  modern_config.security = tdb::crypto::SecurityConfig::Modern();
-  TpcbResult modern = RunTdbTpcb(modern_config);
-  print_row("TDB-S/AES", modern);
+  const TpcbResult tdb = run_tdb("TDB", tdb::crypto::SecurityConfig::Disabled());
+  const TpcbResult tdbs =
+      run_tdb("TDB-S", tdb::crypto::SecurityConfig::PaperTdbS());
+  run_tdb("TDB-S/AES", tdb::crypto::SecurityConfig::Modern());
 
   std::printf("\n--- shape vs paper ---\n");
   std::printf("TDB / Baseline response ratio:   %.2f   (paper: 0.56)\n",

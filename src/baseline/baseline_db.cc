@@ -153,7 +153,6 @@ Status BaselineDb::Barrier() {
   TDB_RETURN_IF_ERROR(pager_.FlushAll(options_.sync_commits));
   TDB_RETURN_IF_ERROR(WriteMeta(options_.sync_commits));
   TDB_RETURN_IF_ERROR(wal_.Barrier(options_.sync_commits));
-  stats_.barriers++;
   return Status::OK();
 }
 
@@ -410,7 +409,6 @@ Status BaselineDb::Txn::Delete(TreeId tree, Slice key) {
 
 Status BaselineDb::Txn::Commit() {
   if (!active_) return Status::TransactionInvalid("transaction not active");
-  uint64_t wal_before = db_->wal_.bytes_written();
   for (const WalRecord& op : ops_) db_->wal_.Add(op);
   TDB_RETURN_IF_ERROR(db_->wal_.Commit(db_->options_.sync_commits));
   for (const WalRecord& op : ops_) {
@@ -418,13 +416,9 @@ Status BaselineDb::Txn::Commit() {
   }
   active_ = false;
   db_->txn_active_ = false;
-  db_->stats_.commits++;
-  db_->stats_.wal_bytes += db_->wal_.bytes_written() - wal_before;
   if (db_->pager_.NeedsBarrier()) {
     TDB_RETURN_IF_ERROR(db_->Barrier());
   }
-  db_->stats_.pages_written = db_->pager_.pages_written();
-  db_->stats_.page_reads = db_->pager_.page_reads();
   return Status::OK();
 }
 

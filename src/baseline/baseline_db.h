@@ -40,14 +40,6 @@ class BaselineDb {
     bool sync_commits = true;
   };
 
-  struct Stats {
-    uint64_t commits = 0;
-    uint64_t barriers = 0;
-    uint64_t wal_bytes = 0;
-    uint64_t pages_written = 0;
-    uint64_t page_reads = 0;
-  };
-
   /// Opens (creating or recovering) the database in `store` using files
   /// "bdb-data" and "bdb-wal".
   static Result<std::unique_ptr<BaselineDb>> Open(
@@ -89,7 +81,6 @@ class BaselineDb {
 
   Status Close();
 
-  const Stats& stats() const { return stats_; }
   /// Data file + log file size — the paper's "database size" (Fig. 11).
   Result<uint64_t> TotalFileBytes() const;
 
@@ -124,7 +115,6 @@ class BaselineDb {
   std::map<TreeId, uint32_t> roots_;
   TreeId next_tree_id_ = 1;
   bool txn_active_ = false;
-  Stats stats_;
 };
 
 }  // namespace tdb::baseline

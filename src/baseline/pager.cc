@@ -92,7 +92,6 @@ Result<NodePage*> Pager::Get(uint32_t page_id) {
   Buffer raw;
   TDB_RETURN_IF_ERROR(store_->Read(
       file_, static_cast<uint64_t>(page_id) * kPageSize, kPageSize, &raw));
-  page_reads_++;
   auto page = std::make_unique<NodePage>();
   TDB_RETURN_IF_ERROR(page->Parse(raw));
   Entry entry;
@@ -135,7 +134,6 @@ Status Pager::FlushAll(bool sync) {
     TDB_RETURN_IF_ERROR(store_->Write(
         file_, static_cast<uint64_t>(page_id) * kPageSize, raw));
     entry.dirty = false;
-    pages_written_++;
   }
   dirty_count_ = 0;
   if (sync) TDB_RETURN_IF_ERROR(store_->Sync(file_));

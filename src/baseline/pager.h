@@ -59,8 +59,6 @@ class Pager {
   bool NeedsBarrier() const { return dirty_count_ > cache_pages_; }
 
   uint32_t next_page_id() const { return next_page_id_; }
-  uint64_t pages_written() const { return pages_written_; }
-  uint64_t page_reads() const { return page_reads_; }
 
   /// Drops the whole cache (recovery restart).
   void Clear();
@@ -82,8 +80,6 @@ class Pager {
   std::map<uint32_t, Entry> cache_;
   std::list<uint32_t> lru_;
   size_t dirty_count_ = 0;
-  uint64_t pages_written_ = 0;
-  uint64_t page_reads_ = 0;
 };
 
 }  // namespace tdb::baseline

@@ -35,7 +35,6 @@ void WalWriter::Add(const WalRecord& record) {
 Status WalWriter::Append(Slice framed) {
   TDB_RETURN_IF_ERROR(store_->Write(file_, tail_, framed));
   tail_ += framed.size();
-  bytes_written_ += framed.size();
   return Status::OK();
 }
 

@@ -41,13 +41,10 @@ class WalWriter {
   void Add(const WalRecord& record);
   /// Writes buffered records followed by a commit marker.
   Status Commit(bool sync);
-  /// Discards buffered (uncommitted) records.
-  void AbortPending() { pending_.clear(); }
   /// Appends a barrier marker (after a page flush).
   Status Barrier(bool sync);
 
   uint64_t tail() const { return tail_; }
-  uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   Status Append(Slice framed);
@@ -56,7 +53,6 @@ class WalWriter {
   std::string file_;
   uint64_t tail_ = 0;
   Buffer pending_;
-  uint64_t bytes_written_ = 0;
 };
 
 /// Encodes one record with length/checksum framing.

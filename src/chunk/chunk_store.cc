@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 
 #include "common/check.h"
@@ -419,19 +418,6 @@ Status ChunkStore::Recover() {
     }
     off = file_size;
   }
-  if (std::getenv("TDB_RECOVERY_DEBUG") != nullptr) {
-    std::fprintf(stderr,
-                 "[recover] scanned=%zu stop=%d scan_seg=%u scan_off=%u "
-                 "anchor_seq=%llu\n",
-                 commits.size(), (int)stop, scan_segment_, scan_offset_,
-                 (unsigned long long)anchor.seq);
-    if (!commits.empty()) {
-      std::fprintf(stderr, "[recover] first_seq=%llu last_seq=%llu\n",
-                   (unsigned long long)commits.front().manifest.seq,
-                   (unsigned long long)commits.back().manifest.seq);
-    }
-  }
-
   // --- Freshness: the last durable commit must match the counter ---------
   if (suite_.enabled()) {
     uint64_t last_counter = anchor.counter;

@@ -9,6 +9,7 @@
 
 #include "common/result.h"
 #include "common/slice.h"
+#include "workload/workload.h"
 
 namespace tdb::harness {
 
@@ -27,19 +28,20 @@ namespace tdb::harness {
 /// Boundaries above the floor are acceptable: an in-flight commit whose
 /// final write fully reached the store legitimately survives, and internal
 /// durable maintenance commits (cleaning, auto-checkpoints) may promote
-/// not-yet-acknowledged state.
-class StateOracle {
+/// not-yet-acknowledged state. The workload drivers report to it directly
+/// as their CommitHook.
+class StateOracle final : public workload::CommitHook {
  public:
   using State = std::map<uint64_t, Buffer>;
 
   /// Begins a commit attempt; pending ops apply to a scratch copy.
-  void BeginCommit();
-  void PendingWrite(uint64_t id, Buffer payload);
-  void PendingRemove(uint64_t id);
+  void BeginCommit() override;
+  void PendingWrite(uint64_t id, Buffer payload) override;
+  void PendingRemove(uint64_t id) override;
   /// Seals the attempt as a boundary. `acked` = the store returned OK;
   /// `durable` = the commit was requested durable. Only an acked durable
   /// commit raises the floor.
-  void EndCommit(bool acked, bool durable);
+  void EndCommit(bool acked, bool durable) override;
 
   /// A successful explicit Checkpoint() makes every prior commit durable.
   void MarkAllDurable();

@@ -21,28 +21,8 @@
 
 namespace tdb::harness {
 
-void HarnessBlob::Pickle(object::Pickler* pickler) const {
-  pickler->PutUint64(key_);
-  pickler->PutBytes(bytes_);
-}
-
-Status HarnessBlob::UnpickleFrom(object::Unpickler* unpickler) {
-  TDB_RETURN_IF_ERROR(unpickler->GetUint64(&key_));
-  return unpickler->GetBytes(&bytes_);
-}
-
 Status RegisterHarnessClasses(object::ObjectStore* os) {
   return os->registry().Register<HarnessBlob>(HarnessBlob::kClassId);
-}
-
-Buffer BlobImage(uint64_t key, const Buffer& bytes) {
-  Buffer image;
-  image.reserve(8 + bytes.size());
-  for (int i = 0; i < 8; i++) {
-    image.push_back(static_cast<uint8_t>(key >> (8 * i)));
-  }
-  image.insert(image.end(), bytes.begin(), bytes.end());
-  return image;
 }
 
 namespace {
@@ -169,7 +149,7 @@ class ObjectScenario final : public Scenario {
     for (size_t c = 0; c < trace.size(); c++) {
       object::Transaction txn(stack->objects.get());
       BeginCommit(oracles);
-      std::map<object::ObjectId, Buffer> writes;  // oid -> BlobImage.
+      std::map<object::ObjectId, Buffer> writes;  // oid -> KeyedImage.
       std::set<object::ObjectId> inserted, removed;
       Status status = RunOps(&txn, trace[c], &slot_oids, &writes, &inserted,
                              &removed);
@@ -202,7 +182,8 @@ class ObjectScenario final : public Scenario {
       Result<object::ReadonlyRef<HarnessBlob>> ref =
           txn.OpenReadonly<HarnessBlob>(oid);
       if (ref.ok()) {
-        (*out)[oid] = BlobImage(ref.value()->key(), ref.value()->bytes());
+        (*out)[oid] =
+            workload::KeyedImage(ref.value()->key(), ref.value()->bytes());
       } else if (!ref.status().IsNotFound()) {
         TDB_RETURN_IF_ERROR(SortReadError(ref.status(), detected));
       }
@@ -231,7 +212,7 @@ class ObjectScenario final : public Scenario {
                                txn->OpenWritable<HarnessBlob>(it->second));
           ref->set_bytes(payload);
         }
-        (*writes)[it->second] = BlobImage(op.slot, payload);
+        (*writes)[it->second] = workload::KeyedImage(op.slot, payload);
       } else if (it != slot_oids->end()) {
         TDB_RETURN_IF_ERROR(txn->Remove(it->second));
         removed->insert(it->second);
@@ -382,23 +363,6 @@ class CollectionScenario final : public Scenario {
   std::shared_ptr<collection::GenericIndexer> indexer_;
 };
 
-/// Bridges the workload drivers' CommitHook onto an oracle.
-class OracleHook final : public workload::CommitHook {
- public:
-  explicit OracleHook(StateOracle* oracle) : oracle_(oracle) {}
-  void BeginCommit() override { oracle_->BeginCommit(); }
-  void PendingWrite(uint64_t id, Buffer image) override {
-    oracle_->PendingWrite(id, std::move(image));
-  }
-  void PendingRemove(uint64_t id) override { oracle_->PendingRemove(id); }
-  void EndCommit(bool acked, bool durable) override {
-    oracle_->EndCommit(acked, durable);
-  }
-
- private:
-  StateOracle* oracle_;
-};
-
 /// layer=ycsb|timeseries|largeobject|tpcb: a src/workload driver instead
 /// of the synthetic trace. The spec's repro fields map deterministically
 /// onto the driver spec: seed picks the YCSB mix (seed % 6) and all
@@ -427,8 +391,7 @@ class WorkloadScenario final : public Scenario {
 
   Status Run(Stack* stack, std::vector<StateOracle>* oracles,
              InFlight*) override {
-    OracleHook hook(&(*oracles)[0]);
-    return Drive(stack, /*create=*/true, &hook, nullptr);
+    return Drive(stack, /*create=*/true, &(*oracles)[0], nullptr);
   }
 
   Status ReadBack(Stack* stack, const std::set<uint64_t>&,
@@ -489,8 +452,7 @@ class WorkloadScenario final : public Scenario {
                                  .p_durable = 0.5};
       TDB_ASSIGN_OR_RETURN(
           std::unique_ptr<workload::TpcbDriver> driver,
-          workload::TpcbDriver::Open(stack->objects.get(),
-                                     stack->collections.get(), t, create,
+          workload::TpcbDriver::Open(stack->collections.get(), t, create,
                                      hook));
       return create ? driver->Run(spec.commits, hook) : driver->Scan(scan);
     }

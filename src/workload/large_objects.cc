@@ -15,40 +15,6 @@ constexpr const char* kDirectoryRoot = "lob-dir";
 
 }  // namespace
 
-void LobDirectory::Pickle(object::Pickler* pickler) const {
-  pickler->PutUint32(static_cast<uint32_t>(entries_.size()));
-  for (const Entry& entry : entries_) {
-    pickler->PutUint64(entry.tag);
-    pickler->PutUint64(entry.oid);
-  }
-}
-
-Status LobDirectory::UnpickleFrom(object::Unpickler* unpickler) {
-  uint32_t count = 0;
-  TDB_RETURN_IF_ERROR(unpickler->GetUint32(&count));
-  entries_.clear();
-  entries_.reserve(count);
-  for (uint32_t i = 0; i < count; i++) {
-    Entry entry;
-    TDB_RETURN_IF_ERROR(unpickler->GetUint64(&entry.tag));
-    TDB_RETURN_IF_ERROR(unpickler->GetUint64(&entry.oid));
-    entries_.push_back(entry);
-  }
-  return Status::OK();
-}
-
-std::map<uint64_t, object::ObjectId> LobDirectory::Replay() const {
-  std::map<uint64_t, object::ObjectId> live;
-  for (const Entry& entry : entries_) {
-    if (entry.oid == object::kInvalidObjectId) {
-      live.erase(entry.tag);
-    } else {
-      live[entry.tag] = entry.oid;
-    }
-  }
-  return live;
-}
-
 Status RegisterLargeObjectWorkloadClasses(object::ObjectStore* os) {
   TDB_RETURN_IF_ERROR(object::RegisterLargeObjectClasses(os));
   return os->registry().Register<LobDirectory>(LobDirectory::kClassId);

@@ -31,38 +31,10 @@ struct LargeObjectSpec {
 };
 
 /// Tag -> manifest-oid directory, persisted under a named root so a
-/// reopened store can enumerate the surviving objects. Append-only log
-/// replayed in order: an entry with an invalid oid tombstones its tag.
-class LobDirectory final : public object::Object {
- public:
-  static constexpr object::ClassId kClassId = 0x574C4F44;  // "WLOD"
+/// reopened store can enumerate the surviving objects. Removing an object
+/// appends a tombstone (an invalid oid) for its tag.
+using LobDirectory = KeyDirectory<0x574C4F44>;  // "WLOD"
 
-  struct Entry {
-    uint64_t tag = 0;
-    object::ObjectId oid = object::kInvalidObjectId;
-  };
-
-  LobDirectory() = default;
-
-  object::ClassId class_id() const override { return kClassId; }
-  void Pickle(object::Pickler* pickler) const override;
-  Status UnpickleFrom(object::Unpickler* unpickler) override;
-  size_t ApproxSize() const override {
-    return 32 + entries_.size() * sizeof(Entry);
-  }
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  void Append(uint64_t tag, object::ObjectId oid) {
-    entries_.push_back(Entry{tag, oid});
-  }
-  /// Replays the log into tag -> live manifest oid.
-  std::map<uint64_t, object::ObjectId> Replay() const;
-
- private:
-  std::vector<Entry> entries_;
-};
-
-/// Registers the directory plus the large-object classes.
 Status RegisterLargeObjectWorkloadClasses(object::ObjectStore* os);
 
 /// Driver. CommitHook ids are tags; images are the raw value bytes (the

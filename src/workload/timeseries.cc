@@ -18,22 +18,12 @@ std::shared_ptr<collection::GenericIndexer> MakeTsIndexer() {
       kIndexName, collection::Uniqueness::kUnique,
       collection::IndexKind::kBTree,
       [](const TsPoint& point) {
-        return collection::IntKey(static_cast<int64_t>(point.ts()));
+        return collection::IntKey(static_cast<int64_t>(point.key()));
       },
       collection::KeyMutability::kImmutable);
 }
 
 }  // namespace
-
-void TsPoint::Pickle(object::Pickler* pickler) const {
-  pickler->PutUint64(ts_);
-  pickler->PutBytes(bytes_);
-}
-
-Status TsPoint::UnpickleFrom(object::Unpickler* unpickler) {
-  TDB_RETURN_IF_ERROR(unpickler->GetUint64(&ts_));
-  return unpickler->GetBytes(&bytes_);
-}
 
 Status RegisterTimeSeriesClasses(object::ObjectStore* os) {
   return os->registry().Register<TsPoint>(TsPoint::kClassId);
@@ -71,16 +61,6 @@ Result<std::unique_ptr<TimeSeriesDriver>> TimeSeriesDriver::Open(
   return driver;
 }
 
-Buffer TimeSeriesDriver::PointImage(uint64_t ts, const Buffer& bytes) const {
-  Buffer image;
-  image.reserve(8 + bytes.size());
-  for (int i = 0; i < 8; i++) {
-    image.push_back(static_cast<uint8_t>((ts >> (i * 8)) & 0xFF));
-  }
-  image.insert(image.end(), bytes.begin(), bytes.end());
-  return image;
-}
-
 Status TimeSeriesDriver::AppendBatch(CommitHook* hook) {
   common::ScopedTimer timer(registry_, append_us_);
   const bool durable = rng_.Bernoulli(spec_.p_durable);
@@ -104,7 +84,7 @@ Status TimeSeriesDriver::AppendBatch(CommitHook* hook) {
         coll.value()->Insert(&ct, std::make_unique<TsPoint>(ts, payload));
     status = inserted.ok() ? Status::OK() : inserted.status();
     if (status.ok()) {
-      if (hook != nullptr) hook->PendingWrite(ts, PointImage(ts, payload));
+      if (hook != nullptr) hook->PendingWrite(ts, KeyedImage(ts, payload));
       appended[ts] = std::move(payload);
     }
   }
@@ -143,12 +123,12 @@ Status TimeSeriesDriver::ScanWindow() {
     if (!status.ok()) break;
     if (expect == model_.end() || expect->first > newest) {
       status = Status::Corruption("window scan returned unexpected point ts " +
-                                  std::to_string(point.value()->ts()));
-    } else if (point.value()->ts() != expect->first ||
+                                  std::to_string(point.value()->key()));
+    } else if (point.value()->key() != expect->first ||
                Slice(point.value()->bytes()) != Slice(expect->second)) {
       status = Status::Corruption(
           "window scan mismatch at ts " + std::to_string(expect->first) +
-          ": got ts " + std::to_string(point.value()->ts()));
+          ": got ts " + std::to_string(point.value()->key()));
     } else {
       ++expect;
     }
@@ -231,25 +211,12 @@ Status TimeSeriesDriver::Run(CommitHook* hook) {
 Status TimeSeriesDriver::ScanAll(std::map<uint64_t, Buffer>* out) {
   out->clear();
   collection::CTransaction ct(collections_);
-  Result<object::ReadonlyRef<collection::Collection>> coll =
-      ct.ReadCollection(kCollectionName);
-  if (!coll.ok()) {
-    if (coll.status().IsNotFound()) return ct.Abort();  // Never created.
-    return coll.status();
-  }
-  TDB_ASSIGN_OR_RETURN(std::unique_ptr<collection::Iterator> it,
-                       coll.value()->Query(&ct, *indexer_));
-  for (; !it->end(); it->Next()) {
-    Result<object::ReadonlyRef<TsPoint>> point = it->Read<TsPoint>();
-    if (!point.ok()) return point.status();
-    uint64_t ts = point.value()->ts();
-    if (out->count(ts) > 0) {
-      return Status::Corruption("duplicate ts " + std::to_string(ts) +
-                                " in scan");
-    }
-    (*out)[ts] = PointImage(ts, point.value()->bytes());
-  }
-  TDB_RETURN_IF_ERROR(it->Close());
+  TDB_RETURN_IF_ERROR(ScanCollection<TsPoint>(
+      &ct, kCollectionName, *indexer_,
+      [](const TsPoint& point) {
+        return std::pair(point.key(), KeyedImage(point.key(), point.bytes()));
+      },
+      out));
   return ct.Abort();
 }
 

@@ -33,25 +33,7 @@ struct TimeSeriesSpec {
 };
 
 /// One data point: immutable timestamp key plus a value.
-class TsPoint final : public object::Object {
- public:
-  static constexpr object::ClassId kClassId = 0x54535054;  // "TSPT"
-
-  TsPoint() = default;
-  TsPoint(uint64_t ts, Buffer bytes) : ts_(ts), bytes_(std::move(bytes)) {}
-
-  object::ClassId class_id() const override { return kClassId; }
-  void Pickle(object::Pickler* pickler) const override;
-  Status UnpickleFrom(object::Unpickler* unpickler) override;
-  size_t ApproxSize() const override { return 48 + bytes_.size(); }
-
-  uint64_t ts() const { return ts_; }
-  const Buffer& bytes() const { return bytes_; }
-
- private:
-  uint64_t ts_ = 0;
-  Buffer bytes_;
-};
+using TsPoint = KeyedRecord<0x54535054>;  // "TSPT"
 
 Status RegisterTimeSeriesClasses(object::ObjectStore* os);
 
@@ -88,7 +70,6 @@ class TimeSeriesDriver {
   Status AppendBatch(CommitHook* hook);
   Status ScanWindow();
   Status RunRetention(CommitHook* hook);
-  Buffer PointImage(uint64_t ts, const Buffer& bytes) const;
 
   collection::CollectionStore* collections_;
   const TimeSeriesSpec spec_;

@@ -2,15 +2,14 @@
 
 #include <array>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <optional>
 #include <string>
 
 #include "baseline/baseline_db.h"
 #include "collection/indexer.h"
 #include "collection/key.h"
+#include "common/check.h"
 #include "common/coding.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
@@ -39,14 +38,21 @@ void Report(CommitHook* hook, int table, int32_t id, int64_t balance) {
   }
 }
 
+std::shared_ptr<collection::GenericIndexer> ById() {
+  return std::make_shared<collection::Indexer<TpcbRecord, collection::IntKey>>(
+      "by-id", collection::Uniqueness::kUnique,
+      collection::IndexKind::kHashTable,
+      [](const TpcbRecord& r) { return collection::IntKey(r.id); });
+}
+
 // The tables as collections: an update opens its table read-only and
 // writes the row through a unique-key iterator; the inserts of one
 // transaction share one writable handle of their table.
 class CollectionTables {
  public:
   CollectionTables(collection::CollectionStore* store,
-                   const std::shared_ptr<collection::GenericIndexer>& indexer)
-      : store_(store), indexer_(indexer) {}
+                   std::shared_ptr<collection::GenericIndexer> indexer)
+      : store_(store), indexer_(std::move(indexer)) {}
 
   Status Create(int table) {
     collection::CTransaction ct(store_);
@@ -64,9 +70,9 @@ class CollectionTables {
     TDB_ASSIGN_OR_RETURN(
         auto it, coll->Query(&*txn_, *indexer_, collection::IntKey(id)));
     TDB_ASSIGN_OR_RETURN(auto row, it->Write<TpcbRecord>());
-    row->add(delta);
+    row->balance += delta;
     TDB_RETURN_IF_ERROR(it->Close());
-    return row->balance();
+    return row->balance;
   }
 
   Status Insert(int table, int32_t id, int64_t balance) {
@@ -88,7 +94,7 @@ class CollectionTables {
 
  private:
   collection::CollectionStore* store_;
-  const std::shared_ptr<collection::GenericIndexer>& indexer_;
+  std::shared_ptr<collection::GenericIndexer> indexer_;
   std::optional<collection::CTransaction> txn_;
   object::WritableRef<collection::Collection> writing_;  // Dies before txn_.
   int writing_table_ = -1;
@@ -207,15 +213,11 @@ TpcbDriver::TpcbDriver(collection::CollectionStore* collections,
       rng_(spec.seed),
       durable_rng_(spec.seed * 0x9E3779B97F4A7C15ull + 5),
       next_history_(static_cast<int32_t>(spec.history)),
-      indexer_(std::make_shared<
-               collection::Indexer<TpcbRecord, collection::IntKey>>(
-          "by-id", collection::Uniqueness::kUnique,
-          collection::IndexKind::kHashTable,
-          [](const TpcbRecord& r) { return collection::IntKey(r.id()); })) {}
+      indexer_(ById()) {}
 
 Result<std::unique_ptr<TpcbDriver>> TpcbDriver::Open(
-    object::ObjectStore*, collection::CollectionStore* collections,
-    const TpcbSpec& spec, bool create, CommitHook* hook) {
+    collection::CollectionStore* collections, const TpcbSpec& spec,
+    bool create, CommitHook* hook) {
   std::unique_ptr<TpcbDriver> driver(new TpcbDriver(collections, spec));
   if (create) {
     CollectionTables tables(collections, driver->indexer_);
@@ -241,7 +243,10 @@ Result<int64_t> TpcbDriver::ReadAccount(int32_t id) {
                        coll->Query(&ct, *indexer_, collection::IntKey(id)));
   if (it->end()) return Status::NotFound("no account " + std::to_string(id));
   TDB_ASSIGN_OR_RETURN(auto row, it->Read<TpcbRecord>());
-  const int64_t balance = row->balance();
+  if (row->id != id) {
+    return Status::Corruption("wrong account " + std::to_string(id));
+  }
+  const int64_t balance = row->balance;
   TDB_RETURN_IF_ERROR(it->Close());
   TDB_RETURN_IF_ERROR(ct.Abort());
   return balance;
@@ -251,18 +256,12 @@ Status TpcbDriver::Scan(std::map<uint64_t, Buffer>* out) {
   out->clear();
   collection::CTransaction ct(collections_);
   for (int t = 0; t < kTpcbTables; t++) {
-    auto coll = ct.ReadCollection(kTableNames[t]);
-    if (coll.status().IsNotFound()) continue;  // Not created before a crash.
-    TDB_RETURN_IF_ERROR(coll.status());
-    TDB_ASSIGN_OR_RETURN(auto it, coll.value()->Query(&ct, *indexer_));
-    for (; !it->end(); it->Next()) {
-      TDB_ASSIGN_OR_RETURN(auto row, it->Read<TpcbRecord>());
-      const uint64_t key = RowKey(t, row->id());
-      if (!out->emplace(key, TpcbImage(row->id(), row->balance())).second) {
-        return Status::Corruption("duplicate row " + std::to_string(key));
-      }
-    }
-    TDB_RETURN_IF_ERROR(it->Close());
+    TDB_RETURN_IF_ERROR(ScanCollection<TpcbRecord>(
+        &ct, kTableNames[t], *indexer_,
+        [t](const TpcbRecord& row) {
+          return std::pair(RowKey(t, row.id), TpcbImage(row.id, row.balance));
+        },
+        out));
   }
   return ct.Abort();
 }
@@ -271,56 +270,63 @@ Status TpcbDriver::Scan(std::map<uint64_t, Buffer>* out) {
 
 namespace {
 
-void Check(const Status& s, const char* what) {
-  if (!s.ok()) {
-    std::fprintf(stderr, "tpcb: %s failed: %s\n", what, s.ToString().c_str());
-    std::abort();
-  }
+// The later half's bytes per transaction: the baseline samples its store's
+// bytes written, TDB its chunk store's log counters.
+void PerTxn(uint64_t start, uint64_t end, double txns, TpcbResult* result) {
+  result->bytes_per_txn = static_cast<double>(end - start) / txns;
+}
+
+void PerTxn(const chunk::ChunkStoreStats& start,
+            const chunk::ChunkStoreStats& end, double txns,
+            TpcbResult* result) {
+  auto per_txn = [&](uint64_t chunk::ChunkStoreStats::*field) {
+    return static_cast<double>(end.*field - start.*field) / txns;
+  };
+  result->bytes_per_txn = per_txn(&chunk::ChunkStoreStats::bytes_appended);
+  result->data_per_txn = per_txn(&chunk::ChunkStoreStats::data_bytes);
+  result->relocated_per_txn = per_txn(&chunk::ChunkStoreStats::relocated_bytes);
+  result->map_per_txn = per_txn(&chunk::ChunkStoreStats::map_bytes);
+  result->commit_per_txn = per_txn(&chunk::ChunkStoreStats::commit_bytes);
 }
 
 // What both systems share: loads the tables (timed as set-up), runs
-// config.txns transactions and averages the later half, charging each its
-// wall time plus the simulated disk's. `written` reports the store's bytes
-// written as `bytes_appended` (all the baseline fills in).
+// config.txns durable transactions and averages the later half, charging
+// each its wall time plus the simulated disk's. `sample` reads the store's
+// write counters as the later half starts and ends.
+template <typename Tables, typename Sample>
 TpcbResult Measure(const TpcbConfig& config,
-                   const platform::SimulatedDiskStore& disk,
-                   const std::function<Status()>& load,
-                   const std::function<Status()>& txn,
-                   const std::function<chunk::ChunkStoreStats()>& written) {
+                   const platform::SimulatedDiskStore& disk, Tables* tables,
+                   Sample sample) {
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point start) {
     return std::chrono::duration<double>(Clock::now() - start).count();
   };
+  const TpcbSpec spec = config.spec();
   TpcbResult result;
   auto start_time = Clock::now();
-  Check(load(), "load");
+  Status status = Load(spec, tables, nullptr);
+  TDB_CHECK(status.ok(), "tpcb load: " + status.ToString());
   result.setup_seconds = seconds_since(start_time);
 
+  Random rng(spec.seed);
+  auto next_history = static_cast<int32_t>(spec.history);
   const int half = config.txns / 2;
   double sim_start = 0;
-  chunk::ChunkStoreStats start;
+  decltype(sample()) start{};
   for (int i = 0; i < config.txns; i++) {
     if (i == half) {
-      start = written();
+      start = sample();
       sim_start = disk.simulated_seconds();
       start_time = Clock::now();
     }
-    Check(txn(), "transaction");
+    status = Transact(spec, &rng, true, &next_history, tables, nullptr);
+    TDB_CHECK(status.ok(), "tpcb transaction: " + status.ToString());
   }
   const double later_seconds = seconds_since(start_time) +
                                disk.simulated_seconds() - sim_start;
-
-  const chunk::ChunkStoreStats end = written();
   const int later_txns = config.txns - half;
-  auto per_txn = [&](uint64_t chunk::ChunkStoreStats::*field) {
-    return static_cast<double>(end.*field - start.*field) / later_txns;
-  };
   result.avg_response_us = later_seconds * 1e6 / later_txns;
-  result.bytes_per_txn = per_txn(&chunk::ChunkStoreStats::bytes_appended);
-  result.data_per_txn = per_txn(&chunk::ChunkStoreStats::data_bytes);
-  result.relocated_per_txn = per_txn(&chunk::ChunkStoreStats::relocated_bytes);
-  result.map_per_txn = per_txn(&chunk::ChunkStoreStats::map_bytes);
-  result.commit_per_txn = per_txn(&chunk::ChunkStoreStats::commit_bytes);
+  PerTxn(start, sample(), later_txns, &result);
   result.txns = config.txns;
   return result;
 }
@@ -339,7 +345,7 @@ TpcbResult RunTdbTpcb(const TpcbConfig& config) {
   // The paper emulates the one-way counter as a file on the same disk, so
   // TDB-S pays one extra (non-sequential) write per transaction (§7.2).
   platform::StoreBackedCounter counter(&store);
-  Check(secrets.Provision(Slice("tpcb-secret")), "provision");
+  TDB_CHECK(secrets.Provision(Slice("tpcb-secret")).ok());
 
   chunk::ChunkStoreOptions copts;
   copts.security = config.security;
@@ -355,22 +361,15 @@ TpcbResult RunTdbTpcb(const TpcbConfig& config) {
   oopts.cache_capacity_bytes = config.cache_bytes();
   oopts.locking_enabled = false;  // Single-threaded driver (§4.2.3 option).
   auto objects = object::ObjectStore::Open(chunks.get(), oopts).value();
-  Check(RegisterTpcbClasses(objects.get()), "register");
+  TDB_CHECK(RegisterTpcbClasses(objects.get()).ok());
   auto colls = collection::CollectionStore::Open(objects.get()).value();
 
-  std::unique_ptr<TpcbDriver> driver;
-  auto load = [&] {
-    auto opened = TpcbDriver::Open(objects.get(), colls.get(), config.spec(),
-                                   /*create=*/true);
-    if (opened.ok()) driver = std::move(opened).value();
-    return opened.status();
-  };
+  CollectionTables tables(colls.get(), ById());
   TpcbResult result =
-      Measure(config, store, load, [&] { return driver->Run(1); },
-              [&] { return chunks->Stats(); });
+      Measure(config, store, &tables, [&] { return chunks->Stats(); });
   result.utilization = chunks->Stats().utilization();
   result.db_size_bytes = chunks->Stats().total_bytes;
-  Check(chunks->Close(), "close");
+  TDB_CHECK(chunks->Close().ok());
   return result;
 }
 
@@ -381,22 +380,11 @@ TpcbResult RunBaselineTpcb(const TpcbConfig& config) {
   options.cache_bytes = config.cache_bytes();
   auto db = baseline::BaselineDb::Open(&store, options).value();
 
-  const TpcbSpec spec = config.spec();
   BaselineTables tables(db.get());
-  Random rng(spec.seed);
-  auto next_history = static_cast<int32_t>(spec.history);
-  chunk::ChunkStoreStats written;
-  TpcbResult result = Measure(
-      config, store, [&] { return Load(spec, &tables, nullptr); },
-      [&] {
-        return Transact(spec, &rng, true, &next_history, &tables, nullptr);
-      },
-      [&] {
-        written.bytes_appended = mem.bytes_written();
-        return written;
-      });
+  TpcbResult result =
+      Measure(config, store, &tables, [&] { return mem.bytes_written(); });
   result.db_size_bytes = *db->TotalFileBytes();
-  Check(db->Close(), "close");
+  TDB_CHECK(db->Close().ok());
   return result;
 }
 

@@ -9,7 +9,6 @@
 #include "collection/collection.h"
 #include "common/random.h"
 #include "crypto/cipher_suite.h"
-#include "object/object_store.h"
 #include "workload/workload.h"
 
 namespace tdb::workload {
@@ -34,42 +33,36 @@ enum TpcbTable : int { kAccount, kTeller, kBranch, kHistory, kTpcbTables };
 
 /// A row: id, balance (a history row's balance is its delta), 80 bytes of
 /// padding.
-class TpcbRecord final : public object::Object {
- public:
+struct TpcbRecord final : public object::Object {
   static constexpr object::ClassId kClassId = 200;
 
   TpcbRecord() = default;
   TpcbRecord(int32_t id, int64_t balance)
-      : id_(id), balance_(balance), pad_(80, 0x20) {}
+      : id(id), balance(balance), pad(80, 0x20) {}
 
   object::ClassId class_id() const override { return kClassId; }
   void Pickle(object::Pickler* p) const override {
-    p->PutInt32(id_);
-    p->PutInt64(balance_);
-    p->PutBytes(pad_);
+    p->PutInt32(id);
+    p->PutInt64(balance);
+    p->PutBytes(pad);
   }
   Status UnpickleFrom(object::Unpickler* u) override {
-    TDB_RETURN_IF_ERROR(u->GetInt32(&id_));
-    TDB_RETURN_IF_ERROR(u->GetInt64(&balance_));
-    return u->GetBytes(&pad_);
+    TDB_RETURN_IF_ERROR(u->GetInt32(&id));
+    TDB_RETURN_IF_ERROR(u->GetInt64(&balance));
+    return u->GetBytes(&pad);
   }
-  size_t ApproxSize() const override { return sizeof(*this) + pad_.size(); }
+  size_t ApproxSize() const override { return sizeof(*this) + pad.size(); }
 
-  int32_t id() const { return id_; }
-  int64_t balance() const { return balance_; }
-  void add(int64_t delta) { balance_ += delta; }
-
- private:
-  int32_t id_ = 0;
-  int64_t balance_ = 0;
-  Buffer pad_;
+  int32_t id = 0;
+  int64_t balance = 0;
+  Buffer pad;
 };
 
 Status RegisterTpcbClasses(object::ObjectStore* os);
 /// The oracle image of a row: id (4 bytes), balance (8 bytes).
 Buffer TpcbImage(int32_t id, int64_t balance);
 
-/// Runs TPC-B over a store stack the caller built; single-threaded and
+/// Runs TPC-B over the tables in `collections`; single-threaded and
 /// deterministic per spec. A CommitHook sees every commit attempt (table
 /// creations, load batches, transactions); without one the driver adds
 /// no work to the store operations.
@@ -78,11 +71,10 @@ class TpcbDriver {
   /// `create` creates the tables (one nondurable commit each) and loads
   /// them in batches of 1000 rows, durable at the end of each table.
   /// `create=false` attaches, for Scan and ReadAccount only, to tables a
-  /// crash may have left incomplete. The tables live in `collections`;
-  /// `objects` is the store under it.
+  /// crash may have left incomplete.
   static Result<std::unique_ptr<TpcbDriver>> Open(
-      object::ObjectStore* objects, collection::CollectionStore* collections,
-      const TpcbSpec& spec, bool create, CommitHook* hook = nullptr);
+      collection::CollectionStore* collections, const TpcbSpec& spec,
+      bool create, CommitHook* hook = nullptr);
 
   /// Runs `count` transactions, continuing the driver's random stream.
   Status Run(uint64_t count, CommitHook* hook = nullptr);

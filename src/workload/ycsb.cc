@@ -30,17 +30,6 @@ std::shared_ptr<collection::GenericIndexer> MakeYcsbIndexer() {
 
 }  // namespace
 
-Buffer ValuePayload(uint64_t seed, uint32_t size) {
-  Random rng(seed);
-  Buffer payload;
-  rng.Fill(&payload, size);
-  const size_t half = payload.size() / 2;
-  for (size_t i = half; i < payload.size(); i++) {
-    payload[i] = payload[i - half];
-  }
-  return payload;
-}
-
 const char* MixName(Mix mix) {
   switch (mix) {
     case Mix::kA: return "A";
@@ -57,52 +46,10 @@ Mix MixFromIndex(uint64_t index) {
   return static_cast<Mix>(index % kMixCount);
 }
 
-void YcsbRecord::Pickle(object::Pickler* pickler) const {
-  pickler->PutUint64(key_);
-  pickler->PutBytes(bytes_);
-}
-
-Status YcsbRecord::UnpickleFrom(object::Unpickler* unpickler) {
-  TDB_RETURN_IF_ERROR(unpickler->GetUint64(&key_));
-  return unpickler->GetBytes(&bytes_);
-}
-
-void YcsbDirectory::Pickle(object::Pickler* pickler) const {
-  pickler->PutUint32(static_cast<uint32_t>(entries_.size()));
-  for (const Entry& entry : entries_) {
-    pickler->PutUint64(entry.key);
-    pickler->PutUint64(entry.oid);
-  }
-}
-
-Status YcsbDirectory::UnpickleFrom(object::Unpickler* unpickler) {
-  uint32_t count = 0;
-  TDB_RETURN_IF_ERROR(unpickler->GetUint32(&count));
-  entries_.clear();
-  entries_.reserve(count);
-  for (uint32_t i = 0; i < count; i++) {
-    Entry entry;
-    TDB_RETURN_IF_ERROR(unpickler->GetUint64(&entry.key));
-    TDB_RETURN_IF_ERROR(unpickler->GetUint64(&entry.oid));
-    entries_.push_back(entry);
-  }
-  return Status::OK();
-}
-
 Status RegisterYcsbClasses(object::ObjectStore* os) {
   TDB_RETURN_IF_ERROR(
       os->registry().Register<YcsbRecord>(YcsbRecord::kClassId));
   return os->registry().Register<YcsbDirectory>(YcsbDirectory::kClassId);
-}
-
-Buffer YcsbRecordImage(uint64_t key, const Buffer& bytes) {
-  Buffer image;
-  image.reserve(8 + bytes.size());
-  for (int i = 0; i < 8; i++) {
-    image.push_back(static_cast<uint8_t>((key >> (i * 8)) & 0xFF));
-  }
-  image.insert(image.end(), bytes.begin(), bytes.end());
-  return image;
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +130,7 @@ Status YcsbDriver::Load(CommitHook* hook) {
       }
       oids_[key] = inserted.value();
       if (hook != nullptr) {
-        hook->PendingWrite(key, YcsbRecordImage(key, payload));
+        hook->PendingWrite(key, KeyedImage(key, payload));
       }
     }
     status = ct.Commit(true);
@@ -201,7 +148,7 @@ Status YcsbDriver::Load(CommitHook* hook) {
       oids_[key] = inserted.value();
       directory->Append(key, inserted.value());
       if (hook != nullptr) {
-        hook->PendingWrite(key, YcsbRecordImage(key, payload));
+        hook->PendingWrite(key, KeyedImage(key, payload));
       }
     }
     Result<object::ObjectId> dir = txn.Insert(std::move(directory));
@@ -393,7 +340,7 @@ Status YcsbDriver::DoUpdate(Stream* stream, uint64_t key, CommitHook* hook) {
     if (status.ok()) {
       rec.value()->set_bytes(payload);
       if (hook != nullptr) {
-        hook->PendingWrite(key, YcsbRecordImage(key, payload));
+        hook->PendingWrite(key, KeyedImage(key, payload));
       }
       status = txn.Commit(durable);
     }
@@ -437,7 +384,7 @@ Status YcsbDriver::DoInsert(Stream* stream, CommitHook* hook,
         if (status.ok()) {
           oid = inserted.value();
           if (hook != nullptr) {
-            hook->PendingWrite(key, YcsbRecordImage(key, payload));
+            hook->PendingWrite(key, KeyedImage(key, payload));
           }
           status = ct.Commit(durable);
         }
@@ -455,7 +402,7 @@ Status YcsbDriver::DoInsert(Stream* stream, CommitHook* hook,
           oid = inserted.value();
           dir.value()->Append(key, oid);
           if (hook != nullptr) {
-            hook->PendingWrite(key, YcsbRecordImage(key, payload));
+            hook->PendingWrite(key, KeyedImage(key, payload));
           }
           status = txn.Commit(durable);
         }
@@ -543,7 +490,7 @@ Status YcsbDriver::DoRmw(Stream* stream, uint64_t key, CommitHook* hook) {
       Buffer payload = ValuePayload(mixed, spec_.value_bytes);
       rec.value()->set_bytes(payload);
       if (hook != nullptr) {
-        hook->PendingWrite(key, YcsbRecordImage(key, payload));
+        hook->PendingWrite(key, KeyedImage(key, payload));
       }
       status = txn.Commit(durable);
     }
@@ -561,26 +508,12 @@ Status YcsbDriver::Scan(std::map<uint64_t, Buffer>* out) {
   out->clear();
   if (use_collection()) {
     collection::CTransaction ct(collections_);
-    Result<object::ReadonlyRef<collection::Collection>> coll =
-        ct.ReadCollection(kCollectionName);
-    if (!coll.ok()) {
-      // Never created: legitimately empty (e.g. crash before the load).
-      if (coll.status().IsNotFound()) return ct.Abort();
-      return coll.status();
-    }
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<collection::Iterator> it,
-                         coll.value()->Query(&ct, *indexer_));
-    for (; !it->end(); it->Next()) {
-      Result<object::ReadonlyRef<YcsbRecord>> rec = it->Read<YcsbRecord>();
-      if (!rec.ok()) return rec.status();
-      uint64_t key = rec.value()->key();
-      if (out->count(key) > 0) {
-        return Status::Corruption("duplicate key " + std::to_string(key) +
-                                  " in collection scan");
-      }
-      (*out)[key] = YcsbRecordImage(key, rec.value()->bytes());
-    }
-    TDB_RETURN_IF_ERROR(it->Close());
+    TDB_RETURN_IF_ERROR(ScanCollection<YcsbRecord>(
+        &ct, kCollectionName, *indexer_,
+        [](const YcsbRecord& rec) {
+          return std::pair(rec.key(), KeyedImage(rec.key(), rec.bytes()));
+        },
+        out));
     return ct.Abort();
   }
   const uint64_t live = live_.load(std::memory_order_acquire);
@@ -592,7 +525,7 @@ Status YcsbDriver::Scan(std::map<uint64_t, Buffer>* out) {
       return Status::Corruption("record key mismatch in scan at key " +
                                 std::to_string(key));
     }
-    (*out)[key] = YcsbRecordImage(key, rec->bytes());
+    (*out)[key] = KeyedImage(key, rec->bytes());
   }
   return Status::OK();
 }

@@ -51,66 +51,16 @@ struct YcsbSpec {
 };
 
 /// The benchmark record: an immutable logical key plus a mutable value.
-class YcsbRecord final : public object::Object {
- public:
-  static constexpr object::ClassId kClassId = 0x59435352;  // "YCSR"
+using YcsbRecord = KeyedRecord<0x59435352>;  // "YCSR"
 
-  YcsbRecord() = default;
-  YcsbRecord(uint64_t key, Buffer bytes)
-      : key_(key), bytes_(std::move(bytes)) {}
-
-  object::ClassId class_id() const override { return kClassId; }
-  void Pickle(object::Pickler* pickler) const override;
-  Status UnpickleFrom(object::Unpickler* unpickler) override;
-  size_t ApproxSize() const override { return 48 + bytes_.size(); }
-
-  uint64_t key() const { return key_; }
-  const Buffer& bytes() const { return bytes_; }
-  void set_bytes(Buffer bytes) { bytes_ = std::move(bytes); }
-
- private:
-  uint64_t key_ = 0;
-  Buffer bytes_;
-};
-
-/// Key -> object-id directory for the object-store mixes, persisted so a
-/// reopened store (or the crash harness's recovery pass) can enumerate the
-/// table. Each insert appends its (key, oid) pair in the same transaction
-/// as the record, so the mapping is crash-atomic with the record; entry
-/// order is commit order, not key order (concurrent inserts may finish
-/// out of order).
-class YcsbDirectory final : public object::Object {
- public:
-  static constexpr object::ClassId kClassId = 0x59434449;  // "YCDI"
-
-  struct Entry {
-    uint64_t key = 0;
-    object::ObjectId oid = object::kInvalidObjectId;
-  };
-
-  YcsbDirectory() = default;
-
-  object::ClassId class_id() const override { return kClassId; }
-  void Pickle(object::Pickler* pickler) const override;
-  Status UnpickleFrom(object::Unpickler* unpickler) override;
-  size_t ApproxSize() const override {
-    return 32 + entries_.size() * sizeof(Entry);
-  }
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  void Append(uint64_t key, object::ObjectId oid) {
-    entries_.push_back(Entry{key, oid});
-  }
-
- private:
-  std::vector<Entry> entries_;
-};
+/// Key -> object-id directory for the object-store mixes. Each insert
+/// appends its (key, oid) pair in the same transaction as the record, so
+/// the mapping is crash-atomic with the record; entry order is commit
+/// order, not key order (concurrent inserts may finish out of order).
+using YcsbDirectory = KeyDirectory<0x59434449>;  // "YCDI"
 
 /// Registers YcsbRecord and YcsbDirectory (call once per fresh store).
 Status RegisterYcsbClasses(object::ObjectStore* os);
-
-/// The oracle image of a record: key and value folded into one buffer.
-Buffer YcsbRecordImage(uint64_t key, const Buffer& bytes);
 
 /// Executes a YCSB mix against an open store stack. Thread-safe: distinct
 /// streams may Run() concurrently (the bench mode); a single stream run

@@ -156,7 +156,7 @@ TEST(AllocBudgetTest, WarmOneObjectDurableTransaction) {
     obj::Transaction t(env.objects.get());
     auto r = t.OpenWritable<TpcbRecord>(oid);
     TDB_RETURN_IF_ERROR(r.status());
-    (*r)->add(1);
+    (*r)->balance += 1;
     return t.Commit(true);
   };
   for (int i = 0; i < 50; i++) ASSERT_TRUE(txn().ok());
@@ -180,8 +180,8 @@ struct Tpcb {
     spec.branches = 10;
     spec.history = 0;
     spec.seed = 11;
-    auto opened = workload::TpcbDriver::Open(
-        env.objects.get(), env.collections.get(), spec, /*create=*/true);
+    auto opened = workload::TpcbDriver::Open(env.collections.get(), spec,
+                                             /*create=*/true);
     TDB_CHECK(opened.ok(), opened.status().ToString());
     driver = std::move(opened).value();
   }

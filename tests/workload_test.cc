@@ -383,8 +383,8 @@ TEST_P(TpcbTest, HookedRunMatchesOracleConservesAndSurvivesReopen) {
   constexpr uint64_t kTxns = 60;
 
   ModelHook hook;
-  auto opened = TpcbDriver::Open(env.objects.get(), env.collections.get(),
-                                 spec, /*create=*/true, &hook);
+  auto opened =
+      TpcbDriver::Open(env.collections.get(), spec, /*create=*/true, &hook);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<TpcbDriver> driver = std::move(opened).value();
   Status run = driver->Run(kTxns, &hook);
@@ -405,21 +405,24 @@ TEST_P(TpcbTest, HookedRunMatchesOracleConservesAndSurvivesReopen) {
   EXPECT_EQ(history_rows, spec.history + kTxns);
   EXPECT_NE(account_sum, 0) << "deltas cancelled out; pick another seed";
 
-  // The point read sees the scanned balance.
-  auto balance = driver->ReadAccount(7);
-  ASSERT_TRUE(balance.ok()) << balance.status().ToString();
-  EXPECT_EQ(TpcbImage(7, *balance), state.at(7));
+  // Every point read finds its own row (ReadAccount rejects a row of
+  // another id) with the scanned balance.
+  for (int32_t id = 0; id < 40; id++) {
+    auto balance = driver->ReadAccount(id);
+    ASSERT_TRUE(balance.ok()) << id << ": " << balance.status().ToString();
+    EXPECT_EQ(TpcbImage(id, *balance), state.at(id));
+  }
   EXPECT_TRUE(driver->ReadAccount(40).status().IsNotFound());
 
   driver.reset();
   env.Restart();
-  auto reopened = TpcbDriver::Open(env.objects.get(), env.collections.get(),
-                                   spec, /*create=*/false);
+  auto reopened =
+      TpcbDriver::Open(env.collections.get(), spec, /*create=*/false);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   std::map<uint64_t, Buffer> recovered;
   ASSERT_TRUE(reopened.value()->Scan(&recovered).ok());
   EXPECT_EQ(recovered, hook.model());
-  balance = reopened.value()->ReadAccount(7);
+  auto balance = reopened.value()->ReadAccount(7);
   ASSERT_TRUE(balance.ok()) << balance.status().ToString();
   EXPECT_EQ(TpcbImage(7, *balance), state.at(7));
 }
