@@ -8,7 +8,8 @@
 // SHAPE to check is TDB < TDB-S < Baseline and TDB writing roughly half
 // the bytes per transaction of the baseline. TDB rows also break their
 // log bytes per transaction down by record kind: data (of which the
-// cleaner's relocations), map and commit.
+// cleaner's relocations, and of those the records it had moved before),
+// map and commit.
 
 #include <cstdio>
 
@@ -48,9 +49,10 @@ int main() {
     run.security = security;
     const TpcbResult r = RunTdbTpcb(run);
     print_row(label, r);
-    std::printf("%-12s data %.0f (relocated %.0f)  map %.0f  commit %.0f "
-                "B/txn\n", "", r.data_per_txn, r.relocated_per_txn,
-                r.map_per_txn, r.commit_per_txn);
+    std::printf("%-12s data %.0f (relocated %.0f, re-relocated %.0f)  "
+                "map %.0f  commit %.0f B/txn\n", "", r.data_per_txn,
+                r.relocated_per_txn, r.rerelocated_per_txn, r.map_per_txn,
+                r.commit_per_txn);
     return r;
   };
 

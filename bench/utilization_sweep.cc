@@ -24,16 +24,16 @@ int main() {
 
   TpcbResult baseline = RunBaselineTpcb(config);
 
-  std::printf("%-12s %12s %12s %12s\n", "utilization", "avg us/txn",
-              "db size MB", "achieved");
+  std::printf("%-12s %12s %12s %12s %12s\n", "utilization", "avg us/txn",
+              "bytes/txn", "db size MB", "achieved");
   double prev_size = 0;
   bool size_monotonic = true;
   for (double util : {0.5, 0.6, 0.7, 0.8, 0.9}) {
     TpcbConfig run = config;
     run.max_utilization = util;
     TpcbResult result = RunTdbTpcb(run);
-    std::printf("%-12.1f %12.1f %12.1f %12.2f\n", util,
-                result.avg_response_us,
+    std::printf("%-12.1f %12.1f %12.0f %12.1f %12.2f\n", util,
+                result.avg_response_us, result.bytes_per_txn,
                 result.db_size_bytes / (1024.0 * 1024.0),
                 result.utilization);
     if (prev_size != 0 && result.db_size_bytes > prev_size * 1.15) {
@@ -41,8 +41,8 @@ int main() {
     }
     prev_size = static_cast<double>(result.db_size_bytes);
   }
-  std::printf("%-12s %12.1f %12.1f %12s  <- reference\n", "baseline",
-              baseline.avg_response_us,
+  std::printf("%-12s %12.1f %12.0f %12.1f %12s  <- reference\n",
+              "baseline", baseline.avg_response_us, baseline.bytes_per_txn,
               baseline.db_size_bytes / (1024.0 * 1024.0), "-");
   std::printf("\ndb size decreases with utilization (paper Fig 11 right): %s\n",
               size_monotonic ? "HOLDS" : "VIOLATED");

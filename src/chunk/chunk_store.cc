@@ -141,6 +141,7 @@ void ChunkStore::BindInstruments() {
   m_.cleaned_segments = r->GetCounter("chunk.cleaner.segments_cleaned");
   m_.relocated_records = r->GetCounter("chunk.cleaner.relocated_records");
   m_.relocated_bytes = r->GetCounter("chunk.cleaner.relocated_bytes");
+  m_.rerelocated_bytes = r->GetCounter("chunk.cleaner.rerelocated_bytes");
   m_.summary_bytes = r->GetGauge("chunk.cleaner.summary_bytes");
   m_.bytes_appended = r->GetCounter("chunk.bytes_appended");
   m_.data_bytes = r->GetCounter("chunk.data_bytes");
@@ -581,9 +582,11 @@ std::string ChunkStore::SegmentName(uint32_t id) {
 
 Status ChunkStore::OpenFreshSegment() {
   TDB_RETURN_IF_ERROR(FlushTail());
+  // The tail moves only once the file exists, so a failed create leaves
+  // it on the segment it was on.
+  TDB_RETURN_IF_ERROR(
+      store_->Create(SegmentName(next_segment_id_), /*overwrite=*/true));
   cur_segment_ = next_segment_id_++;
-  const std::string name = SegmentName(cur_segment_);
-  TDB_RETURN_IF_ERROR(store_->Create(name, /*overwrite=*/true));
   cur_offset_ = 0;
   tail_buf_ = EncodeSegmentHeader(cur_segment_);
   segments_[cur_segment_] = SegInfo{};
@@ -1040,6 +1043,10 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
       break;
     }
     NoteSummary(loc->segment, w.cid);
+    if (w.framed) {  // A relocation: it extends its segment's survivor run.
+      segments_[loc->segment].survivor_end =
+          loc->offset + kRecordHeaderSize + loc->length;
+    }
     MapEntry entry;
     entry.present = true;
     entry.flags = w.flags;
@@ -1553,6 +1560,7 @@ ChunkStoreStats ChunkStore::Stats() const {
   s.cleaned_segments = u(m_.cleaned_segments->value());
   s.relocated_records = u(m_.relocated_records->value());
   s.relocated_bytes = u(m_.relocated_bytes->value());
+  s.rerelocated_bytes = u(m_.rerelocated_bytes->value());
   s.bytes_appended = u(m_.bytes_appended->value());
   s.data_bytes = u(m_.data_bytes->value());
   s.map_bytes = u(m_.map_bytes->value());
@@ -1625,7 +1633,7 @@ size_t ChunkStore::ActiveSnapshots() {
 std::vector<uint32_t> ChunkStore::CleanCandidates(uint64_t target,
                                                   int max_segments) {
   std::set<uint32_t> pending(pending_free_.begin(), pending_free_.end());
-  std::vector<std::pair<uint64_t, uint32_t>> candidates;
+  std::vector<std::pair<double, uint32_t>> candidates;  // (benefit, id)
   for (const auto& [id, info] : segments_) {
     // Segments holding live map nodes wait for a checkpoint to relocate
     // them; cleaning sticks to data-only segments so it never forces a
@@ -1645,12 +1653,27 @@ std::vector<uint32_t> ChunkStore::CleanCandidates(uint64_t target,
         options_.max_utilization * info.total) {
       continue;
     }
-    candidates.push_back({info.live, id});
+    // LFS cost-benefit (Rosenblum & Ousterhout, SOSP 1991): cleaning reads
+    // the segment and rewrites its live fraction u to free 1-u, and space
+    // freed from old data stays free longer than space freed from data
+    // that is still being overwritten. Ids are handed out in order and
+    // every append goes to the tail, so a segment's age is its distance
+    // from the tail.
+    const double u = info.total == 0 ? 0.0
+                                     : static_cast<double>(info.live) /
+                                           static_cast<double>(info.total);
+    const double age = static_cast<double>(cur_segment_ - id);
+    candidates.push_back({(1.0 - u) * age / (1.0 + u), id});
   }
-  std::sort(candidates.begin(), candidates.end());
+  // Best benefit first; ties go to the older segment.
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
   std::vector<uint32_t> victims;
   uint64_t projected = static_cast<uint64_t>(m_.total_bytes->value());
-  for (const auto& [live, id] : candidates) {
+  for (const auto& [benefit, id] : candidates) {
     if (static_cast<int>(victims.size()) >= max_segments) break;
     if (target != 0 && projected <= target) break;
     victims.push_back(id);
@@ -1826,6 +1849,19 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     relocations.writes.push_back(std::move(staged));
     m_.relocated_records->Increment();
     m_.relocated_bytes->Add(static_cast<int64_t>(entry.loc.length));
+    if (entry.loc.offset < segments_[entry.loc.segment].survivor_end) {
+      m_.rerelocated_bytes->Add(static_cast<int64_t>(entry.loc.length));
+    }
+  }
+  // Survivors get segments of their own: the tail rolls before them
+  // (unless it is empty) and after them, so neither hot writes nor the
+  // relocation manifest, which are dead soon, share their segments. Cold
+  // records then collect in segments that seldom need cleaning again.
+  // They still go to the tail in log order: recovery and the scan
+  // position are unchanged.
+  if (status.ok() && !relocations.writes.empty() &&
+      cur_offset_ + tail_buf_.size() > kSegmentHeaderSize) {
+    status = OpenFreshSegment();
   }
   if (status.ok() && !relocations.writes.empty()) {
     // Buffer the relocations into the open group: victim segments are all
@@ -1833,6 +1869,7 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     // can never also be a relocation candidate (its entry already points
     // at the tail region).
     status = BufferBatchLocked(relocations);
+    if (status.ok()) status = OpenFreshSegment();
   }
   if (status.ok()) {
     // The relocation commit is durable so the victims become reclaimable

@@ -175,6 +175,9 @@ struct ChunkStoreStats {
   uint64_t cleaned_segments = 0;
   uint64_t relocated_records = 0;
   uint64_t relocated_bytes = 0;
+  // Relocated bytes whose record an earlier relocation had written (since
+  // open: the survivor runs are not rebuilt at recovery).
+  uint64_t rerelocated_bytes = 0;
   uint64_t bytes_appended = 0;  // Total log bytes written since open.
   // Breakdown of appended payload bytes by record type.
   uint64_t data_bytes = 0;
@@ -519,6 +522,10 @@ class ChunkStore : public ChunkStoreInterface {
     // here, live or not, so the cleaner finds a victim's live records
     // without walking the map.
     std::vector<ChunkId> cids;
+    // End of the cleaner's survivor run: relocations start a fresh
+    // segment, so the records below this offset are all relocations.
+    // In memory only (0 after a reopen).
+    uint64_t survivor_end = 0;
   };
 
   /// Registry-backed instruments, resolved once at construction so hot
@@ -538,6 +545,7 @@ class ChunkStore : public ChunkStoreInterface {
     common::Counter* cleaned_segments = nullptr;
     common::Counter* relocated_records = nullptr;
     common::Counter* relocated_bytes = nullptr;
+    common::Counter* rerelocated_bytes = nullptr;
     common::Gauge* summary_bytes = nullptr;
     common::Counter* bytes_appended = nullptr;
     common::Counter* data_bytes = nullptr;
@@ -731,8 +739,9 @@ class ChunkStore : public ChunkStoreInterface {
 
   // --- cleaning (require mu_) ---
   Status MaybeCleanLocked();
-  // Lowest-live data-only segments behind the scan position; stops when
-  // projected size reaches `target` (0 = no target) or `max_segments`.
+  // Data-only segments behind the scan position, best LFS cost-benefit
+  // first; stops when projected size reaches `target` (0 = no target) or
+  // `max_segments`.
   std::vector<uint32_t> CleanCandidates(uint64_t target, int max_segments);
   // Checkpoints iff that would unlock >= one segment of parked garbage.
   // Also marks live map nodes in low-yield segments dirty first, so the

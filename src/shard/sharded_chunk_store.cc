@@ -1101,6 +1101,7 @@ chunk::ChunkStoreStats ShardedChunkStore::Stats() const {
     agg.cleaned_segments += t.cleaned_segments;
     agg.relocated_records += t.relocated_records;
     agg.relocated_bytes += t.relocated_bytes;
+    agg.rerelocated_bytes += t.rerelocated_bytes;
     agg.bytes_appended += t.bytes_appended;
     agg.data_bytes += t.data_bytes;
     agg.map_bytes += t.map_bytes;

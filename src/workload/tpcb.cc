@@ -285,6 +285,8 @@ void PerTxn(const chunk::ChunkStoreStats& start,
   result->bytes_per_txn = per_txn(&chunk::ChunkStoreStats::bytes_appended);
   result->data_per_txn = per_txn(&chunk::ChunkStoreStats::data_bytes);
   result->relocated_per_txn = per_txn(&chunk::ChunkStoreStats::relocated_bytes);
+  result->rerelocated_per_txn =
+      per_txn(&chunk::ChunkStoreStats::rerelocated_bytes);
   result->map_per_txn = per_txn(&chunk::ChunkStoreStats::map_bytes);
   result->commit_per_txn = per_txn(&chunk::ChunkStoreStats::commit_bytes);
 }

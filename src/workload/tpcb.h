@@ -122,8 +122,9 @@ struct TpcbResult {
   double avg_response_us = 0;  // Later-half average per transaction.
   double bytes_per_txn = 0;    // Store bytes written per txn, later half.
   // TDB only: the later half's log bytes per txn by record kind; the
-  // relocated bytes are data records the cleaner moved.
-  double data_per_txn = 0, relocated_per_txn = 0;
+  // relocated bytes are data records the cleaner moved, the re-relocated
+  // ones records it moved again.
+  double data_per_txn = 0, relocated_per_txn = 0, rerelocated_per_txn = 0;
   double map_per_txn = 0, commit_per_txn = 0;
   uint64_t db_size_bytes = 0;  // Final database size.
   double utilization = 0;      // TDB only: final live/total.

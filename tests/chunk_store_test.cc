@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "chunk/log_format.h"
 #include "common/random.h"
 #include "harness/region_map.h"
 #include "platform/fault_injection.h"
@@ -2172,6 +2174,310 @@ TEST(ChunkStoreCleanerTest, StageMetricsRecorded) {
   EXPECT_GT(snap.histograms["chunk.clean_us"].count, 0u);
   EXPECT_GT(snap.histograms["chunk.checkpoint_us"].count, 0u);
   EXPECT_GT(snap.gauges["chunk.cleaner.summary_bytes"], 0);
+}
+
+// --------------------------------------------------------- cleaner policy
+//
+// These tests read the raw image. With security off a data record's
+// payload is the chunk's plaintext, and the payloads below name their
+// chunk, so a test can tell which chunk sits where.
+
+// The store's segment files, by segment id.
+std::map<uint32_t, Buffer> SegmentFiles(const MemUntrustedStore& store) {
+  std::map<uint32_t, Buffer> files;
+  for (auto& [name, bytes] : store.SnapshotImage()) {
+    if (name.rfind("seg-", 0) == 0) {
+      files[static_cast<uint32_t>(std::stoul(name.substr(4)))] = bytes;
+    }
+  }
+  return files;
+}
+
+struct ImageRecord {
+  uint64_t offset = 0;
+  RecordType type = RecordType::kData;
+  Buffer bytes;  // Header and payload, as stored.
+};
+
+// The records of one segment file, in log order.
+std::vector<ImageRecord> SegmentRecords(const Buffer& file) {
+  std::vector<ImageRecord> records;
+  uint64_t offset = kSegmentHeaderSize;
+  RecordView view;
+  while (offset < file.size() &&
+         ParseRecord(Slice(file.data() + offset, file.size() - offset), &view)
+             .ok()) {
+    records.push_back(
+        {offset, view.type,
+         Slice(file.data() + offset, view.record_size).ToBuffer()});
+    offset += view.record_size;
+  }
+  return records;
+}
+
+// A payload of `size` bytes that names its chunk and version.
+Buffer Named(ChunkId cid, int version, size_t size) {
+  std::string s =
+      "chunk " + std::to_string(cid) + " v" + std::to_string(version) + " ";
+  s.resize(size, '.');
+  return Bytes(s);
+}
+
+// The chunk a data record's payload names.
+ChunkId NamedId(const ImageRecord& record) {
+  const std::string payload =
+      Slice(record.bytes.data() + kRecordHeaderSize,
+            record.bytes.size() - kRecordHeaderSize)
+          .ToString();
+  return std::stoull(payload.substr(6));
+}
+
+// The chunks whose data records segment file `file` holds.
+std::vector<ChunkId> NamedIds(const Buffer& file) {
+  std::vector<ChunkId> ids;
+  for (const ImageRecord& r : SegmentRecords(file)) {
+    if (r.type == RecordType::kData) ids.push_back(NamedId(r));
+  }
+  return ids;
+}
+
+// Security off (plaintext payloads) and cleaning only through Clean().
+ChunkStoreOptions PolicyOptions() {
+  ChunkStoreOptions options = SmallSegments(crypto::SecurityConfig::Disabled());
+  options.max_clean_segments_per_commit = 0;
+  return options;
+}
+
+TEST(ChunkStoreCleanerTest, SurvivorsStartAFreshSegment) {
+  TestEnv env;
+  auto opened = env.Open(PolicyOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ChunkStore> cs = std::move(opened).value();
+
+  // Fill a few segments, overwrite every other chunk so they are half
+  // dead, and checkpoint so they fall behind the scan position.
+  std::map<ChunkId, Buffer> model;
+  for (int i = 0; i < 60; i++) {
+    const ChunkId cid = cs->AllocateChunkId();
+    model[cid] = Named(cid, 0, 150);
+    ASSERT_TRUE(cs->Write(cid, model[cid], true).ok());
+  }
+  for (auto it = model.begin(); it != model.end(); std::advance(it, 2)) {
+    it->second = Named(it->first, 1, 150);
+    ASSERT_TRUE(cs->Write(it->first, it->second, true).ok());
+  }
+  ASSERT_TRUE(cs->Checkpoint().ok());
+
+  const std::map<uint32_t, Buffer> before = SegmentFiles(env.store);
+  const uint32_t tail = before.rbegin()->first;
+  ASSERT_TRUE(cs->Clean(1).ok());
+  ChunkStoreStats stats = cs->Stats();
+  ASSERT_EQ(stats.cleaned_segments, 1u);
+  ASSERT_GT(stats.relocated_bytes, 0u);
+  EXPECT_EQ(stats.rerelocated_bytes, 0u);  // Nothing had been moved before.
+
+  // The tail the clean found is untouched: the survivors went to a
+  // segment the clean created, starting right after its header, moved
+  // verbatim from the victim.
+  const std::map<uint32_t, Buffer> after = SegmentFiles(env.store);
+  ASSERT_EQ(after.count(tail), 1u);
+  EXPECT_EQ(after.at(tail), before.at(tail));
+  auto fresh = after.upper_bound(tail);
+  ASSERT_NE(fresh, after.end());
+  const std::vector<ImageRecord> records = SegmentRecords(fresh->second);
+  ASSERT_FALSE(records.empty());
+  EXPECT_EQ(records[0].offset, kSegmentHeaderSize);
+  // It holds survivors only: the relocation manifest went to the next one.
+  for (const ImageRecord& r : records) ASSERT_EQ(r.type, RecordType::kData);
+  std::vector<uint32_t> victims;
+  for (const auto& [id, bytes] : before) {
+    if (after.count(id) == 0) victims.push_back(id);
+  }
+  ASSERT_EQ(victims.size(), 1u);
+  const Buffer& victim = before.at(victims[0]);
+  EXPECT_NE(std::search(victim.begin(), victim.end(), records[0].bytes.begin(),
+                        records[0].bytes.end()),
+            victim.end());
+
+  // Kill every chunk but the first survivor and clean everything
+  // cleanable: that record, written by the first clean, is the only one
+  // moved, so all of it counts as re-relocated.
+  const ChunkId keep = NamedId(records[0]);
+  WriteBatch kill;
+  for (const auto& [cid, data] : model) {
+    if (cid != keep) kill.Deallocate(cid);
+  }
+  ASSERT_TRUE(cs->Commit(kill, true).ok());
+  ASSERT_TRUE(cs->Checkpoint().ok());
+  ASSERT_TRUE(cs->Clean(100).ok());
+  const ChunkStoreStats again = cs->Stats();
+  EXPECT_EQ(SegmentFiles(env.store).count(fresh->first), 0u);
+  EXPECT_EQ(again.relocated_bytes - stats.relocated_bytes, 150u);
+  EXPECT_EQ(again.rerelocated_bytes - stats.rerelocated_bytes, 150u);
+  auto data = cs->Read(keep);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, model[keep]);
+}
+
+TEST(ChunkStoreCleanerTest, CostBenefitPrefersOlderSegment) {
+  TestEnv env;
+  auto opened = env.Open(PolicyOptions());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<ChunkStore> cs = std::move(opened).value();
+  auto write = [&](size_t size) {
+    const ChunkId cid = cs->AllocateChunkId();
+    EXPECT_TRUE(cs->Write(cid, Named(cid, 0, size), true).ok());
+  };
+  auto segments = [&] { return cs->Stats().segments; };
+
+  // One-chunk commits fill segment A and roll into B. B takes half as
+  // many, then a record too big for its rest closes it at half A's size.
+  const uint64_t first = segments();
+  while (segments() < first + 2) write(100);
+  const uint32_t b_id = SegmentFiles(env.store).rbegin()->first;
+  const uint32_t a_id = b_id - 1;
+  const std::vector<ChunkId> a = NamedIds(SegmentFiles(env.store).at(a_id));
+  while (NamedIds(SegmentFiles(env.store).at(b_id)).size() < a.size() / 2) {
+    write(100);
+  }
+  write(3900);
+  const std::vector<ChunkId> b = NamedIds(SegmentFiles(env.store).at(b_id));
+
+  // Kill every other chunk of A, and as many of B's as brings it closest
+  // to A's utilization. A, twice B's size, keeps twice its live bytes.
+  std::set<ChunkId> dead;
+  auto live_bytes = [&](uint32_t id) {
+    uint64_t live = 0;
+    for (const ImageRecord& r :
+         SegmentRecords(SegmentFiles(env.store).at(id))) {
+      if (r.type == RecordType::kData && dead.count(NamedId(r)) == 0) {
+        live += r.bytes.size();
+      }
+    }
+    return live;
+  };
+  auto gap = [&] {
+    const std::map<uint32_t, Buffer> files = SegmentFiles(env.store);
+    return std::abs(
+        static_cast<double>(live_bytes(a_id)) / files.at(a_id).size() -
+        static_cast<double>(live_bytes(b_id)) / files.at(b_id).size());
+  };
+  for (size_t i = 0; i < a.size(); i += 2) dead.insert(a[i]);
+  for (ChunkId cid : b) {
+    const double before = gap();
+    dead.insert(cid);
+    if (gap() >= before) {
+      dead.erase(cid);
+      break;
+    }
+  }
+  ASSERT_LT(gap(), 0.02);
+  // Least-live-first would take B.
+  ASSERT_GT(live_bytes(a_id), live_bytes(b_id));
+  WriteBatch kill;
+  for (ChunkId cid : dead) kill.Deallocate(cid);
+  ASSERT_TRUE(cs->Commit(kill, true).ok());
+  ASSERT_TRUE(cs->Checkpoint().ok());
+
+  ASSERT_TRUE(cs->Clean(1).ok());
+  ASSERT_EQ(cs->Stats().cleaned_segments, 1u);
+  EXPECT_EQ(SegmentFiles(env.store).count(a_id), 0u);
+  EXPECT_EQ(SegmentFiles(env.store).count(b_id), 1u);
+}
+
+// Crashes at every write of one explicit Clean(4) — the flush of a
+// buffered commit that rolling the tail forces, the survivors and the
+// relocation manifest — at every tear bucket. Each reopened image must
+// hold every acknowledged chunk and pass the scrub.
+TEST(ChunkStoreCleanerTest, CrashAnywhereInACleaning) {
+  struct Run {
+    MemUntrustedStore base;
+    FaultInjectingStore faulty{&base};
+    MemSecretStore secrets;
+    MemOneWayCounter counter;
+    std::unique_ptr<ChunkStore> cs;
+    std::map<ChunkId, Buffer> acked;  // State of the last durable commit.
+    ChunkId buffered = 0;             // A nondurable write in the tail...
+    Buffer buffered_data;             // ...that the crash may keep or lose.
+  };
+  ChunkStoreOptions options = SmallSegments();
+  options.max_clean_segments_per_commit = 0;
+  // The same store every time: durable writes, half of them overwritten,
+  // a checkpoint, then a nondurable write left in the tail buffer.
+  auto setup = [&](Run* run) {
+    ASSERT_TRUE(run->secrets.Provision(Slice("crash-clean")).ok());
+    auto opened = ChunkStore::Open(&run->faulty, &run->secrets, &run->counter,
+                                   options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    run->cs = std::move(opened).value();
+    Random rng(23);
+    std::vector<ChunkId> ids;
+    for (int i = 0; i < 48; i++) ids.push_back(run->cs->AllocateChunkId());
+    for (int round = 0; round < 2; round++) {
+      for (size_t i = round; i < ids.size(); i += round + 1) {
+        Buffer data;
+        rng.Fill(&data, 200);
+        run->acked[ids[i]] = data;
+        ASSERT_TRUE(run->cs->Write(ids[i], data, true).ok());
+      }
+    }
+    ASSERT_TRUE(run->cs->Checkpoint().ok());
+    run->buffered = ids[0];
+    rng.Fill(&run->buffered_data, 200);
+    ASSERT_TRUE(run->cs->Write(ids[0], run->buffered_data, false).ok());
+  };
+
+  // Dry run: count the clean's writes and check that it rolled the tail.
+  uint64_t clean_writes = 0;
+  {
+    Run run;
+    setup(&run);
+    const uint32_t tail = SegmentFiles(run.base).rbegin()->first;
+    const size_t tail_records =
+        SegmentRecords(SegmentFiles(run.base).at(tail)).size();
+    const uint64_t writes_before = run.faulty.writes_seen();
+    ASSERT_TRUE(run.cs->Clean(4).ok());
+    clean_writes = run.faulty.writes_seen() - writes_before;
+    ASSERT_GT(run.cs->Stats().relocated_records, 0u);
+    // The old tail gained the buffered write alone; the survivors went to
+    // a new segment.
+    const std::map<uint32_t, Buffer> after = SegmentFiles(run.base);
+    EXPECT_EQ(SegmentRecords(after.at(tail)).size(), tail_records + 1);
+    EXPECT_GT(after.rbegin()->first, tail);
+  }
+  ASSERT_GE(clean_writes, 2u);
+
+  int cases = 0;
+  for (uint64_t index = 0; index < clean_writes; index++) {
+    for (uint32_t tear = 0; tear <= 4; tear++) {
+      SCOPED_TRACE("write " + std::to_string(index) + " tear " +
+                   std::to_string(tear) + "/4");
+      Run run;
+      setup(&run);
+      run.faulty.CrashAtWrite(index, tear, 4);
+      EXPECT_FALSE(run.cs->Clean(4).ok());
+      ASSERT_TRUE(run.faulty.crashed());
+      run.cs.reset();
+      run.faulty.Reboot();
+      auto reopened = ChunkStore::Open(&run.faulty, &run.secrets,
+                                       &run.counter, options);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      for (const auto& [cid, expected] : run.acked) {
+        auto data = (*reopened)->Read(cid);
+        ASSERT_TRUE(data.ok()) << cid << ": " << data.status().ToString();
+        if (cid == run.buffered) {
+          EXPECT_TRUE(*data == expected || *data == run.buffered_data) << cid;
+        } else {
+          EXPECT_EQ(*data, expected) << cid;
+        }
+      }
+      uint64_t checked = 0;
+      ASSERT_TRUE((*reopened)->VerifyIntegrity(&checked).ok());
+      EXPECT_EQ(checked, run.acked.size());
+      cases++;
+    }
+  }
+  EXPECT_EQ(cases, static_cast<int>(clean_writes) * 5);
 }
 
 // ------------------------------------------------------------ map pruning

@@ -31,10 +31,14 @@ TraceSpec ChunkStrictSpec() {
   return spec;
 }
 
+// Long enough that the cleaner relocates live records inside the trace,
+// so crash points fall inside relocation commits: at 8 commits the trace
+// never reached the cleaning trigger, and up to ~40 its cleanings found
+// only dead records.
 TraceSpec ChunkCleaningSpec() {
   TraceSpec spec;
   spec.seed = 11;
-  spec.commits = 8;
+  spec.commits = 64;
   spec.slots = 8;
   spec.preset = Preset::kCleaning;
   return spec;

@@ -159,6 +159,10 @@ TEST(TdbstatTest, JsonReportsCleanerAndCheckpointStages) {
   ASSERT_EQ(snap->histograms.count("chunk.clean_us"), 1u) << output;
   EXPECT_GT(snap->histograms["chunk.checkpoint_us"].count, 0u) << output;
   EXPECT_GT(snap->gauges["chunk.cleaner.summary_bytes"], 0) << output;
+  EXPECT_EQ(snap->counters.count("chunk.cleaner.relocated_bytes"), 1u)
+      << output;
+  EXPECT_EQ(snap->counters.count("chunk.cleaner.rerelocated_bytes"), 1u)
+      << output;
   fs::remove_all(root);
 }
 
