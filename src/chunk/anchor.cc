@@ -10,9 +10,7 @@ const char* SlotName(int slot) { return slot == 0 ? "anchor-0" : "anchor-1"; }
 }  // namespace
 
 Buffer AnchorManager::Encode(const AnchorState& state,
-                             const crypto::CipherSuite& suite,
-                             size_t entry_hash_size) {
-  (void)entry_hash_size;
+                             const crypto::CipherSuite& suite) {
   Buffer payload;
   PutFixed32(&payload, kAnchorMagic);
   PutVarint64(&payload, state.counter);
@@ -117,7 +115,7 @@ Result<AnchorState> AnchorManager::Load() const {
 Status AnchorManager::Write(const AnchorState& state) {
   const std::string name = SlotName(next_slot_);
   next_slot_ = 1 - next_slot_;
-  Buffer bytes = Encode(state, *suite_, entry_hash_size_);
+  Buffer bytes = Encode(state, *suite_);
   if (!store_->Exists(name)) {
     TDB_RETURN_IF_ERROR(store_->Create(name, /*overwrite=*/false));
   }

@@ -47,8 +47,7 @@ class AnchorManager {
   Status Write(const AnchorState& state);
 
   static Buffer Encode(const AnchorState& state,
-                       const crypto::CipherSuite& suite,
-                       size_t entry_hash_size);
+                       const crypto::CipherSuite& suite);
   static Result<AnchorState> Decode(Slice data,
                                     const crypto::CipherSuite& suite,
                                     size_t entry_hash_size);

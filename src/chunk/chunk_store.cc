@@ -222,10 +222,7 @@ Buffer ChunkStore::SealSerialIv(Slice plain) {
 }
 
 size_t ChunkStore::entry_hash_size() const {
-  size_t full = suite_.hash_size();
-  if (full == 0) return 0;
-  if (options_.map_hash_bytes == 0) return full;
-  return std::min<size_t>(full, options_.map_hash_bytes);
+  return std::min(suite_.hash_size(), kMapHashBytes);
 }
 
 crypto::Digest ChunkStore::EntryHash(Slice sealed) const {
@@ -1164,8 +1161,7 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
     manifest.root_hash = new_root->hash;
   }
 
-  Buffer encoded =
-      EncodeManifest(manifest, suite_.hash_size(), entry_hash_size());
+  Buffer encoded = EncodeManifest(manifest);
   Buffer commit_payload = SealSerialIv(encoded);
   crypto::Digest mac = suite_.Mac(commit_payload);
   PutDigest(&commit_payload, mac);

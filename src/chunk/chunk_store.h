@@ -64,11 +64,6 @@ struct ChunkStoreOptions {
   /// Residual-log bytes that trigger an automatic checkpoint.
   uint64_t checkpoint_interval_bytes = 8 << 20;
 
-  /// Bytes of one-way hash stored per location-map entry. Truncating to 12
-  /// (96 bits) matches the paper's per-chunk overhead (§7.4) and shrinks
-  /// checkpoints substantially; 0 means the full digest.
-  uint32_t map_hash_bytes = 12;
-
   /// Upper bound on segments cleaned as a side effect of one commit,
   /// bounding per-commit cleaning latency (§3.2.1).
   int max_clean_segments_per_commit = 4;
@@ -757,7 +752,13 @@ class ChunkStore : public ChunkStoreInterface {
   // Adds a data record of `cid` to `segment`'s summary.
   void NoteSummary(uint32_t segment, ChunkId cid);
 
-  // Hash of a sealed record as stored in the map (possibly truncated).
+  // Bytes of one-way hash stored per location-map entry: 12 (96 bits)
+  // matches the paper's per-chunk overhead (§7.4) and shrinks checkpoints
+  // substantially. Not recorded in the image, so it is fixed.
+  static constexpr size_t kMapHashBytes = 12;
+
+  // Hash of a sealed record as stored in the map (truncated to
+  // kMapHashBytes).
   crypto::Digest EntryHash(Slice sealed) const;
   size_t entry_hash_size() const;
 

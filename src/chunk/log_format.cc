@@ -75,12 +75,7 @@ Status GetDigest(Decoder* dec, size_t hash_size, crypto::Digest* digest) {
   return Status::OK();
 }
 
-Buffer EncodeManifest(const CommitManifest& manifest, size_t mac_size,
-                      size_t entry_hash_size) {
-  // Digest fields self-describe their width on encode; the sizes matter
-  // only for decoding. Kept in the signature for symmetry.
-  (void)mac_size;
-  (void)entry_hash_size;
+Buffer EncodeManifest(const CommitManifest& manifest) {
   // Room for the worst case: 10-byte varints, 15-byte locations and
   // full-width digests, so the encoding never reallocates.
   constexpr size_t kDigest = crypto::Digest::kMaxSize;

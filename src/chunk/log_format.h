@@ -79,11 +79,11 @@ struct CommitManifest {
   bool checkpoint() const { return flags & kCommitCheckpoint; }
 };
 
-/// `mac_size` frames prev_mac (the full keyed-MAC width); `entry_hash_size`
-/// frames per-write and root hashes (possibly truncated, see
-/// ChunkStoreOptions::map_hash_bytes).
-Buffer EncodeManifest(const CommitManifest& manifest, size_t mac_size,
-                      size_t entry_hash_size);
+/// Digest fields self-describe their width on encode. On decode,
+/// `mac_size` frames prev_mac (the full keyed-MAC width) and
+/// `entry_hash_size` frames per-write and root hashes (truncated, see
+/// ChunkStore::kMapHashBytes).
+Buffer EncodeManifest(const CommitManifest& manifest);
 Status DecodeManifest(Slice data, size_t mac_size, size_t entry_hash_size,
                       CommitManifest* out);
 

@@ -1,88 +1,27 @@
 #include "common/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
+#include "common/json.h"
 #include "common/trace_export.h"
 
 namespace tdb::common {
 
-namespace {
-
-void AppendEscapedJson(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-// Counter/histogram movement since `base`; gauges keep their current value
-// (they are levels, not totals). The full current audit log rides along —
-// it is small, deduplicated, and usually the reason the bundle exists.
-MetricsSnapshot DiffSnapshot(const MetricsSnapshot& cur,
-                             const MetricsSnapshot& base) {
-  MetricsSnapshot delta;
-  for (const auto& [name, v] : cur.counters) {
-    auto it = base.counters.find(name);
-    delta.counters[name] = v - (it == base.counters.end() ? 0 : it->second);
-  }
-  delta.gauges = cur.gauges;
-  for (const auto& [name, h] : cur.histograms) {
-    HistogramData d = h;
-    auto it = base.histograms.find(name);
-    if (it != base.histograms.end()) {
-      const HistogramData& b = it->second;
-      d.count -= std::min(d.count, b.count);
-      d.sum -= std::min(d.sum, b.sum);
-      for (size_t i = 0; i < HistogramData::kBuckets; i++) {
-        d.buckets[i] -= std::min(d.buckets[i], b.buckets[i]);
-      }
-      // max cannot be differenced; keep the lifetime max.
-    }
-    delta.histograms[name] = d;
-  }
-  delta.audit = cur.audit;
-  delta.audit_total = cur.audit_total;
-  delta.audit_dropped = cur.audit_dropped;
-  return delta;
-}
-
-}  // namespace
-
 std::string FlightBundle::ToJson() const {
-  std::string out = TraceEventsToChromeJson(spans);
-  // Splice the extras into the top-level object: drop the closing "}\n".
-  while (!out.empty() && (out.back() == '\n' || out.back() == '}')) {
-    out.pop_back();
-  }
-  out += ",\n\"tdb_flight\":{\"reason\":\"";
-  AppendEscapedJson(reason, &out);
-  out += "\",\"detail\":\"";
-  AppendEscapedJson(detail, &out);
-  out += "\",\"at_us\":" + std::to_string(at_us);
-  out += ",\"seq\":" + std::to_string(seq);
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":";
+  AppendChromeTraceEvents(spans, &out);
+  out += ",\n\"tdb_flight\":{\"reason\":";
+  AppendJsonString(reason, &out);
+  out += ",\"detail\":";
+  AppendJsonString(detail, &out);
+  out += ",\"at_us\":";
+  out += std::to_string(at_us);
+  out += ",\"seq\":";
+  out += std::to_string(seq);
   out += "},\n\"tdb_metrics_delta\":";
-  std::string metrics = metrics_delta.ToJson();
-  while (!metrics.empty() &&
-         (metrics.back() == '\n' || metrics.back() == ' ')) {
-    metrics.pop_back();
-  }
-  out += metrics.empty() ? "{}" : metrics;
-  out += "\n}\n";
+  out += metrics_delta.ToJson();
+  out += "}\n";
   return out;
 }
 
@@ -135,7 +74,7 @@ void FlightRecorder::Trigger(const std::string& reason,
           bundle.spans.end() - static_cast<ptrdiff_t>(options_.max_spans));
     }
     MetricsSnapshot current = registry_->Snapshot();
-    bundle.metrics_delta = DiffSnapshot(current, baseline_);
+    bundle.metrics_delta = current.DeltaSince(baseline_);
     baseline_ = std::move(current);
 
     bundles_.push_back(bundle);

@@ -1,9 +1,11 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "common/json.h"
 
 namespace tdb::common {
 
@@ -268,381 +270,162 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   audit_dropped += other.audit_dropped;
 }
 
-namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
+MetricsSnapshot MetricsSnapshot::DeltaSince(
+    const MetricsSnapshot& base) const {
+  MetricsSnapshot delta = *this;
+  for (auto& [name, v] : delta.counters) {
+    auto it = base.counters.find(name);
+    if (it != base.counters.end()) v -= it->second;
   }
-  out->push_back('"');
+  for (auto& [name, h] : delta.histograms) {
+    auto it = base.histograms.find(name);
+    if (it == base.histograms.end()) continue;
+    const HistogramData& b = it->second;
+    h.count -= std::min(h.count, b.count);
+    h.sum -= std::min(h.sum, b.sum);
+    for (size_t i = 0; i < HistogramData::kBuckets; i++) {
+      h.buckets[i] -= std::min(h.buckets[i], b.buckets[i]);
+    }
+    // max cannot be differenced; keep the lifetime max.
+  }
+  return delta;
 }
-
-void AppendInt(std::string* out, int64_t v) {
-  *out += std::to_string(v);
-}
-
-// --- Minimal JSON parser (objects/arrays/strings/integers only: exactly
-// the grammar ToJson emits; doubles are accepted and truncated). ---
-struct JsonParser {
-  const char* p;
-  const char* end;
-  bool failed = false;
-
-  void Fail() { failed = true; }
-  void SkipWs() {
-    while (p < end && (*p == ' ' || *p == '\n' || *p == '\t' || *p == '\r')) {
-      p++;
-    }
-  }
-  bool Consume(char c) {
-    SkipWs();
-    if (failed || p >= end || *p != c) return false;
-    p++;
-    return true;
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return !failed && p < end && *p == c;
-  }
-  std::string ParseString() {
-    SkipWs();
-    std::string out;
-    if (failed || p >= end || *p != '"') {
-      Fail();
-      return out;
-    }
-    p++;
-    while (p < end && *p != '"') {
-      if (*p == '\\' && p + 1 < end) {
-        p++;
-        switch (*p) {
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          case 'u': {
-            if (p + 4 < end) {
-              unsigned code = 0;
-              std::sscanf(p + 1, "%4x", &code);
-              out.push_back(static_cast<char>(code & 0xff));
-              p += 4;
-            } else {
-              Fail();
-              return out;
-            }
-            break;
-          }
-          default: out.push_back(*p);
-        }
-        p++;
-      } else {
-        out.push_back(*p++);
-      }
-    }
-    if (p >= end) {
-      Fail();
-      return out;
-    }
-    p++;  // Closing quote.
-    return out;
-  }
-  int64_t ParseInt() {
-    SkipWs();
-    if (failed || p >= end) {
-      Fail();
-      return 0;
-    }
-    bool neg = false;
-    if (*p == '-') {
-      neg = true;
-      p++;
-    }
-    if (p >= end || *p < '0' || *p > '9') {
-      Fail();
-      return 0;
-    }
-    uint64_t v = 0;
-    while (p < end && *p >= '0' && *p <= '9') {
-      v = v * 10 + static_cast<uint64_t>(*p - '0');
-      p++;
-    }
-    // Accept (and truncate) a fractional part / exponent.
-    if (p < end && *p == '.') {
-      p++;
-      while (p < end && *p >= '0' && *p <= '9') p++;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      p++;
-      if (p < end && (*p == '+' || *p == '-')) p++;
-      while (p < end && *p >= '0' && *p <= '9') p++;
-    }
-    return neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
-  }
-  // Skips one value of any type (unknown fields stay forward-compatible).
-  void SkipValue() {
-    SkipWs();
-    if (failed || p >= end) {
-      Fail();
-      return;
-    }
-    if (*p == '"') {
-      ParseString();
-    } else if (*p == '{') {
-      p++;
-      if (Peek('}')) {
-        p++;
-        return;
-      }
-      do {
-        ParseString();
-        if (!Consume(':')) {
-          Fail();
-          return;
-        }
-        SkipValue();
-      } while (Consume(','));
-      if (!Consume('}')) Fail();
-    } else if (*p == '[') {
-      p++;
-      if (Peek(']')) {
-        p++;
-        return;
-      }
-      do {
-        SkipValue();
-      } while (Consume(','));
-      if (!Consume(']')) Fail();
-    } else if (*p == 't' || *p == 'f' || *p == 'n') {
-      while (p < end && *p >= 'a' && *p <= 'z') p++;
-    } else {
-      ParseInt();
-    }
-  }
-};
-
-}  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendEscaped(&out, name);
-    out += ": ";
-    AppendInt(&out, v);
-  }
+  // Appends `prefix` (separator and key) and then `v`.
+  auto num = [&out](const char* prefix, int64_t v) {
+    out += prefix;
+    out += std::to_string(v);
+  };
+  // Starts the next member of a section, one member per line.
+  auto next = [&out](bool* first) {
+    out += *first ? "\n    " : ",\n    ";
+    *first = false;
+  };
+  auto int_map = [&](const std::map<std::string, int64_t>& values) {
+    bool first = true;
+    for (const auto& [name, v] : values) {
+      next(&first);
+      AppendJsonString(name, &out);
+      num(": ", v);
+    }
+  };
+  int_map(counters);
   out += "\n  },\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendEscaped(&out, name);
-    out += ": ";
-    AppendInt(&out, v);
-  }
+  int_map(gauges);
   out += "\n  },\n  \"histograms\": {";
-  first = true;
+  bool first = true;
   for (const auto& [name, h] : histograms) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
-    AppendEscaped(&out, name);
-    out += ": {\"count\": ";
-    AppendInt(&out, static_cast<int64_t>(h.count));
-    out += ", \"sum\": ";
-    AppendInt(&out, h.sum);
-    out += ", \"max\": ";
-    AppendInt(&out, h.max);
-    out += ", \"p50\": ";
-    AppendInt(&out, h.Percentile(0.50));
-    out += ", \"p95\": ";
-    AppendInt(&out, h.Percentile(0.95));
-    out += ", \"p99\": ";
-    AppendInt(&out, h.Percentile(0.99));
+    next(&first);
+    AppendJsonString(name, &out);
+    num(": {\"count\": ", static_cast<int64_t>(h.count));
+    num(", \"sum\": ", h.sum);
+    num(", \"max\": ", h.max);
+    num(", \"p50\": ", h.Percentile(0.50));
+    num(", \"p95\": ", h.Percentile(0.95));
+    num(", \"p99\": ", h.Percentile(0.99));
     out += ", \"buckets\": [";
-    bool bfirst = true;
+    const char* sep = "[";
     for (size_t i = 0; i < HistogramData::kBuckets; i++) {
       if (h.buckets[i] == 0) continue;
-      if (!bfirst) out += ", ";
-      bfirst = false;
-      out += "[";
-      AppendInt(&out, static_cast<int64_t>(i));
-      out += ", ";
-      AppendInt(&out, static_cast<int64_t>(h.buckets[i]));
-      out += "]";
+      num(sep, static_cast<int64_t>(i));
+      num(", ", static_cast<int64_t>(h.buckets[i]));
+      out += ']';
+      sep = ", [";
     }
     out += "]}";
   }
   out += "\n  },\n  \"audit\": [";
   first = true;
   for (const AuditEvent& ev : audit) {
-    out += first ? "\n    " : ",\n    ";
-    first = false;
+    next(&first);
     out += "{\"kind\": ";
-    AppendEscaped(&out, ev.kind);
-    out += ", \"region\": ";
-    AppendInt(&out, ev.region);
+    AppendJsonString(ev.kind, &out);
+    num(", \"region\": ", ev.region);
     out += ", \"location\": ";
-    AppendEscaped(&out, ev.location);
+    AppendJsonString(ev.location, &out);
     out += ", \"message\": ";
-    AppendEscaped(&out, ev.message);
-    out += ", \"count\": ";
-    AppendInt(&out, static_cast<int64_t>(ev.count));
-    out += ", \"first_seq\": ";
-    AppendInt(&out, static_cast<int64_t>(ev.first_seq));
-    out += "}";
+    AppendJsonString(ev.message, &out);
+    num(", \"count\": ", static_cast<int64_t>(ev.count));
+    num(", \"first_seq\": ", static_cast<int64_t>(ev.first_seq));
+    out += '}';
   }
-  out += "\n  ],\n  \"audit_total\": ";
-  AppendInt(&out, static_cast<int64_t>(audit_total));
-  out += ",\n  \"audit_dropped\": ";
-  AppendInt(&out, static_cast<int64_t>(audit_dropped));
+  num("\n  ],\n  \"audit_total\": ", static_cast<int64_t>(audit_total));
+  num(",\n  \"audit_dropped\": ", static_cast<int64_t>(audit_dropped));
   out += "\n}\n";
   return out;
 }
 
 Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
   MetricsSnapshot snap;
-  JsonParser jp{json.data(), json.data() + json.size()};
-
-  auto parse_int_map = [&](std::map<std::string, int64_t>* out) {
-    if (!jp.Consume('{')) return jp.Fail();
-    if (jp.Consume('}')) return;
-    do {
-      std::string name = jp.ParseString();
-      if (!jp.Consume(':')) return jp.Fail();
-      (*out)[name] = jp.ParseInt();
-    } while (jp.Consume(','));
-    if (!jp.Consume('}')) jp.Fail();
+  JsonReader r(json);
+  // Unsigned fields are written through int64_t; read them back the same way.
+  auto read_u64 = [&r](uint64_t* out) {
+    int64_t v = 0;
+    if (!r.Int(&v)) return false;
+    *out = static_cast<uint64_t>(v);
+    return true;
   };
-  auto parse_histogram = [&](HistogramData* h) {
-    if (!jp.Consume('{')) return jp.Fail();
-    if (jp.Consume('}')) return;
-    do {
-      std::string field = jp.ParseString();
-      if (!jp.Consume(':')) return jp.Fail();
-      if (field == "count") {
-        h->count = static_cast<uint64_t>(jp.ParseInt());
-      } else if (field == "sum") {
-        h->sum = jp.ParseInt();
-      } else if (field == "max") {
-        h->max = jp.ParseInt();
-      } else if (field == "buckets") {
-        if (!jp.Consume('[')) return jp.Fail();
-        if (jp.Consume(']')) continue;
-        do {
-          if (!jp.Consume('[')) return jp.Fail();
-          int64_t index = jp.ParseInt();
-          if (!jp.Consume(',')) return jp.Fail();
-          int64_t n = jp.ParseInt();
-          if (!jp.Consume(']')) return jp.Fail();
-          if (index < 0 ||
-              index >= static_cast<int64_t>(HistogramData::kBuckets)) {
-            return jp.Fail();
-          }
-          h->buckets[static_cast<size_t>(index)] =
-              static_cast<uint64_t>(n);
-        } while (jp.Consume(','));
-        if (!jp.Consume(']')) return jp.Fail();
-      } else {
-        jp.SkipValue();  // p50/p95/p99 are derived; ignore on input.
-      }
-    } while (jp.Consume(','));
-    if (!jp.Consume('}')) jp.Fail();
+  auto int_map = [&r](std::map<std::string, int64_t>* out) {
+    return r.Object(
+        [&](const std::string& name) { return r.Int(&(*out)[name]); });
   };
-  auto parse_audit_event = [&](AuditEvent* ev) {
-    if (!jp.Consume('{')) return jp.Fail();
-    if (jp.Consume('}')) return;
-    do {
-      std::string field = jp.ParseString();
-      if (!jp.Consume(':')) return jp.Fail();
-      if (field == "kind") {
-        ev->kind = jp.ParseString();
-      } else if (field == "region") {
-        ev->region = static_cast<int>(jp.ParseInt());
-      } else if (field == "location") {
-        ev->location = jp.ParseString();
-      } else if (field == "message") {
-        ev->message = jp.ParseString();
-      } else if (field == "count") {
-        ev->count = static_cast<uint64_t>(jp.ParseInt());
-      } else if (field == "first_seq") {
-        ev->first_seq = static_cast<uint64_t>(jp.ParseInt());
-      } else {
-        jp.SkipValue();
-      }
-    } while (jp.Consume(','));
-    if (!jp.Consume('}')) jp.Fail();
+  auto histogram = [&](HistogramData* h) {
+    return r.Object([&](const std::string& field) {
+      if (field == "count") return read_u64(&h->count);
+      if (field == "sum") return r.Int(&h->sum);
+      if (field == "max") return r.Int(&h->max);
+      // p50/p95/p99 are derived; ignore on input.
+      if (field != "buckets") return r.Skip();
+      return r.Array([&] {
+        std::vector<int64_t> pair;  // [index, count]
+        if (!r.Array([&] { return r.Int(&pair.emplace_back()); })) {
+          return false;
+        }
+        if (pair.size() != 2 || pair[0] < 0 ||
+            pair[0] >= static_cast<int64_t>(HistogramData::kBuckets)) {
+          return r.Fail("bad histogram bucket");
+        }
+        h->buckets[static_cast<size_t>(pair[0])] =
+            static_cast<uint64_t>(pair[1]);
+        return true;
+      });
+    });
   };
-
-  if (!jp.Consume('{')) {
-    return Status::InvalidArgument("metrics json: not an object");
-  }
-  if (!jp.Consume('}')) {
-    do {
-      std::string section = jp.ParseString();
-      if (!jp.Consume(':')) jp.Fail();
-      if (jp.failed) break;
-      if (section == "counters") {
-        parse_int_map(&snap.counters);
-      } else if (section == "gauges") {
-        parse_int_map(&snap.gauges);
-      } else if (section == "histograms") {
-        if (!jp.Consume('{')) {
-          jp.Fail();
-          break;
-        }
-        if (!jp.Consume('}')) {
-          do {
-            std::string name = jp.ParseString();
-            if (!jp.Consume(':')) {
-              jp.Fail();
-              break;
-            }
-            parse_histogram(&snap.histograms[name]);
-          } while (jp.Consume(','));
-          if (!jp.Consume('}')) jp.Fail();
-        }
-      } else if (section == "audit") {
-        if (!jp.Consume('[')) {
-          jp.Fail();
-          break;
-        }
-        if (!jp.Consume(']')) {
-          do {
-            AuditEvent ev;
-            parse_audit_event(&ev);
-            snap.audit.push_back(std::move(ev));
-          } while (jp.Consume(','));
-          if (!jp.Consume(']')) jp.Fail();
-        }
-      } else if (section == "audit_total") {
-        snap.audit_total = static_cast<uint64_t>(jp.ParseInt());
-      } else if (section == "audit_dropped") {
-        snap.audit_dropped = static_cast<uint64_t>(jp.ParseInt());
-      } else {
-        jp.SkipValue();
+  auto audit_event = [&](AuditEvent* ev) {
+    return r.Object([&](const std::string& field) {
+      if (field == "kind") return r.String(&ev->kind);
+      if (field == "location") return r.String(&ev->location);
+      if (field == "message") return r.String(&ev->message);
+      if (field == "count") return read_u64(&ev->count);
+      if (field == "first_seq") return read_u64(&ev->first_seq);
+      if (field != "region") return r.Skip();
+      int64_t region = 0;
+      if (!r.Int(&region)) return false;
+      if (region != static_cast<int>(region)) {
+        return r.Fail("audit region out of range");
       }
-    } while (!jp.failed && jp.Consume(','));
-    if (!jp.failed && !jp.Consume('}')) jp.Fail();
-  }
-  if (jp.failed) {
-    return Status::InvalidArgument("metrics json: parse error at offset " +
-                                   std::to_string(jp.p - json.data()));
-  }
+      ev->region = static_cast<int>(region);
+      return true;
+    });
+  };
+  r.Object([&](const std::string& section) {
+    if (section == "counters") return int_map(&snap.counters);
+    if (section == "gauges") return int_map(&snap.gauges);
+    if (section == "histograms") {
+      return r.Object([&](const std::string& name) {
+        return histogram(&snap.histograms[name]);
+      });
+    }
+    if (section == "audit") {
+      return r.Array([&] { return audit_event(&snap.audit.emplace_back()); });
+    }
+    if (section == "audit_total") return read_u64(&snap.audit_total);
+    if (section == "audit_dropped") return read_u64(&snap.audit_dropped);
+    return r.Skip();
+  });
+  TDB_RETURN_IF_ERROR(r.Finish("metrics json"));
   return snap;
 }
 

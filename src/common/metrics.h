@@ -197,6 +197,11 @@ struct MetricsSnapshot {
   /// Sums counters/gauges, adds histograms bucket-wise, concatenates audit
   /// entries (re-deduplicating by kind+location).
   void Merge(const MetricsSnapshot& other);
+  /// Counter and histogram movement since `base` (a histogram's max
+  /// cannot be differenced and keeps its lifetime value); gauges are
+  /// levels, not totals, and keep their current value, as does the audit
+  /// log.
+  MetricsSnapshot DeltaSince(const MetricsSnapshot& base) const;
   std::string ToJson() const;
   static Result<MetricsSnapshot> FromJson(const std::string& json);
 };

@@ -1,36 +1,17 @@
 #include "common/trace_export.h"
 
 #include <algorithm>
-#include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/json.h"
+
 namespace tdb::common {
 
 namespace {
-
-void AppendEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; s++) {
-    const char c = *s;
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 void AppendHex64(uint64_t v, std::string* out) {
   char buf[20];
@@ -39,287 +20,109 @@ void AppendHex64(uint64_t v, std::string* out) {
   *out += buf;
 }
 
-// --- Minimal JSON scanner for the importer. -------------------------------
-// Only what the Chrome trace format needs: one top-level object containing
-// a "traceEvents" array of flat objects with string / integer / flat-object
-// values. Anything else is skipped structurally.
-
-class Scanner {
- public:
-  explicit Scanner(const std::string& text) : s_(text) {}
-
-  void SkipWs() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_])))
-      pos_++;
-  }
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= s_.size();
-  }
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-  bool Consume(char c) {
-    if (!Peek(c)) return false;
-    pos_++;
-    return true;
-  }
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < s_.size()) {
-      char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        char e = s_[pos_++];
-        switch (e) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 'r': *out += '\r'; break;
-          case 't': *out += '\t'; break;
-          case 'b': *out += '\b'; break;
-          case 'f': *out += '\f'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; i++) {
-              char h = s_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') code |= h - '0';
-              else if (h >= 'a' && h <= 'f') code |= h - 'a' + 10;
-              else if (h >= 'A' && h <= 'F') code |= h - 'A' + 10;
-              else return false;
-            }
-            // ASCII-only escapes are enough for our own output.
-            *out += static_cast<char>(code < 0x80 ? code : '?');
-            break;
-          }
-          default: return false;
-        }
-      } else {
-        *out += c;
-      }
-    }
-    return false;
-  }
-  bool ParseNumber(double* out) {
-    SkipWs();
-    size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) pos_++;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '-' || s_[pos_] == '+')) {
-      pos_++;
-    }
-    if (pos_ == start) return false;
-    try {
-      *out = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    return true;
-  }
-  // Skips any JSON value (used for fields we don't care about).
-  bool SkipValue() {
-    SkipWs();
-    if (pos_ >= s_.size()) return false;
-    char c = s_[pos_];
-    if (c == '"') {
-      std::string ignored;
-      return ParseString(&ignored);
-    }
-    if (c == '{' || c == '[') {
-      char open = c, close = (c == '{') ? '}' : ']';
-      int depth = 0;
-      bool in_str = false;
-      while (pos_ < s_.size()) {
-        c = s_[pos_++];
-        if (in_str) {
-          if (c == '\\') pos_++;
-          else if (c == '"') in_str = false;
-        } else if (c == '"') {
-          in_str = true;
-        } else if (c == open) {
-          depth++;
-        } else if (c == close) {
-          depth--;
-          if (depth == 0) return true;
-        }
-      }
-      return false;
-    }
-    // Literal: number / true / false / null.
-    while (pos_ < s_.size() && s_[pos_] != ',' && s_[pos_] != '}' &&
-           s_[pos_] != ']' &&
-           !std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      pos_++;
-    }
-    return true;
-  }
-
-  size_t pos_ = 0;
-  const std::string& s_;
-};
-
 bool ParseHex64(const std::string& s, uint64_t* out) {
   if (s.empty() || s.size() > 16) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<uint64_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') v |= static_cast<uint64_t>(c - 'A' + 10);
-    else return false;
-  }
-  *out = v;
-  return true;
+  auto [next, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, 16);
+  return ec == std::errc() && next == s.data() + s.size();
 }
 
-// Parses one object from the traceEvents array into `ev`. Returns false on
-// malformed JSON; events that are well-formed but not "X" spans (viewer
-// metadata etc.) set *is_span = false and are skipped by the caller.
-bool ParseEventObject(Scanner* sc, TraceEvent* ev, bool* is_span) {
-  if (!sc->Consume('{')) return false;
-  *is_span = true;
-  std::string name_field;
-  if (sc->Consume('}')) {
-    *is_span = false;
+// Reads the value of `field` in one traceEvents element into `ev`. Events
+// that are well-formed but not "X" spans (viewer metadata etc.) clear
+// *is_span and are skipped by the caller.
+bool ReadEventField(JsonReader* r, const std::string& field, TraceEvent* ev,
+                    bool* is_span) {
+  std::string s;
+  if (field == "name") {
+    if (!r->String(&s)) return false;
+    ev->name = InternTraceName(s);
     return true;
   }
-  do {
-    std::string key;
-    if (!sc->ParseString(&key)) return false;
-    if (!sc->Consume(':')) return false;
-    if (key == "name") {
-      std::string name;
-      if (!sc->ParseString(&name)) return false;
-      ev->name = InternTraceName(name);
-    } else if (key == "ts") {
-      double v = 0;
-      if (!sc->ParseNumber(&v)) return false;
-      ev->start_us = v < 0 ? 0 : static_cast<uint64_t>(v);
-    } else if (key == "dur") {
-      double v = 0;
-      if (!sc->ParseNumber(&v)) return false;
-      ev->duration_us = v < 0 ? 0 : static_cast<uint64_t>(v);
-    } else if (key == "tid") {
-      double v = 0;
-      if (!sc->ParseNumber(&v)) return false;
-      ev->thread_id = v < 0 ? 0 : static_cast<uint32_t>(v);
-    } else if (key == "ph") {
-      std::string ph;
-      if (!sc->ParseString(&ph)) return false;
-      if (ph != "X") *is_span = false;
-    } else if (key == "args") {
-      if (!sc->Consume('{')) return false;
-      if (!sc->Consume('}')) {
-        do {
-          std::string akey;
-          if (!sc->ParseString(&akey)) return false;
-          if (!sc->Consume(':')) return false;
-          if (akey == "trace" || akey == "span" || akey == "parent") {
-            std::string hex;
-            if (!sc->ParseString(&hex)) return false;
-            uint64_t v = 0;
-            if (!ParseHex64(hex, &v)) return false;
-            if (akey == "trace") ev->trace_id = v;
-            else if (akey == "span") ev->span_id = v;
-            else ev->parent_span_id = v;
-          } else {
-            if (!sc->SkipValue()) return false;
-          }
-        } while (sc->Consume(','));
-        if (!sc->Consume('}')) return false;
-      }
-    } else {
-      if (!sc->SkipValue()) return false;
-    }
-  } while (sc->Consume(','));
-  return sc->Consume('}');
+  if (field == "ph") {
+    if (!r->String(&s)) return false;
+    if (s != "X") *is_span = false;
+    return true;
+  }
+  if (field == "ts" || field == "dur" || field == "tid") {
+    int64_t v = 0;
+    if (!r->Int(&v)) return false;
+    const uint64_t u = v < 0 ? 0 : static_cast<uint64_t>(v);
+    if (field == "tid" && u > UINT32_MAX) return r->Fail("tid out of range");
+    if (field == "ts") ev->start_us = u;
+    if (field == "dur") ev->duration_us = u;
+    if (field == "tid") ev->thread_id = static_cast<uint32_t>(u);
+    return true;
+  }
+  if (field != "args") return r->Skip();
+  return r->Object([&](const std::string& arg) {
+    if (arg != "trace" && arg != "span" && arg != "parent") return r->Skip();
+    uint64_t id = 0;
+    if (!r->String(&s)) return false;
+    if (!ParseHex64(s, &id)) return r->Fail("bad span id");
+    (arg == "trace" ? ev->trace_id
+                    : arg == "span" ? ev->span_id : ev->parent_span_id) = id;
+    return true;
+  });
 }
 
 }  // namespace
 
-std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
-  std::string out;
-  out.reserve(events.size() * 160 + 64);
-  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+void AppendChromeTraceEvents(const std::vector<TraceEvent>& events,
+                             std::string* out) {
+  out->reserve(out->size() + events.size() * 160 + 64);
+  *out += '[';
   bool first = true;
   for (const TraceEvent& ev : events) {
     if (ev.name == nullptr) continue;
-    if (!first) out += ',';
+    if (!first) *out += ',';
     first = false;
-    out += "\n{\"name\":\"";
-    AppendEscaped(ev.name, &out);
-    out += "\",\"cat\":\"tdb\",\"ph\":\"X\",\"ts\":";
-    out += std::to_string(ev.start_us);
-    out += ",\"dur\":";
+    *out += "\n{\"name\":";
+    AppendJsonString(ev.name, out);
+    *out += ",\"cat\":\"tdb\",\"ph\":\"X\",\"ts\":";
+    *out += std::to_string(ev.start_us);
+    *out += ",\"dur\":";
     // Perfetto renders zero-duration complete events poorly; clamp to 1us.
-    out += std::to_string(ev.duration_us == 0 ? 1 : ev.duration_us);
-    out += ",\"pid\":1,\"tid\":";
-    out += std::to_string(ev.thread_id);
-    out += ",\"args\":{\"trace\":\"";
-    AppendHex64(ev.trace_id, &out);
-    out += "\",\"span\":\"";
-    AppendHex64(ev.span_id, &out);
-    out += "\",\"parent\":\"";
-    AppendHex64(ev.parent_span_id, &out);
-    out += "\"}}";
+    *out += std::to_string(ev.duration_us == 0 ? 1 : ev.duration_us);
+    *out += ",\"pid\":1,\"tid\":";
+    *out += std::to_string(ev.thread_id);
+    *out += ",\"args\":{\"trace\":\"";
+    AppendHex64(ev.trace_id, out);
+    *out += "\",\"span\":\"";
+    AppendHex64(ev.span_id, out);
+    *out += "\",\"parent\":\"";
+    AppendHex64(ev.parent_span_id, out);
+    *out += "\"}}";
   }
-  out += "\n]}\n";
+  *out += "\n]";
+}
+
+std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
+  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":";
+  AppendChromeTraceEvents(events, &out);
+  out += "}\n";
   return out;
 }
 
 Status TraceEventsFromChromeJson(const std::string& json,
                                  std::vector<TraceEvent>* out) {
   out->clear();
-  Scanner sc(json);
-  if (!sc.Consume('{')) {
-    return Status::InvalidArgument("trace json: expected top-level object");
-  }
+  JsonReader r(json);
   bool saw_events = false;
-  if (!sc.Peek('}')) {
-    do {
-      std::string key;
-      if (!sc.ParseString(&key)) {
-        return Status::InvalidArgument("trace json: bad object key");
+  r.Object([&](const std::string& key) {
+    if (key != "traceEvents") return r.Skip();
+    saw_events = true;
+    return r.Array([&] {
+      TraceEvent ev;
+      bool is_span = true;
+      if (!r.Object([&](const std::string& field) {
+            return ReadEventField(&r, field, &ev, &is_span);
+          })) {
+        return false;
       }
-      if (!sc.Consume(':')) {
-        return Status::InvalidArgument("trace json: expected ':'");
-      }
-      if (key == "traceEvents") {
-        if (!sc.Consume('[')) {
-          return Status::InvalidArgument("trace json: traceEvents not array");
-        }
-        saw_events = true;
-        if (!sc.Consume(']')) {
-          do {
-            TraceEvent ev;
-            bool is_span = true;
-            if (!ParseEventObject(&sc, &ev, &is_span)) {
-              return Status::InvalidArgument("trace json: malformed event");
-            }
-            if (is_span && ev.name != nullptr) out->push_back(ev);
-          } while (sc.Consume(','));
-          if (!sc.Consume(']')) {
-            return Status::InvalidArgument("trace json: unterminated array");
-          }
-        }
-      } else {
-        if (!sc.SkipValue()) {
-          return Status::InvalidArgument("trace json: malformed value");
-        }
-      }
-    } while (sc.Consume(','));
-  }
-  if (!sc.Consume('}')) {
-    return Status::InvalidArgument("trace json: unterminated object");
-  }
+      if (is_span && ev.name != nullptr) out->push_back(ev);
+      return true;
+    });
+  });
+  TDB_RETURN_IF_ERROR(r.Finish("trace json"));
   if (!saw_events) {
     return Status::InvalidArgument("trace json: no traceEvents array");
   }

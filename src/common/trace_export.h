@@ -16,9 +16,16 @@ namespace tdb::common {
 /// strings (strings, not numbers, so ids above 2^53 survive JS viewers).
 std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events);
 
+/// Appends the "traceEvents" array of TraceEventsToChromeJson to `out`
+/// (flight-recorder bundles write it beside their own members).
+void AppendChromeTraceEvents(const std::vector<TraceEvent>& events,
+                             std::string* out);
+
 /// Parses the output of TraceEventsToChromeJson (or a flight-recorder
-/// bundle, which embeds the same "traceEvents" array). Unknown fields are
-/// ignored; names are interned, so the returned events never dangle.
+/// bundle, which embeds the same "traceEvents" array) with the strict
+/// JsonReader (common/json.h): the whole input must be one well-formed
+/// document. Unknown fields are skipped; names are interned, so the
+/// returned events never dangle.
 Status TraceEventsFromChromeJson(const std::string& json,
                                  std::vector<TraceEvent>* out);
 

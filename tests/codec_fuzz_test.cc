@@ -1,13 +1,22 @@
 // Adversarial-input robustness: every decoder that parses bytes from the
-// untrusted store must fail cleanly (Status, never a crash or hang) on
-// arbitrary garbage. Randomized property tests stand in for a fuzzer.
+// untrusted store, and the JSON reader behind every artifact tdbstat reads
+// back, must fail cleanly (Status, never a crash or hang) on arbitrary
+// garbage. Randomized property tests stand in for a fuzzer.
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "chunk/anchor.h"
 #include "chunk/location_map.h"
 #include "chunk/log_format.h"
+#include "common/flight_recorder.h"
+#include "common/metrics.h"
 #include "common/random.h"
+#include "common/trace.h"
+#include "common/trace_export.h"
 #include "crypto/cipher_suite.h"
 #include "object/pickle.h"
 
@@ -93,7 +102,7 @@ TEST(CodecFuzzTest, ManifestRoundtripWithAllFields) {
       manifest.root_hash = crypto::Digest(h.data(), 12);
     }
 
-    Buffer encoded = chunk::EncodeManifest(manifest, 32, 12);
+    Buffer encoded = chunk::EncodeManifest(manifest);
     chunk::CommitManifest decoded;
     ASSERT_TRUE(chunk::DecodeManifest(encoded, 32, 12, &decoded).ok());
     EXPECT_EQ(decoded.seq, manifest.seq);
@@ -125,7 +134,7 @@ TEST(CodecFuzzTest, TruncatedManifestAlwaysRejected) {
   w.hash = crypto::Digest(h.data(), 12);
   manifest.writes.push_back(w);
 
-  Buffer encoded = chunk::EncodeManifest(manifest, 32, 12);
+  Buffer encoded = chunk::EncodeManifest(manifest);
   for (size_t cut = 0; cut < encoded.size(); cut++) {
     Buffer truncated(encoded.begin(), encoded.begin() + cut);
     chunk::CommitManifest out;
@@ -251,7 +260,7 @@ chunk::AnchorState SampleAnchor() {
 
 TEST(CodecCorpusTest, AnchorTruncationsAlwaysRejected) {
   crypto::CipherSuite suite = Suite();
-  Buffer encoded = chunk::AnchorManager::Encode(SampleAnchor(), suite, 12);
+  Buffer encoded = chunk::AnchorManager::Encode(SampleAnchor(), suite);
   ASSERT_TRUE(chunk::AnchorManager::Decode(encoded, suite, 12).ok());
   for (size_t cut = 0; cut < encoded.size(); cut++) {
     Buffer truncated(encoded.begin(), encoded.begin() + cut);
@@ -265,7 +274,7 @@ TEST(CodecCorpusTest, AnchorBitFlipsAlwaysRejected) {
   // single-bit flip must be rejected outright.
   crypto::CipherSuite suite = Suite();
   chunk::AnchorState state = SampleAnchor();
-  Buffer encoded = chunk::AnchorManager::Encode(state, suite, 12);
+  Buffer encoded = chunk::AnchorManager::Encode(state, suite);
   for (size_t i = 0; i < encoded.size(); i++) {
     for (uint8_t mask : {0x01, 0x80}) {
       Buffer flipped = encoded;
@@ -293,6 +302,94 @@ TEST(CodecFuzzTest, SealedChunkBitFlipsAlwaysCaughtByOpenOrHash) {
     auto opened = suite.Open(tampered);
     if (opened.ok()) {
       EXPECT_NE(*opened, plain) << "byte " << i;
+    }
+  }
+}
+
+// The three JSON artifacts TDB emits, each with the reader that reads it
+// back: a metrics snapshot with every instrument kind and audit events, a
+// Chrome trace of two span trees, and a flight bundle embedding both.
+struct JsonCorpus {
+  const char* what;
+  std::string doc;
+  std::function<Status(const std::string&)> parse;
+};
+
+std::vector<JsonCorpus> JsonCorpora() {
+  common::MetricsRegistry registry;
+  registry.GetCounter("chunk.reads")->Add(12345);
+  registry.GetGauge("chunk.cache.bytes")->Set(-7);
+  common::Histogram* latency = registry.GetHistogram("chunk.commit_us");
+  for (int64_t v : {int64_t{0}, int64_t{3}, int64_t{900}, int64_t{1} << 40}) {
+    latency->Record(v);
+  }
+  registry.audit().Record("hash_mismatch", common::kRegionPayload,
+                          "seg 3 \"off\" 128", "line\nbreak\x01");
+  registry.audit().Record("replay", common::kRegionCounter, "counter",
+                          "stale");
+  const common::MetricsSnapshot snap = registry.Snapshot();
+
+  std::vector<common::TraceEvent> spans;
+  for (uint64_t trace = 1; trace <= 2; trace++) {
+    for (uint64_t span = 1; span <= 3; span++) {
+      common::TraceEvent ev;
+      ev.name = common::InternTraceName("codec.span" + std::to_string(span));
+      ev.trace_id = trace << 40;
+      ev.span_id = ev.trace_id | span;
+      ev.parent_span_id = span == 1 ? 0 : ev.trace_id | (span - 1);
+      ev.start_us = 1000 * trace + span;
+      ev.duration_us = span - 1;
+      ev.thread_id = static_cast<uint32_t>(trace);
+      spans.push_back(ev);
+    }
+  }
+  common::FlightBundle bundle;
+  bundle.reason = "audit:hash_mismatch";
+  bundle.detail = "seg 3: \"boom\"\t";
+  bundle.at_us = 123456;
+  bundle.seq = 2;
+  bundle.spans = spans;
+  bundle.metrics_delta = snap;
+
+  auto parse_trace = [](const std::string& text) {
+    std::vector<common::TraceEvent> events;
+    return common::TraceEventsFromChromeJson(text, &events);
+  };
+  return {
+      {"metrics snapshot", snap.ToJson(),
+       [](const std::string& text) {
+         return common::MetricsSnapshot::FromJson(text).status();
+       }},
+      {"chrome trace", common::TraceEventsToChromeJson(spans), parse_trace},
+      {"flight bundle", bundle.ToJson(), parse_trace},
+  };
+}
+
+TEST(CodecCorpusTest, JsonTruncationsAlwaysRejected) {
+  for (const JsonCorpus& c : JsonCorpora()) {
+    Status whole = c.parse(c.doc);
+    ASSERT_TRUE(whole.ok()) << c.what << ": " << whole.ToString();
+    // Every cut before the closing brace; trailing whitespace is not part
+    // of the document.
+    const size_t body = c.doc.find_last_not_of(" \n") + 1;
+    for (size_t cut = 0; cut < body; cut++) {
+      EXPECT_FALSE(c.parse(c.doc.substr(0, cut)).ok())
+          << c.what << " cut " << cut;
+    }
+  }
+}
+
+TEST(CodecFuzzTest, JsonBitFlipsParseOrReturnInvalidArgument) {
+  for (const JsonCorpus& c : JsonCorpora()) {
+    for (size_t i = 0; i < c.doc.size(); i++) {
+      for (int bit = 0; bit < 8; bit++) {
+        std::string flipped = c.doc;
+        flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+        Status s = c.parse(flipped);
+        EXPECT_TRUE(s.ok() || s.code() == Status::Code::kInvalidArgument)
+            << c.what << " byte " << i << " bit " << bit << ": "
+            << s.ToString();
+      }
     }
   }
 }

@@ -392,6 +392,55 @@ TEST(MetricsSnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(common::MetricsSnapshot::FromJson("").ok());
   EXPECT_FALSE(common::MetricsSnapshot::FromJson("{\"counters\":{").ok());
   EXPECT_FALSE(common::MetricsSnapshot::FromJson("[1,2,3]").ok());
+  // Integer overflow (would wrap to a plausible-looking counter).
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson(
+                   "{\"counters\":{\"x\":99999999999999999999999}}")
+                   .ok());
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson(
+                   "{\"audit\":[{\"kind\":\"k\",\"region\":4294967298}]}")
+                   .ok());
+  // Trailing bytes after the document: a second document, or garbage.
+  const std::string doc = common::MetricsSnapshot().ToJson();
+  EXPECT_TRUE(common::MetricsSnapshot::FromJson(doc).ok());
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson(doc + doc).ok());
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson("{} x").ok());
+  // Bad literals and malformed numbers.
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson("{\"x\":tru}").ok());
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson("{\"x\":nul}").ok());
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson("{\"x\":truest}").ok());
+  EXPECT_FALSE(
+      common::MetricsSnapshot::FromJson("{\"counters\":{\"x\":1.}}").ok());
+  EXPECT_FALSE(
+      common::MetricsSnapshot::FromJson("{\"counters\":{\"x\":1e-}}").ok());
+  EXPECT_FALSE(
+      common::MetricsSnapshot::FromJson("{\"counters\":{\"x\":01}}").ok());
+  // Escapes the writer never emits and a reader must not guess at.
+  EXPECT_FALSE(
+      common::MetricsSnapshot::FromJson("{\"x\":\"\\uZZZZ\"}").ok());
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson("{\"x\":\"\\q\"}").ok());
+  // Nesting is bounded: a deep unknown member is an error, not a stack
+  // overflow.
+  EXPECT_FALSE(common::MetricsSnapshot::FromJson(
+                   "{\"x\":" + std::string(1 << 20, '[') + "}")
+                   .ok());
+}
+
+// Fractional counters still truncate, and every escape the writer emits
+// reads back to the same bytes.
+TEST(MetricsSnapshotTest, FromJsonTruncatesFractionsAndUnescapes) {
+  auto snap = common::MetricsSnapshot::FromJson(
+      "{\"counters\":{\"a\":2.9,\"b\":-2.9,\"c\":1.5e3,\"d\":-0}}");
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->counters["a"], 2);
+  EXPECT_EQ(snap->counters["b"], -2);
+  EXPECT_EQ(snap->counters["c"], 1500);
+  EXPECT_EQ(snap->counters["d"], 0);
+
+  common::MetricsSnapshot odd;
+  odd.counters[std::string("q\"b\\n\nt\tr\r\x01\x1f") + "\xc3\xa9"] = 1;
+  auto parsed = common::MetricsSnapshot::FromJson(odd.ToJson());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->counters, odd.counters);
 }
 
 // ---------------------------------------------------------------------------

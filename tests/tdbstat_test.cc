@@ -166,5 +166,29 @@ TEST(TdbstatTest, JsonReportsCleanerAndCheckpointStages) {
   fs::remove_all(root);
 }
 
+// --check gates on one well-formed snapshot: a valid snapshot passes, and
+// the same file with a second document appended is rejected.
+TEST(TdbstatTest, CheckRejectsTrailingDocument) {
+  const fs::path path = fs::temp_directory_path() /
+                        ("tdbstat_check_" + std::to_string(getpid()) + ".json");
+  common::MetricsRegistry registry;
+  registry.GetCounter("chunk.durable_commits")->Add(3);
+  registry.GetHistogram("chunk.sync.latency_us")->Record(40);
+  const std::string doc = registry.Snapshot().ToJson();
+  const std::string command =
+      "'" + std::string(TDBSTAT_PATH) + "' --check '" + path.string() + "' 2>&1";
+
+  std::ofstream(path, std::ios::trunc) << doc;
+  int rc = 0;
+  std::string output = RunCommand(command, &rc);
+  EXPECT_EQ(rc, 0) << output;
+
+  std::ofstream(path, std::ios::app) << doc;
+  output = RunCommand(command, &rc);
+  EXPECT_NE(rc, 0) << output;
+  EXPECT_NE(output.find("trailing bytes"), std::string::npos) << output;
+  fs::remove(path);
+}
+
 }  // namespace
 }  // namespace tdb

@@ -21,6 +21,7 @@
 #include "chunk/chunk_store.h"
 #include "common/flight_recorder.h"
 #include "common/health.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace_export.h"
@@ -288,6 +289,41 @@ TEST_F(TraceTest, ImporterRejectsGarbage) {
   EXPECT_FALSE(TraceEventsFromChromeJson("[1,2,3]", &out).ok());
   EXPECT_FALSE(TraceEventsFromChromeJson("{\"traceEvents\":{}}", &out).ok());
   EXPECT_FALSE(TraceEventsFromChromeJson("{\"traceEvents\":[", &out).ok());
+  // Integer overflow.
+  EXPECT_FALSE(TraceEventsFromChromeJson(
+                   "{\"traceEvents\":[{\"name\":\"a\","
+                   "\"ts\":99999999999999999999999}]}",
+                   &out)
+                   .ok());
+  EXPECT_FALSE(TraceEventsFromChromeJson(
+                   "{\"traceEvents\":[{\"name\":\"a\",\"tid\":4294967296}]}",
+                   &out)
+                   .ok());
+  // Trailing bytes after the document.
+  const std::string doc = TraceEventsToChromeJson({});
+  EXPECT_TRUE(TraceEventsFromChromeJson(doc, &out).ok());
+  EXPECT_FALSE(TraceEventsFromChromeJson(doc + doc, &out).ok());
+  EXPECT_FALSE(TraceEventsFromChromeJson("{\"traceEvents\":[]} x", &out).ok());
+  // Mismatched nesting inside a skipped member.
+  EXPECT_FALSE(TraceEventsFromChromeJson(
+                   "{\"traceEvents\":[],\"x\":{\"a\":[}}", &out)
+                   .ok());
+  EXPECT_FALSE(TraceEventsFromChromeJson(
+                   "{\"traceEvents\":[{\"cat\":[1}]}]}", &out)
+                   .ok());
+  // Bad literals.
+  EXPECT_FALSE(
+      TraceEventsFromChromeJson("{\"traceEvents\":[],\"x\":tru}", &out).ok());
+  EXPECT_FALSE(
+      TraceEventsFromChromeJson("{\"traceEvents\":[{\"cat\":nul}]}", &out)
+          .ok());
+  // Malformed numbers.
+  EXPECT_FALSE(TraceEventsFromChromeJson(
+                   "{\"traceEvents\":[{\"name\":\"a\",\"ts\":1-2}]}", &out)
+                   .ok());
+  EXPECT_FALSE(TraceEventsFromChromeJson(
+                   "{\"traceEvents\":[{\"name\":\"a\",\"ts\":+1}]}", &out)
+                   .ok());
 }
 
 TraceEvent MakeEvent(const char* name, uint64_t trace, uint64_t span,
@@ -603,6 +639,42 @@ TEST_F(TraceTest, FlightRecorderBundleJsonLoadsAsChromeTrace) {
   EXPECT_NE(FindName(parsed, "t.bundle_span"), nullptr);
   EXPECT_NE(json.find("\"tdb_flight\""), std::string::npos);
   EXPECT_NE(json.find("\"tdb_metrics_delta\""), std::string::npos);
+
+  // The whole bundle is one well-formed document for the shared reader.
+  JsonReader r(json);
+  std::string reason, detail;
+  int64_t seq = -1;
+  bool saw_delta = false;
+  r.Object([&](const std::string& key) {
+    if (key == "tdb_metrics_delta") saw_delta = true;
+    if (key != "tdb_flight") return r.Skip();
+    return r.Object([&](const std::string& field) {
+      if (field == "reason") return r.String(&reason);
+      if (field == "detail") return r.String(&detail);
+      if (field == "seq") return r.Int(&seq);
+      return r.Skip();
+    });
+  });
+  Status whole = r.Finish("flight bundle");
+  ASSERT_TRUE(whole.ok()) << whole.ToString() << "\n" << json;
+  EXPECT_EQ(reason, "manual");
+  EXPECT_EQ(detail, "snapshot");
+  EXPECT_EQ(seq, static_cast<int64_t>(bundles[0].seq));
+  EXPECT_TRUE(saw_delta);
+
+  // Its traceEvents round-trip: every captured span comes back whole.
+  ASSERT_EQ(parsed.size(), bundles[0].spans.size());
+  for (size_t i = 0; i < parsed.size(); i++) {
+    const TraceEvent& want = bundles[0].spans[i];
+    EXPECT_STREQ(parsed[i].name, want.name);
+    EXPECT_EQ(parsed[i].trace_id, want.trace_id);
+    EXPECT_EQ(parsed[i].span_id, want.span_id);
+    EXPECT_EQ(parsed[i].parent_span_id, want.parent_span_id);
+    EXPECT_EQ(parsed[i].start_us, want.start_us);
+    // The exporter clamps zero durations to 1us for Perfetto.
+    EXPECT_EQ(parsed[i].duration_us, std::max<uint64_t>(1, want.duration_us));
+    EXPECT_EQ(parsed[i].thread_id, want.thread_id);
+  }
 
   // The on-disk copy is byte-identical to ToJson().
   std::ifstream in(options.directory + "/flight-" +

@@ -64,12 +64,13 @@ if [[ -n "$sanitize" ]]; then
   # threads), the lock manager, the torn-write fault model, the wait-free
   # metrics registry (8-thread instrument stress), the workload drivers
   # and their crash/tamper sweeps (YCSB, time series, large objects,
-  # TPC-B), and the allocation budgets (which skip themselves under a
-  # sanitizer's allocator).
+  # TPC-B), the allocation budgets (which skip themselves under a
+  # sanitizer's allocator), and the decoder and JSON-reader fuzz corpora
+  # (truncations and bit flips of store records and emitted artifacts).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
                  sim_disk_test metrics_test trace_test workload_test
-                 alloc_budget_test)
+                 alloc_budget_test codec_fuzz_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="
