@@ -1,10 +1,13 @@
 #include "chunk/anchor.h"
 
+#include "common/crc32c.h"
+
 namespace tdb::chunk {
 
 namespace {
 
-constexpr uint32_t kAnchorMagic = 0x54424148;  // "TBAH"
+constexpr uint32_t kAnchorMagicV1 = 0x54424148;  // "HABT" on disk.
+constexpr uint32_t kAnchorMagic = 0x32414254;    // "TBA2" on disk.
 const char* SlotName(int slot) { return slot == 0 ? "anchor-0" : "anchor-1"; }
 
 }  // namespace
@@ -24,12 +27,14 @@ Buffer AnchorManager::Encode(const AnchorState& state,
   PutDigest(&payload, state.ckpt_mac);
   PutVarint32(&payload, state.scan_segment);
   PutVarint32(&payload, state.scan_offset);
+  PutVarint32(&payload, state.map_fanout);
+  PutVarint32(&payload, state.first_v2_segment);
 
   crypto::Digest mac = suite.Mac(payload);
   Buffer out;
   PutFixed32(&out, static_cast<uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
-  PutFixed32(&out, Checksum32(payload));
+  PutFixed32(&out, Crc32c(payload));
   PutDigest(&out, mac);
   return out;
 }
@@ -44,7 +49,10 @@ Result<AnchorState> AnchorManager::Decode(Slice data,
   TDB_RETURN_IF_ERROR(outer.GetBytes(payload_len, &payload));
   uint32_t cksum;
   TDB_RETURN_IF_ERROR(outer.GetFixed32(&cksum));
-  if (Checksum32(payload) != cksum) {
+  // The magic, first in the payload, picks the checksum to check.
+  const bool v1 =
+      payload.size() >= 4 && DecodeFixed32(payload.data()) == kAnchorMagicV1;
+  if ((v1 ? Checksum32(payload) : Crc32c(payload)) != cksum) {
     return Status::Corruption("anchor checksum mismatch");
   }
   crypto::Digest mac;
@@ -57,7 +65,9 @@ Result<AnchorState> AnchorManager::Decode(Slice data,
   Decoder dec(payload);
   uint32_t magic;
   TDB_RETURN_IF_ERROR(dec.GetFixed32(&magic));
-  if (magic != kAnchorMagic) return Status::Corruption("bad anchor magic");
+  if (magic != kAnchorMagic && magic != kAnchorMagicV1) {
+    return Status::Corruption("bad anchor magic");
+  }
   TDB_RETURN_IF_ERROR(dec.GetVarint64(&state.counter));
   TDB_RETURN_IF_ERROR(dec.GetVarint64(&state.seq));
   TDB_RETURN_IF_ERROR(dec.GetVarint64(&state.next_chunk_id));
@@ -71,6 +81,10 @@ Result<AnchorState> AnchorManager::Decode(Slice data,
   TDB_RETURN_IF_ERROR(GetDigest(&dec, suite.hash_size(), &state.ckpt_mac));
   TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.scan_segment));
   TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.scan_offset));
+  if (magic == kAnchorMagic) {
+    TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.map_fanout));
+    TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.first_v2_segment));
+  }
   return state;
 }
 

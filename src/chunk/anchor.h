@@ -27,8 +27,19 @@ struct AnchorState {
   crypto::Digest ckpt_mac;      // MAC of the checkpoint commit record.
   uint32_t scan_segment = 0;    // Residual-log scan start (after ckpt).
   uint32_t scan_offset = 0;
+  // Recorded from log format v2 on; a v1 anchor decodes them as 0 and
+  // kNoV2Segment.
+  uint32_t map_fanout = 0;      // Fanout of the location map.
+  // Lowest id of a v2 segment: lower ids are v1 segments, the rest v2.
+  uint32_t first_v2_segment = kNoV2Segment;
+
+  static constexpr uint32_t kNoV2Segment = UINT32_MAX;
 };
 
+/// Anchors are written in the v2 encoding (CRC-32C framing, the fields
+/// above); v1 anchors (FNV-1a framing, no fanout or format fields) are
+/// still read.
+///
 /// Reads/writes the anchor using two alternating slots so a crash can tear
 /// at most the slot being written; recovery picks the valid slot with the
 /// highest (counter, seq).

@@ -59,6 +59,20 @@ constexpr size_t kVerifyBatchChunks = 256;
 // this is rejected as tampered without allocating.
 constexpr size_t kMaxDecompressedChunk = size_t{1} << 30;
 
+// The MAC input of a v2 commit record up to its record hashes, which the
+// caller appends (see log_format.h): prev_mac ‖ type ‖ sealed manifest.
+Buffer CommitMacInput(const crypto::Digest& prev, uint8_t flags,
+                      Slice sealed_manifest, size_t n_records) {
+  Buffer input;
+  input.reserve(prev.size() + 1 + sealed_manifest.size() +
+                n_records * crypto::Digest::kMaxSize);
+  PutDigest(&input, prev);
+  input.push_back(RecordTypeByte(RecordType::kCommit, flags));
+  input.insert(input.end(), sealed_manifest.data(),
+               sealed_manifest.data() + sealed_manifest.size());
+  return input;
+}
+
 // Parses "seg-<id>"; returns false for other files (anchors etc.).
 bool ParseSegmentName(const std::string& name, uint32_t* id) {
   if (name.rfind(kSegmentPrefix, 0) != 0) return false;
@@ -101,11 +115,12 @@ ChunkStore::ChunkStore(platform::UntrustedStore* store,
       options_(options),
       suite_(std::move(suite)),
       anchor_mgr_(store, &suite_, entry_hash_size()),
-      map_(options.map_fanout),
+      map_(options.map_fanout != 0 ? options.map_fanout : kDefaultMapFanout),
       metrics_(options.metrics != nullptr
                    ? options.metrics
                    : std::make_shared<common::MetricsRegistry>()),
       cache_(options.cache_bytes) {
+  options_.map_fanout = map_.fanout();
   BindInstruments();
   cache_.AttachMetrics(m_.cache_evictions, m_.cache_bytes_used);
 }
@@ -216,17 +231,27 @@ void ChunkStore::AtomicMax(std::atomic<uint64_t>& counter, uint64_t value) {
   }
 }
 
-Buffer ChunkStore::SealSerialIv(Slice plain) {
-  std::lock_guard<std::mutex> lock(iv_mu_);
-  return suite_.Seal(plain);
+Buffer ChunkStore::SealSerialIv(Slice plain, uint8_t* flags) {
+  uint8_t iv[crypto::CipherSuite::kMaxIvSize];
+  {
+    std::lock_guard<std::mutex> lock(iv_mu_);
+    suite_.NextIv(iv);
+  }
+  *flags |= SealFlags(plain.size());
+  return suite_.SealStealing(plain, Slice(iv, suite_.iv_size()));
 }
 
 size_t ChunkStore::entry_hash_size() const {
   return std::min(suite_.hash_size(), kMapHashBytes);
 }
 
-crypto::Digest ChunkStore::EntryHash(Slice sealed) const {
-  crypto::Digest full = suite_.HashData(sealed);
+crypto::Digest ChunkStore::EntryHash(LogVersion version, RecordType type,
+                                     uint8_t flags, Slice payload) const {
+  const uint8_t type_byte = RecordTypeByte(type, flags);
+  crypto::Digest full =
+      version == LogVersion::kV1
+          ? suite_.HashData(payload)
+          : suite_.HashData(Slice(&type_byte, 1), payload);
   size_t want = entry_hash_size();
   if (full.size() <= want || want == 0) return full;
   return crypto::Digest(full.data(), want);
@@ -253,6 +278,17 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(
 
   auto anchor = cs->anchor_mgr_.Load();
   if (anchor.ok()) {
+    // The image's fanout wins; a v1 image records none.
+    if (anchor->map_fanout != 0 && anchor->map_fanout != cs->map_.fanout()) {
+      if (options.map_fanout != 0) {
+        return Status::InvalidArgument(
+            "map_fanout " + std::to_string(options.map_fanout) +
+            " does not match the image's " +
+            std::to_string(anchor->map_fanout));
+      }
+      cs->map_ = LocationMap(anchor->map_fanout);
+      cs->options_.map_fanout = anchor->map_fanout;
+    }
     TDB_RETURN_IF_ERROR(cs->Recover());
   } else if (anchor.status().IsNotFound()) {
     // Fresh store — unless segment files exist, which means the attacker
@@ -317,6 +353,7 @@ Status ChunkStore::Recover() {
   ckpt_mac_ = anchor.ckpt_mac;
   scan_segment_ = anchor.scan_segment;
   scan_offset_ = anchor.scan_offset;
+  first_v2_segment_ = anchor.first_v2_segment;
 
   if (has_root_) {
     TDB_ASSIGN_OR_RETURN(std::shared_ptr<MapNode> root,
@@ -325,16 +362,89 @@ Status ChunkStore::Recover() {
   }
 
   // --- Scan the residual log ---------------------------------------------
+  // Each commit in the form replay needs, from either format's manifest.
   struct ScannedCommit {
-    CommitManifest manifest;
+    CommitManifest manifest;  // Its records are resolved into `writes`.
+    std::vector<std::pair<ChunkId, MapEntry>> writes;
     crypto::Digest mac;
     uint32_t end_segment;
     uint64_t end_offset;
   };
+  // A v2 data record since the last manifest, located and hashed by the
+  // scan (the manifest lists only its chunk id).
+  struct ScannedRecord {
+    Location loc;
+    uint8_t flags;
+    crypto::Digest hash;
+  };
   std::vector<ScannedCommit> commits;
+  std::vector<ScannedRecord> pending;
   crypto::Digest prev = ckpt_mac_;
   const size_t mac_size = suite_.hash_size();
-  NodeLoader loader = MakeLoader();
+
+  // Authenticates and decodes the commit record `view` at `loc`; false
+  // ends the scan there.
+  auto scan_commit = [&](const RecordView& view, const Location& loc,
+                         ScannedCommit* out) -> bool {
+    if (view.payload.size() < mac_size) return false;
+    Slice sealed_m(view.payload.data(), view.payload.size() - mac_size);
+    crypto::Digest mac(view.payload.data() + sealed_m.size(), mac_size);
+    if (SegmentVersion(loc.segment) == LogVersion::kV1) {
+      if (suite_.enabled() && mac != suite_.Mac(sealed_m)) return false;
+      auto manifest_bytes = suite_.Open(sealed_m);
+      CommitManifestV1 v1;
+      if (!manifest_bytes.ok() ||
+          !DecodeManifestV1(*manifest_bytes, mac_size, entry_hash_size(), &v1)
+               .ok() ||
+          v1.prev_mac != prev || !pending.empty()) {
+        return false;
+      }
+      CommitManifest& m = out->manifest;
+      m.seq = v1.seq;
+      m.flags = v1.flags;
+      m.next_chunk_id = v1.next_chunk_id;
+      m.counter = v1.counter;
+      m.deallocs = std::move(v1.deallocs);
+      m.has_root = v1.has_root;
+      m.root_loc = v1.root_loc;
+      m.root_hash = v1.root_hash;
+      for (const ManifestWrite& w : v1.writes) {
+        out->writes.push_back({w.cid, MapEntry{true, w.flags, w.loc, w.hash}});
+      }
+    } else {
+      if (suite_.enabled()) {
+        Buffer input = CommitMacInput(prev, view.flags, sealed_m,
+                                      pending.size());
+        for (const ScannedRecord& r : pending) PutDigest(&input, r.hash);
+        if (mac != suite_.Mac(input)) return false;
+      }
+      auto manifest_bytes =
+          suite_.Open(sealed_m, (view.flags & kEntryPadded) != 0);
+      if (!manifest_bytes.ok() ||
+          !DecodeManifest(*manifest_bytes, entry_hash_size(), &out->manifest)
+               .ok() ||
+          out->manifest.records.size() != pending.size()) {
+        return false;
+      }
+      for (size_t i = 0; i < pending.size(); i++) {
+        const ChunkId cid = out->manifest.records[i];
+        if (cid == kInvalidChunkId) continue;  // Dead.
+        out->writes.push_back(
+            {cid, MapEntry{true, pending[i].flags, pending[i].loc,
+                           pending[i].hash}});
+      }
+      pending.clear();
+    }
+    // Seq numbers must be consecutive within the residual chain (the
+    // checkpoint's own seq is not in the anchor, so the first scanned
+    // commit fixes the base).
+    if (!commits.empty() &&
+        out->manifest.seq != commits.back().manifest.seq + 1) {
+      return false;
+    }
+    out->mac = mac;
+    return true;
+  };
 
   uint32_t seg = scan_segment_;
   uint64_t off = scan_offset_;
@@ -348,7 +458,8 @@ Status ChunkStore::Recover() {
     if (off >= file_size) {
       seg++;
       off = kSegmentHeaderSize;
-      // Validate the next segment's header before scanning it.
+      // Validate the next segment's header before scanning it: its id and
+      // the format the anchor says a segment of that id has.
       if (store_->Exists(SegmentName(seg))) {
         Buffer header;
         if (!store_->Read(SegmentName(seg), 0, kSegmentHeaderSize, &header)
@@ -356,61 +467,43 @@ Status ChunkStore::Recover() {
           break;
         }
         uint32_t seg_id;
-        if (!DecodeSegmentHeader(header, &seg_id).ok() || seg_id != seg) {
+        LogVersion version;
+        if (!DecodeSegmentHeader(header, &seg_id, &version).ok() ||
+            seg_id != seg || version != SegmentVersion(seg)) {
           break;
         }
       }
       continue;
     }
+    const LogVersion version = SegmentVersion(seg);
     Buffer file;
     TDB_RETURN_IF_ERROR(
         store_->Read(name, off, static_cast<size_t>(file_size - off), &file));
     size_t pos = 0;
     while (pos < file.size()) {
       RecordView view;
-      if (!ParseRecord(Slice(file.data() + pos, file.size() - pos), &view)
+      if (!ParseRecord(Slice(file.data() + pos, file.size() - pos), &view,
+                       version)
                .ok()) {
         stop = true;  // Torn tail (or garbage): scanning ends here.
         break;
       }
-      if (view.type == RecordType::kCommit) {
-        if (view.payload.size() < mac_size) {
+      const Location loc{seg, static_cast<uint32_t>(off + pos),
+                         static_cast<uint32_t>(view.payload.size())};
+      if (view.type == RecordType::kData && version == LogVersion::kV2) {
+        pending.push_back(
+            {loc, view.flags,
+             EntryHash(version, view.type, view.flags, view.payload)});
+      } else if (view.type == RecordType::kCommit) {
+        ScannedCommit commit;
+        if (!scan_commit(view, loc, &commit)) {
           stop = true;
           break;
         }
-        Slice sealed_m(view.payload.data(), view.payload.size() - mac_size);
-        crypto::Digest mac(view.payload.data() + sealed_m.size(), mac_size);
-        if (suite_.enabled() && mac != suite_.Mac(sealed_m)) {
-          stop = true;
-          break;
-        }
-        auto manifest_bytes = suite_.Open(sealed_m);
-        if (!manifest_bytes.ok()) {
-          stop = true;
-          break;
-        }
-        CommitManifest manifest;
-        if (!DecodeManifest(*manifest_bytes, mac_size, entry_hash_size(),
-                            &manifest)
-                 .ok()) {
-          stop = true;
-          break;
-        }
-        if (manifest.prev_mac != prev) {
-          stop = true;
-          break;
-        }
-        // Seq numbers must be consecutive within the residual chain (the
-        // checkpoint's own seq is not in the anchor, so the first scanned
-        // commit fixes the base).
-        if (!commits.empty() &&
-            manifest.seq != commits.back().manifest.seq + 1) {
-          stop = true;
-          break;
-        }
-        prev = mac;
-        commits.push_back(ScannedCommit{std::move(manifest), mac, seg,
-                                        off + pos + view.record_size});
+        prev = commit.mac;
+        commit.end_segment = seg;
+        commit.end_offset = off + pos + view.record_size;
+        commits.push_back(std::move(commit));
       }
       pos += view.record_size;
     }
@@ -455,17 +548,14 @@ Status ChunkStore::Recover() {
   uint32_t tail_segment = scan_segment_;
   uint64_t tail_offset = scan_offset_;
   uint64_t replayed_chunks = 0;
+  NodeLoader loader = MakeLoader();
   for (size_t i = 0; i < last_durable; i++) {
     const ScannedCommit& c = commits[i];
-    replayed_chunks += c.manifest.writes.size();
-    for (const ManifestWrite& w : c.manifest.writes) {
-      MapEntry entry;
-      entry.present = true;
-      entry.flags = w.flags;
-      entry.loc = w.loc;
-      entry.hash = w.hash;
-      TDB_RETURN_IF_ERROR(map_.Put(w.cid, entry, loader).status());
-      AtomicMax(next_chunk_id_, w.cid + 1);
+    replayed_chunks += c.writes.size();
+    // In log order, so a later record of one id wins; deallocations last.
+    for (const auto& [cid, entry] : c.writes) {
+      TDB_RETURN_IF_ERROR(map_.Put(cid, entry, loader).status());
+      AtomicMax(next_chunk_id_, cid + 1);
     }
     for (ChunkId cid : c.manifest.deallocs) {
       TDB_RETURN_IF_ERROR(map_.Remove(cid, loader).status());
@@ -512,6 +602,10 @@ Status ChunkStore::Recover() {
   }
 
   TDB_RETURN_IF_ERROR(RebuildAccounting());
+  // Records are only ever appended to v2 segments.
+  if (SegmentVersion(cur_segment_) == LogVersion::kV1) {
+    TDB_RETURN_IF_ERROR(OpenFreshSegment());
+  }
 
   // Normalize: a fresh checkpoint + anchor resets the crash windows, makes
   // discarded nondurable garbage unreachable, and re-syncs the counter.
@@ -553,8 +647,7 @@ Status ChunkStore::RebuildAccounting() {
           for (uint32_t i = 0; i < node.entries.size(); i++) {
             const MapEntry& entry = node.entries[i];
             if (!entry.present) continue;
-            AccountLive(entry.loc.segment,
-                        kRecordHeaderSize + entry.loc.length);
+            AccountLive(entry.loc.segment, RecordBytes(entry.loc));
             NoteSummary(entry.loc.segment, node.index * map_.fanout() + i);
             m_.live_chunks->Add(1);
           }
@@ -583,6 +676,9 @@ Status ChunkStore::OpenFreshSegment() {
   // it on the segment it was on.
   TDB_RETURN_IF_ERROR(
       store_->Create(SegmentName(next_segment_id_), /*overwrite=*/true));
+  if (first_v2_segment_ == AnchorState::kNoV2Segment) {
+    first_v2_segment_ = next_segment_id_;
+  }
   cur_segment_ = next_segment_id_++;
   cur_offset_ = 0;
   tail_buf_ = EncodeSegmentHeader(cur_segment_);
@@ -591,25 +687,29 @@ Status ChunkStore::OpenFreshSegment() {
   return Status::OK();
 }
 
-Result<Location> ChunkStore::Append(RecordType type, Slice payload) {
-  TDB_ASSIGN_OR_RETURN(
-      Location loc, ReserveTail(type, kRecordHeaderSize + payload.size()));
-  AppendRecord(&tail_buf_, type, payload);
+Result<Location> ChunkStore::Append(RecordType type, uint8_t flags,
+                                    Slice payload) {
+  TDB_ASSIGN_OR_RETURN(Location loc, ReserveTail(type, payload.size()));
+  AppendRecord(&tail_buf_, type, flags, payload);
   return loc;
 }
 
 Result<Location> ChunkStore::AppendVerbatim(Slice record) {
-  TDB_CHECK(record.size() >= kRecordHeaderSize, "truncated record");
-  TDB_ASSIGN_OR_RETURN(
-      Location loc,
-      ReserveTail(static_cast<RecordType>(record[0]), record.size()));
+  RecordView view;
+  TDB_CHECK(ParseRecord(record, &view).ok() &&
+                view.record_size == record.size(),
+            "relocated record is not one v2 record");
+  TDB_ASSIGN_OR_RETURN(Location loc,
+                       ReserveTail(view.type, view.payload.size()));
   tail_buf_.insert(tail_buf_.end(), record.data(),
                    record.data() + record.size());
   return loc;
 }
 
 Result<Location> ChunkStore::ReserveTail(RecordType type,
-                                         uint64_t record_size) {
+                                         uint64_t payload_size) {
+  const uint64_t record_size =
+      RecordHeaderSize(LogVersion::kV2, payload_size) + payload_size;
   const uint64_t used = cur_offset_ + tail_buf_.size();
   // Roll to a fresh segment when full — unless this segment is still empty,
   // in which case an oversized record is allowed to live alone in it.
@@ -620,7 +720,7 @@ Result<Location> ChunkStore::ReserveTail(RecordType type,
   Location loc;
   loc.segment = cur_segment_;
   loc.offset = static_cast<uint32_t>(cur_offset_ + tail_buf_.size());
-  loc.length = static_cast<uint32_t>(record_size - kRecordHeaderSize);
+  loc.length = static_cast<uint32_t>(payload_size);
   switch (type) {
     case RecordType::kData:
       m_.data_bytes->Add(static_cast<int64_t>(record_size));
@@ -657,8 +757,10 @@ Status ChunkStore::FlushTail() {
 
 Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
                                           RecordType expected,
-                                          bool whole_record) {
-  const size_t record_size = kRecordHeaderSize + loc.length;
+                                          bool whole_record,
+                                          uint8_t* flags) {
+  const LogVersion version = SegmentVersion(loc.segment);
+  const size_t record_size = RecordBytes(loc);
   Buffer bytes;
   if (loc.segment == cur_segment_ && loc.offset >= cur_offset_) {
     // The record sits in the unflushed tail buffer — a buffered group
@@ -685,7 +787,7 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
     }
   }
   RecordView view;
-  Status parsed = ParseRecord(bytes, &view);
+  Status parsed = ParseRecord(bytes, &view, version);
   if (!parsed.ok()) {
     AuditDetect("record_damaged", common::kRegionLog, LocationString(loc),
                 parsed.ToString());
@@ -696,9 +798,10 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
                 "type or length disagrees with location map");
     return Status::TamperDetected("record does not match location map");
   }
+  if (flags != nullptr) *flags = RecordFlags(loc, view.flags);
   // The payload is the record minus its header: drop the header in place.
   if (!whole_record) {
-    bytes.erase(bytes.begin(), bytes.begin() + kRecordHeaderSize);
+    bytes.erase(bytes.begin(), bytes.begin() + (record_size - loc.length));
   }
   return bytes;
 }
@@ -706,12 +809,19 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
 Result<Buffer> ChunkStore::ReadRawRecord(const Location& loc,
                                          RecordType expected,
                                          const crypto::Digest& expected_hash,
-                                         bool whole_record) {
-  TDB_ASSIGN_OR_RETURN(Buffer bytes,
-                       FetchRawRecord(loc, expected, whole_record));
-  const size_t header = whole_record ? kRecordHeaderSize : 0;
+                                         bool whole_record, uint8_t* flags) {
+  uint8_t record_flags;
+  TDB_ASSIGN_OR_RETURN(
+      Buffer bytes, FetchRawRecord(loc, expected, whole_record, &record_flags));
+  if (flags != nullptr) *flags = record_flags;
+  const LogVersion version = SegmentVersion(loc.segment);
+  const size_t header = whole_record ? bytes.size() - loc.length : 0;
   Slice payload(bytes.data() + header, bytes.size() - header);
-  if (suite_.enabled() && EntryHash(payload) != expected_hash) {
+  // The hash covers the frame's flags as they are on disk (v1: none).
+  const uint8_t hashed_flags =
+      version == LogVersion::kV1 ? 0 : record_flags;
+  if (suite_.enabled() &&
+      EntryHash(version, expected, hashed_flags, payload) != expected_hash) {
     AuditDetect("hash_mismatch",
                 expected == RecordType::kMapNode ? common::kRegionMap
                                                  : common::kRegionPayload,
@@ -725,7 +835,9 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
                                           Buffer sealed) {
   {
     common::ScopedTimer timer(metrics_.get(), m_.read_verify_us);
-    if (suite_.enabled() && EntryHash(sealed) != entry.hash) {
+    if (suite_.enabled() &&
+        EntryHash(SegmentVersion(entry.loc.segment), RecordType::kData,
+                  entry.flags, sealed) != entry.hash) {
       AuditDetect("hash_mismatch", common::kRegionPayload,
                   LocationString(entry.loc),
                   "record hash does not match map entry");
@@ -735,7 +847,8 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
   Buffer plain;
   {
     common::ScopedTimer timer(metrics_.get(), m_.read_decrypt_us);
-    auto opened = suite_.Open(sealed);
+    auto opened = suite_.Open(
+        sealed, RecordFlags(entry.loc, entry.flags) & kEntryPadded);
     if (!opened.ok()) {
       AuditDetect("decrypt_failure", common::kRegionPayload,
                   LocationString(entry.loc), opened.status().ToString());
@@ -764,9 +877,11 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
 Result<std::shared_ptr<MapNode>> ChunkStore::LoadMapNode(
     const uint32_t* level, uint64_t index, const Location& loc,
     const crypto::Digest& hash) {
-  TDB_ASSIGN_OR_RETURN(Buffer sealed,
-                       ReadRawRecord(loc, RecordType::kMapNode, hash));
-  auto plain = suite_.Open(sealed);
+  uint8_t flags;
+  TDB_ASSIGN_OR_RETURN(
+      Buffer sealed,
+      ReadRawRecord(loc, RecordType::kMapNode, hash, false, &flags));
+  auto plain = suite_.Open(sealed, flags & kEntryPadded);
   if (!plain.ok()) {
     AuditDetect("decrypt_failure", common::kRegionMap, LocationString(loc),
                 "map node decryption failed");
@@ -783,7 +898,7 @@ Result<std::shared_ptr<MapNode>> ChunkStore::LoadMapNode(
   node->has_persisted = true;
   node->persisted_loc = loc;
   node->persisted_hash = hash;
-  node->persisted_size = static_cast<uint32_t>(kRecordHeaderSize + loc.length);
+  node->persisted_size = static_cast<uint32_t>(RecordBytes(loc));
   return node;
 }
 
@@ -827,7 +942,19 @@ Status ChunkStore::FetchAndValidate(const std::shared_ptr<MapNode>* root,
         continue;
       }
       const MapEntry& entry = **found;
-      auto sealed = FetchRawRecord(entry.loc, RecordType::kData);
+      uint8_t flags;
+      auto sealed =
+          FetchRawRecord(entry.loc, RecordType::kData, false, &flags);
+      // A v2 frame repeats the flags its map entry holds (a v1 frame has
+      // none to compare).
+      if (sealed.ok() &&
+          SegmentVersion(entry.loc.segment) == LogVersion::kV2 &&
+          flags != entry.flags) {
+        AuditDetect("record_mismatch", common::kRegionLog,
+                    LocationString(entry.loc),
+                    "record flags disagree with location map");
+        sealed = Status::TamperDetected("record does not match location map");
+      }
       if (!sealed.ok()) {
         fail(i, sealed.status());
       } else if (root == nullptr) {
@@ -985,9 +1112,10 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
   auto seal = [&](size_t i) {
     StagedWrite& w = out->writes[i];
     Buffer scratch;
-    w.sealed = suite_.SealWithIv(plain_for(i, &scratch),
-                                 Slice(w.iv, suite_.iv_size()));
-    w.hash = EntryHash(w.sealed);
+    const Slice plain = plain_for(i, &scratch);
+    w.flags |= SealFlags(plain.size());
+    w.sealed = suite_.SealStealing(plain, Slice(w.iv, suite_.iv_size()));
+    w.hash = EntryHash(LogVersion::kV2, RecordType::kData, w.flags, w.sealed);
   };
   // Seal inline in batch order. Once the inline time passes one pool
   // dispatch, the pool takes the rest — provided at least two writes
@@ -1031,37 +1159,38 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
   applied.reserve(prep.writes.size() + prep.deallocs.size());
   NodeLoader loader = MakeLoader();
   Status failed = Status::OK();
+  size_t appended = 0;  // Data records this batch put in the log.
 
   for (const StagedWrite& w : prep.writes) {
     auto loc = w.framed ? AppendVerbatim(w.sealed)
-                        : Append(RecordType::kData, w.sealed);
+                        : Append(RecordType::kData, w.flags, w.sealed);
     if (!loc.ok()) {
       failed = loc.status();
       break;
     }
+    appended++;
     NoteSummary(loc->segment, w.cid);
-    if (w.framed) {  // A relocation: it extends its segment's survivor run.
-      segments_[loc->segment].survivor_end =
-          loc->offset + kRecordHeaderSize + loc->length;
+    if (w.plain == nullptr) {  // A relocation: it extends the survivor run.
+      segments_[loc->segment].survivor_end = loc->offset + RecordBytes(*loc);
     }
     MapEntry entry;
     entry.present = true;
     entry.flags = w.flags;
     entry.loc = *loc;
     entry.hash = w.hash;
+    group_ops_.push_back(
+        PendingOp{OpKind::kWrite, w.cid, *loc, w.hash, w.flags});
     auto old = map_.Put(w.cid, entry, loader);
     if (!old.ok()) {
       failed = old.status();
       break;
     }
-    group_ops_.push_back(PendingOp{true, w.cid, *loc, w.hash, w.flags});
     applied.push_back(AppliedOp{true, w.cid, *old});
     AtomicMax(next_chunk_id_, w.cid + 1);
-    AccountLive(loc->segment, kRecordHeaderSize + loc->length);
+    AccountLive(loc->segment, RecordBytes(*loc));
     if (old->has_value()) {
       AccountLive((*old)->loc.segment,
-                  -static_cast<int64_t>(kRecordHeaderSize +
-                                        (*old)->loc.length));
+                  -static_cast<int64_t>(RecordBytes((*old)->loc)));
     } else {
       m_.live_chunks->Add(1);
     }
@@ -1074,12 +1203,11 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
         break;
       }
       group_ops_.push_back(
-          PendingOp{false, cid, Location(), crypto::Digest(), 0});
+          PendingOp{OpKind::kDealloc, cid, Location(), crypto::Digest(), 0});
       applied.push_back(AppliedOp{false, cid, *old});
       if (old->has_value()) {
         AccountLive((*old)->loc.segment,
-                    -static_cast<int64_t>(kRecordHeaderSize +
-                                          (*old)->loc.length));
+                    -static_cast<int64_t>(RecordBytes((*old)->loc)));
         m_.live_chunks->Add(-1);
       }
     }
@@ -1092,33 +1220,35 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
   }
 
   // Roll back this batch's partial application (reverse order). The data
-  // records it appended stay in the log as dead bytes — they are never
-  // referenced by a manifest, and stay in their segment's summary, where
-  // the cleaner's liveness check skips them. Rollback map I/O errors are
-  // best-effort: the original failure is what the caller must handle
-  // either way.
+  // records it appended stay in the log as dead bytes: they stay in the
+  // open group as dead ops, which the manifest skips (its MAC still
+  // covers them), and in their segment's summary, where the cleaner's
+  // liveness check skips them. Rollback map I/O errors are best-effort:
+  // the original failure is what the caller must handle either way.
   for (size_t i = applied.size(); i-- > 0;) {
     const AppliedOp& a = applied[i];
     const PendingOp& p = group_ops_[ops_start + i];
     if (a.was_write) {
-      AccountLive(p.loc.segment,
-                  -static_cast<int64_t>(kRecordHeaderSize + p.loc.length));
+      AccountLive(p.loc.segment, -static_cast<int64_t>(RecordBytes(p.loc)));
       if (a.old_entry.has_value()) {
         map_.Put(a.cid, *a.old_entry, loader).status().ok();
-        AccountLive(a.old_entry->loc.segment,
-                    kRecordHeaderSize + a.old_entry->loc.length);
+        AccountLive(a.old_entry->loc.segment, RecordBytes(a.old_entry->loc));
       } else {
         map_.Remove(a.cid, loader).status().ok();
         m_.live_chunks->Add(-1);
       }
     } else if (a.old_entry.has_value()) {
       map_.Put(a.cid, *a.old_entry, loader).status().ok();
-      AccountLive(a.old_entry->loc.segment,
-                  kRecordHeaderSize + a.old_entry->loc.length);
+      AccountLive(a.old_entry->loc.segment, RecordBytes(a.old_entry->loc));
       m_.live_chunks->Add(1);
     }
   }
-  group_ops_.resize(ops_start);
+  // The first `appended` ops are this batch's records, in log order.
+  group_ops_.resize(ops_start + appended);
+  for (size_t i = ops_start; i < group_ops_.size(); i++) {
+    group_ops_[i].kind = OpKind::kDead;
+    group_ops_[i].cid = kInvalidChunkId;
+  }
   return failed;
 }
 
@@ -1135,22 +1265,23 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   // replayed or truncated logs (§3).
   const bool bump_counter = durable && suite_.enabled();
   manifest.counter = counter_value_ + (bump_counter ? 1 : 0);
-  manifest.prev_mac = chain_mac_;
 
-  // Merge the buffered group into ONE manifest: the last operation on a
-  // chunk id wins across ALL buffered batches, so a write followed by a
-  // groupmate's deallocate (or overwrite) cannot resurrect at recovery.
+  // Merge the buffered group into ONE manifest. Its records are the
+  // group's data records in log order, dead ones included, so recovery
+  // replays every write and the last write of an id wins. A deallocation
+  // is listed if it is the last operation on its id across ALL buffered
+  // batches: recovery applies it after the writes, so a write followed by
+  // a groupmate's deallocate cannot resurrect.
+  manifest.records.reserve(group_ops_.size());
+  for (const PendingOp& op : group_ops_) {
+    if (op.kind != OpKind::kDealloc) manifest.records.push_back(op.cid);
+  }
   {
     const std::vector<IdOps> ids = LastOpPerId(
         group_ops_.size(), [&](size_t i) { return group_ops_[i].cid; });
-    manifest.writes.reserve(ids.size());
     for (const IdOps& id : ids) {
-      const PendingOp& op = group_ops_[id.last];
-      if (op.is_write) {
-        manifest.writes.push_back(
-            ManifestWrite{op.cid, op.loc, op.hash, op.flags});
-      } else {
-        manifest.deallocs.push_back(op.cid);
+      if (group_ops_[id.last].kind == OpKind::kDealloc) {
+        manifest.deallocs.push_back(id.cid);
       }
     }
   }
@@ -1162,11 +1293,20 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
   }
 
   Buffer encoded = EncodeManifest(manifest);
-  Buffer commit_payload = SealSerialIv(encoded);
-  crypto::Digest mac = suite_.Mac(commit_payload);
+  uint8_t record_flags = 0;
+  Buffer commit_payload = SealSerialIv(encoded, &record_flags);
+  crypto::Digest mac;
+  if (suite_.enabled()) {
+    Buffer input = CommitMacInput(chain_mac_, record_flags, commit_payload,
+                                  manifest.records.size());
+    for (const PendingOp& op : group_ops_) {
+      if (op.kind != OpKind::kDealloc) PutDigest(&input, op.hash);
+    }
+    mac = suite_.Mac(input);
+  }
   PutDigest(&commit_payload, mac);
-  TDB_ASSIGN_OR_RETURN(Location loc,
-                       Append(RecordType::kCommit, commit_payload));
+  TDB_ASSIGN_OR_RETURN(
+      Location loc, Append(RecordType::kCommit, record_flags, commit_payload));
   Status flushed = FlushTail();
   if (!flushed.ok()) {
     // The record never reached the store, and seq_/chain_mac_ stay put:
@@ -1498,6 +1638,8 @@ Status ChunkStore::WriteAnchor() {
   state.ckpt_mac = ckpt_mac_;
   state.scan_segment = scan_segment_;
   state.scan_offset = scan_offset_;
+  state.map_fanout = map_.fanout();
+  state.first_v2_segment = first_v2_segment_;
   return anchor_mgr_.Write(state);
 }
 
@@ -1511,12 +1653,14 @@ Status ChunkStore::Checkpoint() {
 Status ChunkStore::CheckpointLocked() {
   common::ScopedTimer timer(metrics_.get(), m_.checkpoint_us);
   NodeWriter writer = [this](Slice bytes) -> Result<NodeWriteResult> {
-    Buffer sealed = SealSerialIv(bytes);
-    TDB_ASSIGN_OR_RETURN(Location loc, Append(RecordType::kMapNode, sealed));
+    uint8_t flags = 0;
+    Buffer sealed = SealSerialIv(bytes, &flags);
+    TDB_ASSIGN_OR_RETURN(Location loc,
+                         Append(RecordType::kMapNode, flags, sealed));
     NodeWriteResult res;
     res.loc = loc;
-    res.hash = EntryHash(sealed);
-    res.record_size = static_cast<uint32_t>(kRecordHeaderSize + loc.length);
+    res.hash = EntryHash(LogVersion::kV2, RecordType::kMapNode, flags, sealed);
+    res.record_size = static_cast<uint32_t>(RecordBytes(loc));
     AccountLive(loc.segment, res.record_size, /*is_map=*/true);
     return res;
   };
@@ -1824,14 +1968,16 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     in_maintenance_ = false;
     return found;
   }
-  // Relocate them (sealed bytes move verbatim; hashes are unchanged, so
-  // cached plaintext stays valid).
+  // Relocate them. Sealed bytes move verbatim, so cached plaintext stays
+  // valid: a v2 record keeps its frame and hash, and a v1 record is
+  // re-framed as v2 and flagged padded, which gives it a new hash.
   Status status = Status::OK();
   PreparedBatch relocations;
   relocations.writes.reserve(to_move.size());
   for (const auto& [cid, entry] : to_move) {
+    const bool v1 = SegmentVersion(entry.loc.segment) == LogVersion::kV1;
     auto raw = ReadRawRecord(entry.loc, RecordType::kData, entry.hash,
-                             /*whole_record=*/true);
+                             /*whole_record=*/!v1);
     if (!raw.ok()) {
       status = raw.status();
       break;
@@ -1839,9 +1985,11 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     StagedWrite staged;
     staged.cid = cid;
     staged.sealed = std::move(raw).value();
-    staged.hash = entry.hash;
-    staged.flags = entry.flags;  // Sealed bytes move verbatim...
-    staged.framed = true;        // ...with the record header they had.
+    staged.flags = RecordFlags(entry.loc, entry.flags);
+    staged.hash = v1 ? EntryHash(LogVersion::kV2, RecordType::kData,
+                                 staged.flags, staged.sealed)
+                     : entry.hash;
+    staged.framed = !v1;  // Appended with the record header it had.
     relocations.writes.push_back(std::move(staged));
     m_.relocated_records->Increment();
     m_.relocated_bytes->Add(static_cast<int64_t>(entry.loc.length));

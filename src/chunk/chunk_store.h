@@ -45,6 +45,9 @@ namespace tdb::chunk {
 /// both sides.
 inline constexpr std::chrono::microseconds kSealDispatchCost{35};
 
+/// Location-map fanout of a new store whose options leave it at 0.
+inline constexpr uint32_t kDefaultMapFanout = 64;
+
 /// Tuning and security knobs for a chunk store instance.
 struct ChunkStoreOptions {
   /// Security suite: SecurityConfig::Disabled() is the paper's "TDB"
@@ -54,8 +57,12 @@ struct ChunkStoreOptions {
   /// Nominal segment size; the unit of cleaning and space reclamation.
   uint32_t segment_size = 64 * 1024;
 
-  /// Fanout of the location-map radix tree.
-  uint32_t map_fanout = 64;
+  /// Fanout of the location-map radix tree. The image records it, and
+  /// opening an existing image takes it from there: 0 (the default)
+  /// accepts the recorded fanout, any other value must match it
+  /// (InvalidArgument otherwise). A new store, or a log-format-v1 image,
+  /// which records none, uses this value, or kDefaultMapFanout for 0.
+  uint32_t map_fanout = 0;
 
   /// Maximum fraction of the log occupied by live data before the cleaner
   /// kicks in (the paper's "database utilization"; default 60%, §7.3).
@@ -79,11 +86,11 @@ struct ChunkStoreOptions {
   /// Compress-before-encrypt: each chunk plaintext is run through the
   /// built-in LZ codec before sealing and stored compressed when that is
   /// actually smaller. The choice is recorded per chunk in EntryFlags —
-  /// authenticated via both the map-node encoding and the MACed commit
-  /// manifests — so mixed and pre-compression images stay readable either
-  /// way. Off by default: sealed output is then byte-identical to older
-  /// stores. Compression happens before encryption by necessity: sealed
-  /// bytes are indistinguishable from random and do not compress.
+  /// in the map-node encoding and in the record's type byte, which the
+  /// record hash covers — so mixed and pre-compression images stay
+  /// readable either way. Off by default. Compression happens before
+  /// encryption by necessity: sealed bytes are indistinguishable from
+  /// random and do not compress.
   bool compression = false;
 
   /// Byte budget for the validated-plaintext chunk cache: decrypted,
@@ -596,13 +603,30 @@ class ChunkStore : public ChunkStoreInterface {
   static std::string SegmentName(uint32_t id);
   Status OpenFreshSegment();     // Rolls the tail to a new segment file.
   // Appends a record to the tail (rolling segments as needed); returns its
-  // location. AppendVerbatim appends a whole record (header included)
+  // location. AppendVerbatim appends a whole v2 record (header included)
   // read back from the log, which frames and checksums it the same way.
-  Result<Location> Append(RecordType type, Slice payload);
+  Result<Location> Append(RecordType type, uint8_t flags, Slice payload);
   Result<Location> AppendVerbatim(Slice record);
-  // Rolls to a fresh segment unless a record of `record_size` fits the
+  // Rolls to a fresh segment unless a record of `payload_size` fits the
   // tail; returns the location the record will have.
-  Result<Location> ReserveTail(RecordType type, uint64_t record_size);
+  Result<Location> ReserveTail(RecordType type, uint64_t payload_size);
+
+  // --- log format (v1 segments are below first_v2_segment_) ---
+  LogVersion SegmentVersion(uint32_t segment) const {
+    return segment >= first_v2_segment_ ? LogVersion::kV2 : LogVersion::kV1;
+  }
+  // Header + payload bytes of the record at `loc`.
+  uint64_t RecordBytes(const Location& loc) const {
+    return RecordHeaderSize(SegmentVersion(loc.segment), loc.length) +
+           loc.length;
+  }
+  // How the record at `loc` was sealed, from its map entry's (or frame's)
+  // `flags`: every v1 payload is padded, whatever its flags say.
+  uint8_t RecordFlags(const Location& loc, uint8_t flags) const {
+    return SegmentVersion(loc.segment) == LogVersion::kV1
+               ? static_cast<uint8_t>(flags | kEntryPadded)
+               : flags;
+  }
   Status FlushTail();
 
   // --- records (require mu_: may read the unflushed tail buffer) ---
@@ -612,12 +636,16 @@ class ChunkStore : public ChunkStoreInterface {
   // Records still sitting in the tail buffer (buffered group commits) are
   // served from memory.
   // With `whole_record` the result keeps the record header (for verbatim
-  // relocation); otherwise it is the payload alone.
+  // relocation); otherwise it is the payload alone. `flags`, if not null,
+  // receives the record's flags (RecordFlags of its frame).
   Result<Buffer> FetchRawRecord(const Location& loc, RecordType expected,
-                                bool whole_record = false);
+                                bool whole_record = false,
+                                uint8_t* flags = nullptr);
+  // FetchRawRecord, then the hash check against `expected_hash`.
   Result<Buffer> ReadRawRecord(const Location& loc, RecordType expected,
                                const crypto::Digest& expected_hash,
-                               bool whole_record = false);
+                               bool whole_record = false,
+                               uint8_t* flags = nullptr);
   // Hash-checks, decrypts, and (if entry.flags says so) decompresses a
   // fetched data record. Pure crypto on local state — safe OUTSIDE mu_ and
   // called concurrently by FetchAndValidate's pool workers.
@@ -658,8 +686,9 @@ class ChunkStore : public ChunkStoreInterface {
     Buffer sealed;
     crypto::Digest hash;
     uint8_t flags = 0;  // EntryFlags describing `sealed`'s payload.
-    // A relocation's `sealed` is the whole log record, header included,
-    // as read back from the victim segment; it is appended verbatim.
+    // A relocation's `sealed` is the whole v2 record, header included,
+    // as read back from the victim segment; it is appended verbatim. (A
+    // record relocated from a v1 segment is re-framed instead.)
     bool framed = false;
     // A commit's plaintext, in the caller's WriteBatch (valid for the
     // CommitBuffered call); feeds the cache write-through. Null for
@@ -673,13 +702,16 @@ class ChunkStore : public ChunkStoreInterface {
     std::vector<StagedWrite> writes;
     std::vector<ChunkId> deallocs;
   };
-  // One buffered-but-unsealed operation of the open commit group.
+  // One buffered-but-unsealed operation of the open commit group, in
+  // log order. A dead op is a data record a failed batch appended: the
+  // manifest skips it, but its MAC still covers it.
+  enum class OpKind : uint8_t { kWrite, kDealloc, kDead };
   struct PendingOp {
-    bool is_write;
-    ChunkId cid;
-    Location loc;         // is_write only.
-    crypto::Digest hash;  // is_write only.
-    uint8_t flags = 0;    // is_write only (EntryFlags).
+    OpKind kind;
+    ChunkId cid;          // kInvalidChunkId for a dead record.
+    Location loc;         // Data records only.
+    crypto::Digest hash;  // Data records only.
+    uint8_t flags = 0;    // Data records only (EntryFlags).
   };
   struct SealResult {
     uint64_t counter_target = 0;  // Sealed counter value (durable only).
@@ -757,15 +789,20 @@ class ChunkStore : public ChunkStoreInterface {
   // substantially. Not recorded in the image, so it is fixed.
   static constexpr size_t kMapHashBytes = 12;
 
-  // Hash of a sealed record as stored in the map (truncated to
-  // kMapHashBytes).
-  crypto::Digest EntryHash(Slice sealed) const;
+  // Hash of a record as stored in the map (truncated to kMapHashBytes):
+  // over the payload alone in v1, over the type byte and payload in v2.
+  crypto::Digest EntryHash(LogVersion version, RecordType type,
+                           uint8_t flags, Slice payload) const;
   size_t entry_hash_size() const;
 
-  // Seals with a serially-drawn IV. IV draws are the only mutating
-  // cipher-suite calls; iv_mu_ serializes them (PrepareBatch draws a
-  // batch's IVs under it, then seals unlocked).
-  Buffer SealSerialIv(Slice plain);
+  // The flags SealStealing gives a plaintext of `plain_size` bytes.
+  uint8_t SealFlags(size_t plain_size) const {
+    return suite_.PadsWhenStealing(plain_size) ? kEntryPadded : 0;
+  }
+  // Seals with a serially-drawn IV; adds SealFlags to *flags. IV draws
+  // are the only mutating cipher-suite calls; iv_mu_ serializes them
+  // (PrepareBatch draws a batch's IVs under it, then seals unlocked).
+  Buffer SealSerialIv(Slice plain, uint8_t* flags);
 
   // Worker pool for the commit/verify crypto pipeline; created on first
   // use (thread-safely), nullptr when options_.crypto_threads <= 1.
@@ -808,6 +845,9 @@ class ChunkStore : public ChunkStoreInterface {
   uint32_t scan_segment_ = 0;
   uint32_t scan_offset_ = 0;
   uint64_t residual_bytes_ = 0;
+  // Lowest v2 segment id (set by the first v2 segment this store or an
+  // earlier session created, and kept in the anchor).
+  uint32_t first_v2_segment_ = AnchorState::kNoV2Segment;
 
   // Tail segment.
   uint32_t cur_segment_ = 0;

@@ -407,7 +407,7 @@ Result<std::shared_ptr<MapNode>> LocationMap::DecodeNode(Slice data,
     Slice present;
     TDB_RETURN_IF_ERROR(dec.GetBytes(1, &present));
     if (present[0] == 0) continue;
-    if ((present[0] & 1) == 0 || (present[0] >> 1) > kEntryCompressed) {
+    if ((present[0] & 1) == 0 || (present[0] >> 1) > kEntryFlagsMask) {
       return Status::Corruption("bad map entry flags");
     }
     node->entries[i].present = true;

@@ -1,6 +1,27 @@
 #include "chunk/log_format.h"
 
+#include "common/crc32c.h"
+
 namespace tdb::chunk {
+
+namespace {
+
+// Flags a v2 type byte may carry for each record type: only data records
+// are ever compressed.
+uint8_t AllowedFlags(RecordType type) {
+  return type == RecordType::kData ? (kEntryCompressed | kEntryPadded)
+                                   : kEntryPadded;
+}
+
+// Zigzag coding of a chunk-id delta (taken mod 2^64), so small steps
+// either way make short varints.
+uint64_t ZigZag(uint64_t delta) {
+  return (delta << 1) ^ (0 - (delta >> 63));
+}
+
+uint64_t UnZigZag(uint64_t v) { return (v >> 1) ^ (0 - (v & 1)); }
+
+}  // namespace
 
 Buffer EncodeSegmentHeader(uint32_t segment_id) {
   Buffer out;
@@ -9,23 +30,40 @@ Buffer EncodeSegmentHeader(uint32_t segment_id) {
   return out;
 }
 
-Status DecodeSegmentHeader(Slice data, uint32_t* segment_id) {
+Status DecodeSegmentHeader(Slice data, uint32_t* segment_id,
+                           LogVersion* version) {
   Decoder dec(data);
   uint32_t magic;
   TDB_RETURN_IF_ERROR(dec.GetFixed32(&magic));
-  if (magic != kSegmentMagic) return Status::Corruption("bad segment magic");
+  if (magic != kSegmentMagic && magic != kSegmentMagicV1) {
+    return Status::Corruption("bad segment magic");
+  }
+  if (version != nullptr) {
+    *version = magic == kSegmentMagic ? LogVersion::kV2 : LogVersion::kV1;
+  }
   return dec.GetFixed32(segment_id);
 }
 
-void AppendRecord(Buffer* dst, RecordType type, Slice payload) {
-  dst->push_back(static_cast<uint8_t>(type));
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, Checksum32(payload));
+size_t RecordHeaderSize(LogVersion version, size_t payload_len) {
+  return version == LogVersion::kV1 ? kRecordHeaderSizeV1
+                                    : 1 + VarintLength(payload_len) + 4;
+}
+
+void AppendRecord(Buffer* dst, RecordType type, uint8_t flags,
+                  Slice payload) {
+  const size_t start = dst->size();
+  dst->push_back(RecordTypeByte(type, flags));
+  PutVarint32(dst, static_cast<uint32_t>(payload.size()));
+  uint32_t crc = Crc32cExtend(0, dst->data() + start, dst->size() - start);
+  crc = Crc32cExtend(crc, payload.data(), payload.size());
+  PutFixed32(dst, crc);
   dst->insert(dst->end(), payload.data(), payload.data() + payload.size());
 }
 
-Status ParseRecord(Slice input, RecordView* out) {
-  if (input.size() < kRecordHeaderSize) {
+namespace {
+
+Status ParseRecordV1(Slice input, RecordView* out) {
+  if (input.size() < kRecordHeaderSizeV1) {
     return Status::Corruption("truncated record header");
   }
   uint8_t type = input[0];
@@ -35,16 +73,54 @@ Status ParseRecord(Slice input, RecordView* out) {
   }
   uint32_t len = DecodeFixed32(input.data() + 1);
   uint32_t cksum = DecodeFixed32(input.data() + 5);
-  if (input.size() < kRecordHeaderSize + len) {
+  if (input.size() - kRecordHeaderSizeV1 < len) {
     return Status::Corruption("truncated record payload");
   }
-  Slice payload(input.data() + kRecordHeaderSize, len);
+  Slice payload(input.data() + kRecordHeaderSizeV1, len);
   if (Checksum32(payload) != cksum) {
     return Status::Corruption("record checksum mismatch");
   }
   out->type = static_cast<RecordType>(type);
+  out->flags = 0;
   out->payload = payload;
-  out->record_size = kRecordHeaderSize + len;
+  out->record_size = kRecordHeaderSizeV1 + len;
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ParseRecord(Slice input, RecordView* out, LogVersion version) {
+  if (version == LogVersion::kV1) return ParseRecordV1(input, out);
+  Decoder dec(input);
+  Slice type_byte;
+  if (!dec.GetBytes(1, &type_byte).ok()) {
+    return Status::Corruption("truncated record header");
+  }
+  const uint8_t kind = type_byte[0] & 0x0F;
+  const uint8_t flags = type_byte[0] >> 4;
+  if (kind < static_cast<uint8_t>(RecordType::kData) ||
+      kind > static_cast<uint8_t>(RecordType::kCommit) ||
+      (flags & ~AllowedFlags(static_cast<RecordType>(kind))) != 0) {
+    return Status::Corruption("bad record type");
+  }
+  uint32_t len;
+  uint32_t crc;
+  if (!dec.GetVarint32(&len).ok() || !dec.GetFixed32(&crc).ok()) {
+    return Status::Corruption("truncated record header");
+  }
+  const size_t header = input.size() - dec.remaining();
+  if (dec.remaining() < len) {
+    return Status::Corruption("truncated record payload");
+  }
+  Slice payload(input.data() + header, len);
+  uint32_t actual = Crc32cExtend(0, input.data(), header - 4);
+  if (Crc32cExtend(actual, payload.data(), len) != crc) {
+    return Status::Corruption("record checksum mismatch");
+  }
+  out->type = static_cast<RecordType>(kind);
+  out->flags = flags;
+  out->payload = payload;
+  out->record_size = header + len;
   return Status::OK();
 }
 
@@ -76,28 +152,50 @@ Status GetDigest(Decoder* dec, size_t hash_size, crypto::Digest* digest) {
 }
 
 Buffer EncodeManifest(const CommitManifest& manifest) {
-  // Room for the worst case: 10-byte varints, 15-byte locations and
-  // full-width digests, so the encoding never reallocates.
-  constexpr size_t kDigest = crypto::Digest::kMaxSize;
+  // Room for the worst case (10-byte varints and a full-width root
+  // digest), so the encoding never reallocates.
   Buffer out;
-  out.reserve(3 * 10 + 1 + kDigest + 2 * 5 +
-              manifest.writes.size() * (10 + 15 + kDigest + 1) +
-              manifest.deallocs.size() * 10 + 1 + 15 + kDigest);
+  out.reserve(4 * 10 + 1 + 2 * 5 + manifest.records.size() * 10 +
+              manifest.deallocs.size() * 10 + 1 + 15 +
+              crypto::Digest::kMaxSize);
   PutVarint64(&out, manifest.seq);
   out.push_back(manifest.flags);
   PutVarint64(&out, manifest.next_chunk_id);
   PutVarint64(&out, manifest.counter);
-  PutDigest(&out, manifest.prev_mac);
 
-  PutVarint32(&out, static_cast<uint32_t>(manifest.writes.size()));
-  for (const ManifestWrite& w : manifest.writes) {
-    PutVarint64(&out, w.cid);
-    PutLocation(&out, w.loc);
-    PutDigest(&out, w.hash);
-    out.push_back(w.flags);
+  // Each record is its id's zigzag delta from the previous record's id.
+  // A zero delta escapes: a second 0 repeats the previous id, and k > 0
+  // skips k dead records.
+  PutVarint32(&out, static_cast<uint32_t>(manifest.records.size()));
+  ChunkId prev = 0;
+  for (size_t i = 0; i < manifest.records.size();) {
+    const ChunkId cid = manifest.records[i];
+    if (cid == kInvalidChunkId) {
+      uint32_t run = 0;
+      while (i < manifest.records.size() &&
+             manifest.records[i] == kInvalidChunkId) {
+        run++;
+        i++;
+      }
+      out.push_back(0);
+      PutVarint32(&out, run);
+      continue;
+    }
+    if (cid == prev) {
+      out.push_back(0);
+      out.push_back(0);
+    } else {
+      PutVarint64(&out, ZigZag(cid - prev));
+    }
+    prev = cid;
+    i++;
   }
   PutVarint32(&out, static_cast<uint32_t>(manifest.deallocs.size()));
-  for (ChunkId cid : manifest.deallocs) PutVarint64(&out, cid);
+  prev = 0;
+  for (ChunkId cid : manifest.deallocs) {
+    PutVarint64(&out, ZigZag(cid - prev));
+    prev = cid;
+  }
 
   out.push_back(manifest.has_root ? 1 : 0);
   if (manifest.has_root) {
@@ -107,8 +205,76 @@ Buffer EncodeManifest(const CommitManifest& manifest) {
   return out;
 }
 
-Status DecodeManifest(Slice data, size_t mac_size, size_t entry_hash_size,
+Status DecodeManifest(Slice data, size_t entry_hash_size,
                       CommitManifest* out) {
+  Decoder dec(data);
+  TDB_RETURN_IF_ERROR(dec.GetVarint64(&out->seq));
+  Slice flags;
+  TDB_RETURN_IF_ERROR(dec.GetBytes(1, &flags));
+  out->flags = flags[0];
+  TDB_RETURN_IF_ERROR(dec.GetVarint64(&out->next_chunk_id));
+  TDB_RETURN_IF_ERROR(dec.GetVarint64(&out->counter));
+
+  uint32_t n_records;
+  TDB_RETURN_IF_ERROR(dec.GetVarint32(&n_records));
+  if (n_records > (1u << 24)) return Status::Corruption("absurd record count");
+  out->records.clear();
+  out->records.reserve(n_records);
+  ChunkId prev = 0;
+  while (out->records.size() < n_records) {
+    uint64_t delta;
+    TDB_RETURN_IF_ERROR(dec.GetVarint64(&delta));
+    if (delta != 0) {
+      prev += UnZigZag(delta);
+      if (prev == kInvalidChunkId) {
+        return Status::Corruption("manifest record of chunk 0");
+      }
+      out->records.push_back(prev);
+      continue;
+    }
+    uint32_t run;
+    TDB_RETURN_IF_ERROR(dec.GetVarint32(&run));
+    if (run == 0) {
+      if (prev == kInvalidChunkId) {
+        return Status::Corruption("manifest repeats no record");
+      }
+      out->records.push_back(prev);
+    } else if (run > n_records - out->records.size()) {
+      return Status::Corruption("manifest skips past its records");
+    } else {
+      out->records.insert(out->records.end(), run, kInvalidChunkId);
+    }
+  }
+
+  uint32_t n_deallocs;
+  TDB_RETURN_IF_ERROR(dec.GetVarint32(&n_deallocs));
+  if (n_deallocs > (1u << 24)) {
+    return Status::Corruption("absurd dealloc count");
+  }
+  out->deallocs.clear();
+  out->deallocs.reserve(n_deallocs);
+  prev = 0;
+  for (uint32_t i = 0; i < n_deallocs; i++) {
+    uint64_t delta;
+    TDB_RETURN_IF_ERROR(dec.GetVarint64(&delta));
+    prev += UnZigZag(delta);
+    out->deallocs.push_back(prev);
+  }
+
+  Slice has_root;
+  TDB_RETURN_IF_ERROR(dec.GetBytes(1, &has_root));
+  if (has_root[0] > 1) return Status::Corruption("bad manifest root flag");
+  out->has_root = has_root[0] != 0;
+  if (out->has_root) {
+    TDB_RETURN_IF_ERROR(GetLocation(&dec, &out->root_loc));
+    TDB_RETURN_IF_ERROR(GetDigest(&dec, entry_hash_size, &out->root_hash));
+  }
+  if (!dec.done()) return Status::Corruption("trailing manifest bytes");
+  return Status::OK();
+}
+
+Status DecodeManifestV1(Slice data, size_t mac_size, size_t entry_hash_size,
+                        CommitManifestV1* out) {
   Decoder dec(data);
   TDB_RETURN_IF_ERROR(dec.GetVarint64(&out->seq));
   Slice flags;

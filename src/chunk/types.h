@@ -41,12 +41,17 @@ enum CommitFlags : uint8_t {
   kCommitClean = 1 << 2,  // Produced by the log cleaner (relocations only).
 };
 
-/// Per-chunk entry flags, carried (authenticated) in both the map-node
-/// encoding and commit manifests. Describes how the sealed record payload
-/// was produced from the chunk plaintext.
+/// Per-record flags, carried (authenticated) in the map-node encoding and
+/// in a v2 record's type byte (see log_format.h). Describes how the sealed
+/// record payload was produced from the chunk plaintext.
 enum EntryFlags : uint8_t {
   kEntryCompressed = 1 << 0,  // Payload is LzCompress(plaintext).
+  // Sealed with PKCS#7 padding rather than ciphertext stealing: a v2
+  // plaintext of at most one cipher block, or a record relocated from a
+  // v1 segment. Records still in v1 segments are padded without it.
+  kEntryPadded = 1 << 1,
 };
+constexpr uint8_t kEntryFlagsMask = kEntryCompressed | kEntryPadded;
 
 }  // namespace tdb::chunk
 

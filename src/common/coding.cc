@@ -33,6 +33,15 @@ void PutVarint64(Buffer* dst, uint64_t v) {
   dst->push_back(static_cast<uint8_t>(v));
 }
 
+size_t VarintLength(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    n++;
+  }
+  return n;
+}
+
 void PutLengthPrefixed(Buffer* dst, Slice value) {
   PutVarint64(dst, value.size());
   dst->insert(dst->end(), value.data(), value.data() + value.size());

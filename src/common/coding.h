@@ -18,6 +18,8 @@ void PutFixed32(Buffer* dst, uint32_t v);
 void PutFixed64(Buffer* dst, uint64_t v);
 void PutVarint32(Buffer* dst, uint32_t v);
 void PutVarint64(Buffer* dst, uint64_t v);
+/// Bytes PutVarint64 writes for `v` (1..10).
+size_t VarintLength(uint64_t v);
 /// Varint length followed by the raw bytes.
 void PutLengthPrefixed(Buffer* dst, Slice value);
 /// Overwrites 4 bytes at `offset` (which must already exist) — used to

@@ -32,6 +32,19 @@ void CbcEncryptTo(const BlockCipher& cipher, Slice iv, Slice plain,
 /// tampering).
 Result<Buffer> CbcDecrypt(const BlockCipher& cipher, Slice iv, Slice cipher_text);
 
+/// CBC with ciphertext stealing, variant CS3 (NIST SP 800-38A Addendum):
+/// the ciphertext is exactly as long as the plaintext, which must be
+/// longer than one block (shorter plaintexts have nothing to steal from).
+/// The last two ciphertext blocks are always swapped, and the final one is
+/// cut to the length of the plaintext's last partial (or whole) block.
+void CbcCs3EncryptTo(const BlockCipher& cipher, Slice iv, Slice plain,
+                     uint8_t* out);
+
+/// Inverse of CbcCs3EncryptTo. Corruption if `cipher_text` is not longer
+/// than one block.
+Result<Buffer> CbcCs3Decrypt(const BlockCipher& cipher, Slice iv,
+                             Slice cipher_text);
+
 }  // namespace tdb::crypto
 
 #endif  // TDB_CRYPTO_CBC_H_

@@ -53,6 +53,11 @@ Digest CipherSuite::HashData(Slice data) const {
   return Hash(config_.hash, data);
 }
 
+Digest CipherSuite::HashData(Slice prefix, Slice data) const {
+  if (!config_.enabled) return Digest();
+  return Hash(config_.hash, prefix, data);
+}
+
 Digest CipherSuite::Mac(Slice data) const {
   if (!config_.enabled) return Digest();
   return Hmac::Mac(config_.hash, mac_key_, data);
@@ -89,7 +94,27 @@ Buffer CipherSuite::SealWithIv(Slice plain, Slice iv) const {
   return out;
 }
 
+bool CipherSuite::PadsWhenStealing(size_t plain_size) const {
+  return iv_size() > 0 && plain_size <= iv_size();
+}
+
+Buffer CipherSuite::SealStealing(Slice plain, Slice iv) const {
+  if (iv_size() == 0 || PadsWhenStealing(plain.size())) {
+    return SealWithIv(plain, iv);
+  }
+  TDB_CHECK(iv.size() == cipher_->block_size(),
+            "IV must be exactly one cipher block");
+  Buffer out(iv.size() + plain.size());
+  std::memcpy(out.data(), iv.data(), iv.size());
+  CbcCs3EncryptTo(*cipher_, iv, plain, out.data() + iv.size());
+  return out;
+}
+
 Result<Buffer> CipherSuite::Open(Slice sealed) const {
+  return Open(sealed, /*padded=*/true);
+}
+
+Result<Buffer> CipherSuite::Open(Slice sealed, bool padded) const {
   if (!config_.enabled || cipher_ == nullptr) return sealed.ToBuffer();
   size_t block = cipher_->block_size();
   if (sealed.size() < 2 * block) {
@@ -97,7 +122,8 @@ Result<Buffer> CipherSuite::Open(Slice sealed) const {
   }
   Slice iv(sealed.data(), block);
   Slice cipher_text(sealed.data() + block, sealed.size() - block);
-  return CbcDecrypt(*cipher_, iv, cipher_text);
+  return padded ? CbcDecrypt(*cipher_, iv, cipher_text)
+                : CbcCs3Decrypt(*cipher_, iv, cipher_text);
 }
 
 size_t CipherSuite::SealedSize(size_t plain_size) const {

@@ -64,6 +64,8 @@ class CipherSuite {
   /// One-way hash of chunk/record contents for the Merkle tree. Empty
   /// digest when disabled.
   Digest HashData(Slice data) const;
+  /// HashData of `prefix` followed by `data`.
+  Digest HashData(Slice prefix, Slice data) const;
 
   /// Keyed MAC for the anchor record. Falls back to an (unkeyed) digest of
   /// nothing when disabled — the anchor then carries only a checksum.
@@ -94,8 +96,22 @@ class CipherSuite {
   /// multiple threads concurrently.
   Buffer SealWithIv(Slice plain, Slice iv) const;
 
+  /// Whether SealStealing pads a plaintext of `plain_size` bytes: with
+  /// encryption on, a plaintext of at most one block has nothing to steal
+  /// from and keeps PKCS#7 padding.
+  bool PadsWhenStealing(size_t plain_size) const;
+
+  /// Seals like SealWithIv, except that a plaintext longer than one block
+  /// is encrypted with CBC ciphertext stealing (CS3), so the ciphertext is
+  /// as long as the plaintext. Log format v2 seals every record this way
+  /// and records PadsWhenStealing in the record's flags, since the sealed
+  /// length alone cannot tell a padded block from a stolen pair.
+  Buffer SealStealing(Slice plain, Slice iv) const;
+
   /// Inverse of Seal. Corruption on malformed input.
   Result<Buffer> Open(Slice sealed) const;
+  /// Inverse of SealStealing: `padded` is what PadsWhenStealing said.
+  Result<Buffer> Open(Slice sealed, bool padded) const;
 
   /// Size Seal() will produce for `plain_size` input bytes.
   size_t SealedSize(size_t plain_size) const;

@@ -21,15 +21,19 @@ size_t DigestSize(HashKind kind) {
   return kind == HashKind::kSha1 ? Sha1::kDigestSize : Sha256::kDigestSize;
 }
 
-Digest Hash(HashKind kind, Slice data) {
+Digest Hash(HashKind kind, Slice data) { return Hash(kind, Slice(), data); }
+
+Digest Hash(HashKind kind, Slice prefix, Slice data) {
   // Hashers live on the stack: this runs once per sealed chunk.
   if (kind == HashKind::kSha1) {
     Sha1 hasher;
+    hasher.Update(prefix);
     hasher.Update(data);
     return hasher.Finish();
   }
   TDB_CHECK(kind == HashKind::kSha256, "unknown HashKind");
   Sha256 hasher;
+  hasher.Update(prefix);
   hasher.Update(data);
   return hasher.Finish();
 }

@@ -58,6 +58,8 @@ size_t DigestSize(HashKind kind);
 
 /// One-shot convenience.
 Digest Hash(HashKind kind, Slice data);
+/// The hash of `prefix` followed by `data`, without joining them.
+Digest Hash(HashKind kind, Slice prefix, Slice data);
 
 }  // namespace tdb::crypto
 

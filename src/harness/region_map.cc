@@ -25,20 +25,24 @@ bool HasPrefix(const std::string& name, const char* prefix) {
   return name.rfind(prefix, 0) == 0;
 }
 
-// Calls `fn(offset, view)` for each record of a segment file, in log
-// order; returns the offset where parsing stopped (the file size unless
-// the file ends in a torn or garbage tail).
+// Calls `fn(offset, header_size, view)` for each record of a segment
+// file, in log order, parsed in the format its header names; returns the
+// offset where parsing stopped (the file size unless the file ends in a
+// torn or garbage tail, or its header is unreadable).
 template <typename Fn>
 uint64_t ForEachRecord(const Buffer& bytes, Fn fn) {
   uint64_t pos = std::min<uint64_t>(chunk::kSegmentHeaderSize, bytes.size());
+  uint32_t id;
+  chunk::LogVersion version;
+  if (!chunk::DecodeSegmentHeader(bytes, &id, &version).ok()) return pos;
   while (pos < bytes.size()) {
     chunk::RecordView view;
     if (!chunk::ParseRecord(Slice(bytes.data() + pos, bytes.size() - pos),
-                            &view)
+                            &view, version)
              .ok()) {
       break;
     }
-    fn(pos, view);
+    fn(pos, view.record_size - view.payload.size(), view);
     pos += view.record_size;
   }
   return pos;
@@ -59,10 +63,9 @@ void ClassifySegment(const std::string& name, const Buffer& bytes,
   if (header > 0) {
     out->push_back({name, 0, header, RegionClass::kLogStructure});
   }
-  const uint64_t end = ForEachRecord(bytes, [&](uint64_t pos,
+  const uint64_t end = ForEachRecord(bytes, [&](uint64_t pos, uint64_t frame,
                                                 const chunk::RecordView& view) {
-    out->push_back(
-        {name, pos, chunk::kRecordHeaderSize, RegionClass::kLogStructure});
+    out->push_back({name, pos, frame, RegionClass::kLogStructure});
     if (view.payload.size() > 0) {
       RegionClass cls = RegionClass::kLogStructure;  // Commit manifests.
       if (view.type == chunk::RecordType::kData) {
@@ -70,8 +73,7 @@ void ClassifySegment(const std::string& name, const Buffer& bytes,
       } else if (view.type == chunk::RecordType::kMapNode) {
         cls = RegionClass::kLocationMap;
       }
-      out->push_back(
-          {name, pos + chunk::kRecordHeaderSize, view.payload.size(), cls});
+      out->push_back({name, pos + frame, view.payload.size(), cls});
     }
   });
   if (end < size) {
@@ -104,7 +106,8 @@ std::vector<Slice> RecordPayloads(
   std::vector<Slice> payloads;
   for (const auto& [name, bytes] : image) {
     if (!HasPrefix(BaseName(name), "seg-")) continue;
-    ForEachRecord(bytes, [&](uint64_t, const chunk::RecordView& view) {
+    ForEachRecord(bytes, [&](uint64_t, uint64_t,
+                             const chunk::RecordView& view) {
       payloads.push_back(view.payload);
     });
   }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "chunk/log_format.h"
+#include "chunk_test_env.h"
 #include "common/random.h"
 #include "harness/region_map.h"
 #include "platform/fault_injection.h"
@@ -28,28 +29,6 @@ using platform::FaultInjectingStore;
 using platform::MemOneWayCounter;
 using platform::MemSecretStore;
 using platform::MemUntrustedStore;
-
-// Bundles the platform substrates a chunk store needs.
-struct TestEnv {
-  MemUntrustedStore store;
-  MemSecretStore secrets;
-  MemOneWayCounter counter;
-
-  TestEnv() { TDB_CHECK(secrets.Provision(Slice("test-master-secret")).ok()); }
-
-  Result<std::unique_ptr<ChunkStore>> Open(ChunkStoreOptions options = {}) {
-    return ChunkStore::Open(&store, &secrets, &counter, options);
-  }
-};
-
-ChunkStoreOptions SmallSegments(crypto::SecurityConfig security =
-                                    crypto::SecurityConfig::Modern()) {
-  ChunkStoreOptions options;
-  options.security = security;
-  options.segment_size = 4 * 1024;
-  options.map_fanout = 8;
-  return options;
-}
 
 Buffer Bytes(const std::string& s) { return Slice(s).ToBuffer(); }
 
@@ -1669,63 +1648,6 @@ TEST(ChunkGroupCommitTest, LoneCommitterFlushesGroupOfOne) {
   EXPECT_EQ(after.syncs_saved(), 0u);
 }
 
-// A copy of `env`'s image and counter as they stand: what a crash at
-// this point leaves behind, with the residual log still to replay.
-struct CrashCopy {
-  MemUntrustedStore store;
-  MemOneWayCounter counter;
-
-  explicit CrashCopy(TestEnv& env) {
-    store.RestoreImage(env.store.SnapshotImage());
-    const uint64_t value = env.counter.Read().value();
-    for (uint64_t i = 0; i < value; i++) {
-      TDB_CHECK(counter.Increment().ok());
-    }
-  }
-};
-
-// Passes everything through except the one Write it is told to fail: a
-// single EIO from a device that keeps working afterwards.
-class FailOneWriteStore final : public platform::UntrustedStore {
- public:
-  explicit FailOneWriteStore(platform::UntrustedStore* base) : base_(base) {}
-  void FailNextWrite() { fail_next_ = true; }
-
-  Status Create(const std::string& name, bool overwrite) override {
-    return base_->Create(name, overwrite);
-  }
-  Status Remove(const std::string& name) override {
-    return base_->Remove(name);
-  }
-  bool Exists(const std::string& name) const override {
-    return base_->Exists(name);
-  }
-  Status Read(const std::string& name, uint64_t offset, size_t n,
-              Buffer* out) const override {
-    return base_->Read(name, offset, n, out);
-  }
-  Status Write(const std::string& name, uint64_t offset,
-               Slice data) override {
-    if (fail_next_) {
-      fail_next_ = false;
-      return Status::IOError("injected write failure");
-    }
-    return base_->Write(name, offset, data);
-  }
-  Result<uint64_t> Size(const std::string& name) const override {
-    return base_->Size(name);
-  }
-  Status Truncate(const std::string& name, uint64_t size) override {
-    return base_->Truncate(name, size);
-  }
-  Status Sync(const std::string& name) override { return base_->Sync(name); }
-  std::vector<std::string> List() const override { return base_->List(); }
-
- private:
-  platform::UntrustedStore* base_;
-  bool fail_next_ = false;
-};
-
 // A failed log write while sealing a group must not cost any later ack.
 // The commit record that never reached the store is dropped from the tail
 // and the next flush re-seals the group under the same seq; left behind,
@@ -2182,21 +2104,11 @@ TEST(ChunkStoreCleanerTest, StageMetricsRecorded) {
 // payload is the chunk's plaintext, and the payloads below name their
 // chunk, so a test can tell which chunk sits where.
 
-// The store's segment files, by segment id.
-std::map<uint32_t, Buffer> SegmentFiles(const MemUntrustedStore& store) {
-  std::map<uint32_t, Buffer> files;
-  for (auto& [name, bytes] : store.SnapshotImage()) {
-    if (name.rfind("seg-", 0) == 0) {
-      files[static_cast<uint32_t>(std::stoul(name.substr(4)))] = bytes;
-    }
-  }
-  return files;
-}
-
 struct ImageRecord {
   uint64_t offset = 0;
   RecordType type = RecordType::kData;
   Buffer bytes;  // Header and payload, as stored.
+  size_t header = 0;
 };
 
 // The records of one segment file, in log order.
@@ -2209,7 +2121,8 @@ std::vector<ImageRecord> SegmentRecords(const Buffer& file) {
              .ok()) {
     records.push_back(
         {offset, view.type,
-         Slice(file.data() + offset, view.record_size).ToBuffer()});
+         Slice(file.data() + offset, view.record_size).ToBuffer(),
+         view.record_size - view.payload.size()});
     offset += view.record_size;
   }
   return records;
@@ -2226,8 +2139,8 @@ Buffer Named(ChunkId cid, int version, size_t size) {
 // The chunk a data record's payload names.
 ChunkId NamedId(const ImageRecord& record) {
   const std::string payload =
-      Slice(record.bytes.data() + kRecordHeaderSize,
-            record.bytes.size() - kRecordHeaderSize)
+      Slice(record.bytes.data() + record.header,
+            record.bytes.size() - record.header)
           .ToString();
   return std::stoull(payload.substr(6));
 }
@@ -2332,13 +2245,15 @@ TEST(ChunkStoreCleanerTest, CostBenefitPrefersOlderSegment) {
 
   // One-chunk commits fill segment A and roll into B. B takes half as
   // many, then a record too big for its rest closes it at half A's size.
+  // (104-byte chunks let whole records bring B within 2% of A's
+  // utilization under v2 framing.)
   const uint64_t first = segments();
-  while (segments() < first + 2) write(100);
+  while (segments() < first + 2) write(104);
   const uint32_t b_id = SegmentFiles(env.store).rbegin()->first;
   const uint32_t a_id = b_id - 1;
   const std::vector<ChunkId> a = NamedIds(SegmentFiles(env.store).at(a_id));
   while (NamedIds(SegmentFiles(env.store).at(b_id)).size() < a.size() / 2) {
-    write(100);
+    write(104);
   }
   write(3900);
   const std::vector<ChunkId> b = NamedIds(SegmentFiles(env.store).at(b_id));
@@ -2511,8 +2426,12 @@ TEST(ChunkStoreMapPruneTest, FreshIdChurnKeepsMapFlat) {
     }
   }
   // The tree's height is the same from 5k ids to 20k (fanout 8, root at
-  // level 4), so nothing but emptied nodes could grow it.
-  EXPECT_EQ(live.back(), live.front());
+  // level 4), so nothing but emptied nodes could add records to it. The
+  // five live records of its spine may still grow by a byte or two each,
+  // as the locations they hold need longer varints: stolen ciphertext is
+  // exactly as long as its plaintext, where padding used to hide that. A
+  // kept emptied node would add a whole record, 38 bytes at the least.
+  EXPECT_LE(live.back(), live.front() + 10);
   EXPECT_LE(map_written.back(), map_written[1] + map_written[1] / 10);
   EXPECT_EQ((*cs)->Stats().live_chunks, 1u);
 }

@@ -28,15 +28,20 @@ crypto::CipherSuite Suite() {
                              Slice("fuzz-secret"), Slice("iv"));
 }
 
+constexpr chunk::LogVersion kVersions[] = {chunk::LogVersion::kV1,
+                                           chunk::LogVersion::kV2};
+
 TEST(CodecFuzzTest, ParseRecordNeverCrashesOnGarbage) {
   Random rng(1);
   for (int trial = 0; trial < 2000; trial++) {
     Buffer garbage;
     rng.Fill(&garbage, rng.Uniform(200));
-    chunk::RecordView view;
-    // Either parses (checksum collision is possible but harmless here) or
-    // reports Corruption; must never crash.
-    (void)chunk::ParseRecord(garbage, &view).ok();
+    for (chunk::LogVersion version : kVersions) {
+      chunk::RecordView view;
+      // Either parses (checksum collision is possible but harmless here)
+      // or reports Corruption; must never crash.
+      (void)chunk::ParseRecord(garbage, &view, version).ok();
+    }
   }
 }
 
@@ -46,7 +51,9 @@ TEST(CodecFuzzTest, DecodeManifestNeverCrashesOnGarbage) {
     Buffer garbage;
     rng.Fill(&garbage, rng.Uniform(300));
     chunk::CommitManifest manifest;
-    (void)chunk::DecodeManifest(garbage, 32, 12, &manifest).ok();
+    (void)chunk::DecodeManifest(garbage, 12, &manifest).ok();
+    chunk::CommitManifestV1 v1;
+    (void)chunk::DecodeManifestV1(garbage, 32, 12, &v1).ok();
   }
 }
 
@@ -69,6 +76,30 @@ TEST(CodecFuzzTest, DecodeAnchorNeverCrashesOnGarbage) {
   }
 }
 
+void ExpectSameManifest(const chunk::CommitManifest& a,
+                        const chunk::CommitManifest& b) {
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.flags, b.flags);
+  EXPECT_EQ(a.counter, b.counter);
+  EXPECT_EQ(a.next_chunk_id, b.next_chunk_id);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.deallocs, b.deallocs);
+  EXPECT_EQ(a.has_root, b.has_root);
+  if (a.has_root && b.has_root) {
+    EXPECT_TRUE(a.root_loc == b.root_loc);
+    EXPECT_EQ(a.root_hash, b.root_hash);
+  }
+}
+
+bool SameManifest(const chunk::CommitManifest& a,
+                  const chunk::CommitManifest& b) {
+  return a.seq == b.seq && a.flags == b.flags && a.counter == b.counter &&
+         a.next_chunk_id == b.next_chunk_id && a.records == b.records &&
+         a.deallocs == b.deallocs && a.has_root == b.has_root &&
+         (!a.has_root || (a.root_loc == b.root_loc &&
+                          a.root_hash == b.root_hash));
+}
+
 TEST(CodecFuzzTest, ManifestRoundtripWithAllFields) {
   Random rng(5);
   for (int trial = 0; trial < 200; trial++) {
@@ -77,20 +108,25 @@ TEST(CodecFuzzTest, ManifestRoundtripWithAllFields) {
     manifest.flags = static_cast<uint8_t>(rng.Uniform(8));
     manifest.next_chunk_id = rng.Next();
     manifest.counter = rng.Next();
-    Buffer mac_bytes;
-    rng.Fill(&mac_bytes, 32);
-    manifest.prev_mac = crypto::Digest(mac_bytes.data(), 32);
-    int n_writes = static_cast<int>(rng.Uniform(10));
-    for (int i = 0; i < n_writes; i++) {
-      chunk::ManifestWrite w;
-      w.cid = rng.Next();
-      w.loc = {static_cast<uint32_t>(rng.Next()),
-               static_cast<uint32_t>(rng.Next()),
-               static_cast<uint32_t>(rng.Next())};
-      Buffer h;
-      rng.Fill(&h, 12);
-      w.hash = crypto::Digest(h.data(), 12);
-      manifest.writes.push_back(w);
+    // Records: fresh ids near and far, repeats and runs of dead records.
+    int n_records = static_cast<int>(rng.Uniform(12));
+    for (int i = 0; i < n_records; i++) {
+      switch (rng.Uniform(4)) {
+        case 0:
+          manifest.records.push_back(chunk::kInvalidChunkId);
+          break;
+        case 1:
+          if (!manifest.records.empty() && manifest.records.back() != 0) {
+            manifest.records.push_back(manifest.records.back());
+            break;
+          }
+          [[fallthrough]];
+        case 2:
+          manifest.records.push_back(1 + rng.Uniform(1000));
+          break;
+        default:
+          manifest.records.push_back(rng.Next() | 1);
+      }
     }
     int n_deallocs = static_cast<int>(rng.Uniform(5));
     for (int i = 0; i < n_deallocs; i++) manifest.deallocs.push_back(rng.Next());
@@ -104,42 +140,53 @@ TEST(CodecFuzzTest, ManifestRoundtripWithAllFields) {
 
     Buffer encoded = chunk::EncodeManifest(manifest);
     chunk::CommitManifest decoded;
-    ASSERT_TRUE(chunk::DecodeManifest(encoded, 32, 12, &decoded).ok());
-    EXPECT_EQ(decoded.seq, manifest.seq);
-    EXPECT_EQ(decoded.flags, manifest.flags);
-    EXPECT_EQ(decoded.counter, manifest.counter);
-    EXPECT_EQ(decoded.next_chunk_id, manifest.next_chunk_id);
-    EXPECT_EQ(decoded.prev_mac, manifest.prev_mac);
-    ASSERT_EQ(decoded.writes.size(), manifest.writes.size());
-    for (size_t i = 0; i < manifest.writes.size(); i++) {
-      EXPECT_EQ(decoded.writes[i].cid, manifest.writes[i].cid);
-      EXPECT_TRUE(decoded.writes[i].loc == manifest.writes[i].loc);
-      EXPECT_EQ(decoded.writes[i].hash, manifest.writes[i].hash);
-    }
-    EXPECT_EQ(decoded.deallocs, manifest.deallocs);
-    EXPECT_EQ(decoded.has_root, manifest.has_root);
+    ASSERT_TRUE(chunk::DecodeManifest(encoded, 12, &decoded).ok());
+    ExpectSameManifest(decoded, manifest);
   }
 }
 
-TEST(CodecFuzzTest, TruncatedManifestAlwaysRejected) {
+// A manifest with every kind of entry: ascending and descending ids, a
+// repeated id, a run of dead records, deallocations and a root.
+chunk::CommitManifest SampleManifest() {
   chunk::CommitManifest manifest;
   manifest.seq = 7;
+  manifest.flags = chunk::kCommitDurable | chunk::kCommitCheckpoint;
+  manifest.next_chunk_id = 300;
   manifest.counter = 3;
-  Buffer mac(32, 0xAB);
-  manifest.prev_mac = crypto::Digest(mac.data(), 32);
-  chunk::ManifestWrite w;
-  w.cid = 9;
-  w.loc = {1, 2, 3};
+  manifest.records = {9, 200, 200, 0, 0, 0, 12, 0, 250};
+  manifest.deallocs = {40, 17};
+  manifest.has_root = true;
+  manifest.root_loc = {1, 2, 3};
   Buffer h(12, 0xCD);
-  w.hash = crypto::Digest(h.data(), 12);
-  manifest.writes.push_back(w);
+  manifest.root_hash = crypto::Digest(h.data(), 12);
+  return manifest;
+}
 
-  Buffer encoded = chunk::EncodeManifest(manifest);
+TEST(CodecFuzzTest, TruncatedManifestAlwaysRejected) {
+  Buffer encoded = chunk::EncodeManifest(SampleManifest());
   for (size_t cut = 0; cut < encoded.size(); cut++) {
     Buffer truncated(encoded.begin(), encoded.begin() + cut);
     chunk::CommitManifest out;
-    EXPECT_FALSE(chunk::DecodeManifest(truncated, 32, 12, &out).ok())
+    EXPECT_FALSE(chunk::DecodeManifest(truncated, 12, &out).ok())
         << "cut at " << cut;
+  }
+}
+
+TEST(CodecCorpusTest, ManifestBitFlipsNeverSilentlyAccepted) {
+  // The manifest is sealed and MACed in the log; here the bare encoding
+  // must either fail to decode or decode to a different manifest, so no
+  // flip can pass for the original.
+  const chunk::CommitManifest manifest = SampleManifest();
+  Buffer encoded = chunk::EncodeManifest(manifest);
+  for (size_t i = 0; i < encoded.size(); i++) {
+    for (int bit = 0; bit < 8; bit++) {
+      Buffer flipped = encoded;
+      flipped[i] ^= static_cast<uint8_t>(1 << bit);
+      chunk::CommitManifest out;
+      if (!chunk::DecodeManifest(flipped, 12, &out).ok()) continue;
+      EXPECT_FALSE(SameManifest(out, manifest))
+          << "byte " << i << " bit " << bit << " silently accepted";
+    }
   }
 }
 
@@ -170,47 +217,79 @@ TEST(CodecFuzzTest, UnpicklerNeverCrashesOnGarbage) {
 // decodes successfully back to the original artifact would be a silently
 // accepted modification.
 
-Buffer SampleRecord(Buffer* payload_out) {
+// A data record of `version` with a `size`-byte payload. v1 frames are
+// built by hand here: only the v1 decoder is left in the store.
+Buffer SampleRecord(chunk::LogVersion version, size_t size,
+                    Buffer* payload_out) {
   Random rng(40);
   Buffer payload;
-  rng.Fill(&payload, 75);
+  rng.Fill(&payload, size);
   Buffer record;
-  chunk::AppendRecord(&record, chunk::RecordType::kData, payload);
+  if (version == chunk::LogVersion::kV2) {
+    chunk::AppendRecord(&record, chunk::RecordType::kData,
+                        chunk::kEntryPadded, payload);
+  } else {
+    record.push_back(static_cast<uint8_t>(chunk::RecordType::kData));
+    PutFixed32(&record, static_cast<uint32_t>(payload.size()));
+    PutFixed32(&record, Checksum32(payload));
+    record.insert(record.end(), payload.begin(), payload.end());
+  }
   *payload_out = payload;
   return record;
 }
 
-TEST(CodecCorpusTest, RecordTruncationsAlwaysRejected) {
-  Buffer payload;
-  Buffer record = SampleRecord(&payload);
-  chunk::RecordView view;
-  ASSERT_TRUE(chunk::ParseRecord(record, &view).ok());
-  ASSERT_EQ(view.record_size, record.size());
+// Payload sizes around the v2 length varint's 1- and 2-byte forms.
+constexpr size_t kRecordSizes[] = {75, 127, 128, 300};
 
-  for (size_t cut = 0; cut < record.size(); cut++) {
-    Buffer truncated(record.begin(), record.begin() + cut);
-    chunk::RecordView out;
-    EXPECT_FALSE(chunk::ParseRecord(truncated, &out).ok()) << "cut " << cut;
+TEST(CodecCorpusTest, RecordTruncationsAlwaysRejected) {
+  for (chunk::LogVersion version : kVersions) {
+    for (size_t size : kRecordSizes) {
+      Buffer payload;
+      Buffer record = SampleRecord(version, size, &payload);
+      chunk::RecordView view;
+      ASSERT_TRUE(chunk::ParseRecord(record, &view, version).ok());
+      ASSERT_EQ(view.record_size, record.size());
+      ASSERT_EQ(view.record_size - view.payload.size(),
+                chunk::RecordHeaderSize(version, size));
+
+      for (size_t cut = 0; cut < record.size(); cut++) {
+        Buffer truncated(record.begin(), record.begin() + cut);
+        chunk::RecordView out;
+        EXPECT_FALSE(chunk::ParseRecord(truncated, &out, version).ok())
+            << "v" << int(version) << " size " << size << " cut " << cut;
+      }
+    }
   }
 }
 
 TEST(CodecCorpusTest, RecordBitFlipsNeverSilentlyAccepted) {
-  Buffer payload;
-  Buffer record = SampleRecord(&payload);
-  for (size_t i = 0; i < record.size(); i++) {
-    for (uint8_t mask : {0x01, 0x80}) {
-      Buffer flipped = record;
-      flipped[i] ^= mask;
-      chunk::RecordView view;
-      Status parsed = chunk::ParseRecord(flipped, &view);
-      if (!parsed.ok()) continue;  // Rejected: fine.
-      // Parsed despite the flip (e.g. the unchecksummed type byte): the
-      // change must be visible to the caller, never masked.
-      bool differs = view.type != chunk::RecordType::kData ||
-                     Slice(view.payload) != Slice(payload) ||
-                     view.record_size != record.size();
-      EXPECT_TRUE(differs) << "byte " << i << " mask " << int(mask)
-                           << " silently accepted";
+  for (chunk::LogVersion version : kVersions) {
+    for (size_t size : kRecordSizes) {
+      Buffer payload;
+      Buffer record = SampleRecord(version, size, &payload);
+      const uint8_t flags =
+          version == chunk::LogVersion::kV2 ? chunk::kEntryPadded : 0;
+      for (size_t i = 0; i < record.size(); i++) {
+        for (int bit = 0; bit < 8; bit++) {
+          Buffer flipped = record;
+          flipped[i] ^= static_cast<uint8_t>(1 << bit);
+          chunk::RecordView view;
+          Status parsed = chunk::ParseRecord(flipped, &view, version);
+          if (!parsed.ok()) continue;  // Rejected: fine.
+          // Parsed despite the flip (v1 leaves its type byte out of the
+          // checksum): the change must be visible to the caller.
+          bool differs = view.type != chunk::RecordType::kData ||
+                         view.flags != flags ||
+                         Slice(view.payload) != Slice(payload) ||
+                         view.record_size != record.size();
+          EXPECT_TRUE(differs) << "v" << int(version) << " size " << size
+                               << " byte " << i << " bit " << bit
+                               << " silently accepted";
+          // v2 checksums every byte of the frame.
+          EXPECT_EQ(version, chunk::LogVersion::kV1)
+              << "size " << size << " byte " << i << " bit " << bit;
+        }
+      }
     }
   }
 }
@@ -288,20 +367,29 @@ TEST(CodecCorpusTest, AnchorBitFlipsAlwaysRejected) {
 }
 
 TEST(CodecFuzzTest, SealedChunkBitFlipsAlwaysCaughtByOpenOrHash) {
-  // Flip every byte of a sealed chunk: either CBC unpadding fails, or the
-  // plaintext differs (which the Merkle hash above would catch — emulated
-  // here by direct comparison).
+  // Flip every byte of a sealed chunk, padded (v1 and short v2 records)
+  // and stolen (other v2 records): either opening fails, or the plaintext
+  // differs (which the Merkle hash above would catch — emulated here by
+  // direct comparison).
   crypto::CipherSuite suite = Suite();
-  Buffer plain;
   Random rng(7);
-  rng.Fill(&plain, 100);
-  Buffer sealed = suite.Seal(plain);
-  for (size_t i = 0; i < sealed.size(); i++) {
-    Buffer tampered = sealed;
-    tampered[i] ^= 0x01;
-    auto opened = suite.Open(tampered);
-    if (opened.ok()) {
-      EXPECT_NE(*opened, plain) << "byte " << i;
+  const uint8_t iv[16] = {1, 2, 3};
+  for (size_t size : {size_t{5}, size_t{16}, size_t{17}, size_t{100}}) {
+    Buffer plain;
+    rng.Fill(&plain, size);
+    const bool padded = suite.PadsWhenStealing(size);
+    for (bool stealing : {false, true}) {
+      Buffer sealed = stealing ? suite.SealStealing(plain, Slice(iv, 16))
+                               : suite.Seal(plain);
+      const bool was_padded = !stealing || padded;
+      for (size_t i = 0; i < sealed.size(); i++) {
+        Buffer tampered = sealed;
+        tampered[i] ^= 0x01;
+        auto opened = suite.Open(tampered, was_padded);
+        if (opened.ok()) {
+          EXPECT_NE(*opened, plain) << "size " << size << " byte " << i;
+        }
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/lz.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -84,6 +85,45 @@ TEST(SliceTest, BasicsAndEquality) {
   Slice from_str("abc");
   EXPECT_EQ(from_str.size(), 3u);
   EXPECT_EQ(from_str.ToString(), "abc");
+}
+
+// CRC-32C known answers: the check value of the Castagnoli CRC and the
+// iSCSI test patterns (RFC 3720, B.4), on the table and on SSE4.2.
+TEST(Crc32cTest, KnownAnswersOnBothPaths) {
+  Buffer zeros(32, 0), ones(32, 0xFF), up(32), down(32);
+  for (int i = 0; i < 32; i++) {
+    up[i] = static_cast<uint8_t>(i);
+    down[i] = static_cast<uint8_t>(31 - i);
+  }
+  for (bool hw : {false, true}) {
+    SetCrc32cAccelForTesting(hw);
+    EXPECT_EQ(Crc32c(Slice("123456789")), 0xE3069283u) << hw;
+    EXPECT_EQ(Crc32c(Slice()), 0u) << hw;
+    EXPECT_EQ(Crc32c(zeros), 0x8A9136AAu) << hw;
+    EXPECT_EQ(Crc32c(ones), 0x62A8AB43u) << hw;
+    EXPECT_EQ(Crc32c(up), 0x46DD794Eu) << hw;
+    EXPECT_EQ(Crc32c(down), 0x113FDB5Cu) << hw;
+  }
+  SetCrc32cAccelForTesting(true);
+}
+
+TEST(Crc32cTest, ExtendAndPathsAgree) {
+  Random rng(77);
+  Buffer data;
+  rng.Fill(&data, 300);
+  for (size_t start = 0; start < 9; start++) {
+    for (size_t len = 0; start + len <= data.size(); len += 7) {
+      const uint8_t* p = data.data() + start;
+      SetCrc32cAccelForTesting(false);
+      const uint32_t table = Crc32cExtend(0, p, len);
+      SetCrc32cAccelForTesting(true);
+      EXPECT_EQ(Crc32cExtend(0, p, len), table) << start << "+" << len;
+      const size_t split = len / 3;
+      EXPECT_EQ(Crc32cExtend(Crc32cExtend(0, p, split), p + split,
+                             len - split),
+                table);
+    }
+  }
 }
 
 TEST(CodingTest, FixedRoundtrip) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/coding.h"
@@ -255,6 +256,93 @@ TEST_P(CbcSizeTest, RoundtripBothCiphers) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CbcSizeTest,
                          ::testing::Values(0, 1, 7, 8, 9, 15, 16, 17, 100,
                                            255, 256, 1000, 4096));
+
+// ------------------------------------------------ CBC ciphertext stealing
+
+// RFC 3962 Appendix B: AES-128 CTS as Kerberos uses it, which is CS3 (the
+// last two blocks always swapped), IV zero.
+TEST(CbcCs3Test, Rfc3962Vectors) {
+  const std::string key = "chicken teriyaki";
+  Aes128 aes(Slice(key).ToBuffer());
+  const Buffer iv(16, 0);
+  const std::string text =
+      "I would like the General Gau's Chicken, please, and wonton soup.";
+  const std::pair<size_t, const char*> kVectors[] = {
+      {17, "c6353568f2bf8cb4d8a580362da7ff7f97"},
+      {31, "fc00783e0efdb2c1d445d4c8eff7ed2297687268d6ecccc0c07b25e25ecfe5"},
+      {32, "39312523a78662d5be7fcbcc98ebf5a897687268d6ecccc0c07b25e25ecfe584"},
+      {47, "97687268d6ecccc0c07b25e25ecfe584b3fffd940c16a18c1b5549d2f838029e"
+           "39312523a78662d5be7fcbcc98ebf5"},
+      {48, "97687268d6ecccc0c07b25e25ecfe5849dad8bbb96c4cdc03bc103e1a194bbd8"
+           "39312523a78662d5be7fcbcc98ebf5a8"},
+      {64, "97687268d6ecccc0c07b25e25ecfe58439312523a78662d5be7fcbcc98ebf5a8"
+           "4807efe836ee89a526730dbc2f7bc8409dad8bbb96c4cdc03bc103e1a194bbd8"},
+  };
+  for (bool hw : {false, true}) {
+    accel::SetEnabledForTesting(hw);
+    for (const auto& [size, expected] : kVectors) {
+      const Buffer plain = Slice(text.substr(0, size)).ToBuffer();
+      Buffer ct(size);
+      CbcCs3EncryptTo(aes, iv, plain, ct.data());
+      EXPECT_EQ(ToHex(ct), expected) << "size " << size << " hw " << hw;
+      auto back = CbcCs3Decrypt(aes, iv, ct);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(*back, plain) << "size " << size << " hw " << hw;
+    }
+  }
+  accel::SetEnabledForTesting(true);
+}
+
+TEST(CbcCs3Test, LengthPreservingRoundtripBothCiphers) {
+  Random rng(31);
+  for (CipherKind kind : {CipherKind::kDes3, CipherKind::kAes128}) {
+    Buffer key, iv;
+    rng.Fill(&key, CipherKeySize(kind));
+    auto cipher = NewBlockCipher(kind, key);
+    const size_t block = cipher->block_size();
+    rng.Fill(&iv, block);
+    for (size_t size = block + 1; size <= 5 * block + 1; size++) {
+      Buffer plain;
+      rng.Fill(&plain, size);
+      Buffer ct(size);
+      CbcCs3EncryptTo(*cipher, iv, plain, ct.data());
+      // The whole blocks before the last two are plain CBC's.
+      const size_t n = (size + block - 1) / block;
+      Buffer padded = CbcEncrypt(*cipher, iv, plain);
+      EXPECT_TRUE(std::equal(ct.begin(), ct.begin() + (n - 2) * block,
+                             padded.begin()))
+          << "size " << size;
+      auto back = CbcCs3Decrypt(*cipher, iv, ct);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(*back, plain) << "size " << size;
+    }
+    Buffer one_block(block, 7);
+    EXPECT_TRUE(CbcCs3Decrypt(*cipher, iv, one_block).status().IsCorruption());
+  }
+}
+
+TEST(CipherSuiteTest, SealStealingPadsOnlyUpToOneBlock) {
+  for (const SecurityConfig& config :
+       {SecurityConfig::PaperTdbS(), SecurityConfig::Modern()}) {
+    CipherSuite suite(config, Slice("secret"), Slice("seed"));
+    const size_t block = suite.iv_size();
+    uint8_t iv[CipherSuite::kMaxIvSize] = {9, 8, 7};
+    for (size_t size = 0; size <= 3 * block + 1; size++) {
+      Buffer plain(size, static_cast<uint8_t>(size));
+      const bool padded = suite.PadsWhenStealing(size);
+      EXPECT_EQ(padded, size <= block) << size;
+      Buffer sealed = suite.SealStealing(plain, Slice(iv, block));
+      EXPECT_EQ(sealed.size(),
+                padded ? suite.SealedSize(size) : block + size);
+      auto back = suite.Open(sealed, padded);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(*back, plain) << size;
+    }
+  }
+  CipherSuite off(SecurityConfig::Disabled(), Slice(), Slice());
+  EXPECT_FALSE(off.PadsWhenStealing(3));
+  EXPECT_EQ(off.SealStealing(Slice("abc"), Slice()), Slice("abc").ToBuffer());
+}
 
 TEST(CbcTest, RejectsUnalignedCiphertext) {
   Buffer key(16, 1);

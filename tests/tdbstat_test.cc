@@ -166,6 +166,51 @@ TEST(TdbstatTest, JsonReportsCleanerAndCheckpointStages) {
   fs::remove_all(root);
 }
 
+// tdbstat opens with default options, and an image records its own
+// location-map fanout, so a store of 4 KiB segments and fanout 8 (the
+// tests' shape) opens and verifies. Before the fanout was recorded, the
+// default 64 misread its map nodes as "truncated byte range".
+TEST(TdbstatTest, VerifyOpensSmallSegmentFanout8Store) {
+  const fs::path root = fs::temp_directory_path() /
+                        ("tdbstat_fanout_" + std::to_string(getpid()));
+  fs::remove_all(root);
+  const std::string db = (root / "db").string();
+  const std::string secret = (root / "secret").string();
+  const std::string counter_file = (root / "counter").string();
+  constexpr int kChunks = 200;
+  {
+    platform::FileUntrustedStore store(db, /*sync_writes=*/false);
+    platform::FileSecretStore secrets(secret);
+    ASSERT_TRUE(secrets.Provision(Slice("tdbstat-test-secret")).ok());
+    platform::FileOneWayCounter counter(counter_file, /*sync=*/false);
+    chunk::ChunkStoreOptions options;
+    options.security = crypto::SecurityConfig::Modern();
+    options.segment_size = 4 * 1024;
+    options.map_fanout = 8;
+    auto chunks = chunk::ChunkStore::Open(&store, &secrets, &counter, options);
+    ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+    for (int i = 0; i < kChunks; i++) {
+      ASSERT_TRUE((*chunks)
+                      ->Write((*chunks)->AllocateChunkId(),
+                              Slice("license " + std::to_string(i)),
+                              /*durable=*/i % 10 == 9)
+                      .ok());
+    }
+    ASSERT_TRUE((*chunks)->Close().ok());
+  }
+  const std::string command = "'" + std::string(TDBSTAT_PATH) + "' '" + db +
+                              "' '" + secret + "' '" + counter_file +
+                              "' --verify 2>&1";
+  int rc = 0;
+  const std::string output = RunCommand(command, &rc);
+  EXPECT_EQ(rc, 0) << output;
+  EXPECT_EQ(output.find("integrity scrub"), std::string::npos) << output;
+  EXPECT_NE(output.find("chunks:       " + std::to_string(kChunks) + " live"),
+            std::string::npos)
+      << output;
+  fs::remove_all(root);
+}
+
 // --check gates on one well-formed snapshot: a valid snapshot passes, and
 // the same file with a second document appended is rejected.
 TEST(TdbstatTest, CheckRejectsTrailingDocument) {

@@ -555,6 +555,7 @@ int main(int argc, char** argv) {
   ShadowOneWayCounter counter(&real_counter);
 
   auto registry = std::make_shared<common::MetricsRegistry>();
+  // map_fanout stays 0: Open takes the fanout the image records.
   chunk::ChunkStoreOptions options;
   options.security = insecure ? crypto::SecurityConfig::Disabled()
                               : crypto::SecurityConfig::Modern();
