@@ -1,5 +1,6 @@
 #include "chunk/anchor.h"
 
+#include "chunk/location_map.h"
 #include "common/crc32c.h"
 
 namespace tdb::chunk {
@@ -83,6 +84,12 @@ Result<AnchorState> AnchorManager::Decode(Slice data,
   TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.scan_offset));
   if (magic == kAnchorMagic) {
     TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.map_fanout));
+    // Without security the anchor carries only a CRC, so the fanout is
+    // checked before a map is built with it.
+    if (state.map_fanout < LocationMap::kMinFanout ||
+        state.map_fanout > LocationMap::kMaxFanout) {
+      return Status::Corruption("bad anchor map fanout");
+    }
     TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.first_v2_segment));
   }
   return state;

@@ -694,13 +694,9 @@ Result<Location> ChunkStore::Append(RecordType type, uint8_t flags,
   return loc;
 }
 
-Result<Location> ChunkStore::AppendVerbatim(Slice record) {
-  RecordView view;
-  TDB_CHECK(ParseRecord(record, &view).ok() &&
-                view.record_size == record.size(),
-            "relocated record is not one v2 record");
+Result<Location> ChunkStore::AppendVerbatim(Slice record, size_t header) {
   TDB_ASSIGN_OR_RETURN(Location loc,
-                       ReserveTail(view.type, view.payload.size()));
+                       ReserveTail(RecordType::kData, record.size() - header));
   tail_buf_.insert(tail_buf_.end(), record.data(),
                    record.data() + record.size());
   return loc;
@@ -1162,8 +1158,9 @@ Status ChunkStore::BufferBatchLocked(const PreparedBatch& prep) {
   size_t appended = 0;  // Data records this batch put in the log.
 
   for (const StagedWrite& w : prep.writes) {
-    auto loc = w.framed ? AppendVerbatim(w.sealed)
-                        : Append(RecordType::kData, w.flags, w.sealed);
+    auto loc = w.frame_header != 0
+                   ? AppendVerbatim(w.sealed, w.frame_header)
+                   : Append(RecordType::kData, w.flags, w.sealed);
     if (!loc.ok()) {
       failed = loc.status();
       break;
@@ -1989,7 +1986,10 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     staged.hash = v1 ? EntryHash(LogVersion::kV2, RecordType::kData,
                                  staged.flags, staged.sealed)
                      : entry.hash;
-    staged.framed = !v1;  // Appended with the record header it had.
+    if (!v1) {  // Appended with the record header it had.
+      staged.frame_header =
+          RecordHeaderSize(LogVersion::kV2, entry.loc.length);
+    }
     relocations.writes.push_back(std::move(staged));
     m_.relocated_records->Increment();
     m_.relocated_bytes->Add(static_cast<int64_t>(entry.loc.length));

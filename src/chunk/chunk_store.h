@@ -603,10 +603,11 @@ class ChunkStore : public ChunkStoreInterface {
   static std::string SegmentName(uint32_t id);
   Status OpenFreshSegment();     // Rolls the tail to a new segment file.
   // Appends a record to the tail (rolling segments as needed); returns its
-  // location. AppendVerbatim appends a whole v2 record (header included)
-  // read back from the log, which frames and checksums it the same way.
+  // location. AppendVerbatim appends a whole v2 data record with a
+  // `header`-byte header, read back from the log, which frames and
+  // checksums it the same way.
   Result<Location> Append(RecordType type, uint8_t flags, Slice payload);
-  Result<Location> AppendVerbatim(Slice record);
+  Result<Location> AppendVerbatim(Slice record, size_t header);
   // Rolls to a fresh segment unless a record of `payload_size` fits the
   // tail; returns the location the record will have.
   Result<Location> ReserveTail(RecordType type, uint64_t payload_size);
@@ -686,10 +687,11 @@ class ChunkStore : public ChunkStoreInterface {
     Buffer sealed;
     crypto::Digest hash;
     uint8_t flags = 0;  // EntryFlags describing `sealed`'s payload.
-    // A relocation's `sealed` is the whole v2 record, header included,
-    // as read back from the victim segment; it is appended verbatim. (A
-    // record relocated from a v1 segment is re-framed instead.)
-    bool framed = false;
+    // Nonzero when `sealed` is a whole v2 record read back from a victim
+    // segment: the bytes of its header, which the record is appended
+    // with verbatim. (A record relocated from a v1 segment is re-framed
+    // instead.)
+    size_t frame_header = 0;
     // A commit's plaintext, in the caller's WriteBatch (valid for the
     // CommitBuffered call); feeds the cache write-through. Null for
     // relocations.

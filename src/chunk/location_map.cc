@@ -31,7 +31,8 @@ std::shared_ptr<MapNode> NewNode(uint32_t level, uint64_t index,
 }  // namespace
 
 LocationMap::LocationMap(uint32_t fanout) : fanout_(fanout) {
-  TDB_CHECK(fanout >= 2, "map fanout must be at least 2");
+  TDB_CHECK(fanout >= kMinFanout && fanout <= kMaxFanout,
+            "map fanout out of range");
   root_ = NewNode(0, 0, fanout_);
 }
 

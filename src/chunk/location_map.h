@@ -64,6 +64,11 @@ enum class DiffKind { kAdded, kRemoved, kChanged };
 /// serializes access.
 class LocationMap {
  public:
+  /// Fanouts a map may have; a fanout read from an image outside this
+  /// range is corrupt.
+  static constexpr uint32_t kMinFanout = 2;
+  static constexpr uint32_t kMaxFanout = 4096;
+
   explicit LocationMap(uint32_t fanout);
 
   /// Starts from a persisted root (recovery path).

@@ -109,6 +109,12 @@ Status ParseRecord(Slice input, RecordView* out, LogVersion version) {
     return Status::Corruption("truncated record header");
   }
   const size_t header = input.size() - dec.remaining();
+  // Only the shortest length varint is accepted: a record's location and
+  // live bytes are sized by RecordHeaderSize, and neither its hash nor a
+  // commit MAC covers the length bytes, so padding them must not parse.
+  if (header != RecordHeaderSize(LogVersion::kV2, len)) {
+    return Status::Corruption("non-canonical record length");
+  }
   if (dec.remaining() < len) {
     return Status::Corruption("truncated record payload");
   }

@@ -25,7 +25,8 @@ namespace tdb::chunk {
 ///   type   := RecordType (bits 0-3) | EntryFlags << 4
 ///
 /// The CRC-32C covers the type byte, the length and the payload; it
-/// detects torn writes at the tail. The flags say how the payload was
+/// detects torn writes at the tail. The length varint must be the
+/// shortest one (no hash or MAC covers it). The flags say how the payload was
 /// sealed: kEntryPadded for PKCS#7 padding (a plaintext of at most one
 /// cipher block, or a record relocated from a v1 segment), ciphertext
 /// stealing otherwise; kEntryCompressed for a compressed data plaintext.

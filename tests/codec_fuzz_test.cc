@@ -172,6 +172,127 @@ TEST(CodecFuzzTest, TruncatedManifestAlwaysRejected) {
   }
 }
 
+// A v1 manifest, encoded by hand in the field order the last v1 writer
+// used: only the v1 decoder is left in the store.
+Buffer EncodeManifestV1(const chunk::CommitManifestV1& manifest) {
+  Buffer out;
+  PutVarint64(&out, manifest.seq);
+  out.push_back(manifest.flags);
+  PutVarint64(&out, manifest.next_chunk_id);
+  PutVarint64(&out, manifest.counter);
+  chunk::PutDigest(&out, manifest.prev_mac);
+  PutVarint32(&out, static_cast<uint32_t>(manifest.writes.size()));
+  for (const chunk::ManifestWrite& w : manifest.writes) {
+    PutVarint64(&out, w.cid);
+    chunk::PutLocation(&out, w.loc);
+    chunk::PutDigest(&out, w.hash);
+    out.push_back(w.flags);
+  }
+  PutVarint32(&out, static_cast<uint32_t>(manifest.deallocs.size()));
+  for (chunk::ChunkId cid : manifest.deallocs) PutVarint64(&out, cid);
+  out.push_back(manifest.has_root ? 1 : 0);
+  if (manifest.has_root) {
+    chunk::PutLocation(&out, manifest.root_loc);
+    chunk::PutDigest(&out, manifest.root_hash);
+  }
+  return out;
+}
+
+crypto::Digest RandomDigest(Random* rng, size_t size) {
+  Buffer bytes;
+  rng->Fill(&bytes, size);
+  return crypto::Digest(bytes.data(), size);
+}
+
+chunk::CommitManifestV1 RandomManifestV1(Random* rng) {
+  chunk::CommitManifestV1 manifest;
+  manifest.seq = rng->Next();
+  manifest.flags = static_cast<uint8_t>(rng->Uniform(8));
+  manifest.next_chunk_id = rng->Next();
+  manifest.counter = rng->Next();
+  manifest.prev_mac = RandomDigest(rng, 32);
+  int n_writes = static_cast<int>(rng->Uniform(10));
+  for (int i = 0; i < n_writes; i++) {
+    chunk::ManifestWrite w;
+    w.cid = rng->Next();
+    w.loc = {static_cast<uint32_t>(rng->Next()),
+             static_cast<uint32_t>(rng->Next()),
+             static_cast<uint32_t>(rng->Next())};
+    w.hash = RandomDigest(rng, 12);
+    w.flags = static_cast<uint8_t>(rng->Uniform(2)) * chunk::kEntryCompressed;
+    manifest.writes.push_back(w);
+  }
+  int n_deallocs = static_cast<int>(rng->Uniform(5));
+  for (int i = 0; i < n_deallocs; i++) manifest.deallocs.push_back(rng->Next());
+  manifest.has_root = rng->Uniform(2) == 1;
+  if (manifest.has_root) {
+    manifest.root_loc = {static_cast<uint32_t>(rng->Next()),
+                         static_cast<uint32_t>(rng->Next()),
+                         static_cast<uint32_t>(rng->Next())};
+    manifest.root_hash = RandomDigest(rng, 12);
+  }
+  return manifest;
+}
+
+void ExpectSameManifestV1(const chunk::CommitManifestV1& a,
+                          const chunk::CommitManifestV1& b) {
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.flags, b.flags);
+  EXPECT_EQ(a.counter, b.counter);
+  EXPECT_EQ(a.next_chunk_id, b.next_chunk_id);
+  EXPECT_EQ(a.prev_mac, b.prev_mac);
+  ASSERT_EQ(a.writes.size(), b.writes.size());
+  for (size_t i = 0; i < a.writes.size(); i++) {
+    EXPECT_EQ(a.writes[i].cid, b.writes[i].cid);
+    EXPECT_TRUE(a.writes[i].loc == b.writes[i].loc);
+    EXPECT_EQ(a.writes[i].hash, b.writes[i].hash);
+    EXPECT_EQ(a.writes[i].flags, b.writes[i].flags);
+  }
+  EXPECT_EQ(a.deallocs, b.deallocs);
+  EXPECT_EQ(a.has_root, b.has_root);
+  if (a.has_root && b.has_root) {
+    EXPECT_TRUE(a.root_loc == b.root_loc);
+    EXPECT_EQ(a.root_hash, b.root_hash);
+  }
+}
+
+TEST(CodecFuzzTest, ManifestV1DecodesWithAllFields) {
+  Random rng(5);
+  for (int trial = 0; trial < 200; trial++) {
+    const chunk::CommitManifestV1 manifest = RandomManifestV1(&rng);
+    chunk::CommitManifestV1 decoded;
+    ASSERT_TRUE(
+        chunk::DecodeManifestV1(EncodeManifestV1(manifest), 32, 12, &decoded)
+            .ok());
+    ExpectSameManifestV1(decoded, manifest);
+  }
+}
+
+TEST(CodecFuzzTest, TruncatedManifestV1AlwaysRejected) {
+  Random rng(8);
+  for (int trial = 0; trial < 20; trial++) {
+    chunk::CommitManifestV1 manifest = RandomManifestV1(&rng);
+    if (trial == 0) {  // One with every field present.
+      while (manifest.writes.empty() || manifest.deallocs.empty()) {
+        manifest = RandomManifestV1(&rng);
+      }
+      manifest.has_root = true;
+      manifest.root_loc = {1, 2, 3};
+      manifest.root_hash = RandomDigest(&rng, 12);
+    }
+    Buffer encoded = EncodeManifestV1(manifest);
+    chunk::CommitManifestV1 full;
+    ASSERT_TRUE(chunk::DecodeManifestV1(encoded, 32, 12, &full).ok());
+    ExpectSameManifestV1(full, manifest);
+    for (size_t cut = 0; cut < encoded.size(); cut++) {
+      Buffer truncated(encoded.begin(), encoded.begin() + cut);
+      chunk::CommitManifestV1 out;
+      EXPECT_FALSE(chunk::DecodeManifestV1(truncated, 32, 12, &out).ok())
+          << "trial " << trial << " cut at " << cut;
+    }
+  }
+}
+
 TEST(CodecCorpusTest, ManifestBitFlipsNeverSilentlyAccepted) {
   // The manifest is sealed and MACed in the log; here the bare encoding
   // must either fail to decode or decode to a different manifest, so no
@@ -334,7 +455,40 @@ chunk::AnchorState SampleAnchor() {
   state.ckpt_mac = crypto::Digest(m.data(), 32);
   state.scan_segment = 6;
   state.scan_offset = 512;
+  state.map_fanout = 8;
+  state.first_v2_segment = 6;
   return state;
+}
+
+TEST(CodecCorpusTest, AnchorFanoutOutOfRangeRejected) {
+  // Without security the anchor carries only a CRC, so a garbled fanout
+  // reaches the decoder intact; it must be a Status, not a map built with
+  // it (a fanout of 1 would abort, a huge one allocate a huge root).
+  crypto::CipherSuite insecure(crypto::SecurityConfig::Disabled(),
+                               Slice("fuzz-secret"), Slice("iv"));
+  auto insecure_anchor = [](uint32_t fanout) {
+    chunk::AnchorState state = SampleAnchor();
+    state.root_hash = crypto::Digest();
+    state.ckpt_mac = crypto::Digest();
+    state.map_fanout = fanout;
+    return state;
+  };
+  for (uint32_t fanout : {0u, 1u, chunk::LocationMap::kMaxFanout + 1,
+                          UINT32_MAX}) {
+    chunk::AnchorState state = insecure_anchor(fanout);
+    Result<chunk::AnchorState> decoded = chunk::AnchorManager::Decode(
+        chunk::AnchorManager::Encode(state, insecure), insecure, 0);
+    ASSERT_FALSE(decoded.ok()) << "fanout " << fanout;
+    EXPECT_TRUE(decoded.status().IsCorruption()) << "fanout " << fanout;
+  }
+  for (uint32_t fanout : {chunk::LocationMap::kMinFanout, 64u,
+                          chunk::LocationMap::kMaxFanout}) {
+    chunk::AnchorState state = insecure_anchor(fanout);
+    Result<chunk::AnchorState> decoded = chunk::AnchorManager::Decode(
+        chunk::AnchorManager::Encode(state, insecure), insecure, 0);
+    ASSERT_TRUE(decoded.ok()) << "fanout " << fanout;
+    EXPECT_EQ(decoded->map_fanout, fanout);
+  }
 }
 
 TEST(CodecCorpusTest, AnchorTruncationsAlwaysRejected) {

@@ -441,6 +441,42 @@ TEST(LogFormatTest, TamperedResidualDataRecordDetectedAtReopen) {
   EXPECT_GT(registry->audit().size(), 0u);
 }
 
+TEST(LogFormatTest, OverlongRecordLengthEndsTheScan) {
+  // Neither the record hash nor the commit MAC covers a frame's length
+  // bytes, so a residual record re-framed with a padded length varint
+  // (and a fresh CRC-32C) must not parse: the scan stops in front of it
+  // and the durable commit behind it is missing at reopen.
+  ResidualImage image;
+  const Frame frame = image.DataFrameOf(0);
+  MemUntrustedStore::Image bytes = image.copy->store.SnapshotImage();
+  Buffer& file = bytes["seg-" + std::to_string(frame.segment)];
+  Buffer padded = {file[frame.offset]};  // The type byte.
+  uint32_t len = static_cast<uint32_t>(frame.payload.size());
+  for (; len >= 0x80; len >>= 7) {
+    padded.push_back(static_cast<uint8_t>(len | 0x80));
+  }
+  padded.push_back(static_cast<uint8_t>(len | 0x80));  // Continues into
+  padded.push_back(0);                                   // a needless 0.
+  uint32_t crc = Crc32cExtend(0, padded.data(), padded.size());
+  crc = Crc32cExtend(crc, frame.payload.data(), frame.payload.size());
+  PutFixed32(&padded, crc);
+  padded.insert(padded.end(), frame.payload.begin(), frame.payload.end());
+  RecordView view;
+  EXPECT_TRUE(ParseRecord(padded, &view).IsCorruption());
+  const auto at = file.begin() + frame.offset;
+  file.erase(at, at + frame.header + frame.payload.size());
+  file.insert(file.begin() + frame.offset, padded.begin(), padded.end());
+  image.copy->store.RestoreImage(std::move(bytes));
+
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  auto reopened = image.Reopen(registry);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsReplayDetected() ||
+              reopened.status().IsTamperDetected())
+      << reopened.status().ToString();
+  EXPECT_GT(registry->audit().size(), 0u);
+}
+
 TEST(LogFormatTest, FlippedRecordFlagsDetected) {
   // In the residual log: marking a stolen record padded changes the
   // type byte the commit MAC binds.
