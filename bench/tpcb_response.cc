@@ -9,7 +9,9 @@
 // the bytes per transaction of the baseline. TDB rows also break their
 // log bytes per transaction down by record kind: data (of which the
 // cleaner's relocations, and of those the records it had moved before),
-// map and commit.
+// map and commit, and print the secure overhead (§7.4) in those bytes:
+// seal numbers (stored IVs before log format v3), padding, record frames
+// and map-entry hashes.
 
 #include <cstdio>
 
@@ -53,6 +55,9 @@ int main() {
                 "map %.0f  commit %.0f B/txn\n", "", r.data_per_txn,
                 r.relocated_per_txn, r.rerelocated_per_txn, r.map_per_txn,
                 r.commit_per_txn);
+    std::printf("%-12s overhead: seal %.1f  pad %.1f  frame %.1f  "
+                "entry hash %.1f B/txn\n", "", r.seal_per_txn, r.pad_per_txn,
+                r.frame_per_txn, r.entry_hash_per_txn);
     return r;
   };
 

@@ -162,6 +162,10 @@ void ChunkStore::BindInstruments() {
   m_.data_bytes = r->GetCounter("chunk.data_bytes");
   m_.map_bytes = r->GetCounter("chunk.map_bytes");
   m_.commit_bytes = r->GetCounter("chunk.commit_bytes");
+  m_.seal_bytes = r->GetCounter("chunk.overhead.seal_bytes");
+  m_.pad_bytes = r->GetCounter("chunk.overhead.pad_bytes");
+  m_.frame_bytes = r->GetCounter("chunk.overhead.frame_bytes");
+  m_.entry_hash_bytes = r->GetCounter("chunk.overhead.entry_hash_bytes");
   m_.cache_hits = r->GetCounter("chunk.cache.hits");
   m_.cache_misses = r->GetCounter("chunk.cache.misses");
   m_.cache_evictions[0] = r->GetCounter("chunk.cache.evictions.capacity");
@@ -238,7 +242,10 @@ Buffer ChunkStore::SealSerialIv(Slice plain, uint8_t* flags) {
     suite_.NextIv(iv);
   }
   *flags |= SealFlags(plain.size());
-  return suite_.SealStealing(plain, Slice(iv, suite_.iv_size()));
+  Buffer sealed = suite_.SealStealing(plain, Slice(iv, suite_.iv_size()));
+  m_.pad_bytes->Add(
+      static_cast<int64_t>(sealed.size() - suite_.iv_size() - plain.size()));
+  return sealed;
 }
 
 size_t ChunkStore::entry_hash_size() const {
@@ -728,6 +735,11 @@ Result<Location> ChunkStore::ReserveTail(RecordType type,
       m_.commit_bytes->Add(static_cast<int64_t>(record_size));
       break;
   }
+  m_.frame_bytes->Add(static_cast<int64_t>(record_size - payload_size));
+  m_.seal_bytes->Add(static_cast<int64_t>(suite_.iv_size()));
+  if (type != RecordType::kCommit) {
+    m_.entry_hash_bytes->Add(static_cast<int64_t>(entry_hash_size()));
+  }
   return loc;
 }
 
@@ -1111,6 +1123,8 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     const Slice plain = plain_for(i, &scratch);
     w.flags |= SealFlags(plain.size());
     w.sealed = suite_.SealStealing(plain, Slice(w.iv, suite_.iv_size()));
+    m_.pad_bytes->Add(static_cast<int64_t>(w.sealed.size() -
+                                           suite_.iv_size() - plain.size()));
     w.hash = EntryHash(LogVersion::kV2, RecordType::kData, w.flags, w.sealed);
   };
   // Seal inline in batch order. Once the inline time passes one pool
@@ -1702,6 +1716,10 @@ ChunkStoreStats ChunkStore::Stats() const {
   s.data_bytes = u(m_.data_bytes->value());
   s.map_bytes = u(m_.map_bytes->value());
   s.commit_bytes = u(m_.commit_bytes->value());
+  s.seal_bytes = u(m_.seal_bytes->value());
+  s.pad_bytes = u(m_.pad_bytes->value());
+  s.frame_bytes = u(m_.frame_bytes->value());
+  s.entry_hash_bytes = u(m_.entry_hash_bytes->value());
   s.cache_hits = u(m_.cache_hits->value());
   s.cache_misses = u(m_.cache_misses->value());
   const CacheEvictionCounts evictions = cache_.eviction_counts();

@@ -185,6 +185,15 @@ struct ChunkStoreStats {
   uint64_t data_bytes = 0;
   uint64_t map_bytes = 0;
   uint64_t commit_bytes = 0;
+  // Secure overhead of the appended records (§7.4), summed over data, map
+  // and commit records: the seal-number (or stored IV) bytes in front of
+  // each ciphertext, the record frames, and the hash bytes of the map
+  // entries that name data and map-node records. Padding is counted when
+  // a record is sealed: the cleaner moves sealed records verbatim.
+  uint64_t seal_bytes = 0;
+  uint64_t pad_bytes = 0;
+  uint64_t frame_bytes = 0;
+  uint64_t entry_hash_bytes = 0;
   // Validated-plaintext chunk cache (only moves when cache_bytes > 0).
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;    // Reads that fell through to validation.
@@ -553,6 +562,10 @@ class ChunkStore : public ChunkStoreInterface {
     common::Counter* data_bytes = nullptr;
     common::Counter* map_bytes = nullptr;
     common::Counter* commit_bytes = nullptr;
+    common::Counter* seal_bytes = nullptr;
+    common::Counter* pad_bytes = nullptr;
+    common::Counter* frame_bytes = nullptr;
+    common::Counter* entry_hash_bytes = nullptr;
     common::Counter* cache_hits = nullptr;
     common::Counter* cache_misses = nullptr;
     common::Counter* cache_evictions[4] = {};  // Indexed by EvictCause.

@@ -289,6 +289,11 @@ void PerTxn(const chunk::ChunkStoreStats& start,
       per_txn(&chunk::ChunkStoreStats::rerelocated_bytes);
   result->map_per_txn = per_txn(&chunk::ChunkStoreStats::map_bytes);
   result->commit_per_txn = per_txn(&chunk::ChunkStoreStats::commit_bytes);
+  result->seal_per_txn = per_txn(&chunk::ChunkStoreStats::seal_bytes);
+  result->pad_per_txn = per_txn(&chunk::ChunkStoreStats::pad_bytes);
+  result->frame_per_txn = per_txn(&chunk::ChunkStoreStats::frame_bytes);
+  result->entry_hash_per_txn =
+      per_txn(&chunk::ChunkStoreStats::entry_hash_bytes);
 }
 
 // What both systems share: loads the tables (timed as set-up), runs

@@ -126,6 +126,10 @@ struct TpcbResult {
   // ones records it moved again.
   double data_per_txn = 0, relocated_per_txn = 0, rerelocated_per_txn = 0;
   double map_per_txn = 0, commit_per_txn = 0;
+  // TDB only: the later half's secure overhead per txn (§7.4): seal-number
+  // or IV bytes, padding, record frames and map-entry hash bytes.
+  double seal_per_txn = 0, pad_per_txn = 0, frame_per_txn = 0;
+  double entry_hash_per_txn = 0;
   uint64_t db_size_bytes = 0;  // Final database size.
   double utilization = 0;      // TDB only: final live/total.
   uint64_t txns = 0;
