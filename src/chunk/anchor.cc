@@ -1,5 +1,7 @@
 #include "chunk/anchor.h"
 
+#include <tuple>
+
 #include "chunk/location_map.h"
 #include "common/crc32c.h"
 
@@ -8,7 +10,8 @@ namespace tdb::chunk {
 namespace {
 
 constexpr uint32_t kAnchorMagicV1 = 0x54424148;  // "HABT" on disk.
-constexpr uint32_t kAnchorMagic = 0x32414254;    // "TBA2" on disk.
+constexpr uint32_t kAnchorMagicV2 = 0x32414254;  // "TBA2" on disk.
+constexpr uint32_t kAnchorMagic = 0x33414254;    // "TBA3" on disk.
 const char* SlotName(int slot) { return slot == 0 ? "anchor-0" : "anchor-1"; }
 
 }  // namespace
@@ -29,7 +32,9 @@ Buffer AnchorManager::Encode(const AnchorState& state,
   PutVarint32(&payload, state.scan_segment);
   PutVarint32(&payload, state.scan_offset);
   PutVarint32(&payload, state.map_fanout);
-  PutVarint32(&payload, state.first_v2_segment);
+  PutVarint64(&payload, state.seal_limit);
+  PutLengthPrefixed(&payload, Slice(state.iv_seed));
+  payload.push_back(state.legacy_segments ? 1 : 0);
 
   crypto::Digest mac = suite.Mac(payload);
   Buffer out;
@@ -66,7 +71,8 @@ Result<AnchorState> AnchorManager::Decode(Slice data,
   Decoder dec(payload);
   uint32_t magic;
   TDB_RETURN_IF_ERROR(dec.GetFixed32(&magic));
-  if (magic != kAnchorMagic && magic != kAnchorMagicV1) {
+  if (magic != kAnchorMagic && magic != kAnchorMagicV2 &&
+      magic != kAnchorMagicV1) {
     return Status::Corruption("bad anchor magic");
   }
   TDB_RETURN_IF_ERROR(dec.GetVarint64(&state.counter));
@@ -82,16 +88,25 @@ Result<AnchorState> AnchorManager::Decode(Slice data,
   TDB_RETURN_IF_ERROR(GetDigest(&dec, suite.hash_size(), &state.ckpt_mac));
   TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.scan_segment));
   TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.scan_offset));
-  if (magic == kAnchorMagic) {
-    TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.map_fanout));
-    // Without security the anchor carries only a CRC, so the fanout is
-    // checked before a map is built with it.
-    if (state.map_fanout < LocationMap::kMinFanout ||
-        state.map_fanout > LocationMap::kMaxFanout) {
-      return Status::Corruption("bad anchor map fanout");
-    }
-    TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.first_v2_segment));
+  state.legacy_segments = true;
+  if (magic == kAnchorMagicV1) return state;
+  TDB_RETURN_IF_ERROR(dec.GetVarint32(&state.map_fanout));
+  // Without security the anchor carries only a CRC, so the fanout is
+  // checked before a map is built with it.
+  if (state.map_fanout < LocationMap::kMinFanout ||
+      state.map_fanout > LocationMap::kMaxFanout) {
+    return Status::Corruption("bad anchor map fanout");
   }
+  if (magic == kAnchorMagicV2) return state;  // Its v1/v2 boundary is unused.
+  TDB_RETURN_IF_ERROR(dec.GetVarint64(&state.seal_limit));
+  Slice iv_seed;
+  TDB_RETURN_IF_ERROR(dec.GetLengthPrefixed(&iv_seed));
+  state.iv_seed = iv_seed.ToString();
+  Slice legacy;
+  TDB_RETURN_IF_ERROR(dec.GetBytes(1, &legacy));
+  if (legacy[0] > 1) return Status::Corruption("bad anchor legacy flag");
+  state.legacy_segments = legacy[0] != 0;
+  if (!dec.done()) return Status::Corruption("trailing anchor bytes");
   return state;
 }
 
@@ -115,8 +130,9 @@ Result<AnchorState> AnchorManager::Load() const {
       if (first_error.ok()) first_error = decoded.status();
       continue;
     }
-    if (!any_valid || decoded->counter > best.counter ||
-        (decoded->counter == best.counter && decoded->seq > best.seq)) {
+    if (!any_valid ||
+        std::tie(decoded->counter, decoded->seq, decoded->seal_limit) >
+            std::tie(best.counter, best.seq, best.seal_limit)) {
       best = *decoded;
       best_slot = slot;
       any_valid = true;

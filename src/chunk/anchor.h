@@ -27,22 +27,30 @@ struct AnchorState {
   crypto::Digest ckpt_mac;      // MAC of the checkpoint commit record.
   uint32_t scan_segment = 0;    // Residual-log scan start (after ckpt).
   uint32_t scan_offset = 0;
-  // Recorded from log format v2 on; a v1 anchor decodes them as 0 and
-  // kNoV2Segment.
-  uint32_t map_fanout = 0;      // Fanout of the location map.
-  // Lowest id of a v2 segment: lower ids are v1 segments, the rest v2.
-  uint32_t first_v2_segment = kNoV2Segment;
-
-  static constexpr uint32_t kNoV2Segment = UINT32_MAX;
+  // Fanout of the location map. Recorded from log format v2 on; a v1
+  // anchor decodes it as 0.
+  uint32_t map_fanout = 0;
+  // The seal-number lease: no record may be sealed under a seal number at
+  // or above it until an anchor with a higher limit is durable, so a
+  // number a crashed session may have used is never used again. 0 in a
+  // v1/v2 anchor, whose sessions stored their IVs.
+  uint64_t seal_limit = 0;
+  // The iv_seed the IV key k' of the seal numbers is derived from: the
+  // image's wins over the options' at open. Empty in a v1/v2 anchor.
+  std::string iv_seed;
+  // Segments of log format v1/v2 may remain: the upgrade at open has not
+  // finished. Always true for a v1/v2 anchor.
+  bool legacy_segments = false;
 };
 
-/// Anchors are written in the v2 encoding (CRC-32C framing, the fields
-/// above); v1 anchors (FNV-1a framing, no fanout or format fields) are
-/// still read.
+/// Anchors are written in the v3 encoding (CRC-32C framing, the fields
+/// above); v1 anchors (FNV-1a framing, no fanout) and v2 anchors (no seal
+/// lease) are still read.
 ///
 /// Reads/writes the anchor using two alternating slots so a crash can tear
 /// at most the slot being written; recovery picks the valid slot with the
-/// highest (counter, seq).
+/// highest (counter, seq, seal_limit): a write that only raises the lease
+/// keeps the counter and seq.
 class AnchorManager {
  public:
   /// `entry_hash_size` frames the (possibly truncated) root hash.

@@ -59,22 +59,10 @@ constexpr size_t kVerifyBatchChunks = 256;
 // this is rejected as tampered without allocating.
 constexpr size_t kMaxDecompressedChunk = size_t{1} << 30;
 
-// The MAC input of a v2 commit record up to its record hashes, which the
-// caller appends (see log_format.h): prev_mac ‖ type ‖ sealed manifest.
-Buffer CommitMacInput(const crypto::Digest& prev, uint8_t flags,
-                      Slice sealed_manifest, size_t n_records) {
-  Buffer input;
-  input.reserve(prev.size() + 1 + sealed_manifest.size() +
-                n_records * crypto::Digest::kMaxSize);
-  PutDigest(&input, prev);
-  input.push_back(RecordTypeByte(RecordType::kCommit, flags));
-  input.insert(input.end(), sealed_manifest.data(),
-               sealed_manifest.data() + sealed_manifest.size());
-  return input;
-}
+}  // namespace
 
 // Parses "seg-<id>"; returns false for other files (anchors etc.).
-bool ParseSegmentName(const std::string& name, uint32_t* id) {
+bool ChunkStore::ParseSegmentName(const std::string& name, uint32_t* id) {
   if (name.rfind(kSegmentPrefix, 0) != 0) return false;
   uint64_t value = 0;
   for (size_t i = 4; i < name.size(); i++) {
@@ -85,8 +73,6 @@ bool ParseSegmentName(const std::string& name, uint32_t* id) {
   *id = static_cast<uint32_t>(value);
   return true;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // WriteBatch
@@ -235,16 +221,38 @@ void ChunkStore::AtomicMax(std::atomic<uint64_t>& counter, uint64_t value) {
   }
 }
 
-Buffer ChunkStore::SealSerialIv(Slice plain, uint8_t* flags) {
-  uint8_t iv[crypto::CipherSuite::kMaxIvSize];
-  {
-    std::lock_guard<std::mutex> lock(iv_mu_);
-    suite_.NextIv(iv);
+Status ChunkStore::DrawSeals(size_t n, uint64_t* first) {
+  *first = next_seal_.fetch_add(n);
+  if (*first + n <= seal_limit_.load(std::memory_order_acquire)) {
+    return Status::OK();
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  return RenewSealLeaseLocked(*first + n);
+}
+
+Status ChunkStore::DrawSealsLocked(size_t n, uint64_t* first) {
+  *first = next_seal_.fetch_add(n);
+  return RenewSealLeaseLocked(*first + n);
+}
+
+Status ChunkStore::RenewSealLeaseLocked(uint64_t end) {
+  if (end <= seal_limit_.load(std::memory_order_acquire)) {
+    return Status::OK();
+  }
+  // Only the limit changes: the checkpoint state stays the anchored one,
+  // which recovery may still need to replay from.
+  AnchorState next = anchored_;
+  next.seal_limit = std::max(end, next_seal_.load()) + kSealLease;
+  return WriteAnchor(next);
+}
+
+Result<Buffer> ChunkStore::SealNextLocked(Slice plain, uint8_t* flags) {
+  uint64_t seal = 0;
+  if (Encrypts()) TDB_RETURN_IF_ERROR(DrawSealsLocked(1, &seal));
   *flags |= SealFlags(plain.size());
-  Buffer sealed = suite_.SealStealing(plain, Slice(iv, suite_.iv_size()));
-  m_.pad_bytes->Add(
-      static_cast<int64_t>(sealed.size() - suite_.iv_size() - plain.size()));
+  Buffer sealed = suite_.SealNumbered(plain, seal);
+  m_.pad_bytes->Add(static_cast<int64_t>(
+      sealed.size() - suite_.SealNumberSize(seal) - plain.size()));
   return sealed;
 }
 
@@ -252,16 +260,19 @@ size_t ChunkStore::entry_hash_size() const {
   return std::min(suite_.hash_size(), kMapHashBytes);
 }
 
-crypto::Digest ChunkStore::EntryHash(LogVersion version, RecordType type,
-                                     uint8_t flags, Slice payload) const {
-  const uint8_t type_byte = RecordTypeByte(type, flags);
-  crypto::Digest full =
-      version == LogVersion::kV1
-          ? suite_.HashData(payload)
-          : suite_.HashData(Slice(&type_byte, 1), payload);
+crypto::Digest ChunkStore::TruncatedHash(Slice prefix, Slice payload) const {
+  crypto::Digest full = suite_.HashData(prefix, payload);
   size_t want = entry_hash_size();
   if (full.size() <= want || want == 0) return full;
   return crypto::Digest(full.data(), want);
+}
+
+crypto::Digest ChunkStore::EntryHash(RecordType type, uint8_t flags,
+                                     Slice payload) const {
+  uint8_t prefix[2];
+  const size_t n =
+      RecordHashPrefix(LogVersion::kV3, RecordTypeByte(type, flags), prefix);
+  return TruncatedHash(Slice(prefix, n), payload);
 }
 
 ChunkStore::~ChunkStore() {
@@ -296,6 +307,13 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(
       cs->map_ = LocationMap(anchor->map_fanout);
       cs->options_.map_fanout = anchor->map_fanout;
     }
+    // So does the image's iv_seed, which its seal numbers' IVs depend on.
+    // A v3 anchor, whose seal limit is never 0, records one.
+    if (anchor->seal_limit != 0 && anchor->iv_seed != options.iv_seed) {
+      cs->options_.iv_seed = anchor->iv_seed;
+      cs->suite_ = crypto::CipherSuite(options.security, secret,
+                                       Slice(anchor->iv_seed));
+    }
     TDB_RETURN_IF_ERROR(cs->Recover());
   } else if (anchor.status().IsNotFound()) {
     // Fresh store — unless segment files exist, which means the attacker
@@ -329,299 +347,12 @@ Status ChunkStore::Bootstrap() {
   if (suite_.enabled()) {
     TDB_ASSIGN_OR_RETURN(counter_value_, counter_->Read());
   }
+  // The first checkpoint seals before any anchor exists, under a first
+  // lease of its own: a crash before its anchor leaves segments and no
+  // anchor, which no open accepts, so nothing sealed here is ever read.
+  seal_limit_.store(kSealLease);
   TDB_RETURN_IF_ERROR(OpenFreshSegment());
   return CheckpointLocked();
-}
-
-Status ChunkStore::Recover() {
-  std::unique_lock<std::mutex> lock(mu_);
-  common::TraceSpan span("chunk.recover");
-  const uint64_t recover_start = common::MonotonicMicros();
-  TDB_ASSIGN_OR_RETURN(AnchorState anchor, anchor_mgr_.Load());
-
-  // Freshness floor: the hardware counter can never be behind the anchor.
-  // The exact check happens after the residual log is scanned, against the
-  // last durable commit's sealed counter value.
-  if (suite_.enabled()) {
-    TDB_ASSIGN_OR_RETURN(uint64_t cv, counter_->Read());
-    if (cv < anchor.counter) {
-      AuditDetect("counter_regression", common::kRegionCounter, "counter",
-                  "one-way counter behind anchor");
-      return Status::TamperDetected("one-way counter behind anchor");
-    }
-    counter_value_ = cv;
-  }
-
-  next_chunk_id_.store(anchor.next_chunk_id);
-  seq_ = anchor.seq;
-  has_root_ = anchor.has_root;
-  root_loc_ = anchor.root_loc;
-  root_hash_ = anchor.root_hash;
-  ckpt_mac_ = anchor.ckpt_mac;
-  scan_segment_ = anchor.scan_segment;
-  scan_offset_ = anchor.scan_offset;
-  first_v2_segment_ = anchor.first_v2_segment;
-
-  if (has_root_) {
-    TDB_ASSIGN_OR_RETURN(std::shared_ptr<MapNode> root,
-                         LoadMapNode(nullptr, 0, root_loc_, root_hash_));
-    map_.ResetToRoot(std::move(root));
-  }
-
-  // --- Scan the residual log ---------------------------------------------
-  // Each commit in the form replay needs, from either format's manifest.
-  struct ScannedCommit {
-    CommitManifest manifest;  // Its records are resolved into `writes`.
-    std::vector<std::pair<ChunkId, MapEntry>> writes;
-    crypto::Digest mac;
-    uint32_t end_segment;
-    uint64_t end_offset;
-  };
-  // A v2 data record since the last manifest, located and hashed by the
-  // scan (the manifest lists only its chunk id).
-  struct ScannedRecord {
-    Location loc;
-    uint8_t flags;
-    crypto::Digest hash;
-  };
-  std::vector<ScannedCommit> commits;
-  std::vector<ScannedRecord> pending;
-  crypto::Digest prev = ckpt_mac_;
-  const size_t mac_size = suite_.hash_size();
-
-  // Authenticates and decodes the commit record `view` at `loc`; false
-  // ends the scan there.
-  auto scan_commit = [&](const RecordView& view, const Location& loc,
-                         ScannedCommit* out) -> bool {
-    if (view.payload.size() < mac_size) return false;
-    Slice sealed_m(view.payload.data(), view.payload.size() - mac_size);
-    crypto::Digest mac(view.payload.data() + sealed_m.size(), mac_size);
-    if (SegmentVersion(loc.segment) == LogVersion::kV1) {
-      if (suite_.enabled() && mac != suite_.Mac(sealed_m)) return false;
-      auto manifest_bytes = suite_.Open(sealed_m);
-      CommitManifestV1 v1;
-      if (!manifest_bytes.ok() ||
-          !DecodeManifestV1(*manifest_bytes, mac_size, entry_hash_size(), &v1)
-               .ok() ||
-          v1.prev_mac != prev || !pending.empty()) {
-        return false;
-      }
-      CommitManifest& m = out->manifest;
-      m.seq = v1.seq;
-      m.flags = v1.flags;
-      m.next_chunk_id = v1.next_chunk_id;
-      m.counter = v1.counter;
-      m.deallocs = std::move(v1.deallocs);
-      m.has_root = v1.has_root;
-      m.root_loc = v1.root_loc;
-      m.root_hash = v1.root_hash;
-      for (const ManifestWrite& w : v1.writes) {
-        out->writes.push_back({w.cid, MapEntry{true, w.flags, w.loc, w.hash}});
-      }
-    } else {
-      if (suite_.enabled()) {
-        Buffer input = CommitMacInput(prev, view.flags, sealed_m,
-                                      pending.size());
-        for (const ScannedRecord& r : pending) PutDigest(&input, r.hash);
-        if (mac != suite_.Mac(input)) return false;
-      }
-      auto manifest_bytes =
-          suite_.Open(sealed_m, (view.flags & kEntryPadded) != 0);
-      if (!manifest_bytes.ok() ||
-          !DecodeManifest(*manifest_bytes, entry_hash_size(), &out->manifest)
-               .ok() ||
-          out->manifest.records.size() != pending.size()) {
-        return false;
-      }
-      for (size_t i = 0; i < pending.size(); i++) {
-        const ChunkId cid = out->manifest.records[i];
-        if (cid == kInvalidChunkId) continue;  // Dead.
-        out->writes.push_back(
-            {cid, MapEntry{true, pending[i].flags, pending[i].loc,
-                           pending[i].hash}});
-      }
-      pending.clear();
-    }
-    // Seq numbers must be consecutive within the residual chain (the
-    // checkpoint's own seq is not in the anchor, so the first scanned
-    // commit fixes the base).
-    if (!commits.empty() &&
-        out->manifest.seq != commits.back().manifest.seq + 1) {
-      return false;
-    }
-    out->mac = mac;
-    return true;
-  };
-
-  uint32_t seg = scan_segment_;
-  uint64_t off = scan_offset_;
-  bool stop = false;
-  while (!stop) {
-    const std::string name = SegmentName(seg);
-    if (!store_->Exists(name)) break;
-    auto size_or = store_->Size(name);
-    if (!size_or.ok()) break;
-    uint64_t file_size = *size_or;
-    if (off >= file_size) {
-      seg++;
-      off = kSegmentHeaderSize;
-      // Validate the next segment's header before scanning it: its id and
-      // the format the anchor says a segment of that id has.
-      if (store_->Exists(SegmentName(seg))) {
-        Buffer header;
-        if (!store_->Read(SegmentName(seg), 0, kSegmentHeaderSize, &header)
-                 .ok()) {
-          break;
-        }
-        uint32_t seg_id;
-        LogVersion version;
-        if (!DecodeSegmentHeader(header, &seg_id, &version).ok() ||
-            seg_id != seg || version != SegmentVersion(seg)) {
-          break;
-        }
-      }
-      continue;
-    }
-    const LogVersion version = SegmentVersion(seg);
-    Buffer file;
-    TDB_RETURN_IF_ERROR(
-        store_->Read(name, off, static_cast<size_t>(file_size - off), &file));
-    size_t pos = 0;
-    while (pos < file.size()) {
-      RecordView view;
-      if (!ParseRecord(Slice(file.data() + pos, file.size() - pos), &view,
-                       version)
-               .ok()) {
-        stop = true;  // Torn tail (or garbage): scanning ends here.
-        break;
-      }
-      const Location loc{seg, static_cast<uint32_t>(off + pos),
-                         static_cast<uint32_t>(view.payload.size())};
-      if (view.type == RecordType::kData && version == LogVersion::kV2) {
-        pending.push_back(
-            {loc, view.flags,
-             EntryHash(version, view.type, view.flags, view.payload)});
-      } else if (view.type == RecordType::kCommit) {
-        ScannedCommit commit;
-        if (!scan_commit(view, loc, &commit)) {
-          stop = true;
-          break;
-        }
-        prev = commit.mac;
-        commit.end_segment = seg;
-        commit.end_offset = off + pos + view.record_size;
-        commits.push_back(std::move(commit));
-      }
-      pos += view.record_size;
-    }
-    off = file_size;
-  }
-  // --- Freshness: the last durable commit must match the counter ---------
-  if (suite_.enabled()) {
-    uint64_t last_counter = anchor.counter;
-    for (const ScannedCommit& c : commits) {
-      if (c.manifest.durable()) last_counter = c.manifest.counter;
-    }
-    // The hardware counter ahead of the log means the current log is stale
-    // or truncated (the counter only advances after a successful sync).
-    if (counter_value_ > last_counter) {
-      AuditDetect("replay", common::kRegionLog, "log",
-                  "stale or truncated database image (counter ahead of "
-                  "log state)");
-      return Status::ReplayDetected(
-          "stale or truncated database image (counter behind log state)");
-    }
-    // It may lag by exactly one: crash after the log sync but before the
-    // increment. Resynchronize; anything further is impossible for an
-    // attacker without forging the MACed commit chain. (A failed group
-    // flush re-seals the same counter target under the next seq, so
-    // consecutive durable manifests may carry EQUAL counter values — the
-    // hardware still never trails the last sealed value by two or more.)
-    if (counter_value_ + 1 == last_counter) {
-      TDB_ASSIGN_OR_RETURN(counter_value_, counter_->Increment());
-    }
-    if (counter_value_ != last_counter) {
-      AuditDetect("counter_regression", common::kRegionCounter, "counter",
-                  "one-way counter out of sync with log");
-      return Status::TamperDetected("one-way counter out of sync with log");
-    }
-  }
-
-  // --- Apply the durable prefix -------------------------------------------
-  size_t last_durable = commits.size();
-  while (last_durable > 0 && !commits[last_durable - 1].manifest.durable()) {
-    last_durable--;
-  }
-  uint32_t tail_segment = scan_segment_;
-  uint64_t tail_offset = scan_offset_;
-  uint64_t replayed_chunks = 0;
-  NodeLoader loader = MakeLoader();
-  for (size_t i = 0; i < last_durable; i++) {
-    const ScannedCommit& c = commits[i];
-    replayed_chunks += c.writes.size();
-    // In log order, so a later record of one id wins; deallocations last.
-    for (const auto& [cid, entry] : c.writes) {
-      TDB_RETURN_IF_ERROR(map_.Put(cid, entry, loader).status());
-      AtomicMax(next_chunk_id_, cid + 1);
-    }
-    for (ChunkId cid : c.manifest.deallocs) {
-      TDB_RETURN_IF_ERROR(map_.Remove(cid, loader).status());
-    }
-    AtomicMax(next_chunk_id_, c.manifest.next_chunk_id);
-    seq_ = c.manifest.seq;
-    chain_mac_ = c.mac;
-    tail_segment = c.end_segment;
-    tail_offset = c.end_offset;
-    if (c.manifest.checkpoint() && c.manifest.has_root) {
-      // A checkpoint whose anchor write was lost in the crash window.
-      has_root_ = true;
-      root_loc_ = c.manifest.root_loc;
-      root_hash_ = c.manifest.root_hash;
-      ckpt_mac_ = c.mac;
-    }
-  }
-  if (last_durable == 0) chain_mac_ = ckpt_mac_;
-
-  // --- Truncate away everything past the durable tail ---------------------
-  TDB_RETURN_IF_ERROR(store_->Truncate(SegmentName(tail_segment), tail_offset));
-  for (const std::string& name : store_->List()) {
-    uint32_t id;
-    if (ParseSegmentName(name, &id) && id > tail_segment) {
-      TDB_RETURN_IF_ERROR(store_->Remove(name));
-    }
-  }
-
-  cur_segment_ = tail_segment;
-  cur_offset_ = tail_offset;
-  next_segment_id_ = tail_segment + 1;
-
-  // The IV generator restarts from the same seed at every open, so a
-  // reopened store would draw the IVs an earlier session drew, under the
-  // same key. Reseed it, before anything is sealed, from the MAC of the
-  // last replayed commit and the tail position: every session that made
-  // a commit durable moved them.
-  {
-    Buffer material(chain_mac_.data(), chain_mac_.data() + chain_mac_.size());
-    PutFixed32(&material, cur_segment_);
-    PutFixed64(&material, cur_offset_);
-    std::lock_guard<std::mutex> iv_lock(iv_mu_);
-    suite_.ReseedIv(material);
-  }
-
-  TDB_RETURN_IF_ERROR(RebuildAccounting());
-  // Records are only ever appended to v2 segments.
-  if (SegmentVersion(cur_segment_) == LogVersion::kV1) {
-    TDB_RETURN_IF_ERROR(OpenFreshSegment());
-  }
-
-  // Normalize: a fresh checkpoint + anchor resets the crash windows, makes
-  // discarded nondurable garbage unreachable, and re-syncs the counter.
-  Status normalized = CheckpointLocked();
-  m_.recovery_commits_replayed->Set(static_cast<int64_t>(last_durable));
-  m_.recovery_chunks_replayed->Set(static_cast<int64_t>(replayed_chunks));
-  m_.recovery_time_us->Set(
-      static_cast<int64_t>(common::MonotonicMicros() - recover_start));
-  return normalized;
 }
 
 Status ChunkStore::RebuildAccounting() {
@@ -683,9 +414,6 @@ Status ChunkStore::OpenFreshSegment() {
   // it on the segment it was on.
   TDB_RETURN_IF_ERROR(
       store_->Create(SegmentName(next_segment_id_), /*overwrite=*/true));
-  if (first_v2_segment_ == AnchorState::kNoV2Segment) {
-    first_v2_segment_ = next_segment_id_;
-  }
   cur_segment_ = next_segment_id_++;
   cur_offset_ = 0;
   tail_buf_ = EncodeSegmentHeader(cur_segment_);
@@ -696,23 +424,25 @@ Status ChunkStore::OpenFreshSegment() {
 
 Result<Location> ChunkStore::Append(RecordType type, uint8_t flags,
                                     Slice payload) {
-  TDB_ASSIGN_OR_RETURN(Location loc, ReserveTail(type, payload.size()));
+  TDB_ASSIGN_OR_RETURN(Location loc, ReserveTail(type, payload));
   AppendRecord(&tail_buf_, type, flags, payload);
   return loc;
 }
 
 Result<Location> ChunkStore::AppendVerbatim(Slice record, size_t header) {
-  TDB_ASSIGN_OR_RETURN(Location loc,
-                       ReserveTail(RecordType::kData, record.size() - header));
+  TDB_ASSIGN_OR_RETURN(
+      Location loc,
+      ReserveTail(RecordType::kData,
+                  Slice(record.data() + header, record.size() - header)));
   tail_buf_.insert(tail_buf_.end(), record.data(),
                    record.data() + record.size());
   return loc;
 }
 
-Result<Location> ChunkStore::ReserveTail(RecordType type,
-                                         uint64_t payload_size) {
+Result<Location> ChunkStore::ReserveTail(RecordType type, Slice payload) {
+  const uint64_t payload_size = payload.size();
   const uint64_t record_size =
-      RecordHeaderSize(LogVersion::kV2, payload_size) + payload_size;
+      RecordHeaderSize(LogVersion::kV3, payload_size) + payload_size;
   const uint64_t used = cur_offset_ + tail_buf_.size();
   // Roll to a fresh segment when full — unless this segment is still empty,
   // in which case an oversized record is allowed to live alone in it.
@@ -736,7 +466,13 @@ Result<Location> ChunkStore::ReserveTail(RecordType type,
       break;
   }
   m_.frame_bytes->Add(static_cast<int64_t>(record_size - payload_size));
-  m_.seal_bytes->Add(static_cast<int64_t>(suite_.iv_size()));
+  if (Encrypts()) {
+    Decoder seal(payload);
+    uint64_t unused;
+    if (seal.GetVarint64(&unused).ok()) {
+      m_.seal_bytes->Add(static_cast<int64_t>(payload_size - seal.remaining()));
+    }
+  }
   if (type != RecordType::kCommit) {
     m_.entry_hash_bytes->Add(static_cast<int64_t>(entry_hash_size()));
   }
@@ -767,7 +503,6 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
                                           RecordType expected,
                                           bool whole_record,
                                           uint8_t* flags) {
-  const LogVersion version = SegmentVersion(loc.segment);
   const size_t record_size = RecordBytes(loc);
   Buffer bytes;
   if (loc.segment == cur_segment_ && loc.offset >= cur_offset_) {
@@ -795,7 +530,7 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
     }
   }
   RecordView view;
-  Status parsed = ParseRecord(bytes, &view, version);
+  Status parsed = ParseRecord(bytes, &view);
   if (!parsed.ok()) {
     AuditDetect("record_damaged", common::kRegionLog, LocationString(loc),
                 parsed.ToString());
@@ -806,7 +541,7 @@ Result<Buffer> ChunkStore::FetchRawRecord(const Location& loc,
                 "type or length disagrees with location map");
     return Status::TamperDetected("record does not match location map");
   }
-  if (flags != nullptr) *flags = RecordFlags(loc, view.flags);
+  if (flags != nullptr) *flags = view.flags;
   // The payload is the record minus its header: drop the header in place.
   if (!whole_record) {
     bytes.erase(bytes.begin(), bytes.begin() + (record_size - loc.length));
@@ -822,14 +557,11 @@ Result<Buffer> ChunkStore::ReadRawRecord(const Location& loc,
   TDB_ASSIGN_OR_RETURN(
       Buffer bytes, FetchRawRecord(loc, expected, whole_record, &record_flags));
   if (flags != nullptr) *flags = record_flags;
-  const LogVersion version = SegmentVersion(loc.segment);
   const size_t header = whole_record ? bytes.size() - loc.length : 0;
   Slice payload(bytes.data() + header, bytes.size() - header);
-  // The hash covers the frame's flags as they are on disk (v1: none).
-  const uint8_t hashed_flags =
-      version == LogVersion::kV1 ? 0 : record_flags;
+  // The hash covers the frame's flags as they are on disk.
   if (suite_.enabled() &&
-      EntryHash(version, expected, hashed_flags, payload) != expected_hash) {
+      EntryHash(expected, record_flags, payload) != expected_hash) {
     AuditDetect("hash_mismatch",
                 expected == RecordType::kMapNode ? common::kRegionMap
                                                  : common::kRegionPayload,
@@ -844,8 +576,7 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
   {
     common::ScopedTimer timer(metrics_.get(), m_.read_verify_us);
     if (suite_.enabled() &&
-        EntryHash(SegmentVersion(entry.loc.segment), RecordType::kData,
-                  entry.flags, sealed) != entry.hash) {
+        EntryHash(RecordType::kData, entry.flags, sealed) != entry.hash) {
       AuditDetect("hash_mismatch", common::kRegionPayload,
                   LocationString(entry.loc),
                   "record hash does not match map entry");
@@ -855,8 +586,7 @@ Result<Buffer> ChunkStore::ValidateSealed(const MapEntry& entry,
   Buffer plain;
   {
     common::ScopedTimer timer(metrics_.get(), m_.read_decrypt_us);
-    auto opened = suite_.Open(
-        sealed, RecordFlags(entry.loc, entry.flags) & kEntryPadded);
+    auto opened = suite_.OpenNumbered(sealed, entry.flags & kEntryPadded);
     if (!opened.ok()) {
       AuditDetect("decrypt_failure", common::kRegionPayload,
                   LocationString(entry.loc), opened.status().ToString());
@@ -889,15 +619,22 @@ Result<std::shared_ptr<MapNode>> ChunkStore::LoadMapNode(
   TDB_ASSIGN_OR_RETURN(
       Buffer sealed,
       ReadRawRecord(loc, RecordType::kMapNode, hash, false, &flags));
-  auto plain = suite_.Open(sealed, flags & kEntryPadded);
+  auto plain = suite_.OpenNumbered(sealed, flags & kEntryPadded);
   if (!plain.ok()) {
     AuditDetect("decrypt_failure", common::kRegionMap, LocationString(loc),
                 "map node decryption failed");
     return Status::TamperDetected("map node decryption failed");
   }
+  return DecodeMapNodeRecord(level, index, loc, hash, *plain,
+                             static_cast<uint32_t>(RecordBytes(loc)));
+}
+
+Result<std::shared_ptr<MapNode>> ChunkStore::DecodeMapNodeRecord(
+    const uint32_t* level, uint64_t index, const Location& loc,
+    const crypto::Digest& hash, Slice plain, uint32_t record_size) {
   TDB_ASSIGN_OR_RETURN(
       std::shared_ptr<MapNode> node,
-      LocationMap::DecodeNode(*plain, map_.fanout(), entry_hash_size()));
+      LocationMap::DecodeNode(plain, map_.fanout(), entry_hash_size()));
   if ((level != nullptr && node->level != *level) || node->index != index) {
     AuditDetect("map_node_mismatch", common::kRegionMap, LocationString(loc),
                 "map node identity mismatch");
@@ -906,7 +643,7 @@ Result<std::shared_ptr<MapNode>> ChunkStore::LoadMapNode(
   node->has_persisted = true;
   node->persisted_loc = loc;
   node->persisted_hash = hash;
-  node->persisted_size = static_cast<uint32_t>(RecordBytes(loc));
+  node->persisted_size = record_size;
   return node;
 }
 
@@ -953,11 +690,8 @@ Status ChunkStore::FetchAndValidate(const std::shared_ptr<MapNode>* root,
       uint8_t flags;
       auto sealed =
           FetchRawRecord(entry.loc, RecordType::kData, false, &flags);
-      // A v2 frame repeats the flags its map entry holds (a v1 frame has
-      // none to compare).
-      if (sealed.ok() &&
-          SegmentVersion(entry.loc.segment) == LogVersion::kV2 &&
-          flags != entry.flags) {
+      // The frame repeats the flags its map entry holds.
+      if (sealed.ok() && flags != entry.flags) {
         AuditDetect("record_mismatch", common::kRegionLog,
                     LocationString(entry.loc),
                     "record flags disagree with location map");
@@ -1090,16 +824,14 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
   }
 
   // Seal + hash the staged writes — on the committer's own thread, outside
-  // the commit mutex, so concurrent committers overlap their crypto. IVs
-  // are drawn serially up front (the cipher suite's DRBG is the only
-  // serialized step), so the sealed bytes do not depend on which thread
-  // seals which write: the log image is the same inline or pooled.
+  // the commit mutex, so concurrent committers overlap their crypto. The
+  // batch's seal numbers are drawn up front, in batch order, so the sealed
+  // bytes do not depend on which thread seals which write: the log image
+  // is the same inline or pooled.
   common::TraceSpan span("chunk.seal");
   common::ScopedTimer timer(metrics_.get(), m_.seal_latency_us);
-  {
-    std::lock_guard<std::mutex> lock(iv_mu_);
-    for (StagedWrite& w : out->writes) suite_.NextIv(w.iv);
-  }
+  uint64_t first_seal = 0;
+  if (Encrypts() && n > 0) TDB_RETURN_IF_ERROR(DrawSeals(n, &first_seal));
   // Compress-before-encrypt: returns the plaintext to seal for write `i` —
   // the LZ-compressed form when that is actually smaller (recording the
   // choice in the staged flags), the raw bytes otherwise. `scratch` owns
@@ -1121,11 +853,12 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     StagedWrite& w = out->writes[i];
     Buffer scratch;
     const Slice plain = plain_for(i, &scratch);
+    const uint64_t seal = first_seal + i;
     w.flags |= SealFlags(plain.size());
-    w.sealed = suite_.SealStealing(plain, Slice(w.iv, suite_.iv_size()));
-    m_.pad_bytes->Add(static_cast<int64_t>(w.sealed.size() -
-                                           suite_.iv_size() - plain.size()));
-    w.hash = EntryHash(LogVersion::kV2, RecordType::kData, w.flags, w.sealed);
+    w.sealed = suite_.SealNumbered(plain, seal);
+    m_.pad_bytes->Add(static_cast<int64_t>(
+        w.sealed.size() - suite_.SealNumberSize(seal) - plain.size()));
+    w.hash = EntryHash(RecordType::kData, w.flags, w.sealed);
   };
   // Seal inline in batch order. Once the inline time passes one pool
   // dispatch, the pool takes the rest — provided at least two writes
@@ -1305,11 +1038,14 @@ Result<ChunkStore::SealResult> ChunkStore::SealGroupLocked(
 
   Buffer encoded = EncodeManifest(manifest);
   uint8_t record_flags = 0;
-  Buffer commit_payload = SealSerialIv(encoded, &record_flags);
+  TDB_ASSIGN_OR_RETURN(Buffer commit_payload,
+                       SealNextLocked(encoded, &record_flags));
   crypto::Digest mac;
   if (suite_.enabled()) {
-    Buffer input = CommitMacInput(chain_mac_, record_flags, commit_payload,
-                                  manifest.records.size());
+    Buffer input = CommitMacInput(
+        LogVersion::kV3, chain_mac_,
+        RecordTypeByte(RecordType::kCommit, record_flags), commit_payload,
+        manifest.records.size());
     for (const PendingOp& op : group_ops_) {
       if (op.kind != OpKind::kDealloc) PutDigest(&input, op.hash);
     }
@@ -1470,10 +1206,22 @@ Status ChunkStore::FlushGroupLocked(uint8_t flags,
       scan_segment_ = sealed_segment;
       scan_offset_ = static_cast<uint32_t>(sealed_offset);
       residual_bytes_ = 0;
-      // The anchor is rewritten only at checkpoints; between checkpoints
-      // the commit records themselves carry the authenticated counter, so
-      // a durable commit costs exactly one sequential log write (+ sync).
-      result = WriteAnchor();
+      // The anchor is rewritten at checkpoints (and, rarely, to renew the
+      // seal lease); between checkpoints the commit records themselves
+      // carry the authenticated counter, so a durable commit costs exactly
+      // one sequential log write (+ sync). A checkpoint renews the lease.
+      AnchorState state;
+      state.counter = counter_value_;
+      state.seq = seq_;
+      state.next_chunk_id = next_chunk_id_.load();
+      state.has_root = true;
+      state.root_loc = root_loc_;
+      state.root_hash = root_hash_;
+      state.ckpt_mac = ckpt_mac_;
+      state.scan_segment = scan_segment_;
+      state.scan_offset = scan_offset_;
+      state.seal_limit = next_seal_.load() + kSealLease;
+      result = WriteAnchor(state);
     }
   }
   to_sync.clear();
@@ -1638,20 +1386,16 @@ bool ChunkStore::MaintenanceDueLocked() {
          target + options_.segment_size;
 }
 
-Status ChunkStore::WriteAnchor() {
-  AnchorState state;
-  state.counter = counter_value_;
-  state.seq = seq_;
-  state.next_chunk_id = next_chunk_id_.load();
-  state.has_root = has_root_;
-  state.root_loc = root_loc_;
-  state.root_hash = root_hash_;
-  state.ckpt_mac = ckpt_mac_;
-  state.scan_segment = scan_segment_;
-  state.scan_offset = scan_offset_;
+Status ChunkStore::WriteAnchor(AnchorState state) {
   state.map_fanout = map_.fanout();
-  state.first_v2_segment = first_v2_segment_;
-  return anchor_mgr_.Write(state);
+  state.iv_seed = options_.iv_seed;
+  state.legacy_segments = !legacy_segments_.empty();
+  TDB_RETURN_IF_ERROR(anchor_mgr_.Write(state));
+  anchored_ = state;
+  // Seal numbers below the new limit are usable once it is durable.
+  seal_limit_.store(std::max(seal_limit_.load(), state.seal_limit),
+                    std::memory_order_release);
+  return Status::OK();
 }
 
 Status ChunkStore::Checkpoint() {
@@ -1665,12 +1409,12 @@ Status ChunkStore::CheckpointLocked() {
   common::ScopedTimer timer(metrics_.get(), m_.checkpoint_us);
   NodeWriter writer = [this](Slice bytes) -> Result<NodeWriteResult> {
     uint8_t flags = 0;
-    Buffer sealed = SealSerialIv(bytes, &flags);
+    TDB_ASSIGN_OR_RETURN(Buffer sealed, SealNextLocked(bytes, &flags));
     TDB_ASSIGN_OR_RETURN(Location loc,
                          Append(RecordType::kMapNode, flags, sealed));
     NodeWriteResult res;
     res.loc = loc;
-    res.hash = EntryHash(LogVersion::kV2, RecordType::kMapNode, flags, sealed);
+    res.hash = EntryHash(RecordType::kMapNode, flags, sealed);
     res.record_size = static_cast<uint32_t>(RecordBytes(loc));
     AccountLive(loc.segment, res.record_size, /*is_map=*/true);
     return res;
@@ -1876,13 +1620,14 @@ Status ChunkStore::UnlockGarbageWithCheckpoint() {
     }
   }
   if (!stale_map_segments.empty()) {
-    TDB_RETURN_IF_ERROR(DirtyMapNodesIn(stale_map_segments).status());
+    TDB_RETURN_IF_ERROR(
+        DirtyMapNodesIn(stale_map_segments, MakeLoader()).status());
   }
   return CheckpointLocked();
 }
 
-Result<bool> ChunkStore::DirtyMapNodesIn(const std::set<uint32_t>& victims) {
-  NodeLoader loader = MakeLoader();
+Result<bool> ChunkStore::DirtyMapNodesIn(const std::set<uint32_t>& victims,
+                                         const NodeLoader& loader) {
   // Full tree walk: a child whose own record is outside every victim can
   // still have descendants inside one.
   std::function<Result<bool>(const std::shared_ptr<MapNode>&)> mark =
@@ -1983,16 +1728,14 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     in_maintenance_ = false;
     return found;
   }
-  // Relocate them. Sealed bytes move verbatim, so cached plaintext stays
-  // valid: a v2 record keeps its frame and hash, and a v1 record is
-  // re-framed as v2 and flagged padded, which gives it a new hash.
+  // Relocate them. Whole records move verbatim, frame, seal number and
+  // all, so their hashes and the cached plaintext stay valid.
   Status status = Status::OK();
   PreparedBatch relocations;
   relocations.writes.reserve(to_move.size());
   for (const auto& [cid, entry] : to_move) {
-    const bool v1 = SegmentVersion(entry.loc.segment) == LogVersion::kV1;
     auto raw = ReadRawRecord(entry.loc, RecordType::kData, entry.hash,
-                             /*whole_record=*/!v1);
+                             /*whole_record=*/true);
     if (!raw.ok()) {
       status = raw.status();
       break;
@@ -2000,14 +1743,9 @@ Status ChunkStore::CleanSegments(const std::vector<uint32_t>& victims) {
     StagedWrite staged;
     staged.cid = cid;
     staged.sealed = std::move(raw).value();
-    staged.flags = RecordFlags(entry.loc, entry.flags);
-    staged.hash = v1 ? EntryHash(LogVersion::kV2, RecordType::kData,
-                                 staged.flags, staged.sealed)
-                     : entry.hash;
-    if (!v1) {  // Appended with the record header it had.
-      staged.frame_header =
-          RecordHeaderSize(LogVersion::kV2, entry.loc.length);
-    }
+    staged.flags = entry.flags;
+    staged.hash = entry.hash;
+    staged.frame_header = RecordBytes(entry.loc) - entry.loc.length;
     relocations.writes.push_back(std::move(staged));
     m_.relocated_records->Increment();
     m_.relocated_bytes->Add(static_cast<int64_t>(entry.loc.length));

@@ -77,10 +77,13 @@ struct ChunkStoreOptions {
 
   bool create_if_missing = true;
 
-  /// Extra entropy mixed into the encryption-IV generator. A reopened
-  /// store also reseeds the generator from its recovered log tail, so a
-  /// constant seed does not repeat IVs across sessions; the shard router
-  /// gives each of several shards its own seed.
+  /// Salts the IV key k' that seal numbers are encrypted under (log
+  /// format v3: a record's IV is E_k'(its seal number)). Stores that share
+  /// a master secret need distinct seeds: the shard router gives each of
+  /// several shards its own. The image records the seed it was created (or
+  /// upgraded) with, and opening it takes that one, as with map_fanout. A
+  /// store's seal numbers never repeat across sessions or crashes (the
+  /// lease in the anchor), so a constant seed is fine for a single store.
   std::string iv_seed = "tdb-iv";
 
   /// Compress-before-encrypt: each chunk plaintext is run through the
@@ -107,7 +110,7 @@ struct ChunkStoreOptions {
   /// A commit seals its writes inline until that has taken about as long
   /// as one pool dispatch, and fans only the rest out, so small commits
   /// never pay the hand-off. Sealed output is bit-identical regardless of
-  /// thread count: IVs are drawn serially in submission order first.
+  /// thread count: a batch draws its seal numbers in batch order first.
   int crypto_threads = 4;
 
   /// Sharded router only: worker threads for the cross-shard 2PC
@@ -395,8 +398,9 @@ class ChunkStoreInterface {
 ///    so followers keep buffering (and readers keep reading) while the
 ///    flush is in flight.
 /// Batch sealing (the crypto pipeline) also runs outside the commit mutex
-/// on the committer's own thread; the cipher suite's IV generator is the
-/// only serialized crypto step.
+/// on the committer's own thread; a batch's seal numbers are drawn with
+/// one atomic add, and only a lease renewal (an anchor write, once per
+/// kSealLease seals) takes the commit mutex.
 class ChunkStore : public ChunkStoreInterface {
  public:
   static Result<std::unique_ptr<ChunkStore>> Open(
@@ -609,8 +613,35 @@ class ChunkStore : public ChunkStoreInterface {
 
   // --- open/recovery (single-threaded: before the store is published) ---
   Status Bootstrap();            // Fresh store: first segment + checkpoint.
-  Status Recover();              // Anchor + residual log replay.
   Status RebuildAccounting();    // Full map walk -> live bytes, summaries.
+  static bool ParseSegmentName(const std::string& name, uint32_t* id);
+
+  // --- recovery and the upgrade at open (recovery.cc) ---
+  // Anchor + residual log replay, the upgrade of any v1/v2 segments, then
+  // a normalizing checkpoint.
+  Status Recover();
+  // Reads every segment's header and records those older than v3 in
+  // legacy_segments_.
+  Status FindLegacySegments();
+  // Loads a map node from a v1/v2 segment (or, through LoadMapNode, a v3
+  // one); the loader of a map that may still hold legacy nodes.
+  Result<std::shared_ptr<MapNode>> LoadLegacyMapNode(
+      const uint32_t* level, uint64_t index, const Location& loc,
+      const crypto::Digest& hash);
+  // Reads, hash-checks and opens the record at `loc` of a legacy segment;
+  // returns its plaintext, and its frame's flags in *flags.
+  Result<Buffer> OpenLegacyRecord(const Location& loc, RecordType type,
+                                  const crypto::Digest& hash, uint8_t* flags,
+                                  uint32_t* record_size);
+  // Re-seals every live data record of the legacy segments into v3
+  // segments, in durable commits of at most kUpgradeBatch records.
+  Status UpgradeLegacySegments();
+  // After the normalizing checkpoint: removes the legacy segments, which
+  // nothing references any more, and anchors the image as all-v3.
+  Status DropLegacySegments();
+  // A record hash truncated to entry_hash_size(), over `prefix` and then
+  // `payload`.
+  crypto::Digest TruncatedHash(Slice prefix, Slice payload) const;
 
   // --- log tail (all require mu_) ---
   static std::string SegmentName(uint32_t id);
@@ -621,25 +652,13 @@ class ChunkStore : public ChunkStoreInterface {
   // checksums it the same way.
   Result<Location> Append(RecordType type, uint8_t flags, Slice payload);
   Result<Location> AppendVerbatim(Slice record, size_t header);
-  // Rolls to a fresh segment unless a record of `payload_size` fits the
-  // tail; returns the location the record will have.
-  Result<Location> ReserveTail(RecordType type, uint64_t payload_size);
+  // Rolls to a fresh segment unless a record with `payload` fits the tail;
+  // returns the location the record will have.
+  Result<Location> ReserveTail(RecordType type, Slice payload);
 
-  // --- log format (v1 segments are below first_v2_segment_) ---
-  LogVersion SegmentVersion(uint32_t segment) const {
-    return segment >= first_v2_segment_ ? LogVersion::kV2 : LogVersion::kV1;
-  }
   // Header + payload bytes of the record at `loc`.
-  uint64_t RecordBytes(const Location& loc) const {
-    return RecordHeaderSize(SegmentVersion(loc.segment), loc.length) +
-           loc.length;
-  }
-  // How the record at `loc` was sealed, from its map entry's (or frame's)
-  // `flags`: every v1 payload is padded, whatever its flags say.
-  uint8_t RecordFlags(const Location& loc, uint8_t flags) const {
-    return SegmentVersion(loc.segment) == LogVersion::kV1
-               ? static_cast<uint8_t>(flags | kEntryPadded)
-               : flags;
+  static uint64_t RecordBytes(const Location& loc) {
+    return RecordHeaderSize(LogVersion::kV3, loc.length) + loc.length;
   }
   Status FlushTail();
 
@@ -651,7 +670,7 @@ class ChunkStore : public ChunkStoreInterface {
   // served from memory.
   // With `whole_record` the result keeps the record header (for verbatim
   // relocation); otherwise it is the payload alone. `flags`, if not null,
-  // receives the record's flags (RecordFlags of its frame).
+  // receives the flags of the record's frame.
   Result<Buffer> FetchRawRecord(const Location& loc, RecordType expected,
                                 bool whole_record = false,
                                 uint8_t* flags = nullptr);
@@ -670,6 +689,11 @@ class ChunkStore : public ChunkStoreInterface {
                                                uint64_t index,
                                                const Location& loc,
                                                const crypto::Digest& hash);
+  // Decodes the opened map-node record `plain` of `record_size` bytes at
+  // `loc` and checks that it is the node the caller asked for.
+  Result<std::shared_ptr<MapNode>> DecodeMapNodeRecord(
+      const uint32_t* level, uint64_t index, const Location& loc,
+      const crypto::Digest& hash, Slice plain, uint32_t record_size);
   NodeLoader MakeLoader();
 
   // --- the read path ---
@@ -700,17 +724,14 @@ class ChunkStore : public ChunkStoreInterface {
     Buffer sealed;
     crypto::Digest hash;
     uint8_t flags = 0;  // EntryFlags describing `sealed`'s payload.
-    // Nonzero when `sealed` is a whole v2 record read back from a victim
+    // Nonzero when `sealed` is a whole record read back from a victim
     // segment: the bytes of its header, which the record is appended
-    // with verbatim. (A record relocated from a v1 segment is re-framed
-    // instead.)
+    // with verbatim.
     size_t frame_header = 0;
     // A commit's plaintext, in the caller's WriteBatch (valid for the
     // CommitBuffered call); feeds the cache write-through. Null for
-    // relocations.
+    // relocations and upgraded records.
     const Buffer* plain = nullptr;
-    // The IV drawn for this write, in batch order, before sealing.
-    uint8_t iv[crypto::CipherSuite::kMaxIvSize] = {};
   };
   // A batch after normalization + sealing, ready to buffer.
   struct PreparedBatch {
@@ -734,8 +755,8 @@ class ChunkStore : public ChunkStoreInterface {
     crypto::Digest mac;
   };
 
-  // Normalize + seal OUTSIDE mu_ (crypto pipeline; only the IV draw is
-  // serialized). Per-batch: a failure here touches no shared state.
+  // Normalize + seal OUTSIDE mu_ (crypto pipeline). Per-batch: a failure
+  // here touches no shared state beyond the seal numbers it burns.
   Status PrepareBatch(const WriteBatch& batch, PreparedBatch* out);
   // Requires mu_. Appends the batch's data records, applies them to the
   // map/accounting/cache and extends the open group. On failure the
@@ -775,7 +796,9 @@ class ChunkStore : public ChunkStoreInterface {
   // maintenance is owed.
   bool MaintenanceDueLocked();
 
-  Status WriteAnchor();
+  // Requires mu_. Writes `state` as the anchor, with the map fanout and
+  // the legacy-segment flag filled in, then adopts its seal limit.
+  Status WriteAnchor(AnchorState state);
   Status CheckpointLocked();
   Status MaybeCheckpointLocked();
 
@@ -789,8 +812,10 @@ class ChunkStore : public ChunkStoreInterface {
   // Also marks live map nodes in low-yield segments dirty first, so the
   // checkpoint relocates them and unpins those segments for cleaning.
   Status UnlockGarbageWithCheckpoint();
-  // Marks map nodes persisted in `victims` (and their ancestors) dirty.
-  Result<bool> DirtyMapNodesIn(const std::set<uint32_t>& victims);
+  // Marks map nodes persisted in `victims` (and their ancestors) dirty,
+  // loading every node through `loader`.
+  Result<bool> DirtyMapNodesIn(const std::set<uint32_t>& victims,
+                               const NodeLoader& loader);
   Status CleanSegments(const std::vector<uint32_t>& victims);
   Status FreePendingSegments();
   size_t ActiveSnapshots();
@@ -804,20 +829,37 @@ class ChunkStore : public ChunkStoreInterface {
   // substantially. Not recorded in the image, so it is fixed.
   static constexpr size_t kMapHashBytes = 12;
 
-  // Hash of a record as stored in the map (truncated to kMapHashBytes):
-  // over the payload alone in v1, over the type byte and payload in v2.
-  crypto::Digest EntryHash(LogVersion version, RecordType type,
-                           uint8_t flags, Slice payload) const;
+  // Hash of a record as stored in the map, truncated to kMapHashBytes:
+  // H('3' ‖ type byte ‖ payload), see log_format.h.
+  crypto::Digest EntryHash(RecordType type, uint8_t flags,
+                           Slice payload) const;
   size_t entry_hash_size() const;
 
-  // The flags SealStealing gives a plaintext of `plain_size` bytes.
+  // --- seal numbers (log format v3) ---
+  // Seal numbers a lease renewal grants beyond the highest one drawn. A
+  // checkpoint renews the lease too, so only more than this many seals
+  // between two checkpoints cost an extra anchor write; each open skips
+  // what is left of the last lease.
+  static constexpr uint64_t kSealLease = uint64_t{1} << 16;
+  // Records the upgrade at open re-seals per durable commit.
+  static constexpr size_t kUpgradeBatch = 4096;
+  // Whether records are encrypted, and so carry seal numbers.
+  bool Encrypts() const { return suite_.iv_size() > 0; }
+  // Draws seal numbers [*first, *first + n) in submission order. When they
+  // pass the lease, renews it first (an anchor write under mu_, which
+  // DrawSeals takes and DrawSealsLocked requires).
+  Status DrawSeals(size_t n, uint64_t* first);
+  Status DrawSealsLocked(size_t n, uint64_t* first);
+  // Requires mu_. Makes a lease covering every seal number below `end`
+  // durable, unless one already is.
+  Status RenewSealLeaseLocked(uint64_t end);
+  // The flags SealNumbered gives a plaintext of `plain_size` bytes.
   uint8_t SealFlags(size_t plain_size) const {
     return suite_.PadsWhenStealing(plain_size) ? kEntryPadded : 0;
   }
-  // Seals with a serially-drawn IV; adds SealFlags to *flags. IV draws
-  // are the only mutating cipher-suite calls; iv_mu_ serializes them
-  // (PrepareBatch draws a batch's IVs under it, then seals unlocked).
-  Buffer SealSerialIv(Slice plain, uint8_t* flags);
+  // Requires mu_. Seals under the next seal number; adds SealFlags to
+  // *flags.
+  Result<Buffer> SealNextLocked(Slice plain, uint8_t* flags);
 
   // Worker pool for the commit/verify crypto pipeline; created on first
   // use (thread-safely), nullptr when options_.crypto_threads <= 1.
@@ -840,6 +882,10 @@ class ChunkStore : public ChunkStoreInterface {
 
   std::atomic<bool> open_{false};
   std::atomic<uint64_t> next_chunk_id_{1};
+  // The next seal number, and the lease: numbers at or above seal_limit_
+  // wait for an anchor that raises it. Drawn without mu_; raised under it.
+  std::atomic<uint64_t> next_seal_{0};
+  std::atomic<uint64_t> seal_limit_{0};
 
   // --- All state below requires mu_ unless noted. ---
   mutable std::mutex mu_;  // The commit mutex.
@@ -860,9 +906,12 @@ class ChunkStore : public ChunkStoreInterface {
   uint32_t scan_segment_ = 0;
   uint32_t scan_offset_ = 0;
   uint64_t residual_bytes_ = 0;
-  // Lowest v2 segment id (set by the first v2 segment this store or an
-  // earlier session created, and kept in the anchor).
-  uint32_t first_v2_segment_ = AnchorState::kNoV2Segment;
+  // The anchor as last written (or loaded): a lease renewal rewrites it
+  // with a higher seal limit and nothing else changed.
+  AnchorState anchored_;
+  // Segments of log format v1/v2 and their formats, found at open; empty
+  // once the upgrade at open has dropped them.
+  std::map<uint32_t, LogVersion> legacy_segments_;
 
   // Tail segment.
   uint32_t cur_segment_ = 0;
@@ -898,7 +947,6 @@ class ChunkStore : public ChunkStoreInterface {
   // state. Internally locked; see DESIGN.md for invalidation rules.
   ChunkCache cache_;
 
-  std::mutex iv_mu_;  // Serializes CipherSuite::Seal/NextIv (DRBG state).
   std::once_flag crypto_pool_once_;
   std::unique_ptr<ThreadPool> crypto_pool_;
 };

@@ -6,7 +6,7 @@ namespace tdb::chunk {
 
 namespace {
 
-// Flags a v2 type byte may carry for each record type: only data records
+// Flags a v2/v3 type byte may carry for each record type: only data records
 // are ever compressed.
 uint8_t AllowedFlags(RecordType type) {
   return type == RecordType::kData ? (kEntryCompressed | kEntryPadded)
@@ -35,18 +35,58 @@ Status DecodeSegmentHeader(Slice data, uint32_t* segment_id,
   Decoder dec(data);
   uint32_t magic;
   TDB_RETURN_IF_ERROR(dec.GetFixed32(&magic));
-  if (magic != kSegmentMagic && magic != kSegmentMagicV1) {
-    return Status::Corruption("bad segment magic");
+  LogVersion v;
+  switch (magic) {
+    case kSegmentMagic:
+      v = LogVersion::kV3;
+      break;
+    case kSegmentMagicV2:
+      v = LogVersion::kV2;
+      break;
+    case kSegmentMagicV1:
+      v = LogVersion::kV1;
+      break;
+    default:
+      return Status::Corruption("bad segment magic");
   }
-  if (version != nullptr) {
-    *version = magic == kSegmentMagic ? LogVersion::kV2 : LogVersion::kV1;
-  }
+  if (version != nullptr) *version = v;
   return dec.GetFixed32(segment_id);
 }
 
 size_t RecordHeaderSize(LogVersion version, size_t payload_len) {
   return version == LogVersion::kV1 ? kRecordHeaderSizeV1
                                     : 1 + VarintLength(payload_len) + 4;
+}
+
+size_t RecordHashPrefix(LogVersion version, uint8_t type_byte,
+                        uint8_t* prefix) {
+  switch (version) {
+    case LogVersion::kV1:
+      return 0;
+    case LogVersion::kV2:
+      prefix[0] = type_byte;
+      return 1;
+    case LogVersion::kV3:
+      break;
+  }
+  prefix[0] = kV3HashTag;
+  prefix[1] = type_byte;
+  return 2;
+}
+
+Buffer CommitMacInput(LogVersion version, const crypto::Digest& prev,
+                      uint8_t type_byte, Slice sealed_manifest,
+                      size_t n_records) {
+  Buffer input;
+  input.reserve(prev.size() + 2 + sealed_manifest.size() +
+                n_records * crypto::Digest::kMaxSize);
+  PutDigest(&input, prev);
+  uint8_t prefix[2];
+  input.insert(input.end(), prefix,
+               prefix + RecordHashPrefix(version, type_byte, prefix));
+  input.insert(input.end(), sealed_manifest.data(),
+               sealed_manifest.data() + sealed_manifest.size());
+  return input;
 }
 
 void AppendRecord(Buffer* dst, RecordType type, uint8_t flags,
@@ -112,7 +152,7 @@ Status ParseRecord(Slice input, RecordView* out, LogVersion version) {
   // Only the shortest length varint is accepted: a record's location and
   // live bytes are sized by RecordHeaderSize, and neither its hash nor a
   // commit MAC covers the length bytes, so padding them must not parse.
-  if (header != RecordHeaderSize(LogVersion::kV2, len)) {
+  if (header != RecordHeaderSize(LogVersion::kV3, len)) {
     return Status::Corruption("non-canonical record length");
   }
   if (dec.remaining() < len) {

@@ -1,8 +1,10 @@
 #include "crypto/cipher_suite.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "common/check.h"
+#include "common/coding.h"
 #include "crypto/cbc.h"
 
 namespace tdb::crypto {
@@ -10,14 +12,12 @@ namespace tdb::crypto {
 namespace {
 
 // Derives a purpose-specific subkey from the master secret so the cipher
-// key and the MAC key are independent.
-Buffer DeriveKey(Slice master, const char* purpose, size_t size) {
+// key, the IV key and the MAC key are independent.
+Buffer DeriveKey(Slice master, Slice purpose, size_t size) {
   Buffer out;
   uint8_t block_index = 0;
   while (out.size() < size) {
-    Buffer label;
-    label.insert(label.end(), purpose,
-                 purpose + std::strlen(purpose));
+    Buffer label = purpose.ToBuffer();
     label.push_back(block_index++);
     Digest d = Hmac::Mac(HashKind::kSha256, master, label);
     out.insert(out.end(), d.data(), d.data() + d.size());
@@ -26,6 +26,8 @@ Buffer DeriveKey(Slice master, const char* purpose, size_t size) {
   return out;
 }
 
+std::atomic<CipherSuite::SealObserver> g_seal_observer{nullptr};
+
 }  // namespace
 
 CipherSuite::CipherSuite(const SecurityConfig& config, Slice master_secret,
@@ -33,13 +35,21 @@ CipherSuite::CipherSuite(const SecurityConfig& config, Slice master_secret,
     : config_(config) {
   if (!config_.enabled) return;
   TDB_CHECK(master_secret.size() > 0, "secure mode requires a master secret");
-  mac_key_ = DeriveKey(master_secret, "tdb-mac", 32);
+  mac_key_ = DeriveKey(master_secret, Slice("tdb-mac"), 32);
   if (config_.cipher != CipherKind::kNone) {
-    Buffer enc_key = DeriveKey(master_secret, "tdb-enc",
-                               CipherKeySize(config_.cipher));
-    cipher_ = NewBlockCipher(config_.cipher, enc_key);
+    const size_t key_size = CipherKeySize(config_.cipher);
+    cipher_ = NewBlockCipher(config_.cipher,
+                             DeriveKey(master_secret, Slice("tdb-enc"),
+                                       key_size));
+    Buffer purpose = Slice("tdb-seal-iv:").ToBuffer();
+    purpose.insert(purpose.end(), iv_seed.data(),
+                   iv_seed.data() + iv_seed.size());
+    const Buffer iv_key = DeriveKey(master_secret, purpose, key_size);
+    iv_cipher_ = NewBlockCipher(config_.cipher, iv_key);
+    seal_key_id_ =
+        DecodeFixed64(Hash(HashKind::kSha256, iv_key).data());
   }
-  Buffer seed = DeriveKey(master_secret, "tdb-iv", 32);
+  Buffer seed = DeriveKey(master_secret, Slice("tdb-iv"), 32);
   seed.insert(seed.end(), iv_seed.data(), iv_seed.data() + iv_seed.size());
   iv_gen_ = std::make_unique<CtrDrbg>(seed);
 }
@@ -63,25 +73,72 @@ Digest CipherSuite::Mac(Slice data) const {
   return Hmac::Mac(config_.hash, mac_key_, data);
 }
 
-Buffer CipherSuite::Seal(Slice plain) {
-  if (!config_.enabled || cipher_ == nullptr) return plain.ToBuffer();
+void CipherSuite::SetSealObserver(SealObserver observer) {
+  g_seal_observer.store(observer);
+}
+
+void CipherSuite::SealIv(uint64_t seal, uint8_t* iv) const {
+  uint8_t block[kMaxIvSize] = {};
+  for (int i = 0; i < 8; i++) block[i] = static_cast<uint8_t>(seal >> (8 * i));
+  iv_cipher_->EncryptBlock(block, iv);
+}
+
+size_t CipherSuite::SealNumberSize(uint64_t seal) const {
+  return iv_size() == 0 ? 0 : VarintLength(seal);
+}
+
+Buffer CipherSuite::SealNumbered(Slice plain, uint64_t seal) const {
+  if (iv_size() == 0) return plain.ToBuffer();
+  if (SealObserver observer = g_seal_observer.load(std::memory_order_relaxed)) {
+    observer(seal_key_id_, seal);
+  }
   uint8_t iv[kMaxIvSize];
-  NextIv(iv);
+  SealIv(seal, iv);
+  const bool padded = PadsWhenStealing(plain.size());
+  Buffer out;
+  out.reserve(VarintLength(seal) + CbcCiphertextSize(*cipher_, plain.size()));
+  PutVarint64(&out, seal);
+  const size_t head = out.size();
+  out.resize(head + (padded ? CbcCiphertextSize(*cipher_, plain.size())
+                            : plain.size()));
+  const Slice iv_slice(iv, cipher_->block_size());
+  if (padded) {
+    CbcEncryptTo(*cipher_, iv_slice, plain, out.data() + head);
+  } else {
+    CbcCs3EncryptTo(*cipher_, iv_slice, plain, out.data() + head);
+  }
+  return out;
+}
+
+Result<Buffer> CipherSuite::OpenNumbered(Slice sealed, bool padded) const {
+  if (iv_size() == 0) return sealed.ToBuffer();
+  Decoder dec(sealed);
+  uint64_t seal;
+  if (!dec.GetVarint64(&seal).ok()) {
+    return Status::Corruption("truncated seal number");
+  }
+  const size_t head = sealed.size() - dec.remaining();
+  const Slice cipher_text(sealed.data() + head, dec.remaining());
+  if (cipher_text.size() < cipher_->block_size()) {
+    return Status::Corruption("sealed chunk shorter than one block");
+  }
+  uint8_t iv[kMaxIvSize];
+  SealIv(seal, iv);
+  const Slice iv_slice(iv, cipher_->block_size());
+  return padded ? CbcDecrypt(*cipher_, iv_slice, cipher_text)
+                : CbcCs3Decrypt(*cipher_, iv_slice, cipher_text);
+}
+
+Buffer CipherSuite::Seal(Slice plain) {
+  if (iv_size() == 0) return plain.ToBuffer();
+  uint8_t iv[kMaxIvSize];
+  iv_gen_->Generate(iv, cipher_->block_size());
   return SealWithIv(plain, Slice(iv, iv_size()));
 }
 
 size_t CipherSuite::iv_size() const {
   if (!config_.enabled || cipher_ == nullptr) return 0;
   return cipher_->block_size();
-}
-
-void CipherSuite::NextIv(uint8_t* out) {
-  if (!config_.enabled || cipher_ == nullptr) return;
-  iv_gen_->Generate(out, cipher_->block_size());
-}
-
-void CipherSuite::ReseedIv(Slice material) {
-  if (iv_gen_ != nullptr) iv_gen_->Reseed(material);
 }
 
 Buffer CipherSuite::SealWithIv(Slice plain, Slice iv) const {

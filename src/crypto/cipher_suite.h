@@ -40,18 +40,25 @@ struct SecurityConfig {
 /// detects *accidental* corruption via log checksums but offers no defense
 /// against an intelligent attacker).
 ///
+/// Two ways to seal:
+///  - SealNumbered (log format v3, the chunk store): the caller names a
+///    seal number s, and the IV is E_k'(s) under an IV key k' derived
+///    from the master secret and `iv_seed` (NIST SP 800-38A, Appendix C,
+///    first method). Only varint(s) is stored. The caller keeps every s
+///    unique for its k'.
+///  - Seal (backup archives, and the v1/v2 log records the upgrade reads):
+///    a stored IV drawn from a DRBG, in front of the ciphertext.
+///
 /// THREAD SAFETY: after construction, every const member (HashData, Mac,
-/// Open, SealWithIv, SealedSize, hash_size) is safe to call concurrently —
-/// the key schedules are immutable and each call keeps its working state
-/// on the stack. Only Seal()/NextIv()/ReseedIv() mutate (they advance or
-/// reseed the IV generator) and need external serialization. The chunk
-/// store's parallel commit pipeline relies on this split: IVs are drawn
-/// serially in submission order, then SealWithIv/HashData fan out across
-/// threads, producing output bit-identical to the serial path.
+/// SealNumbered, Open*, SealWithIv, SealStealing, SealedSize, hash_size)
+/// is safe to call concurrently: the key schedules are immutable and each
+/// call keeps its working state on the stack. Only Seal() mutates (it
+/// advances the IV generator) and needs external serialization.
 class CipherSuite {
  public:
-  /// `master_secret` comes from the SecretStore; `iv_seed` seeds the IV
-  /// generator (pass varying bytes in production, a constant in tests).
+  /// `master_secret` comes from the SecretStore; `iv_seed` salts the IV
+  /// key k' of SealNumbered and seeds Seal's IV generator (stores that
+  /// share a master secret pass distinct seeds).
   CipherSuite(const SecurityConfig& config, Slice master_secret,
               Slice iv_seed);
 
@@ -71,41 +78,50 @@ class CipherSuite {
   /// nothing when disabled — the anchor then carries only a checksum.
   Digest Mac(Slice data) const;
 
-  /// Encrypts `plain` into IV || ciphertext (pass-through when disabled).
-  /// Equivalent to SealWithIv(plain, NextIv()).
+  /// Seals `plain` under seal number `seal` into varint(seal) ‖
+  /// ciphertext: CBC with ciphertext stealing (CS3) above one block, so
+  /// the ciphertext is as long as the plaintext, and PKCS#7 padding up to
+  /// one block (PadsWhenStealing). Pass-through when encryption is off.
+  Buffer SealNumbered(Slice plain, uint64_t seal) const;
+  /// Inverse of SealNumbered: `padded` is what PadsWhenStealing said.
+  /// Corruption on malformed input.
+  Result<Buffer> OpenNumbered(Slice sealed, bool padded) const;
+  /// Bytes in front of a SealNumbered ciphertext: the seal number's varint
+  /// (0 when encryption is off).
+  size_t SealNumberSize(uint64_t seal) const;
+
+  /// A fingerprint of k' (0 when encryption is off): two suites derive the
+  /// same IVs from the same seal numbers iff their ids are equal.
+  uint64_t seal_key_id() const { return seal_key_id_; }
+
+  /// Test seam: when set, every SealNumbered call reports (seal_key_id(),
+  /// seal) to `observer`, on the sealing thread, before it encrypts.
+  using SealObserver = void (*)(uint64_t key_id, uint64_t seal);
+  static void SetSealObserver(SealObserver observer);
+
+  /// Encrypts `plain` into IV || ciphertext under a fresh IV from the
+  /// generator (pass-through when disabled).
   Buffer Seal(Slice plain);
 
-  /// Bytes of IV per sealed chunk: one cipher block, 0 when encryption is
-  /// off. At most kMaxIvSize.
+  /// Bytes of one cipher block: a stored IV, 0 when encryption is off. At
+  /// most kMaxIvSize.
   size_t iv_size() const;
   static constexpr size_t kMaxIvSize = 16;
 
-  /// Draws the next IV into `out` (iv_size() bytes; nothing when
-  /// encryption is off). Mutates the generator — serialize calls, and draw
-  /// in a deterministic order if reproducible output matters.
-  void NextIv(uint8_t* out);
-
-  /// Mixes `material` into the IV generator's seed (see CtrDrbg::Reseed).
-  /// A store reopening an existing log passes state no earlier session
-  /// sealed under, so it never draws an IV a previous session drew.
-  void ReseedIv(Slice material);
-
   /// Seals under a caller-supplied IV of exactly one cipher block (ignored
   /// and pass-through when encryption is off) into one buffer: the IV,
-  /// then the ciphertext encrypted in place. Const and safe to call from
-  /// multiple threads concurrently.
+  /// then the padded ciphertext.
   Buffer SealWithIv(Slice plain, Slice iv) const;
 
-  /// Whether SealStealing pads a plaintext of `plain_size` bytes: with
-  /// encryption on, a plaintext of at most one block has nothing to steal
-  /// from and keeps PKCS#7 padding.
+  /// Whether a plaintext of `plain_size` bytes is sealed with PKCS#7
+  /// padding rather than ciphertext stealing: with encryption on, a
+  /// plaintext of at most one block has nothing to steal from.
   bool PadsWhenStealing(size_t plain_size) const;
 
   /// Seals like SealWithIv, except that a plaintext longer than one block
-  /// is encrypted with CBC ciphertext stealing (CS3), so the ciphertext is
-  /// as long as the plaintext. Log format v2 seals every record this way
-  /// and records PadsWhenStealing in the record's flags, since the sealed
-  /// length alone cannot tell a padded block from a stolen pair.
+  /// is encrypted with CBC ciphertext stealing (CS3), as log format v2
+  /// stored it. The sealed length alone cannot tell a padded block from a
+  /// stolen pair, so the caller records PadsWhenStealing.
   Buffer SealStealing(Slice plain, Slice iv) const;
 
   /// Inverse of Seal. Corruption on malformed input.
@@ -117,9 +133,14 @@ class CipherSuite {
   size_t SealedSize(size_t plain_size) const;
 
  private:
+  // The IV of seal number `seal`: E_k'(seal, zero-padded to a block).
+  void SealIv(uint64_t seal, uint8_t* iv) const;
+
   SecurityConfig config_;
   Buffer mac_key_;
   std::unique_ptr<BlockCipher> cipher_;
+  std::unique_ptr<BlockCipher> iv_cipher_;  // Keyed with k'.
+  uint64_t seal_key_id_ = 0;
   std::unique_ptr<CtrDrbg> iv_gen_;
 };
 

@@ -27,14 +27,6 @@ void CtrDrbg::Generate(uint8_t* out, size_t n) {
   }
 }
 
-void CtrDrbg::Reseed(Slice material) {
-  Sha256 hasher;
-  hasher.Update(seed_.AsSlice());
-  hasher.Update(material);
-  seed_ = hasher.Finish();
-  counter_ = 0;
-}
-
 Buffer CtrDrbg::Generate(size_t n) {
   Buffer out(n);
   Generate(out.data(), n);

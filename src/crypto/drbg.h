@@ -9,7 +9,7 @@
 namespace tdb::crypto {
 
 /// Deterministic random bit generator: SHA-256 in counter mode over a seed.
-/// Supplies encryption IVs. Deterministic from its seed, which keeps crash/
+/// Supplies the stored IVs of backup archives. Deterministic from its seed, which keeps crash/
 /// recovery tests reproducible; a production deployment would seed it from
 /// the platform entropy source at boot.
 class CtrDrbg {
@@ -19,10 +19,6 @@ class CtrDrbg {
   /// Fills `out` with n pseudo-random bytes.
   void Generate(uint8_t* out, size_t n);
   Buffer Generate(size_t n);
-
-  /// Mixes `material` into the seed and restarts the counter: the stream
-  /// continues as SHA-256(seed || material) in counter mode.
-  void Reseed(Slice material);
 
  private:
   Digest seed_;

@@ -32,14 +32,17 @@ struct TamperRegion {
 
 /// Walks a crash-consistent store image and classifies every byte of the
 /// anchor slots and segment files by parsing the log structure. Bytes the
-/// parse cannot reach (e.g. a torn tail) are classified kLogStructure.
+/// parse cannot reach (e.g. a torn tail) are classified kLogStructure. A
+/// v3 record's payload is two regions of its record's class: the seal
+/// number in front (encryption is on in every image the harness builds),
+/// then the ciphertext.
 std::vector<TamperRegion> ClassifyImage(
     const platform::MemUntrustedStore::Image& image);
 
 /// The payload of every record of every segment file of `image` (up to a
-/// file's first unparsable record). With encryption on, each payload —
-/// data, map node or commit manifest — starts with the IV it was sealed
-/// under.
+/// file's first unparsable record). With encryption on, each v3 payload —
+/// data, map node or commit manifest — starts with the seal number it was
+/// sealed under (a v1/v2 payload with the IV itself).
 std::vector<Slice> RecordPayloads(
     const platform::MemUntrustedStore::Image& image);
 

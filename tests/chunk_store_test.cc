@@ -15,6 +15,7 @@
 
 #include "chunk/log_format.h"
 #include "chunk_test_env.h"
+#include "common/coding.h"
 #include "common/random.h"
 #include "harness/region_map.h"
 #include "platform/fault_injection.h"
@@ -913,24 +914,27 @@ TEST(ChunkStoreTest, WrongSecretCannotOpenDatabase) {
   EXPECT_TRUE(cs.status().IsTamperDetected()) << cs.status().ToString();
 }
 
-// Every sealed record of `image` starts with its IV; returns how many IVs
-// occur more than once.
+// Every sealed record of `image` starts with its seal number, and the
+// record's IV is E_k'(seal number) under the store's one IV key k';
+// returns how many seal numbers occur more than once.
 size_t RepeatedIvs(const MemUntrustedStore::Image& image, size_t* records) {
-  std::set<Buffer> seen;
+  std::set<uint64_t> seen;
   size_t repeats = 0;
   std::vector<Slice> payloads = harness::RecordPayloads(image);
   for (Slice p : payloads) {
-    TDB_CHECK(p.size() >= 16);
-    if (!seen.insert(Buffer(p.data(), p.data() + 16)).second) repeats++;
+    Decoder dec(p);
+    uint64_t seal;
+    TDB_CHECK(dec.GetVarint64(&seal).ok());
+    if (!seen.insert(seal).second) repeats++;
   }
   *records = payloads.size();
   return repeats;
 }
 
 TEST(ChunkStoreTest, IvsNeverRepeatAcrossReopens) {
-  // The IV generator restarts from the same seed at every open; recovery
-  // reseeds it from the recovered log tail, so later sessions never draw
-  // an IV an earlier one sealed under (the same key).
+  // Each open starts its seal numbers above the lease the anchor holds,
+  // so later sessions never seal under a number (an IV) an earlier one
+  // used under the same key.
   TestEnv env;
   ChunkStoreOptions options = SmallSegments();
   options.segment_size = 64 * 1024;  // No cleaning: every record stays.

@@ -456,7 +456,7 @@ chunk::AnchorState SampleAnchor() {
   state.scan_segment = 6;
   state.scan_offset = 512;
   state.map_fanout = 8;
-  state.first_v2_segment = 6;
+  state.seal_limit = 70000;
   return state;
 }
 

@@ -1,9 +1,12 @@
-// The log format v2 (cid-only manifests, ciphertext stealing, CRC-32C
-// frames) as the chunk store writes and recovers it, and the v1 images
-// it must still open: a golden v1 image written by the last v1 writer
-// (tests/data/golden_v1_image, see make_image.cc there).
+// The log format v3 (seal numbers in place of stored IVs, cid-only
+// manifests, ciphertext stealing, CRC-32C frames) as the chunk store
+// writes and recovers it, and the v1 and v2 images it must still open and
+// upgrade: golden images written by the last v1 and v2 writers
+// (tests/data/golden_v1_image and golden_v2_image, see make_image.cc in
+// each), including a crash at every write of the upgrade.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -20,6 +23,7 @@
 #include "common/crc32c.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "platform/fault_injection.h"
 
 namespace tdb::chunk {
 namespace {
@@ -28,7 +32,7 @@ namespace {
 struct Frame {
   uint32_t segment = 0;
   uint64_t offset = 0;
-  LogVersion version = LogVersion::kV2;
+  LogVersion version = LogVersion::kV3;
   RecordType type = RecordType::kData;
   uint8_t flags = 0;
   size_t header = 0;
@@ -84,6 +88,11 @@ size_t SegmentsOf(const MemUntrustedStore& store, LogVersion version) {
   return n;
 }
 
+// Segments of a format older than v3.
+size_t LegacySegments(const MemUntrustedStore& store) {
+  return SegmentsOf(store, LogVersion::kV1) + SegmentsOf(store, LogVersion::kV2);
+}
+
 Buffer RandomBytes(uint64_t seed, size_t size) {
   Random rng(seed);
   Buffer out;
@@ -91,7 +100,7 @@ Buffer RandomBytes(uint64_t seed, size_t size) {
   return out;
 }
 
-// ----------------------------------------------------------- golden v1
+// ------------------------------------------------------- golden images
 
 struct GoldenImage {
   MemUntrustedStore store;
@@ -117,19 +126,50 @@ Buffer FromHex(const std::string& hex) {
   return out;
 }
 
-void LoadGolden(GoldenImage* golden) {
+// A golden image: its directory under tests/data, the secret and the
+// options it was written with.
+struct GoldenSpec {
+  const char* name;
+  const char* dir;
+  const char* secret;
+  ChunkStoreOptions options;
+};
+
+// The options the v1 image was written with. v1 images do not record the
+// map fanout, so it must be given.
+ChunkStoreOptions GoldenOptions() {
+  ChunkStoreOptions options;  // SHA-1 + 3DES.
+  options.segment_size = 4 * 1024;
+  options.map_fanout = 8;
+  options.compression = true;
+  return options;
+}
+
+GoldenSpec GoldenV1() {
+  return {"V1", "golden_v1_image", "golden-v1-secret", GoldenOptions()};
+}
+
+// The v2 image records its fanout (8), so it opens with 0.
+GoldenSpec GoldenV2() {
+  ChunkStoreOptions options;
+  options.security = crypto::SecurityConfig::Modern();
+  options.segment_size = 4 * 1024;
+  options.compression = true;
+  return {"V2", "golden_v2_image", "golden-v2-secret", options};
+}
+
+void LoadGolden(GoldenImage* golden, const GoldenSpec& spec = GoldenV1()) {
   const std::string dir =
-      std::string(TDB_TEST_DATA_DIR) + "/golden_v1_image/";
+      std::string(TDB_TEST_DATA_DIR) + "/" + spec.dir + "/";
   MemUntrustedStore::Image image;
-  for (const char* name : {"anchor-0", "anchor-1"}) {
-    image[name] = ReadFile(dir + name);
-  }
-  for (int id = 3; id <= 11; id++) {
-    const std::string name = "seg-" + std::to_string(id);
-    image[name] = ReadFile(dir + name);
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    const std::string name = file.path().filename().string();
+    if (name.rfind("anchor-", 0) == 0 || name.rfind("seg-", 0) == 0) {
+      image[name] = ReadFile(dir + name);
+    }
   }
   golden->store.RestoreImage(std::move(image));
-  TDB_CHECK(golden->secrets.Provision(Slice("golden-v1-secret")).ok());
+  TDB_CHECK(golden->secrets.Provision(Slice(spec.secret)).ok());
   uint64_t value = std::stoull(Slice(ReadFile(dir + "counter")).ToString());
   while (*golden->counter.Read() < value) {
     TDB_CHECK(golden->counter.Increment().ok());
@@ -146,16 +186,6 @@ void LoadGolden(GoldenImage* golden) {
       golden->live[std::stoull(first)] = FromHex(second);
     }
   }
-}
-
-// The options the image was written with. v1 images do not record the
-// map fanout, so it must be given.
-ChunkStoreOptions GoldenOptions() {
-  ChunkStoreOptions options;  // SHA-1 + 3DES.
-  options.segment_size = 4 * 1024;
-  options.map_fanout = 8;
-  options.compression = true;
-  return options;
 }
 
 void ExpectChunks(ChunkStore* cs, const GoldenImage& golden) {
@@ -192,9 +222,12 @@ TEST(LogFormatV1Test, GoldenImageRecoversVerifiesAndCleansIntoV2) {
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     std::unique_ptr<ChunkStore> cs = std::move(opened).value();
     // The residual log's durable commits were replayed and its
-    // nondurable tail dropped; the new tail is a v2 segment.
+    // nondurable tail dropped, and the upgrade at open re-sealed every
+    // live record into v3 segments and dropped the v1 ones (cleaning
+    // alone left a dense one behind).
     EXPECT_GT(registry->Snapshot().gauges["recovery.commits_replayed"], 0);
-    EXPECT_GT(SegmentsOf(golden.store, LogVersion::kV2), 0u);
+    EXPECT_EQ(LegacySegments(golden.store), 0u);
+    EXPECT_GT(SegmentsOf(golden.store, LogVersion::kV3), 0u);
     ExpectChunks(cs.get(), golden);
 
     // Free every other chunk, so the v1 segments fall below the
@@ -230,8 +263,8 @@ TEST(LogFormatV1Test, GoldenImageRecoversVerifiesAndCleansIntoV2) {
 }
 
 TEST(LogFormatV1Test, GoldenImageCrashDuringUpgradeReopens) {
-  // A crash after the first v2 segment exists but before the anchor that
-  // names it: the next open still sees a v1 anchor, drops the stray v2
+  // A crash after the first v3 segment exists but before anything in it
+  // is durable: the next open still sees a v1 anchor, drops the stray v3
   // segment and upgrades again.
   GoldenImage golden;
   LoadGolden(&golden);
@@ -244,14 +277,95 @@ TEST(LogFormatV1Test, GoldenImageCrashDuringUpgradeReopens) {
                                  &golden.counter, GoldenOptions());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   ExpectChunks(opened->get(), golden);
+  EXPECT_EQ(LegacySegments(golden.store), 0u);
 }
 
-// ------------------------------------------------------- v2 as written
+TEST(LogFormatV2Test, GoldenImageUpgradesAtOpenAndReopens) {
+  GoldenImage golden;
+  LoadGolden(&golden, GoldenV2());
+  ASSERT_GT(golden.live.size(), 30u);
+  ASSERT_FALSE(golden.gone.empty());
+  ASSERT_EQ(SegmentsOf(golden.store, LogVersion::kV2), 8u);
+  auto registry = std::make_shared<common::MetricsRegistry>();
+  ChunkStoreOptions options = GoldenV2().options;
+  options.metrics = registry;
+  {
+    auto opened = ChunkStore::Open(&golden.store, &golden.secrets,
+                                   &golden.counter, options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_GT(registry->Snapshot().gauges["recovery.commits_replayed"], 0);
+    EXPECT_EQ(LegacySegments(golden.store), 0u);
+    EXPECT_EQ((*opened)->options().map_fanout, 8u);
+    ExpectChunks(opened->get(), golden);
+    ASSERT_TRUE((*opened)->Close().ok());
+  }
+  auto reopened = ChunkStore::Open(&golden.store, &golden.secrets,
+                                   &golden.counter, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectChunks(reopened->get(), golden);
+  EXPECT_EQ(registry->audit().size(), 0u);
+}
+
+// A crash at every write the upgrading open makes (each torn at none,
+// half and all of its bytes), then a reboot: the next open reaches the
+// golden contents and a fully upgraded image, and so does the one after.
+class GoldenUpgradeCrashTest : public ::testing::TestWithParam<GoldenSpec> {};
+
+TEST_P(GoldenUpgradeCrashTest, CrashAnywhereInTheUpgrade) {
+  const GoldenSpec& spec = GetParam();
+  uint64_t open_writes = 0;
+  {
+    GoldenImage golden;
+    LoadGolden(&golden, spec);
+    platform::FaultInjectingStore faulty(&golden.store);
+    auto opened = ChunkStore::Open(&faulty, &golden.secrets, &golden.counter,
+                                   spec.options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    open_writes = faulty.writes_seen();
+  }
+  ASSERT_GE(open_writes, 4u);
+  int cases = 0;
+  for (uint64_t index = 0; index < open_writes; index++) {
+    for (uint32_t tear : {0u, 2u, 4u}) {
+      SCOPED_TRACE("write " + std::to_string(index) + " tear " +
+                   std::to_string(tear) + "/4");
+      GoldenImage golden;
+      LoadGolden(&golden, spec);
+      {
+        platform::FaultInjectingStore faulty(&golden.store);
+        faulty.CrashAtWrite(index, tear, 4);
+        auto crashed = ChunkStore::Open(&faulty, &golden.secrets,
+                                        &golden.counter, spec.options);
+        EXPECT_FALSE(crashed.ok());
+        EXPECT_TRUE(faulty.crashed());
+      }
+      for (int open = 0; open < 2; open++) {
+        auto opened = ChunkStore::Open(&golden.store, &golden.secrets,
+                                       &golden.counter, spec.options);
+        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+        EXPECT_EQ(LegacySegments(golden.store), 0u);
+        ExpectChunks(opened->get(), golden);
+        ASSERT_TRUE((*opened)->Close().ok());
+      }
+      cases++;
+    }
+  }
+  EXPECT_EQ(cases, static_cast<int>(open_writes * 3));
+}
+
+INSTANTIATE_TEST_SUITE_P(Golden, GoldenUpgradeCrashTest,
+                         ::testing::Values(GoldenV1(), GoldenV2()),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+// ------------------------------------------------------- v3 as written
 
 TEST(LogFormatTest, DataRecordsStealCiphertextAboveOneBlock) {
-  // AES-128: a 16-byte IV, then the ciphertext. Above one block it is as
-  // long as the plaintext; up to one block it is padded, one block more
-  // for a whole block. Frames are type, a one-byte length and a CRC.
+  // AES-128: the seal number (one varint byte this early in a store's
+  // life), then the ciphertext. Above one block it is as long as the
+  // plaintext; up to one block it is padded, one block more for a whole
+  // block. Frames are type, a one-byte length and a CRC.
   TestEnv env;
   ChunkStoreOptions options = SmallSegments();
   options.cache_bytes = 0;
@@ -259,8 +373,8 @@ TEST(LogFormatTest, DataRecordsStealCiphertextAboveOneBlock) {
   ASSERT_TRUE(opened.ok());
   std::unique_ptr<ChunkStore> cs = std::move(opened).value();
   const std::pair<size_t, size_t> kSizes[] = {
-      {100, 6 + 16 + 100}, {17, 6 + 16 + 17}, {16, 6 + 16 + 32},
-      {10, 6 + 16 + 16},   {0, 6 + 16 + 16}};
+      {100, 6 + 1 + 100}, {17, 6 + 1 + 17}, {16, 6 + 1 + 32},
+      {10, 6 + 1 + 16},   {0, 6 + 1 + 16}};
   for (const auto& [size, record] : kSizes) {
     const ChunkId cid = cs->AllocateChunkId();
     const uint64_t before = cs->Stats().data_bytes;
