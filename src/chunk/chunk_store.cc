@@ -223,20 +223,15 @@ void ChunkStore::AtomicMax(std::atomic<uint64_t>& counter, uint64_t value) {
 
 Status ChunkStore::DrawSeals(size_t n, uint64_t* first) {
   *first = next_seal_.fetch_add(n);
-  if (*first + n <= seal_limit_.load(std::memory_order_acquire)) {
+  if (*first + n <= seal_limit_.load()) {
     return Status::OK();
   }
   std::lock_guard<std::mutex> lock(mu_);
   return RenewSealLeaseLocked(*first + n);
 }
 
-Status ChunkStore::DrawSealsLocked(size_t n, uint64_t* first) {
-  *first = next_seal_.fetch_add(n);
-  return RenewSealLeaseLocked(*first + n);
-}
-
 Status ChunkStore::RenewSealLeaseLocked(uint64_t end) {
-  if (end <= seal_limit_.load(std::memory_order_acquire)) {
+  if (end <= seal_limit_.load()) {
     return Status::OK();
   }
   // Only the limit changes: the checkpoint state stays the anchored one,
@@ -248,7 +243,10 @@ Status ChunkStore::RenewSealLeaseLocked(uint64_t end) {
 
 Result<Buffer> ChunkStore::SealNextLocked(Slice plain, uint8_t* flags) {
   uint64_t seal = 0;
-  if (Encrypts()) TDB_RETURN_IF_ERROR(DrawSealsLocked(1, &seal));
+  if (Encrypts()) {
+    seal = next_seal_.fetch_add(1);
+    TDB_RETURN_IF_ERROR(RenewSealLeaseLocked(seal + 1));
+  }
   *flags |= SealFlags(plain.size());
   Buffer sealed = suite_.SealNumbered(plain, seal);
   m_.pad_bytes->Add(static_cast<int64_t>(
@@ -1393,8 +1391,7 @@ Status ChunkStore::WriteAnchor(AnchorState state) {
   TDB_RETURN_IF_ERROR(anchor_mgr_.Write(state));
   anchored_ = state;
   // Seal numbers below the new limit are usable once it is durable.
-  seal_limit_.store(std::max(seal_limit_.load(), state.seal_limit),
-                    std::memory_order_release);
+  seal_limit_.store(std::max(seal_limit_.load(), state.seal_limit));
   return Status::OK();
 }
 

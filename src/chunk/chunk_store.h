@@ -189,8 +189,8 @@ struct ChunkStoreStats {
   uint64_t map_bytes = 0;
   uint64_t commit_bytes = 0;
   // Secure overhead of the appended records (§7.4), summed over data, map
-  // and commit records: the seal-number (or stored IV) bytes in front of
-  // each ciphertext, the record frames, and the hash bytes of the map
+  // and commit records: the seal-number bytes in front of each
+  // ciphertext (a stored IV in log format v2), the record frames, and the hash bytes of the map
   // entries that name data and map-node records. Padding is counted when
   // a record is sealed: the cleaner moves sealed records verbatim.
   uint64_t seal_bytes = 0;
@@ -639,15 +639,12 @@ class ChunkStore : public ChunkStoreInterface {
   // After the normalizing checkpoint: removes the legacy segments, which
   // nothing references any more, and anchors the image as all-v3.
   Status DropLegacySegments();
-  // A record hash truncated to entry_hash_size(), over `prefix` and then
-  // `payload`.
-  crypto::Digest TruncatedHash(Slice prefix, Slice payload) const;
 
   // --- log tail (all require mu_) ---
   static std::string SegmentName(uint32_t id);
   Status OpenFreshSegment();     // Rolls the tail to a new segment file.
   // Appends a record to the tail (rolling segments as needed); returns its
-  // location. AppendVerbatim appends a whole v2 data record with a
+  // location. AppendVerbatim appends a whole data record with a
   // `header`-byte header, read back from the log, which frames and
   // checksums it the same way.
   Result<Location> Append(RecordType type, uint8_t flags, Slice payload);
@@ -833,6 +830,9 @@ class ChunkStore : public ChunkStoreInterface {
   // H('3' ‖ type byte ‖ payload), see log_format.h.
   crypto::Digest EntryHash(RecordType type, uint8_t flags,
                            Slice payload) const;
+  // A record hash truncated to entry_hash_size(), over `prefix` and then
+  // `payload` (any log format's).
+  crypto::Digest TruncatedHash(Slice prefix, Slice payload) const;
   size_t entry_hash_size() const;
 
   // --- seal numbers (log format v3) ---
@@ -845,11 +845,10 @@ class ChunkStore : public ChunkStoreInterface {
   static constexpr size_t kUpgradeBatch = 4096;
   // Whether records are encrypted, and so carry seal numbers.
   bool Encrypts() const { return suite_.iv_size() > 0; }
-  // Draws seal numbers [*first, *first + n) in submission order. When they
-  // pass the lease, renews it first (an anchor write under mu_, which
-  // DrawSeals takes and DrawSealsLocked requires).
+  // Must not hold mu_. Draws seal numbers [*first, *first + n) in
+  // submission order. When they pass the lease, renews it first (an
+  // anchor write under mu_).
   Status DrawSeals(size_t n, uint64_t* first);
-  Status DrawSealsLocked(size_t n, uint64_t* first);
   // Requires mu_. Makes a lease covering every seal number below `end`
   // durable, unless one already is.
   Status RenewSealLeaseLocked(uint64_t end);

@@ -42,13 +42,13 @@ enum CommitFlags : uint8_t {
 };
 
 /// Per-record flags, carried (authenticated) in the map-node encoding and
-/// in a v2 record's type byte (see log_format.h). Describes how the sealed
+/// in a record's type byte (see log_format.h). Describes how the sealed
 /// record payload was produced from the chunk plaintext.
 enum EntryFlags : uint8_t {
   kEntryCompressed = 1 << 0,  // Payload is LzCompress(plaintext).
-  // Sealed with PKCS#7 padding rather than ciphertext stealing: a v2
-  // plaintext of at most one cipher block, or a record relocated from a
-  // v1 segment. Records still in v1 segments are padded without it.
+  // Sealed with PKCS#7 padding rather than ciphertext stealing: a
+  // plaintext of at most one cipher block. (Log format v1 padded every
+  // record without it; only the upgrade at open reads those.)
   kEntryPadded = 1 << 1,
 };
 constexpr uint8_t kEntryFlagsMask = kEntryCompressed | kEntryPadded;

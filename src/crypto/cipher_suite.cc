@@ -89,7 +89,7 @@ size_t CipherSuite::SealNumberSize(uint64_t seal) const {
 
 Buffer CipherSuite::SealNumbered(Slice plain, uint64_t seal) const {
   if (iv_size() == 0) return plain.ToBuffer();
-  if (SealObserver observer = g_seal_observer.load(std::memory_order_relaxed)) {
+  if (SealObserver observer = g_seal_observer.load()) {
     observer(seal_key_id_, seal);
   }
   uint8_t iv[kMaxIvSize];

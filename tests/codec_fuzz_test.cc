@@ -548,6 +548,61 @@ TEST(CodecFuzzTest, SealedChunkBitFlipsAlwaysCaughtByOpenOrHash) {
   }
 }
 
+TEST(CodecFuzzTest, SealNumberPayloadFlipsAndTruncationsCaught) {
+  // A v3 payload is varint(s) ‖ ciphertext under IV E_k'(s). With seal
+  // numbers whose varints take 1, 3 and 9 bytes, padded (up to one block)
+  // and stolen (above it): every single-bit flip, of the seal number or
+  // the ciphertext, and every proper prefix either fails to open or opens
+  // to a different plaintext (which the record hash above would catch).
+  crypto::CipherSuite suite = Suite();
+  Random rng(11);
+  const std::pair<uint64_t, size_t> kSeals[] = {
+      {5, 1}, {(uint64_t{1} << 14) + 3, 3}, {(uint64_t{1} << 56) + 9, 9}};
+  for (const auto& [seal, varint_bytes] : kSeals) {
+    ASSERT_EQ(suite.SealNumberSize(seal), varint_bytes);
+    for (size_t size : {size_t{0}, size_t{7}, size_t{16}, size_t{17},
+                        size_t{100}}) {
+      SCOPED_TRACE("seal " + std::to_string(seal) + " size " +
+                   std::to_string(size));
+      Buffer plain;
+      rng.Fill(&plain, size);
+      const bool padded = suite.PadsWhenStealing(size);
+      const Buffer sealed = suite.SealNumbered(plain, seal);
+      if (!padded) {
+        EXPECT_EQ(sealed.size(), varint_bytes + size);
+      }
+      auto back = suite.OpenNumbered(sealed, padded);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      ASSERT_EQ(*back, plain);
+      for (size_t i = 0; i < sealed.size(); i++) {
+        for (uint8_t mask : {0x01, 0x80}) {
+          Buffer flipped = sealed;
+          flipped[i] ^= mask;
+          auto opened = suite.OpenNumbered(flipped, padded);
+          if (opened.ok()) {
+            EXPECT_NE(*opened, plain) << "byte " << i << " mask " << int(mask);
+          }
+        }
+      }
+      for (size_t cut = 0; cut < sealed.size(); cut++) {
+        auto opened = suite.OpenNumbered(Slice(sealed.data(), cut), padded);
+        if (opened.ok()) {
+          EXPECT_NE(*opened, plain) << "cut " << cut;
+        }
+      }
+    }
+  }
+  // Another IV key (another iv_seed) never opens it to the plaintext.
+  crypto::CipherSuite other(crypto::SecurityConfig::Modern(),
+                            Slice("fuzz-secret"), Slice("other-iv"));
+  EXPECT_NE(other.seal_key_id(), suite.seal_key_id());
+  Buffer plain;
+  rng.Fill(&plain, 40);
+  auto opened = other.OpenNumbered(suite.SealNumbered(plain, 77), false);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_NE(*opened, plain);
+}
+
 // The three JSON artifacts TDB emits, each with the reader that reads it
 // back: a metrics snapshot with every instrument kind and audit events, a
 // Chrome trace of two span trees, and a flight bundle embedding both.

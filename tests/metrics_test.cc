@@ -351,7 +351,9 @@ TEST(MetricsSnapshotTest, MergeSumsAndRededuplicates) {
   ASSERT_EQ(merged.audit.size(), 2u);
   EXPECT_EQ(merged.audit_total, 3u);
   for (const common::AuditEvent& ev : merged.audit) {
-    if (ev.kind == "replay") EXPECT_EQ(ev.count, 2u);
+    if (ev.kind == "replay") {
+      EXPECT_EQ(ev.count, 2u);
+    }
   }
 }
 

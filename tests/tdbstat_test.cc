@@ -235,5 +235,68 @@ TEST(TdbstatTest, CheckRejectsTrailingDocument) {
   fs::remove(path);
 }
 
+// tdbstat on the golden log-format-v1 and v2 images: the upgrade at open
+// lands in its read-only overlay, so neither image changes. The v2 image
+// (SHA-256 + AES-128, tdbstat's suite) opens, upgrades and verifies; the
+// v1 one was written with SHA-1 + 3DES, which tdbstat does not open.
+TEST(TdbstatTest, GoldenImagesStayByteIdentical) {
+  const struct {
+    const char* dir;
+    const char* secret;
+    bool opens;
+  } kImages[] = {{"golden_v1_image", "golden-v1-secret", false},
+                 {"golden_v2_image", "golden-v2-secret", true}};
+  for (const auto& golden : kImages) {
+    SCOPED_TRACE(golden.dir);
+    const fs::path source = fs::path(TDB_TEST_DATA_DIR) / golden.dir;
+    const fs::path root = fs::temp_directory_path() /
+                          ("tdbstat_golden_" + std::to_string(getpid()));
+    fs::remove_all(root);
+    const fs::path db = root / "db";
+    fs::create_directories(db);
+    size_t live = 0;
+    for (const auto& file : fs::directory_iterator(source)) {
+      const std::string name = file.path().filename().string();
+      if (name.rfind("anchor-", 0) == 0 || name.rfind("seg-", 0) == 0) {
+        fs::copy_file(file.path(), db / name);
+      }
+    }
+    {
+      std::ifstream expected(source / "expected");
+      std::string line;
+      while (std::getline(expected, line)) {
+        if (line.rfind("gone ", 0) != 0) live++;
+      }
+    }
+    const std::string secret = (root / "secret").string();
+    const std::string counter_file = (root / "counter").string();
+    ASSERT_TRUE(platform::FileSecretStore(secret)
+                    .Provision(Slice(golden.secret))
+                    .ok());
+    uint64_t value = 0;
+    std::ifstream(source / "counter") >> value;
+    platform::FileOneWayCounter counter(counter_file, /*sync=*/false);
+    while (*counter.Read() < value) ASSERT_TRUE(counter.Increment().ok());
+    const std::map<std::string, std::string> before = ReadTree(root);
+
+    int rc = 0;
+    const std::string output = RunCommand(
+        "'" + std::string(TDBSTAT_PATH) + "' '" + db.string() + "' '" +
+            secret + "' '" + counter_file + "' --verify 2>&1",
+        &rc);
+    if (golden.opens) {
+      EXPECT_EQ(rc, 0) << output;
+      EXPECT_NE(output.find("chunks:       " + std::to_string(live) + " live"),
+                std::string::npos)
+          << output;
+    } else {
+      EXPECT_NE(rc, 0) << output;
+    }
+    EXPECT_TRUE(ReadTree(root) == before)
+        << "tdbstat --verify changed a file under " << root;
+    fs::remove_all(root);
+  }
+}
+
 }  // namespace
 }  // namespace tdb

@@ -67,14 +67,16 @@ if [[ -n "$sanitize" ]]; then
   # TPC-B), the allocation budgets (which skip themselves under a
   # sanitizer's allocator), the decoder and JSON-reader fuzz corpora
   # (truncations and bit flips of store records and emitted artifacts),
-  # the log format tests (the golden v1 image, v2 recovery and tamper
-  # cases) and the codec kernels under them (CBC ciphertext stealing,
-  # CRC-32C on both dispatch paths).
+  # the log format tests (the golden v1 and v2 images and their upgrade
+  # at open, v3 recovery and tamper cases), the seal-number uniqueness
+  # tests (concurrent committers drawing seal numbers among them) and the
+  # codec kernels under them (CBC ciphertext stealing, CRC-32C on both
+  # dispatch paths).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
                  sim_disk_test metrics_test trace_test workload_test
                  alloc_budget_test codec_fuzz_test log_format_test
-                 crypto_test common_test)
+                 seal_number_test crypto_test common_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="
