@@ -258,19 +258,15 @@ size_t ChunkStore::entry_hash_size() const {
   return std::min(suite_.hash_size(), kMapHashBytes);
 }
 
-crypto::Digest ChunkStore::TruncatedHash(Slice prefix, Slice payload) const {
-  crypto::Digest full = suite_.HashData(prefix, payload);
+crypto::Digest ChunkStore::RecordHash(LogVersion version, RecordType type,
+                                      uint8_t flags, Slice payload) const {
+  uint8_t prefix[2];
+  const size_t n =
+      RecordHashPrefix(version, RecordTypeByte(type, flags), prefix);
+  crypto::Digest full = suite_.HashData(Slice(prefix, n), payload);
   size_t want = entry_hash_size();
   if (full.size() <= want || want == 0) return full;
   return crypto::Digest(full.data(), want);
-}
-
-crypto::Digest ChunkStore::EntryHash(RecordType type, uint8_t flags,
-                                     Slice payload) const {
-  uint8_t prefix[2];
-  const size_t n =
-      RecordHashPrefix(LogVersion::kV3, RecordTypeByte(type, flags), prefix);
-  return TruncatedHash(Slice(prefix, n), payload);
 }
 
 ChunkStore::~ChunkStore() {

@@ -829,10 +829,13 @@ class ChunkStore : public ChunkStoreInterface {
   // Hash of a record as stored in the map, truncated to kMapHashBytes:
   // H('3' ‖ type byte ‖ payload), see log_format.h.
   crypto::Digest EntryHash(RecordType type, uint8_t flags,
-                           Slice payload) const;
-  // A record hash truncated to entry_hash_size(), over `prefix` and then
-  // `payload` (any log format's).
-  crypto::Digest TruncatedHash(Slice prefix, Slice payload) const;
+                           Slice payload) const {
+    return RecordHash(LogVersion::kV3, type, flags, payload);
+  }
+  // The same in log format `version`, whose hash covers other bytes; only
+  // recovery and the upgrade at open ask for a format older than v3.
+  crypto::Digest RecordHash(LogVersion version, RecordType type,
+                            uint8_t flags, Slice payload) const;
   size_t entry_hash_size() const;
 
   // --- seal numbers (log format v3) ---

@@ -6,6 +6,7 @@
 // checkpoint, after which the old segments are dropped. Everything else in
 // the chunk store reads v3 alone. See DESIGN.md, "Log format v3 and
 // upgrade at open".
+#include <algorithm>
 #include <set>
 
 #include "chunk/chunk_store.h"
@@ -74,14 +75,6 @@ Status ChunkStore::Recover() {
   auto version_of = [this](uint32_t segment) {
     auto it = legacy_segments_.find(segment);
     return it == legacy_segments_.end() ? LogVersion::kV3 : it->second;
-  };
-  // A record hash in the format of the segment holding the record.
-  auto record_hash = [this](LogVersion version, RecordType type,
-                            uint8_t flags, Slice payload) {
-    uint8_t prefix[2];
-    const size_t n =
-        RecordHashPrefix(version, RecordTypeByte(type, flags), prefix);
-    return TruncatedHash(Slice(prefix, n), payload);
   };
 
   // --- Scan the residual log ---------------------------------------------
@@ -219,7 +212,7 @@ Status ChunkStore::Recover() {
       if (view.type == RecordType::kData && version != LogVersion::kV1) {
         pending.push_back(
             {loc, view.flags,
-             record_hash(version, view.type, view.flags, view.payload)});
+             RecordHash(version, view.type, view.flags, view.payload)});
       } else if (view.type == RecordType::kCommit) {
         ScannedCommit commit;
         if (!scan_commit(view, version, &commit)) {
@@ -375,11 +368,8 @@ Result<Buffer> ChunkStore::OpenLegacyRecord(const Location& loc,
                           : read.ToString());
     return Status::TamperDetected("legacy record damaged");
   }
-  uint8_t prefix[2];
-  const size_t n = RecordHashPrefix(
-      version, RecordTypeByte(type, view.flags), prefix);
   if (suite_.enabled() &&
-      TruncatedHash(Slice(prefix, n), view.payload) != hash) {
+      RecordHash(version, type, view.flags, view.payload) != hash) {
     AuditDetect("hash_mismatch", region, LocationString(loc),
                 "record hash does not match map entry");
     return Status::TamperDetected("chunk hash mismatch");
