@@ -189,10 +189,11 @@ struct ChunkStoreStats {
   uint64_t map_bytes = 0;
   uint64_t commit_bytes = 0;
   // Secure overhead of the appended records (§7.4), summed over data, map
-  // and commit records: the seal-number bytes in front of each
-  // ciphertext (a stored IV in log format v2), the record frames, and the hash bytes of the map
-  // entries that name data and map-node records. Padding is counted when
-  // a record is sealed: the cleaner moves sealed records verbatim.
+  // and commit records: the seal-number bytes in front of each ciphertext
+  // (a stored IV in log format v2), the record frames, and the hash bytes
+  // of the map entries that name data and map-node records. Padding is
+  // counted when a record is sealed: the cleaner moves sealed records
+  // verbatim.
   uint64_t seal_bytes = 0;
   uint64_t pad_bytes = 0;
   uint64_t frame_bytes = 0;
@@ -629,9 +630,9 @@ class ChunkStore : public ChunkStoreInterface {
       const uint32_t* level, uint64_t index, const Location& loc,
       const crypto::Digest& hash);
   // Reads, hash-checks and opens the record at `loc` of a legacy segment;
-  // returns its plaintext, and its frame's flags in *flags.
+  // returns its plaintext, and its header + payload bytes in *record_size.
   Result<Buffer> OpenLegacyRecord(const Location& loc, RecordType type,
-                                  const crypto::Digest& hash, uint8_t* flags,
+                                  const crypto::Digest& hash,
                                   uint32_t* record_size);
   // Re-seals every live data record of the legacy segments into v3
   // segments, in durable commits of at most kUpgradeBatch records.

@@ -164,8 +164,8 @@ struct ManifestWrite {
   uint8_t flags = 0;    // EntryFlags; authenticated by the manifest MAC.
 };
 
-/// A v1 commit manifest, read from v1 segments by recovery only. Besides the writes
-/// it carries prev_mac, the MAC of the commit before it.
+/// A v1 commit manifest, read from v1 segments by recovery only. Besides
+/// the writes it carries prev_mac, the MAC of the commit before it.
 struct CommitManifestV1 {
   uint64_t seq = 0;
   uint8_t flags = 0;

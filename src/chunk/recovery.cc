@@ -310,7 +310,9 @@ Status ChunkStore::Recover() {
   // Renew the seal lease before anything is sealed: the numbers from the
   // old limit on are this session's only once an anchor says so. The
   // anchor keeps the loaded checkpoint state, which replay started from.
-  if (Encrypts()) TDB_RETURN_IF_ERROR(RenewSealLeaseLocked(next_seal_.load() + 1));
+  if (Encrypts()) {
+    TDB_RETURN_IF_ERROR(RenewSealLeaseLocked(next_seal_.load() + 1));
+  }
 
   TDB_RETURN_IF_ERROR(RebuildAccounting());
   if (!legacy_segments_.empty()) TDB_RETURN_IF_ERROR(UpgradeLegacySegments());
@@ -348,11 +350,10 @@ Status ChunkStore::FindLegacySegments() {
 Result<Buffer> ChunkStore::OpenLegacyRecord(const Location& loc,
                                             RecordType type,
                                             const crypto::Digest& hash,
-                                            uint8_t* flags,
                                             uint32_t* record_size) {
   const LogVersion version = legacy_segments_.at(loc.segment);
-  const int region =
-      type == RecordType::kMapNode ? common::kRegionMap : common::kRegionPayload;
+  const int region = type == RecordType::kMapNode ? common::kRegionMap
+                                                  : common::kRegionPayload;
   *record_size = static_cast<uint32_t>(
       (version == LogVersion::kV1 ? kRecordHeaderSizeV1
                                   : RecordHeaderSize(version, loc.length)) +
@@ -382,7 +383,6 @@ Result<Buffer> ChunkStore::OpenLegacyRecord(const Location& loc,
                 plain.status().ToString());
     return Status::TamperDetected("legacy record decryption failed");
   }
-  *flags = view.flags;
   return plain;
 }
 
@@ -392,11 +392,10 @@ Result<std::shared_ptr<MapNode>> ChunkStore::LoadLegacyMapNode(
   if (legacy_segments_.count(loc.segment) == 0) {
     return LoadMapNode(level, index, loc, hash);
   }
-  uint8_t flags;
   uint32_t record_size;
   TDB_ASSIGN_OR_RETURN(
       Buffer plain,
-      OpenLegacyRecord(loc, RecordType::kMapNode, hash, &flags, &record_size));
+      OpenLegacyRecord(loc, RecordType::kMapNode, hash, &record_size));
   return DecodeMapNodeRecord(level, index, loc, hash, plain, record_size);
 }
 
@@ -422,12 +421,10 @@ Status ChunkStore::UpgradeLegacySegments() {
     batch.writes.resize(end - start);
     for (size_t i = start; i < end; i++) {
       const auto& [cid, entry] = old[i];
-      uint8_t frame_flags;
       uint32_t record_size;
       TDB_ASSIGN_OR_RETURN(Buffer plain,
                            OpenLegacyRecord(entry.loc, RecordType::kData,
-                                            entry.hash, &frame_flags,
-                                            &record_size));
+                                            entry.hash, &record_size));
       StagedWrite& w = batch.writes[i - start];
       w.cid = cid;
       w.flags = entry.flags & kEntryCompressed;

@@ -90,7 +90,8 @@ size_t SegmentsOf(const MemUntrustedStore& store, LogVersion version) {
 
 // Segments of a format older than v3.
 size_t LegacySegments(const MemUntrustedStore& store) {
-  return SegmentsOf(store, LogVersion::kV1) + SegmentsOf(store, LogVersion::kV2);
+  return SegmentsOf(store, LogVersion::kV1) +
+         SegmentsOf(store, LogVersion::kV2);
 }
 
 Buffer RandomBytes(uint64_t seed, size_t size) {
