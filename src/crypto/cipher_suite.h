@@ -50,7 +50,7 @@ struct SecurityConfig {
 ///    a stored IV drawn from a DRBG, in front of the ciphertext.
 ///
 /// THREAD SAFETY: after construction, every const member (HashData, Mac,
-/// SealNumbered, Open*, SealWithIv, SealStealing, SealedSize, hash_size)
+/// SealNumbered, Open*, SealStealing, SealedSize, hash_size)
 /// is safe to call concurrently: the key schedules are immutable and each
 /// call keeps its working state on the stack. Only Seal() mutates (it
 /// advances the IV generator) and needs external serialization.
@@ -108,19 +108,14 @@ class CipherSuite {
   size_t iv_size() const;
   static constexpr size_t kMaxIvSize = 16;
 
-  /// Seals under a caller-supplied IV of exactly one cipher block (ignored
-  /// and pass-through when encryption is off) into one buffer: the IV,
-  /// then the padded ciphertext.
-  Buffer SealWithIv(Slice plain, Slice iv) const;
-
   /// Whether a plaintext of `plain_size` bytes is sealed with PKCS#7
   /// padding rather than ciphertext stealing: with encryption on, a
   /// plaintext of at most one block has nothing to steal from.
   bool PadsWhenStealing(size_t plain_size) const;
 
-  /// Seals like SealWithIv, except that a plaintext longer than one block
-  /// is encrypted with CBC ciphertext stealing (CS3), as log format v2
-  /// stored it. The sealed length alone cannot tell a padded block from a
+  /// Seals under a caller-supplied IV of exactly one cipher block into
+  /// IV || ciphertext, as log format v2 stored it: PKCS#7 padding up to
+  /// one block, CBC ciphertext stealing (CS3) above it. The sealed length alone cannot tell a padded block from a
   /// stolen pair, so the caller records PadsWhenStealing.
   Buffer SealStealing(Slice plain, Slice iv) const;
 
@@ -135,6 +130,8 @@ class CipherSuite {
  private:
   // The IV of seal number `seal`: E_k'(seal, zero-padded to a block).
   void SealIv(uint64_t seal, uint8_t* iv) const;
+  // Seals under `iv` (one cipher block) into IV || padded ciphertext.
+  Buffer SealWithIv(Slice plain, Slice iv) const;
 
   SecurityConfig config_;
   Buffer mac_key_;
