@@ -68,6 +68,11 @@ void Pin::Release() {
   store_ = nullptr;
 }
 
+Status NotOfRequestedClass(ObjectId oid) {
+  return Status::TypeMismatch("object " + std::to_string(oid) +
+                              " is not of the requested class");
+}
+
 }  // namespace internal
 
 // ---------------------------------------------------------------------------
@@ -85,6 +90,12 @@ Result<ObjectId> Transaction::Insert(std::unique_ptr<Object> object) {
   if (!active()) return Status::TransactionInvalid("transaction ended");
   if (object == nullptr) return Status::InvalidArgument("null object");
   return store_->InsertInternal(*state_, std::move(object));
+}
+
+Result<Object*> Transaction::OpenUntyped(ObjectId oid, bool writable,
+                                         internal::Pin* pin) {
+  if (!active()) return Status::TransactionInvalid("transaction ended");
+  return store_->OpenInternal(*state_, oid, writable, pin);
 }
 
 Status Transaction::Remove(ObjectId oid) {
@@ -140,6 +151,7 @@ Result<std::shared_ptr<const Buffer>> ReadTransaction::ReadRecord(
 }
 
 Result<const Object*> ReadTransaction::OpenInternal(ObjectId oid) {
+  if (!active()) return Status::TransactionInvalid("read transaction ended");
   auto it = objects_.find(oid);
   if (it != objects_.end()) return it->second.get();
   TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data, ReadRecord(oid));
@@ -155,6 +167,7 @@ Result<const Object*> ReadTransaction::UnpickleInto(ObjectId oid, Slice data) {
 }
 
 Result<std::unique_ptr<Object>> ReadTransaction::TakeInternal(ObjectId oid) {
+  if (!active()) return Status::TransactionInvalid("read transaction ended");
   TDB_ASSIGN_OR_RETURN(std::shared_ptr<const Buffer> data, ReadRecord(oid));
   return store_->Unpickle(Slice(*data));
 }

@@ -115,6 +115,10 @@ class Pin {
   uint64_t generation_ = 0;
 };
 
+/// The TypeMismatch of a typed open whose object `oid` is not of the
+/// requested class. Out of line, so the typed opens stay a cast.
+Status NotOfRequestedClass(ObjectId oid);
+
 }  // namespace internal
 
 /// Options for the object store.
@@ -302,6 +306,12 @@ class Transaction {
 
  private:
   friend class ObjectStore;
+
+  // The untyped open under OpenReadonly/OpenWritable: checks that the
+  // transaction is active, then locks, fetches and pins the object, and
+  // hands back the pin.
+  Result<Object*> OpenUntyped(ObjectId oid, bool writable, internal::Pin* pin);
+
   ObjectStore* store_;
   std::shared_ptr<internal::TxnState> state_;
 };
@@ -366,7 +376,8 @@ class ReadTransaction {
   uint64_t snapshot_seq() const { return view_ ? view_->seq() : 0; }
 
  private:
-  // Chunk read at the view + unpickle, memoized in objects_.
+  // The untyped opens under Open/Take; both check that the transaction is
+  // active. Chunk read at the view + unpickle, memoized in objects_:
   Result<const Object*> OpenInternal(ObjectId oid);
   Result<const Object*> UnpickleInto(ObjectId oid, Slice data);
   // Chunk read at the view + unpickle, ownership to the caller.
@@ -545,42 +556,28 @@ class ObjectStore {
 
 template <typename T>
 Result<ReadonlyRef<T>> Transaction::OpenReadonly(ObjectId oid) {
-  if (!active()) return Status::TransactionInvalid("transaction ended");
   internal::Pin pin;
-  TDB_ASSIGN_OR_RETURN(Object* obj,
-                       store_->OpenInternal(*state_, oid, false, &pin));
+  TDB_ASSIGN_OR_RETURN(Object* obj, OpenUntyped(oid, false, &pin));
   const T* typed = dynamic_cast<const T*>(obj);
-  if (typed == nullptr) {
-    // `pin` unpins on return — a failed down-cast must not leak the pin.
-    return Status::TypeMismatch("object " + std::to_string(oid) +
-                                " is not of the requested class");
-  }
+  // `pin` unpins on return: a failed down-cast must not leak the pin.
+  if (typed == nullptr) return internal::NotOfRequestedClass(oid);
   return ReadonlyRef<T>(state_, oid, typed, std::move(pin));
 }
 
 template <typename T>
 Result<WritableRef<T>> Transaction::OpenWritable(ObjectId oid) {
-  if (!active()) return Status::TransactionInvalid("transaction ended");
   internal::Pin pin;
-  TDB_ASSIGN_OR_RETURN(Object* obj,
-                       store_->OpenInternal(*state_, oid, true, &pin));
+  TDB_ASSIGN_OR_RETURN(Object* obj, OpenUntyped(oid, true, &pin));
   T* typed = dynamic_cast<T*>(obj);
-  if (typed == nullptr) {
-    return Status::TypeMismatch("object " + std::to_string(oid) +
-                                " is not of the requested class");
-  }
+  if (typed == nullptr) return internal::NotOfRequestedClass(oid);
   return WritableRef<T>(state_, oid, typed, std::move(pin));
 }
 
 template <typename T>
 Result<ReadonlyRef<T>> ReadTransaction::Open(ObjectId oid) {
-  if (!active()) return Status::TransactionInvalid("read transaction ended");
   TDB_ASSIGN_OR_RETURN(const Object* obj, OpenInternal(oid));
   const T* typed = dynamic_cast<const T*>(obj);
-  if (typed == nullptr) {
-    return Status::TypeMismatch("object " + std::to_string(oid) +
-                                " is not of the requested class");
-  }
+  if (typed == nullptr) return internal::NotOfRequestedClass(oid);
   // No cache pin: the instance is transaction-private and owned by
   // objects_, which outlives every ref (refs die when state_->active
   // flips at End()).
@@ -589,11 +586,9 @@ Result<ReadonlyRef<T>> ReadTransaction::Open(ObjectId oid) {
 
 template <typename T>
 Result<std::unique_ptr<T>> ReadTransaction::Take(ObjectId oid) {
-  if (!active()) return Status::TransactionInvalid("read transaction ended");
   TDB_ASSIGN_OR_RETURN(std::unique_ptr<Object> obj, TakeInternal(oid));
   if (dynamic_cast<T*>(obj.get()) == nullptr) {
-    return Status::TypeMismatch("object " + std::to_string(oid) +
-                                " is not of the requested class");
+    return internal::NotOfRequestedClass(oid);
   }
   return std::unique_ptr<T>(static_cast<T*>(obj.release()));
 }
