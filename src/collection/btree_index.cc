@@ -21,34 +21,23 @@ common::Histogram* DepthHistogram(Transaction* txn, const char* name) {
   return txn->store()->metrics()->GetHistogram(name);
 }
 
-// First index i with entries[i] >= (key, oid).
-Result<size_t> LowerBound(const GenericIndexer& indexer,
-                          const std::vector<IndexEntry>& entries,
-                          const Buffer& key, ObjectId oid) {
-  size_t lo = 0, hi = entries.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    TDB_ASSIGN_OR_RETURN(int cmp,
-                         CompareEntries(indexer, entries[mid], key, oid));
-    if (cmp < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+// <0, 0, >0 as the stored entry orders before, at or after (key, oid).
+Result<int> CompareEntry(const IndexEntry& entry, const GenericKey& key,
+                         ObjectId oid) {
+  TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(Slice(entry.key), key));
+  if (cmp != 0) return cmp;
+  return entry.oid < oid ? -1 : (entry.oid > oid ? 1 : 0);
 }
 
-// Child slot to descend for (key, oid): the number of separators <= it.
-Result<size_t> Route(const GenericIndexer& indexer,
-                     const std::vector<IndexEntry>& entries, const Buffer& key,
-                     ObjectId oid) {
+// The number of entries ordered before (key, oid): its leaf position. With
+// `or_equal`, entries equal to it count too: the child slot to descend.
+Result<size_t> Search(const std::vector<IndexEntry>& entries,
+                      const GenericKey& key, ObjectId oid, bool or_equal) {
   size_t lo = 0, hi = entries.size();
   while (lo < hi) {
     size_t mid = (lo + hi) / 2;
-    TDB_ASSIGN_OR_RETURN(int cmp,
-                         CompareEntries(indexer, entries[mid], key, oid));
-    if (cmp <= 0) {
+    TDB_ASSIGN_OR_RETURN(int cmp, CompareEntry(entries[mid], key, oid));
+    if (cmp < 0 || (or_equal && cmp == 0)) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -86,26 +75,19 @@ Status SplitChild(Transaction* txn, WritableRef<BTreeNode>& parent,
   return Status::OK();
 }
 
-Status InsertIntoLeaf(const GenericIndexer& indexer,
-                      WritableRef<BTreeNode>& leaf, const Buffer& key,
-                      ObjectId oid) {
-  TDB_ASSIGN_OR_RETURN(size_t pos,
-                       LowerBound(indexer, leaf->entries, key, oid));
-  if (pos < leaf->entries.size()) {
-    TDB_ASSIGN_OR_RETURN(
-        int cmp, CompareEntries(indexer, leaf->entries[pos], key, oid));
-    if (cmp == 0) return Status::OK();  // Idempotent re-insert.
-  }
+Status InsertIntoLeaf(WritableRef<BTreeNode>& leaf, const GenericKey& key,
+                      const Buffer& key_bytes, ObjectId oid) {
+  TDB_ASSIGN_OR_RETURN(size_t pos, Search(leaf->entries, key, oid, false));
   IndexEntry entry;
-  entry.key = Slice(key).ToString();
+  entry.key = Slice(key_bytes).ToString();
   entry.oid = oid;
-  leaf->entries.insert(leaf->entries.begin() + pos, entry);
+  leaf->entries.insert(leaf->entries.begin() + pos, std::move(entry));
   return Status::OK();
 }
 
 // Slow path: writable descend with preemptive splits.
-Status InsertFull(Transaction* txn, const GenericIndexer& indexer,
-                  ObjectId root, const Buffer& key, ObjectId oid) {
+Status InsertFull(Transaction* txn, ObjectId root, const GenericKey& key,
+                  const Buffer& key_bytes, ObjectId oid) {
   TDB_ASSIGN_OR_RETURN(WritableRef<BTreeNode> node,
                        txn->OpenWritable<BTreeNode>(root));
   if (node->entries.size() == BTreeIndex::kMaxEntries) {
@@ -122,20 +104,20 @@ Status InsertFull(Transaction* txn, const GenericIndexer& indexer,
     TDB_RETURN_IF_ERROR(SplitChild(txn, node, 0));
   }
   while (!node->leaf) {
-    TDB_ASSIGN_OR_RETURN(size_t idx, Route(indexer, node->entries, key, oid));
+    TDB_ASSIGN_OR_RETURN(size_t idx, Search(node->entries, key, oid, true));
     {
       TDB_ASSIGN_OR_RETURN(ReadonlyRef<BTreeNode> peek,
                            txn->OpenReadonly<BTreeNode>(node->children[idx]));
       if (peek->entries.size() == BTreeIndex::kMaxEntries) {
         TDB_RETURN_IF_ERROR(SplitChild(txn, node, idx));
-        TDB_ASSIGN_OR_RETURN(idx, Route(indexer, node->entries, key, oid));
+        TDB_ASSIGN_OR_RETURN(idx, Search(node->entries, key, oid, true));
       }
     }
     TDB_ASSIGN_OR_RETURN(WritableRef<BTreeNode> child,
                          txn->OpenWritable<BTreeNode>(node->children[idx]));
     node = child;
   }
-  return InsertIntoLeaf(indexer, node, key, oid);
+  return InsertIntoLeaf(node, key, key_bytes, oid);
 }
 
 // Rebalances the (t-1)-entry child at `idx` so it can be descended into.
@@ -219,30 +201,27 @@ Result<size_t> EnsureChildFill(Transaction* txn,
   return idx;
 }
 
-Status RemoveFromLeaf(const GenericIndexer& indexer,
-                      WritableRef<BTreeNode>& leaf, const Buffer& key,
+Status RemoveFromLeaf(WritableRef<BTreeNode>& leaf, const GenericKey& key,
                       ObjectId oid) {
-  TDB_ASSIGN_OR_RETURN(size_t pos,
-                       LowerBound(indexer, leaf->entries, key, oid));
+  TDB_ASSIGN_OR_RETURN(size_t pos, Search(leaf->entries, key, oid, false));
   if (pos >= leaf->entries.size()) {
     return Status::NotFound("index entry not found");
   }
-  TDB_ASSIGN_OR_RETURN(int cmp,
-                       CompareEntries(indexer, leaf->entries[pos], key, oid));
+  TDB_ASSIGN_OR_RETURN(int cmp, CompareEntry(leaf->entries[pos], key, oid));
   if (cmp != 0) return Status::NotFound("index entry not found");
   leaf->entries.erase(leaf->entries.begin() + pos);
   return Status::OK();
 }
 
 // Slow path: writable descend with preemptive rebalancing.
-Status RemoveFull(Transaction* txn, const GenericIndexer& indexer,
-                  ObjectId root, const Buffer& key, ObjectId oid) {
+Status RemoveFull(Transaction* txn, ObjectId root, const GenericKey& key,
+                  ObjectId oid) {
   TDB_ASSIGN_OR_RETURN(WritableRef<BTreeNode> node,
                        txn->OpenWritable<BTreeNode>(root));
   bool at_root = true;
   for (;;) {
-    if (node->leaf) return RemoveFromLeaf(indexer, node, key, oid);
-    TDB_ASSIGN_OR_RETURN(size_t idx, Route(indexer, node->entries, key, oid));
+    if (node->leaf) return RemoveFromLeaf(node, key, oid);
+    TDB_ASSIGN_OR_RETURN(size_t idx, Search(node->entries, key, oid, true));
     {
       TDB_ASSIGN_OR_RETURN(ReadonlyRef<BTreeNode> peek,
                            txn->OpenReadonly<BTreeNode>(node->children[idx]));
@@ -268,10 +247,9 @@ Status RemoveFull(Transaction* txn, const GenericIndexer& indexer,
   }
 }
 
-Status RangeRec(Transaction* txn, const GenericIndexer& indexer,
-                ObjectId node_id, const GenericKey* min, const GenericKey* max,
-                std::vector<ObjectId>* out, int64_t depth,
-                int64_t* max_depth) {
+Status RangeRec(Transaction* txn, ObjectId node_id, const GenericKey* min,
+                const GenericKey* max, std::vector<ObjectId>* out,
+                int64_t depth, int64_t* max_depth) {
   if (depth > *max_depth) *max_depth = depth;
   TDB_ASSIGN_OR_RETURN(ReadonlyRef<BTreeNode> node,
                        txn->OpenReadonly<BTreeNode>(node_id));
@@ -303,8 +281,8 @@ Status RangeRec(Transaction* txn, const GenericIndexer& indexer,
           int cmp, ComparePickled(Slice(node->entries[i - 1].key), *max));
       if (cmp > 0) break;  // This child and all further ones above range.
     }
-    TDB_RETURN_IF_ERROR(RangeRec(txn, indexer, node->children[i], min, max,
-                                 out, depth + 1, max_depth));
+    TDB_RETURN_IF_ERROR(RangeRec(txn, node->children[i], min, max, out,
+                                 depth + 1, max_depth));
   }
   return Status::OK();
 }
@@ -320,11 +298,13 @@ Status ValidateRec(Transaction* txn, const GenericIndexer& indexer,
   if (node->entries.size() > BTreeIndex::kMaxEntries) {
     return Status::Corruption("btree node overflow");
   }
+  // Stored against stored: each entry's key is unpickled to compare its
+  // predecessor with it.
   for (size_t i = 1; i < node->entries.size(); i++) {
-    TDB_ASSIGN_OR_RETURN(
-        int cmp,
-        CompareEntries(indexer, node->entries[i - 1],
-                       Slice(node->entries[i].key), node->entries[i].oid));
+    TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> key,
+                         UnpickleKey(indexer, Slice(node->entries[i].key)));
+    TDB_ASSIGN_OR_RETURN(int cmp, CompareEntry(node->entries[i - 1], *key,
+                                               node->entries[i].oid));
     if (cmp >= 0) return Status::Corruption("btree entries out of order");
   }
   if (node->leaf) {
@@ -353,19 +333,8 @@ Result<ObjectId> BTreeIndex::Create(Transaction* txn) {
   return txn->Insert(std::make_unique<BTreeNode>());
 }
 
-Status BTreeIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
+Status BTreeIndex::Insert(Transaction* txn, const GenericIndexer& /*indexer*/,
                           ObjectId root, const GenericKey& key, ObjectId oid) {
-  if (indexer.unique()) {
-    std::vector<ObjectId> existing;
-    TDB_RETURN_IF_ERROR(Match(txn, indexer, root, key, &existing));
-    for (ObjectId e : existing) {
-      if (e == oid) return Status::OK();  // Already indexed.
-    }
-    if (!existing.empty()) {
-      return Status::UniqueViolation("duplicate key in unique index '" +
-                                     indexer.name() + "'");
-    }
-  }
   Buffer key_bytes = PickleKey(key);
 
   // Fast path: if the target leaf has room, only the leaf is dirtied.
@@ -384,21 +353,19 @@ Status BTreeIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
         TDB_ASSIGN_OR_RETURN(WritableRef<BTreeNode> leaf,
                              txn->OpenWritable<BTreeNode>(node_id));
         depth_hist->Record(depth);
-        return InsertIntoLeaf(indexer, leaf, key_bytes, oid);
+        return InsertIntoLeaf(leaf, key, key_bytes, oid);
       }
       break;  // Full leaf: take the splitting path.
     }
-    TDB_ASSIGN_OR_RETURN(size_t idx,
-                         Route(indexer, node->entries, key_bytes, oid));
+    TDB_ASSIGN_OR_RETURN(size_t idx, Search(node->entries, key, oid, true));
     node_id = node->children[idx];
   }
   depth_hist->Record(depth);
-  return InsertFull(txn, indexer, root, key_bytes, oid);
+  return InsertFull(txn, root, key, key_bytes, oid);
 }
 
-Status BTreeIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
-                          ObjectId root, const GenericKey& key, ObjectId oid) {
-  Buffer key_bytes = PickleKey(key);
+Status BTreeIndex::Remove(Transaction* txn, ObjectId root,
+                          const GenericKey& key, ObjectId oid) {
   // Fast path: leaf stays above the minimum (or is the root).
   ObjectId node_id = root;
   for (;;) {
@@ -408,60 +375,23 @@ Status BTreeIndex::Remove(Transaction* txn, const GenericIndexer& indexer,
       if (node_id == root || node->entries.size() > kT - 1) {
         TDB_ASSIGN_OR_RETURN(WritableRef<BTreeNode> leaf,
                              txn->OpenWritable<BTreeNode>(node_id));
-        return RemoveFromLeaf(indexer, leaf, key_bytes, oid);
+        return RemoveFromLeaf(leaf, key, oid);
       }
       break;  // Would underflow: take the rebalancing path.
     }
-    TDB_ASSIGN_OR_RETURN(size_t idx,
-                         Route(indexer, node->entries, key_bytes, oid));
+    TDB_ASSIGN_OR_RETURN(size_t idx, Search(node->entries, key, oid, true));
     node_id = node->children[idx];
   }
-  return RemoveFull(txn, indexer, root, key_bytes, oid);
+  return RemoveFull(txn, root, key, oid);
 }
 
-Status BTreeIndex::Scan(Transaction* txn, ObjectId root,
-                        std::vector<ObjectId>* out) {
-  TDB_ASSIGN_OR_RETURN(ReadonlyRef<BTreeNode> node,
-                       txn->OpenReadonly<BTreeNode>(root));
-  if (node->leaf) {
-    for (const IndexEntry& entry : node->entries) out->push_back(entry.oid);
-    return Status::OK();
-  }
-  for (ObjectId child : node->children) {
-    TDB_RETURN_IF_ERROR(Scan(txn, child, out));
-  }
+Status BTreeIndex::Lookup(Transaction* txn, ObjectId root,
+                          const GenericKey* min, const GenericKey* max,
+                          std::vector<ObjectId>* out) {
+  int64_t max_depth = 0;
+  TDB_RETURN_IF_ERROR(RangeRec(txn, root, min, max, out, 1, &max_depth));
+  DepthHistogram(txn, "index.btree.probe_depth")->Record(max_depth);
   return Status::OK();
-}
-
-Status BTreeIndex::Match(Transaction* txn, const GenericIndexer& indexer,
-                         ObjectId root, const GenericKey& key,
-                         std::vector<ObjectId>* out) {
-  int64_t max_depth = 0;
-  Status s = RangeRec(txn, indexer, root, &key, &key, out, 1, &max_depth);
-  if (s.ok()) {
-    DepthHistogram(txn, "index.btree.probe_depth")->Record(max_depth);
-  }
-  return s;
-}
-
-Status BTreeIndex::Range(Transaction* txn, const GenericIndexer& indexer,
-                         ObjectId root, const GenericKey* min,
-                         const GenericKey* max,
-                         std::vector<ObjectId>* out) {
-  int64_t max_depth = 0;
-  Status s = RangeRec(txn, indexer, root, min, max, out, 1, &max_depth);
-  if (s.ok()) {
-    DepthHistogram(txn, "index.btree.probe_depth")->Record(max_depth);
-  }
-  return s;
-}
-
-Result<bool> BTreeIndex::ContainsKey(Transaction* txn,
-                                     const GenericIndexer& indexer,
-                                     ObjectId root, const GenericKey& key) {
-  std::vector<ObjectId> oids;
-  TDB_RETURN_IF_ERROR(Match(txn, indexer, root, key, &oids));
-  return !oids.empty();
 }
 
 Status BTreeIndex::Destroy(Transaction* txn, ObjectId root) {

@@ -25,44 +25,17 @@ class BTreeIndex {
   static constexpr size_t kMinDegree = 8;
   static constexpr size_t kMaxEntries = 2 * kMinDegree - 1;
 
-  /// Creates an empty index; returns the root node's id.
+  // The five-operation index contract (index_nodes.h).
   static Result<object::ObjectId> Create(object::Transaction* txn);
-
-  /// Inserts (key, oid). UniqueViolation if the indexer is unique and the
-  /// key is already present under a different oid. Re-inserting an
-  /// existing (key, oid) pair is a no-op.
   static Status Insert(object::Transaction* txn,
                        const GenericIndexer& indexer, object::ObjectId root,
                        const GenericKey& key, object::ObjectId oid);
-
-  /// Removes (key, oid); NotFound if absent.
-  static Status Remove(object::Transaction* txn,
-                       const GenericIndexer& indexer, object::ObjectId root,
+  static Status Remove(object::Transaction* txn, object::ObjectId root,
                        const GenericKey& key, object::ObjectId oid);
-
-  /// All oids in key order.
-  static Status Scan(object::Transaction* txn, object::ObjectId root,
-                     std::vector<object::ObjectId>* out);
-
-  /// All oids whose key equals `key`.
-  static Status Match(object::Transaction* txn, const GenericIndexer& indexer,
-                      object::ObjectId root, const GenericKey& key,
-                      std::vector<object::ObjectId>* out);
-
-  /// All oids with min <= key <= max, in key order. Null bounds are
-  /// unbounded.
-  static Status Range(object::Transaction* txn, const GenericIndexer& indexer,
-                      object::ObjectId root, const GenericKey* min,
-                      const GenericKey* max,
-                      std::vector<object::ObjectId>* out);
-
-  /// True if any entry has this key.
-  static Result<bool> ContainsKey(object::Transaction* txn,
-                                  const GenericIndexer& indexer,
-                                  object::ObjectId root,
-                                  const GenericKey& key);
-
-  /// Removes every node object of the index.
+  /// In (key, oid) order.
+  static Status Lookup(object::Transaction* txn, object::ObjectId root,
+                       const GenericKey* min, const GenericKey* max,
+                       std::vector<object::ObjectId>* out);
   static Status Destroy(object::Transaction* txn, object::ObjectId root);
 
   /// Test hook: validates tree invariants (ordering, fill factors, depth).

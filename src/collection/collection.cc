@@ -1,6 +1,7 @@
 #include "collection/collection.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "collection/btree_index.h"
 #include "collection/hash_index.h"
@@ -53,114 +54,95 @@ class CollectionDirectory final : public object::Object {
 
 // --- Index-kind dispatch ---------------------------------------------
 
-Result<ObjectId> IndexCreate(Transaction* txn, IndexKind kind) {
-  switch (kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Create(txn);
-    case IndexKind::kHashTable:
-      return HashIndex::Create(txn);
-    case IndexKind::kList:
-      return ListIndex::Create(txn);
-  }
-  return Status::InvalidArgument("unknown index kind");
+template <typename Kind>
+constexpr IndexOps OpsOf(bool ranges) {
+  return {Kind::Create, Kind::Insert, Kind::Remove, Kind::Lookup,
+          Kind::Destroy, ranges};
+}
+
+// Indexed by IndexKind - 1: the one place that tells the kinds apart.
+constexpr IndexOps kIndexOps[] = {
+    OpsOf<BTreeIndex>(true),  // kBTree
+    OpsOf<HashIndex>(false),  // kHashTable
+    OpsOf<ListIndex>(true),   // kList
+};
+
+// Whether an IndexKind value has an entry in kIndexOps. Descriptors hold
+// only such kinds: CollectionStore::RegisterIndexer refuses an indexer of
+// any other kind (and an index is built only after its indexer is
+// registered), Collection::UnpickleFrom a stored one.
+bool KnownKind(uint32_t kind) {
+  return kind >= 1 && kind <= std::size(kIndexOps);
+}
+
+Status Lookup(Transaction* txn, const IndexDesc& desc, const GenericKey* min,
+              const GenericKey* max, std::vector<ObjectId>* out) {
+  return IndexOpsFor(desc.kind).lookup(txn, desc.root, min, max, out);
+}
+
+Status Scan(Transaction* txn, const IndexDesc& desc,
+            std::vector<ObjectId>* out) {
+  return Lookup(txn, desc, nullptr, nullptr, out);
+}
+
+Status Match(Transaction* txn, const IndexDesc& desc, const GenericKey& key,
+             std::vector<ObjectId>* out) {
+  return Lookup(txn, desc, &key, &key, out);
+}
+
+Result<bool> ContainsKey(Transaction* txn, const IndexDesc& desc,
+                         const GenericKey& key) {
+  std::vector<ObjectId> oids;
+  TDB_RETURN_IF_ERROR(Match(txn, desc, key, &oids));
+  return !oids.empty();
+}
+
+// The collection store's one uniqueness check (§5.1.2): UniqueViolation if
+// `desc` is unique and already holds `key`. Callers run it before they
+// insert the entry.
+Status CheckUnique(Transaction* txn, const IndexDesc& desc,
+                   const GenericKey& key) {
+  if (!desc.unique) return Status::OK();
+  TDB_ASSIGN_OR_RETURN(bool present, ContainsKey(txn, desc, key));
+  if (!present) return Status::OK();
+  return Status::UniqueViolation("duplicate key in unique index '" +
+                                 desc.name + "'");
 }
 
 Status IndexInsert(Transaction* txn, const GenericIndexer& indexer,
                    const IndexDesc& desc, const GenericKey& key,
                    ObjectId oid) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Insert(txn, indexer, desc.root, key, oid);
-    case IndexKind::kHashTable:
-      return HashIndex::Insert(txn, indexer, desc.root, key, oid);
-    case IndexKind::kList:
-      return ListIndex::Insert(txn, indexer, desc.root, key, oid);
-  }
-  return Status::InvalidArgument("unknown index kind");
+  return IndexOpsFor(desc.kind).insert(txn, indexer, desc.root, key, oid);
 }
 
-Status IndexRemove(Transaction* txn, const GenericIndexer& indexer,
-                   const IndexDesc& desc, const GenericKey& key,
-                   ObjectId oid) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Remove(txn, indexer, desc.root, key, oid);
-    case IndexKind::kHashTable:
-      return HashIndex::Remove(txn, indexer, desc.root, key, oid);
-    case IndexKind::kList:
-      return ListIndex::Remove(txn, indexer, desc.root, key, oid);
-  }
-  return Status::InvalidArgument("unknown index kind");
-}
-
-Status IndexScan(Transaction* txn, const IndexDesc& desc,
-                 std::vector<ObjectId>* out) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Scan(txn, desc.root, out);
-    case IndexKind::kHashTable:
-      return HashIndex::Scan(txn, desc.root, out);
-    case IndexKind::kList:
-      return ListIndex::Scan(txn, desc.root, out);
-  }
-  return Status::InvalidArgument("unknown index kind");
-}
-
-Status IndexMatch(Transaction* txn, const GenericIndexer& indexer,
-                  const IndexDesc& desc, const GenericKey& key,
-                  std::vector<ObjectId>* out) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Match(txn, indexer, desc.root, key, out);
-    case IndexKind::kHashTable:
-      return HashIndex::Match(txn, indexer, desc.root, key, out);
-    case IndexKind::kList:
-      return ListIndex::Match(txn, indexer, desc.root, key, out);
-  }
-  return Status::InvalidArgument("unknown index kind");
-}
-
-Status IndexRange(Transaction* txn, const GenericIndexer& indexer,
-                  const IndexDesc& desc, const GenericKey* min,
-                  const GenericKey* max, std::vector<ObjectId>* out) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Range(txn, indexer, desc.root, min, max, out);
-    case IndexKind::kHashTable:
-      return Status::NotSupported(
-          "range queries require an ordered index (B-tree or list)");
-    case IndexKind::kList:
-      return ListIndex::Range(txn, indexer, desc.root, min, max, out);
-  }
-  return Status::InvalidArgument("unknown index kind");
-}
-
-Result<bool> IndexContainsKey(Transaction* txn, const GenericIndexer& indexer,
-                              const IndexDesc& desc, const GenericKey& key) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::ContainsKey(txn, indexer, desc.root, key);
-    case IndexKind::kHashTable:
-      return HashIndex::ContainsKey(txn, indexer, desc.root, key);
-    case IndexKind::kList:
-      return ListIndex::ContainsKey(txn, indexer, desc.root, key);
-  }
-  return Status::InvalidArgument("unknown index kind");
+// NotFound (the entry is already gone) counts as removed.
+Status IndexRemove(Transaction* txn, const IndexDesc& desc,
+                   const GenericKey& key, ObjectId oid) {
+  Status removed = IndexOpsFor(desc.kind).remove(txn, desc.root, key, oid);
+  return removed.IsNotFound() ? Status::OK() : removed;
 }
 
 Status IndexDestroy(Transaction* txn, const IndexDesc& desc) {
-  switch (desc.kind) {
-    case IndexKind::kBTree:
-      return BTreeIndex::Destroy(txn, desc.root);
-    case IndexKind::kHashTable:
-      return HashIndex::Destroy(txn, desc.root);
-    case IndexKind::kList:
-      return ListIndex::Destroy(txn, desc.root);
-  }
-  return Status::InvalidArgument("unknown index kind");
+  return IndexOpsFor(desc.kind).destroy(txn, desc.root);
+}
+
+// Describes the registered `indexer`'s index and creates its (empty)
+// structure.
+Result<IndexDesc> NewIndex(Transaction* txn, const GenericIndexer& indexer) {
+  IndexDesc desc;
+  desc.name = indexer.name();
+  desc.kind = indexer.kind();
+  desc.unique = indexer.unique();
+  desc.immutable_keys = indexer.immutable_keys();
+  TDB_ASSIGN_OR_RETURN(desc.root, IndexOpsFor(desc.kind).create(txn));
+  return desc;
 }
 
 }  // namespace
+
+const IndexOps& IndexOpsFor(IndexKind kind) {
+  return kIndexOps[static_cast<size_t>(kind) - 1];
+}
 
 // ---------------------------------------------------------------------------
 // Collection persistence
@@ -190,7 +172,7 @@ Status Collection::UnpickleFrom(object::Unpickler* unpickler) {
     TDB_RETURN_IF_ERROR(unpickler->GetString(&indexes_[i].name));
     uint32_t kind;
     TDB_RETURN_IF_ERROR(unpickler->GetUint32(&kind));
-    if (kind < 1 || kind > 3) return Status::Corruption("bad index kind");
+    if (!KnownKind(kind)) return Status::Corruption("bad index kind");
     indexes_[i].kind = static_cast<IndexKind>(kind);
     TDB_RETURN_IF_ERROR(unpickler->GetBool(&indexes_[i].unique));
     TDB_RETURN_IF_ERROR(unpickler->GetBool(&indexes_[i].immutable_keys));
@@ -222,6 +204,7 @@ Result<const IndexDesc*> Collection::FindIndex(
 
 Status Collection::CreateIndex(CTransaction* t,
                                std::shared_ptr<GenericIndexer> indexer) {
+  if (indexer == nullptr) return Status::InvalidArgument("null indexer");
   if (t->OpenIterators(self_oid_) > 0) {
     return Status::InvalidArgument(
         "cannot create an index while iterators are open");
@@ -231,33 +214,34 @@ Status Collection::CreateIndex(CTransaction* t,
       return Status::AlreadyExists("index '" + desc.name + "' exists");
     }
   }
-  IndexDesc desc;
-  desc.name = indexer->name();
-  desc.kind = indexer->kind();
-  desc.unique = indexer->unique();
-  desc.immutable_keys = indexer->immutable_keys();
-  TDB_ASSIGN_OR_RETURN(desc.root, IndexCreate(t->txn(), desc.kind));
+  // Register before anything is built, so a refused registration leaves
+  // the collection as it was.
+  const GenericIndexer& ix = *indexer;
+  TDB_RETURN_IF_ERROR(t->store()->RegisterIndexer(name_, std::move(indexer)));
+  TDB_ASSIGN_OR_RETURN(IndexDesc desc, NewIndex(t->txn(), ix));
 
   // Back-fill from the existing objects (via the first index).
+  std::vector<ObjectId> members;
   if (!indexes_.empty()) {
-    std::vector<ObjectId> members;
-    TDB_RETURN_IF_ERROR(IndexScan(t->txn(), indexes_[0], &members));
-    for (ObjectId oid : members) {
-      TDB_ASSIGN_OR_RETURN(ReadonlyRef<object::Object> obj,
-                           t->txn()->OpenReadonly<object::Object>(oid));
-      TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> key,
-                           indexer->ExtractKey(*obj));
-      Status inserted = IndexInsert(t->txn(), *indexer, desc, *key, oid);
-      if (!inserted.ok()) {
-        // §5.1.2: creating a unique index over duplicate keys raises an
-        // exception; tear the partial index down.
-        IndexDestroy(t->txn(), desc).ok();
-        return inserted;
-      }
+    TDB_RETURN_IF_ERROR(Scan(t->txn(), indexes_[0], &members));
+  }
+  for (ObjectId oid : members) {
+    TDB_ASSIGN_OR_RETURN(ReadonlyRef<object::Object> obj,
+                         t->txn()->OpenReadonly<object::Object>(oid));
+    TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> key, ix.ExtractKey(*obj));
+    Status inserted = CheckUnique(t->txn(), desc, *key);
+    if (inserted.ok()) {
+      inserted = IndexInsert(t->txn(), ix, desc, *key, oid);
+    }
+    if (!inserted.ok()) {
+      // §5.1.2: creating a unique index over duplicate keys raises an
+      // exception; tear the partial index down.
+      IndexDestroy(t->txn(), desc).ok();
+      return inserted;
     }
   }
-  indexes_.push_back(desc);
-  return t->store()->RegisterIndexer(name_, std::move(indexer));
+  indexes_.push_back(std::move(desc));
+  return Status::OK();
 }
 
 Status Collection::RemoveIndex(CTransaction* t,
@@ -298,14 +282,7 @@ Result<ObjectId> Collection::Insert(CTransaction* t,
   }
   // Uniqueness pre-check so a violation mutates nothing (§5.1.2).
   for (size_t i = 0; i < indexes_.size(); i++) {
-    if (!indexes_[i].unique) continue;
-    TDB_ASSIGN_OR_RETURN(
-        bool present,
-        IndexContainsKey(t->txn(), *indexers[i], indexes_[i], *keys[i]));
-    if (present) {
-      return Status::UniqueViolation("duplicate key in unique index '" +
-                                     indexes_[i].name + "'");
-    }
+    TDB_RETURN_IF_ERROR(CheckUnique(t->txn(), indexes_[i], *keys[i]));
   }
   TDB_ASSIGN_OR_RETURN(ObjectId oid, t->txn()->Insert(std::move(object)));
   for (size_t i = 0; i < indexes_.size(); i++) {
@@ -319,7 +296,7 @@ Result<std::unique_ptr<Iterator>> Collection::Query(
     CTransaction* t, const GenericIndexer& indexer) const {
   TDB_ASSIGN_OR_RETURN(const IndexDesc* desc, FindIndex(indexer));
   std::vector<ObjectId> result;
-  TDB_RETURN_IF_ERROR(IndexScan(t->txn(), *desc, &result));
+  TDB_RETURN_IF_ERROR(Scan(t->txn(), *desc, &result));
   return std::unique_ptr<Iterator>(new Iterator(t, *this, std::move(result)));
 }
 
@@ -331,7 +308,7 @@ Result<std::unique_ptr<Iterator>> Collection::Query(
     return Status::TypeMismatch("query key is not of the index key class");
   }
   std::vector<ObjectId> result;
-  TDB_RETURN_IF_ERROR(IndexMatch(t->txn(), indexer, *desc, match, &result));
+  TDB_RETURN_IF_ERROR(Match(t->txn(), *desc, match, &result));
   return std::unique_ptr<Iterator>(new Iterator(t, *this, std::move(result)));
 }
 
@@ -343,9 +320,12 @@ Result<std::unique_ptr<Iterator>> Collection::Query(
       (max != nullptr && !indexer.IsKeyInstance(*max))) {
     return Status::TypeMismatch("query key is not of the index key class");
   }
+  if (!IndexOpsFor(desc->kind).ranges) {
+    return Status::NotSupported(
+        "range queries require an ordered index (B-tree or list)");
+  }
   std::vector<ObjectId> result;
-  TDB_RETURN_IF_ERROR(
-      IndexRange(t->txn(), indexer, *desc, min, max, &result));
+  TDB_RETURN_IF_ERROR(Lookup(t->txn(), *desc, min, max, &result));
   return std::unique_ptr<Iterator>(new Iterator(t, *this, std::move(result)));
 }
 
@@ -479,9 +459,8 @@ Status Iterator::Close() {
           TDB_ASSIGN_OR_RETURN(pre,
                                UnpickleKey(*indexers[i], info.pre_keys[i]));
         }
-        Status removed = IndexRemove(ct_->txn(), *indexers[i],
-                                     index_descs_[i], *pre, oid);
-        if (!removed.ok() && !removed.IsNotFound()) return removed;
+        TDB_RETURN_IF_ERROR(
+            IndexRemove(ct_->txn(), index_descs_[i], *pre, oid));
       }
       TDB_RETURN_IF_ERROR(ct_->txn()->Remove(oid));
       continue;
@@ -507,17 +486,16 @@ Status Iterator::Close() {
                            indexers[i]->ExtractKey(*obj));
       TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> pre,
                            UnpickleKey(*indexers[i], info.pre_keys[i]));
-      Status removed = IndexRemove(ct_->txn(), *indexers[i], index_descs_[i],
-                                   *pre, oid);
-      if (!removed.ok() && !removed.IsNotFound()) return removed;
-      Status inserted = IndexInsert(ct_->txn(), *indexers[i],
-                                    index_descs_[i], *post_key, oid);
-      if (inserted.IsUniqueViolation()) {
-        eject_status = inserted;
+      TDB_RETURN_IF_ERROR(IndexRemove(ct_->txn(), index_descs_[i], *pre, oid));
+      Status unique = CheckUnique(ct_->txn(), index_descs_[i], *post_key);
+      if (unique.IsUniqueViolation()) {
+        eject_status = unique;
         failed_index = i;
         break;
       }
-      TDB_RETURN_IF_ERROR(inserted);
+      TDB_RETURN_IF_ERROR(unique);
+      TDB_RETURN_IF_ERROR(IndexInsert(ct_->txn(), *indexers[i],
+                                      index_descs_[i], *post_key, oid));
     }
 
     if (!eject_status.ok()) {
@@ -535,9 +513,8 @@ Status Iterator::Close() {
           TDB_ASSIGN_OR_RETURN(key,
                                UnpickleKey(*indexers[i], info.pre_keys[i]));
         }
-        Status removed = IndexRemove(ct_->txn(), *indexers[i],
-                                     index_descs_[i], *key, oid);
-        if (!removed.ok() && !removed.IsNotFound()) return removed;
+        TDB_RETURN_IF_ERROR(
+            IndexRemove(ct_->txn(), index_descs_[i], *key, oid));
       }
       ejected_.push_back(oid);
       violation = eject_status;
@@ -565,23 +542,19 @@ Result<WritableRef<Collection>> CTransaction::CreateCollection(
   if (directory->collections.count(name)) {
     return Status::AlreadyExists("collection '" + name + "' exists");
   }
+  // Register before anything is built, so a refused registration leaves
+  // the directory as it was.
+  const GenericIndexer& ix = *indexer;
+  TDB_RETURN_IF_ERROR(store_->RegisterIndexer(name, std::move(indexer)));
   auto collection = std::make_unique<Collection>();
   collection->name_ = name;
   TDB_ASSIGN_OR_RETURN(ObjectId oid, txn_.Insert(std::move(collection)));
   TDB_ASSIGN_OR_RETURN(WritableRef<Collection> ref,
                        txn_.OpenWritable<Collection>(oid));
   ref->self_oid_ = oid;
-
-  IndexDesc desc;
-  desc.name = indexer->name();
-  desc.kind = indexer->kind();
-  desc.unique = indexer->unique();
-  desc.immutable_keys = indexer->immutable_keys();
-  TDB_ASSIGN_OR_RETURN(desc.root, IndexCreate(&txn_, desc.kind));
-  ref->indexes_.push_back(desc);
-
+  TDB_ASSIGN_OR_RETURN(IndexDesc desc, NewIndex(&txn_, ix));
+  ref->indexes_.push_back(std::move(desc));
   directory->collections[name] = oid;
-  TDB_RETURN_IF_ERROR(store_->RegisterIndexer(name, std::move(indexer)));
   return ref;
 }
 
@@ -626,7 +599,7 @@ Status CTransaction::RemoveCollection(const std::string& name) {
                        txn_.OpenWritable<Collection>(coll_oid));
   // Remove every member object (enumerated via the first index)...
   std::vector<ObjectId> members;
-  TDB_RETURN_IF_ERROR(IndexScan(&txn_, collection->indexes_[0], &members));
+  TDB_RETURN_IF_ERROR(Scan(&txn_, collection->indexes_[0], &members));
   for (ObjectId oid : members) {
     TDB_RETURN_IF_ERROR(txn_.Remove(oid));
   }
@@ -701,6 +674,9 @@ Status CollectionStore::RegisterIndexer(
     const std::string& collection_name,
     std::shared_ptr<GenericIndexer> indexer) {
   if (indexer == nullptr) return Status::InvalidArgument("null indexer");
+  if (!KnownKind(static_cast<uint32_t>(indexer->kind()))) {
+    return Status::InvalidArgument("unknown index kind");
+  }
   auto key = std::make_pair(collection_name, indexer->name());
   auto it = indexers_.find(key);
   if (it != indexers_.end()) {

@@ -58,7 +58,8 @@ class Collection final : public object::Object {
   /// Creates a new index described by `indexer` and back-fills it with
   /// every object already in the collection (§5.1.2). UniqueViolation if a
   /// unique index would cover duplicate keys. Fails while iterators are
-  /// open on this collection.
+  /// open on this collection. A failed call leaves the collection as it
+  /// was.
   Status CreateIndex(CTransaction* t, std::shared_ptr<GenericIndexer> indexer);
 
   /// Drops an index. InvalidArgument if it is the collection's only index.
@@ -242,7 +243,9 @@ class CollectionStore {
       object::ObjectStore* objects);
 
   /// Makes `indexer` available for maintenance of the like-named index of
-  /// `collection_name`. Idempotent for equal (name, kind, uniqueness).
+  /// `collection_name`. Idempotent for equal (name, kind, uniqueness);
+  /// InvalidArgument for another kind, uniqueness or key mutability under
+  /// a registered name, or a kind IndexKind does not name.
   Status RegisterIndexer(const std::string& collection_name,
                          std::shared_ptr<GenericIndexer> indexer);
 

@@ -125,16 +125,6 @@ Status HashIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
   }
   TDB_ASSIGN_OR_RETURN(WritableRef<HashBucket> bucket,
                        txn->OpenWritable<HashBucket>(bucket_oid));
-  // Uniqueness / idempotence: equal keys always land in the same bucket.
-  for (const IndexEntry& entry : bucket->entries) {
-    TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(Slice(entry.key), key));
-    if (cmp != 0) continue;
-    if (entry.oid == oid) return Status::OK();  // Already indexed.
-    if (indexer.unique()) {
-      return Status::UniqueViolation("duplicate key in unique index '" +
-                                     indexer.name() + "'");
-    }
-  }
   IndexEntry entry;
   entry.key = Slice(PickleKey(key)).ToString();
   entry.oid = oid;
@@ -148,8 +138,8 @@ Status HashIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
   return Status::OK();
 }
 
-Status HashIndex::Remove(Transaction* txn, const GenericIndexer& /*indexer*/,
-                         ObjectId root, const GenericKey& key, ObjectId oid) {
+Status HashIndex::Remove(Transaction* txn, ObjectId root,
+                         const GenericKey& key, ObjectId oid) {
   ObjectId bucket_oid;
   {
     TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashDirectory> dir,
@@ -171,45 +161,35 @@ Status HashIndex::Remove(Transaction* txn, const GenericIndexer& /*indexer*/,
   return Status::NotFound("index entry not found");
 }
 
-Status HashIndex::Scan(Transaction* txn, ObjectId root,
-                       std::vector<ObjectId>* out) {
+Status HashIndex::Lookup(Transaction* txn, ObjectId root,
+                         const GenericKey* min, const GenericKey* max,
+                         std::vector<ObjectId>* out) {
+  const bool scan = min == nullptr && max == nullptr;
+  if (!scan && (min == nullptr || max == nullptr || min->Compare(*max) != 0)) {
+    return Status::NotSupported(
+        "range queries require an ordered index (B-tree or list)");
+  }
   TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashDirectory> dir,
                        txn->OpenReadonly<HashDirectory>(root));
-  for (uint32_t i = 0; i < dir->n_buckets; i++) {
-    TDB_ASSIGN_OR_RETURN(ObjectId bucket_oid,
-                         BucketOid(txn, *dir, i));
+  // A scan reads every bucket; a match only the one its key hashes to.
+  size_t first = 0, end = dir->n_buckets;
+  if (!scan) {
+    first = BucketFor(min->Hash(), dir->round, dir->split);
+    end = first + 1;
+  }
+  for (size_t i = first; i < end; i++) {
+    TDB_ASSIGN_OR_RETURN(ObjectId bucket_oid, BucketOid(txn, *dir, i));
     TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashBucket> bucket,
                          txn->OpenReadonly<HashBucket>(bucket_oid));
     for (const IndexEntry& entry : bucket->entries) {
+      if (!scan) {
+        TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(Slice(entry.key), *min));
+        if (cmp != 0) continue;
+      }
       out->push_back(entry.oid);
     }
   }
   return Status::OK();
-}
-
-Status HashIndex::Match(Transaction* txn, const GenericIndexer& /*indexer*/,
-                        ObjectId root, const GenericKey& key,
-                        std::vector<ObjectId>* out) {
-  TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashDirectory> dir,
-                       txn->OpenReadonly<HashDirectory>(root));
-  size_t idx = BucketFor(key.Hash(), dir->round, dir->split);
-  TDB_ASSIGN_OR_RETURN(ObjectId bucket_oid,
-                       BucketOid(txn, *dir, idx));
-  TDB_ASSIGN_OR_RETURN(ReadonlyRef<HashBucket> bucket,
-                       txn->OpenReadonly<HashBucket>(bucket_oid));
-  for (const IndexEntry& entry : bucket->entries) {
-    TDB_ASSIGN_OR_RETURN(int cmp, ComparePickled(Slice(entry.key), key));
-    if (cmp == 0) out->push_back(entry.oid);
-  }
-  return Status::OK();
-}
-
-Result<bool> HashIndex::ContainsKey(Transaction* txn,
-                                    const GenericIndexer& indexer,
-                                    ObjectId root, const GenericKey& key) {
-  std::vector<ObjectId> oids;
-  TDB_RETURN_IF_ERROR(Match(txn, indexer, root, key, &oids));
-  return !oids.empty();
 }
 
 Status HashIndex::Destroy(Transaction* txn, ObjectId root) {

@@ -21,23 +21,19 @@ class HashIndex {
   static constexpr size_t kSplitThreshold = 12;  // Bucket overflow trigger.
   static constexpr size_t kBucketsPerPage = 128;
 
+  // The five-operation index contract (index_nodes.h). Insert takes the
+  // indexer to rehash the entries of a bucket it splits.
   static Result<object::ObjectId> Create(object::Transaction* txn);
-
   static Status Insert(object::Transaction* txn,
                        const GenericIndexer& indexer, object::ObjectId root,
                        const GenericKey& key, object::ObjectId oid);
-  static Status Remove(object::Transaction* txn,
-                       const GenericIndexer& indexer, object::ObjectId root,
+  static Status Remove(object::Transaction* txn, object::ObjectId root,
                        const GenericKey& key, object::ObjectId oid);
-  static Status Scan(object::Transaction* txn, object::ObjectId root,
-                     std::vector<object::ObjectId>* out);
-  static Status Match(object::Transaction* txn, const GenericIndexer& indexer,
-                      object::ObjectId root, const GenericKey& key,
-                      std::vector<object::ObjectId>* out);
-  static Result<bool> ContainsKey(object::Transaction* txn,
-                                  const GenericIndexer& indexer,
-                                  object::ObjectId root,
-                                  const GenericKey& key);
+  /// A scan (null bounds) or an exact match (equal bounds); NotSupported
+  /// for any other bounds.
+  static Status Lookup(object::Transaction* txn, object::ObjectId root,
+                       const GenericKey* min, const GenericKey* max,
+                       std::vector<object::ObjectId>* out);
   static Status Destroy(object::Transaction* txn, object::ObjectId root);
 };
 

@@ -151,21 +151,4 @@ Result<int> ComparePickled(Slice a, const GenericKey& b) {
   return b.ComparePickled(&unpickler);
 }
 
-Result<int> CompareEntries(const GenericIndexer& indexer, const IndexEntry& a,
-                           Slice b_key, object::ObjectId b_oid) {
-  // Fast path: identical pickled bytes mean equal keys.
-  int key_cmp;
-  if (Slice(a.key) == b_key) {
-    key_cmp = 0;
-  } else {
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<GenericKey> b,
-                         UnpickleKey(indexer, b_key));
-    TDB_ASSIGN_OR_RETURN(key_cmp, ComparePickled(Slice(a.key), *b));
-  }
-  if (key_cmp != 0) return key_cmp;
-  if (a.oid < b_oid) return -1;
-  if (a.oid > b_oid) return 1;
-  return 0;
-}
-
 }  // namespace tdb::collection

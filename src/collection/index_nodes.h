@@ -8,6 +8,10 @@
 #include "object/class_registry.h"
 #include "object/object.h"
 
+namespace tdb::object {
+class Transaction;
+}  // namespace tdb::object
+
 namespace tdb::collection {
 
 /// Class ids below this value are reserved for TDB-internal persistent
@@ -117,9 +121,40 @@ Result<std::unique_ptr<GenericKey>> UnpickleKey(const GenericIndexer& indexer,
 /// class, decoding in place (GenericKey::ComparePickled).
 Result<int> ComparePickled(Slice a, const GenericKey& b);
 
-/// Compares two stored entries by (key, oid).
-Result<int> CompareEntries(const GenericIndexer& indexer, const IndexEntry& a,
-                           Slice b_key, object::ObjectId b_oid);
+// --- The index contract -----------------------------------------------
+
+/// The five entry points every index kind (BTreeIndex, HashIndex,
+/// ListIndex) exports as static members:
+///
+///   create(txn) -> root          an empty index; the root id is stable.
+///   insert(txn, indexer, root, key, oid)
+///                                adds the entry. Uniqueness is not checked
+///                                here: the collection store checks it.
+///   remove(txn, root, key, oid)  NotFound if the entry is absent.
+///   lookup(txn, root, min, max, out)
+///                                appends the oids with min <= key <= max.
+///                                Null bounds are open, so (null, null) is a
+///                                scan and equal bounds an exact match. The
+///                                hash kind serves only those two and returns
+///                                NotSupported for any other bounds.
+///   destroy(txn, root)           removes every node of the index.
+struct IndexOps {
+  Result<object::ObjectId> (*create)(object::Transaction* txn);
+  Status (*insert)(object::Transaction* txn, const GenericIndexer& indexer,
+                   object::ObjectId root, const GenericKey& key,
+                   object::ObjectId oid);
+  Status (*remove)(object::Transaction* txn, object::ObjectId root,
+                   const GenericKey& key, object::ObjectId oid);
+  Status (*lookup)(object::Transaction* txn, object::ObjectId root,
+                   const GenericKey* min, const GenericKey* max,
+                   std::vector<object::ObjectId>* out);
+  Status (*destroy)(object::Transaction* txn, object::ObjectId root);
+  bool ranges;  // Serves Collection::Query(min, max).
+};
+
+/// The entry points of `kind`, one of the IndexKind enumerators, from the
+/// one table indexed by IndexKind (collection.cc).
+const IndexOps& IndexOpsFor(IndexKind kind);
 
 }  // namespace tdb::collection
 

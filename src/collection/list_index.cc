@@ -15,36 +15,8 @@ Result<ObjectId> ListIndex::Create(Transaction* txn) {
   return txn->Insert(std::make_unique<ListNode>());
 }
 
-Status ListIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
+Status ListIndex::Insert(Transaction* txn, const GenericIndexer& /*indexer*/,
                          ObjectId root, const GenericKey& key, ObjectId oid) {
-  if (indexer.unique()) {
-    TDB_ASSIGN_OR_RETURN(bool present, ContainsKey(txn, indexer, root, key));
-    if (present) {
-      // Idempotent if the existing entry is ours.
-      std::vector<ObjectId> oids;
-      TDB_RETURN_IF_ERROR(Match(txn, indexer, root, key, &oids));
-      for (ObjectId e : oids) {
-        if (e == oid) return Status::OK();
-      }
-      return Status::UniqueViolation("duplicate key in unique index '" +
-                                     indexer.name() + "'");
-    }
-  } else {
-    // Idempotence check for re-inserts of the same (key, oid).
-    ObjectId node_id = root;
-    while (node_id != object::kInvalidObjectId) {
-      TDB_ASSIGN_OR_RETURN(ReadonlyRef<ListNode> node,
-                           txn->OpenReadonly<ListNode>(node_id));
-      for (const IndexEntry& entry : node->entries) {
-        if (entry.oid != oid) continue;
-        TDB_ASSIGN_OR_RETURN(int cmp,
-                             ComparePickled(Slice(entry.key), key));
-        if (cmp == 0) return Status::OK();
-      }
-      node_id = node->next;
-    }
-  }
-
   TDB_ASSIGN_OR_RETURN(WritableRef<ListNode> head,
                        txn->OpenWritable<ListNode>(root));
   if (head->entries.size() >= kBlockEntries) {
@@ -64,8 +36,8 @@ Status ListIndex::Insert(Transaction* txn, const GenericIndexer& indexer,
   return Status::OK();
 }
 
-Status ListIndex::Remove(Transaction* txn, const GenericIndexer& /*indexer*/,
-                         ObjectId root, const GenericKey& key, ObjectId oid) {
+Status ListIndex::Remove(Transaction* txn, ObjectId root,
+                         const GenericKey& key, ObjectId oid) {
   ObjectId node_id = root;
   while (node_id != object::kInvalidObjectId) {
     ObjectId next;
@@ -104,28 +76,9 @@ Status ListIndex::Remove(Transaction* txn, const GenericIndexer& /*indexer*/,
   return Status::NotFound("index entry not found");
 }
 
-Status ListIndex::Scan(Transaction* txn, ObjectId root,
-                       std::vector<ObjectId>* out) {
-  ObjectId node_id = root;
-  while (node_id != object::kInvalidObjectId) {
-    TDB_ASSIGN_OR_RETURN(ReadonlyRef<ListNode> node,
-                         txn->OpenReadonly<ListNode>(node_id));
-    for (const IndexEntry& entry : node->entries) out->push_back(entry.oid);
-    node_id = node->next;
-  }
-  return Status::OK();
-}
-
-Status ListIndex::Match(Transaction* txn, const GenericIndexer& indexer,
-                        ObjectId root, const GenericKey& key,
-                        std::vector<ObjectId>* out) {
-  return Range(txn, indexer, root, &key, &key, out);
-}
-
-Status ListIndex::Range(Transaction* txn, const GenericIndexer& /*indexer*/,
-                        ObjectId root, const GenericKey* min,
-                        const GenericKey* max,
-                        std::vector<ObjectId>* out) {
+Status ListIndex::Lookup(Transaction* txn, ObjectId root,
+                         const GenericKey* min, const GenericKey* max,
+                         std::vector<ObjectId>* out) {
   ObjectId node_id = root;
   while (node_id != object::kInvalidObjectId) {
     TDB_ASSIGN_OR_RETURN(ReadonlyRef<ListNode> node,
@@ -146,14 +99,6 @@ Status ListIndex::Range(Transaction* txn, const GenericIndexer& /*indexer*/,
     node_id = node->next;
   }
   return Status::OK();
-}
-
-Result<bool> ListIndex::ContainsKey(Transaction* txn,
-                                    const GenericIndexer& indexer,
-                                    ObjectId root, const GenericKey& key) {
-  std::vector<ObjectId> oids;
-  TDB_RETURN_IF_ERROR(Match(txn, indexer, root, key, &oids));
-  return !oids.empty();
 }
 
 Status ListIndex::Destroy(Transaction* txn, ObjectId root) {

@@ -10,33 +10,22 @@ namespace tdb::collection {
 
 /// List index (§5.2.4): a chain of entry blocks with no ordering. The
 /// cheapest index when only scans matter; exact-match and range queries
-/// fall back to a linear walk. The head node's id is the index root and is
-/// stable.
+/// are a linear walk, and an insert only appends to the head block. The
+/// head node's id is the index root and is stable.
 class ListIndex {
  public:
   static constexpr size_t kBlockEntries = 64;
 
+  // The five-operation index contract (index_nodes.h).
   static Result<object::ObjectId> Create(object::Transaction* txn);
-
   static Status Insert(object::Transaction* txn,
                        const GenericIndexer& indexer, object::ObjectId root,
                        const GenericKey& key, object::ObjectId oid);
-  static Status Remove(object::Transaction* txn,
-                       const GenericIndexer& indexer, object::ObjectId root,
+  static Status Remove(object::Transaction* txn, object::ObjectId root,
                        const GenericKey& key, object::ObjectId oid);
-  static Status Scan(object::Transaction* txn, object::ObjectId root,
-                     std::vector<object::ObjectId>* out);
-  static Status Match(object::Transaction* txn, const GenericIndexer& indexer,
-                      object::ObjectId root, const GenericKey& key,
-                      std::vector<object::ObjectId>* out);
-  static Status Range(object::Transaction* txn, const GenericIndexer& indexer,
-                      object::ObjectId root, const GenericKey* min,
-                      const GenericKey* max,
-                      std::vector<object::ObjectId>* out);
-  static Result<bool> ContainsKey(object::Transaction* txn,
-                                  const GenericIndexer& indexer,
-                                  object::ObjectId root,
-                                  const GenericKey& key);
+  static Status Lookup(object::Transaction* txn, object::ObjectId root,
+                       const GenericKey* min, const GenericKey* max,
+                       std::vector<object::ObjectId>* out);
   static Status Destroy(object::Transaction* txn, object::ObjectId root);
 };
 

@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "collection/btree_index.h"
-#include "collection/hash_index.h"
 #include "common/random.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
@@ -115,6 +114,22 @@ struct Env {
   }
 };
 
+constexpr IndexKind kAllKinds[] = {IndexKind::kBTree, IndexKind::kHashTable,
+                                   IndexKind::kList};
+
+std::string KindName(IndexKind kind) {
+  switch (kind) {
+    case IndexKind::kBTree: return "BTree";
+    case IndexKind::kHashTable: return "Hash";
+    case IndexKind::kList: return "List";
+  }
+  return "?";
+}
+
+std::string KindParamName(const ::testing::TestParamInfo<IndexKind>& info) {
+  return KindName(info.param);
+}
+
 // One suite run against each index organization (§5.2.4).
 class IndexKindTest : public ::testing::TestWithParam<IndexKind> {};
 
@@ -195,17 +210,7 @@ TEST_P(IndexKindTest, SchemaTypeCheckedOnInsert) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, IndexKindTest,
-                         ::testing::Values(IndexKind::kBTree,
-                                           IndexKind::kHashTable,
-                                           IndexKind::kList),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case IndexKind::kBTree: return "BTree";
-                             case IndexKind::kHashTable: return "Hash";
-                             case IndexKind::kList: return "List";
-                           }
-                           return "?";
-                         });
+                         ::testing::ValuesIn(kAllKinds), KindParamName);
 
 // ---------------------------------------------------------------- queries
 
@@ -265,9 +270,17 @@ TEST(CollectionTest, RangeOnHashIndexNotSupported) {
   auto id_indexer = IdIndexer(IndexKind::kHashTable);
   auto coll = t.CreateCollection("profile", id_indexer);
   ASSERT_TRUE(coll.ok());
-  IntKey min(0), max(10);
-  auto it = (*coll)->Query(&t, *id_indexer, &min, &max);
-  EXPECT_EQ(it.status().code(), Status::Code::kNotSupported);
+  IntKey min(0), max(10), same(0);
+  // Every bound pair, including a scan's and an exact match's.
+  const std::pair<const IntKey*, const IntKey*> bounds[] = {
+      {&min, &max}, {&min, nullptr}, {nullptr, &max}, {nullptr, nullptr},
+      {&min, &same}};
+  for (const auto& [lo, hi] : bounds) {
+    auto it = (*coll)->Query(&t, *id_indexer, lo, hi);
+    EXPECT_EQ(it.status().code(), Status::Code::kNotSupported);
+    EXPECT_EQ((*coll)->RemoveRange(&t, *id_indexer, lo, hi).code(),
+              Status::Code::kNotSupported);
+  }
 }
 
 TEST(CollectionTest, NonUniqueIndexReturnsAllMatches) {
@@ -316,19 +329,73 @@ TEST(CollectionTest, CreateIndexBackfillsExistingObjects) {
 }
 
 TEST(CollectionTest, CreateUniqueIndexOverDuplicatesFails) {
+  for (IndexKind kind : kAllKinds) {
+    SCOPED_TRACE(KindName(kind));
+    Env env;
+    CTransaction t(env.collections.get());
+    auto coll = t.CreateCollection("profile", IdIndexer());
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(1, 5, 0)).ok());
+    ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(2, 5, 0)).ok());
+    // Unique index on view_count: both objects have 5.
+    auto bad = std::make_shared<MeterIndexer>(
+        "by-views", Uniqueness::kUnique, kind,
+        [](const Meter& m) { return IntKey(m.view_count_); });
+    Status s = (*coll)->CreateIndex(&t, bad);
+    EXPECT_TRUE(s.IsUniqueViolation()) << s.ToString();
+    EXPECT_EQ((*coll)->index_count(), 1u);
+  }
+}
+
+// A refused indexer registration fails the call before anything is built:
+// after commit and reopen the collection and the directory are unchanged.
+TEST(CollectionTest, FailedIndexCallsLeaveCollectionUnchanged) {
   Env env;
+  {
+    CTransaction t(env.collections.get());
+    auto coll = t.CreateCollection("profile", IdIndexer());
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(1, 5, 0)).ok());
+    auto usage = UsageIndexer(IndexKind::kBTree);
+    ASSERT_TRUE((*coll)->CreateIndex(&t, usage).ok());
+    ASSERT_TRUE((*coll)->RemoveIndex(&t, *usage).ok());
+    // "other" leaves its indexer registered when it is removed.
+    ASSERT_TRUE(t.CreateCollection("other", UsageIndexer()).ok());
+    ASSERT_TRUE(t.RemoveCollection("other").ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  {
+    CTransaction t(env.collections.get());
+    auto coll = t.WriteCollection("profile");
+    ASSERT_TRUE(coll.ok());
+    // The name is still registered as a B-tree index.
+    Status s = (*coll)->CreateIndex(&t, UsageIndexer(IndexKind::kList));
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+    s = (*coll)->CreateIndex(&t, nullptr);
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+    EXPECT_EQ((*coll)->index_count(), 1u);
+    auto other = t.CreateCollection("other", UsageIndexer(IndexKind::kList));
+    EXPECT_EQ(other.status().code(), Status::Code::kInvalidArgument)
+        << other.status().ToString();
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  env.Restart();
+  ASSERT_TRUE(env.collections->RegisterIndexer("profile", IdIndexer()).ok());
   CTransaction t(env.collections.get());
-  auto coll = t.CreateCollection("profile", IdIndexer());
+  auto names = t.ListCollections();
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(*names, std::vector<std::string>{"profile"});
+  auto coll = t.ReadCollection("profile");
   ASSERT_TRUE(coll.ok());
-  ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(1, 5, 0)).ok());
-  ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(2, 5, 0)).ok());
-  // Unique index on view_count: both objects have 5.
-  auto bad = std::make_shared<MeterIndexer>(
-      "by-views", Uniqueness::kUnique, IndexKind::kBTree,
-      [](const Meter& m) { return IntKey(m.view_count_); });
-  Status s = (*coll)->CreateIndex(&t, bad);
-  EXPECT_TRUE(s.IsUniqueViolation()) << s.ToString();
-  EXPECT_EQ((*coll)->index_count(), 1u);
+  ASSERT_EQ((*coll)->index_count(), 1u);
+  EXPECT_EQ((*coll)->indexes()[0].name, "by-id");
+  auto id_indexer = IdIndexer();
+  auto it = (*coll)->Query(&t, *id_indexer);
+  ASSERT_TRUE(it.ok());
+  int count = 0;
+  for (; !(*it)->end(); (*it)->Next()) count++;
+  EXPECT_EQ(count, 1);
+  ASSERT_TRUE((*it)->Close().ok());
 }
 
 TEST(CollectionTest, RemoveIndexAndLastIndexProtection) {
@@ -469,42 +536,43 @@ TEST(IteratorTest, CommitBlockedWhileIteratorOpen) {
 }
 
 TEST(IteratorTest, UniqueViolationAtCloseEjectsObject) {
-  Env env;
-  CTransaction t(env.collections.get());
-  auto id_indexer = IdIndexer();
-  auto coll = t.CreateCollection("profile", id_indexer);
-  ASSERT_TRUE(coll.ok());
-  ObjectId first, second;
-  first = *(*coll)->Insert(&t, std::make_unique<Meter>(1, 0, 0));
-  second = *(*coll)->Insert(&t, std::make_unique<Meter>(2, 0, 0));
-  (void)first;
+  for (IndexKind kind : kAllKinds) {
+    SCOPED_TRACE(KindName(kind));
+    Env env;
+    CTransaction t(env.collections.get());
+    auto id_indexer = IdIndexer(kind);
+    auto coll = t.CreateCollection("profile", id_indexer);
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(1, 0, 0)).ok());
+    ObjectId second = *(*coll)->Insert(&t, std::make_unique<Meter>(2, 0, 0));
 
-  // Update meter 2's id to 1 — a duplicate the store cannot prevent at
-  // update time (§5.2.3); detected at close, object ejected.
-  auto it = (*coll)->Query(&t, *id_indexer, IntKey(2));
-  ASSERT_TRUE(it.ok());
-  ASSERT_FALSE((*it)->end());
-  auto meter = (*it)->Write<Meter>();
-  ASSERT_TRUE(meter.ok());
-  (*meter)->id_ = 1;
-  Status close_status = (*it)->Close();
-  EXPECT_TRUE(close_status.IsUniqueViolation()) << close_status.ToString();
-  ASSERT_EQ((*it)->ejected().size(), 1u);
-  EXPECT_EQ((*it)->ejected()[0], second);
+    // Update meter 2's id to 1 — a duplicate the store cannot prevent at
+    // update time (§5.2.3); detected at close, object ejected.
+    auto it = (*coll)->Query(&t, *id_indexer, IntKey(2));
+    ASSERT_TRUE(it.ok());
+    ASSERT_FALSE((*it)->end());
+    auto meter = (*it)->Write<Meter>();
+    ASSERT_TRUE(meter.ok());
+    (*meter)->id_ = 1;
+    Status close_status = (*it)->Close();
+    EXPECT_TRUE(close_status.IsUniqueViolation()) << close_status.ToString();
+    ASSERT_EQ((*it)->ejected().size(), 1u);
+    EXPECT_EQ((*it)->ejected()[0], second);
 
-  // The ejected object is out of the collection's indexes...
-  auto gone = (*coll)->Query(&t, *id_indexer, IntKey(2));
-  ASSERT_TRUE(gone.ok());
-  EXPECT_TRUE((*gone)->end());
-  ASSERT_TRUE((*gone)->Close().ok());
-  auto one = (*coll)->Query(&t, *id_indexer, IntKey(1));
-  ASSERT_TRUE(one.ok());
-  int count = 0;
-  for (; !(*one)->end(); (*one)->Next()) count++;
-  EXPECT_EQ(count, 1);
-  ASSERT_TRUE((*one)->Close().ok());
-  // ...but still exists in the object store for re-integration.
-  EXPECT_TRUE(t.txn()->OpenReadonly<Meter>(second).ok());
+    // The ejected object is out of the collection's indexes...
+    auto gone = (*coll)->Query(&t, *id_indexer, IntKey(2));
+    ASSERT_TRUE(gone.ok());
+    EXPECT_TRUE((*gone)->end());
+    ASSERT_TRUE((*gone)->Close().ok());
+    auto one = (*coll)->Query(&t, *id_indexer, IntKey(1));
+    ASSERT_TRUE(one.ok());
+    int count = 0;
+    for (; !(*one)->end(); (*one)->Next()) count++;
+    EXPECT_EQ(count, 1);
+    ASSERT_TRUE((*one)->Close().ok());
+    // ...but still exists in the object store for re-integration.
+    EXPECT_TRUE(t.txn()->OpenReadonly<Meter>(second).ok());
+  }
 }
 
 TEST(IteratorTest, UnchangedKeysSkipIndexMaintenance) {
@@ -743,118 +811,99 @@ TEST_P(CollectionPropertyTest, RandomOpsMatchModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CollectionPropertyTest,
-                         ::testing::Values(IndexKind::kBTree,
-                                           IndexKind::kHashTable,
-                                           IndexKind::kList),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case IndexKind::kBTree: return "BTree";
-                             case IndexKind::kHashTable: return "Hash";
-                             case IndexKind::kList: return "List";
-                           }
-                           return "?";
-                         });
+                         ::testing::ValuesIn(kAllKinds), KindParamName);
 
-// B-tree structural invariants under heavy random insert/delete.
-TEST(BTreePropertyTest, InvariantsHoldUnderChurn) {
+// Each index kind under random insert/remove, driven through the five-
+// operation contract and checked against a model: scans, exact matches
+// (through many B-tree splits and merges and hash bucket splits), ranges
+// on the kinds that serve them, and the B-tree's structural invariants.
+class IndexChurnTest : public ::testing::TestWithParam<IndexKind> {};
+
+TEST_P(IndexChurnTest, ContractHoldsUnderChurn) {
+  const IndexKind kind = GetParam();
+  const IndexOps& ops = IndexOpsFor(kind);
   Env env;
-  Random rng(424242);
+  Random rng(424242 + static_cast<uint64_t>(kind));
   object::Transaction txn(env.objects.get());
   auto indexer = std::make_shared<MeterIndexer>(
-      "churn", Uniqueness::kNonUnique, IndexKind::kBTree,
+      "churn", Uniqueness::kNonUnique, kind,
       [](const Meter& m) { return IntKey(m.id_); });
-  auto root = BTreeIndex::Create(&txn);
+  auto root = ops.create(&txn);
   ASSERT_TRUE(root.ok());
+  auto validate = [&]() -> Status {
+    if (kind != IndexKind::kBTree) return Status::OK();
+    return BTreeIndex::Validate(&txn, *indexer, *root);
+  };
 
-  std::set<std::pair<int64_t, ObjectId>> model;
+  constexpr int64_t kKeys = 400;
+  std::set<std::pair<int64_t, ObjectId>> model;  // In (key, oid) order.
   ObjectId fake_oid = 1000;
   for (int op = 0; op < 3000; op++) {
     if (model.empty() || rng.Bernoulli(0.6)) {
-      int64_t k = static_cast<int64_t>(rng.Uniform(500));
-      IntKey key(k);
+      int64_t k = static_cast<int64_t>(rng.Uniform(kKeys));
       ObjectId oid = fake_oid++;
-      ASSERT_TRUE(BTreeIndex::Insert(&txn, *indexer, *root, key, oid).ok());
+      ASSERT_TRUE(ops.insert(&txn, *indexer, *root, IntKey(k), oid).ok());
       model.insert({k, oid});
     } else {
       auto it = model.begin();
       std::advance(it, rng.Uniform(model.size()));
-      IntKey key(it->first);
-      ASSERT_TRUE(
-          BTreeIndex::Remove(&txn, *indexer, *root, key, it->second).ok());
+      ASSERT_TRUE(ops.remove(&txn, *root, IntKey(it->first), it->second).ok());
       model.erase(it);
     }
     if (op % 250 == 0) {
-      Status valid = BTreeIndex::Validate(&txn, *indexer, *root);
+      Status valid = validate();
       ASSERT_TRUE(valid.ok()) << "op " << op << ": " << valid.ToString();
     }
   }
-  ASSERT_TRUE(BTreeIndex::Validate(&txn, *indexer, *root).ok());
+  ASSERT_TRUE(validate().ok());
+  EXPECT_TRUE(ops.remove(&txn, *root, IntKey(0), fake_oid).IsNotFound());
 
-  // Full scan returns exactly the model, in order.
-  std::vector<ObjectId> scanned;
-  ASSERT_TRUE(BTreeIndex::Scan(&txn, *root, &scanned).ok());
-  ASSERT_EQ(scanned.size(), model.size());
-  size_t i = 0;
-  for (const auto& [k, oid] : model) {
-    EXPECT_EQ(scanned[i++], oid);
-  }
-  // Random range queries match the model.
-  for (int q = 0; q < 50; q++) {
-    int64_t lo = static_cast<int64_t>(rng.Uniform(500));
-    int64_t hi = lo + static_cast<int64_t>(rng.Uniform(100));
-    IntKey min(lo), max(hi);
-    std::vector<ObjectId> got;
-    ASSERT_TRUE(
-        BTreeIndex::Range(&txn, *indexer, *root, &min, &max, &got).ok());
-    size_t expected = 0;
+  // The oids of the model entries with lo <= key <= hi, in model order.
+  auto expect = [&](int64_t lo, int64_t hi) {
+    std::vector<ObjectId> oids;
     for (const auto& [k, oid] : model) {
-      if (k >= lo && k <= hi) expected++;
+      if (k >= lo && k <= hi) oids.push_back(oid);
     }
-    EXPECT_EQ(got.size(), expected) << "[" << lo << "," << hi << "]";
-  }
-  ASSERT_TRUE(txn.Commit().ok());
-}
+    return oids;
+  };
+  // Only the B-tree returns entries in (key, oid) order.
+  auto sorted = [&](std::vector<ObjectId> oids) {
+    if (kind != IndexKind::kBTree) std::sort(oids.begin(), oids.end());
+    return oids;
+  };
 
-// Hash index under churn: exact-match agrees with a model through many
-// bucket splits.
-TEST(HashIndexPropertyTest, SplitsPreserveEntries) {
-  Env env;
-  Random rng(5150);
-  object::Transaction txn(env.objects.get());
-  auto indexer = std::make_shared<MeterIndexer>(
-      "h", Uniqueness::kNonUnique, IndexKind::kHashTable,
-      [](const Meter& m) { return IntKey(m.id_); });
-  auto root = HashIndex::Create(&txn);
-  ASSERT_TRUE(root.ok());
-
-  std::multimap<int64_t, ObjectId> model;
-  ObjectId fake_oid = 5000;
-  for (int op = 0; op < 2000; op++) {
-    if (model.empty() || rng.Bernoulli(0.7)) {
-      int64_t k = static_cast<int64_t>(rng.Uniform(300));
-      ASSERT_TRUE(
-          HashIndex::Insert(&txn, *indexer, *root, IntKey(k), fake_oid).ok());
-      model.insert({k, fake_oid});
-      fake_oid++;
-    } else {
-      auto it = model.begin();
-      std::advance(it, rng.Uniform(model.size()));
-      ASSERT_TRUE(HashIndex::Remove(&txn, *indexer, *root, IntKey(it->first),
-                                    it->second)
-                      .ok());
-      model.erase(it);
-    }
-  }
-  for (int64_t k = 0; k < 300; k++) {
+  std::vector<ObjectId> scanned;
+  ASSERT_TRUE(ops.lookup(&txn, *root, nullptr, nullptr, &scanned).ok());
+  EXPECT_EQ(sorted(scanned), sorted(expect(0, kKeys)));
+  for (int64_t k = 0; k < kKeys; k++) {
+    IntKey key(k);
     std::vector<ObjectId> got;
-    ASSERT_TRUE(HashIndex::Match(&txn, *indexer, *root, IntKey(k), &got).ok());
-    EXPECT_EQ(got.size(), static_cast<size_t>(model.count(k))) << k;
+    ASSERT_TRUE(ops.lookup(&txn, *root, &key, &key, &got).ok());
+    EXPECT_EQ(sorted(got), sorted(expect(k, k))) << k;
   }
-  std::vector<ObjectId> all;
-  ASSERT_TRUE(HashIndex::Scan(&txn, *root, &all).ok());
-  EXPECT_EQ(all.size(), model.size());
+  for (int q = 0; q < 50; q++) {
+    int64_t lo = static_cast<int64_t>(rng.Uniform(kKeys));
+    int64_t hi = lo + 1 + static_cast<int64_t>(rng.Uniform(100));
+    IntKey min(lo), max(hi);
+    // Every fifth range is open above.
+    const IntKey* upper = q % 5 == 0 ? nullptr : &max;
+    std::vector<ObjectId> got;
+    Status s = ops.lookup(&txn, *root, &min, upper, &got);
+    if (!ops.ranges) {
+      EXPECT_EQ(s.code(), Status::Code::kNotSupported) << s.ToString();
+      continue;
+    }
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    if (upper == nullptr) hi = kKeys;
+    EXPECT_EQ(sorted(got), sorted(expect(lo, hi))) << "[" << lo << ", " << hi
+                                                   << "]";
+  }
+  ASSERT_TRUE(ops.destroy(&txn, *root).ok());
   ASSERT_TRUE(txn.Commit().ok());
 }
+
+INSTANTIATE_TEST_SUITE_P(Kinds, IndexChurnTest, ::testing::ValuesIn(kAllKinds),
+                         KindParamName);
 
 // --------------------------------------------------------- key classes
 

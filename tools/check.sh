@@ -69,14 +69,17 @@ if [[ -n "$sanitize" ]]; then
   # (truncations and bit flips of store records and emitted artifacts),
   # the log format tests (the golden v1 and v2 images and their upgrade
   # at open, v3 recovery and tamper cases), the seal-number uniqueness
-  # tests (concurrent committers drawing seal numbers among them) and the
+  # tests (concurrent committers drawing seal numbers among them), the
   # codec kernels under them (CBC ciphertext stealing, CRC-32C on both
-  # dispatch paths).
+  # dispatch paths) and the collection store (every index kind under
+  # churn through the five-operation index contract, the uniqueness
+  # check and iterator-close ejection, refused index calls).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
                  sim_disk_test metrics_test trace_test workload_test
                  alloc_budget_test codec_fuzz_test log_format_test
-                 seal_number_test crypto_test common_test)
+                 seal_number_test crypto_test common_test
+                 collection_store_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="
