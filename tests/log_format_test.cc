@@ -11,6 +11,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -145,6 +146,11 @@ ChunkStoreOptions GoldenOptions() {
   options.compression = true;
   return options;
 }
+
+// Prints a spec by its name. gtest would otherwise print its raw bytes,
+// which hold string addresses that move from run to run, so the listed
+// test names would never repeat.
+void PrintTo(const GoldenSpec& spec, std::ostream* os) { *os << spec.name; }
 
 GoldenSpec GoldenV1() {
   return {"V1", "golden_v1_image", "golden-v1-secret", GoldenOptions()};
