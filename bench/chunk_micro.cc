@@ -3,8 +3,6 @@
 // approximated by the chunk-size sweep: larger chunks amortize per-chunk
 // overhead but move more bytes per update).
 
-#include <algorithm>
-
 #include <benchmark/benchmark.h>
 
 #include "bench_metrics.h"
@@ -25,24 +23,21 @@ struct Fixture {
   platform::MemOneWayCounter counter;
   std::unique_ptr<ChunkStore> chunks;
 
-  // cache_bytes/crypto_threads default to 0 (the pre-cache, pre-pipeline
-  // configuration) so the longstanding baseline numbers stay comparable;
-  // the hot-read and parallel-commit benches below opt in explicitly.
-  explicit Fixture(bool secure, size_t cache_bytes = 0,
-                   int crypto_threads = 0)
+  // cache_bytes defaults to 0 (the pre-cache configuration) so the
+  // longstanding baseline numbers stay comparable; the hot-read benches
+  // below opt in explicitly.
+  explicit Fixture(bool secure, size_t cache_bytes = 0)
       : Fixture(secure ? crypto::SecurityConfig::PaperTdbS()
                        : crypto::SecurityConfig::Disabled(),
-                cache_bytes, crypto_threads) {}
+                cache_bytes) {}
 
-  Fixture(crypto::SecurityConfig security, size_t cache_bytes,
-          int crypto_threads) {
+  Fixture(crypto::SecurityConfig security, size_t cache_bytes) {
     (void)secrets.Provision(Slice("bench-secret")).ok();
     ChunkStoreOptions options;
     options.security = security;
     options.segment_size = 256 * 1024;
     options.checkpoint_interval_bytes = 8 * 1024 * 1024;
     options.cache_bytes = cache_bytes;
-    options.crypto_threads = crypto_threads;
     chunks = std::move(ChunkStore::Open(&store, &secrets, &counter, options))
                  .value();
   }
@@ -150,20 +145,14 @@ BENCHMARK(BM_ChunkReadHot)
     ->Args({1024, 0})->Args({1024, 1})
     ->Args({16384, 0})->Args({16384, 1});
 
-// Multi-chunk atomic commits: per-commit overhead amortization, and where
-// handing the seals to the crypto pool starts to pay.
+// Multi-chunk atomic commits: per-commit overhead amortization. The
+// committer seals every write itself, in batch order.
 // range(0) = suite (0 = Modern AES-128/SHA-256, 1 = PaperTdbS 3DES/SHA-1),
-// range(1) = writes per batch, range(2) = bytes per write,
-// range(3) = crypto_threads (0 = always inline). With a pool, PrepareBatch
-// seals inline until that has cost one dispatch (kSealDispatchCost in
-// chunk_store.cc), then pools the rest if it is worth a dispatch: the
-// {.., 0} vs {.., 4} pairs show the fan-out's price for small batches and
-// its gain for large ones.
+// range(1) = writes per batch, range(2) = bytes per write.
 void BM_ChunkBatchCommit(benchmark::State& state) {
   Fixture fx(state.range(0) == 0 ? crypto::SecurityConfig::Modern()
                                  : crypto::SecurityConfig::PaperTdbS(),
-             /*cache_bytes=*/0,
-             /*crypto_threads=*/static_cast<int>(state.range(3)));
+             /*cache_bytes=*/0);
   Random rng(3);
   const int batch_size = static_cast<int>(state.range(1));
   std::vector<ChunkId> cids;
@@ -179,19 +168,15 @@ void BM_ChunkBatchCommit(benchmark::State& state) {
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
   }
   state.SetItemsProcessed(state.iterations() * batch_size);
-  state.counters["parallel_sealed_share"] = benchmark::Counter(
-      static_cast<double>(fx.chunks->Stats().parallel_sealed_bytes) /
-      std::max<uint64_t>(1, fx.chunks->Stats().sealed_bytes));
 }
 BENCHMARK(BM_ChunkBatchCommit)
-    ->ArgNames({"suite", "writes", "bytes", "threads"})
-    ->ArgsProduct({{0, 1}, {4, 16, 64}, {100, 4096}, {0, 4}});
+    ->ArgNames({"suite", "writes", "bytes"})
+    ->ArgsProduct({{0, 1}, {4, 16, 64}, {100, 4096}});
 
-// Large-batch commits with crypto-sized payloads, where sealing dominates:
-// the parallel pipeline's target. 4 KB chunks, batches of 64/256.
+// Large-batch commits with crypto-sized payloads, where sealing dominates.
+// 4 KB chunks, batches of 64/256.
 void BM_ChunkBatchCommitLarge(benchmark::State& state) {
-  Fixture fx(true, /*cache_bytes=*/0,
-             /*crypto_threads=*/static_cast<int>(state.range(1)));
+  Fixture fx(true);
   Random rng(4);
   const int batch_size = static_cast<int>(state.range(0));
   std::vector<ChunkId> cids;
@@ -209,9 +194,7 @@ void BM_ChunkBatchCommitLarge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch_size);
   state.SetBytesProcessed(state.iterations() * batch_size * data.size());
 }
-BENCHMARK(BM_ChunkBatchCommitLarge)
-    ->Args({64, 0})->Args({64, 2})->Args({64, 4})->Args({64, 8})
-    ->Args({256, 0})->Args({256, 4});
+BENCHMARK(BM_ChunkBatchCommitLarge)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -60,7 +60,6 @@ ChunkStoreOptions ThroughputOptions(int committers) {
   options.max_clean_segments_per_commit = 0;
   options.max_utilization = 0.99;
   options.cache_bytes = 4 * 1024 * 1024;
-  options.crypto_threads = 0;
   // Accumulation window sized to expected concurrency: the leader seals as
   // soon as every client has joined its group, and never waits more than
   // 2ms past that. With window 0, a fast flush finishes before the next

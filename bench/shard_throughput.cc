@@ -100,7 +100,6 @@ ChunkStoreOptions ShardOptions(int committers, int nshards) {
   options.max_clean_segments_per_commit = 0;
   options.max_utilization = 0.99;
   options.cache_bytes = 4 * 1024 * 1024;
-  options.crypto_threads = 0;
   // Each shard's window is sized to the committers it can expect: threads
   // spread round-robin, so a shard sees ~committers/nshards.
   options.group_commit_window_us = 2000;

@@ -25,15 +25,17 @@ Result<std::unique_ptr<BackupStore>> BackupStore::Open(
   if (security.enabled) {
     TDB_ASSIGN_OR_RETURN(secret, secrets->GetSecret());
   }
-  crypto::CipherSuite suite(security, secret, Slice("tdb-backup-iv"));
   return std::unique_ptr<BackupStore>(
-      new BackupStore(chunks, archive, std::move(suite)));
+      new BackupStore(chunks, archive, security, std::move(secret)));
 }
 
 BackupStore::BackupStore(chunk::ChunkStore* chunks,
                          platform::ArchivalStore* archive,
-                         crypto::CipherSuite suite)
-    : chunks_(chunks), archive_(archive), suite_(std::move(suite)) {
+                         const crypto::SecurityConfig& security, Buffer secret)
+    : chunks_(chunks),
+      archive_(archive),
+      secret_(std::move(secret)),
+      suite_(security, secret_, Slice("tdb-backup-iv")) {
   common::MetricsRegistry* r = chunks_->metrics().get();
   m_.fulls = r->GetCounter("backup.fulls");
   m_.incrementals = r->GetCounter("backup.incrementals");
@@ -42,6 +44,14 @@ BackupStore::BackupStore(chunk::ChunkStore* chunks,
   m_.restores = r->GetCounter("backup.restores");
   m_.chunks_restored = r->GetCounter("backup.chunks_restored");
   m_.create_latency_us = r->GetHistogram("backup.create.latency_us");
+}
+
+crypto::CipherSuite BackupStore::ArchiveSuite(uint64_t snapshot_seq) const {
+  Buffer seed = Slice("tdb-backup-iv:").ToBuffer();
+  PutFixed64(&seed, snapshot_seq);
+  const std::string& iv_seed = chunks_->options().iv_seed;
+  seed.insert(seed.end(), iv_seed.begin(), iv_seed.end());
+  return crypto::CipherSuite(suite_.config(), secret_, seed);
 }
 
 Result<BackupInfo> BackupStore::CreateFull(const std::string& archive_name) {
@@ -109,8 +119,9 @@ Result<BackupInfo> BackupStore::Create(const std::string& archive_name,
   PutVarint64(&body, removed.size());
   TDB_ASSIGN_OR_RETURN(std::vector<Buffer> plains,
                        chunks_->ReadManyAtView(*snap, to_write));
+  crypto::CipherSuite sealer = ArchiveSuite(snap->seq());
   for (size_t i = 0; i < to_write.size(); i++) {
-    Buffer sealed = suite_.Seal(plains[i]);
+    Buffer sealed = sealer.Seal(plains[i]);
     PutVarint64(&body, to_write[i]);
     PutLengthPrefixed(&body, sealed);
   }

@@ -71,7 +71,13 @@ class BackupStore {
   };
 
   BackupStore(chunk::ChunkStore* chunks, platform::ArchivalStore* archive,
-              crypto::CipherSuite suite);
+              const crypto::SecurityConfig& security, Buffer secret);
+
+  // The suite that seals the archive of the snapshot at `snapshot_seq`.
+  // Its IV stream is seeded by the source image's iv_seed and that seq,
+  // which every CreateSnapshot checkpoint advances durably, so no two
+  // archives of a store share IVs, within a session or across sessions.
+  crypto::CipherSuite ArchiveSuite(uint64_t snapshot_seq) const;
 
   Result<BackupInfo> Create(const std::string& archive_name, bool full);
 
@@ -88,6 +94,8 @@ class BackupStore {
 
   chunk::ChunkStore* chunks_;
   platform::ArchivalStore* archive_;
+  Buffer secret_;  // Master secret (empty with security disabled).
+  // MACs and opens archives; its own IV stream is never used.
   crypto::CipherSuite suite_;
   Instruments m_;
 

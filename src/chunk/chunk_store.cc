@@ -51,8 +51,8 @@ std::vector<IdOps> LastOpPerId(size_t n, CidOf cid_of) {
 // Lexicographically sortable segment file names.
 constexpr char kSegmentPrefix[] = "seg-";
 
-// VerifyIntegrity fans validation out in batches of this many chunks so
-// sealed bytes are buffered boundedly (I/O stays serial; crypto overlaps).
+// VerifyIntegrity fetches and validates in batches of this many chunks, so
+// sealed bytes are buffered boundedly and each mutex hold stays short.
 constexpr size_t kVerifyBatchChunks = 256;
 
 // Decompression-bomb guard: a compressed record claiming a raw size above
@@ -161,7 +161,6 @@ void ChunkStore::BindInstruments() {
   m_.cache_evictions[3] = r->GetCounter("chunk.cache.evictions.relocation");
   m_.cache_bytes_used = r->GetGauge("chunk.cache.bytes_used");
   m_.sealed_bytes = r->GetCounter("chunk.sealed_bytes");
-  m_.parallel_sealed_bytes = r->GetCounter("chunk.parallel_sealed_bytes");
   m_.commit_groups = r->GetCounter("chunk.commit_groups");
   m_.grouped_commits = r->GetCounter("chunk.grouped_commits");
   m_.max_commits_per_group = r->GetGauge("chunk.max_commits_per_group");
@@ -205,14 +204,6 @@ void ChunkStore::AuditDetect(const char* kind, int region,
 std::string ChunkStore::LocationString(const Location& loc) {
   return "seg " + std::to_string(loc.segment) + " off " +
          std::to_string(loc.offset);
-}
-
-ThreadPool* ChunkStore::CryptoPool() {
-  if (options_.crypto_threads <= 1) return nullptr;
-  std::call_once(crypto_pool_once_, [this] {
-    crypto_pool_ = std::make_unique<ThreadPool>(options_.crypto_threads);
-  });
-  return crypto_pool_.get();
 }
 
 void ChunkStore::AtomicMax(std::atomic<uint64_t>& counter, uint64_t value) {
@@ -664,7 +655,6 @@ Status ChunkStore::FetchAndValidate(const std::shared_ptr<MapNode>* root,
     size_t i;
     MapEntry entry;
     Buffer sealed;
-    Status status = Status::OK();
   };
   std::vector<Fetched> fetched;
   {
@@ -709,23 +699,13 @@ Status ChunkStore::FetchAndValidate(const std::shared_ptr<MapNode>* root,
   // Validation runs outside mu_: concurrent view readers serialize only
   // on the fetch. Results are not cached — a view's state may predate the
   // chunk's current committed state, which is what the cache must hold.
-  auto validate = [&](size_t j) {
-    Fetched& f = fetched[j];
+  for (Fetched& f : fetched) {
     auto plain = ValidateSealed(f.entry, std::move(f.sealed));
     if (plain.ok()) {
       deliver(f.i, std::move(plain).value());
     } else {
-      f.status = plain.status();
+      fail(f.i, plain.status());
     }
-  };
-  ThreadPool* pool = fetched.size() > 1 ? CryptoPool() : nullptr;
-  if (pool != nullptr) {
-    pool->ParallelFor(fetched.size(), validate);
-  } else {
-    for (size_t j = 0; j < fetched.size(); j++) validate(j);
-  }
-  for (Fetched& f : fetched) {
-    if (!f.status.ok()) fail(f.i, std::move(f.status));
   }
   return first;
 }
@@ -817,68 +797,38 @@ Status ChunkStore::PrepareBatch(const WriteBatch& batch, PreparedBatch* out) {
     }
   }
 
-  // Seal + hash the staged writes — on the committer's own thread, outside
-  // the commit mutex, so concurrent committers overlap their crypto. The
-  // batch's seal numbers are drawn up front, in batch order, so the sealed
-  // bytes do not depend on which thread seals which write: the log image
-  // is the same inline or pooled.
+  // Seal + hash the staged writes in batch order — on the committer's own
+  // thread, outside the commit mutex, so concurrent committers overlap
+  // their crypto. The batch's seal numbers are drawn up front with one
+  // atomic add.
   common::TraceSpan span("chunk.seal");
   common::ScopedTimer timer(metrics_.get(), m_.seal_latency_us);
   uint64_t first_seal = 0;
   if (Encrypts() && n > 0) TDB_RETURN_IF_ERROR(DrawSeals(n, &first_seal));
-  // Compress-before-encrypt: returns the plaintext to seal for write `i` —
-  // the LZ-compressed form when that is actually smaller (recording the
-  // choice in the staged flags), the raw bytes otherwise. `scratch` owns
-  // the compressed bytes for the Slice's lifetime. Runs on the sealing
-  // thread (including pool workers): the codec is pure CPU on local state.
-  auto plain_for = [&](size_t i, Buffer* scratch) -> Slice {
-    const Buffer& data = *out->writes[i].plain;
-    if (!options_.compression) return data;
-    m_.compress_attempts->Increment();
-    *scratch = LzCompress(data);
-    if (scratch->size() >= data.size()) return data;
-    out->writes[i].flags = kEntryCompressed;
-    m_.compressed_chunks->Increment();
-    m_.compress_bytes_in->Add(static_cast<int64_t>(data.size()));
-    m_.compress_bytes_out->Add(static_cast<int64_t>(scratch->size()));
-    return *scratch;
-  };
-  auto seal = [&](size_t i) {
+  for (size_t i = 0; i < n; i++) {
     StagedWrite& w = out->writes[i];
-    Buffer scratch;
-    const Slice plain = plain_for(i, &scratch);
+    // Compress-before-encrypt: seal the LZ-compressed form when that is
+    // actually smaller (recording the choice in the flags), the raw bytes
+    // otherwise.
+    Slice plain = *w.plain;
+    Buffer compressed;
+    if (options_.compression) {
+      m_.compress_attempts->Increment();
+      compressed = LzCompress(plain);
+      if (compressed.size() < plain.size()) {
+        w.flags = kEntryCompressed;
+        m_.compressed_chunks->Increment();
+        m_.compress_bytes_in->Add(static_cast<int64_t>(plain.size()));
+        m_.compress_bytes_out->Add(static_cast<int64_t>(compressed.size()));
+        plain = compressed;
+      }
+    }
     const uint64_t seal = first_seal + i;
     w.flags |= SealFlags(plain.size());
     w.sealed = suite_.SealNumbered(plain, seal);
     m_.pad_bytes->Add(static_cast<int64_t>(
         w.sealed.size() - suite_.SealNumberSize(seal) - plain.size()));
     w.hash = EntryHash(RecordType::kData, w.flags, w.sealed);
-  };
-  // Seal inline in batch order. Once the inline time passes one pool
-  // dispatch, the pool takes the rest — provided at least two writes
-  // remain and, at the inline rate so far, they would take at least
-  // another dispatch to seal inline (a shorter tail cannot win it back).
-  ThreadPool* pool = suite_.enabled() ? CryptoPool() : nullptr;
-  const auto start = std::chrono::steady_clock::now();
-  size_t next = 0;
-  while (next < n) {
-    if (pool != nullptr && next > 0 && n - next >= 2) {
-      const auto spent = std::chrono::steady_clock::now() - start;
-      const auto left = static_cast<int64_t>(n - next);
-      if (spent >= kSealDispatchCost &&
-          spent * left >= kSealDispatchCost * static_cast<int64_t>(next)) {
-        break;
-      }
-    }
-    seal(next++);
-  }
-  if (next < n) {
-    const size_t first = next;
-    pool->ParallelFor(n - first, [&](size_t j) { seal(first + j); });
-    for (size_t i = first; i < n; i++) {
-      m_.parallel_sealed_bytes->Add(
-          static_cast<int64_t>(out->writes[i].plain->size()));
-    }
   }
   return Status::OK();
 }
@@ -1432,6 +1382,48 @@ Status ChunkStore::MaybeCheckpointLocked() {
   return CheckpointLocked();
 }
 
+void ChunkStoreStats::Add(const ChunkStoreStats& o) {
+  live_bytes += o.live_bytes;
+  total_bytes += o.total_bytes;
+  segments += o.segments;
+  live_chunks += o.live_chunks;
+  commits += o.commits;
+  durable_commits += o.durable_commits;
+  checkpoints += o.checkpoints;
+  cleaned_segments += o.cleaned_segments;
+  relocated_records += o.relocated_records;
+  relocated_bytes += o.relocated_bytes;
+  rerelocated_bytes += o.rerelocated_bytes;
+  bytes_appended += o.bytes_appended;
+  data_bytes += o.data_bytes;
+  map_bytes += o.map_bytes;
+  commit_bytes += o.commit_bytes;
+  seal_bytes += o.seal_bytes;
+  pad_bytes += o.pad_bytes;
+  frame_bytes += o.frame_bytes;
+  entry_hash_bytes += o.entry_hash_bytes;
+  cache_hits += o.cache_hits;
+  cache_misses += o.cache_misses;
+  cache_evictions += o.cache_evictions;
+  cache_bytes_used += o.cache_bytes_used;
+  cache_evictions_capacity += o.cache_evictions_capacity;
+  cache_evictions_dealloc += o.cache_evictions_dealloc;
+  cache_evictions_failed_commit += o.cache_evictions_failed_commit;
+  cache_evictions_relocation += o.cache_evictions_relocation;
+  sealed_bytes += o.sealed_bytes;
+  commit_groups += o.commit_groups;
+  grouped_commits += o.grouped_commits;
+  log_syncs += o.log_syncs;
+  counter_bumps += o.counter_bumps;
+  compress_attempts += o.compress_attempts;
+  compressed_chunks += o.compressed_chunks;
+  compress_bytes_in += o.compress_bytes_in;
+  compress_bytes_out += o.compress_bytes_out;
+  views_pinned += o.views_pinned;
+  max_commits_per_group =
+      std::max(max_commits_per_group, o.max_commits_per_group);
+}
+
 ChunkStoreStats ChunkStore::Stats() const {
   // Compatibility accessor over the metrics registry: the same counters
   // the registry snapshot exposes by name, in the struct shape the tests
@@ -1467,7 +1459,6 @@ ChunkStoreStats ChunkStore::Stats() const {
   s.cache_evictions_relocation = evictions.relocation;
   s.cache_bytes_used = cache_.size_bytes();
   s.sealed_bytes = u(m_.sealed_bytes->value());
-  s.parallel_sealed_bytes = u(m_.parallel_sealed_bytes->value());
   s.commit_groups = u(m_.commit_groups->value());
   s.grouped_commits = u(m_.grouped_commits->value());
   s.max_commits_per_group = u(m_.max_commits_per_group->value());
@@ -1828,11 +1819,9 @@ Status ChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
   // Validate in bounded batches through the read core: each batch's
   // records are fetched under ONE brief mutex hold (buffered group commits
   // may still sit in the tail buffer) and validated outside it. Ids are
-  // visited in map order and the lowest failing one is reported whether
-  // validation ran inline or on the pool, so serial and parallel scrubs
-  // return bit-identical results. The core audits with the same keys
-  // (kind + location) as the per-read path, so a chunk flagged by both
-  // collapses to one entry.
+  // visited in map order and the lowest failing one is reported. The core
+  // audits with the same keys (kind + location) as the per-read path, so a
+  // chunk flagged by both collapses to one entry.
   for (size_t start = 0; start < cids.size(); start += kVerifyBatchChunks) {
     const size_t n = std::min(kVerifyBatchChunks, cids.size() - start);
     size_t failed;

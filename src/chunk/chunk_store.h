@@ -2,7 +2,6 @@
 #define TDB_CHUNK_CHUNK_STORE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -20,7 +19,6 @@
 #include "chunk/types.h"
 #include "common/metrics.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "crypto/cipher_suite.h"
 #include "platform/one_way_counter.h"
@@ -32,18 +30,6 @@ class ShardedChunkStore;  // Friend of CommitHandle/Snapshot (src/shard).
 }  // namespace tdb::shard
 
 namespace tdb::chunk {
-
-/// What handing a commit's seals to the crypto pool costs the committer:
-/// waking the workers and joining them in ThreadPool::ParallelFor. A
-/// 4-worker pool took 18-35 us for 2-16 near-empty items on a 4-vCPU x86
-/// VM. A commit seals inline until its inline time passes this, then fans
-/// the rest out if they are worth another dispatch at the inline rate so
-/// far (the ski-rental rule). A batch whose seals take less than one
-/// dispatch never pays one, and a batch that would be cheaper pooled loses
-/// at most one dispatch plus one write's seal, whatever the cipher suite
-/// and write sizes. BM_ChunkBatchCommit's crypto_threads 0 vs 4 rows show
-/// both sides.
-inline constexpr std::chrono::microseconds kSealDispatchCost{35};
 
 /// Location-map fanout of a new store whose options leave it at 0.
 inline constexpr uint32_t kDefaultMapFanout = 64;
@@ -101,17 +87,8 @@ struct ChunkStoreOptions {
   /// skipping untrusted-store I/O, hashing, and decryption. 0 disables the
   /// cache (every read revalidates — the pre-cache behavior). View reads
   /// are served from it too, gated by commit version; only their misses
-  /// skip filling it. See DESIGN.md "Chunk cache & crypto pipeline".
+  /// skip filling it. See DESIGN.md "Chunk cache & commit sealing".
   size_t cache_bytes = 4 * 1024 * 1024;
-
-  /// Worker threads for the commit-path crypto pipeline (sealing + hashing
-  /// of independent staged writes) and for VerifyIntegrity validation.
-  /// 0 or 1 runs fully serial on the caller (the pre-pipeline behavior).
-  /// A commit seals its writes inline until that has taken about as long
-  /// as one pool dispatch, and fans only the rest out, so small commits
-  /// never pay the hand-off. Sealed output is bit-identical regardless of
-  /// thread count: a batch draws its seal numbers in batch order first.
-  int crypto_threads = 4;
 
   /// Sharded router only: worker threads for the cross-shard 2PC
   /// coordinator. Phase-1 prepares target disjoint shards, so they fan
@@ -210,9 +187,8 @@ struct ChunkStoreStats {
   uint64_t cache_evictions_dealloc = 0;
   uint64_t cache_evictions_failed_commit = 0;
   uint64_t cache_evictions_relocation = 0;  // Zero by design; see cache.
-  // Commit-path crypto pipeline.
+  // Commit sealing.
   uint64_t sealed_bytes = 0;           // Plaintext bytes sealed by commits.
-  uint64_t parallel_sealed_bytes = 0;  // Subset sealed via the worker pool.
   // Group commit. A lone durable committer leads a group of one, so
   // grouped_commits > commit_groups only when commits shared a flush.
   uint64_t commit_groups = 0;          // Flushes that acked a committer.
@@ -227,6 +203,11 @@ struct ChunkStoreStats {
   uint64_t compress_bytes_out = 0;  // Stored bytes of compressed writes.
   // Pinned read views (lock-free snapshot read path).
   uint64_t views_pinned = 0;
+
+  /// Adds `other` field by field: the sum over shards of a sharded store.
+  /// max_commits_per_group takes the larger value (a group never spans
+  /// shards).
+  void Add(const ChunkStoreStats& other);
 
   double utilization() const {
     return total_bytes == 0 ? 0.0
@@ -398,10 +379,10 @@ class ChunkStoreInterface {
 ///  - a group leader's Sync + counter bump run OUTSIDE the commit mutex,
 ///    so followers keep buffering (and readers keep reading) while the
 ///    flush is in flight.
-/// Batch sealing (the crypto pipeline) also runs outside the commit mutex
-/// on the committer's own thread; a batch's seal numbers are drawn with
-/// one atomic add, and only a lease renewal (an anchor write, once per
-/// kSealLease seals) takes the commit mutex.
+/// Batch sealing also runs outside the commit mutex, on the committer's own
+/// thread; a batch's seal numbers are drawn with one atomic add, and only a
+/// lease renewal (an anchor write, once per kSealLease seals) takes the
+/// commit mutex.
 class ChunkStore : public ChunkStoreInterface {
  public:
   static Result<std::unique_ptr<ChunkStore>> Open(
@@ -463,9 +444,7 @@ class ChunkStore : public ChunkStoreInterface {
   /// idle-time or post-restore checks. `chunks_checked` may be null.
   /// Runs against a pinned view: the commit mutex is held only to collect
   /// the live entries and then per fetch batch, so readers and committers
-  /// proceed while validation — fanned out across the crypto pool when
-  /// crypto_threads > 1, inline otherwise, bit-identical either way —
-  /// runs outside the lock.
+  /// proceed while validation runs outside the lock, on the caller.
   Status VerifyIntegrity(uint64_t* chunks_checked) override;
 
   /// Snapshots (§3.2.1, used by the backup store): checkpoint + pin in one
@@ -493,10 +472,9 @@ class ChunkStore : public ChunkStoreInterface {
       const Snapshot& view, ChunkId cid) override;
 
   /// Batched view read: all cache misses fetch their raw records under ONE
-  /// commit-mutex acquisition, then validation fans out across the crypto
-  /// pool (the same core as VerifyIntegrity). On failure, returns the
-  /// error of the lowest failing index; on success out[i] is the payload
-  /// of cids[i].
+  /// commit-mutex acquisition, then are validated outside it (the same core
+  /// as VerifyIntegrity). On failure, returns the error of the lowest
+  /// failing index; on success out[i] is the payload of cids[i].
   Result<std::vector<Buffer>> ReadManyAtView(
       const Snapshot& view, const std::vector<ChunkId>& cids) override;
   Status ForEachChunkAt(
@@ -576,7 +554,6 @@ class ChunkStore : public ChunkStoreInterface {
     common::Counter* cache_evictions[4] = {};  // Indexed by EvictCause.
     common::Gauge* cache_bytes_used = nullptr;
     common::Counter* sealed_bytes = nullptr;
-    common::Counter* parallel_sealed_bytes = nullptr;
     common::Counter* commit_groups = nullptr;
     common::Counter* grouped_commits = nullptr;
     common::Gauge* max_commits_per_group = nullptr;
@@ -678,8 +655,8 @@ class ChunkStore : public ChunkStoreInterface {
                                bool whole_record = false,
                                uint8_t* flags = nullptr);
   // Hash-checks, decrypts, and (if entry.flags says so) decompresses a
-  // fetched data record. Pure crypto on local state — safe OUTSIDE mu_ and
-  // called concurrently by FetchAndValidate's pool workers.
+  // fetched data record. Pure crypto on local state — safe OUTSIDE mu_,
+  // and concurrent view readers call it at once.
   Result<Buffer> ValidateSealed(const MapEntry& entry, Buffer sealed);
   // The one map-node loader (MakeLoader wraps it for child loads). A null
   // `level` is the checkpointed root, whose record gives its level.
@@ -695,15 +672,15 @@ class ChunkStore : public ChunkStoreInterface {
   NodeLoader MakeLoader();
 
   // --- the read path ---
-  // Takes cids[i]'s validated plaintext; may run on pool workers.
+  // Takes cids[i]'s validated plaintext.
   using Deliver = std::function<void(size_t i, Buffer plain)>;
   // THE fetch-and-validate core under every read and the scrub: looks
   // `cids` up at `*root` and fetches their records under ONE mu_ hold. A
   // null `root` is the current map, validated and cached under mu_ (a fill
   // after unlocking could overwrite a newer commit's write-through); a
-  // view's records are validated after it, on the crypto pool when there
-  // are several. Returns the failure of the lowest failing index, stored
-  // in *failed (cids.size() if none).
+  // view's records are validated after it, in order, on the caller.
+  // Returns the failure of the lowest failing index, stored in *failed
+  // (cids.size() if none).
   Status FetchAndValidate(const std::shared_ptr<MapNode>* root,
                           std::span<const ChunkId> cids,
                           const Deliver& deliver, size_t* failed);
@@ -753,7 +730,7 @@ class ChunkStore : public ChunkStoreInterface {
     crypto::Digest mac;
   };
 
-  // Normalize + seal OUTSIDE mu_ (crypto pipeline). Per-batch: a failure
+  // Normalize + seal OUTSIDE mu_, on the committer. Per-batch: a failure
   // here touches no shared state beyond the seal numbers it burns.
   Status PrepareBatch(const WriteBatch& batch, PreparedBatch* out);
   // Requires mu_. Appends the batch's data records, applies them to the
@@ -864,9 +841,6 @@ class ChunkStore : public ChunkStoreInterface {
   // *flags.
   Result<Buffer> SealNextLocked(Slice plain, uint8_t* flags);
 
-  // Worker pool for the commit/verify crypto pipeline; created on first
-  // use (thread-safely), nullptr when options_.crypto_threads <= 1.
-  ThreadPool* CryptoPool();
   static void AtomicMax(std::atomic<uint64_t>& counter, uint64_t value);
 
   // Resolves every instrument in m_ against metrics_ (constructor only).
@@ -949,9 +923,6 @@ class ChunkStore : public ChunkStoreInterface {
   // Merkle + decryption validation, keyed by the chunk's last committed
   // state. Internally locked; see DESIGN.md for invalidation rules.
   ChunkCache cache_;
-
-  std::once_flag crypto_pool_once_;
-  std::unique_ptr<ThreadPool> crypto_pool_;
 };
 
 }  // namespace tdb::chunk

@@ -1,7 +1,6 @@
 #include "collection/btree_index.h"
 
 #include "common/check.h"
-#include "common/metrics.h"
 
 namespace tdb::collection {
 
@@ -13,13 +12,6 @@ using object::Transaction;
 using object::WritableRef;
 
 constexpr size_t kT = BTreeIndex::kMinDegree;
-
-// Depth instruments live on the store's shared registry; GetHistogram
-// returns a stable pointer, so the per-op cost is one name lookup —
-// negligible next to the object opens each level performs.
-common::Histogram* DepthHistogram(Transaction* txn, const char* name) {
-  return txn->store()->metrics()->GetHistogram(name);
-}
 
 // <0, 0, >0 as the stored entry orders before, at or after (key, oid).
 Result<int> CompareEntry(const IndexEntry& entry, const GenericKey& key,
@@ -248,9 +240,7 @@ Status RemoveFull(Transaction* txn, ObjectId root, const GenericKey& key,
 }
 
 Status RangeRec(Transaction* txn, ObjectId node_id, const GenericKey* min,
-                const GenericKey* max, std::vector<ObjectId>* out,
-                int64_t depth, int64_t* max_depth) {
-  if (depth > *max_depth) *max_depth = depth;
+                const GenericKey* max, std::vector<ObjectId>* out) {
   TDB_ASSIGN_OR_RETURN(ReadonlyRef<BTreeNode> node,
                        txn->OpenReadonly<BTreeNode>(node_id));
   if (node->leaf) {
@@ -281,8 +271,7 @@ Status RangeRec(Transaction* txn, ObjectId node_id, const GenericKey* min,
           int cmp, ComparePickled(Slice(node->entries[i - 1].key), *max));
       if (cmp > 0) break;  // This child and all further ones above range.
     }
-    TDB_RETURN_IF_ERROR(RangeRec(txn, node->children[i], min, max, out,
-                                 depth + 1, max_depth));
+    TDB_RETURN_IF_ERROR(RangeRec(txn, node->children[i], min, max, out));
   }
   return Status::OK();
 }
@@ -338,21 +327,14 @@ Status BTreeIndex::Insert(Transaction* txn, const GenericIndexer& /*indexer*/,
   Buffer key_bytes = PickleKey(key);
 
   // Fast path: if the target leaf has room, only the leaf is dirtied.
-  // The descent depth (= tree height at this key) feeds the registry
-  // histogram either way: InsertFull re-descends the same path.
-  common::Histogram* depth_hist =
-      DepthHistogram(txn, "index.btree.insert_depth");
-  int64_t depth = 0;
   ObjectId node_id = root;
   for (;;) {
-    depth++;
     TDB_ASSIGN_OR_RETURN(ReadonlyRef<BTreeNode> node,
                          txn->OpenReadonly<BTreeNode>(node_id));
     if (node->leaf) {
       if (node->entries.size() < kMaxEntries) {
         TDB_ASSIGN_OR_RETURN(WritableRef<BTreeNode> leaf,
                              txn->OpenWritable<BTreeNode>(node_id));
-        depth_hist->Record(depth);
         return InsertIntoLeaf(leaf, key, key_bytes, oid);
       }
       break;  // Full leaf: take the splitting path.
@@ -360,7 +342,6 @@ Status BTreeIndex::Insert(Transaction* txn, const GenericIndexer& /*indexer*/,
     TDB_ASSIGN_OR_RETURN(size_t idx, Search(node->entries, key, oid, true));
     node_id = node->children[idx];
   }
-  depth_hist->Record(depth);
   return InsertFull(txn, root, key, key_bytes, oid);
 }
 
@@ -388,10 +369,7 @@ Status BTreeIndex::Remove(Transaction* txn, ObjectId root,
 Status BTreeIndex::Lookup(Transaction* txn, ObjectId root,
                           const GenericKey* min, const GenericKey* max,
                           std::vector<ObjectId>* out) {
-  int64_t max_depth = 0;
-  TDB_RETURN_IF_ERROR(RangeRec(txn, root, min, max, out, 1, &max_depth));
-  DepthHistogram(txn, "index.btree.probe_depth")->Record(max_depth);
-  return Status::OK();
+  return RangeRec(txn, root, min, max, out);
 }
 
 Status BTreeIndex::Destroy(Transaction* txn, ObjectId root) {

@@ -10,6 +10,29 @@ namespace tdb::common {
 
 namespace {
 
+// "sync_ratio": once commits share flushes (grouped_commits >
+// commit_groups), log syncs per durable commit must stay below this — a
+// regression here means the accumulation window stopped amortizing.
+constexpr double kMaxSyncsPerCommit = 0.9;
+constexpr int64_t kMinCommitsForSyncCheck = 64;
+
+// "group_stall": p99 of the group-flush leader path.
+constexpr int64_t kMaxGroupFlushP99Us = 1000000;
+constexpr uint64_t kMinGroupFlushes = 8;
+
+// "cache_hit_rate": collapse detector for the validated-plaintext cache.
+constexpr double kMinCacheHitRate = 0.10;
+constexpr int64_t kMinCacheLookups = 1024;
+
+// "shard_skew": hottest shard vs. mean durable commits across
+// `shard<k>.chunk.durable_commits`.
+constexpr double kMaxShardSkew = 4.0;
+constexpr int64_t kMinShardCommits = 64;
+
+// Live monitor only: minimum spacing between audit events emitted for the
+// same check.
+constexpr uint64_t kEmitCooldownUs = 10 * 1000 * 1000;
+
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -55,7 +78,6 @@ std::string Fmt(double v) {
 }  // namespace
 
 std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
-                                        const HealthCheckOptions& options,
                                         uint64_t now_us) {
   std::vector<HealthIssue> issues;
 
@@ -68,14 +90,13 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
     const int64_t groups = SumCounterSuffix(snapshot, "chunk.commit_groups");
     const int64_t grouped =
         SumCounterSuffix(snapshot, "chunk.grouped_commits");
-    if (grouped > groups &&
-        durable >= static_cast<int64_t>(options.min_commits_for_sync_check)) {
+    if (grouped > groups && durable >= kMinCommitsForSyncCheck) {
       const double ratio = static_cast<double>(syncs) / durable;
-      if (ratio > options.max_syncs_per_commit) {
+      if (ratio > kMaxSyncsPerCommit) {
         issues.push_back(
             {"sync_ratio",
              "log syncs per durable commit " + Fmt(ratio) + " exceeds " +
-                 Fmt(options.max_syncs_per_commit) + " (" +
+                 Fmt(kMaxSyncsPerCommit) + " (" +
                  std::to_string(syncs) + " syncs / " +
                  std::to_string(durable) + " commits, grouping active)",
              {}});
@@ -86,13 +107,13 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
   // group_stall: leader flush p99 blew past the window budget.
   for (const auto& [name, hist] : snapshot.histograms) {
     if (!EndsWith(name, "chunk.group_flush.latency_us")) continue;
-    if (hist.count < options.min_group_flushes) continue;
+    if (hist.count < kMinGroupFlushes) continue;
     const int64_t p99 = hist.Percentile(0.99);
-    if (p99 > options.max_group_flush_p99_us) {
+    if (p99 > kMaxGroupFlushP99Us) {
       issues.push_back({"group_stall",
                         name + " p99 " + std::to_string(p99) +
                             "us exceeds " +
-                            std::to_string(options.max_group_flush_p99_us) +
+                            std::to_string(kMaxGroupFlushP99Us) +
                             "us over " + std::to_string(hist.count) +
                             " flushes",
                         {}});
@@ -104,12 +125,12 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
     const int64_t hits = SumCounterSuffix(snapshot, "chunk.cache.hits");
     const int64_t misses = SumCounterSuffix(snapshot, "chunk.cache.misses");
     const int64_t lookups = hits + misses;
-    if (lookups >= static_cast<int64_t>(options.min_cache_lookups)) {
+    if (lookups >= kMinCacheLookups) {
       const double rate = static_cast<double>(hits) / lookups;
-      if (rate < options.min_cache_hit_rate) {
+      if (rate < kMinCacheHitRate) {
         issues.push_back({"cache_hit_rate",
                           "cache hit rate " + Fmt(rate) + " below " +
-                              Fmt(options.min_cache_hit_rate) + " over " +
+                              Fmt(kMinCacheHitRate) + " over " +
                               std::to_string(lookups) + " lookups",
                           {}});
       }
@@ -131,7 +152,7 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
              {}});
       } else if (since_us > 0 &&
                  static_cast<int64_t>(now_us) - since_us >
-                     options.max_txn_inflight_age_us) {
+                     kMaxTxnInflightAgeUs) {
         // The since_us > 0 gate: a live sample can catch the coordinator's
         // exit window (since already cleared, inflight not yet
         // decremented); ageing a zero timestamp there would fire a phantom
@@ -141,7 +162,7 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
              "cross-shard transaction in flight for " +
                  std::to_string(static_cast<int64_t>(now_us) - since_us) +
                  "us (limit " +
-                 std::to_string(options.max_txn_inflight_age_us) + "us)",
+                 std::to_string(kMaxTxnInflightAgeUs) + "us)",
              {}});
       }
     }
@@ -156,12 +177,12 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
         total += v;
         hottest = std::max(hottest, v);
       }
-      if (total >= static_cast<int64_t>(options.min_shard_commits)) {
+      if (total >= kMinShardCommits) {
         const double mean =
             static_cast<double>(total) / static_cast<double>(per_shard.size());
         const double skew =
             mean <= 0 ? 0.0 : static_cast<double>(hottest) / mean;
-        if (skew > options.max_shard_skew) {
+        if (skew > kMaxShardSkew) {
           issues.push_back({"shard_skew",
                             "hottest shard carries " + Fmt(skew) +
                                 "x the mean durable commits (" +
@@ -191,13 +212,12 @@ bool SpanMatchesCheck(const std::string& check, const char* span_name) {
 
 }  // namespace
 
-HealthMonitor::HealthMonitor(std::shared_ptr<MetricsRegistry> registry,
-                             HealthCheckOptions options)
-    : registry_(std::move(registry)), options_(options) {}
+HealthMonitor::HealthMonitor(std::shared_ptr<MetricsRegistry> registry)
+    : registry_(std::move(registry)) {}
 
 std::vector<HealthIssue> HealthMonitor::Check() {
   std::vector<HealthIssue> issues =
-      EvaluateHealth(registry_->Snapshot(), options_, MonotonicMicros());
+      EvaluateHealth(registry_->Snapshot(), MonotonicMicros());
 
   if (!issues.empty() && TracingEnabled()) {
     // Attach the trace ids of the worst recent spans on each implicated
@@ -235,7 +255,7 @@ std::vector<HealthIssue> HealthMonitor::Check() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       uint64_t& last = last_emit_us_[issue.check];
-      if (last == 0 || now - last >= options_.emit_cooldown_us) {
+      if (last == 0 || now - last >= kEmitCooldownUs) {
         last = now == 0 ? 1 : now;
         emit = true;
       }

@@ -12,37 +12,12 @@
 
 namespace tdb::common {
 
-/// Thresholds for the derived invariants the health monitor evaluates over
-/// a metrics snapshot. Every check self-gates on a volume floor so an
-/// idle or freshly opened store is never flagged.
-struct HealthCheckOptions {
-  /// "sync_ratio": once commits share flushes (grouped_commits >
-  /// commit_groups), log syncs per durable commit must stay below this —
-  /// a regression here means the accumulation window stopped amortizing.
-  double max_syncs_per_commit = 0.9;
-  uint64_t min_commits_for_sync_check = 64;
-
-  /// "group_stall": p99 of the group-flush leader path.
-  int64_t max_group_flush_p99_us = 1000000;
-  uint64_t min_group_flushes = 8;
-
-  /// "cache_hit_rate": collapse detector for the validated-plaintext cache.
-  double min_cache_hit_rate = 0.10;
-  uint64_t min_cache_lookups = 1024;
-
-  /// "txn_inflight": a cross-shard 2PC transaction older than this is
-  /// presumed wedged (coordinator death leaves participants in doubt).
-  int64_t max_txn_inflight_age_us = 10 * 1000 * 1000;
-
-  /// "shard_skew": hottest shard vs. mean durable commits across
-  /// `shard<k>.chunk.durable_commits`.
-  double max_shard_skew = 4.0;
-  uint64_t min_shard_commits = 64;
-
-  /// Live monitor only: minimum spacing between audit events emitted for
-  /// the same check.
-  uint64_t emit_cooldown_us = 10 * 1000 * 1000;
-};
+/// The health monitor's "txn_inflight" limit: a cross-shard 2PC
+/// transaction in flight longer than this is presumed wedged (coordinator
+/// death leaves participants in doubt). The other thresholds live in
+/// health.cc; every check self-gates on a volume floor so an idle or
+/// freshly opened store is never flagged.
+inline constexpr int64_t kMaxTxnInflightAgeUs = 10 * 1000 * 1000;
 
 struct HealthIssue {
   std::string check;   // "sync_ratio", "group_stall", "txn_inflight",
@@ -61,7 +36,6 @@ struct HealthIssue {
 /// ANY in-flight 2PC transaction is a violation (a quiesced store that
 /// persisted its metrics should have none).
 std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
-                                        const HealthCheckOptions& options,
                                         uint64_t now_us);
 
 /// Live wrapper: evaluates the registry on demand, attaches offending
@@ -72,8 +46,7 @@ std::vector<HealthIssue> EvaluateHealth(const MetricsSnapshot& snapshot,
 /// FlightRecorder captures a bundle for the first violation of each check.
 class HealthMonitor {
  public:
-  explicit HealthMonitor(std::shared_ptr<MetricsRegistry> registry,
-                         HealthCheckOptions options = {});
+  explicit HealthMonitor(std::shared_ptr<MetricsRegistry> registry);
 
   std::vector<HealthIssue> Check();
 
@@ -82,7 +55,6 @@ class HealthMonitor {
 
  private:
   const std::shared_ptr<MetricsRegistry> registry_;
-  const HealthCheckOptions options_;
 
   mutable std::mutex mu_;
   std::map<std::string, uint64_t> last_emit_us_;

@@ -13,8 +13,9 @@
 
 namespace tdb {
 
-/// A fixed-size worker pool for fanning independent CPU-bound work — chunk
-/// sealing, hashing, integrity validation — across cores.
+/// A fixed-size worker pool for fanning independent work across threads:
+/// the shard router's 2PC coordinator runs a cross-shard commit's
+/// per-shard prepares on one (txn_coordinator_threads).
 ///
 /// Thread counts <= 1 create no worker threads at all: every task runs
 /// inline on the calling thread, in submission order, so a pool is a
@@ -26,9 +27,9 @@ namespace tdb {
 /// flag, futures) on the caller's stack and each call joins only its own
 /// submitted tasks, so several threads may drive ParallelFor on one pool
 /// concurrently — calls simply share the worker set, and every caller
-/// also participates in its own work instead of idling. The group-commit
-/// chunk store relies on this: concurrent committers seal their batches
-/// through one shared crypto pool.
+/// also participates in its own work instead of idling. The shard router
+/// relies on this: concurrent cross-shard commits drive their prepares
+/// through one shared coordinator pool.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers; <= 1 means inline execution.
@@ -46,6 +47,7 @@ class ThreadPool {
   /// Submits one task. The returned future becomes ready when the task
   /// finishes and rethrows any exception the task threw. With no workers
   /// the task runs inline before this returns (future already ready).
+  /// ParallelFor is built on it; the stores call only ParallelFor.
   /// If the caller has an active trace context it is captured here and
   /// re-installed around the task, so worker-side spans stay parented
   /// under the submitting operation (see common/trace.h).

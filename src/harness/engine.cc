@@ -42,8 +42,7 @@ chunk::ChunkStoreOptions PresetOptions(Preset preset) {
   options.security = crypto::SecurityConfig::Modern();
   options.map_fanout = 8;
   options.cache_bytes = 256 * 1024;
-  options.crypto_threads = 0;  // Serial: thousands of short-lived stores.
-  // Serial 2PC phases too: crash sweeps enumerate points by the GLOBAL
+  // Serial 2PC phases: crash sweeps enumerate points by the GLOBAL
   // write index across the shared fault injector, so the coordinator's
   // write order must be deterministic (and the injector single-threaded).
   options.txn_coordinator_threads = 0;

@@ -300,10 +300,6 @@ class Transaction {
   bool active() const { return state_ != nullptr && state_->active; }
   TxnId id() const { return state_ ? state_->id : 0; }
 
-  /// The store this transaction runs against (e.g. for registering
-  /// layer-specific instruments on its metrics registry).
-  ObjectStore* store() const { return store_; }
-
  private:
   friend class ObjectStore;
 

@@ -1058,8 +1058,7 @@ Status ShardedChunkStore::VerifyIntegrity(uint64_t* chunks_checked) {
   if (n == 1) {
     results[0] = shards_[0]->VerifyIntegrity(&counts[0]);
   } else {
-    // One scrub thread per shard; each shard's own crypto pool fans out
-    // further below it.
+    // One scrub thread per shard.
     std::vector<std::thread> workers;
     workers.reserve(n);
     for (size_t k = 0; k < n; k++) {
@@ -1089,47 +1088,7 @@ Status ShardedChunkStore::Close() {
 
 chunk::ChunkStoreStats ShardedChunkStore::Stats() const {
   chunk::ChunkStoreStats agg;
-  for (const auto& shard : shards_) {
-    chunk::ChunkStoreStats t = shard->Stats();
-    agg.live_bytes += t.live_bytes;
-    agg.total_bytes += t.total_bytes;
-    agg.segments += t.segments;
-    agg.live_chunks += t.live_chunks;
-    agg.commits += t.commits;
-    agg.durable_commits += t.durable_commits;
-    agg.checkpoints += t.checkpoints;
-    agg.cleaned_segments += t.cleaned_segments;
-    agg.relocated_records += t.relocated_records;
-    agg.relocated_bytes += t.relocated_bytes;
-    agg.rerelocated_bytes += t.rerelocated_bytes;
-    agg.bytes_appended += t.bytes_appended;
-    agg.data_bytes += t.data_bytes;
-    agg.map_bytes += t.map_bytes;
-    agg.commit_bytes += t.commit_bytes;
-    agg.cache_hits += t.cache_hits;
-    agg.cache_misses += t.cache_misses;
-    agg.cache_evictions += t.cache_evictions;
-    agg.cache_bytes_used += t.cache_bytes_used;
-    agg.cache_evictions_capacity += t.cache_evictions_capacity;
-    agg.cache_evictions_dealloc += t.cache_evictions_dealloc;
-    agg.cache_evictions_failed_commit += t.cache_evictions_failed_commit;
-    agg.cache_evictions_relocation += t.cache_evictions_relocation;
-    agg.sealed_bytes += t.sealed_bytes;
-    agg.parallel_sealed_bytes += t.parallel_sealed_bytes;
-    agg.commit_groups += t.commit_groups;
-    agg.grouped_commits += t.grouped_commits;
-    // A commit group never spans shards: the meaningful high-water mark
-    // is the largest group any single shard flushed.
-    agg.max_commits_per_group =
-        std::max(agg.max_commits_per_group, t.max_commits_per_group);
-    agg.log_syncs += t.log_syncs;
-    agg.counter_bumps += t.counter_bumps;
-    agg.compress_attempts += t.compress_attempts;
-    agg.compressed_chunks += t.compressed_chunks;
-    agg.compress_bytes_in += t.compress_bytes_in;
-    agg.compress_bytes_out += t.compress_bytes_out;
-    agg.views_pinned += t.views_pinned;
-  }
+  for (const auto& shard : shards_) agg.Add(shard->Stats());
   return agg;
 }
 

@@ -10,6 +10,10 @@
 // compression on, 4 KiB segments and map fanout 8. `expected` lists each
 // chunk id the durable prefix leaves live with its hex contents, and
 // "gone <cid>" for ids it deallocates or never made durable.
+//
+// The committed image was written with that tree's crypto worker pool set
+// to zero threads, so every seal ran on the committing thread; set its
+// thread-count option to 0 in `options` below to write it again.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -62,7 +66,6 @@ int main(int argc, char** argv) {
   options.segment_size = 4 * 1024;
   options.map_fanout = 8;
   options.compression = true;
-  options.crypto_threads = 0;
   auto opened = chunk::ChunkStore::Open(&store, &secrets, &counter, options);
   Check(opened.status(), "open");
   std::unique_ptr<chunk::ChunkStore> cs = std::move(opened).value();

@@ -368,16 +368,14 @@ TEST(ChunkCacheRobustnessTest, TamperDetectedOnColdReadAfterEviction) {
   EXPECT_TRUE(read.status().IsTamperDetected()) << read.status().ToString();
 }
 
-// Parallel VerifyIntegrity (crypto_threads > 1) reports tampering exactly
-// like the serial scrub, including on multi-batch stores.
+// VerifyIntegrity reports tampering on multi-batch stores too.
 TEST(ChunkCacheRobustnessTest, ParallelScrubDetectsTampering) {
   MemSecretStore secrets;
   ASSERT_TRUE(secrets.Provision(Slice("s")).ok());
   MemOneWayCounter counter;
   MemUntrustedStore store;
-  auto options = SmallOptions();
-  options.crypto_threads = 8;
-  auto cs = std::move(ChunkStore::Open(&store, &secrets, &counter, options))
+  auto cs = std::move(ChunkStore::Open(&store, &secrets, &counter,
+                                       SmallOptions()))
                 .value();
   Random rng(22);
   // More chunks than one verify batch so batching boundaries are crossed.

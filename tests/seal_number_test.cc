@@ -87,18 +87,12 @@ Status Churn(ChunkStore* cs, uint64_t seed) {
   return cs->Clean(4);
 }
 
-ChunkStoreOptions ChurnOptions() {
-  ChunkStoreOptions options = SmallSegments();
-  options.crypto_threads = 0;
-  return options;
-}
-
 TEST(SealNumberTest, UniqueAcrossReopensCrashesAndCleaning) {
   // The image every crash case forks from: two sessions of churn.
   TestEnv env;
   SealLog log;
   for (int session = 0; session < 2; session++) {
-    auto cs = env.Open(ChurnOptions());
+    auto cs = env.Open(SmallSegments());
     ASSERT_TRUE(cs.ok()) << cs.status().ToString();
     ASSERT_TRUE(Churn(cs->get(), session).ok());
     ASSERT_TRUE((*cs)->Close().ok());
@@ -113,7 +107,7 @@ TEST(SealNumberTest, UniqueAcrossReopensCrashesAndCleaning) {
     CrashCopy copy(env);
     FaultInjectingStore faulty(&copy.store);
     auto cs = ChunkStore::Open(&faulty, &env.secrets, &copy.counter,
-                               ChurnOptions());
+                               SmallSegments());
     ASSERT_TRUE(cs.ok());
     ASSERT_TRUE(Churn(cs->get(), 7).ok());
     EXPECT_GT((*cs)->Stats().relocated_records, 0u);
@@ -134,12 +128,12 @@ TEST(SealNumberTest, UniqueAcrossReopensCrashesAndCleaning) {
         FaultInjectingStore faulty(&copy.store);
         faulty.CrashAtWrite(index, tear, 4);
         auto cs = ChunkStore::Open(&faulty, &env.secrets, &copy.counter,
-                                   ChurnOptions());
+                                   SmallSegments());
         if (cs.ok() && Churn(cs->get(), 7).ok()) (void)(*cs)->Close();
         ASSERT_TRUE(faulty.crashed());
       }
       auto cs = ChunkStore::Open(&copy.store, &env.secrets, &copy.counter,
-                                 ChurnOptions());
+                                 SmallSegments());
       ASSERT_TRUE(cs.ok()) << cs.status().ToString();
       ASSERT_TRUE(Churn(cs->get(), 8).ok());
       ASSERT_TRUE((*cs)->Close().ok());
@@ -232,7 +226,6 @@ TEST(SealNumberTest, FourShardsSealUnderFourKeys) {
 TEST(SealNumberTest, ConcurrentCommittersNeverRepeat) {
   TestEnv env;
   ChunkStoreOptions options = SmallSegments();
-  options.crypto_threads = 4;
   options.group_commit_window_us = 50;
   SealLog log;
   auto opened = env.Open(options);

@@ -299,6 +299,36 @@ TEST(ShardedStoreTest, CrossShardCommitPersistsAndCounts) {
   ASSERT_TRUE((*router)->Close().ok());
 }
 
+// The router's Stats() is the field-wise sum of its shards', the secure
+// overhead counters (§7.4) included.
+TEST(ShardedStoreTest, RouterStatsSumShardOverheadCounters) {
+  ShardedEnv env(2);
+  auto router = env.Open();
+  ASSERT_TRUE(router.ok()) << router.status().ToString();
+  chunk::ChunkId on0 = 0, on1 = 0;
+  TwoShardIds(router->get(), &on0, &on1);
+  ASSERT_TRUE((*router)->Write(on0, Slice("single-shard"), true).ok());
+  ASSERT_TRUE((*router)->Write(on1, Slice("other shard"), false).ok());
+  chunk::WriteBatch batch;
+  batch.Write(on0, Slice("cross-shard zero"));
+  batch.Write(on1, Slice("cross-shard one"));
+  ASSERT_TRUE((*router)->Commit(batch, true).ok());
+  ASSERT_EQ((*router)->router_stats().cross_shard_commits, 1u);
+
+  const chunk::ChunkStoreStats agg = (*router)->Stats();
+  const chunk::ChunkStoreStats s0 = (*router)->ShardStats(0);
+  const chunk::ChunkStoreStats s1 = (*router)->ShardStats(1);
+  EXPECT_GT(agg.seal_bytes, 0u);
+  EXPECT_GT(agg.frame_bytes, 0u);
+  EXPECT_GT(agg.entry_hash_bytes, 0u);
+  EXPECT_EQ(agg.seal_bytes, s0.seal_bytes + s1.seal_bytes);
+  EXPECT_EQ(agg.pad_bytes, s0.pad_bytes + s1.pad_bytes);
+  EXPECT_EQ(agg.frame_bytes, s0.frame_bytes + s1.frame_bytes);
+  EXPECT_EQ(agg.entry_hash_bytes, s0.entry_hash_bytes + s1.entry_hash_bytes);
+  EXPECT_EQ(agg.bytes_appended, s0.bytes_appended + s1.bytes_appended);
+  ASSERT_TRUE((*router)->Close().ok());
+}
+
 TEST(ShardedStoreTest, EmptyBatch2pcWritesNoDecisionRecord) {
   ShardedEnv env(2);
   auto router = env.Open();

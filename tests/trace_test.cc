@@ -701,14 +701,14 @@ TEST_F(TraceTest, FlightRecorderSnapshotIsNonDestructive) {
 
 TEST_F(TraceTest, HealthCleanAndUnderVolumeSnapshotsPass) {
   MetricsSnapshot snap;
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(snap, 0).empty());
   // Terrible ratios below the volume floors: self-gated, no issues.
   snap.counters["chunk.durable_commits"] = 10;
   snap.counters["chunk.log_syncs"] = 10;
   snap.counters["chunk.commit_groups"] = 2;
   snap.counters["chunk.cache.hits"] = 0;
   snap.counters["chunk.cache.misses"] = 10;
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(snap, 0).empty());
 }
 
 TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
@@ -717,7 +717,7 @@ TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
   snap.counters["chunk.log_syncs"] = 95;
   snap.counters["chunk.commit_groups"] = 10;
   snap.counters["chunk.grouped_commits"] = 20;
-  std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
+  std::vector<HealthIssue> issues = EvaluateHealth(snap, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "sync_ratio");
 
@@ -729,18 +729,18 @@ TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
   sharded.counters["shard1.chunk.log_syncs"] = 45;
   sharded.counters["shard0.chunk.commit_groups"] = 5;
   sharded.counters["shard0.chunk.grouped_commits"] = 10;
-  issues = EvaluateHealth(sharded, {}, 0);
+  issues = EvaluateHealth(sharded, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "sync_ratio");
 
   // Healthy grouping: far fewer syncs than commits.
   snap.counters["chunk.log_syncs"] = 20;
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(snap, 0).empty());
   // No grouping active: the ratio is expected to be ~1, not a violation.
   snap.counters["chunk.log_syncs"] = 95;
   snap.counters["chunk.commit_groups"] = 0;
   snap.counters["chunk.grouped_commits"] = 0;
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(snap, 0).empty());
   // A single committer leads a group of one per durable commit: groups
   // exist but no commit ever shared a flush, so ~1 sync per commit is
   // expected, not a violation.
@@ -749,7 +749,7 @@ TEST_F(TraceTest, HealthFlagsSyncRatioRegression) {
   single.counters["chunk.log_syncs"] = 100;
   single.counters["chunk.commit_groups"] = 98;
   single.counters["chunk.grouped_commits"] = 98;
-  EXPECT_TRUE(EvaluateHealth(single, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(single, 0).empty());
 }
 
 TEST_F(TraceTest, HealthFlagsGroupFlushStall) {
@@ -760,7 +760,7 @@ TEST_F(TraceTest, HealthFlagsGroupFlushStall) {
   stalled.max = 3000000;
   stalled.buckets[21] = 16;  // ~2-4s flushes: p99 well over 1s.
   snap.histograms["shard1.chunk.group_flush.latency_us"] = stalled;
-  std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
+  std::vector<HealthIssue> issues = EvaluateHealth(snap, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "group_stall");
   EXPECT_NE(issues[0].detail.find("shard1."), std::string::npos);
@@ -771,14 +771,14 @@ TEST_F(TraceTest, HealthFlagsGroupFlushStall) {
   fast.max = 500;
   fast.buckets[9] = 16;
   snap.histograms["shard1.chunk.group_flush.latency_us"] = fast;
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(snap, 0).empty());
 }
 
 TEST_F(TraceTest, HealthFlagsCacheCollapseAndShardSkew) {
   MetricsSnapshot snap;
   snap.counters["chunk.cache.hits"] = 50;
   snap.counters["chunk.cache.misses"] = 2000;
-  std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
+  std::vector<HealthIssue> issues = EvaluateHealth(snap, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "cache_hit_rate");
 
@@ -791,7 +791,7 @@ TEST_F(TraceTest, HealthFlagsCacheCollapseAndShardSkew) {
     skewed.counters["shard" + std::to_string(k) + ".chunk.durable_commits"] =
         10;
   }
-  issues = EvaluateHealth(skewed, {}, 0);
+  issues = EvaluateHealth(skewed, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "shard_skew");
 
@@ -799,7 +799,7 @@ TEST_F(TraceTest, HealthFlagsCacheCollapseAndShardSkew) {
     skewed.counters["shard" + std::to_string(k) + ".chunk.durable_commits"] =
         900 + k * 10;
   }
-  EXPECT_TRUE(EvaluateHealth(skewed, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(skewed, 0).empty());
 }
 
 TEST_F(TraceTest, HealthFlagsInflightTxnOfflineAndAged) {
@@ -809,21 +809,19 @@ TEST_F(TraceTest, HealthFlagsInflightTxnOfflineAndAged) {
 
   // Offline (now_us == 0): ANY in-flight txn in a persisted snapshot is a
   // leak — the prepare/decision window never closed before quiesce.
-  std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
+  std::vector<HealthIssue> issues = EvaluateHealth(snap, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "txn_inflight");
 
   // Live and young: fine. Live and aged past the limit: wedged.
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 2000).empty());
-  HealthCheckOptions options;
+  EXPECT_TRUE(EvaluateHealth(snap, 2000).empty());
   issues = EvaluateHealth(
-      snap, options,
-      1000 + static_cast<uint64_t>(options.max_txn_inflight_age_us) + 1);
+      snap, 1000 + static_cast<uint64_t>(kMaxTxnInflightAgeUs) + 1);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "txn_inflight");
 
   snap.gauges["shard.router.txn_inflight"] = 0;
-  EXPECT_TRUE(EvaluateHealth(snap, {}, 0).empty());
+  EXPECT_TRUE(EvaluateHealth(snap, 0).empty());
 }
 
 TEST_F(TraceTest, HealthIgnoresInflightTxnWithClearedSinceTimestamp) {
@@ -835,14 +833,12 @@ TEST_F(TraceTest, HealthIgnoresInflightTxnWithClearedSinceTimestamp) {
   MetricsSnapshot snap;
   snap.gauges["shard.router.txn_inflight"] = 1;
   snap.gauges["shard.router.txn_inflight_since_us"] = 0;
-  HealthCheckOptions options;
-  EXPECT_TRUE(EvaluateHealth(
-                  snap, options,
-                  static_cast<uint64_t>(options.max_txn_inflight_age_us) * 100)
-                  .empty());
+  EXPECT_TRUE(
+      EvaluateHealth(snap, static_cast<uint64_t>(kMaxTxnInflightAgeUs) * 100)
+          .empty());
   // Offline the same pair still flags: a persisted snapshot mid-exit
   // means the process died inside the commit window.
-  std::vector<HealthIssue> issues = EvaluateHealth(snap, {}, 0);
+  std::vector<HealthIssue> issues = EvaluateHealth(snap, 0);
   ASSERT_EQ(issues.size(), 1u);
   EXPECT_EQ(issues[0].check, "txn_inflight");
 }

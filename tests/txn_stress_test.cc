@@ -1,8 +1,8 @@
 // Multi-threaded two-phase-locking stress test over the object store,
-// with the PR-1 chunk-layer validated-plaintext cache and the parallel
-// commit crypto pipeline both enabled. Threads run transfer transactions
-// between shared accounts, acquiring locks in RANDOM order so deadlocks
-// occur and are broken by lock timeouts (§4.1); aborted transfers retry.
+// with the chunk-layer validated-plaintext cache enabled. Threads run
+// transfer transactions between shared accounts, acquiring locks in RANDOM
+// order so deadlocks occur and are broken by lock timeouts (§4.1); aborted
+// transfers retry.
 // The invariant is conservation: the sum of balances never changes. The
 // test must also be clean under ThreadSanitizer (tools/check.sh --tsan).
 
@@ -75,7 +75,6 @@ void OpenStack(Stack* stack) {
   chunk_options.segment_size = 8 * 1024;
   chunk_options.map_fanout = 8;
   chunk_options.cache_bytes = 256 * 1024;  // PR-1 validated-plaintext cache.
-  chunk_options.crypto_threads = 4;        // PR-1 commit crypto pipeline.
   auto chunks = chunk::ChunkStore::Open(&stack->mem, &stack->secrets,
                                         &stack->counter, chunk_options);
   ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();

@@ -71,15 +71,17 @@ if [[ -n "$sanitize" ]]; then
   # at open, v3 recovery and tamper cases), the seal-number uniqueness
   # tests (concurrent committers drawing seal numbers among them), the
   # codec kernels under them (CBC ciphertext stealing, CRC-32C on both
-  # dispatch paths) and the collection store (every index kind under
+  # dispatch paths), the collection store (every index kind under
   # churn through the five-operation index contract, the uniqueness
-  # check and iterator-close ejection, refused index calls).
+  # check and iterator-close ejection, refused index calls) and the
+  # backup store (full/incremental chains, tampered and mis-sequenced
+  # archives, per-archive IV streams across sessions).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
                  sim_disk_test metrics_test trace_test workload_test
                  alloc_budget_test codec_fuzz_test log_format_test
                  seal_number_test crypto_test common_test
-                 collection_store_test)
+                 collection_store_test backup_store_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="

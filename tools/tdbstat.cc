@@ -500,7 +500,7 @@ int main(int argc, char** argv) {
     // now_us = 0 signals offline mode: any still-in-flight cross-shard
     // transaction in a persisted snapshot is itself a violation.
     std::vector<common::HealthIssue> issues =
-        common::EvaluateHealth(*snap, {}, /*now_us=*/0);
+        common::EvaluateHealth(*snap, /*now_us=*/0);
     if (issues.empty()) {
       std::printf("tdbstat: %s healthy (%zu counters, %zu gauges, %zu "
                   "histograms checked)\n",
