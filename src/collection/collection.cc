@@ -215,9 +215,19 @@ Status Collection::CreateIndex(CTransaction* t,
     }
   }
   // Register before anything is built, so a refused registration leaves
-  // the collection as it was.
-  const GenericIndexer& ix = *indexer;
-  TDB_RETURN_IF_ERROR(t->store()->RegisterIndexer(name_, std::move(indexer)));
+  // the collection as it was; a failed build takes the registration back.
+  TDB_RETURN_IF_ERROR(t->RegisterIndexer(name_, indexer));
+  Result<IndexDesc> desc = BuildIndex(t, *indexer);
+  if (!desc.ok()) {
+    t->UnregisterAdded({name_, indexer->name()});
+    return desc.status();
+  }
+  indexes_.push_back(std::move(desc).value());
+  return Status::OK();
+}
+
+Result<IndexDesc> Collection::BuildIndex(CTransaction* t,
+                                         const GenericIndexer& ix) const {
   TDB_ASSIGN_OR_RETURN(IndexDesc desc, NewIndex(t->txn(), ix));
 
   // Back-fill from the existing objects (via the first index).
@@ -240,8 +250,7 @@ Status Collection::CreateIndex(CTransaction* t,
       return inserted;
     }
   }
-  indexes_.push_back(std::move(desc));
-  return Status::OK();
+  return desc;
 }
 
 Status Collection::RemoveIndex(CTransaction* t,
@@ -256,6 +265,7 @@ Status Collection::RemoveIndex(CTransaction* t,
   }
   TDB_ASSIGN_OR_RETURN(const IndexDesc* desc, FindIndex(indexer));
   TDB_RETURN_IF_ERROR(IndexDestroy(t->txn(), *desc));
+  t->removed_indexers_.push_back({name_, desc->name});
   for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
     if (it->name == desc->name) {
       indexes_.erase(it);
@@ -530,7 +540,7 @@ CTransaction::CTransaction(CollectionStore* store)
     : store_(store), txn_(store->object_store()) {}
 
 CTransaction::~CTransaction() {
-  if (txn_.active()) txn_.Abort().ok();
+  if (txn_.active()) Abort().ok();
 }
 
 Result<WritableRef<Collection>> CTransaction::CreateCollection(
@@ -543,18 +553,22 @@ Result<WritableRef<Collection>> CTransaction::CreateCollection(
     return Status::AlreadyExists("collection '" + name + "' exists");
   }
   // Register before anything is built, so a refused registration leaves
-  // the directory as it was.
-  const GenericIndexer& ix = *indexer;
-  TDB_RETURN_IF_ERROR(store_->RegisterIndexer(name, std::move(indexer)));
-  auto collection = std::make_unique<Collection>();
-  collection->name_ = name;
-  TDB_ASSIGN_OR_RETURN(ObjectId oid, txn_.Insert(std::move(collection)));
-  TDB_ASSIGN_OR_RETURN(WritableRef<Collection> ref,
-                       txn_.OpenWritable<Collection>(oid));
-  ref->self_oid_ = oid;
-  TDB_ASSIGN_OR_RETURN(IndexDesc desc, NewIndex(&txn_, ix));
-  ref->indexes_.push_back(std::move(desc));
-  directory->collections[name] = oid;
+  // the directory as it was; a failed build takes the registration back.
+  TDB_RETURN_IF_ERROR(RegisterIndexer(name, indexer));
+  auto build = [&]() -> Result<WritableRef<Collection>> {
+    auto collection = std::make_unique<Collection>();
+    collection->name_ = name;
+    TDB_ASSIGN_OR_RETURN(ObjectId oid, txn_.Insert(std::move(collection)));
+    TDB_ASSIGN_OR_RETURN(WritableRef<Collection> ref,
+                         txn_.OpenWritable<Collection>(oid));
+    ref->self_oid_ = oid;
+    TDB_ASSIGN_OR_RETURN(IndexDesc desc, NewIndex(&txn_, *indexer));
+    ref->indexes_.push_back(std::move(desc));
+    directory->collections[name] = oid;
+    return ref;
+  };
+  Result<WritableRef<Collection>> ref = build();
+  if (!ref.ok()) UnregisterAdded({name, indexer->name()});
   return ref;
 }
 
@@ -606,6 +620,7 @@ Status CTransaction::RemoveCollection(const std::string& name) {
   // ...then the index structures and the collection itself.
   for (const IndexDesc& desc : collection->indexes_) {
     TDB_RETURN_IF_ERROR(IndexDestroy(&txn_, desc));
+    removed_indexers_.push_back({name, desc.name});
   }
   TDB_RETURN_IF_ERROR(txn_.Remove(coll_oid));
   directory->collections.erase(it);
@@ -639,10 +654,41 @@ Status CTransaction::Commit(bool durable) {
           "cannot commit with open iterators (close them first)");
     }
   }
-  return txn_.Commit(durable);
+  Status committed = txn_.Commit(durable);
+  if (committed.ok() || !txn_.active()) SettleIndexers(committed.ok());
+  return committed;
 }
 
-Status CTransaction::Abort() { return txn_.Abort(); }
+Status CTransaction::Abort() {
+  Status aborted = txn_.Abort();
+  SettleIndexers(false);
+  return aborted;
+}
+
+Status CTransaction::RegisterIndexer(const std::string& collection,
+                                     std::shared_ptr<GenericIndexer> indexer) {
+  IndexerName name{collection, indexer->name()};
+  bool added = false;
+  TDB_RETURN_IF_ERROR(
+      store_->AddIndexer(collection, std::move(indexer), &added));
+  // Re-created after a removal in this transaction: it stays registered.
+  std::erase(removed_indexers_, name);
+  if (added) added_indexers_.push_back(std::move(name));
+  return Status::OK();
+}
+
+void CTransaction::UnregisterAdded(const IndexerName& name) {
+  if (std::erase(added_indexers_, name) > 0) store_->indexers_.erase(name);
+}
+
+void CTransaction::SettleIndexers(bool committed) {
+  for (const IndexerName& name :
+       committed ? removed_indexers_ : added_indexers_) {
+    store_->indexers_.erase(name);
+  }
+  added_indexers_.clear();
+  removed_indexers_.clear();
+}
 
 // ---------------------------------------------------------------------------
 // CollectionStore
@@ -670,9 +716,9 @@ Result<std::unique_ptr<CollectionStore>> CollectionStore::Open(
   return store;
 }
 
-Status CollectionStore::RegisterIndexer(
-    const std::string& collection_name,
-    std::shared_ptr<GenericIndexer> indexer) {
+Status CollectionStore::AddIndexer(const std::string& collection_name,
+                                   std::shared_ptr<GenericIndexer> indexer,
+                                   bool* added) {
   if (indexer == nullptr) return Status::InvalidArgument("null indexer");
   if (!KnownKind(static_cast<uint32_t>(indexer->kind()))) {
     return Status::InvalidArgument("unknown index kind");
@@ -687,9 +733,11 @@ Status CollectionStore::RegisterIndexer(
           "conflicting indexer registration for '" + indexer->name() + "'");
     }
     it->second = std::move(indexer);  // Refresh the extractor binding.
+    if (added != nullptr) *added = false;
     return Status::OK();
   }
   indexers_.emplace(std::move(key), std::move(indexer));
+  if (added != nullptr) *added = true;
   return Status::OK();
 }
 

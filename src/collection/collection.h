@@ -100,6 +100,8 @@ class Collection final : public object::Object {
   // Looks up the descriptor matching `indexer` (by name, validating that
   // organization and uniqueness agree).
   Result<const IndexDesc*> FindIndex(const GenericIndexer& indexer) const;
+  // Builds the index `ix` describes and back-fills it with the members.
+  Result<IndexDesc> BuildIndex(CTransaction* t, const GenericIndexer& ix) const;
 
   std::string name_;
   object::ObjectId self_oid_ = object::kInvalidObjectId;
@@ -207,7 +209,10 @@ class CTransaction {
   Result<std::vector<std::string>> ListCollections();
 
   /// Commits/aborts. Commit fails while iterators are open (their deferred
-  /// index maintenance has not been applied yet).
+  /// index maintenance has not been applied yet). The indexer registry
+  /// follows the outcome: indexers of removed indexes and collections are
+  /// unregistered when the transaction commits, and indexers it registered
+  /// by creating them are unregistered when it does not.
   Status Commit(bool durable = true);
   Status Abort();
   bool active() const { return txn_.active(); }
@@ -221,13 +226,29 @@ class CTransaction {
   friend class Collection;
   friend class Iterator;
 
+  using IndexerName = std::pair<std::string, std::string>;
+
   // Open iterators on the collection `coll` (an entry is made on first
   // use; a transaction touches few collections).
   int& OpenIterators(object::ObjectId coll);
 
+  // Registers `indexer` for `collection`. A name it adds stays registered
+  // only if this transaction commits.
+  Status RegisterIndexer(const std::string& collection,
+                         std::shared_ptr<GenericIndexer> indexer);
+  // Unregisters `name` at once if this transaction registered it (a
+  // create that failed after registering).
+  void UnregisterAdded(const IndexerName& name);
+  // Applies the registry changes of a transaction that ended: the
+  // removals if it committed, the undoing of its additions if not.
+  void SettleIndexers(bool committed);
+
   CollectionStore* store_;
   object::Transaction txn_;
   std::vector<std::pair<object::ObjectId, int>> open_iterators_;
+  std::vector<IndexerName> added_indexers_;
+  // Names of removed indexes and collections, unregistered at commit.
+  std::vector<IndexerName> removed_indexers_;
 };
 
 /// The collection store (§5): keyed access to collections of objects over
@@ -245,9 +266,13 @@ class CollectionStore {
   /// Makes `indexer` available for maintenance of the like-named index of
   /// `collection_name`. Idempotent for equal (name, kind, uniqueness);
   /// InvalidArgument for another kind, uniqueness or key mutability under
-  /// a registered name, or a kind IndexKind does not name.
+  /// a registered name, or a kind IndexKind does not name. A registration
+  /// made here lasts until a committed transaction removes the index or
+  /// its collection.
   Status RegisterIndexer(const std::string& collection_name,
-                         std::shared_ptr<GenericIndexer> indexer);
+                         std::shared_ptr<GenericIndexer> indexer) {
+    return AddIndexer(collection_name, std::move(indexer), nullptr);
+  }
 
   /// The registered indexer for (collection, index); NotFound if absent.
   Result<const GenericIndexer*> FindIndexer(const std::string& collection_name,
@@ -257,8 +282,14 @@ class CollectionStore {
   object::ObjectId directory_oid() const { return directory_oid_; }
 
  private:
+  friend class CTransaction;
+
   explicit CollectionStore(object::ObjectStore* objects)
       : objects_(objects) {}
+
+  // RegisterIndexer; `*added` (if given) tells whether the name was new.
+  Status AddIndexer(const std::string& collection_name,
+                    std::shared_ptr<GenericIndexer> indexer, bool* added);
 
   object::ObjectStore* objects_;
   object::ObjectId directory_oid_ = object::kInvalidObjectId;

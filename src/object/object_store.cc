@@ -16,6 +16,10 @@ constexpr size_t kTxnObjectsTail = 32;
 // Pickle buffers start with room for a typical object, so pickling one
 // does not regrow the buffer byte by byte.
 constexpr size_t kPickleReserve = 256;
+// Ids a class takes at a time: one location-map leaf at the default
+// fanout, so a leaf holds the objects of one class (DESIGN.md, "Object id
+// layout").
+constexpr ObjectId kIdBlock = chunk::kDefaultMapFanout;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ Result<ObjectId> ObjectStore::InsertInternal(internal::TxnState& txn,
                                    std::to_string(object->class_id()) +
                                    " not registered");
   }
-  ObjectId oid = chunks_->AllocateChunkId();
+  ObjectId oid = NextId(object->class_id());
   if (options_.locking_enabled) {
     // A fresh id is uncontended; the lock still must be recorded so it is
     // held until transaction end.
@@ -422,6 +426,19 @@ Result<ObjectId> ObjectStore::InsertInternal(internal::TxnState& txn,
   txn.objects.Add(oid, internal::TxnObjects::kWritten |
                            internal::TxnObjects::kInserted);
   return oid;
+}
+
+ObjectId ObjectStore::NextId(ClassId cls) {
+  IdBlock& block = id_blocks_[cls];
+  if (block.next == block.end) {
+    // Claim the rest of the leaf the next id falls in: all of it once
+    // every class allocates in blocks, its tail after open.
+    const ObjectId first = chunks_->AllocateChunkId();
+    const ObjectId end = first - first % kIdBlock + kIdBlock;
+    for (ObjectId id = first + 1; id < end; id++) chunks_->AllocateChunkId();
+    block = {first, end};
+  }
+  return block.next++;
 }
 
 Status ObjectStore::RemoveInternal(internal::TxnState& txn, ObjectId oid) {

@@ -486,6 +486,9 @@ class ObjectStore {
   Result<ObjectId> InsertInternal(internal::TxnState& txn,
                                   std::unique_ptr<Object> object);
   Status RemoveInternal(internal::TxnState& txn, ObjectId oid);
+  // The next id of `cls`'s block; a used-up block is replaced by the rest
+  // of the next map leaf. Requires mutex_.
+  ObjectId NextId(ClassId cls);
   Status CommitTxn(internal::TxnState& txn, bool durable);
   Status AbortTxn(internal::TxnState& txn);
 
@@ -542,6 +545,13 @@ class ObjectStore {
   ObjectId header_cid_ = kInvalidObjectId;
   ObjectId root_oid_ = kInvalidObjectId;
   std::map<std::string, ObjectId> named_roots_;
+  // Each class's current id block [next, end), held in memory only: a
+  // reopen abandons what is left of it.
+  struct IdBlock {
+    ObjectId next = 0;
+    ObjectId end = 0;
+  };
+  std::unordered_map<ClassId, IdBlock> id_blocks_;
 
   // Serializes and durably writes the header chunk. Requires mutex_.
   Status WriteHeader();

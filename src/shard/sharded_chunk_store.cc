@@ -430,6 +430,11 @@ Status ShardedChunkStore::RecoverCrossShard() {
             return s;
           }
           max_txn = std::max(max_txn, rec.txn_id);
+          // Resolving the transaction below may write these ids, which
+          // the scan has not seen: no later allocation may hand them out.
+          for (const chunk::WriteBatch::Op& op : rec.ops.ops_) {
+            max_app = std::max(max_app, op.cid);
+          }
           scans[k].prepares.emplace(rec.txn_id, std::move(rec));
           break;
         }

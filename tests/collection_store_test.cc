@@ -356,19 +356,21 @@ TEST(CollectionTest, FailedIndexCallsLeaveCollectionUnchanged) {
     auto coll = t.CreateCollection("profile", IdIndexer());
     ASSERT_TRUE(coll.ok());
     ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(1, 5, 0)).ok());
-    auto usage = UsageIndexer(IndexKind::kBTree);
-    ASSERT_TRUE((*coll)->CreateIndex(&t, usage).ok());
-    ASSERT_TRUE((*coll)->RemoveIndex(&t, *usage).ok());
-    // "other" leaves its indexer registered when it is removed.
-    ASSERT_TRUE(t.CreateCollection("other", UsageIndexer()).ok());
-    ASSERT_TRUE(t.RemoveCollection("other").ok());
     ASSERT_TRUE(t.Commit().ok());
   }
+  // Registrations the application makes itself stand until a committed
+  // transaction removes the index, so these names stay registered as
+  // B-tree indexes that no collection has.
+  ASSERT_TRUE(env.collections
+                  ->RegisterIndexer("profile", UsageIndexer(IndexKind::kBTree))
+                  .ok());
+  ASSERT_TRUE(env.collections
+                  ->RegisterIndexer("other", UsageIndexer(IndexKind::kBTree))
+                  .ok());
   {
     CTransaction t(env.collections.get());
     auto coll = t.WriteCollection("profile");
     ASSERT_TRUE(coll.ok());
-    // The name is still registered as a B-tree index.
     Status s = (*coll)->CreateIndex(&t, UsageIndexer(IndexKind::kList));
     EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
     s = (*coll)->CreateIndex(&t, nullptr);
@@ -379,6 +381,10 @@ TEST(CollectionTest, FailedIndexCallsLeaveCollectionUnchanged) {
         << other.status().ToString();
     ASSERT_TRUE(t.Commit().ok());
   }
+  // The refused calls left the registrations as they were.
+  auto registered = env.collections->FindIndexer("profile", "by-usage");
+  ASSERT_TRUE(registered.ok());
+  EXPECT_EQ((*registered)->kind(), IndexKind::kBTree);
   env.Restart();
   ASSERT_TRUE(env.collections->RegisterIndexer("profile", IdIndexer()).ok());
   CTransaction t(env.collections.get());
@@ -396,6 +402,92 @@ TEST(CollectionTest, FailedIndexCallsLeaveCollectionUnchanged) {
   for (; !(*it)->end(); (*it)->Next()) count++;
   EXPECT_EQ(count, 1);
   ASSERT_TRUE((*it)->Close().ok());
+}
+
+TEST(CollectionTest, IndexerRegistryFollowsTransactionOutcome) {
+  // A name freed by a committed removal, an aborted create or a failed
+  // back-fill can be created again with another kind in the same process.
+  Env env;
+  auto unique_usage = [](IndexKind kind) {
+    return std::make_shared<MeterIndexer>(
+        "by-usage", Uniqueness::kUnique, kind,
+        [](const Meter& m) { return IntKey(m.view_count_ + m.print_count_); });
+  };
+  auto count = [](CTransaction* t, const Collection& coll,
+                  const GenericIndexer& ix) {
+    auto it = coll.Query(t, ix);
+    EXPECT_TRUE(it.ok()) << it.status().ToString();
+    int n = 0;
+    for (; it.ok() && !(*it)->end(); (*it)->Next()) n++;
+    if (it.ok()) EXPECT_TRUE((*it)->Close().ok());
+    return n;
+  };
+  {
+    CTransaction t(env.collections.get());
+    auto coll = t.CreateCollection("profile", IdIndexer());
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(1, 5, 0)).ok());
+    ASSERT_TRUE((*coll)->Insert(&t, std::make_unique<Meter>(2, 5, 0)).ok());
+    // A unique index over the two equal usages fails its back-fill...
+    Status s = (*coll)->CreateIndex(&t, unique_usage(IndexKind::kBTree));
+    EXPECT_EQ(s.code(), Status::Code::kUniqueViolation) << s.ToString();
+    // ...and leaves the name free for another kind and uniqueness.
+    ASSERT_TRUE((*coll)->CreateIndex(&t, UsageIndexer(IndexKind::kBTree)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  {
+    // A removal that aborts keeps the registration.
+    CTransaction t(env.collections.get());
+    auto coll = t.WriteCollection("profile");
+    ASSERT_TRUE(coll.ok());
+    ASSERT_TRUE((*coll)->RemoveIndex(&t, *UsageIndexer()).ok());
+    ASSERT_TRUE(t.Abort().ok());
+  }
+  {
+    CTransaction t(env.collections.get());
+    auto coll = t.WriteCollection("profile");
+    ASSERT_TRUE(coll.ok());
+    EXPECT_EQ(count(&t, **coll, *UsageIndexer()), 2);
+    ASSERT_TRUE((*coll)->RemoveIndex(&t, *UsageIndexer()).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  {
+    CTransaction t(env.collections.get());
+    auto coll = t.WriteCollection("profile");
+    ASSERT_TRUE(coll.ok());
+    auto list = UsageIndexer(IndexKind::kList);
+    ASSERT_TRUE((*coll)->CreateIndex(&t, list).ok());
+    EXPECT_EQ(count(&t, **coll, *list), 2);
+    ASSERT_TRUE(t.CreateCollection("other", IdIndexer(IndexKind::kBTree)).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  {
+    // An aborted create leaves nothing registered.
+    CTransaction t(env.collections.get());
+    ASSERT_TRUE(t.CreateCollection("aborted", IdIndexer(IndexKind::kBTree)).ok());
+    ASSERT_TRUE(t.Abort().ok());
+  }
+  {
+    // A removed collection's names are free once the removal commits.
+    CTransaction t(env.collections.get());
+    ASSERT_TRUE(t.RemoveCollection("other").ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  EXPECT_EQ(env.collections->FindIndexer("other", "by-id").status().code(),
+            Status::Code::kNotFound);
+  EXPECT_EQ(env.collections->FindIndexer("aborted", "by-id").status().code(),
+            Status::Code::kNotFound);
+  {
+    CTransaction t(env.collections.get());
+    auto other = t.CreateCollection("other", IdIndexer(IndexKind::kList));
+    ASSERT_TRUE(other.ok()) << other.status().ToString();
+    auto aborted = t.CreateCollection("aborted", IdIndexer(IndexKind::kList));
+    ASSERT_TRUE(aborted.ok()) << aborted.status().ToString();
+    ASSERT_TRUE(t.Commit().ok());
+  }
+  auto usage = env.collections->FindIndexer("profile", "by-usage");
+  ASSERT_TRUE(usage.ok());
+  EXPECT_EQ((*usage)->kind(), IndexKind::kList);
 }
 
 TEST(CollectionTest, RemoveIndexAndLastIndexProtection) {

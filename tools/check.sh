@@ -73,15 +73,21 @@ if [[ -n "$sanitize" ]]; then
   # codec kernels under them (CBC ciphertext stealing, CRC-32C on both
   # dispatch paths), the collection store (every index kind under
   # churn through the five-operation index contract, the uniqueness
-  # check and iterator-close ejection, refused index calls) and the
-  # backup store (full/incremental chains, tampered and mis-sequenced
-  # archives, per-archive IV streams across sessions).
+  # check and iterator-close ejection, refused index calls, the indexer
+  # registry following commit and abort), the backup store
+  # (full/incremental chains, tampered and mis-sequenced archives,
+  # per-archive IV streams across sessions), and the large-object and
+  # integration tests, which insert objects of several classes through
+  # the per-class id blocks (as do the object store's id-block tests:
+  # concurrent inserters of three classes, crash sweeps on one store and
+  # on a 4-shard router).
   smoke_targets=(harness_test txn_stress_test chunk_store_test
                  object_store_test shard_store_test lock_manager_test
                  sim_disk_test metrics_test trace_test workload_test
                  alloc_budget_test codec_fuzz_test log_format_test
                  seal_number_test crypto_test common_test
-                 collection_store_test backup_store_test)
+                 collection_store_test backup_store_test
+                 large_object_test integration_test)
   cmake --build "$build_dir" -j "$(nproc)" --target "${smoke_targets[@]}"
   for t in "${smoke_targets[@]}"; do
     echo "== $t ($sanitize sanitizer) =="
