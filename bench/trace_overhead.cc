@@ -3,9 +3,7 @@
 // three observability modes:
 //
 //   off     runtime tracing disabled (the production default when nobody
-//           is looking; the compile-time TDB_TRACE=OFF path is checked
-//           separately by tools/check.sh --trace, which builds the core
-//           library with the option off)
+//           is looking): each span site costs one relaxed load
 //   flight  tracing on + an attached FlightRecorder, nothing draining —
 //           the always-on post-mortem configuration (rings overwrite)
 //   full    flight + a live drainer exporting spans concurrently, the

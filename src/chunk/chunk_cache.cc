@@ -104,12 +104,6 @@ void ChunkCache::EvictToFit(size_t incoming_charge) {
 }
 
 void ChunkCache::CountEvictionLocked(EvictCause cause) {
-  switch (cause) {
-    case EvictCause::kCapacity: counts_.capacity++; break;
-    case EvictCause::kDealloc: counts_.dealloc++; break;
-    case EvictCause::kFailedCommit: counts_.failed_commit++; break;
-    case EvictCause::kRelocation: counts_.relocation++; break;
-  }
   common::Counter* c = evict_metrics_[static_cast<int>(cause)];
   if (c != nullptr) c->Increment();
 }

@@ -14,9 +14,8 @@
 namespace tdb::chunk {
 
 /// Why a validated-plaintext entry left the cache. Every mutation site is
-/// tagged so hit-ratio math stays trustworthy: before causes were tracked,
-/// Stats() only counted capacity evictions and silently missed erasures on
-/// deallocation and failed/aborted commits.
+/// tagged, and each cause has its own eviction counter, so hit-ratio math
+/// covers erasures on deallocation and failed commits too.
 enum class EvictCause {
   kCapacity = 0,      // LRU pressure in EvictToFit.
   kDealloc = 1,       // Chunk deallocated by a committed batch.
@@ -25,17 +24,6 @@ enum class EvictCause {
                       // relocation moves sealed bytes verbatim (same id,
                       // same plaintext), so entries survive; the counter
                       // exists to prove that claim in live stats.
-};
-
-/// Per-cause eviction counts, plus the compatibility total.
-struct CacheEvictionCounts {
-  uint64_t capacity = 0;
-  uint64_t dealloc = 0;
-  uint64_t failed_commit = 0;
-  uint64_t relocation = 0;
-  uint64_t total() const {
-    return capacity + dealloc + failed_commit + relocation;
-  }
 };
 
 /// Byte-budgeted LRU cache of validated plaintext chunk payloads.
@@ -68,9 +56,10 @@ class ChunkCache {
   /// `capacity_bytes` = 0 disables the cache (all ops become no-ops).
   explicit ChunkCache(size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-  /// Mirrors eviction counts and occupancy into registry instruments (all
-  /// may be null). Call before concurrent use; the owning ChunkStore does
-  /// so in its constructor.
+  /// Counts evictions into `evictions[cause]` and mirrors occupancy into
+  /// `bytes_used`, registry instruments that are the cache's only tally
+  /// (all may be null). Call before concurrent use; the owning ChunkStore
+  /// does so in its constructor.
   void AttachMetrics(common::Counter* evictions[4],
                      common::Gauge* bytes_used);
 
@@ -113,25 +102,6 @@ class ChunkCache {
   /// Drops everything.
   void Clear();
 
-  size_t size_bytes() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return size_;
-  }
-  size_t entry_count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
-  }
-  /// All evictions regardless of cause (the pre-cause compatibility view —
-  /// which previously undercounted by missing every non-capacity cause).
-  uint64_t evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counts_.total();
-  }
-  CacheEvictionCounts eviction_counts() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counts_;
-  }
-
  private:
   // Per-entry bookkeeping overhead charged against the budget, so millions
   // of tiny chunks cannot blow past the nominal byte cap.
@@ -162,7 +132,6 @@ class ChunkCache {
   common::LruList<Entry> lru_;  // Every entry, by recency of use.
   size_t capacity_;
   size_t size_ = 0;
-  CacheEvictionCounts counts_;
   common::Counter* evict_metrics_[4] = {nullptr, nullptr, nullptr, nullptr};
   common::Gauge* bytes_used_metric_ = nullptr;
 };

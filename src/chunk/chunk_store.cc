@@ -95,10 +95,12 @@ void WriteBatch::Deallocate(ChunkId cid) {
 ChunkStore::ChunkStore(platform::UntrustedStore* store,
                        platform::OneWayCounter* counter,
                        const ChunkStoreOptions& options,
-                       crypto::CipherSuite suite)
+                       crypto::CipherSuite suite,
+                       const std::string& metric_prefix)
     : store_(store),
       counter_(counter),
       options_(options),
+      metric_prefix_(metric_prefix),
       suite_(std::move(suite)),
       anchor_mgr_(store, &suite_, entry_hash_size()),
       map_(options.map_fanout != 0 ? options.map_fanout : kDefaultMapFanout),
@@ -107,88 +109,15 @@ ChunkStore::ChunkStore(platform::UntrustedStore* store,
                    : std::make_shared<common::MetricsRegistry>()),
       cache_(options.cache_bytes) {
   options_.map_fanout = map_.fanout();
-  BindInstruments();
-  cache_.AttachMetrics(m_.cache_evictions, m_.cache_bytes_used);
-}
-
-void ChunkStore::BindInstruments() {
-  common::MetricsRegistry* reg = metrics_.get();
-  // Instrument names carry the configured per-store prefix (empty for a
-  // standalone store, "shard<k>." under the sharded router) so one shared
-  // registry can attribute load per shard. Hot paths use the bound
-  // pointers, so prefixing costs nothing after construction.
-  const std::string& prefix = options_.metric_prefix;
-  struct PrefixedRegistry {
-    common::MetricsRegistry* r;
-    const std::string& p;
-    common::Gauge* GetGauge(const char* name) {
-      return r->GetGauge(p + name);
-    }
-    common::Counter* GetCounter(const char* name) {
-      return r->GetCounter(p + name);
-    }
-    common::Histogram* GetHistogram(const char* name) {
-      return r->GetHistogram(p + name);
-    }
-  } pr{reg, prefix};
-  PrefixedRegistry* r = &pr;
-  m_.live_bytes = r->GetGauge("chunk.live_bytes");
-  m_.total_bytes = r->GetGauge("chunk.total_bytes");
-  m_.segments = r->GetGauge("chunk.segments");
-  m_.live_chunks = r->GetGauge("chunk.live_chunks");
-  m_.commits = r->GetCounter("chunk.commits");
-  m_.durable_commits = r->GetCounter("chunk.durable_commits");
-  m_.checkpoints = r->GetCounter("chunk.checkpoints");
-  m_.cleaned_segments = r->GetCounter("chunk.cleaner.segments_cleaned");
-  m_.relocated_records = r->GetCounter("chunk.cleaner.relocated_records");
-  m_.relocated_bytes = r->GetCounter("chunk.cleaner.relocated_bytes");
-  m_.rerelocated_bytes = r->GetCounter("chunk.cleaner.rerelocated_bytes");
-  m_.summary_bytes = r->GetGauge("chunk.cleaner.summary_bytes");
-  m_.bytes_appended = r->GetCounter("chunk.bytes_appended");
-  m_.data_bytes = r->GetCounter("chunk.data_bytes");
-  m_.map_bytes = r->GetCounter("chunk.map_bytes");
-  m_.commit_bytes = r->GetCounter("chunk.commit_bytes");
-  m_.seal_bytes = r->GetCounter("chunk.overhead.seal_bytes");
-  m_.pad_bytes = r->GetCounter("chunk.overhead.pad_bytes");
-  m_.frame_bytes = r->GetCounter("chunk.overhead.frame_bytes");
-  m_.entry_hash_bytes = r->GetCounter("chunk.overhead.entry_hash_bytes");
-  m_.cache_hits = r->GetCounter("chunk.cache.hits");
-  m_.cache_misses = r->GetCounter("chunk.cache.misses");
-  m_.cache_evictions[0] = r->GetCounter("chunk.cache.evictions.capacity");
-  m_.cache_evictions[1] = r->GetCounter("chunk.cache.evictions.dealloc");
-  m_.cache_evictions[2] =
-      r->GetCounter("chunk.cache.evictions.failed_commit");
-  m_.cache_evictions[3] = r->GetCounter("chunk.cache.evictions.relocation");
-  m_.cache_bytes_used = r->GetGauge("chunk.cache.bytes_used");
-  m_.sealed_bytes = r->GetCounter("chunk.sealed_bytes");
-  m_.commit_groups = r->GetCounter("chunk.commit_groups");
-  m_.grouped_commits = r->GetCounter("chunk.grouped_commits");
-  m_.max_commits_per_group = r->GetGauge("chunk.max_commits_per_group");
-  m_.log_syncs = r->GetCounter("chunk.log_syncs");
-  m_.counter_bumps = r->GetCounter("chunk.counter_bumps");
-  m_.compress_attempts = r->GetCounter("chunk.compress.attempts");
-  m_.compressed_chunks = r->GetCounter("chunk.compress.chunks");
-  m_.compress_bytes_in = r->GetCounter("chunk.compress.bytes_in");
-  m_.compress_bytes_out = r->GetCounter("chunk.compress.bytes_out");
-  m_.views_pinned = r->GetCounter("chunk.views_pinned");
-  m_.read_latency_us = r->GetHistogram("chunk.read.latency_us");
-  m_.seal_latency_us = r->GetHistogram("chunk.seal.latency_us");
-  m_.sync_latency_us = r->GetHistogram("chunk.sync.latency_us");
-  m_.counter_bump_latency_us =
-      r->GetHistogram("chunk.counter_bump.latency_us");
-  m_.group_flush_latency_us =
-      r->GetHistogram("chunk.group_flush.latency_us");
-  m_.commit_latency_us = r->GetHistogram("chunk.commit.latency_us");
-  m_.verify_latency_us = r->GetHistogram("chunk.verify.latency_us");
-  m_.clean_us = r->GetHistogram("chunk.clean_us");
-  m_.checkpoint_us = r->GetHistogram("chunk.checkpoint_us");
-  m_.read_verify_us = r->GetHistogram("chunk.read.verify_us");
-  m_.read_decrypt_us = r->GetHistogram("chunk.read.decrypt_us");
-  m_.read_decompress_us = r->GetHistogram("chunk.read.decompress_us");
-  m_.recovery_time_us = r->GetGauge("recovery.time_us");
-  m_.recovery_commits_replayed = r->GetGauge("recovery.commits_replayed");
-  m_.recovery_chunks_replayed = r->GetGauge("recovery.chunks_replayed");
-  m_.verified_chunks = r->GetCounter("chunk.verify.chunks");
+  common::MetricsRegistry* r = metrics_.get();
+#define TDB_BIND(kind, member, name) \
+  m_.member = r->Get##kind(metric_prefix_ + name);
+  TDB_CHUNK_STORE_METRICS(TDB_BIND, TDB_BIND)
+#undef TDB_BIND
+  common::Counter* evictions[] = {
+      m_.cache_evictions_capacity, m_.cache_evictions_dealloc,
+      m_.cache_evictions_failed_commit, m_.cache_evictions_relocation};
+  cache_.AttachMetrics(evictions, m_.cache_bytes_used);
 }
 
 void ChunkStore::AuditDetect(const char* kind, int region,
@@ -197,8 +126,7 @@ void ChunkStore::AuditDetect(const char* kind, int region,
   // The prefix keeps (kind, location) dedup keys distinct across shards
   // sharing one registry: the same "seg 1 off 64" on two shards is two
   // different detections.
-  metrics_->audit().Record(kind, region, options_.metric_prefix + location,
-                           message);
+  metrics_->audit().Record(kind, region, metric_prefix_ + location, message);
 }
 
 std::string ChunkStore::LocationString(const Location& loc) {
@@ -267,6 +195,13 @@ ChunkStore::~ChunkStore() {
 Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(
     platform::UntrustedStore* store, platform::SecretStore* secrets,
     platform::OneWayCounter* counter, const ChunkStoreOptions& options) {
+  return Open(store, secrets, counter, options, "");
+}
+
+Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(
+    platform::UntrustedStore* store, platform::SecretStore* secrets,
+    platform::OneWayCounter* counter, const ChunkStoreOptions& options,
+    const std::string& metric_prefix) {
   if (options.max_utilization <= 0.0 || options.max_utilization > 0.99) {
     return Status::InvalidArgument("max_utilization out of range");
   }
@@ -277,7 +212,8 @@ Result<std::unique_ptr<ChunkStore>> ChunkStore::Open(
   crypto::CipherSuite suite(options.security, secret,
                             Slice(options.iv_seed));
   std::unique_ptr<ChunkStore> cs(
-      new ChunkStore(store, counter, options, std::move(suite)));
+      new ChunkStore(store, counter, options, std::move(suite),
+                     metric_prefix));
 
   auto anchor = cs->anchor_mgr_.Load();
   if (anchor.ok()) {
@@ -1382,93 +1318,33 @@ Status ChunkStore::MaybeCheckpointLocked() {
   return CheckpointLocked();
 }
 
+namespace {
+
+// ChunkStoreStats::cache_evictions: the one field that is no instrument.
+uint64_t CacheEvictions(const ChunkStoreStats& s) {
+  return s.cache_evictions_capacity + s.cache_evictions_dealloc +
+         s.cache_evictions_failed_commit + s.cache_evictions_relocation;
+}
+
+}  // namespace
+
 void ChunkStoreStats::Add(const ChunkStoreStats& o) {
-  live_bytes += o.live_bytes;
-  total_bytes += o.total_bytes;
-  segments += o.segments;
-  live_chunks += o.live_chunks;
-  commits += o.commits;
-  durable_commits += o.durable_commits;
-  checkpoints += o.checkpoints;
-  cleaned_segments += o.cleaned_segments;
-  relocated_records += o.relocated_records;
-  relocated_bytes += o.relocated_bytes;
-  rerelocated_bytes += o.rerelocated_bytes;
-  bytes_appended += o.bytes_appended;
-  data_bytes += o.data_bytes;
-  map_bytes += o.map_bytes;
-  commit_bytes += o.commit_bytes;
-  seal_bytes += o.seal_bytes;
-  pad_bytes += o.pad_bytes;
-  frame_bytes += o.frame_bytes;
-  entry_hash_bytes += o.entry_hash_bytes;
-  cache_hits += o.cache_hits;
-  cache_misses += o.cache_misses;
-  cache_evictions += o.cache_evictions;
-  cache_bytes_used += o.cache_bytes_used;
-  cache_evictions_capacity += o.cache_evictions_capacity;
-  cache_evictions_dealloc += o.cache_evictions_dealloc;
-  cache_evictions_failed_commit += o.cache_evictions_failed_commit;
-  cache_evictions_relocation += o.cache_evictions_relocation;
-  sealed_bytes += o.sealed_bytes;
-  commit_groups += o.commit_groups;
-  grouped_commits += o.grouped_commits;
-  log_syncs += o.log_syncs;
-  counter_bumps += o.counter_bumps;
-  compress_attempts += o.compress_attempts;
-  compressed_chunks += o.compressed_chunks;
-  compress_bytes_in += o.compress_bytes_in;
-  compress_bytes_out += o.compress_bytes_out;
-  views_pinned += o.views_pinned;
-  max_commits_per_group =
+  const uint64_t max_group =
       std::max(max_commits_per_group, o.max_commits_per_group);
+#define TDB_ADD(kind, member, name) member += o.member;
+  TDB_CHUNK_STORE_METRICS(TDB_ADD, TDB_METRIC_NONE)
+#undef TDB_ADD
+  max_commits_per_group = max_group;
+  cache_evictions = CacheEvictions(*this);
 }
 
 ChunkStoreStats ChunkStore::Stats() const {
-  // Compatibility accessor over the metrics registry: the same counters
-  // the registry snapshot exposes by name, in the struct shape the tests
-  // and benchmarks predate the registry with.
-  auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
   ChunkStoreStats s;
-  s.live_bytes = u(m_.live_bytes->value());
-  s.total_bytes = u(m_.total_bytes->value());
-  s.segments = u(m_.segments->value());
-  s.live_chunks = u(m_.live_chunks->value());
-  s.commits = u(m_.commits->value());
-  s.durable_commits = u(m_.durable_commits->value());
-  s.checkpoints = u(m_.checkpoints->value());
-  s.cleaned_segments = u(m_.cleaned_segments->value());
-  s.relocated_records = u(m_.relocated_records->value());
-  s.relocated_bytes = u(m_.relocated_bytes->value());
-  s.rerelocated_bytes = u(m_.rerelocated_bytes->value());
-  s.bytes_appended = u(m_.bytes_appended->value());
-  s.data_bytes = u(m_.data_bytes->value());
-  s.map_bytes = u(m_.map_bytes->value());
-  s.commit_bytes = u(m_.commit_bytes->value());
-  s.seal_bytes = u(m_.seal_bytes->value());
-  s.pad_bytes = u(m_.pad_bytes->value());
-  s.frame_bytes = u(m_.frame_bytes->value());
-  s.entry_hash_bytes = u(m_.entry_hash_bytes->value());
-  s.cache_hits = u(m_.cache_hits->value());
-  s.cache_misses = u(m_.cache_misses->value());
-  const CacheEvictionCounts evictions = cache_.eviction_counts();
-  s.cache_evictions = evictions.total();
-  s.cache_evictions_capacity = evictions.capacity;
-  s.cache_evictions_dealloc = evictions.dealloc;
-  s.cache_evictions_failed_commit = evictions.failed_commit;
-  s.cache_evictions_relocation = evictions.relocation;
-  s.cache_bytes_used = cache_.size_bytes();
-  s.sealed_bytes = u(m_.sealed_bytes->value());
-  s.commit_groups = u(m_.commit_groups->value());
-  s.grouped_commits = u(m_.grouped_commits->value());
-  s.max_commits_per_group = u(m_.max_commits_per_group->value());
-  s.log_syncs = u(m_.log_syncs->value());
-  s.counter_bumps = u(m_.counter_bumps->value());
-  s.compress_attempts = u(m_.compress_attempts->value());
-  s.compressed_chunks = u(m_.compressed_chunks->value());
-  s.compress_bytes_in = u(m_.compress_bytes_in->value());
-  s.compress_bytes_out = u(m_.compress_bytes_out->value());
-  s.views_pinned = u(m_.views_pinned->value());
+#define TDB_READ(kind, member, name) \
+  s.member = static_cast<uint64_t>(m_.member->value());
+  TDB_CHUNK_STORE_METRICS(TDB_READ, TDB_METRIC_NONE)
+#undef TDB_READ
+  s.cache_evictions = CacheEvictions(s);
   return s;
 }
 

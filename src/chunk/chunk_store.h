@@ -132,20 +132,79 @@ struct ChunkStoreOptions {
   /// harness does). The object/collection/backup layers register on the
   /// owning chunk store's registry via ChunkStore::metrics().
   std::shared_ptr<common::MetricsRegistry> metrics;
-
-  /// Prefix prepended to every metric name this store registers (counters,
-  /// gauges, histograms) and to audit-event locations. Empty (default)
-  /// keeps the unprefixed "chunk.*" names. A sharded deployment passes
-  /// "shard<k>." per shard over ONE shared registry, so `tdbstat --json`
-  /// attributes load per shard while Stats() — which reads the bound
-  /// instruments, not names — keeps working unchanged.
-  std::string metric_prefix;
 };
 
+/// Every chunk-store and chunk-cache statistic, named once (see
+/// TDB_METRIC_POINTER in common/metrics.h for the entry shapes). Under the
+/// shard router each name carries its shard's "shard<k>." prefix.
+#define TDB_CHUNK_STORE_METRICS(STAT, INSTRUMENT)                         \
+  STAT(Gauge, live_bytes, "chunk.live_bytes")                             \
+  STAT(Gauge, total_bytes, "chunk.total_bytes")                           \
+  STAT(Gauge, segments, "chunk.segments")                                 \
+  STAT(Gauge, live_chunks, "chunk.live_chunks")                           \
+  STAT(Counter, commits, "chunk.commits")                                 \
+  STAT(Counter, durable_commits, "chunk.durable_commits")                 \
+  STAT(Counter, checkpoints, "chunk.checkpoints")                         \
+  STAT(Counter, cleaned_segments, "chunk.cleaner.segments_cleaned")       \
+  STAT(Counter, relocated_records, "chunk.cleaner.relocated_records")     \
+  STAT(Counter, relocated_bytes, "chunk.cleaner.relocated_bytes")         \
+  STAT(Counter, rerelocated_bytes, "chunk.cleaner.rerelocated_bytes")     \
+  INSTRUMENT(Gauge, summary_bytes, "chunk.cleaner.summary_bytes")         \
+  STAT(Counter, bytes_appended, "chunk.bytes_appended")                   \
+  STAT(Counter, data_bytes, "chunk.data_bytes")                           \
+  STAT(Counter, map_bytes, "chunk.map_bytes")                             \
+  STAT(Counter, commit_bytes, "chunk.commit_bytes")                       \
+  STAT(Counter, seal_bytes, "chunk.overhead.seal_bytes")                  \
+  STAT(Counter, pad_bytes, "chunk.overhead.pad_bytes")                    \
+  STAT(Counter, frame_bytes, "chunk.overhead.frame_bytes")                \
+  STAT(Counter, entry_hash_bytes, "chunk.overhead.entry_hash_bytes")      \
+  STAT(Counter, cache_hits, "chunk.cache.hits")                           \
+  STAT(Counter, cache_misses, "chunk.cache.misses")                       \
+  STAT(Counter, cache_evictions_capacity,                                 \
+       "chunk.cache.evictions.capacity")                                  \
+  STAT(Counter, cache_evictions_dealloc, "chunk.cache.evictions.dealloc") \
+  STAT(Counter, cache_evictions_failed_commit,                            \
+       "chunk.cache.evictions.failed_commit")                             \
+  STAT(Counter, cache_evictions_relocation,                               \
+       "chunk.cache.evictions.relocation")                                \
+  STAT(Gauge, cache_bytes_used, "chunk.cache.bytes_used")                 \
+  STAT(Counter, sealed_bytes, "chunk.sealed_bytes")                       \
+  STAT(Counter, commit_groups, "chunk.commit_groups")                     \
+  STAT(Counter, grouped_commits, "chunk.grouped_commits")                 \
+  STAT(Gauge, max_commits_per_group, "chunk.max_commits_per_group")       \
+  STAT(Counter, log_syncs, "chunk.log_syncs")                             \
+  STAT(Counter, counter_bumps, "chunk.counter_bumps")                     \
+  STAT(Counter, compress_attempts, "chunk.compress.attempts")             \
+  STAT(Counter, compressed_chunks, "chunk.compress.chunks")               \
+  STAT(Counter, compress_bytes_in, "chunk.compress.bytes_in")             \
+  STAT(Counter, compress_bytes_out, "chunk.compress.bytes_out")           \
+  STAT(Counter, views_pinned, "chunk.views_pinned")                       \
+  INSTRUMENT(Histogram, read_latency_us, "chunk.read.latency_us")         \
+  INSTRUMENT(Histogram, seal_latency_us, "chunk.seal.latency_us")         \
+  INSTRUMENT(Histogram, sync_latency_us, "chunk.sync.latency_us")         \
+  INSTRUMENT(Histogram, counter_bump_latency_us,                          \
+             "chunk.counter_bump.latency_us")                             \
+  INSTRUMENT(Histogram, group_flush_latency_us,                           \
+             "chunk.group_flush.latency_us")                              \
+  INSTRUMENT(Histogram, commit_latency_us, "chunk.commit.latency_us")     \
+  INSTRUMENT(Histogram, verify_latency_us, "chunk.verify.latency_us")     \
+  INSTRUMENT(Histogram, clean_us, "chunk.clean_us")                       \
+  INSTRUMENT(Histogram, checkpoint_us, "chunk.checkpoint_us")             \
+  /* Read-path stages (cache misses only; a hit skips all three). */      \
+  INSTRUMENT(Histogram, read_verify_us, "chunk.read.verify_us")           \
+  INSTRUMENT(Histogram, read_decrypt_us, "chunk.read.decrypt_us")         \
+  INSTRUMENT(Histogram, read_decompress_us, "chunk.read.decompress_us")   \
+  /* Set once per Open that replays a residual log. */                    \
+  INSTRUMENT(Gauge, recovery_time_us, "recovery.time_us")                 \
+  INSTRUMENT(Gauge, recovery_commits_replayed, "recovery.commits_replayed") \
+  INSTRUMENT(Gauge, recovery_chunks_replayed, "recovery.chunks_replayed") \
+  INSTRUMENT(Counter, verified_chunks, "chunk.verify.chunks")
+
 /// Counters exposed for tests, benchmarks, and the utilization experiment.
-/// Returned by value from ChunkStore::Stats() as a coherent-enough
-/// snapshot of the store's internal atomic counters (individual fields are
-/// exact; cross-field invariants may be mid-update under concurrency).
+/// Returned by value from ChunkStore::Stats(), which reads every field but
+/// `cache_evictions` from its instrument in TDB_CHUNK_STORE_METRICS
+/// (individual fields are exact; cross-field invariants may be mid-update
+/// under concurrency).
 struct ChunkStoreStats {
   uint64_t live_bytes = 0;      // Bytes of live records (data + map).
   uint64_t total_bytes = 0;     // Bytes across all segment files.
@@ -206,7 +265,7 @@ struct ChunkStoreStats {
 
   /// Adds `other` field by field: the sum over shards of a sharded store.
   /// max_commits_per_group takes the larger value (a group never spans
-  /// shards).
+  /// shards), and cache_evictions is again the sum of its four causes.
   void Add(const ChunkStoreStats& other);
 
   double utilization() const {
@@ -504,7 +563,8 @@ class ChunkStore : public ChunkStoreInterface {
   Status Close() override;
 
  private:
-  friend class tdb::shard::ShardedChunkStore;  // Reads shards via ReadManyAt.
+  // Opens shards with a metric prefix and reads them via ReadManyAt.
+  friend class tdb::shard::ShardedChunkStore;
 
   struct SegInfo {
     uint64_t total = 0;     // Bytes in the segment file.
@@ -522,72 +582,25 @@ class ChunkStore : public ChunkStoreInterface {
     uint64_t survivor_end = 0;
   };
 
-  /// Registry-backed instruments, resolved once at construction so hot
-  /// paths touch only the wait-free instruments themselves (the old
-  /// per-field AtomicStats atomics, migrated onto the metrics registry;
-  /// Stats() reads them back as the compatibility accessor). Quantities
-  /// that move both ways or get rebuilt are gauges; monotonic tallies are
-  /// sharded counters.
+  /// Registry-backed instruments, bound once at construction so hot paths
+  /// touch only the wait-free instruments themselves. Quantities that move
+  /// both ways or get rebuilt are gauges; monotonic tallies are sharded
+  /// counters.
   struct Instruments {
-    common::Gauge* live_bytes = nullptr;
-    common::Gauge* total_bytes = nullptr;
-    common::Gauge* segments = nullptr;
-    common::Gauge* live_chunks = nullptr;
-    common::Counter* commits = nullptr;
-    common::Counter* durable_commits = nullptr;
-    common::Counter* checkpoints = nullptr;
-    common::Counter* cleaned_segments = nullptr;
-    common::Counter* relocated_records = nullptr;
-    common::Counter* relocated_bytes = nullptr;
-    common::Counter* rerelocated_bytes = nullptr;
-    common::Gauge* summary_bytes = nullptr;
-    common::Counter* bytes_appended = nullptr;
-    common::Counter* data_bytes = nullptr;
-    common::Counter* map_bytes = nullptr;
-    common::Counter* commit_bytes = nullptr;
-    common::Counter* seal_bytes = nullptr;
-    common::Counter* pad_bytes = nullptr;
-    common::Counter* frame_bytes = nullptr;
-    common::Counter* entry_hash_bytes = nullptr;
-    common::Counter* cache_hits = nullptr;
-    common::Counter* cache_misses = nullptr;
-    common::Counter* cache_evictions[4] = {};  // Indexed by EvictCause.
-    common::Gauge* cache_bytes_used = nullptr;
-    common::Counter* sealed_bytes = nullptr;
-    common::Counter* commit_groups = nullptr;
-    common::Counter* grouped_commits = nullptr;
-    common::Gauge* max_commits_per_group = nullptr;
-    common::Counter* log_syncs = nullptr;
-    common::Counter* counter_bumps = nullptr;
-    common::Counter* compress_attempts = nullptr;
-    common::Counter* compressed_chunks = nullptr;
-    common::Counter* compress_bytes_in = nullptr;
-    common::Counter* compress_bytes_out = nullptr;
-    common::Counter* views_pinned = nullptr;
-    // Latency histograms (recording gated by the registry's timing flag).
-    common::Histogram* read_latency_us = nullptr;
-    common::Histogram* seal_latency_us = nullptr;
-    common::Histogram* sync_latency_us = nullptr;
-    common::Histogram* counter_bump_latency_us = nullptr;
-    common::Histogram* group_flush_latency_us = nullptr;
-    common::Histogram* commit_latency_us = nullptr;
-    common::Histogram* verify_latency_us = nullptr;
-    common::Histogram* clean_us = nullptr;
-    common::Histogram* checkpoint_us = nullptr;
-    // Read-path stage breakdown (cache misses only; a hit skips all three).
-    common::Histogram* read_verify_us = nullptr;
-    common::Histogram* read_decrypt_us = nullptr;
-    common::Histogram* read_decompress_us = nullptr;
-    // Recovery (set once per Open that replays a residual log).
-    common::Gauge* recovery_time_us = nullptr;
-    common::Gauge* recovery_commits_replayed = nullptr;
-    common::Gauge* recovery_chunks_replayed = nullptr;
-    common::Counter* verified_chunks = nullptr;
+    TDB_CHUNK_STORE_METRICS(TDB_METRIC_POINTER, TDB_METRIC_POINTER)
   };
 
+  // Open, with `metric_prefix` in front of every instrument name and audit
+  // location: the router opens shard k with "shard<k>." so one shared
+  // registry attributes load and detections per shard.
+  static Result<std::unique_ptr<ChunkStore>> Open(
+      platform::UntrustedStore* store, platform::SecretStore* secrets,
+      platform::OneWayCounter* counter, const ChunkStoreOptions& options,
+      const std::string& metric_prefix);
   ChunkStore(platform::UntrustedStore* store,
              platform::OneWayCounter* counter,
-             const ChunkStoreOptions& options, crypto::CipherSuite suite);
+             const ChunkStoreOptions& options, crypto::CipherSuite suite,
+             const std::string& metric_prefix);
 
   // --- open/recovery (single-threaded: before the store is published) ---
   Status Bootstrap();            // Fresh store: first segment + checkpoint.
@@ -843,8 +856,6 @@ class ChunkStore : public ChunkStoreInterface {
 
   static void AtomicMax(std::atomic<uint64_t>& counter, uint64_t value);
 
-  // Resolves every instrument in m_ against metrics_ (constructor only).
-  void BindInstruments();
   // Records a security audit event (tamper/replay/counter detections).
   void AuditDetect(const char* kind, int region, const std::string& location,
                    const std::string& message);
@@ -853,6 +864,7 @@ class ChunkStore : public ChunkStoreInterface {
   platform::UntrustedStore* store_;
   platform::OneWayCounter* counter_;
   ChunkStoreOptions options_;
+  const std::string metric_prefix_;
   crypto::CipherSuite suite_;
   AnchorManager anchor_mgr_;
   LocationMap map_;

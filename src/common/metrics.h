@@ -285,4 +285,17 @@ class ScopedTimer {
 
 }  // namespace tdb::common
 
+/// Statistic lists. A layer names each of its instruments once, in one
+/// list macro taking two entry macros: STAT(kind, member, "registry.name")
+/// for an instrument that is also the layer's `*Stats` field `member`, and
+/// INSTRUMENT(kind, member, "registry.name") for one with no such field
+/// (histograms, gauges only the registry reports). `kind` is Counter, Gauge
+/// or Histogram. The layer expands its list into its instrument pointers
+/// (TDB_METRIC_POINTER for both), their binding at construction and its
+/// Stats() read-back (TDB_METRIC_NONE skips the other kind), so the
+/// registry is the only tally of every statistic.
+#define TDB_METRIC_POINTER(kind, member, name) \
+  ::tdb::common::kind* member = nullptr;
+#define TDB_METRIC_NONE(kind, member, name)
+
 #endif  // TDB_COMMON_METRICS_H_

@@ -31,8 +31,6 @@ const char* InternTraceName(const std::string& name) {
   return pool.names.insert(name).first->c_str();
 }
 
-#if TDB_TRACE_ENABLED
-
 namespace {
 
 std::atomic<bool> g_tracing{false};
@@ -212,7 +210,5 @@ void TraceSpan::End() {
   internal::RecordSpan(name_, ctx_, parent_span_, start_, MonotonicMicros());
   t_context = saved_;
 }
-
-#endif  // TDB_TRACE_ENABLED
 
 }  // namespace tdb::common

@@ -8,15 +8,6 @@
 
 #include "common/metrics.h"  // MonotonicMicros / SetMonotonicClockForTesting.
 
-/// Compile-time switch (CMake option TDB_TRACE). When 0, every tracing
-/// class and hot-path function in this header collapses to an empty
-/// inlined no-op — exactly zero code on the disabled path. When 1 (the
-/// default), tracing is still OFF at runtime until SetTracingEnabled(true);
-/// a runtime-disabled span site costs one relaxed atomic load.
-#ifndef TDB_TRACE_ENABLED
-#define TDB_TRACE_ENABLED 1
-#endif
-
 namespace tdb::common {
 
 /// Causal position of the currently-executing operation: which trace
@@ -76,8 +67,6 @@ class TraceName {
 
 /// Fixed per-thread ring capacity, exposed for tests.
 constexpr size_t kTraceRingCapacity = 4096;
-
-#if TDB_TRACE_ENABLED
 
 /// Tracing is process-global and off by default; a disabled TraceSpan is a
 /// single relaxed load. Spans share the metrics clock, so
@@ -185,37 +174,6 @@ class TraceContextScope {
   bool active_ = false;
   TraceContext saved_;
 };
-
-#else  // !TDB_TRACE_ENABLED — every hot-path entry point inlines to nothing.
-
-inline void SetTracingEnabled(bool) {}
-inline bool TracingEnabled() { return false; }
-inline std::vector<TraceEvent> DrainTraceEvents() { return {}; }
-inline std::vector<TraceEvent> SnapshotTraceEvents() { return {}; }
-inline uint64_t TraceOverwrites() { return 0; }
-inline TraceContext CurrentTraceContext() { return TraceContext(); }
-inline uint64_t RecordExplicitSpan(const TraceContext&, TraceName, uint64_t,
-                                   uint64_t) {
-  return 0;
-}
-
-class TraceSpan {
- public:
-  explicit TraceSpan(TraceName) {}
-  TraceSpan(TraceName, const TraceContext&) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  TraceContext context() const { return TraceContext(); }
-};
-
-class TraceContextScope {
- public:
-  explicit TraceContextScope(const TraceContext&) {}
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-};
-
-#endif  // TDB_TRACE_ENABLED
 
 }  // namespace tdb::common
 

@@ -124,7 +124,6 @@ void ObjectCache::EnforceCapacity() {
     lru_.Remove(victim);
     size_ -= victim.charge;
     entries_.erase(victim.oid);
-    stats_.evictions++;
     if (evictions_metric_ != nullptr) evictions_metric_->Increment();
   }
   MirrorSize();

@@ -25,19 +25,12 @@ namespace tdb::object {
 /// Not thread-safe; the object store's state mutex serializes access.
 class ObjectCache {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-
   explicit ObjectCache(size_t capacity_bytes)
       : capacity_(capacity_bytes) {}
 
-  /// Mirrors hit/miss/eviction tallies and occupancy into registry
-  /// instruments (all may be null). The local Stats struct stays the
-  /// source of truth for existing callers; the registry gets the same
-  /// increments so one snapshot covers the whole database instance.
+  /// Counts hits, misses and evictions into registry instruments, the
+  /// cache's only tally, and mirrors occupancy into `bytes_used` (all may
+  /// be null).
   void AttachMetrics(common::Counter* hits, common::Counter* misses,
                      common::Counter* evictions, common::Gauge* bytes_used);
 
@@ -47,12 +40,12 @@ class ObjectCache {
   Object* Put(ObjectId oid, std::unique_ptr<Object> object, bool dirty,
               uint64_t* pin_generation = nullptr);
 
-  /// Returns the cached instance or nullptr. A hit counts toward the stats
-  /// and, if the entry is evictable, moves it to the MRU end.
+  /// Returns the cached instance or nullptr. A hit is counted and, if the
+  /// entry is evictable, moves it to the MRU end.
   Object* Get(ObjectId oid);
 
   /// Pins the cached instance for a Ref, marking it dirty first when
-  /// `dirty` — one probe. A hit counts toward the stats; a miss returns
+  /// `dirty` — one probe. A hit is counted; a miss returns
   /// nullptr and pins nothing.
   ///
   /// Pinned entries cannot be evicted. Acquire stores the entry's
@@ -82,9 +75,7 @@ class ObjectCache {
 
   size_t size_bytes() const { return size_; }
   size_t entry_count() const { return entries_.size(); }
-  const Stats& stats() const { return stats_; }
   void CountMiss() {
-    stats_.misses++;
     if (misses_metric_ != nullptr) misses_metric_->Increment();
   }
 
@@ -105,7 +96,6 @@ class ObjectCache {
   };
 
   void CountHit() {
-    stats_.hits++;
     if (hits_metric_ != nullptr) hits_metric_->Increment();
   }
   // Puts the entry on (at the MRU end) or takes it off the LRU list when
@@ -123,7 +113,6 @@ class ObjectCache {
   common::LruList<Entry> lru_;  // Exactly the evictable entries.
   size_t capacity_;
   size_t size_ = 0;
-  Stats stats_;
   common::Counter* hits_metric_ = nullptr;
   common::Counter* misses_metric_ = nullptr;
   common::Counter* evictions_metric_ = nullptr;

@@ -204,28 +204,10 @@ ObjectStore::ObjectStore(chunk::ChunkStoreInterface* chunks,
     : chunks_(chunks),
       options_(options),
       cache_(options.cache_capacity_bytes) {
-  BindInstruments();
-}
-
-void ObjectStore::BindInstruments() {
   common::MetricsRegistry* r = chunks_->metrics().get();
-  m_.txns_begun = r->GetCounter("txn.begin");
-  m_.read_txns_begun = r->GetCounter("txn.read_begin");
-  m_.commits = r->GetCounter("txn.commits");
-  m_.durable_commits = r->GetCounter("txn.durable_commits");
-  m_.aborts = r->GetCounter("txn.aborts");
-  m_.deadlock_aborts = r->GetCounter("txn.deadlock_aborts");
-  m_.lock_acquisitions = r->GetCounter("txn.lock_acquisitions");
-  m_.lock_waits = r->GetCounter("txn.lock_waits");
-  m_.lock_timeouts = r->GetCounter("txn.lock_timeouts");
-  m_.pickle_bytes = r->GetCounter("object.pickle_bytes");
-  m_.cache_hits = r->GetCounter("object.cache.hits");
-  m_.cache_misses = r->GetCounter("object.cache.misses");
-  m_.cache_evictions = r->GetCounter("object.cache.evictions");
-  m_.cache_bytes_used = r->GetGauge("object.cache.bytes_used");
-  m_.commit_latency_us = r->GetHistogram("txn.commit.latency_us");
-  m_.lock_wait_us = r->GetHistogram("txn.lock_wait_us");
-  m_.unpickle_us = r->GetHistogram("object.unpickle_us");
+#define TDB_BIND(kind, member, name) m_.member = r->Get##kind(name);
+  TDB_OBJECT_STORE_METRICS(TDB_BIND, TDB_BIND)
+#undef TDB_BIND
   cache_.AttachMetrics(m_.cache_hits, m_.cache_misses, m_.cache_evictions,
                        m_.cache_bytes_used);
   locks_.AttachMetrics(m_.lock_acquisitions, m_.lock_waits, m_.lock_timeouts,
@@ -233,21 +215,11 @@ void ObjectStore::BindInstruments() {
 }
 
 ObjectStoreStats ObjectStore::Stats() const {
-  auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
   ObjectStoreStats s;
-  s.txns_begun = u(m_.txns_begun->value());
-  s.read_txns_begun = u(m_.read_txns_begun->value());
-  s.commits = u(m_.commits->value());
-  s.durable_commits = u(m_.durable_commits->value());
-  s.aborts = u(m_.aborts->value());
-  s.deadlock_aborts = u(m_.deadlock_aborts->value());
-  s.lock_acquisitions = u(m_.lock_acquisitions->value());
-  s.lock_waits = u(m_.lock_waits->value());
-  s.lock_timeouts = u(m_.lock_timeouts->value());
-  s.pickle_bytes = u(m_.pickle_bytes->value());
-  s.cache_hits = u(m_.cache_hits->value());
-  s.cache_misses = u(m_.cache_misses->value());
-  s.cache_evictions = u(m_.cache_evictions->value());
+#define TDB_READ(kind, member, name) \
+  s.member = static_cast<uint64_t>(m_.member->value());
+  TDB_OBJECT_STORE_METRICS(TDB_READ, TDB_METRIC_NONE)
+#undef TDB_READ
   return s;
 }
 

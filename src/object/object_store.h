@@ -387,8 +387,29 @@ class ReadTransaction {
   std::unordered_map<ObjectId, std::unique_ptr<Object>> objects_;  // Txn-private.
 };
 
-/// Transaction/locking tallies, read back from the metrics registry by the
-/// compatibility accessor ObjectStore::Stats().
+/// Every object-store, object-cache and lock-manager statistic, named once
+/// (see TDB_METRIC_POINTER in common/metrics.h for the entry shapes).
+#define TDB_OBJECT_STORE_METRICS(STAT, INSTRUMENT)                     \
+  STAT(Counter, txns_begun, "txn.begin")                               \
+  STAT(Counter, read_txns_begun, "txn.read_begin")                     \
+  STAT(Counter, commits, "txn.commits")                                \
+  STAT(Counter, durable_commits, "txn.durable_commits")                \
+  STAT(Counter, aborts, "txn.aborts")                                  \
+  STAT(Counter, deadlock_aborts, "txn.deadlock_aborts")                \
+  STAT(Counter, lock_acquisitions, "txn.lock_acquisitions")            \
+  STAT(Counter, lock_waits, "txn.lock_waits")                          \
+  STAT(Counter, lock_timeouts, "txn.lock_timeouts")                    \
+  STAT(Counter, pickle_bytes, "object.pickle_bytes")                   \
+  STAT(Counter, cache_hits, "object.cache.hits")                       \
+  STAT(Counter, cache_misses, "object.cache.misses")                   \
+  STAT(Counter, cache_evictions, "object.cache.evictions")             \
+  INSTRUMENT(Gauge, cache_bytes_used, "object.cache.bytes_used")       \
+  INSTRUMENT(Histogram, commit_latency_us, "txn.commit.latency_us")    \
+  INSTRUMENT(Histogram, lock_wait_us, "txn.lock_wait_us")              \
+  INSTRUMENT(Histogram, unpickle_us, "object.unpickle_us")
+
+/// Transaction/locking tallies, read back from their instruments in
+/// TDB_OBJECT_STORE_METRICS by ObjectStore::Stats().
 struct ObjectStoreStats {
   uint64_t txns_begun = 0;
   uint64_t read_txns_begun = 0;  // Lock-free ReadTransactions pinned.
@@ -455,7 +476,6 @@ class ObjectStore {
   Result<ObjectId> GetNamedRoot(const std::string& name);
   Status SetNamedRoot(const std::string& name, ObjectId oid);
 
-  const ObjectCache::Stats& cache_stats() const { return cache_.stats(); }
   size_t cache_size_bytes() const { return cache_.size_bytes(); }
   chunk::ChunkStoreInterface* chunk_store() { return chunks_; }
 
@@ -506,32 +526,12 @@ class ObjectStore {
   void Repin(ObjectId oid, uint64_t generation);
   void Unpin(ObjectId oid, uint64_t generation);
 
-  // Registry-backed instruments, resolved once at construction (against
-  // the chunk store's registry) so transaction paths touch only the
-  // wait-free instruments.
+  // Registry-backed instruments, bound once at construction (against the
+  // chunk store's registry) so transaction paths touch only the wait-free
+  // instruments.
   struct Instruments {
-    common::Counter* txns_begun = nullptr;
-    common::Counter* read_txns_begun = nullptr;
-    common::Counter* commits = nullptr;
-    common::Counter* durable_commits = nullptr;
-    common::Counter* aborts = nullptr;
-    common::Counter* deadlock_aborts = nullptr;
-    common::Counter* lock_acquisitions = nullptr;
-    common::Counter* lock_waits = nullptr;
-    common::Counter* lock_timeouts = nullptr;
-    common::Counter* pickle_bytes = nullptr;
-    common::Counter* cache_hits = nullptr;
-    common::Counter* cache_misses = nullptr;
-    common::Counter* cache_evictions = nullptr;
-    common::Gauge* cache_bytes_used = nullptr;
-    common::Histogram* commit_latency_us = nullptr;
-    common::Histogram* lock_wait_us = nullptr;
-    common::Histogram* unpickle_us = nullptr;
+    TDB_OBJECT_STORE_METRICS(TDB_METRIC_POINTER, TDB_METRIC_POINTER)
   };
-
-  // Resolves every instrument in m_ and wires the cache and lock manager
-  // (constructor only).
-  void BindInstruments();
 
   chunk::ChunkStoreInterface* chunks_;
   ObjectStoreOptions options_;

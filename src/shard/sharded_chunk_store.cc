@@ -269,8 +269,6 @@ Result<std::unique_ptr<ShardedChunkStore>> ShardedChunkStore::Open(
   for (size_t k = 0; k < n; k++) {
     chunk::ChunkStoreOptions opts = options;
     opts.metrics = st->metrics_;
-    opts.metric_prefix =
-        options.metric_prefix + "shard" + std::to_string(k) + ".";
     // Shards may share the master secret, hence the cipher key: their IV
     // streams must differ. One shard keeps the caller's seed, so N == 1
     // is a plain pass-through.
@@ -278,7 +276,8 @@ Result<std::unique_ptr<ShardedChunkStore>> ShardedChunkStore::Open(
     TDB_ASSIGN_OR_RETURN(
         std::unique_ptr<chunk::ChunkStore> cs,
         chunk::ChunkStore::Open(backends[k].store, backends[k].secrets,
-                                backends[k].counter, opts));
+                                backends[k].counter, opts,
+                                "shard" + std::to_string(k) + "."));
     st->shards_.push_back(std::move(cs));
   }
   st->chains_.resize(n);
@@ -289,19 +288,9 @@ Result<std::unique_ptr<ShardedChunkStore>> ShardedChunkStore::Open(
     st->mac_key_.assign(key.data(), key.data() + key.size());
   }
   common::MetricsRegistry* r = st->metrics_.get();
-  st->single_commits_ = r->GetCounter("shard.router.single_shard_commits");
-  st->cross_commits_ = r->GetCounter("shard.router.cross_shard_commits");
-  st->cross_aborts_ = r->GetCounter("shard.router.cross_shard_aborts");
-  st->cross_commit_failures_ =
-      r->GetCounter("shard.router.cross_shard_commit_failures");
-  st->upgrades_ = r->GetCounter("shard.router.durability_upgrades");
-  st->recovered_commits_ = r->GetCounter("shard.router.recovered_commits");
-  st->recovered_aborts_ = r->GetCounter("shard.router.recovered_aborts");
-  st->decisions_dropped_ = r->GetCounter("shard.router.decisions_dropped");
-  st->decisions_live_ = r->GetGauge("shard.router.decisions_live");
-  st->txn_inflight_ = r->GetGauge("shard.router.txn_inflight");
-  st->txn_inflight_since_us_ =
-      r->GetGauge("shard.router.txn_inflight_since_us");
+#define TDB_BIND(kind, member, name) st->m_.member = r->Get##kind(name);
+  TDB_ROUTER_METRICS(TDB_BIND, TDB_BIND)
+#undef TDB_BIND
   // Intern the per-shard span names once; TraceEvents hold name pointers
   // long after this store is gone, so dynamic labels must not dangle.
   for (size_t k = 0; k < n; k++) {
@@ -555,7 +544,7 @@ Status ShardedChunkStore::RecoverCrossShard() {
   // staged batch rewrites the same chunk states.
   size_t live = 0;
   for (const ShardChain& c : chains_) live += c.live.size();
-  decisions_live_->Set(static_cast<int64_t>(live));
+  m_.decisions_live->Set(static_cast<int64_t>(live));
 
   std::set<uint64_t> in_doubt;
   for (size_t k = 0; k < n; k++) {
@@ -617,9 +606,9 @@ Status ShardedChunkStore::RecoverCrossShard() {
           /*durable=*/true));
     }
     if (do_commit) {
-      recovered_commits_->Increment();
+      m_.recovered_commits->Increment();
     } else {
-      recovered_aborts_->Increment();
+      m_.recovered_aborts->Increment();
     }
     // An in-doubt resolution is noteworthy but NOT a security detection
     // (the tamper sweeps assert the audit log stays exact), so it goes out
@@ -723,11 +712,11 @@ Status ShardedChunkStore::ApplyDecisionLocked(
     c.base_through = through;
     c.base_mac = c.live[drop - 1].mac;
     c.live.erase(c.live.begin(), c.live.begin() + static_cast<ptrdiff_t>(drop));
-    decisions_dropped_->Add(static_cast<int64_t>(drop));
+    m_.decisions_dropped->Add(static_cast<int64_t>(drop));
   }
   c.live.push_back(ChainEntry{txn_id, ++c.appended, mac});
   c.end = mac;
-  decisions_live_->Add(1 - static_cast<int64_t>(drop));
+  m_.decisions_live->Add(1 - static_cast<int64_t>(drop));
   if (durable && s.ok()) MarkDurableLocked(k, c.appended);
   return s;
 }
@@ -755,10 +744,10 @@ Status ShardedChunkStore::CommitCrossShardLocked(
       since->Set(0);
       inflight->Add(-1);
     }
-  } inflight_guard(txn_inflight_, txn_inflight_since_us_);
+  } inflight_guard(m_.txn_inflight, m_.txn_inflight_since_us);
   // Prepares must persist for the decision to be recoverable, so a
   // nondurable multi-shard commit is upgraded to durable.
-  if (!durable) upgrades_->Increment();
+  if (!durable) m_.durability_upgrades->Increment();
   const uint64_t txn = next_txn_id_++;
   uint64_t mask = 0;
   for (const auto& [k, b] : parts) mask |= 1ull << k;
@@ -835,7 +824,7 @@ Status ShardedChunkStore::CommitCrossShardLocked(
                  "recovery: " + aborted.ToString());
       }
     }
-    cross_aborts_->Increment();
+    m_.cross_shard_aborts->Increment();
     return prepared[failed];
   }
 
@@ -858,9 +847,9 @@ Status ShardedChunkStore::CommitCrossShardLocked(
   // commits logically — every participant staged — and recovery finishes
   // the redo from staging.)
   if (out.ok()) {
-    cross_commits_->Increment();
+    m_.cross_shard_commits->Increment();
   } else {
-    cross_commit_failures_->Increment();
+    m_.cross_shard_commit_failures->Increment();
   }
   BoundChainsLocked();
   return out;
@@ -876,14 +865,19 @@ Result<chunk::CommitHandle> ShardedChunkStore::CommitBuffered(
     h.ticket_->route = -2;
     return h;
   };
+  // A batch that touches one shard goes to it unchanged: same ops, same
+  // order, so the shard logs what it would for the batch on its own.
+  const int k = batch.empty() ? 0 : ShardOf(batch.ops_.front().cid);
+  bool one_shard = !batch.empty() || shards_.size() == 1;
   for (const auto& op : batch.ops_) {
     if (IsRouterChunk(op.cid)) return ReservedRouterId();
+    if (ShardOf(op.cid) != k) one_shard = false;
   }
-  if (shards_.size() == 1) {
+  if (one_shard) {
     TDB_ASSIGN_OR_RETURN(chunk::CommitHandle h,
-                         shards_[0]->CommitBuffered(batch, durable));
-    h.ticket_->route = 0;
-    single_commits_->Increment();
+                         shards_[k]->CommitBuffered(batch, durable));
+    h.ticket_->route = k;
+    m_.single_shard_commits->Increment();
     return h;
   }
   if (batch.empty()) {
@@ -904,15 +898,6 @@ Result<chunk::CommitHandle> ShardedChunkStore::CommitBuffered(
     } else {
       part.Deallocate(op.cid);
     }
-  }
-  if (parts.size() == 1) {
-    const int k = parts.begin()->first;
-    TDB_ASSIGN_OR_RETURN(
-        chunk::CommitHandle h,
-        shards_[k]->CommitBuffered(parts.begin()->second, durable));
-    h.ticket_->route = k;
-    single_commits_->Increment();
-    return h;
   }
   Status s;
   {
@@ -1099,16 +1084,10 @@ chunk::ChunkStoreStats ShardedChunkStore::Stats() const {
 
 RouterStats ShardedChunkStore::router_stats() const {
   RouterStats rs;
-  auto u = [](int64_t v) { return static_cast<uint64_t>(v); };
-  rs.single_shard_commits = u(single_commits_->value());
-  rs.cross_shard_commits = u(cross_commits_->value());
-  rs.cross_shard_aborts = u(cross_aborts_->value());
-  rs.cross_shard_commit_failures = u(cross_commit_failures_->value());
-  rs.durability_upgrades = u(upgrades_->value());
-  rs.recovered_commits = u(recovered_commits_->value());
-  rs.recovered_aborts = u(recovered_aborts_->value());
-  rs.decisions_live = u(decisions_live_->value());
-  rs.decisions_dropped = u(decisions_dropped_->value());
+#define TDB_READ(kind, member, name) \
+  rs.member = static_cast<uint64_t>(m_.member->value());
+  TDB_ROUTER_METRICS(TDB_READ, TDB_METRIC_NONE)
+#undef TDB_READ
   return rs;
 }
 

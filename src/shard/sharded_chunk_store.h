@@ -31,7 +31,27 @@ struct ShardBackend {
   platform::OneWayCounter* counter = nullptr;
 };
 
-/// Router-level tallies on top of the per-shard ChunkStoreStats.
+/// Every shard-router statistic, named once (see TDB_METRIC_POINTER in
+/// common/metrics.h for the entry shapes).
+#define TDB_ROUTER_METRICS(STAT, INSTRUMENT)                                \
+  STAT(Counter, single_shard_commits, "shard.router.single_shard_commits")  \
+  STAT(Counter, cross_shard_commits, "shard.router.cross_shard_commits")    \
+  STAT(Counter, cross_shard_aborts, "shard.router.cross_shard_aborts")      \
+  STAT(Counter, cross_shard_commit_failures,                                \
+       "shard.router.cross_shard_commit_failures")                          \
+  STAT(Counter, durability_upgrades, "shard.router.durability_upgrades")    \
+  STAT(Counter, recovered_commits, "shard.router.recovered_commits")        \
+  STAT(Counter, recovered_aborts, "shard.router.recovered_aborts")          \
+  STAT(Gauge, decisions_live, "shard.router.decisions_live")                \
+  STAT(Counter, decisions_dropped, "shard.router.decisions_dropped")        \
+  /* Health-monitor inputs: >0 while a 2PC prepare/decision window is    */ \
+  /* open (requires txn_mu_), with the monotonic time it opened. A       */ \
+  /* wedged or leaked window shows up as an aged txn_inflight violation. */ \
+  INSTRUMENT(Gauge, txn_inflight, "shard.router.txn_inflight")              \
+  INSTRUMENT(Gauge, txn_inflight_since_us, "shard.router.txn_inflight_since_us")
+
+/// Router-level tallies on top of the per-shard ChunkStoreStats, read back
+/// from their instruments in TDB_ROUTER_METRICS by router_stats().
 struct RouterStats {
   uint64_t single_shard_commits = 0;  // Commits routed without coordination.
   uint64_t cross_shard_commits = 0;   // Two-phase commits fully applied.
@@ -326,21 +346,11 @@ class ShardedChunkStore final : public chunk::ChunkStoreInterface {
   // an in-order serial loop on the caller.
   std::unique_ptr<ThreadPool> txn_pool_;
 
-  common::Counter* single_commits_ = nullptr;
-  common::Counter* cross_commits_ = nullptr;
-  common::Counter* cross_aborts_ = nullptr;
-  common::Counter* cross_commit_failures_ = nullptr;
-  common::Counter* upgrades_ = nullptr;
-  common::Counter* recovered_commits_ = nullptr;
-  common::Counter* recovered_aborts_ = nullptr;
-  common::Counter* decisions_dropped_ = nullptr;
-  common::Gauge* decisions_live_ = nullptr;
-
-  // Health-monitor inputs: >0 while a 2PC prepare/decision window is open
-  // (requires txn_mu_), with the monotonic time it opened. A wedged or
-  // leaked window shows up as an aged txn_inflight violation.
-  common::Gauge* txn_inflight_ = nullptr;
-  common::Gauge* txn_inflight_since_us_ = nullptr;
+  // Registry-backed instruments, bound once at Open.
+  struct Instruments {
+    TDB_ROUTER_METRICS(TDB_METRIC_POINTER, TDB_METRIC_POINTER)
+  };
+  Instruments m_;
 
   // Per-shard span names ("shard<k>.2pc.prepare" / ".decision"), interned
   // once at Open so TraceEvents referencing them can never dangle.

@@ -1,23 +1,32 @@
 // Tests for the metrics/tracing layer: wait-free instruments under
 // multi-threaded fire (run under TSan in check.sh --tsan), histogram
 // bucket boundaries, snapshot merge + JSON round-trip, the audit log's
-// dedup/bounded semantics, trace rings, and the instruments' end-to-end
-// wiring through the object store's lock manager.
+// dedup/bounded semantics, trace rings, the instruments' end-to-end
+// wiring through the object store's lock manager, and the per-layer
+// statistic lists against the registry (field values and name set).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "chunk_test_env.h"
 #include "common/metrics.h"
+#include "common/random.h"
 #include "common/trace.h"
 #include "object/object_store.h"
 #include "platform/mem_store.h"
 #include "platform/one_way_counter.h"
 #include "platform/secret_store.h"
+#include "shard/sharded_chunk_store.h"
 
 namespace tdb {
 namespace {
@@ -618,6 +627,435 @@ TEST(ObjectStoreMetricsTest, TxnAndCacheCountersMove) {
   common::MetricsSnapshot snap = rig.chunks->metrics()->Snapshot();
   EXPECT_EQ(snap.counters["txn.begin"], 2);
   EXPECT_EQ(snap.histograms["txn.commit.latency_us"].count, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The statistic lists (TDB_CHUNK_STORE_METRICS, TDB_OBJECT_STORE_METRICS,
+// TDB_ROUTER_METRICS) against the registry. The field-to-name tables here
+// are written out apart from those lists, so a list entry that binds a
+// field to the wrong instrument fails the match tests.
+
+template <typename Stats>
+struct NamedField {
+  uint64_t Stats::*field;
+  const char* name;
+};
+
+using CS = chunk::ChunkStoreStats;
+// Every ChunkStoreStats field but cache_evictions, the sum of its causes.
+const NamedField<CS> kChunkStoreFields[] = {
+    {&CS::live_bytes, "chunk.live_bytes"},
+    {&CS::total_bytes, "chunk.total_bytes"},
+    {&CS::segments, "chunk.segments"},
+    {&CS::live_chunks, "chunk.live_chunks"},
+    {&CS::commits, "chunk.commits"},
+    {&CS::durable_commits, "chunk.durable_commits"},
+    {&CS::checkpoints, "chunk.checkpoints"},
+    {&CS::cleaned_segments, "chunk.cleaner.segments_cleaned"},
+    {&CS::relocated_records, "chunk.cleaner.relocated_records"},
+    {&CS::relocated_bytes, "chunk.cleaner.relocated_bytes"},
+    {&CS::rerelocated_bytes, "chunk.cleaner.rerelocated_bytes"},
+    {&CS::bytes_appended, "chunk.bytes_appended"},
+    {&CS::data_bytes, "chunk.data_bytes"},
+    {&CS::map_bytes, "chunk.map_bytes"},
+    {&CS::commit_bytes, "chunk.commit_bytes"},
+    {&CS::seal_bytes, "chunk.overhead.seal_bytes"},
+    {&CS::pad_bytes, "chunk.overhead.pad_bytes"},
+    {&CS::frame_bytes, "chunk.overhead.frame_bytes"},
+    {&CS::entry_hash_bytes, "chunk.overhead.entry_hash_bytes"},
+    {&CS::cache_hits, "chunk.cache.hits"},
+    {&CS::cache_misses, "chunk.cache.misses"},
+    {&CS::cache_bytes_used, "chunk.cache.bytes_used"},
+    {&CS::cache_evictions_capacity, "chunk.cache.evictions.capacity"},
+    {&CS::cache_evictions_dealloc, "chunk.cache.evictions.dealloc"},
+    {&CS::cache_evictions_failed_commit,
+     "chunk.cache.evictions.failed_commit"},
+    {&CS::cache_evictions_relocation, "chunk.cache.evictions.relocation"},
+    {&CS::sealed_bytes, "chunk.sealed_bytes"},
+    {&CS::commit_groups, "chunk.commit_groups"},
+    {&CS::grouped_commits, "chunk.grouped_commits"},
+    {&CS::max_commits_per_group, "chunk.max_commits_per_group"},
+    {&CS::log_syncs, "chunk.log_syncs"},
+    {&CS::counter_bumps, "chunk.counter_bumps"},
+    {&CS::compress_attempts, "chunk.compress.attempts"},
+    {&CS::compressed_chunks, "chunk.compress.chunks"},
+    {&CS::compress_bytes_in, "chunk.compress.bytes_in"},
+    {&CS::compress_bytes_out, "chunk.compress.bytes_out"},
+    {&CS::views_pinned, "chunk.views_pinned"},
+};
+
+using OS = object::ObjectStoreStats;
+const NamedField<OS> kObjectStoreFields[] = {
+    {&OS::txns_begun, "txn.begin"},
+    {&OS::read_txns_begun, "txn.read_begin"},
+    {&OS::commits, "txn.commits"},
+    {&OS::durable_commits, "txn.durable_commits"},
+    {&OS::aborts, "txn.aborts"},
+    {&OS::deadlock_aborts, "txn.deadlock_aborts"},
+    {&OS::lock_acquisitions, "txn.lock_acquisitions"},
+    {&OS::lock_waits, "txn.lock_waits"},
+    {&OS::lock_timeouts, "txn.lock_timeouts"},
+    {&OS::pickle_bytes, "object.pickle_bytes"},
+    {&OS::cache_hits, "object.cache.hits"},
+    {&OS::cache_misses, "object.cache.misses"},
+    {&OS::cache_evictions, "object.cache.evictions"},
+};
+
+using RS = shard::RouterStats;
+const NamedField<RS> kRouterFields[] = {
+    {&RS::single_shard_commits, "shard.router.single_shard_commits"},
+    {&RS::cross_shard_commits, "shard.router.cross_shard_commits"},
+    {&RS::cross_shard_aborts, "shard.router.cross_shard_aborts"},
+    {&RS::cross_shard_commit_failures,
+     "shard.router.cross_shard_commit_failures"},
+    {&RS::durability_upgrades, "shard.router.durability_upgrades"},
+    {&RS::recovered_commits, "shard.router.recovered_commits"},
+    {&RS::recovered_aborts, "shard.router.recovered_aborts"},
+    {&RS::decisions_live, "shard.router.decisions_live"},
+    {&RS::decisions_dropped, "shard.router.decisions_dropped"},
+};
+
+// The tables name every field: the structs hold nothing but uint64_t
+// fields, so a field added without a table entry changes the size.
+static_assert(sizeof(CS) ==
+              (std::size(kChunkStoreFields) + 1) * sizeof(uint64_t));
+static_assert(sizeof(OS) == std::size(kObjectStoreFields) * sizeof(uint64_t));
+static_assert(sizeof(RS) == std::size(kRouterFields) * sizeof(uint64_t));
+
+// The counter or gauge `name` in `snap`; fails the test if it has neither.
+int64_t SnapshotValue(const common::MetricsSnapshot& snap,
+                      const std::string& name) {
+  if (auto it = snap.counters.find(name); it != snap.counters.end()) {
+    return it->second;
+  }
+  if (auto it = snap.gauges.find(name); it != snap.gauges.end()) {
+    return it->second;
+  }
+  ADD_FAILURE() << "no counter or gauge named " << name;
+  return -1;
+}
+
+template <typename Stats, size_t N>
+void ExpectFieldsMatch(const Stats& stats, const NamedField<Stats> (&fields)[N],
+                       const common::MetricsSnapshot& snap,
+                       const std::string& prefix = "") {
+  for (const NamedField<Stats>& f : fields) {
+    EXPECT_EQ(static_cast<int64_t>(stats.*f.field),
+              SnapshotValue(snap, prefix + f.name))
+        << prefix << f.name;
+  }
+}
+
+// Adds `delta` to the counter or gauge `name` of `registry`, whose
+// snapshot `snap` tells which kind it is.
+void Poke(common::MetricsRegistry* registry,
+          const common::MetricsSnapshot& snap, const std::string& name,
+          int64_t delta) {
+  if (snap.counters.count(name) > 0) {
+    registry->GetCounter(name)->Add(delta);
+  } else if (snap.gauges.count(name) > 0) {
+    registry->GetGauge(name)->Add(delta);
+  } else {
+    ADD_FAILURE() << "no counter or gauge named " << name;
+  }
+}
+
+// Moving the instrument of one field's name moves that field of `read()`
+// and no other, whatever values a workload left behind.
+template <typename Stats, size_t N, typename Read>
+void ExpectEachFieldReadsItsName(const NamedField<Stats> (&fields)[N],
+                                 common::MetricsRegistry* registry,
+                                 const std::string& prefix, Read read) {
+  const common::MetricsSnapshot snap = registry->Snapshot();
+  for (const NamedField<Stats>& moved : fields) {
+    const Stats before = read();
+    Poke(registry, snap, prefix + moved.name, 1);
+    const Stats after = read();
+    Poke(registry, snap, prefix + moved.name, -1);
+    for (const NamedField<Stats>& f : fields) {
+      EXPECT_EQ(after.*f.field,
+                before.*f.field + (f.field == moved.field ? 1 : 0))
+          << "moved " << prefix << moved.name << ", read " << f.name;
+    }
+  }
+}
+
+// Every instrument in `snap` as "<kind> <name>".
+std::set<std::string> InstrumentNames(const common::MetricsSnapshot& snap) {
+  std::set<std::string> names;
+  for (const auto& [name, v] : snap.counters) names.insert("counter " + name);
+  for (const auto& [name, v] : snap.gauges) names.insert("gauge " + name);
+  for (const auto& [name, v] : snap.histograms) {
+    names.insert("histogram " + name);
+  }
+  return names;
+}
+
+// Fails on every name in one set and not the other.
+void ExpectNameSet(const std::set<std::string>& actual,
+                   const std::string& file) {
+  std::ifstream in(std::string(TDB_TEST_DATA_DIR) + "/" + file);
+  ASSERT_TRUE(in.good()) << file;
+  std::set<std::string> expected;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) expected.insert(line);
+  }
+  for (const std::string& name : expected) {
+    EXPECT_TRUE(actual.count(name) > 0) << "missing: " << name;
+  }
+  for (const std::string& name : actual) {
+    EXPECT_TRUE(expected.count(name) > 0) << "unexpected: " << name;
+  }
+}
+
+// An object whose pickle is its payload, so a test picks record sizes.
+class BlobObject final : public object::Object {
+ public:
+  static constexpr object::ClassId kClassId = 778;
+  BlobObject() = default;
+  explicit BlobObject(std::string p) : payload(std::move(p)) {}
+  object::ClassId class_id() const override { return kClassId; }
+  void Pickle(object::Pickler* p) const override { p->PutString(payload); }
+  Status UnpickleFrom(object::Unpickler* u) override {
+    return u->GetString(&payload);
+  }
+  size_t ApproxSize() const override { return payload.size(); }
+  std::string payload;
+};
+
+// A compressible payload of `n` bytes, or an incompressible one.
+std::string Payload(size_t n, int seed, bool compressible = true) {
+  std::string out(n, static_cast<char>('a' + seed % 26));
+  if (!compressible) {
+    Random rng(static_cast<uint64_t>(seed));
+    for (char& c : out) c = static_cast<char>(rng.Uniform(256));
+  }
+  return out;
+}
+
+// Stack (a): an ObjectStore over a ChunkStore with 4 KB segments, small
+// caches and compression, on a device that fails one write on demand.
+struct ObjectStack {
+  platform::MemUntrustedStore files;
+  chunk::FailOneWriteStore device{&files};
+  platform::MemSecretStore secrets;
+  platform::MemOneWayCounter counter;
+  std::unique_ptr<chunk::ChunkStore> chunks;
+  std::unique_ptr<object::ObjectStore> objects;
+
+  ObjectStack() {
+    EXPECT_TRUE(secrets.Provision(Slice("s")).ok());
+    chunk::ChunkStoreOptions copts = chunk::SmallSegments();
+    copts.cache_bytes = 2048;
+    copts.compression = true;
+    copts.checkpoint_interval_bytes = 16 * 1024;
+    chunks = std::move(chunk::ChunkStore::Open(&device, &secrets, &counter,
+                                               copts))
+                 .value();
+    object::ObjectStoreOptions oopts;
+    oopts.cache_capacity_bytes = 1024;
+    objects =
+        std::move(object::ObjectStore::Open(chunks.get(), oopts)).value();
+    EXPECT_TRUE(
+        objects->registry().Register<BlobObject>(BlobObject::kClassId).ok());
+  }
+
+  Status Put(object::ObjectId oid, std::string payload, bool durable) {
+    object::Transaction txn(objects.get());
+    auto ref = txn.OpenWritable<BlobObject>(oid);
+    if (!ref.ok()) return ref.status();
+    (*ref)->payload = std::move(payload);
+    return txn.Commit(durable);
+  }
+
+  // Inserts, reads, updates and removes objects in durable and nondurable
+  // transactions, fails one commit on a write error, then checkpoints,
+  // cleans, pins a view and scrubs: chunk-cache evictions of every cause
+  // that can occur (relocation never evicts), object-cache evictions,
+  // compression, cleaning and aborts all move.
+  void Run() {
+    std::vector<object::ObjectId> ids;
+    for (int t = 0; t < 8; t++) {
+      object::Transaction txn(objects.get());
+      for (int i = 0; i < 5; i++) {
+        const int n = t * 5 + i;
+        ids.push_back(txn.Insert(std::make_unique<BlobObject>(
+                                     Payload(50 + 9 * n, n, n % 3 != 0)))
+                          .value());
+      }
+      ASSERT_TRUE(txn.Commit(t % 2 == 0).ok());
+    }
+    for (int pass = 0; pass < 2; pass++) {
+      object::Transaction txn(objects.get());
+      for (object::ObjectId oid : ids) {
+        ASSERT_TRUE(txn.OpenReadonly<BlobObject>(oid).ok());
+      }
+      ASSERT_TRUE(txn.Commit(false).ok());
+    }
+    for (int i = 0; i < 10; i++) {
+      ASSERT_TRUE(Put(ids[i], Payload(300, 100 + i), i % 2 == 0).ok());
+    }
+    // A removal right after its object's write-through evicts it from
+    // the chunk cache (cause dealloc).
+    for (int i = 0; i < 3; i++) {
+      ASSERT_TRUE(Put(ids[20 + i], Payload(120, 200 + i), true).ok());
+      object::Transaction txn(objects.get());
+      ASSERT_TRUE(txn.Remove(ids[20 + i]).ok());
+      ASSERT_TRUE(txn.Commit(true).ok());
+    }
+    // A nondurable write leaves its record in the tail buffer; a record
+    // larger than a segment then rolls the tail, whose flush fails, so the
+    // batch fails and its cached id is evicted (cause failed_commit).
+    ASSERT_TRUE(Put(ids[30], Payload(100, 300), false).ok());
+    device.FailNextWrite();
+    EXPECT_FALSE(Put(ids[30], Payload(5000, 301, false), true).ok());
+    ASSERT_TRUE(Put(ids[31], Payload(100, 302), true).ok());
+    for (int round = 0; round < 20; round++) {
+      ASSERT_TRUE(Put(ids[round % 10], Payload(400, 400 + round), true).ok());
+    }
+    ASSERT_TRUE(chunks->Checkpoint().ok());
+    ASSERT_TRUE(chunks->Clean(8).ok());
+    {
+      object::ReadTransaction view(objects.get());
+      ASSERT_TRUE(view.Open<BlobObject>(ids[5]).ok());
+    }
+    ASSERT_TRUE(chunks->VerifyIntegrity(nullptr).ok());
+  }
+};
+
+// Stack (b): a 2-shard router over in-memory devices, 4 KB segments.
+struct RouterStack {
+  platform::MemUntrustedStore files[2];
+  platform::MemOneWayCounter counters[2];
+  platform::MemSecretStore secrets;
+  std::unique_ptr<shard::ShardedChunkStore> router;
+
+  RouterStack() {
+    EXPECT_TRUE(secrets.Provision(Slice("s")).ok());
+    chunk::ChunkStoreOptions options = chunk::SmallSegments();
+    options.cache_bytes = 2048;
+    std::vector<shard::ShardBackend> backends;
+    for (int k = 0; k < 2; k++) {
+      backends.push_back({&files[k], &secrets, &counters[k]});
+    }
+    router = std::move(shard::ShardedChunkStore::Open(backends, options))
+                 .value();
+  }
+
+  // Single- and cross-shard commits (durable, and nondurable ones that the
+  // 2PC upgrades), overwrites, deallocations, reads and view reads, then
+  // a checkpoint, cleaning and a scrub.
+  void Run() {
+    std::vector<chunk::ChunkId> ids;
+    for (int i = 0; i < 24; i++) ids.push_back(router->AllocateChunkId());
+    for (int round = 0; round < 30; round++) {
+      chunk::WriteBatch batch;
+      const size_t first = static_cast<size_t>(round) % ids.size();
+      // Consecutive ids alternate shards: two ops span both.
+      const int ops = round % 3 == 0 ? 1 : 2;
+      for (int j = 0; j < ops; j++) {
+        const chunk::ChunkId cid = ids[(first + j) % ids.size()];
+        batch.Write(cid, Slice(Payload(200 + round * 10, round + j)));
+      }
+      ASSERT_TRUE(router->Commit(batch, round % 4 != 1).ok()) << round;
+    }
+    for (chunk::ChunkId cid : ids) ASSERT_TRUE(router->Read(cid).ok());
+    ASSERT_TRUE(router->Deallocate(ids[0], true).ok());
+    auto view = router->PinView();
+    ASSERT_TRUE(view.ok());
+    ASSERT_TRUE(router->ReadAtView(**view, ids[3]).ok());
+    ASSERT_TRUE(router->Checkpoint().ok());
+    ASSERT_TRUE(router->Clean(8).ok());
+    ASSERT_TRUE(router->VerifyIntegrity(nullptr).ok());
+  }
+};
+
+TEST(StatListsTest, ObjectStackStatsMatchTheRegistry) {
+  ObjectStack a;
+  ASSERT_NO_FATAL_FAILURE(a.Run());
+  const CS chunk_stats = a.chunks->Stats();
+  const OS object_stats = a.objects->Stats();
+  const common::MetricsSnapshot snap = a.chunks->metrics()->Snapshot();
+  ExpectFieldsMatch(chunk_stats, kChunkStoreFields, snap);
+  ExpectFieldsMatch(object_stats, kObjectStoreFields, snap);
+  EXPECT_EQ(chunk_stats.cache_evictions,
+            chunk_stats.cache_evictions_capacity +
+                chunk_stats.cache_evictions_dealloc +
+                chunk_stats.cache_evictions_failed_commit +
+                chunk_stats.cache_evictions_relocation);
+  // The workload reaches what it sets out to.
+  EXPECT_GT(chunk_stats.cache_evictions_capacity, 0u);
+  EXPECT_GT(chunk_stats.cache_evictions_dealloc, 0u);
+  EXPECT_GT(chunk_stats.cache_evictions_failed_commit, 0u);
+  EXPECT_GT(chunk_stats.compressed_chunks, 0u);
+  EXPECT_GT(chunk_stats.relocated_records, 0u);
+  EXPECT_GT(object_stats.cache_evictions, 0u);
+  EXPECT_GT(object_stats.aborts, 0u);
+  common::MetricsRegistry* registry = a.chunks->metrics().get();
+  ExpectEachFieldReadsItsName(kChunkStoreFields, registry, "",
+                              [&] { return a.chunks->Stats(); });
+  ExpectEachFieldReadsItsName(kObjectStoreFields, registry, "",
+                              [&] { return a.objects->Stats(); });
+}
+
+// The router's Stats() is the sum of the shards' "shard<k>." instruments,
+// but max_commits_per_group, their max, and cache_evictions, the sum of
+// its causes.
+void ExpectShardSum(shard::ShardedChunkStore* router) {
+  const CS sum = router->Stats();
+  const common::MetricsSnapshot snap = router->metrics()->Snapshot();
+  for (const NamedField<CS>& f : kChunkStoreFields) {
+    const int64_t v0 = SnapshotValue(snap, std::string("shard0.") + f.name);
+    const int64_t v1 = SnapshotValue(snap, std::string("shard1.") + f.name);
+    const bool max = f.field == &CS::max_commits_per_group;
+    EXPECT_EQ(static_cast<int64_t>(sum.*f.field),
+              max ? std::max(v0, v1) : v0 + v1)
+        << f.name;
+  }
+  EXPECT_EQ(sum.cache_evictions, sum.cache_evictions_capacity +
+                                     sum.cache_evictions_dealloc +
+                                     sum.cache_evictions_failed_commit +
+                                     sum.cache_evictions_relocation);
+}
+
+TEST(StatListsTest, RouterStackStatsMatchTheShardSums) {
+  RouterStack b;
+  ASSERT_NO_FATAL_FAILURE(b.Run());
+  const RS router_stats = b.router->router_stats();
+  common::MetricsRegistry* registry = b.router->metrics().get();
+  const common::MetricsSnapshot snap = registry->Snapshot();
+  for (int k = 0; k < 2; k++) {
+    const std::string prefix = "shard" + std::to_string(k) + ".";
+    ExpectFieldsMatch(b.router->ShardStats(k), kChunkStoreFields, snap,
+                      prefix);
+    ExpectEachFieldReadsItsName(kChunkStoreFields, registry, prefix,
+                                [&] { return b.router->ShardStats(k); });
+    for (const NamedField<CS>& f : kChunkStoreFields) {
+      Poke(registry, snap, prefix + f.name, 1);
+      ExpectShardSum(b.router.get());
+      Poke(registry, snap, prefix + f.name, -1);
+    }
+  }
+  ExpectShardSum(b.router.get());
+  ExpectFieldsMatch(router_stats, kRouterFields, snap);
+  ExpectEachFieldReadsItsName(kRouterFields, registry, "",
+                              [&] { return b.router->router_stats(); });
+  EXPECT_GT(router_stats.single_shard_commits, 0u);
+  EXPECT_GT(router_stats.cross_shard_commits, 0u);
+  EXPECT_GT(router_stats.durability_upgrades, 0u);
+}
+
+// The registries register exactly the instruments recorded in
+// tests/data: no statistic was renamed, dropped or added unnoticed.
+TEST(StatListsTest, RegistriesHoldTheRecordedNameSet) {
+  ObjectStack a;
+  ASSERT_NO_FATAL_FAILURE(a.Run());
+  ExpectNameSet(InstrumentNames(a.chunks->metrics()->Snapshot()),
+                "object_stack_metric_names.txt");
+  RouterStack b;
+  ASSERT_NO_FATAL_FAILURE(b.Run());
+  ExpectNameSet(InstrumentNames(b.router->metrics()->Snapshot()),
+                "router_stack_metric_names.txt");
 }
 
 }  // namespace

@@ -593,8 +593,8 @@ TEST(ObjectCacheTest, EvictionRespectsCapacityAndLru) {
     ASSERT_TRUE(meter.ok()) << i;
     EXPECT_EQ((*meter)->view_count(), i);
   }
-  EXPECT_GT(env.objects->cache_stats().misses, 0u);
-  EXPECT_GT(env.objects->cache_stats().evictions, 0u);
+  EXPECT_GT(env.objects->Stats().cache_misses, 0u);
+  EXPECT_GT(env.objects->Stats().cache_evictions, 0u);
 }
 
 TEST(ObjectCacheTest, RepeatedReadsHitCache) {
@@ -609,7 +609,7 @@ TEST(ObjectCacheTest, RepeatedReadsHitCache) {
     Transaction txn(env.objects.get());
     ASSERT_TRUE(txn.OpenReadonly<Meter>(meter_id).ok());
   }
-  EXPECT_GE(env.objects->cache_stats().hits, 9u);
+  EXPECT_GE(env.objects->Stats().cache_hits, 9u);
 }
 
 TEST(ObjectCacheTest, UnitTestsPinAndDirty) {
@@ -684,12 +684,15 @@ TEST(ObjectCacheTest, PinnedOrDirtyEntriesAreNeverEvicted) {
   // With nothing evictable the cache may exceed its capacity, but it
   // still never drops a held entry.
   ObjectCache full(MeterCharge());
+  common::MetricsRegistry registry;
+  common::Counter* evictions = registry.GetCounter("object.cache.evictions");
+  full.AttachMetrics(nullptr, nullptr, evictions, nullptr);
   for (ObjectId oid = 1; oid <= 5; oid++) {
     full.Put(oid, std::make_unique<Meter>(int32_t(oid), 0, 0), true);
   }
   full.EnforceCapacity();
   EXPECT_EQ(full.entry_count(), 5u);
-  EXPECT_EQ(full.stats().evictions, 0u);
+  EXPECT_EQ(evictions->value(), 0);
   cache.Unpin(1, pin_gen);
   cache.Unpin(3, acquired_gen);
 }
@@ -773,7 +776,7 @@ TEST(ObjectCacheTest, BulkInsertUnderSmallCache) {
     ASSERT_TRUE(txn.Commit().ok());
   }
   EXPECT_LE(env.objects->cache_size_bytes(), kCapacity);
-  EXPECT_GT(env.objects->cache_stats().evictions, 0u);
+  EXPECT_GT(env.objects->Stats().cache_evictions, 0u);
   Transaction txn(env.objects.get());
   for (int i = 0; i < kObjects; i++) {
     auto meter = txn.OpenReadonly<Meter>(ids[i]);
@@ -998,9 +1001,9 @@ TEST(ObjectCacheTest, RefCopiesKeepTheEntryPinnedUntilTheLast) {
   auto target_evicted = [&] {
     Transaction txn(env.objects.get());
     for (ObjectId oid : filler) EXPECT_TRUE(txn.OpenReadonly<Meter>(oid).ok());
-    const uint64_t misses = env.objects->cache_stats().misses;
+    const uint64_t misses = env.objects->Stats().cache_misses;
     EXPECT_TRUE(txn.OpenReadonly<Meter>(target).ok());
-    const bool missed = env.objects->cache_stats().misses > misses;
+    const bool missed = env.objects->Stats().cache_misses > misses;
     EXPECT_TRUE(txn.Commit().ok());
     return missed;
   };

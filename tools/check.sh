@@ -184,10 +184,8 @@ elif [[ "$mode" == "--trace" ]]; then
   # Causal tracing end to end: the trace/flight-recorder/health unit
   # tests (including the cross-shard single-tree acceptance test), the
   # Perfetto export smoke (bench --trace-json -> tdbstat --trace), the
-  # overhead ablation emitting BENCH_trace_overhead.json, the offline
-  # health gate on a snapshot from a healthy group-commit run, and a
-  # compile check that -DTDB_TRACE=OFF builds the core library with the
-  # subsystem fully stubbed out.
+  # overhead ablation emitting BENCH_trace_overhead.json, and the offline
+  # health gate on a snapshot from a healthy group-commit run.
   cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
   targets=(trace_test metrics_test trace_overhead tdbstat commit_throughput)
   cmake --build "$build_dir" -j "$(nproc)" --target "${targets[@]}"
@@ -209,12 +207,6 @@ elif [[ "$mode" == "--trace" ]]; then
       --benchmark_min_time=0.05 \
       --metrics-json="$health_json" > /dev/null
   "$build_dir/tools/tdbstat" --health "$health_json"
-  echo "== TDB_TRACE=OFF compile check =="
-  # `tdb` is an INTERFACE target; building the inspector and the overhead
-  # bench compiles every store layer plus all trace/flight/health call
-  # sites against the no-op API.
-  cmake -B "$build_dir-off" -S "$repo_root" -DTDB_TRACE=OFF
-  cmake --build "$build_dir-off" -j "$(nproc)" --target tdbstat trace_overhead
   echo "trace check OK: BENCH_trace_overhead.json + trace-smoke.json in $build_dir"
 elif [[ "$mode" == "--perfbench" ]]; then
   # The repo benchmark's self-test: builds perfbench/ (its own CMake
